@@ -172,7 +172,14 @@ def main() -> None:
 
     # an insert whose endpoints are already in the segment trees'
     # endpoint domains (here: reuse endpoints of existing intervals)
-    # patches the cached reduction tuple-by-tuple — no re-reduction
+    # patches the cached reduction — no re-reduction.  The patch runs
+    # on the arrays: the tuple's derived rows are encoded through the
+    # artifact's codebook, found in each variant's sorted uint32 code
+    # matrix by packed-key binary search, and the int64 refcounts
+    # bumped (new rows spliced in, dead rows masked out), copy-on-write
+    # so a memmap-loaded cache entry is never written.  The patched
+    # relations stay columnar: re-persisting them is a blob copy and
+    # the evaluation kernels of section 13 keep running on them.
     rng = random.Random(0)
     endpoints_a = sorted(reduction.segment_trees["A"].endpoints)
     endpoints_b = sorted(reduction.segment_trees["B"].endpoints)
@@ -194,6 +201,10 @@ def main() -> None:
     )
     assert session.stats.reductions == before
     assert answer == naive_evaluate(query, db)
+    assert all(
+        reduction.database[name].columnar is not None
+        for name in reduction.variant_counts
+    ), "patched variants keep their column blocks"
 
     # deletes patch too (refcounted derived rows); an insert whose
     # endpoint is *outside* the domain falls back to a full re-reduce
@@ -541,10 +552,11 @@ def main() -> None:
     #     frame joins; only the final result rows are decoded.
     # Every kernel falls back to the retained tuple implementation
     # (dict DP, trie LFTJ, tuple Yannakakis) when a relation is not
-    # columnar over one shared codebook — e.g. after a delta patch
-    # materialized it — and `use_columnar_kernels(False)` forces the
-    # tuple tier everywhere, which is how the differential tests pin
-    # the two tiers against each other.  The SQL cost model knows the
+    # columnar over one shared codebook — e.g. once a tuple-tier
+    # consumer has touched `.tuples`; a delta patch (section 6) does
+    # not, it keeps the blocks — and `use_columnar_kernels(False)`
+    # forces the tuple tier everywhere, which is how the differential
+    # tests pin the two tiers against each other.  The SQL cost model knows the
     # difference: EXPLAIN prints `columnar: yes/no` per disjunct and
     # prices COUNT(*) heads accordingly.
     # The triangle's reduced disjuncts are cyclic, so this exercises

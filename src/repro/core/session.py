@@ -51,6 +51,7 @@ from ..hypergraph.isomorphism import structure_hash
 from ..queries.query import Atom, Query, Variable
 from ..reduction.disjoint import shift_distinct_left
 from ..reduction.forward import (
+    PATCH_FALLBACK_REASONS,
     DomainChanged,
     ForwardReductionResult,
     forward_reduce,
@@ -380,6 +381,11 @@ class SessionStats:
     admission_raises: int = 0   # adaptive-floor tightenings (churn windows)
     admission_readmissions: int = 0  # rejected answers requested again
     sql_plan_hits: int = 0     # SQL optimizer plans served from cache
+    #: variants a delta patch handled as decoded rows instead of on the
+    #: code arrays, per reason (see ``ForwardReductionResult.apply_delta``)
+    patch_fallbacks: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(PATCH_FALLBACK_REASONS, 0)
+    )
     #: accumulated wall seconds per phase — the built-in flame-sketch
     #: behind ``repro evaluate --profile``
     phase_seconds: dict[str, float] = field(
@@ -399,6 +405,10 @@ class SessionStats:
             "admission_raises": self.admission_raises,
             "admission_readmissions": self.admission_readmissions,
             "sql_plan_hits": self.sql_plan_hits,
+            **{
+                f"patch_fallback_{reason}": count
+                for reason, count in self.patch_fallbacks.items()
+            },
         }
 
     def profile(self) -> dict[str, float]:
@@ -652,10 +662,12 @@ class QuerySession:
         """The delta-maintenance core: cached reductions whose touched
         relations all have verified tuple-level deltas are patched in
         place (and re-persisted under the post-delta digests, so a
-        restarted worker stays warm); everything else touching a changed
-        relation is dropped.  Answers and plans for touched queries
-        always drop — patching keeps the *reduction* warm, the (cheap)
-        disjunct evaluation still re-runs."""
+        restarted worker stays warm; a patched artifact is still
+        columnar, so the store is a blob copy, not a row re-encode);
+        everything else touching a changed relation is dropped.
+        Answers and plans for touched queries always drop — patching
+        keeps the *reduction* warm, the (cheap) disjunct evaluation
+        still re-runs."""
         stale: list[tuple] = []
         for key, (result, deps) in self._reductions.items():
             touched = deps & changed
@@ -671,8 +683,10 @@ class QuerySession:
             try:
                 with self._timed("reduce"):
                     for delta in deltas:
-                        result.apply_delta(delta)
+                        fallbacks = result.apply_delta(delta)
                         self.stats.delta_patches += 1
+                        for reason, count in fallbacks.items():
+                            self.stats.patch_fallbacks[reason] += count
             except DomainChanged:
                 stale.append(key)
                 continue

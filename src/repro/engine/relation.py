@@ -55,6 +55,13 @@ class Relation:
     decoding.  Because the returned set is mutable and mutations cannot
     be observed, materializing drops the column block — consumers that
     want the arrays (:attr:`columnar`) must ask before touching tuples.
+
+    A columnar relation changes only through its block: the delta-patch
+    path (:meth:`~repro.reduction.forward.ForwardReductionResult.apply_delta`)
+    swaps a new code matrix into the *same* block object
+    (:meth:`~repro.reduction.columnar.ColumnBlock.replace_rows`,
+    copy-on-write — the old matrix may be a read-only mapped file), so a
+    patched relation is still columnar and never decodes its rows.
     """
 
     def __init__(

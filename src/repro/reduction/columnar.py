@@ -14,12 +14,24 @@ Nothing downstream is forced to change: a columnar
 :class:`~repro.engine.relation.Relation` *materializes* its Python
 tuple set lazily on first access (decoding each column once through the
 codebook), and :class:`ColumnarCounts` is a ``MutableMapping`` that
-behaves exactly like the ``dict[row, count]`` it replaces — the delta
-patch path mutates it, at which point it degrades gracefully to a plain
-dict.  Until that first touch, Boolean evaluation, cardinality
-statistics and the v5 cache serializer all operate on the raw arrays —
-including arrays backed by an ``np.memmap`` of a cache entry, which is
-how warm workers serve reductions zero-copy.
+behaves exactly like the ``dict[row, count]`` it replaces.  Until such a
+touch, Boolean evaluation, cardinality statistics and the v5 cache
+serializer all operate on the raw arrays — including arrays backed by
+an ``np.memmap`` of a cache entry, which is how warm workers serve
+reductions zero-copy.
+
+Delta maintenance stays in array space too:
+:meth:`ColumnarCounts.adjust` locates one input tuple's derived code
+rows in the (lexicographically sorted) code matrix with a packed-key
+``searchsorted``, bumps the refcounts, splices in rows not yet present
+and masks out rows whose count reaches zero.  The rule is
+**copy-on-write**: a patch never stores into an existing array (it may
+be a read-only view of a mapped cache file, which must never be
+written) — it builds new arrays and swaps them in through
+:meth:`ColumnBlock.replace_rows`, so the relation stays columnar and
+its refcounts stay an array.  Only a consumer that mutates the mapping
+facade key by key (the row-backed patch path of an already materialized
+variant) degrades a :class:`ColumnarCounts` to a plain dict.
 
 Equality of codes is equality of values (the codebook is injective), so
 columnar joins compare ``uint32`` codes directly; decoding happens only
@@ -82,6 +94,12 @@ class CodeBook:
     def __len__(self) -> int:
         return len(self.values)
 
+    def lookup(self, value: Hashable) -> int | None:
+        """The code for ``value`` if it has one — never interns.  An
+        absent value proves no row of the artifact contains it, which
+        is all a delete needs to know."""
+        return self._index.get(value)
+
     def code(self, value: Hashable) -> int:
         """The code for ``value``, interning it on first sight."""
         idx = self._index.get(value)
@@ -115,7 +133,13 @@ class ColumnBlock:
     memoized: a block decodes each column exactly once no matter how
     many consumers (relation tuple set, refcount mapping, digests) ask
     for rows.  The matrix may be a read-only ``np.memmap`` view of a
-    cache entry — nothing here writes into it.
+    cache entry — nothing here writes into it: the one mutation,
+    :meth:`replace_rows`, swaps in a whole new matrix.
+
+    Blocks built by the forward reduction hold *distinct* rows in
+    lexicographic order (what its packed-key dedup emits);
+    :meth:`ColumnarCounts.adjust` relies on that order to find rows by
+    binary search and preserves it.
     """
 
     __slots__ = ("codes", "kinds", "book", "_rows")
@@ -130,6 +154,18 @@ class ColumnBlock:
         self.kinds = tuple(kinds)
         self.book = book
         self._rows: list[tuple] | None = None
+
+    def replace_rows(self, codes: np.ndarray) -> None:
+        """Swap in a new code matrix of the same width — the block's
+        single mutation entry point.  Drops the decoded-row memo, so no
+        consumer is ever served the previous matrix's rows."""
+        if codes.ndim != 2 or codes.shape[1] != self.codes.shape[1]:
+            raise ValueError(
+                f"replacement matrix of shape {codes.shape} does not "
+                f"match block width {self.codes.shape[1]}"
+            )
+        self.codes = codes
+        self._rows = None
 
     @property
     def row_count(self) -> int:
@@ -196,11 +232,14 @@ class ColumnarCounts(MutableMapping):
     :class:`ColumnBlock`'s rows.
 
     Read-only consumers (the ``result_digest`` oracle iterates
-    :meth:`items`) never build a dict.  The delta-patch path mutates
-    entries, at which point the mapping materializes into a plain dict
-    once and behaves identically to the ``dict[row, count]`` it
-    replaces.  Pickling always yields a plain dict — array form is an
-    in-process/v5-cache optimization, not a wire format.
+    :meth:`items`) never build a dict.  Delta patches of a columnar
+    variant go through :meth:`adjust` and stay in array form; only the
+    per-key ``MutableMapping`` mutators (used to patch a variant whose
+    relation has already materialized) turn the mapping into a plain
+    dict, once, after which it behaves identically to the
+    ``dict[row, count]`` it replaces.  Pickling always yields a plain
+    dict — array form is an in-process/v5-cache optimization, not a
+    wire format.
     """
 
     __slots__ = ("block", "array", "_dict")
@@ -218,6 +257,73 @@ class ColumnarCounts(MutableMapping):
         if self._dict is None:
             self._dict = dict(zip(self.block.rows(), self.array.tolist()))
         return self._dict
+
+    def replace_rows(self, codes: np.ndarray, array: np.ndarray) -> None:
+        """Swap in a new code matrix and its parallel refcount array
+        together (the block drops its decoded-row memo)."""
+        if self._dict is not None:
+            raise ValueError("refcounts have materialized into a dict")
+        if array.shape != (codes.shape[0],):
+            raise ValueError("refcount array is not parallel to the rows")
+        self.block.replace_rows(codes)
+        self.array = array
+
+    def adjust(self, rows: np.ndarray, step: int) -> bool:
+        """Add ``step`` to the refcount of every row of ``rows`` — the
+        *distinct* code rows one input tuple derives, ``+1`` for an
+        insert and ``-1`` for a delete.  Rows not yet in the block are
+        spliced in at their sorted position (insert) or ignored
+        (delete); rows whose count reaches zero are dropped.
+
+        The block's rows must be distinct and lexicographically sorted
+        (see :class:`ColumnBlock`); both properties are preserved.  Rows
+        are located by packing each row into one mixed-radix ``int64``
+        key and binary-searching the block's keys — whole-array
+        operations only, never a Python loop over the block.  Returns
+        ``False``, having changed nothing, when the keys do not fit 64
+        bits; the caller then patches the decoded rows instead.
+
+        Copy-on-write: the current arrays (possibly read-only views of
+        a mapped cache entry) are never stored into; the result goes in
+        through :meth:`replace_rows`.
+        """
+        if rows.shape[0] == 0:
+            return True
+        codes = self.block.codes
+        columns = range(codes.shape[1])
+        radices = [
+            int(max(a, b)) + 1
+            for a, b in zip(
+                codes.max(axis=0, initial=0).tolist(),
+                rows.max(axis=0).tolist(),
+            )
+        ]
+        keys = pack_key_columns([codes[:, j] for j in columns], radices)
+        if keys is None:
+            return False
+        wanted = pack_key_columns([rows[:, j] for j in columns], radices)
+        at = np.searchsorted(keys, wanted)
+        present = at < keys.size
+        present[present] = keys[at[present]] == wanted[present]
+        array = self.array.copy()
+        array[at[present]] += step
+        if step > 0:
+            absent = ~present
+            if absent.any():
+                # np.insert places equal positions in the given order,
+                # so feed it the new rows sorted among themselves
+                order = np.argsort(wanted[absent], kind="stable")
+                positions = at[absent][order]
+                fresh = rows[absent][order]
+                codes = np.insert(codes, positions, fresh, axis=0)
+                array = np.insert(array, positions, step)
+        else:
+            alive = array > 0
+            if not alive.all():
+                codes = codes[alive]
+                array = array[alive]
+        self.replace_rows(codes, array)
+        return True
 
     def __getitem__(self, key):
         return self._materialize()[key]

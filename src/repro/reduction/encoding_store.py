@@ -113,13 +113,23 @@ class EncodingStore:
         return result
 
     def encoded_parts(
-        self, variable: str, value: Interval, i: int, nonempty_last: bool
+        self,
+        variable: str,
+        value: Interval,
+        i: int,
+        nonempty_last: bool,
+        intern: bool = True,
     ) -> np.ndarray:
         """The same encodings as :meth:`interval_encodings`, interned
         through the store's :class:`~repro.reduction.columnar.CodeBook`
         into an ``(n_options, i)`` ``uint32`` code matrix — the unit the
         vectorized kernel tiles.  Memoized per key like the tuple form;
-        row order matches the tuple form exactly."""
+        row order matches the tuple form exactly.
+
+        ``intern=False`` (the delete path) only looks codes up: an
+        option with a part the book has never seen cannot occur in any
+        row of the artifact and is left out, and the book does not
+        grow."""
         key = (variable, value, i, nonempty_last)
         arr = self._code_arrays.get(key)
         if arr is not None:
@@ -129,12 +139,13 @@ class EncodingStore:
         book = self.codebook
         if book is None:
             book = self.codebook = CodeBook()
-        code = book.code
-        arr = np.array(
-            [[code(part) for part in option] for option in options],
-            dtype=CODE_DTYPE,
-        ).reshape(len(options), i)
-        self._code_arrays[key] = arr
+        code = book.code if intern else book.lookup
+        coded = [[code(part) for part in option] for option in options]
+        if not intern:
+            coded = [row for row in coded if None not in row]
+        arr = np.array(coded, dtype=CODE_DTYPE).reshape(len(coded), i)
+        if len(coded) == len(options):
+            self._code_arrays[key] = arr
         return arr
 
     def stats(self) -> dict[str, int]:

@@ -71,6 +71,14 @@ class DomainChanged(Exception):
     patch metadata.  Callers must re-run the full forward reduction."""
 
 
+#: Why :meth:`ForwardReductionResult.apply_delta` may patch an interval
+#: variant as decoded rows instead of on its code arrays: the variant
+#: was no longer columnar (reference-path artifact, relation
+#: materialized by a tuple-tier consumer, ``"rows"`` cache entry), or
+#: its rows do not pack into one 64-bit search key.
+PATCH_FALLBACK_REASONS = ("row_backed", "key_overflow")
+
+
 @dataclass(frozen=True)
 class _VariantSpec:
     """What one transformed relation looks like: per interval variable,
@@ -213,6 +221,107 @@ def transform_tuple(
     return rows
 
 
+@dataclass(frozen=True)
+class _VariantLayout:
+    """Where each source column lands in a variant's code matrix
+    (mirrors the schema construction in
+    :meth:`ForwardReducer.variant_relation`): per interval variable its
+    ``i`` part columns, point columns in place, provenance id last."""
+
+    n_cols: int
+    kinds: tuple[str, ...]
+    #: per interval column: (first output col, variable, i,
+    #: nonempty_last, source tuple col)
+    slots: tuple[tuple[int, str, int, bool, int], ...]
+    #: per point column: (output col, source tuple col)
+    point_cols: tuple[tuple[int, int], ...]
+    prov_col: int | None
+
+    @classmethod
+    def of(cls, atom: Atom, spec: _VariantSpec) -> "_VariantLayout":
+        parts = dict(spec.parts)
+        nonempty = set(spec.nonempty_last)
+        n_cols = 0
+        kinds: list[str] = []
+        slots = []
+        point_cols = []
+        for col, v in enumerate(atom.variables):
+            if v.is_interval:
+                i = parts[v.name]
+                slots.append((n_cols, v.name, i, v.name in nonempty, col))
+                kinds.extend([COL_CODE] * i)
+                n_cols += i
+            else:
+                point_cols.append((n_cols, col))
+                kinds.append(COL_CODE)
+                n_cols += 1
+        prov_col = None
+        if spec.provenance and parts:
+            prov_col = n_cols
+            kinds.append(COL_ID)
+            n_cols += 1
+        return cls(
+            n_cols, tuple(kinds), tuple(slots), tuple(point_cols), prov_col
+        )
+
+    def template(self, option_arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """The cartesian product of one tuple's per-slot part encodings
+        as an ``(n_options, n_cols)`` matrix, in the order
+        ``itertools.product`` enumerates it, laid out with mixed-radix
+        ``np.repeat``/``np.tile`` index arrays.  Point and provenance
+        columns are left for the caller to fill.  Empty when any slot
+        has no option."""
+        total = 1
+        for arr in option_arrays:
+            total *= arr.shape[0]
+        template = np.empty((total, self.n_cols), dtype=CODE_DTYPE)
+        if total == 0:
+            return template
+        repeat, tile = total, 1
+        for (first, _, i, _, _), arr in zip(self.slots, option_arrays):
+            s = arr.shape[0]
+            repeat //= s
+            idx = np.tile(np.repeat(np.arange(s), repeat), tile)
+            template[:, first : first + i] = arr[idx]
+            tile *= s
+        return template
+
+
+def transform_tuple_codes(
+    atom: Atom,
+    spec: _VariantSpec,
+    t: tuple,
+    store: EncodingStore,
+    tuple_id: int,
+    intern: bool,
+) -> np.ndarray:
+    """:func:`transform_tuple` in code space: the distinct rows one
+    input tuple contributes to one variant, as a ``uint32`` matrix over
+    ``store``'s codebook (same rows, same order).
+
+    With ``intern=False`` values are only looked up: a row holding a
+    value the book has never seen is in no block of the artifact, so it
+    is left out — which is what a delete wants, and keeps deletes from
+    growing the book every later cache store re-serializes."""
+    layout = _VariantLayout.of(atom, spec)
+    rows = layout.template(
+        [
+            store.encoded_parts(name, t[col], i, flag, intern=intern)
+            for _, name, i, flag, col in layout.slots
+        ]
+    )
+    book = store.codebook
+    assert book is not None
+    for out_col, col in layout.point_cols:
+        code = book.code(t[col]) if intern else book.lookup(t[col])
+        if code is None:
+            return rows[:0]
+        rows[:, out_col] = code
+    if layout.prov_col is not None:
+        rows[:, layout.prov_col] = tuple_id
+    return rows
+
+
 @dataclass
 class ForwardReductionResult:
     """Output of the full forward reduction (Theorem 4.13)."""
@@ -236,8 +345,8 @@ class ForwardReductionResult:
     #: a derived row disappears only when its last deriving input tuple
     #: does.  Vectorized reductions hold these as
     #: :class:`~repro.reduction.columnar.ColumnarCounts` (an ``int64``
-    #: array behind a ``MutableMapping`` facade); the patch path treats
-    #: both forms identically.
+    #: array behind a ``MutableMapping`` facade), which the patch path
+    #: adjusts as an array; plain dicts are patched key by key.
     variant_counts: dict[str, MutableMapping] = field(default_factory=dict)
     #: the memoized-encoding store the reduction was built with (shares
     #: its segment trees with :attr:`segment_trees`), re-used by
@@ -272,7 +381,7 @@ class ForwardReductionResult:
         factored results and pre-delta artifacts do not)."""
         return bool(self.atom_variants)
 
-    def apply_delta(self, delta: Delta) -> None:
+    def apply_delta(self, delta: Delta) -> dict[str, int]:
         """Patch the transformed database in place for one tuple-level
         mutation of a source relation, instead of re-running Algorithm 1.
 
@@ -299,15 +408,28 @@ class ForwardReductionResult:
         domain, or an artifact without patch metadata.  A delta whose
         relation is not referenced by the query is a no-op.
 
-        Vectorized artifacts patch through the same code: their column
-        arrays feed the first patch (one decode pass per touched
-        variant — the ``int64`` refcount array and code matrix become
-        the dict/set the incremental logic mutates) and every later
-        patch is incremental.  Untouched variants stay columnar, and
-        the re-persisted artifact keeps them as arrays.
+        Variants patch in the representation they are already in.  A
+        **columnar** variant (vectorized reductions, ``.red`` cache
+        loads) is patched in array space: the tuple's derived rows are
+        encoded through the artifact's own codebook (looked up, never
+        interned, on a delete), located in the ``uint32`` code matrix by
+        packed-key binary search, and the ``int64`` refcounts bumped —
+        new rows spliced in, dead rows masked out
+        (:meth:`~repro.reduction.columnar.ColumnarCounts.adjust`).  It
+        is copy-on-write: arrays may be read-only views of a mapped
+        cache file, so a patch swaps in new arrays and never stores
+        into the old ones.  The relation keeps its column block and the
+        refcounts stay an array, so the patched artifact re-persists as
+        raw blobs and evaluates on the columnar kernels.  A **row-backed**
+        variant (``reference=True`` artifacts, relations a tuple-tier
+        consumer has materialized, ``"rows"`` cache entries) is patched
+        as the Python set and dict it already is.
+
+        Returns, per reason (:data:`PATCH_FALLBACK_REASONS`), how many
+        interval variants were patched as rows instead of arrays.
         """
         if delta.relation not in self.source_relations:
-            return
+            return {}
         if not delta.is_tuple_level or delta.tuple is None:
             raise DomainChanged(
                 f"{delta.kind!r} delta on {delta.relation!r} is not a "
@@ -342,7 +464,7 @@ class ForwardReductionResult:
                             f"endpoint of {value} falls outside the "
                             f"[{v.name}] segment tree's endpoint domain"
                         )
-        self._patch(atoms, t, k, inserting=delta.kind == "insert")
+        return self._patch(atoms, t, k, inserting=delta.kind == "insert")
 
     def _store(self, k: Mapping[str, int]) -> EncodingStore:
         """The encoding store patches go through — the one the
@@ -359,7 +481,7 @@ class ForwardReductionResult:
         t: tuple,
         k: Mapping[str, int],
         inserting: bool,
-    ) -> None:
+    ) -> dict[str, int]:
         # assign/locate the tuple's provenance id per atom label; order
         # lists are shared between self-join atoms of one relation, so
         # adjust each underlying list exactly once
@@ -380,12 +502,15 @@ class ForwardReductionResult:
                         f"tuple {t} is unknown to this reduction's "
                         f"provenance order for atom {atom.label}"
                     ) from None
+        store = self._store(k)
+        fallbacks: dict[str, int] = {}
         for atom in atoms:
             for spec in self.atom_variants[atom.label]:
                 name = spec.name()
                 relation = self.database[name]
                 if not spec.parts:
-                    # point-only variant: a verbatim copy of the source
+                    # point-only variant: a verbatim copy of the source,
+                    # held as a plain tuple set from the start
                     if inserting:
                         relation.tuples.add(t)
                     else:
@@ -396,29 +521,34 @@ class ForwardReductionResult:
                     raise DomainChanged(
                         f"variant {name} has no derived-row refcounts"
                     )
-                rows = transform_tuple(
-                    atom,
-                    spec,
-                    t,
-                    self.segment_trees,
-                    k,
-                    ids[atom.label],
-                    store=self._store(k),
-                )
-                if inserting:
-                    for row in rows:
-                        count = counts.get(row, 0) + 1
-                        counts[row] = count
-                        if count == 1:
-                            relation.tuples.add(row)
+                tuple_id = ids[atom.label]
+                block = relation.columnar
+                if (
+                    block is not None
+                    and isinstance(counts, ColumnarCounts)
+                    and not counts.materialized
+                    and counts.block is block
+                    and block.book is store.codebook
+                ):
+                    if counts.adjust(
+                        transform_tuple_codes(
+                            atom, spec, t, store, tuple_id, intern=inserting
+                        ),
+                        1 if inserting else -1,
+                    ):
+                        continue
+                    reason = "key_overflow"
                 else:
-                    for row in rows:
-                        count = counts.get(row, 0) - 1
-                        if count <= 0:
-                            counts.pop(row, None)
-                            relation.tuples.discard(row)
-                        else:
-                            counts[row] = count
+                    reason = "row_backed"
+                fallbacks[reason] = fallbacks.get(reason, 0) + 1
+                self._patch_rows(
+                    relation,
+                    counts,
+                    transform_tuple(
+                        atom, spec, t, self.segment_trees, k, tuple_id, store
+                    ),
+                    inserting,
+                )
         if not inserting:
             cleared: set[int] = set()
             for atom in atoms:
@@ -426,6 +556,32 @@ class ForwardReductionResult:
                 if id(order) not in cleared:
                     order[ids[atom.label]] = None
                     cleared.add(id(order))
+        return fallbacks
+
+    @staticmethod
+    def _patch_rows(
+        relation: Relation,
+        counts: MutableMapping,
+        rows: set[tuple],
+        inserting: bool,
+    ) -> None:
+        """Patch one row-backed variant: the relation's Python tuple set
+        and its ``dict``-like refcounts."""
+        tuples = relation.tuples
+        if inserting:
+            for row in rows:
+                count = counts.get(row, 0) + 1
+                counts[row] = count
+                if count == 1:
+                    tuples.add(row)
+        else:
+            for row in rows:
+                count = counts.get(row, 0) - 1
+                if count <= 0:
+                    counts.pop(row, None)
+                    tuples.discard(row)
+                else:
+                    counts[row] = count
 
 
 class ForwardReducer:
@@ -638,33 +794,11 @@ class ForwardReducer:
         assert store is not None
         book = store.codebook
         assert book is not None
-        parts = dict(spec.parts)
-        nonempty = set(spec.nonempty_last)
-        # output column layout (must mirror the schema construction in
-        # variant_relation): per interval variable its i part columns,
-        # point columns in place, provenance id last
-        n_cols = 0
-        kinds: list[str] = []
-        slots: list[tuple[int, str, int, bool, int]] = []
-        point_cols: list[tuple[int, int]] = []  # (output col, tuple col)
-        interval_tuple_cols: list[int] = []
-        for col, v in enumerate(atom.variables):
-            if v.is_interval:
-                i = parts[v.name]
-                slots.append((n_cols, v.name, i, v.name in nonempty, col))
-                interval_tuple_cols.append(col)
-                kinds.extend([COL_CODE] * i)
-                n_cols += i
-            else:
-                point_cols.append((n_cols, col))
-                kinds.append(COL_CODE)
-                n_cols += 1
-        provenance = spec.provenance and bool(parts)
-        if provenance:
-            prov_col = n_cols
-            kinds.append(COL_ID)
-            n_cols += 1
-        member_dep = bool(point_cols) or provenance
+        layout = _VariantLayout.of(atom, spec)
+        n_cols, kinds, slots = layout.n_cols, layout.kinds, layout.slots
+        point_cols, prov_col = layout.point_cols, layout.prov_col
+        interval_tuple_cols = [col for _, _, _, _, col in slots]
+        member_dep = bool(point_cols) or prov_col is not None
         n_src = len(order)
         pt_codes: dict[int, np.ndarray] = {
             col: book.encode_column((t[col] for t in order), count=n_src)
@@ -678,25 +812,15 @@ class ForwardReducer:
         weight_scalars: list[int] = []
         encoded_parts = store.encoded_parts
         for projection, members in groups.items():
-            option_arrays = [
-                encoded_parts(name, value, i, flag)
-                for (_, name, i, flag, _), value in zip(slots, projection)
-            ]
-            sizes = [arr.shape[0] for arr in option_arrays]
-            if 0 in sizes:
+            template = layout.template(
+                [
+                    encoded_parts(name, value, i, flag)
+                    for (_, name, i, flag, _), value in zip(slots, projection)
+                ]
+            )
+            total = template.shape[0]
+            if total == 0:
                 continue  # an empty option list empties the product
-            total = 1
-            for s in sizes:
-                total *= s
-            template = np.empty((total, n_cols), dtype=CODE_DTYPE)
-            repeat, tile = total, 1
-            for (first, _, i, _, _), arr, s in zip(
-                slots, option_arrays, sizes
-            ):
-                repeat //= s
-                idx = np.tile(np.repeat(np.arange(s), repeat), tile)
-                template[:, first : first + i] = arr[idx]
-                tile *= s
             if member_dep:
                 m = len(members)
                 members_arr = np.asarray(members, dtype=np.int64)
@@ -705,7 +829,7 @@ class ForwardReducer:
                     rows_g[:, out_col] = np.repeat(
                         pt_codes[col][members_arr], total
                     )
-                if provenance:
+                if prov_col is not None:
                     rows_g[:, prov_col] = np.repeat(
                         members_arr.astype(CODE_DTYPE), total
                     )

@@ -3,6 +3,7 @@ its jobs (tests / fuzz / lint / bench smoke / service smoke / router
 smoke / distributed smoke / coverage gate / perf gate), and the
 packaging metadata must stay consistent with it."""
 
+import json
 import re
 from pathlib import Path
 
@@ -63,6 +64,8 @@ class TestWorkflow:
         ]
         assert len(fuzz_steps) == 1
         assert "REPRO_FUZZ_SEED" in fuzz_steps[0].get("env", {})
+        # the array-native delta-patch differentials ride the same matrix
+        assert "tests/test_delta_maintenance.py" in fuzz_steps[0]["run"]
 
     def test_lint_job_runs_ruff(self, workflow):
         steps = workflow["jobs"]["lint"]["steps"]
@@ -125,9 +128,14 @@ class TestWorkflow:
         ]
         assert uploads
         assert "benchmarks/results" in uploads[0]["with"]["path"]
-        assert (
-            REPO / "benchmarks" / "baselines" / "perf_quick_baseline.json"
-        ).is_file()
+        baseline = REPO / "benchmarks" / "baselines" / "perf_quick_baseline.json"
+        assert baseline.is_file()
+        gated = json.loads(baseline.read_text())["files"]
+        # patch + re-persist vs rebuild + persist: the write path a
+        # session with a cache_dir actually pays
+        assert {"persisted_patch_ms", "persisted_speedup"} <= set(
+            gated["delta_maintenance.json"]
+        )
 
     def test_router_smoke_is_a_matrix_with_differential_suite_and_artifact(
         self, workflow

@@ -13,9 +13,10 @@ which stay in the tree as the oracles:
   the kernels on and forced off (``use_columnar_kernels``), and agree
   with the strategy-free naive oracle;
 * the same identities hold on artifacts *after* ``apply_delta``
-  patches (where the patched relations have materialized and the
-  kernels must fall back correctly) and on **memmap-warm** artifacts
-  rebuilt from serialized v5 cache frames.
+  patches — which run on the code matrices, so the patched relations
+  are still columnar and the kernels must still **engage** (one
+  explicit row-backed case pins the fallback) — and on **memmap-warm**
+  artifacts rebuilt from serialized v5 cache frames.
 
 Tuple oracles materialize relations (a ``.tuples`` touch drops the
 column block), so every comparison runs the columnar kernel on one
@@ -53,6 +54,7 @@ from repro.engine import (
     columnar_yannakakis_full,
     use_columnar_kernels,
 )
+from repro.engine.columnar_eval import atom_blocks
 from repro.engine.ej import (
     _label_tree_to_index_tree,
     count_ej,
@@ -259,18 +261,31 @@ def test_full_evaluation_matches_tuple_path(index):
 
 @pytest.mark.parametrize("index", range(SCENARIOS))
 def test_kernels_agree_after_apply_delta(index):
-    """After every successful ``apply_delta`` patch, the kernel-on and
-    kernel-off answers still agree on every disjunct.  Patched variants
-    have materialized (their blocks are gone), so this pins the
-    *fallback* correctness as much as the kernels themselves."""
+    """``apply_delta`` patches a columnar artifact on its arrays, so
+    after every successful patch the kernels still *engage*: every
+    disjunct that was columnar keeps its blocks over the one shared
+    codebook, the counting DP answers (not ``None``) on every acyclic
+    one and the array generic join on every one — with the oracle's
+    counts.  The public dispatch (kernels on) then agrees with the
+    kernels-off answers on an identically patched twin."""
     seed = scenario_seed(index)
     rng = random.Random(seed)
     queries = random_queries(rng)
     db, _ = build_database(rng, queries)
     patched_any = False
     for query in queries:
+        # kernels only — never handed to a consumer that could
+        # materialize it, so it is columnar iff the patch kept it so
+        engage_side = forward_reduce(query, db, disjoint=False, provenance=True)
         kernel_side = forward_reduce(query, db, disjoint=False, provenance=True)
         oracle_side = forward_reduce(query, db, disjoint=False, provenance=True)
+        # point-only atoms are plain tuple relations from the start:
+        # only disjuncts that were columnar can (and must) stay so
+        columnar_before = {
+            ej.name: atom_blocks(join_atoms_for(ej, engage_side.database))
+            is not None
+            for ej in engage_side.ej_queries
+        }
         deltas = _patchable_deltas(
             random.Random(seed + 1), query, db, oracle_side
         )
@@ -279,10 +294,16 @@ def test_kernels_agree_after_apply_delta(index):
                 kernel_side.apply_delta(delta)
             except DomainChanged:
                 continue
+            assert engage_side.apply_delta(delta) == {}, delta
             oracle_side.apply_delta(delta)
             patched_any = True
-            for ej_k, ej_o in zip(
-                kernel_side.ej_queries, oracle_side.ej_queries
+            acyclic = dict(
+                (ej.name, tree) for ej, tree in _acyclic_disjuncts(engage_side)
+            )
+            for ej_e, ej_k, ej_o in zip(
+                engage_side.ej_queries,
+                kernel_side.ej_queries,
+                oracle_side.ej_queries,
             ):
                 got_count = count_ej(ej_k, kernel_side.database)
                 got_bool = evaluate_ej(ej_k, kernel_side.database)
@@ -299,7 +320,46 @@ def test_kernels_agree_after_apply_delta(index):
                     query.name,
                     delta,
                 )
+                atoms = join_atoms_for(ej_e, engage_side.database)
+                assert (atom_blocks(atoms) is not None) == columnar_before[
+                    ej_e.name
+                ], (seed, ej_e.name, delta)
+                if not columnar_before[ej_e.name]:
+                    continue
+                generic = columnar_generic_join_count(atoms)
+                assert generic == want_count, (seed, ej_e.name, delta)
+                if ej_e.name in acyclic:
+                    dp = columnar_yannakakis_count(atoms, acyclic[ej_e.name])
+                    assert dp is not None, (seed, ej_e.name, delta)
+                    assert dp == want_count, (seed, ej_e.name, delta)
     assert patched_any, f"seed={seed}: no delta patch exercised"
+
+
+def test_row_backed_artifact_falls_back_after_apply_delta():
+    """The explicit fallback case: once a tuple-tier consumer has
+    materialized a variant, a patch takes the row path for it, the
+    kernels decline (``None``), and the dispatch answers through the
+    tuple tier — correctly."""
+    query = parse_query("R([A]) & S([A],[B]) & T([B])")
+    db = _engagement_db(seed=5)
+    row_side = forward_reduce(query, db, disjoint=False, provenance=True)
+    oracle_side = forward_reduce(query, db, disjoint=False, provenance=True)
+    for relation in row_side.database:
+        relation.tuples  # materialize: every block is dropped
+    victim = sorted(db["S"].tuples, key=repr)[0]
+    delta = db.delete("S", victim)
+    fallbacks = row_side.apply_delta(delta)
+    assert fallbacks == {"row_backed": len(row_side.atom_variants["S"])}
+    assert oracle_side.apply_delta(delta) == {}
+    for (ej, tree), oracle_ej in zip(
+        _acyclic_disjuncts(row_side), oracle_side.ej_queries
+    ):
+        atoms = join_atoms_for(ej, row_side.database)
+        assert columnar_yannakakis_count(atoms, tree) is None
+        assert count_ej(ej, row_side.database) == columnar_yannakakis_count(
+            join_atoms_for(oracle_ej, oracle_side.database), tree
+        )
+    assert count_disjunction(row_side) == count_disjunction(oracle_side)
 
 
 @pytest.mark.parametrize("index", range(SCENARIOS))

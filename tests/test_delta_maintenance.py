@@ -10,6 +10,10 @@ Covers the whole stack, bottom-up:
 * :meth:`~repro.reduction.forward.ForwardReductionResult.apply_delta` —
   tuple-level patches of the transformed database, checked
   differentially against a fresh reduction;
+* the array-native patch path — columnar variants are patched on their
+  code matrices and refcount arrays (copy-on-write), pinned on the
+  ``REPRO_FUZZ_SEED`` matrix against a ``reference=True`` twin and a
+  fresh reduction, through re-persist and memmap loads;
 * the :class:`~repro.core.session.QuerySession` integration — in-domain
   deltas patch cached reductions in place (``stats.delta_patches``),
   everything else falls back to the digest-diff rebuild;
@@ -18,18 +22,35 @@ Covers the whole stack, bottom-up:
 """
 
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from test_differential_cache import (
+    SCENARIOS,
+    _patchable_deltas,
+    build_database,
+    random_queries,
+    scenario_seed,
+)
 
 from repro.cli import main as cli_main
 from repro.core import (
     QuerySession,
     ReductionCache,
+    evaluate_disjunction,
     naive_count,
     naive_evaluate,
     reduction_key,
 )
-from repro.core.reduction_cache import database_digests
+from repro.core.cache_format import (
+    _parse_frame,
+    load_result,
+    serialize_result,
+    validate_entry_bytes,
+)
+from repro.core.reduction_cache import FORMAT_VERSION, database_digests
 from repro.engine import Database, Delta, Relation
 from repro.intervals import Interval, OutOfDomainError, SegmentTree
 from repro.queries import parse_query
@@ -38,6 +59,16 @@ from repro.reduction import (
     forward_reduce,
     forward_reduce_factored,
 )
+from repro.reduction import columnar as columnar_module
+from repro.reduction.columnar import (
+    CODE_DTYPE,
+    COL_CODE,
+    COUNT_DTYPE,
+    CodeBook,
+    ColumnarCounts,
+    ColumnBlock,
+)
+from repro.reduction.forward import transform_tuple_codes
 from repro.workloads import random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -264,8 +295,6 @@ class TestApplyDelta:
         for name, row in shared:
             assert row in result.database[name].tuples, (name, row)
             assert result.variant_counts[name][row] == 1
-        from repro.core import evaluate_disjunction
-
         assert evaluate_disjunction(result) == naive_evaluate(q, db)
         # deleting the second tuple finally clears the shared rows
         result.apply_delta(db.delete("R", (iv(0, 3),)))
@@ -301,8 +330,6 @@ class TestApplyDelta:
         q = parse_query(TRIANGLE)
         db = _random_db(q, rng, n=12)
         result = forward_reduce(q, db)
-        from repro.core import evaluate_disjunction
-
         for _ in range(6):
             t = _in_domain_tuple(result, "R", rng)
             delta = db.insert("R", t) or db.delete("R", t)
@@ -348,6 +375,467 @@ class TestApplyDelta:
         delta = db.insert("R", (iv(0, 1), iv(0, 1)))
         with pytest.raises(DomainChanged):
             result.apply_delta(delta)
+
+
+# ----------------------------------------------------------------------
+# the array-native patch path: columnar variants stay columnar
+# ----------------------------------------------------------------------
+
+
+def _variant_view(result, by_source_tuple=False):
+    """variant name -> {derived row: refcount}, read without
+    materializing anything (a ``.tuples`` touch would drop the column
+    block and push later patches onto the row path).  Also checks the
+    relation's stored rows are exactly the refcounted rows.  With
+    ``by_source_tuple`` a trailing provenance id is replaced by the
+    source tuple it names, so artifacts that number tuples differently
+    compare equal."""
+    view = {}
+    for name, counts in result.variant_counts.items():
+        rows = dict(counts.items())
+        relation = result.database[name]
+        block = relation.columnar
+        stored = block.rows() if block is not None else relation.tuples
+        assert len(stored) == len(rows), name
+        assert set(stored) == set(rows), name
+        if by_source_tuple and relation.schema[-1].startswith("__id_"):
+            label = relation.schema[-1][len("__id_"):]
+            order = result.tuple_order[label]
+            rows = {
+                row[:-1] + (order[row[-1]],): count
+                for row, count in rows.items()
+            }
+        view[name] = rows
+    return view
+
+
+def _assert_columnar(result):
+    """Every interval variant still holds its block, its refcounts are
+    still the array parallel to that very block, and the rows are still
+    distinct and sorted (the invariant the next patch searches by)."""
+    for name, counts in result.variant_counts.items():
+        block = result.database[name].columnar
+        assert block is not None, name
+        assert isinstance(counts, ColumnarCounts), name
+        assert not counts.materialized, name
+        assert counts.block is block, name
+        assert counts.array.shape == (block.row_count,), name
+        assert (np.asarray(counts.array) > 0).all(), name
+        codes = np.asarray(block.codes)
+        ordered = codes[np.lexsort(codes.T[::-1])]
+        assert (ordered == codes).all(), name
+        assert len(np.unique(codes, axis=0)) == len(codes), name
+
+
+def _frame_kinds(frame):
+    meta, _ = _parse_frame(frame, FORMAT_VERSION)
+    return {entry["name"]: entry["kind"] for entry in meta["relations"]}
+
+
+def _same_domains(a, b):
+    return {x: t.endpoints for x, t in a.segment_trees.items()} == {
+        x: t.endpoints for x, t in b.segment_trees.items()
+    }
+
+
+def deserialize_bytes(frame):
+    """A frame loaded the way the cache loads it: through a read-only
+    mapped file, so every array is an unwritable view."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "entry.red"
+        path.write_bytes(frame)
+        result = load_result(path, FORMAT_VERSION)
+    assert result is not None
+    return result
+
+
+class TestArrayNativePatch:
+    @pytest.mark.parametrize("index", range(SCENARIOS))
+    def test_fuzz_sequences_match_reference_and_fresh(self, index):
+        """(a) + (b) on the fuzz-seed matrix: the same insert/delete
+        sequence on a columnar artifact and on its ``reference=True``
+        twin gives the same rows and refcounts per variant, and — while
+        the endpoint domains still equal a fresh reduction's — the same
+        as reducing the mutated database from scratch.  Every variant
+        stays columnar through every patch and through a
+        serialize/load round trip."""
+        seed = scenario_seed(index)
+        rng = random.Random(seed)
+        queries = random_queries(rng)
+        db, _ = build_database(rng, queries)
+        patched_any = False
+        for query in queries:
+            for disjoint, provenance in ((False, False), (True, True)):
+                columnar = forward_reduce(query, db, disjoint, provenance)
+                reference = forward_reduce(
+                    query, db, disjoint, provenance, reference=True
+                )
+                mutated = db.clone()
+                # two rounds: the second re-inserts what the first
+                # deleted and deletes what it inserted
+                deltas = _patchable_deltas(
+                    random.Random(seed + 1), query, db, reference
+                )
+                undo = [
+                    Delta(
+                        d.version + 500,
+                        "delete" if d.kind == "insert" else "insert",
+                        d.relation,
+                        d.tuple,
+                    )
+                    for d in reversed(deltas)
+                ]
+                for delta in deltas + undo:
+                    try:
+                        reference.apply_delta(delta)
+                    except DomainChanged:
+                        continue
+                    assert columnar.apply_delta(delta) == {}, delta
+                    mutated.apply_delta(delta)
+                    patched_any = True
+                    _assert_columnar(columnar)
+                    assert _variant_view(columnar) == _variant_view(
+                        reference
+                    ), (seed, query, delta)
+                    assert columnar.tuple_order == reference.tuple_order
+                    fresh = forward_reduce(
+                        query, mutated, disjoint, provenance
+                    )
+                    if _same_domains(fresh, columnar):
+                        assert _variant_view(
+                            columnar, by_source_tuple=True
+                        ) == _variant_view(fresh, by_source_tuple=True), (
+                            seed,
+                            query,
+                            delta,
+                        )
+                    frame = serialize_result(columnar, FORMAT_VERSION)
+                    kinds = _frame_kinds(frame)
+                    for name in columnar.variant_counts:
+                        assert kinds[name] == "columnar", (name, delta)
+                    loaded = deserialize_bytes(frame)
+                    assert _variant_view(loaded) == _variant_view(columnar)
+        assert patched_any, f"seed={seed}: no delta patch exercised"
+
+    def test_shared_rows_refcount_above_one_delete_to_zero_reinsert(self):
+        """Two input tuples deriving the same row: the refcount is 2,
+        deleting one keeps the row at 1, deleting the other removes it
+        from the matrix, re-inserting brings it back — all on arrays."""
+        q = parse_query("R([A]) \u2227 S([A])")
+        db = Database(
+            [
+                Relation("R", ("A",), [(iv(0, 1),), (iv(0, 3),)]),
+                Relation("S", ("A",), [(iv(0, 8),), (iv(2, 5),)]),
+            ]
+        )
+        result = forward_reduce(q, db)
+        shared = {
+            (name, row)
+            for name, rows in _variant_view(result).items()
+            if name.startswith("R~")
+            for row, count in rows.items()
+            if count >= 2
+        }
+        assert shared, "instance must actually share derived rows"
+        result.apply_delta(db.delete("R", (iv(0, 1),)))
+        _assert_columnar(result)
+        view = _variant_view(result)
+        assert all(view[name][row] == 1 for name, row in shared)
+        assert evaluate_disjunction(result) == naive_evaluate(q, db)
+        result.apply_delta(db.delete("R", (iv(0, 3),)))
+        _assert_columnar(result)
+        view = _variant_view(result)
+        assert all(row not in view[name] for name, row in shared)
+        assert all(not view[name] for name in view if name.startswith("R~"))
+        result.apply_delta(db.insert("R", (iv(0, 3),)))
+        result.apply_delta(db.insert("R", (iv(0, 1),)))
+        _assert_columnar(result)
+        assert _variant_view(result) == _variant_view(
+            forward_reduce(q, db, reference=True)
+        )
+        assert evaluate_disjunction(result) == naive_evaluate(q, db)
+
+    @pytest.mark.parametrize("provenance", [False, True])
+    def test_self_join_atoms_share_one_tuple_order(self, provenance):
+        """Both atoms of ``R ⋈ R`` index one provenance list: an insert
+        appends to it once and patches every variant of both atoms; a
+        delete leaves one ``None`` sentinel."""
+        q = parse_query("R([A],[B]) \u2227 R([B],[C])")
+        rng = random.Random(21)
+
+        def interval():
+            lo = rng.randint(0, 8)
+            return iv(lo, lo + rng.randint(0, 4))
+
+        db = Database(
+            [
+                Relation(
+                    "R", ("A", "B"), {(interval(), interval()) for _ in range(8)}
+                )
+            ]
+        )
+        columnar = forward_reduce(q, db, provenance, provenance)
+        reference = forward_reduce(
+            q, db, provenance, provenance, reference=True
+        )
+        assert columnar.tuple_order["R"] is columnar.tuple_order["R#2"]
+        before = len(columnar.tuple_order["R"])
+        inserted = []
+        for _ in range(4):
+            # column 0 feeds [A] and [B], column 1 feeds [B] and [C]
+            t = tuple(
+                iv(*sorted(rng.sample(sorted(tree.endpoints), 2)))
+                for tree in (
+                    columnar.segment_trees["A"],
+                    columnar.segment_trees["C"],
+                )
+            )
+            delta = db.insert("R", t)
+            if delta is None:
+                continue
+            inserted.append(t)
+            reference.apply_delta(delta)
+            assert columnar.apply_delta(delta) == {}
+            _assert_columnar(columnar)
+            assert _variant_view(columnar) == _variant_view(reference)
+        assert len(columnar.tuple_order["R"]) == before + len(inserted)
+        victims = inserted[:1] + sorted(db["R"].tuples - set(inserted), key=repr)[:2]
+        for t in victims:
+            delta = db.delete("R", t)
+            reference.apply_delta(delta)
+            assert columnar.apply_delta(delta) == {}
+            _assert_columnar(columnar)
+            assert _variant_view(columnar) == _variant_view(reference)
+            assert evaluate_disjunction(columnar) == naive_evaluate(q, db)
+        assert columnar.tuple_order["R"].count(None) == len(victims)
+        assert columnar.tuple_order == reference.tuple_order
+
+    def test_new_point_values_grow_the_codebook(self):
+        q = parse_query("R([A], P) \u2227 S([A], P)")
+        db = Database(
+            [
+                Relation("R", ("A", "P"), [(iv(0, 2), 1), (iv(1, 3), 2)]),
+                Relation("S", ("A", "P"), [(iv(0, 3), 1), (iv(2, 3), 2)]),
+            ]
+        )
+        columnar = forward_reduce(q, db)
+        reference = forward_reduce(q, db, reference=True)
+        book = columnar.encoding_store.codebook
+        size = len(book)
+        assert book.lookup(99) is None
+        for name in ("R", "S"):
+            delta = db.insert(name, (iv(0, 3), 99))
+            reference.apply_delta(delta)
+            assert columnar.apply_delta(delta) == {}
+        assert len(book) > size and book.lookup(99) is not None
+        _assert_columnar(columnar)
+        assert _variant_view(columnar) == _variant_view(reference)
+        assert evaluate_disjunction(columnar) is True
+        assert naive_evaluate(q, db) is True
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_delete_only_sequences_never_grow_the_codebook(self, loaded):
+        """A delete looks codes up without interning: a value the book
+        has never seen proves the row absent.  (Regression: the decode-
+        and-mutate route re-interned every part of every deleted
+        tuple into the book all later puts re-serialize.)  The loaded
+        case starts with an empty encoding memo, so every code really
+        is looked up."""
+        q = parse_query("R([A], P) \u2227 S([A],[B]) \u2227 T([B], P)")
+        rng = random.Random(17)
+        db = Database()
+        for atom in q.atoms:
+            rows = set()
+            while len(rows) < 10:
+                rows.add(
+                    tuple(
+                        iv(lo := rng.randint(0, 9), lo + rng.randint(0, 3))
+                        if v.is_interval
+                        else rng.randint(0, 2)
+                        for v in atom.variables
+                    )
+                )
+            db.add(Relation(atom.relation, atom.variable_names, rows))
+        result = forward_reduce(q, db)
+        if loaded:
+            result = deserialize_bytes(
+                serialize_result(result, FORMAT_VERSION)
+            )
+        reference = forward_reduce(q, db, reference=True)
+        book = result.encoding_store.codebook
+        size = len(book)
+        for name in ("R", "S", "T", "S", "R"):
+            victim = sorted(db[name].tuples, key=repr)[0]
+            delta = db.delete(name, victim)
+            reference.apply_delta(delta)
+            assert result.apply_delta(delta) == {}
+            assert len(book) == size, (name, victim)
+            assert _variant_view(result) == _variant_view(reference)
+        _assert_columnar(result)
+        # values the artifact has never seen encode to *no* rows under
+        # lookup (and are interned only when inserting)
+        atom = result.original.atoms[0]
+        spec = result.atom_variants[atom.label][0]
+        store = result.encoding_store
+        ghost = (iv(0, 9), 77)
+        assert book.lookup(77) is None
+        looked_up = transform_tuple_codes(
+            atom, spec, ghost, store, 0, intern=False
+        )
+        assert looked_up.shape[0] == 0 and len(book) == size
+        interned = transform_tuple_codes(
+            atom, spec, ghost, store, 0, intern=True
+        )
+        assert interned.shape[0] > 0 and book.lookup(77) is not None
+
+    def test_patched_frame_is_no_larger_than_a_fresh_reductions(self):
+        """(b): after an insert-only in-domain sequence the patched
+        artifact serializes to (almost exactly) the bytes a fresh
+        reduction of the mutated database would — blobs, not JSON rows."""
+        rng = random.Random(5)
+        q = parse_query(TRIANGLE)
+        db = _random_db(q, rng)
+        result = forward_reduce(q, db)
+        for name in ("R", "S", "T", "R", "S", "T"):
+            t = _in_domain_tuple(result, name, rng)
+            delta = db.insert(name, t)
+            if delta is not None:
+                assert result.apply_delta(delta) == {}
+        fresh = forward_reduce(q, db)
+        assert _same_domains(fresh, result)
+        patched_frame = serialize_result(result, FORMAT_VERSION)
+        fresh_frame = serialize_result(fresh, FORMAT_VERSION)
+        assert set(_frame_kinds(patched_frame).values()) == {"columnar"}
+        # same rows, same values: only alignment / offset digits differ
+        assert len(patched_frame) <= len(fresh_frame) + 64
+
+    def test_memmap_loaded_artifact_patches_copy_on_write(self, tmp_path):
+        """(c): patching an artifact whose arrays are read-only views
+        of a mapped cache entry never writes the file — the old key
+        still validates and loads the old content, and the new key
+        loads the patched content."""
+        rng = random.Random(8)
+        q = parse_query(TRIANGLE)
+        db = _random_db(q, rng, n=15)
+        cache = ReductionCache(tmp_path)
+        old_key = reduction_key(q, database_digests(db))
+        cache.put(old_key, forward_reduce(q, db))
+        path = cache._path(old_key)
+        before = path.read_bytes()
+        loaded = cache.get(old_key)
+        original = _variant_view(loaded)
+        for counts in loaded.variant_counts.values():
+            assert not counts.array.flags.writeable
+            assert not counts.block.codes.flags.writeable
+        reference = forward_reduce(q, db, reference=True)
+        inserted = []
+        for name in ("R", "S", "T", "R"):
+            t = _in_domain_tuple(loaded, name, rng)
+            delta = db.insert(name, t)
+            if delta is None:
+                continue
+            inserted.append((name, t))
+            reference.apply_delta(delta)
+            assert loaded.apply_delta(delta) == {}
+        for name, t in inserted[:2]:
+            delta = db.delete(name, t)
+            reference.apply_delta(delta)
+            assert loaded.apply_delta(delta) == {}
+        victim = sorted(db["S"].tuples, key=repr)[0]
+        delta = db.delete("S", victim)
+        reference.apply_delta(delta)
+        assert loaded.apply_delta(delta) == {}
+        _assert_columnar(loaded)
+        patched = _variant_view(loaded)
+        assert patched == _variant_view(reference)
+        assert patched != original
+        # the mapped entry: byte-identical, still valid, still the old content
+        assert path.read_bytes() == before
+        assert validate_entry_bytes(before, FORMAT_VERSION)
+        assert _variant_view(cache.get(old_key)) == original
+        new_key = reduction_key(q, database_digests(db))
+        assert new_key != old_key
+        cache.put(new_key, loaded)
+        assert path.read_bytes() == before
+        reloaded = cache.get(new_key)
+        assert _variant_view(reloaded) == patched
+        assert reloaded.tuple_order == loaded.tuple_order
+        assert evaluate_disjunction(reloaded) == naive_evaluate(q, db)
+
+    def test_row_backed_variants_patch_as_rows_and_are_counted(self):
+        """Dispatch is by the representation a variant is in: a
+        ``reference=True`` artifact and a relation some tuple-tier
+        consumer materialized both take the dict/set body, reported
+        per variant under ``row_backed``."""
+        rng = random.Random(2)
+        q = parse_query(TRIANGLE)
+        db = _random_db(q, rng, n=10)
+        columnar = forward_reduce(q, db)
+        reference = forward_reduce(q, db, reference=True)
+        touched = next(iter(columnar.atom_variants["R"])).name()
+        columnar.database[touched].tuples  # materializes: block dropped
+        delta = db.insert("R", _in_domain_tuple(columnar, "R", rng))
+        assert columnar.apply_delta(delta) == {"row_backed": 1}
+        assert reference.apply_delta(delta) == {
+            "row_backed": len(reference.atom_variants["R"])
+        }
+        assert _variant_view(columnar) == _variant_view(reference)
+        for name in columnar.variant_counts:
+            assert (columnar.database[name].columnar is None) == (
+                name == touched
+            )
+
+    def test_key_overflow_falls_back_to_rows(self, monkeypatch):
+        """Rows too wide for one 64-bit key: ``adjust`` declines without
+        changing anything and the variant is patched as rows."""
+        book = CodeBook()
+        codes = np.array([[7, 2**31, 2**31, 2**31]], dtype=CODE_DTYPE)
+        counts = ColumnarCounts(
+            ColumnBlock(codes, (COL_CODE,) * 4, book),
+            np.ones(1, dtype=COUNT_DTYPE),
+        )
+        assert counts.adjust(codes.copy(), 1) is False
+        assert counts.block.codes is codes and counts.array.tolist() == [1]
+
+        rng = random.Random(4)
+        q = parse_query(TRIANGLE)
+        db = _random_db(q, rng, n=10)
+        columnar = forward_reduce(q, db)
+        reference = forward_reduce(q, db, reference=True)
+        delta = db.insert("R", _in_domain_tuple(columnar, "R", rng))
+        monkeypatch.setattr(
+            columnar_module, "pack_key_columns", lambda columns, radices: None
+        )
+        assert columnar.apply_delta(delta) == {
+            "key_overflow": len(columnar.atom_variants["R"])
+        }
+        reference.apply_delta(delta)
+        assert _variant_view(columnar) == _variant_view(reference)
+
+    def test_replace_rows_resets_the_decoded_row_memo(self):
+        """A patched block must never serve the previous matrix's
+        decoded rows (``rows()`` is what ``result_digest`` reads)."""
+        q = parse_query("R([A]) \u2227 S([A])")
+        db = Database(
+            [
+                Relation("R", ("A",), [(iv(0, 1),), (iv(2, 3),)]),
+                Relation("S", ("A",), [(iv(0, 3),)]),
+            ]
+        )
+        result = forward_reduce(q, db)
+        name = next(n for n in result.variant_counts if n.startswith("R~"))
+        block = result.database[name].columnar
+        stale = list(block.rows())  # memoize the decoded rows
+        result.apply_delta(db.insert("R", (iv(0, 3),)))
+        assert result.database[name].columnar is block
+        assert len(block.rows()) > len(stale)
+        assert set(block.rows()) == set(
+            forward_reduce(q, db, reference=True).database[name].tuples
+        )
+        with pytest.raises(ValueError):
+            block.replace_rows(np.zeros((1, block.width + 1), CODE_DTYPE))
+
+
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +961,56 @@ class TestSessionDeltaMaintenance:
         assert warm.evaluate(q, strategy="reduction") == answer
         assert warm.stats.reductions == 0, warm.stats.as_dict()
         assert warm.stats.persistent_hits >= 1
+
+    def test_patched_reduction_repersists_columnar(self, tmp_path):
+        """The write path the tentpole moves: a patch followed by the
+        session's re-persist stores blobs, and a restarted session loads
+        every interval variant columnar."""
+        # acyclic, so evaluation itself runs on the blocks (the
+        # triangle's cyclic disjuncts go through the tuple-tier
+        # decomposition evaluator, which materializes every relation)
+        q = parse_query("R([A],[B]) ∧ S([B],[C]) ∧ T([C],[D])")
+        db = random_database(q, 30, seed=7)
+        session = QuerySession(db, cache_dir=tmp_path)
+        session.evaluate(q, strategy="reduction")
+        t = self.in_domain_tuple(session, q)
+        assert db.insert("R", t) is not None
+        assert session.evaluate(q, strategy="reduction") == naive_evaluate(
+            q, db
+        )
+        assert session.stats.delta_patches > 0
+        assert session.stats.patch_fallbacks == {
+            "row_backed": 0,
+            "key_overflow": 0,
+        }
+        warm = QuerySession(db, cache_dir=tmp_path)
+        result = warm._reduction(warm._canonical(q), False, False)
+        assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
+        _assert_columnar(result)
+
+    def test_patch_fallbacks_are_counted_with_their_reason(self):
+        q, db, session = self.warm_session()
+        assert {
+            "patch_fallback_row_backed",
+            "patch_fallback_key_overflow",
+        } <= set(session.stats.as_dict())
+        assert all(
+            isinstance(v, int) for v in session.stats.as_dict().values()
+        )
+        result = next(iter(session._reductions.values()))[0]
+        for relation in result.database:
+            relation.tuples  # a tuple-tier consumer materialized them
+        t = self.in_domain_tuple(session, q)
+        assert db.insert("R", t) is not None
+        assert session.evaluate(q, strategy="reduction") == naive_evaluate(
+            q, db
+        )
+        stats = session.stats.as_dict()
+        atom = next(a for a in result.original.atoms if a.relation == "R")
+        assert stats["patch_fallback_row_backed"] == len(
+            result.atom_variants[atom.label]
+        )
+        assert stats["patch_fallback_key_overflow"] == 0
 
     def test_many_interleaved_api_mutations_stay_correct(self):
         rng = random.Random(13)

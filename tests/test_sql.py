@@ -431,6 +431,61 @@ class TestOptimizer:
             tup_plan.candidates["reduction"]
         )
 
+    def test_delta_patched_tables_still_render_columnar_yes(self):
+        """EXPLAIN golden: ``apply_delta`` patches a reduction on its
+        code matrices, so the patched relations (scanned here under
+        SQL-safe names, same blocks) still report ``columnar: yes`` —
+        and a relation some consumer materialized reports ``no``."""
+        from repro.reduction import forward_reduce
+
+        query = parse_query("R([A]) ∧ S([A])")
+        source = Database(
+            [
+                Relation(
+                    "R", ("A",), [(Interval(0, 1),), (Interval(0, 3),)]
+                ),
+                Relation(
+                    "S", ("A",), [(Interval(0, 8),), (Interval(2, 5),)]
+                ),
+            ]
+        )
+        reduction = forward_reduce(query, source)
+        assert reduction.apply_delta(
+            source.insert("R", (Interval(2, 3),))
+        ) == {}
+        assert reduction.apply_delta(
+            source.delete("R", (Interval(0, 1),))
+        ) == {}
+
+        def scan_db() -> Database:
+            db = Database()
+            for label in ("R", "S"):
+                relation = reduction.database[
+                    reduction.atom_variants[label][0].name()
+                ]
+                db.add(
+                    Relation.from_columns(
+                        f"Patched{label}",
+                        [f"c{j}" for j in range(relation.arity)],
+                        relation.columnar,
+                    )
+                )
+            return db
+
+        sql = (
+            "SELECT COUNT(*) FROM PatchedR r, PatchedS s WHERE r.c0 = s.c0"
+        )
+        patched = scan_db()
+        text = render_explain(
+            explain_program(compile_sql(sql, patched), patched)
+        )
+        assert "columnar: yes" in text and "columnar: no" not in text
+        patched["PatchedR"].tuples  # a tuple-tier touch drops the block
+        text = render_explain(
+            explain_program(compile_sql(sql, patched), patched)
+        )
+        assert "columnar: no" in text and "columnar: yes" not in text
+
 
 # ----------------------------------------------------------------------
 # execution: differential suite (optimizer ≡ AST path ≡ naive oracle)
