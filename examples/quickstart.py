@@ -545,14 +545,22 @@ def main() -> None:
     #   * counting DP — int64 count arrays per join-tree node, group-by
     #     messages via mixed-radix packed keys + np.bincount, so
     #     COUNT(*) over a warm artifact never decodes a tuple;
-    #   * generic join — per-atom lexsort once in the global variable
-    #     order, searchsorted range narrowing per level, vectorized
-    #     innermost intersection (the cyclic-disjunct path);
+    #   * generic join — each atom's rows packed into one int64 key
+    #     in the global variable order and sorted once; a prefix's
+    #     children are one contiguous key range found by searchsorted,
+    #     and the whole frontier of partial assignments advances one
+    #     level at a time (method='generic');
+    #   * bag materialisation — the cyclic-disjunct path (method='auto'
+    #     picks the fhtw decomposition): every bag is that level-wise
+    #     join over column slices of the atoms, each frontier row
+    #     expanded from its own narrowest candidate range (which keeps
+    #     the AGM bound), and the bags stay columnar, so the counting DP
+    #     above runs over them and no row is decoded in between;
     #   * full evaluation — semijoin mask sweeps + output-projected
     #     frame joins; only the final result rows are decoded.
     # Every kernel falls back to the retained tuple implementation
-    # (dict DP, trie LFTJ, tuple Yannakakis) when a relation is not
-    # columnar over one shared codebook — e.g. once a tuple-tier
+    # (dict DP, trie LFTJ, tuple bags, tuple Yannakakis) when a
+    # relation is not columnar over one shared codebook — e.g. once a tuple-tier
     # consumer has touched `.tuples`; a delta patch (section 6) does
     # not, it keeps the blocks — and `use_columnar_kernels(False)`
     # forces the tuple tier everywhere, which is how the differential
@@ -560,9 +568,10 @@ def main() -> None:
     # difference: EXPLAIN prints `columnar: yes/no` per disjunct and
     # prices COUNT(*) heads accordingly.
     # The triangle's reduced disjuncts are cyclic, so this exercises
-    # the array generic join; the counting DP's order-of-magnitude
-    # wins show on acyclic queries with join-value fan-in — see
-    # benchmarks/bench_columnar_eval.py.
+    # the bag kernel (a session counts the times it had to decline, by
+    # reason, as stats.bag_fallbacks); the counting DP's
+    # order-of-magnitude wins show on acyclic queries with join-value
+    # fan-in — see benchmarks/bench_columnar_eval.py.
     from repro.core.disjunct_eval import count_disjunction
     from repro.engine import use_columnar_kernels
     from repro.reduction import shift_distinct_left

@@ -46,6 +46,7 @@ from statistics import median
 from time import perf_counter
 from typing import Iterator, Literal, Sequence
 
+from ..engine.columnar_eval import BAG_FALLBACK_REASONS, record_bag_fallbacks
 from ..engine.relation import Database, Delta
 from ..hypergraph.isomorphism import structure_hash
 from ..queries.query import Atom, Query, Variable
@@ -386,6 +387,12 @@ class SessionStats:
     patch_fallbacks: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(PATCH_FALLBACK_REASONS, 0)
     )
+    #: cyclic disjuncts whose bags the tuple tier materialised instead
+    #: of the array kernel, per reason (see
+    #: ``columnar_eval.columnar_materialise_bags``)
+    bag_fallbacks: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(BAG_FALLBACK_REASONS, 0)
+    )
     #: accumulated wall seconds per phase — the built-in flame-sketch
     #: behind ``repro evaluate --profile``
     phase_seconds: dict[str, float] = field(
@@ -408,6 +415,10 @@ class SessionStats:
             **{
                 f"patch_fallback_{reason}": count
                 for reason, count in self.patch_fallbacks.items()
+            },
+            **{
+                f"bag_fallback_{reason}": count
+                for reason, count in self.bag_fallbacks.items()
             },
         }
 
@@ -530,6 +541,15 @@ class QuerySession:
             yield
         finally:
             self.stats.phase_seconds[phase] += perf_counter() - start
+
+    @contextmanager
+    def _evaluating_disjuncts(self):
+        """The ``evaluate`` phase of a reduced disjunction: timed, with
+        the bag kernel's reasoned fallbacks counted into the stats."""
+        with self._timed("evaluate"), record_bag_fallbacks(
+            self.stats.bag_fallbacks
+        ):
+            yield
 
     def _canonical(self, query: Query) -> CanonicalForm:
         with self._timed("canonicalize"):
@@ -966,7 +986,7 @@ class QuerySession:
         self, form: CanonicalForm, ej_method: Method
     ) -> bool:
         result = self._reduction(form, False, False)
-        with self._timed("evaluate"):
+        with self._evaluating_disjuncts():
             return evaluate_disjunction(result, ej_method)
 
     def count(self, query: Query, ej_method: Method = "auto") -> int:
@@ -980,7 +1000,7 @@ class QuerySession:
             return int(cached)  # type: ignore[call-overload]
         self.stats.misses += 1
         result = self._disjoint_reduction(form)
-        with self._timed("evaluate"):
+        with self._evaluating_disjuncts():
             total = count_disjunction(result, ej_method)
         self._answer_put(key, total, _form_deps(form))
         return total

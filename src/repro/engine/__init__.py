@@ -18,6 +18,7 @@ from .yannakakis import yannakakis_boolean, yannakakis_count, yannakakis_full
 from .columnar_eval import (
     columnar_generic_join_boolean,
     columnar_generic_join_count,
+    columnar_materialise_bags,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
     kernels_enabled,
@@ -60,6 +61,7 @@ __all__ = [
     "yannakakis_full",
     "columnar_generic_join_boolean",
     "columnar_generic_join_count",
+    "columnar_materialise_bags",
     "columnar_yannakakis_boolean",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",

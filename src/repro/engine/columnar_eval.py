@@ -1,5 +1,5 @@
-"""The columnar evaluation tier: counting DP, generic join and the full
-reducer on code arrays.
+"""The columnar evaluation tier: counting DP, generic join, bag
+materialisation and the full reducer on code arrays.
 
 PR 8 made transformed relations ``uint32`` code matrices over one shared
 :class:`~repro.reduction.columnar.CodeBook` and gave *Boolean* acyclic
@@ -20,12 +20,29 @@ execution model to everything else the evaluation tier does:
   in unbounded Python ints).
 
 * :func:`columnar_generic_join_count` / ``_boolean`` — the worst-case
-  optimal join on sorted column arrays instead of nested dict tries.
-  Each atom's code matrix is lexicographically sorted **once** per call
-  (``np.lexsort`` in the global variable order restricted to its
-  columns); the per-level candidate scan then narrows ``[lo, hi)`` row
-  ranges with ``searchsorted`` instead of descending trie nodes, and
-  the innermost level intersects whole sorted segments at once.
+  optimal join on sorted arrays instead of nested dict tries.  Each
+  atom's columns are packed, in the global variable order, into one
+  mixed-radix ``int64`` key per row and sorted **once** per call; the
+  distinct keys of every prefix length are the levels of a flattened
+  trie in which the children of a prefix are one contiguous key range,
+  found by ``searchsorted``.  Counting runs the join one level at a
+  time over the whole frontier of partial assignments
+  (:func:`_levelwise_join`); the Boolean form walks the same state
+  depth-first and stops at the first witness.
+
+* :func:`columnar_materialise_bags` — phase 1 of the ``decomposition``
+  strategy (Appendix A.2.1): every bag of a tree decomposition as the
+  level-wise join of the projections ``π_{bag ∩ vars(e)} R_e``, a
+  projection being a column slice that the packed-key sort
+  deduplicates.  The bags come back as columnar relations over the
+  atoms' own codebook, so phase 2 takes the Yannakakis kernels above
+  and a cyclic disjunct is answered without decoding a row.  At each
+  level every frontier row is expanded from its own narrowest candidate
+  range and filtered by membership in the other atoms, so a row costs
+  its smallest candidate set, exactly as in the trie join; the frontier
+  is the join of the atoms' projections onto the variables bound so far
+  and stays within their AGM bound, where a fixed pivot atom — a
+  pairwise join — is quadratically larger on skewed inputs.
 
 * :func:`columnar_yannakakis_full` — full acyclic evaluation
   (full reducer + output-projected bottom-up joins) over survivor masks
@@ -39,37 +56,51 @@ Every kernel returns ``None`` whenever the atoms are not all columnar
 over one shared codebook (or a join column is not dictionary-encoded on
 both sides, or packed keys would overflow) — the caller then falls back
 to the retained tuple implementations, which stay in the tree as the
-differential oracles.  :func:`use_columnar_kernels` turns the tier off
-wholesale so tests and benchmarks can force the tuple tier on demand.
+differential oracles.  The bag kernel says why: each of its ``None``
+exits names one of :data:`BAG_FALLBACK_REASONS` — ``kernels_off``,
+``not_columnar`` (an atom has materialized its tuples), ``mixed_codebooks``,
+``mixed_kinds`` (a variable is a code column in one atom and a verbatim
+id column in another) or ``key_overflow`` (a part's packed rows exceed
+62 bits) — and :func:`record_bag_fallbacks` collects the counts, which
+:class:`~repro.core.session.QuerySession` surfaces as
+``stats.bag_fallbacks``.  :func:`use_columnar_kernels` turns the tier
+off wholesale so tests and benchmarks can force the tuple tier on
+demand.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from contextvars import ContextVar
+from typing import Iterator, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
 
 from ..reduction.columnar import (
+    CODE_DTYPE,
     COL_CODE,
     COUNT_DTYPE,
     ColumnBlock,
     pack_key_columns,
 )
+from ..widths.tree_decomposition import TreeDecomposition
 from .generic_join import JoinAtom, default_variable_order
 from .relation import Relation
 from .yannakakis import _rooted_orders
 
 __all__ = [
+    "BAG_FALLBACK_REASONS",
     "atom_blocks",
     "columnar_generic_join_boolean",
     "columnar_generic_join_count",
+    "columnar_materialise_bags",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",
     "edge_keys",
     "kernels_enabled",
     "key_isin",
+    "record_bag_fallbacks",
     "use_columnar_kernels",
 ]
 
@@ -88,8 +119,26 @@ _INT64_SAFE = 1 << 62
 _FLOAT_EXACT = 1 << 52
 
 
+#: Why :func:`columnar_materialise_bags` handed a disjunct to the tuple
+#: tier — every ``None`` exit of that kernel names exactly one of these
+#: (counted per session as ``stats.bag_fallbacks``).
+BAG_FALLBACK_REASONS = (
+    "kernels_off",
+    "not_columnar",
+    "mixed_codebooks",
+    "mixed_kinds",
+    "key_overflow",
+)
+
+
 class _Fallback(Exception):
-    """Internal unwind signal: this query needs the tuple tier."""
+    """Internal unwind signal: this query needs the tuple tier.
+    ``reason`` is one of :data:`BAG_FALLBACK_REASONS` where the kernel
+    that catches it reports why."""
+
+    def __init__(self, reason: str | None = None):
+        super().__init__(reason)
+        self.reason = reason
 
 
 # ----------------------------------------------------------------------
@@ -123,24 +172,61 @@ def use_columnar_kernels(enabled: bool) -> Iterator[None]:
 # ----------------------------------------------------------------------
 
 
-def atom_blocks(atoms: Sequence[JoinAtom]) -> list[ColumnBlock] | None:
-    """Every atom's live column block, or ``None`` when any atom has
-    materialized (or the blocks do not share one codebook, which would
-    make cross-relation code comparison meaningless)."""
+def _require_blocks(atoms: Sequence[JoinAtom]) -> list[ColumnBlock]:
+    """Every atom's live column block; raises :class:`_Fallback` when
+    any atom has materialized (``not_columnar``) or the blocks do not
+    share one codebook (``mixed_codebooks`` — cross-relation code
+    comparison would be meaningless)."""
     blocks: list[ColumnBlock] = []
     book = None
     for atom in atoms:
         block = getattr(atom.relation, "columnar", None)
-        if block is None or block.book is None:
-            return None
-        if block.width != len(atom.variables):
-            return None
+        if (
+            block is None
+            or block.book is None
+            or block.width != len(atom.variables)
+        ):
+            raise _Fallback("not_columnar")
         if book is None:
             book = block.book
         elif block.book is not book:
-            return None
+            raise _Fallback("mixed_codebooks")
         blocks.append(block)
     return blocks
+
+
+def atom_blocks(atoms: Sequence[JoinAtom]) -> list[ColumnBlock] | None:
+    """:func:`_require_blocks`, with ``None`` for "fall back"."""
+    try:
+        return _require_blocks(atoms)
+    except _Fallback:
+        return None
+
+
+def _variable_kinds(
+    atoms: Sequence[JoinAtom], blocks: Sequence[ColumnBlock]
+) -> dict[str, str]:
+    """Each variable's column kind.  Codes and verbatim ids are
+    incomparable as raw ints, so a variable's kind must agree everywhere
+    it occurs — :class:`_Fallback` (``mixed_kinds``) otherwise."""
+    kind_of: dict[str, str] = {}
+    for atom, block in zip(atoms, blocks):
+        for v, kind in zip(atom.variables, block.kinds):
+            if kind_of.setdefault(v, kind) != kind:
+                raise _Fallback("mixed_kinds")
+    return kind_of
+
+
+def _expand_ranges(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-row ranges ``[starts[i], starts[i] + counts[i])``:
+    for every element of every range, its row ``i`` and its position
+    (``np.repeat`` index arithmetic, no Python loop)."""
+    row_idx = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    positions = np.repeat(starts - first, counts) + np.arange(row_idx.size)
+    return row_idx, positions
 
 
 def edge_keys(
@@ -340,85 +426,89 @@ def _exact_sum(values: np.ndarray, bound: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# generic join: LFTJ on sorted column arrays
+# generic join on sorted packed-prefix arrays, and the bag kernel
 # ----------------------------------------------------------------------
 
 
-def _generic_setup(
-    atoms: Sequence[JoinAtom],
-    variable_order: Sequence[str] | None,
-):
-    """Sorted-column state for the array LFTJ, or ``None`` on fallback.
+class _Part(NamedTuple):
+    """One input of the array generic join: variable names and the
+    parallel ``uint32`` columns (a relation's, or a slice of them — the
+    sort below deduplicates, so a slice is a projection)."""
 
-    Per atom: its code matrix restricted to its columns *in global
-    variable order* and lexicographically sorted once (``np.lexsort``),
-    stored column-contiguous so the per-level range narrowing runs
-    ``searchsorted`` over cache-friendly segments.
+    variables: tuple[str, ...]
+    columns: list[np.ndarray]
+
+
+class _Sorted(NamedTuple):
+    """Sorted-prefix state of one join, shared by both traversals.
+
+    Atom ``a``'s columns are taken in the global variable order and
+    packed into one mixed-radix ``int64`` key per row;
+    ``prefixes[a][d]`` is the sorted array of *distinct* packed keys of
+    its first ``d + 1`` columns — level ``d`` of a trie, flattened, with
+    the children of prefix ``k`` occupying the contiguous key range
+    ``[k * r, (k + 1) * r)`` for ``r = radices[a][d]``.
+    ``advancing[level]`` lists the ``(atom, depth)`` pairs that bind
+    that level's variable.
     """
-    if not atoms:
-        return None
-    blocks = atom_blocks(atoms)
-    if blocks is None:
-        return None
-    order = (
-        list(variable_order)
-        if variable_order
-        else default_variable_order(atoms)
-    )
-    var_set = {v for atom in atoms for v in atom.variables}
-    if set(order) != var_set:
-        return None  # let the tuple path raise its usual error
-    # codes and verbatim ids are incomparable as raw ints: a variable's
-    # column kind must agree everywhere it occurs
-    kind_of: dict[str, str] = {}
-    for atom, block in zip(atoms, blocks):
-        for j, v in enumerate(atom.variables):
-            if kind_of.setdefault(v, block.kinds[j]) != block.kinds[j]:
-                return None
+
+    radices: list[list[int]]
+    prefixes: list[list[np.ndarray]]
+    advancing: list[list[tuple[int, int]]]
+
+
+def _shared_radices(
+    atoms: Sequence[JoinAtom], matrices: Sequence[np.ndarray]
+) -> dict[str, int]:
+    """Per variable, an exclusive bound on its cells across *all* atoms
+    (one max scan per matrix).  Shared, because a prefix key is extended
+    with values that another atom proposed."""
+    radix_of: dict[str, int] = {}
+    for atom, matrix in zip(atoms, matrices):
+        tops = matrix.max(axis=0, initial=0).tolist()
+        for v, top in zip(atom.variables, tops):
+            radix_of[v] = max(radix_of.get(v, 1), int(top) + 1)
+    return radix_of
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of an ascending array (run starts — much
+    cheaper than ``np.unique`` on the short arrays a bag join sorts)."""
+    if keys.size < 2:
+        return keys
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _sort_parts(
+    parts: Sequence[_Part], order: Sequence[str], radix_of: dict[str, int]
+) -> _Sorted:
+    """Pack, sort and deduplicate every part's full-row keys once,
+    then peel the shorter prefixes off by floor division.  Raises
+    :class:`_Fallback` when a part's keys do not fit 62 bits."""
     level_of = {v: i for i, v in enumerate(order)}
-    cols: list[list[np.ndarray]] = []
-    col_at: list[dict[int, int]] = []
-    sizes: list[int] = []
-    for atom, block in zip(atoms, blocks):
+    state = _Sorted([], [], [[] for _ in order])
+    for a, part in enumerate(parts):
         positions = sorted(
-            range(len(atom.variables)),
-            key=lambda j: level_of[atom.variables[j]],
+            range(len(part.variables)),
+            key=lambda j: level_of[part.variables[j]],
         )
-        matrix = np.asarray(block.codes)[:, positions]
-        if matrix.shape[0] and matrix.shape[1]:
-            perm = np.lexsort(
-                tuple(matrix[:, j] for j in reversed(range(matrix.shape[1])))
-            )
-            matrix = matrix[perm]
-        cols.append(
-            [np.ascontiguousarray(matrix[:, j]) for j in range(matrix.shape[1])]
-        )
-        col_at.append(
-            {
-                level_of[atom.variables[j]]: depth
-                for depth, j in enumerate(positions)
-            }
-        )
-        sizes.append(int(matrix.shape[0]))
-    advancing: list[list[int]] = [[] for _ in order]
-    for a, mapping in enumerate(col_at):
-        for level in mapping:
-            advancing[level].append(a)
-    if any(not active for active in advancing):
-        return None  # unconstrained variable: tuple path asserts
-    return order, cols, col_at, sizes, advancing
-
-
-def _segment_range(
-    column: np.ndarray, lo: int, hi: int, value
-) -> tuple[int, int]:
-    """The sub-range of ``[lo, hi)`` whose (sorted) entries equal
-    ``value``."""
-    segment = column[lo:hi]
-    return (
-        lo + int(np.searchsorted(segment, value, side="left")),
-        lo + int(np.searchsorted(segment, value, side="right")),
-    )
+        radices = [radix_of[part.variables[j]] for j in positions]
+        keys = pack_key_columns([part.columns[j] for j in positions], radices)
+        if keys is None:
+            raise _Fallback("key_overflow")
+        keys.sort()
+        levels = [_distinct_sorted(keys)]
+        for radix in reversed(radices[1:]):
+            levels.append(_distinct_sorted(levels[-1] // radix))
+        levels.reverse()
+        state.radices.append(radices)
+        state.prefixes.append(levels)
+        for depth, j in enumerate(positions):
+            state.advancing[level_of[part.variables[j]]].append((a, depth))
+    return state
 
 
 def _sorted_member_mask(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -431,102 +521,258 @@ def _sorted_member_mask(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (idx < segment.size) & (segment[clipped] == values)
 
 
-def _lftj(setup, stop_at_first: bool) -> int:
-    """The array LFTJ core: number of satisfying assignments (or 1/0
-    when ``stop_at_first``).  At each level the pivot is the active atom
-    with the narrowest row range; candidate values are its distinct
-    entries at that level and every other active atom narrows its range
-    by binary search.  The innermost level intersects whole sorted
-    segments at once — each active atom's segment holds pairwise
-    distinct values there (all other columns are bound and rows are
-    unique), so the intersection size is exactly the assignment count.
+def _levelwise_join(state: _Sorted) -> np.ndarray:
+    """Every satisfying assignment, as an ``int64`` matrix with one
+    column per level — generic join run one level at a time over the
+    whole frontier of partial assignments instead of one value at a
+    time.
+
+    Per level, each active atom's candidate range is found for every
+    frontier row at once (``searchsorted`` on packed prefix keys); each
+    row is expanded from its own **narrowest** range and the candidates
+    are kept only where every other active atom has the extended prefix.
+    The per-row pivot is what keeps the worst-case-optimal bound: a row
+    costs the size of its smallest candidate set, as in the trie join,
+    so the frontier never exceeds the AGM bound of the atoms seen so
+    far — a fixed pivot atom (a pairwise join) can be quadratically
+    larger on skew.
     """
-    order, cols, col_at, sizes, advancing = setup
-    n_levels = len(order)
-    if n_levels == 0:
-        return 1  # the single empty assignment, as the trie path yields
-    if any(size == 0 for size in sizes):
-        return 0
-    last = n_levels - 1
+    radices, prefixes, advancing = state
+    rows = 1
+    bound: list[np.ndarray] = []
+    #: per atom, the packed prefix each frontier row has bound so far
+    #: (``None`` before the atom's first level and after its last)
+    prefix: list[np.ndarray | None] = [None] * len(prefixes)
+    for active in advancing:
+        tries = [prefixes[a][d] for a, d in active]
+        steps = [radices[a][d] for a, d in active]
+        bases = [
+            np.zeros(rows, dtype=np.int64)
+            if prefix[a] is None
+            else prefix[a] * step
+            for (a, _), step in zip(active, steps)
+        ]
+        los = [np.searchsorted(t, base) for t, base in zip(tries, bases)]
+        widths = [
+            np.searchsorted(t, base + step) - lo
+            for t, base, step, lo in zip(tries, bases, steps, los)
+        ]
+        if len(active) == 1:
+            # a variable private to one atom (every provenance id): no
+            # pivot to choose and nothing to filter against
+            starts, counts, pool = los[0], widths[0], tries[0] % steps[0]
+        else:
+            stacked = np.stack(widths)
+            pivot = stacked.argmin(axis=0)
+            at = np.arange(rows)
+            counts = stacked[pivot, at]
+            # one pool of candidate values, each atom's at its offset
+            offsets = np.cumsum([0] + [t.size for t in tries[:-1]])
+            starts = np.stack(los)[pivot, at] + offsets[pivot]
+            pool = np.concatenate([t % step for t, step in zip(tries, steps)])
+        row_idx, positions = _expand_ranges(starts, counts)
+        values = pool[positions]
+        extended = [base[row_idx] + values for base in bases]
+        if len(active) > 1:
+            keep = np.ones(values.size, dtype=bool)
+            for t, keys in zip(tries, extended):
+                keep &= _sorted_member_mask(t, keys)
+            if not keep.all():
+                row_idx = row_idx[keep]
+                values = values[keep]
+                extended = [keys[keep] for keys in extended]
+        rows = int(values.size)
+        if rows == 0:
+            return np.empty((0, len(advancing)), dtype=np.int64)
+        prefix = [p if p is None else p[row_idx] for p in prefix]
+        for (a, d), keys in zip(active, extended):
+            prefix[a] = keys if d + 1 < len(prefixes[a]) else None
+        bound = [column[row_idx] for column in bound]
+        bound.append(values)
+    if not bound:
+        return np.empty((1, 0), dtype=np.int64)
+    return np.stack(bound, axis=1)
 
-    def recurse(level: int, los: list[int], his: list[int]) -> int:
+
+def _has_witness(state: _Sorted) -> bool:
+    """Non-emptiness by depth-first generic join over the same state:
+    at each level the narrowest active range proposes the values, the
+    other active atoms filter them in one vectorized membership test
+    each, and the search descends into the survivors one at a time —
+    stopping at the first full assignment."""
+    radices, prefixes, advancing = state
+    last = len(advancing) - 1
+
+    def recurse(level: int, prefix: list[int]) -> bool:
         active = advancing[level]
-        pivot = min(active, key=lambda a: his[a] - los[a])
-        column = cols[pivot][col_at[pivot][level]]
-        lo, hi = los[pivot], his[pivot]
-        if lo >= hi:
-            return 0
+        spans = []
+        for a, d in active:
+            base = prefix[a] * radices[a][d]
+            lo, hi = np.searchsorted(
+                prefixes[a][d], (base, base + radices[a][d])
+            ).tolist()
+            if lo == hi:
+                return False
+            spans.append((lo, hi, base))
+        pivot = min(range(len(active)), key=lambda i: spans[i][1] - spans[i][0])
+        a, d = active[pivot]
+        lo, hi, base = spans[pivot]
+        values = prefixes[a][d][lo:hi] - base
+        for i, (a, d) in enumerate(active):
+            if i == pivot:
+                continue
+            lo, hi, base = spans[i]
+            values = values[
+                _sorted_member_mask(prefixes[a][d][lo:hi], base + values)
+            ]
+            if values.size == 0:
+                return False
         if level == last:
-            common = column[lo:hi]
-            for a in active:
-                if a == pivot:
-                    continue
-                other = cols[a][col_at[a][level]]
-                segment = other[los[a] : his[a]]
-                common = common[_sorted_member_mask(segment, common)]
-                if common.size == 0:
-                    return 0
-            return 1 if stop_at_first else int(common.size)
-        total = 0
-        position = lo
-        while position < hi:
-            value = column[position]
-            run_end = position + int(
-                np.searchsorted(column[position:hi], value, side="right")
-            )
-            new_los = list(los)
-            new_his = list(his)
-            new_los[pivot] = position
-            new_his[pivot] = run_end
-            matched = True
-            for a in active:
-                if a == pivot:
-                    continue
-                left, right = _segment_range(
-                    cols[a][col_at[a][level]], los[a], his[a], value
-                )
-                if left == right:
-                    matched = False
-                    break
-                new_los[a] = left
-                new_his[a] = right
-            if matched:
-                found = recurse(level + 1, new_los, new_his)
-                if found and stop_at_first:
-                    return 1
-                total += found
-            position = run_end
-        return total
+            return True
+        for value in values.tolist():
+            extended = list(prefix)
+            for a, d in active:
+                extended[a] = prefix[a] * radices[a][d] + value
+            if recurse(level + 1, extended):
+                return True
+        return False
 
-    return recurse(0, [0] * len(cols), list(sizes))
+    return recurse(0, [0] * len(prefixes))
+
+
+def _generic_setup(
+    atoms: Sequence[JoinAtom],
+    variable_order: Sequence[str] | None,
+) -> _Sorted | None:
+    """Sorted-prefix state for a flat generic join over ``atoms``, or
+    ``None`` on fallback."""
+    if not atoms or any(not atom.variables for atom in atoms):
+        return None
+    order = (
+        list(variable_order)
+        if variable_order
+        else default_variable_order(atoms)
+    )
+    var_set = {v for atom in atoms for v in atom.variables}
+    if set(order) != var_set:
+        return None  # let the tuple path raise its usual error
+    try:
+        blocks = _require_blocks(atoms)
+        _variable_kinds(atoms, blocks)
+        matrices = [np.asarray(block.codes) for block in blocks]
+        parts = [
+            _Part(atom.variables, list(matrix.T))
+            for atom, matrix in zip(atoms, matrices)
+        ]
+        return _sort_parts(parts, order, _shared_radices(atoms, matrices))
+    except _Fallback:
+        return None
 
 
 def columnar_generic_join_count(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> int | None:
-    """Assignment count via the sorted-column-array LFTJ, or ``None``
-    when the atoms are not columnar and the trie path must run."""
+    """Assignment count via the level-wise array generic join, or
+    ``None`` when the atoms are not columnar and the trie path must
+    run."""
     if not _ENABLED:
         return None
     setup = _generic_setup(atoms, variable_order)
     if setup is None:
         return None
-    return _lftj(setup, stop_at_first=False)
+    return int(_levelwise_join(setup).shape[0])
 
 
 def columnar_generic_join_boolean(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> bool | None:
-    """Non-emptiness via the sorted-column-array LFTJ (stops at the
-    first witness), or ``None`` on fallback."""
+    """Non-emptiness via the depth-first array generic join (stops at
+    the first witness), or ``None`` on fallback."""
     if not _ENABLED:
         return None
     setup = _generic_setup(atoms, variable_order)
     if setup is None:
         return None
-    return bool(_lftj(setup, stop_at_first=True))
+    return _has_witness(setup)
+
+
+_bag_fallback_sink: ContextVar[dict[str, int] | None] = ContextVar(
+    "bag_fallback_sink", default=None
+)
+
+
+@contextmanager
+def record_bag_fallbacks(counts: dict[str, int]) -> Iterator[None]:
+    """Within the block, every ``None`` exit of
+    :func:`columnar_materialise_bags` adds one to ``counts[reason]``
+    (keys: :data:`BAG_FALLBACK_REASONS`)."""
+    token = _bag_fallback_sink.set(counts)
+    try:
+        yield
+    finally:
+        _bag_fallback_sink.reset(token)
+
+
+def columnar_materialise_bags(
+    atoms: Sequence[JoinAtom], td: TreeDecomposition
+) -> list[Relation] | None:
+    """One *columnar* relation per bag of ``td`` — the worst-case
+    optimal join of the projections ``π_{bag ∩ vars(e)} R_e`` — or
+    ``None`` (with the reason recorded, see
+    :func:`record_bag_fallbacks`) when the tuple path must run.
+
+    A projection is a column slice of the atom's code matrix (the
+    packed-key sort of :func:`_sort_parts` deduplicates it); the join is
+    :func:`_levelwise_join`; the result is wrapped over the atoms' own
+    codebook with per-variable column kinds, so the bag relations feed
+    the columnar Yannakakis kernels and no row is ever decoded.  Input
+    matrices (possibly read-only maps of a cache entry) are only read.
+    """
+    try:
+        if not _ENABLED:
+            raise _Fallback("kernels_off")
+        blocks = _require_blocks(atoms)
+        kind_of = _variable_kinds(atoms, blocks)
+        matrices = [np.asarray(block.codes) for block in blocks]
+        radix_of = _shared_radices(atoms, matrices)
+        book = blocks[0].book if blocks else None
+        bags: list[Relation] = []
+        for i, bag in enumerate(td.bags):
+            bag_vars = sorted(bag, key=str)
+            parts: list[_Part] = []
+            for atom, matrix in zip(atoms, matrices):
+                shared = [
+                    j for j, v in enumerate(atom.variables) if v in bag
+                ]
+                if shared:
+                    parts.append(
+                        _Part(
+                            tuple(atom.variables[j] for j in shared),
+                            [matrix[:, j] for j in shared],
+                        )
+                    )
+            covered = {v for part in parts for v in part.variables}
+            if set(bag_vars) - covered:
+                raise ValueError(
+                    f"bag {bag_vars} contains vertices covered by no atom"
+                )
+            order = default_variable_order(parts)
+            joined = _levelwise_join(_sort_parts(parts, order, radix_of))
+            codes = joined[:, [order.index(v) for v in bag_vars]]
+            block = ColumnBlock(
+                codes.astype(CODE_DTYPE),
+                [kind_of[v] for v in bag_vars],
+                book,
+            )
+            bags.append(Relation.from_columns(f"bag{i}", bag_vars, block))
+        return bags
+    except _Fallback as fallback:
+        sink = _bag_fallback_sink.get()
+        if sink is not None:
+            sink[fallback.reason] += 1
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -618,13 +864,8 @@ def _join_frames(left: _Frame, right: _Frame, kind_of, book) -> _Frame:
         right_sorted = right_keys[right_order]
         lo = np.searchsorted(right_sorted, left_keys, side="left")
         hi = np.searchsorted(right_sorted, left_keys, side="right")
-        matches = hi - lo
-        left_idx = np.repeat(np.arange(left.rows), matches)
-        total = int(matches.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(matches) - matches, matches
-        )
-        right_idx = right_order[np.repeat(lo, matches) + offsets]
+        left_idx, positions = _expand_ranges(lo, hi - lo)
+        right_idx = right_order[positions]
     else:
         left_idx = np.repeat(np.arange(left.rows), right.rows)
         right_idx = np.tile(np.arange(right.rows), left.rows)
@@ -683,16 +924,15 @@ def columnar_yannakakis_full(
     """
     if not _ENABLED:
         return None
-    blocks = atom_blocks(atoms)
-    if blocks is None:
+    try:
+        blocks = _require_blocks(atoms)
+        kind_of = _variable_kinds(atoms, blocks)
+    except _Fallback:
         return None
     book = blocks[0].book if blocks else None
-    kind_of: dict[str, str] = {}
     radix_of: dict[str, int] = {}
     for atom, block in zip(atoms, blocks):
         for j, v in enumerate(atom.variables):
-            if kind_of.setdefault(v, block.kinds[j]) != block.kinds[j]:
-                return None
             radix_of[v] = max(radix_of.get(v, 1), block.column_radix(j))
     all_vars: list[str] = []
     for atom in atoms:

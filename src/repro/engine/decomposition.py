@@ -7,15 +7,30 @@ The two-phase strategy the paper's upper bounds rest on:
    (cost ``O(N^rho*(bag) log N)``),
 2. run Yannakakis' algorithm over the resulting α-acyclic query whose
    join tree is the decomposition tree.
+
+Both phases run on code arrays while every atom is columnar over one
+codebook: :func:`materialise_bags` dispatches to
+:func:`~repro.engine.columnar_eval.columnar_materialise_bags`, whose
+bag relations are themselves columnar, so phase 2 takes the columnar
+Yannakakis kernels and no row is decoded between the inputs and the
+answer.  The tuple bodies below are the fallback (same ``-> None ->``
+protocol as every other kernel) and the differential oracle.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 import networkx as nx
 
 from ..widths.tree_decomposition import TreeDecomposition
+from .columnar_eval import (
+    columnar_materialise_bags,
+    columnar_yannakakis_count,
+    columnar_yannakakis_full,
+)
+from .columnar_join import columnar_yannakakis_boolean
 from .generic_join import JoinAtom, generic_join_relation
 from .relation import Relation
 from .yannakakis import yannakakis_boolean, yannakakis_count, yannakakis_full
@@ -26,21 +41,28 @@ def materialise_bags(
 ) -> list[Relation]:
     """Compute one relation per bag: the worst-case-optimal join of the
     projections ``π_{bag ∩ vars(e)} R_e`` over every overlapping atom."""
+    fast = columnar_materialise_bags(atoms, td)
+    if fast is not None:
+        return fast
     bags: list[Relation] = []
     for i, bag in enumerate(td.bags):
         bag_vars = sorted(bag, key=str)
         parts: list[JoinAtom] = []
         for atom in atoms:
-            shared = [v for v in atom.variables if v in bag]
-            if not shared:
+            positions = [
+                j for j, v in enumerate(atom.variables) if v in bag
+            ]
+            if not positions:
                 continue
+            if len(positions) == 1:
+                (j,) = positions
+                rows = {(t[j],) for t in atom.relation.tuples}
+            else:
+                rows = set(map(itemgetter(*positions), atom.relation.tuples))
             projected = Relation(
                 f"proj_{atom.relation.name}_{i}",
-                shared,
-                {
-                    tuple(t[atom.variables.index(v)] for v in shared)
-                    for t in atom.relation.tuples
-                },
+                [atom.variables[j] for j in positions],
+                rows,
             )
             parts.append(JoinAtom(projected))
         covered = {v for part in parts for v in part.variables}
@@ -70,6 +92,9 @@ def evaluate_boolean_with_decomposition(
 ) -> bool:
     """Boolean CQ evaluation: materialise bags, then Yannakakis."""
     bag_atoms, tree = _bag_atoms_and_tree(atoms, td)
+    fast = columnar_yannakakis_boolean(bag_atoms, tree)
+    if fast is not None:
+        return fast
     return yannakakis_boolean(bag_atoms, tree)
 
 
@@ -80,6 +105,9 @@ def evaluate_full_with_decomposition(
 ) -> Relation:
     """Full CQ evaluation through the decomposition."""
     bag_atoms, tree = _bag_atoms_and_tree(atoms, td)
+    fast = columnar_yannakakis_full(bag_atoms, tree, output=output)
+    if fast is not None:
+        return fast
     return yannakakis_full(bag_atoms, tree, output=output)
 
 
@@ -93,4 +121,7 @@ def count_with_decomposition(
     bag query.
     """
     bag_atoms, tree = _bag_atoms_and_tree(atoms, td)
+    fast = columnar_yannakakis_count(bag_atoms, tree)
+    if fast is not None:
+        return fast
     return yannakakis_count(bag_atoms, tree)

@@ -6,6 +6,14 @@ Chooses the asymptotically right strategy per query structure:
 * cyclic queries -> fhtw-optimal hypertree decomposition: worst-case
   optimal bag materialisation + Yannakakis (``O(N^fhtw log N)``);
 * ``method='generic'`` forces one flat worst-case optimal join.
+
+All three have an array path (:mod:`repro.engine.columnar_eval`,
+:mod:`repro.engine.columnar_join`) that runs while every relation is
+still columnar over one codebook: the Yannakakis kernels are tried here,
+the generic join and the bag materialisation dispatch inside
+:mod:`~repro.engine.generic_join` and :mod:`~repro.engine.decomposition`.
+A kernel that returns ``None`` hands the disjunct to the tuple
+implementation of the same strategy, which is also its oracle.
 """
 
 from __future__ import annotations

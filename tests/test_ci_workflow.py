@@ -66,6 +66,8 @@ class TestWorkflow:
         assert "REPRO_FUZZ_SEED" in fuzz_steps[0].get("env", {})
         # the array-native delta-patch differentials ride the same matrix
         assert "tests/test_delta_maintenance.py" in fuzz_steps[0]["run"]
+        # ... and so do the columnar bag-kernel differentials
+        assert "tests/test_columnar_bags.py" in fuzz_steps[0]["run"]
 
     def test_lint_job_runs_ruff(self, workflow):
         steps = workflow["jobs"]["lint"]["steps"]

@@ -966,9 +966,6 @@ class TestSessionDeltaMaintenance:
         """The write path the tentpole moves: a patch followed by the
         session's re-persist stores blobs, and a restarted session loads
         every interval variant columnar."""
-        # acyclic, so evaluation itself runs on the blocks (the
-        # triangle's cyclic disjuncts go through the tuple-tier
-        # decomposition evaluator, which materializes every relation)
         q = parse_query("R([A],[B]) ∧ S([B],[C]) ∧ T([C],[D])")
         db = random_database(q, 30, seed=7)
         session = QuerySession(db, cache_dir=tmp_path)
@@ -987,6 +984,33 @@ class TestSessionDeltaMaintenance:
         result = warm._reduction(warm._canonical(q), False, False)
         assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
         _assert_columnar(result)
+
+    def test_cyclic_query_patches_stay_columnar(self, tmp_path):
+        """Mutate -> read xN on the triangle: its cyclic disjuncts
+        materialise their bags on the code arrays, so evaluation never
+        decodes a variant and every patch stays in array space."""
+        q, db, session = self.warm_session(cache_dir=tmp_path)
+        for step in range(4):
+            t = self.in_domain_tuple(session, q, random.Random(step))
+            for mutate in (db.insert, db.delete):
+                assert mutate("R", t) is not None
+                assert session.evaluate(
+                    q, strategy="reduction"
+                ) == naive_evaluate(q, db)
+        assert session.stats.delta_patches > 0
+        assert session.stats.reductions == 1
+        assert session.stats.patch_fallbacks["row_backed"] == 0
+        assert not any(session.stats.bag_fallbacks.values())
+        warm = QuerySession(db, cache_dir=tmp_path)
+        result = warm._reduction(warm._canonical(q), False, False)
+        assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
+        _assert_columnar(result)
+        # every patch re-persisted the artifact as blobs, not rows
+        entries = warm.cache._entry_paths()
+        assert len(entries) > 1
+        for entry in entries:
+            kinds = _frame_kinds(entry.read_bytes())
+            assert set(kinds.values()) == {"columnar"}, entry.name
 
     def test_patch_fallbacks_are_counted_with_their_reason(self):
         q, db, session = self.warm_session()

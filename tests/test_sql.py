@@ -486,6 +486,64 @@ class TestOptimizer:
         )
         assert "columnar: no" in text and "columnar: yes" not in text
 
+    def test_cyclic_evaluation_keeps_tables_columnar_yes(self):
+        """EXPLAIN golden: a cyclic EJ query materialises its bags on
+        the code arrays, so the tables it read still report
+        ``columnar: yes`` afterwards — the tuple tier (kernels off)
+        decodes them and they report ``no``."""
+        from repro.engine import use_columnar_kernels
+        from repro.engine.ej import count_ej
+        from repro.queries.catalog import triangle_ij
+        from repro.reduction import forward_reduce
+        from repro.workloads import random_database
+
+        triangle = triangle_ij()
+        reduction = forward_reduce(
+            triangle, random_database(triangle, 10, seed=5, domain=30)
+        )
+        disjunct = reduction.ej_queries[0]
+        tables = [f"Tri{i}" for i in range(len(disjunct.atoms))]
+
+        def scan_db() -> Database:
+            db = Database()
+            for table, atom in zip(tables, disjunct.atoms):
+                block = reduction.database[atom.relation].columnar
+                columns = [f"c{j}" for j in range(block.width)]
+                db.add(Relation.from_columns(table, columns, block))
+            return db
+
+        cyclic = parse_query(
+            " ∧ ".join(
+                f"{table}({', '.join(atom.variable_names)})"
+                for table, atom in zip(tables, disjunct.atoms)
+            )
+        )
+        seen: dict[str, str] = {}
+        equalities = []
+        for table, atom in zip(tables, disjunct.atoms):
+            for j, v in enumerate(atom.variable_names):
+                column = f"{table.lower()}.c{j}"
+                if v in seen:
+                    equalities.append(f"{seen[v]} = {column}")
+                seen[v] = column
+        sql = (
+            "SELECT COUNT(*) FROM "
+            + ", ".join(f"{table} {table.lower()}" for table in tables)
+            + " WHERE "
+            + " AND ".join(equalities)
+        )
+
+        def explain(db: Database) -> str:
+            return render_explain(explain_program(compile_sql(sql, db), db))
+
+        kept, decoded = scan_db(), scan_db()
+        count = count_ej(cyclic, kept, "decomposition")
+        assert "columnar: yes" in explain(kept)
+        assert "columnar: no" not in explain(kept)
+        with use_columnar_kernels(False):
+            assert count_ej(cyclic, decoded, "decomposition") == count
+        assert "columnar: no" in explain(decoded)
+
 
 # ----------------------------------------------------------------------
 # execution: differential suite (optimizer ≡ AST path ≡ naive oracle)
