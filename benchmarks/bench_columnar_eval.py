@@ -32,8 +32,8 @@ column block), so each comparison runs the kernel on one artifact and
 the oracle on an independently-built twin.
 
 Results land in ``benchmarks/results/columnar_eval.json`` (a CI
-artifact, gated by ``check_perf_regression.py`` against the committed
-quick baseline).
+artifact of the ``bench-smoke`` job; speed regressions are judged by
+``BENCHMARK.json`` + ``benchmarks/e2e`` alone).
 """
 
 import json

@@ -22,8 +22,8 @@ Two worlds over identical inputs:
 The outputs are asserted **digest-identical** unconditionally (quick
 mode included); the acceptance criterion is a ≥3× cold-reduction
 speedup at full size.  Results land in
-``benchmarks/results/forward_reduction.json`` (a CI artifact, gated by
-``benchmarks/check_perf_regression.py``).
+``benchmarks/results/forward_reduction.json`` (a CI artifact of the
+``bench-smoke`` job).
 """
 
 import json

@@ -3,8 +3,7 @@
 The front-end (tokenize, parse, rewrite/lower, cost-plan every
 disjunct) runs once per query text; the cold forward reduction it
 feeds runs once per (canonical query, database).  The acceptance
-criterion — the satellite perf gate for the ``repro.sql`` subsystem —
-is that the front-end stays **below 5% of one cold reduction** on a
+criterion for the ``repro.sql`` subsystem is that the front-end stays **below 5% of one cold reduction** on a
 representative workload, i.e. speaking SQL instead of Python ASTs is
 free at the granularity the engine actually pays for.
 
@@ -16,9 +15,8 @@ timed cold through :func:`repro.reduction.forward_reduce` on the
 lowered query.  A bit-identical check pins the lowering to the
 hand-written AST before anything is timed.
 
-Results land in ``benchmarks/results/sql_frontend.json`` and are gated
-by ``benchmarks/check_perf_regression.py`` (metric:
-``overhead_fraction``, direction lower).
+Results land in ``benchmarks/results/sql_frontend.json`` (metric:
+``overhead_fraction``, lower is better; asserted here at full size).
 """
 
 import json

@@ -39,10 +39,9 @@ Walks through the paper's running example, the triangle query
     length-framed header + JSON metadata + raw little-endian array
     sections behind one SHA-256 digest, loaded through ``np.memmap``
     so a warm worker maps the code/refcount arrays zero-copy instead
-    of unpickling object graphs.  No pickle is involved by default;
-    legacy version-4 pickle entries are readable only behind an
-    explicit ``allow_pickle=True`` (CLI ``--cache-allow-pickle``) —
-    migrate by simply re-warming the cache directory;
+    of unpickling object graphs.  No pickle is involved anywhere:
+    pre-v5 ``.pkl`` entries have no reader (they are evicted like any
+    other entry) — migrate by simply re-warming the cache directory;
 13. the columnar evaluation tier — the vectorized counting DP, the
     sorted-column-array generic join and the mask-sweep full reducer,
     which evaluate reduced EJ disjuncts directly on the uint32 code
@@ -303,7 +302,7 @@ def main() -> None:
     assert reference.database.size == memoized.database.size
     print(
         "benchmarks/bench_forward_reduction.py asserts >=3x on a "
-        "duplicate-heavy workload and feeds the CI perf gate"
+        "duplicate-heavy workload"
     )
     print()
 
@@ -452,11 +451,7 @@ def main() -> None:
         assert result_digest(loaded) == result_digest(
             forward_reduce(query, db)
         )
-        print(
-            "warm load is digest-identical to a fresh reduction "
-            "(benchmarks/bench_vectorized_kernels.py asserts >=5x over "
-            "pickle.loads on the same artifact)"
-        )
+        print("warm load is digest-identical to a fresh reduction")
         # tampering (or truncation, or a version skew) degrades to a
         # cache miss, never an error or a trusted deserialization
         entry.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
@@ -467,15 +462,11 @@ def main() -> None:
             f"0 errors (digest mismatch = miss)"
         )
         assert tampered.stats.reductions == 1
-        # migration note: pre-v5 pickle envelopes (*.pkl) are ignored
-        # unless explicitly opted in — ReductionCache(dir,
-        # allow_pickle=True) / `--cache-allow-pickle` — and are never
-        # exported to other nodes; re-warming the directory replaces
-        # them with frames
-        print(
-            "legacy *.pkl entries need ReductionCache(allow_pickle=True); "
-            "default is pickle-free"
-        )
+        # migration note: pre-v5 pickle envelopes (*.pkl) have no
+        # reader — they are never opened or exported, only counted
+        # against --cache-max-bytes and evicted; re-warming the
+        # directory replaces them with frames
+        print("legacy *.pkl entries are never read; the cache is pickle-free")
     print()
 
     print("=" * 64)

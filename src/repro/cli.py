@@ -149,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_eval.add_argument(
-        "--cache-allow-pickle", action="store_true",
-        help=(
-            "also read legacy version-4 pickle cache entries (trusted "
-            "cache directories only; the framed format never needs this)"
-        ),
-    )
-    p_eval.add_argument(
         "--profile", action="store_true",
         help=(
             "print a per-phase timing breakdown (canonicalize / reduce "
@@ -223,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="BYTES"
-    )
-    p_serve.add_argument(
-        "--cache-allow-pickle", action="store_true",
-        help="also read legacy version-4 pickle cache entries",
     )
     p_serve.add_argument(
         "--max-inflight", type=int, default=64,
@@ -358,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared namespaced reduction cache for every pool (--serve)",
     )
     p_route.add_argument(
-        "--cache-allow-pickle", action="store_true",
-        help="also read legacy version-4 pickle cache entries (--serve)",
-    )
-    p_route.add_argument(
         "--max-inflight", type=int, default=64,
         help="admission-control bound for --serve",
     )
@@ -405,10 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
             "this node's own reduction cache directory (a coordinator "
             "warms it content-addressed over the wire)"
         ),
-    )
-    p_shard.add_argument(
-        "--cache-allow-pickle", action="store_true",
-        help="also read legacy version-4 pickle cache entries",
     )
     p_shard.add_argument(
         "--max-inflight", type=int, default=64,
@@ -535,7 +516,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         db,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
-        cache_allow_pickle=args.cache_allow_pickle,
     )
     print(f"|D| = {db.size} tuples ({args.workload} workload)")
     timings: list[float] = []
@@ -735,7 +715,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes,
-            cache_allow_pickle=args.cache_allow_pickle,
             answer_admission_min_intervals=args.admission_min_intervals,
         )
     except ValueError as error:
@@ -932,7 +911,6 @@ def _route_serve(
             replicas=args.replicas,
             remote_shards=remote,
             health_interval=args.health_interval,
-            cache_allow_pickle=args.cache_allow_pickle,
         )
     except ShardUnreachable as error:
         print(f"error: {error}", file=sys.stderr)
@@ -992,7 +970,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
         shards=("local",),
         cache_dir=args.cache_dir,
         workers_per_shard=args.workers,
-        cache_allow_pickle=args.cache_allow_pickle,
     )
     server = RouterServer(
         router,

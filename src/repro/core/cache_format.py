@@ -4,6 +4,7 @@ Versions ≤ 4 stored cache entries as pickled envelopes — compact, but
 loading one runs the pickle VM over attacker-controllable bytes (hence
 the long-standing "trust the cache directory" caveat) and rebuilds every
 derived Python tuple eagerly, which dominates warm worker start-up.
+No reader for those envelopes remains anywhere in the package.
 
 Version 5 replaces the envelope with a length-framed binary layout that
 contains **no executable serialization** at all::

@@ -23,21 +23,19 @@ Keys commit to the reduction pipeline flags and the digests of every
 relation the query references, so a stale entry is unreachable by
 construction — mutations change the digests, which change the key.
 
-Since format version 5 the store is **pickle-free by default**: entries
-are pure data (JSON metadata + raw array bytes behind a SHA-256), loaded
-via ``np.memmap`` so warm workers map cached code matrices zero-copy,
-and a hostile cache directory can at worst produce misses.  Directories
-holding version-≤4 pickled envelopes are readable only behind an
-explicit ``allow_pickle=True`` opt-in (CLI: ``--cache-allow-pickle``),
-which restores the old trust requirement for exactly those legacy
-entries; new stores always write the framed layout.
+The store is **pickle-free**: entries are pure data (JSON metadata +
+raw array bytes behind a SHA-256), loaded via ``np.memmap`` so warm
+workers map cached code matrices zero-copy, and a hostile cache
+directory can at worst produce misses.  Version-≤4 pickled ``.pkl``
+envelopes left behind in an upgraded directory are never opened — they
+are dead bytes that still count against ``max_bytes`` and are evicted
+like any other entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -61,17 +59,12 @@ from .cache_format import (
 #: Version 3: the result pickle is framed as opaque bytes next to its
 #: SHA-256 integrity digest, verified on load.
 #: Version 4: results carry the memoized
-#: :class:`~repro.reduction.encoding_store.EncodingStore` (the memo
-#: itself is dropped at pickle time; the field must exist on load).
+#: :class:`~repro.reduction.encoding_store.EncodingStore`.
 #: Version 5: pickle-free framed binary layout (``.red``, see
 #: :mod:`repro.core.cache_format`): JSON structural metadata plus raw
 #: little-endian array blobs behind one SHA-256, memmap-loadable.
+#: Versions 2-4 were pickled ``.pkl`` envelopes; no reader remains.
 FORMAT_VERSION = 5
-
-#: The last pickle-envelope version.  ``.pkl`` entries of exactly this
-#: version remain readable when the cache is opened with
-#: ``allow_pickle=True``; they are never written any more.
-LEGACY_PICKLE_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +243,9 @@ class ReductionCache:
     :class:`~repro.service.pool.WorkerPool`, restarted CLIs, a pruning
     janitor.  Every filesystem step therefore tolerates entries deleted
     out from under it (a concurrent prune) and verifies an integrity
-    digest on load (SHA-256 of the pickled result, stored next to it),
-    so a torn or tampered entry degrades to a plain miss rather than an
-    unpickle error surfacing mid-query.
+    digest on load (the frame's SHA-256 over its own bytes), so a torn
+    or tampered entry degrades to a plain miss rather than an error
+    surfacing mid-query.
 
     **Namespaces** layer multi-tenancy over the shared store without
     touching the content addressing: a cache opened with
@@ -285,7 +278,6 @@ class ReductionCache:
         directory: str | os.PathLike,
         max_bytes: int | None = None,
         namespace: str | None = None,
-        allow_pickle: bool = False,
     ):
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
@@ -300,9 +292,6 @@ class ReductionCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.namespace = namespace
         self.max_bytes = max_bytes
-        #: opt-in for reading legacy version-4 pickled ``.pkl`` entries;
-        #: off by default because unpickling runs code from cache bytes
-        self.allow_pickle = allow_pickle
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -320,11 +309,10 @@ class ReductionCache:
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.red"
 
-    def _legacy_path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
-
     def _entry_paths(self) -> "list[Path]":
-        """Every entry file on disk, current format and legacy."""
+        """Every entry file on disk: current ``.red`` frames plus stray
+        ``.pkl`` envelopes of an upgraded directory, which nothing
+        opens but which occupy the bytes ``max_bytes`` caps."""
         return [
             *self.directory.glob("*/*.red"),
             *self.directory.glob("*/*.pkl"),
@@ -346,37 +334,6 @@ class ReductionCache:
         except OSError:  # pragma: no cover - marker loss degrades purge
             pass
 
-    def _get_legacy(self, key: str) -> ForwardReductionResult | None:
-        """Read one legacy version-4 pickled envelope.  Only reachable
-        behind ``allow_pickle=True`` — unpickling executes constructors
-        chosen by the cache bytes, which is exactly the exposure the v5
-        layout removed."""
-        path = self._legacy_path(key)
-        try:
-            with path.open("rb") as handle:
-                envelope = pickle.load(handle)
-        except Exception:
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("version") != LEGACY_PICKLE_VERSION
-            or not isinstance(envelope.get("payload"), bytes)
-            or envelope.get("sha256")
-            != hashlib.sha256(envelope["payload"]).hexdigest()
-        ):
-            return None
-        try:
-            result = pickle.loads(envelope["payload"])
-        except Exception:  # pragma: no cover - digest already vouched
-            return None
-        if not isinstance(result, ForwardReductionResult):
-            return None
-        try:
-            os.utime(path)  # refresh the LRU clock for prune()
-        except OSError:
-            pass
-        return result
-
     def get(self, key: str) -> ForwardReductionResult | None:
         """The stored reduction for ``key``, or ``None``.  Any failure —
         missing file, truncated write from a crashed worker, a frame
@@ -386,12 +343,8 @@ class ReductionCache:
         Current entries are loaded through ``np.memmap``: the returned
         artifact's code matrices and refcount arrays are views into the
         mapped file, so a warm load costs the metadata parse plus one
-        digest pass, never an array copy.  Legacy ``.pkl`` entries are
-        consulted only when the cache was opened with
-        ``allow_pickle=True``."""
+        digest pass, never an array copy."""
         result = load_result(self._path(key), FORMAT_VERSION)
-        if result is None and self.allow_pickle:
-            result = self._get_legacy(key)
         if result is None:
             self.misses += 1
             return None
@@ -488,9 +441,8 @@ class ReductionCache:
 
     def entry_keys(self) -> list[str]:
         """Every current-format entry key on disk, sorted — the donor
-        side of the ``cache_keys`` verb.  Legacy ``.pkl`` entries are
-        never offered for shipping: peers could not validate them
-        without unpickling."""
+        side of the ``cache_keys`` verb.  Stray ``.pkl`` files are never
+        offered for shipping."""
         return sorted(
             path.stem
             for path in self.directory.glob("*/*.red")
@@ -593,7 +545,8 @@ class ReductionCache:
             if key in others:
                 continue
             unlinked = False
-            for path in (self._path(key), self._legacy_path(key)):
+            entry = self._path(key)
+            for path in (entry, entry.with_suffix(".pkl")):
                 try:
                     path.unlink()
                     unlinked = True
@@ -610,7 +563,8 @@ class ReductionCache:
         return removed
 
     def size_bytes(self) -> int:
-        """Total payload bytes currently on disk (both formats)."""
+        """Total entry bytes currently on disk (stray ``.pkl`` files
+        included)."""
         total = 0
         for path in self._entry_paths():
             try:
@@ -620,7 +574,8 @@ class ReductionCache:
         return total
 
     def __len__(self) -> int:
-        """Number of stored entries currently on disk (both formats)."""
+        """Number of entry files currently on disk (stray ``.pkl``
+        files included)."""
         return len(self._entry_paths())
 
     def stats(self) -> dict[str, int]:

@@ -465,7 +465,6 @@ class QuerySession:
         cache_max_bytes: int | None = None,
         answer_admission_min_intervals: int = 0,
         cache_namespace: str | None = None,
-        cache_allow_pickle: bool = False,
         admission: AdmissionController | None = None,
     ):
         if answer_cache_size < 1:
@@ -495,7 +494,6 @@ class QuerySession:
                 cache_dir,
                 max_bytes=cache_max_bytes,
                 namespace=cache_namespace,
-                allow_pickle=cache_allow_pickle,
             )
             if cache_dir is not None
             else None

@@ -19,12 +19,12 @@ from .columnar_eval import (
     columnar_generic_join_boolean,
     columnar_generic_join_count,
     columnar_materialise_bags,
+    columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
     kernels_enabled,
     use_columnar_kernels,
 )
-from .columnar_join import columnar_yannakakis_boolean
 from .decomposition import (
     count_with_decomposition,
     evaluate_boolean_with_decomposition,

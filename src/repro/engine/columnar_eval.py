@@ -1,11 +1,20 @@
-"""The columnar evaluation tier: counting DP, generic join, bag
-materialisation and the full reducer on code arrays.
+"""The columnar evaluation tier: semijoin sweeps, counting DP, generic
+join, bag materialisation and the full reducer on code arrays.
 
-PR 8 made transformed relations ``uint32`` code matrices over one shared
-:class:`~repro.reduction.columnar.CodeBook` and gave *Boolean* acyclic
-evaluation a code-array semijoin sweep
-(:mod:`repro.engine.columnar_join`).  This module extends the same
-execution model to everything else the evaluation tier does:
+Transformed relations are ``uint32`` code matrices over one shared
+:class:`~repro.reduction.columnar.CodeBook`; code equality is value
+equality, so everything the evaluation tier does runs on the codes and
+evaluates warm, memmap-loaded reductions without materializing a Python
+tuple:
+
+* :func:`columnar_yannakakis_boolean` — the bottom-up semijoin sweep of
+  Yannakakis' algorithm on survivor masks.  Per join-tree edge the
+  shared columns are folded into one comparable ``int64`` key per row
+  and the parent's mask is intersected with an ``np.isin`` membership
+  test against the child's surviving keys (:func:`_semijoin_mask` — the
+  bottom-up half of the full reducer below); the query is true iff every
+  root keeps a surviving row, and the sweep stops at the first emptied
+  mask.
 
 * :func:`columnar_yannakakis_count` — the join-tree counting DP with
   per-node extension counts held as ``int64`` arrays.  Each bottom-up
@@ -46,8 +55,8 @@ execution model to everything else the evaluation tier does:
 
 * :func:`columnar_yannakakis_full` — full acyclic evaluation
   (full reducer + output-projected bottom-up joins) over survivor masks
-  and gathered key arrays, generalizing the Boolean sweep.  Joins
-  expand ``searchsorted`` match ranges with ``np.repeat`` index
+  and gathered key arrays: the Boolean sweep, then its top-down mirror.
+  Joins expand ``searchsorted`` match ranges with ``np.repeat`` index
   arithmetic, intermediate frames are deduplicated in packed-key space
   (set semantics, exactly like the tuple path's projections), and rows
   are decoded through the codebook only for the final output.
@@ -56,7 +65,8 @@ Every kernel returns ``None`` whenever the atoms are not all columnar
 over one shared codebook (or a join column is not dictionary-encoded on
 both sides, or packed keys would overflow) — the caller then falls back
 to the retained tuple implementations, which stay in the tree as the
-differential oracles.  The bag kernel says why: each of its ``None``
+differential oracles (:func:`or_tuple_tier` is that hand-off for the
+acyclic phase).  The bag kernel says why: each of its ``None``
 exits names one of :data:`BAG_FALLBACK_REASONS` — ``kernels_off``,
 ``not_columnar`` (an atom has materialized its tuples), ``mixed_codebooks``,
 ``mixed_kinds`` (a variable is a code column in one atom and a verbatim
@@ -64,8 +74,8 @@ id column in another) or ``key_overflow`` (a part's packed rows exceed
 62 bits) — and :func:`record_bag_fallbacks` collects the counts, which
 :class:`~repro.core.session.QuerySession` surfaces as
 ``stats.bag_fallbacks``.  :func:`use_columnar_kernels` turns the tier
-off wholesale so tests and benchmarks can force the tuple tier on
-demand.
+off wholesale — every kernel checks it first — so tests and benchmarks
+can force the tuple tier on demand.
 """
 
 from __future__ import annotations
@@ -95,11 +105,11 @@ __all__ = [
     "columnar_generic_join_boolean",
     "columnar_generic_join_count",
     "columnar_materialise_bags",
+    "columnar_yannakakis_boolean",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",
-    "edge_keys",
     "kernels_enabled",
-    "key_isin",
+    "or_tuple_tier",
     "record_bag_fallbacks",
     "use_columnar_kernels",
 ]
@@ -165,6 +175,15 @@ def use_columnar_kernels(enabled: bool) -> Iterator[None]:
         yield
     finally:
         _ENABLED = previous
+
+
+def or_tuple_tier(kernel, tuple_tier, atoms, tree, **options):
+    """Run one acyclic pass over ``(atoms, tree)``: the columnar
+    ``kernel``, or — when it answers ``None`` (kernels off, row-backed
+    inputs, incomparable columns, counts beyond ``int64``) — the tuple
+    implementation of the same pass, which is also its oracle."""
+    answer = kernel(atoms, tree, **options)
+    return tuple_tier(atoms, tree, **options) if answer is None else answer
 
 
 # ----------------------------------------------------------------------
@@ -820,6 +839,43 @@ def _semijoin_mask(
         book, target_cols, source_cols
     )
     alive[target] &= key_isin(target_keys, source_keys, radices)
+
+
+def columnar_yannakakis_boolean(
+    atoms: Sequence[JoinAtom], tree: nx.Graph
+) -> bool | None:
+    """Boolean acyclic evaluation over code arrays, or ``None`` when
+    the caller must fall back.
+
+    Mirrors :func:`repro.engine.yannakakis.yannakakis_boolean`: nodes of
+    ``tree`` index into ``atoms``; per component, a bottom-up sweep
+    semijoins each parent with its children and the query is true iff
+    every root keeps a surviving row.  A shared column that is a
+    verbatim id on either side is incomparable as raw ints and an
+    unpackable key has no cheap comparable form — both answer ``None``.
+    """
+    if not _ENABLED:
+        return None
+    try:
+        blocks = _require_blocks(atoms)
+        if any(block.row_count == 0 for block in blocks):
+            return False
+        if tree.number_of_nodes() == 0:
+            return True
+        book = blocks[0].book
+        alive = [np.ones(block.row_count, dtype=bool) for block in blocks]
+        for component in nx.connected_components(tree):
+            order, parent = _rooted_orders(tree, min(component))
+            for node in reversed(order):
+                p = parent[node]
+                if p is None:
+                    continue
+                _semijoin_mask(blocks, atoms, alive, p, node, book)
+                if not alive[p].any():
+                    return False
+    except _Fallback:
+        return None
+    return True
 
 
 def _unique_row_index(

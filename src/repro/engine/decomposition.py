@@ -12,9 +12,11 @@ Both phases run on code arrays while every atom is columnar over one
 codebook: :func:`materialise_bags` dispatches to
 :func:`~repro.engine.columnar_eval.columnar_materialise_bags`, whose
 bag relations are themselves columnar, so phase 2 takes the columnar
-Yannakakis kernels and no row is decoded between the inputs and the
-answer.  The tuple bodies below are the fallback (same ``-> None ->``
-protocol as every other kernel) and the differential oracle.
+Yannakakis kernels of the same module and no row is decoded between the
+inputs and the answer.  The tuple bodies below are the fallback (same
+``-> None ->`` protocol as every other kernel, handed off by
+:func:`~repro.engine.columnar_eval.or_tuple_tier`) and the differential
+oracle.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import networkx as nx
 from ..widths.tree_decomposition import TreeDecomposition
 from .columnar_eval import (
     columnar_materialise_bags,
+    columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
+    or_tuple_tier,
 )
-from .columnar_join import columnar_yannakakis_boolean
 from .generic_join import JoinAtom, generic_join_relation
 from .relation import Relation
 from .yannakakis import yannakakis_boolean, yannakakis_count, yannakakis_full
@@ -91,11 +94,11 @@ def evaluate_boolean_with_decomposition(
     atoms: Sequence[JoinAtom], td: TreeDecomposition
 ) -> bool:
     """Boolean CQ evaluation: materialise bags, then Yannakakis."""
-    bag_atoms, tree = _bag_atoms_and_tree(atoms, td)
-    fast = columnar_yannakakis_boolean(bag_atoms, tree)
-    if fast is not None:
-        return fast
-    return yannakakis_boolean(bag_atoms, tree)
+    return or_tuple_tier(
+        columnar_yannakakis_boolean,
+        yannakakis_boolean,
+        *_bag_atoms_and_tree(atoms, td),
+    )
 
 
 def evaluate_full_with_decomposition(
@@ -104,11 +107,12 @@ def evaluate_full_with_decomposition(
     output: Sequence[str] | None = None,
 ) -> Relation:
     """Full CQ evaluation through the decomposition."""
-    bag_atoms, tree = _bag_atoms_and_tree(atoms, td)
-    fast = columnar_yannakakis_full(bag_atoms, tree, output=output)
-    if fast is not None:
-        return fast
-    return yannakakis_full(bag_atoms, tree, output=output)
+    return or_tuple_tier(
+        columnar_yannakakis_full,
+        yannakakis_full,
+        *_bag_atoms_and_tree(atoms, td),
+        output=output,
+    )
 
 
 def count_with_decomposition(
@@ -120,8 +124,8 @@ def count_with_decomposition(
     the original join and the decomposition tree is a join tree of the
     bag query.
     """
-    bag_atoms, tree = _bag_atoms_and_tree(atoms, td)
-    fast = columnar_yannakakis_count(bag_atoms, tree)
-    if fast is not None:
-        return fast
-    return yannakakis_count(bag_atoms, tree)
+    return or_tuple_tier(
+        columnar_yannakakis_count,
+        yannakakis_count,
+        *_bag_atoms_and_tree(atoms, td),
+    )

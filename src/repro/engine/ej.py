@@ -7,13 +7,14 @@ Chooses the asymptotically right strategy per query structure:
   optimal bag materialisation + Yannakakis (``O(N^fhtw log N)``);
 * ``method='generic'`` forces one flat worst-case optimal join.
 
-All three have an array path (:mod:`repro.engine.columnar_eval`,
-:mod:`repro.engine.columnar_join`) that runs while every relation is
-still columnar over one codebook: the Yannakakis kernels are tried here,
-the generic join and the bag materialisation dispatch inside
-:mod:`~repro.engine.generic_join` and :mod:`~repro.engine.decomposition`.
-A kernel that returns ``None`` hands the disjunct to the tuple
-implementation of the same strategy, which is also its oracle.
+All three have an array path (:mod:`repro.engine.columnar_eval`) that
+runs while every relation is still columnar over one codebook: the
+Yannakakis kernels are tried here, the generic join and the bag
+materialisation dispatch inside :mod:`~repro.engine.generic_join` and
+:mod:`~repro.engine.decomposition`.  A kernel that returns ``None``
+hands the disjunct to the tuple implementation of the same strategy,
+which is also its oracle
+(:func:`~repro.engine.columnar_eval.or_tuple_tier`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from ..queries.query import Query
 from ..widths.fhtw import fhtw_with_decomposition
 from ..widths.tree_decomposition import TreeDecomposition
 from .columnar_eval import (
+    columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
+    or_tuple_tier,
 )
-from .columnar_join import columnar_yannakakis_boolean
 from .decomposition import (
     count_with_decomposition,
     evaluate_boolean_with_decomposition,
@@ -134,12 +136,11 @@ def evaluate_ej(query: Query, db: Database, method: Method = "auto") -> bool:
         if tree is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
         index_tree = _label_tree_to_index_tree(query, tree)
-        # code-array semijoin sweep when every relation is still
-        # columnar (no tuple materialization); None means fall back
-        fast = columnar_yannakakis_boolean(atoms, index_tree)
-        if fast is not None:
-            return fast
-        return yannakakis_boolean(atoms, index_tree)
+        # code-array semijoin sweep while every relation is still
+        # columnar (no tuple materialization)
+        return or_tuple_tier(
+            columnar_yannakakis_boolean, yannakakis_boolean, atoms, index_tree
+        )
     td = optimal_decomposition(query.hypergraph())
     return evaluate_boolean_with_decomposition(atoms, td)
 
@@ -159,13 +160,11 @@ def count_ej(query: Query, db: Database, method: Method = "auto") -> int:
         if tree is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
         index_tree = _label_tree_to_index_tree(query, tree)
-        # vectorized counting DP on code arrays while every relation is
-        # still columnar; None means fall back (non-columnar atoms, or
-        # counts that could leave the int64-safe range)
-        fast = columnar_yannakakis_count(atoms, index_tree)
-        if fast is not None:
-            return fast
-        return yannakakis_count(atoms, index_tree)
+        # counting DP on code arrays while every relation is still
+        # columnar and no count can leave the int64-safe range
+        return or_tuple_tier(
+            columnar_yannakakis_count, yannakakis_count, atoms, index_tree
+        )
     td = optimal_decomposition(query.hypergraph())
     return count_with_decomposition(atoms, td)
 
@@ -191,11 +190,14 @@ def evaluate_ej_full(
             raise ValueError(f"{query.name} is not alpha-acyclic")
         index_tree = _label_tree_to_index_tree(query, tree)
         # mask-sweep full reducer + frame joins on code arrays,
-        # decoding only the final output rows; None means fall back
-        fast = columnar_yannakakis_full(atoms, index_tree, output=output)
-        if fast is not None:
-            return fast
-        return yannakakis_full(atoms, index_tree, output=output)
+        # decoding only the final output rows
+        return or_tuple_tier(
+            columnar_yannakakis_full,
+            yannakakis_full,
+            atoms,
+            index_tree,
+            output=output,
+        )
     td = optimal_decomposition(query.hypergraph())
     return evaluate_full_with_decomposition(atoms, td, output=output)
 

@@ -134,10 +134,9 @@ class Relation:
         return next(iter(self.tuples), None)
 
     # ------------------------------------------------------------------
-    # persistence: always pickle the materialized form — column blocks
-    # (possibly memmap-backed) never cross a pickle boundary, and the
-    # emitted state matches what pre-columnar pickles carried, so old
-    # artifacts load into the new class and vice versa
+    # pickling (``spawn`` ships a worker its database this way): always
+    # the materialized form — column blocks (possibly memmap-backed)
+    # never cross a process boundary
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:

@@ -349,11 +349,6 @@ class ColumnarCounts(MutableMapping):
             return self._dict.items()
         return zip(self.block.rows(), self.array.tolist())
 
-    def __reduce__(self):
-        # pickle as the plain dict it emulates: arrays (possibly memmap
-        # views of a cache entry) must never cross a pickle boundary
-        return (dict, (list(self.items()),))
-
 
 def pack_key_columns(
     columns: Sequence[np.ndarray], radices: Sequence[int]

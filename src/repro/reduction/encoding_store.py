@@ -20,10 +20,10 @@ An :class:`EncodingStore` owns the second memo for one tree set.  It is
 created by :class:`~repro.reduction.forward.ForwardReducer`, shared by
 every variant relation it builds (plain and factored encodings), carried
 on the :class:`~repro.reduction.forward.ForwardReductionResult` so the
-delta-patch path re-uses the very same encodings, and survives
-persistence: pickling drops the memo (it is pure and rebuilt on demand)
-but keeps the tree bindings, so a cache-loaded artifact patches just as
-fast after its first few lookups.
+delta-patch path re-uses the very same encodings.  The memo is pure
+and never persisted: a cache-loaded artifact gets a fresh store over
+its own trees and codebook (:mod:`repro.core.cache_format`) and patches
+just as fast after its first few lookups.
 
 Memoization never changes *what* is computed — only how often.  The
 differential digest tests assert the memoized reduction is bit-identical
@@ -155,22 +155,3 @@ class EncodingStore:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    # ------------------------------------------------------------------
-    # persistence: the memo is pure — drop it, keep the tree bindings
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # the trees are shared (by reference) with the owning
-        # ForwardReductionResult's ``segment_trees``, so pickling the
-        # store costs almost nothing beyond the result itself
-        return {"trees": self.trees, "k": self.k}
-
-    def __setstate__(self, state: dict) -> None:
-        self.trees = state["trees"]
-        self.k = state["k"]
-        self._encodings = {}
-        self.hits = 0
-        self.misses = 0
-        self.codebook = None
-        self._code_arrays = {}

@@ -23,10 +23,11 @@ The batch loop is **encoding-memoized and columnar**: an
 memoized globally at the ``(node, i)`` layer, per Claim C.1), and
 :meth:`ForwardReducer.variant_relation` groups a relation's tuples by
 their interval-column projection, running the cartesian expansion once
-per distinct projection group instead of once per tuple.  The output is
-bit-identical to the naive per-tuple path, which is retained
-(``reference=True``) as the oracle for differential digest tests and the
-baseline for ``benchmarks/bench_forward_reduction.py``.
+per distinct projection group, on ``uint32`` code arrays, instead of
+once per tuple.  That is the only builder; its output is bit-identical
+to the naive per-tuple path, which is retained (``reference=True``) as
+the oracle for differential digest tests and the baseline for
+``benchmarks/bench_forward_reduction.py``.
 
 With ``disjoint=True`` the Appendix G refinement is applied: after the
 distinct-left-endpoint shift, every satisfying tuple combination is
@@ -36,7 +37,6 @@ counting.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterator, Mapping, MutableMapping, Sequence
@@ -343,7 +343,7 @@ class ForwardReductionResult:
     #: variant relation name -> derived row -> number of distinct input
     #: tuples deriving it.  Needed to delete safely under set semantics:
     #: a derived row disappears only when its last deriving input tuple
-    #: does.  Vectorized reductions hold these as
+    #: does.  Default-builder reductions hold these as
     #: :class:`~repro.reduction.columnar.ColumnarCounts` (an ``int64``
     #: array behind a ``MutableMapping`` facade), which the patch path
     #: adjusts as an array; plain dicts are patched key by key.
@@ -409,7 +409,7 @@ class ForwardReductionResult:
         relation is not referenced by the query is a no-op.
 
         Variants patch in the representation they are already in.  A
-        **columnar** variant (vectorized reductions, ``.red`` cache
+        **columnar** variant (default-builder reductions, ``.red`` cache
         loads) is patched in array space: the tuple's derived rows are
         encoded through the artifact's own codebook (looked up, never
         interned, on a delete), located in the ``uint32`` code matrix by
@@ -468,9 +468,9 @@ class ForwardReductionResult:
 
     def _store(self, k: Mapping[str, int]) -> EncodingStore:
         """The encoding store patches go through — the one the
-        reduction was built with, or (for artifacts that predate it,
-        e.g. unpickled by an older peer) a fresh store over the same
-        segment trees, attached so later patches stay warm."""
+        reduction was built with, or (for reference-path results, which
+        carry none) a fresh store over the same segment trees, attached
+        so later patches stay warm."""
         if self.encoding_store is None:
             self.encoding_store = EncodingStore(self.segment_trees, k)
         return self.encoding_store
@@ -587,17 +587,11 @@ class ForwardReductionResult:
 class ForwardReducer:
     """Shared-variant forward reduction for one (query, database) pair.
 
-    Three selectable builder paths, all bit-identical:
-
-    * ``reference=True`` — the naive per-tuple transform loop (no
-      encoding memo, no columnar grouping), retained as the
-      differential oracle;
-    * ``vectorized=False`` — the pure-Python columnar builder of PR 5
-      (grouped tuple concats + ``Counter`` refcounts), retained as the
-      benchmark baseline for the NumPy kernel;
-    * the default — the vectorized kernel: ``uint32`` code matrices
-      expanded with ``np.repeat``/``np.tile`` and ``int64`` refcount
-      arrays (:meth:`_vectorized_counts`).
+    One builder — ``uint32`` code matrices expanded with
+    ``np.repeat``/``np.tile`` and ``int64`` refcount arrays
+    (:meth:`_vectorized_counts`) — plus ``reference=True``, the naive
+    per-tuple transform loop (no encoding memo, no code arrays) that
+    the differential tests compare it against, bit for bit.
     """
 
     def __init__(
@@ -607,14 +601,12 @@ class ForwardReducer:
         disjoint: bool = False,
         provenance: bool = False,
         reference: bool = False,
-        vectorized: bool = True,
     ):
         self.query = query
         self.db = db
         self.disjoint = disjoint
         self.provenance = provenance
         self.reference = reference
-        self.vectorized = vectorized and not reference
         self.interval_vars = [v.name for v in query.interval_variables]
         self.k: dict[str, int] = {
             x: len(query.atoms_containing(x)) for x in self.interval_vars
@@ -627,11 +619,9 @@ class ForwardReducer:
                 for t in db[atom.relation].tuples:
                     intervals.append(t[idx])
             self.trees[x] = SegmentTree(intervals)
-        self.store: EncodingStore | None = (
-            None if reference else EncodingStore(self.trees, self.k)
-        )
-        if self.vectorized:
-            assert self.store is not None
+        self.store: EncodingStore | None = None
+        if not reference:
+            self.store = EncodingStore(self.trees, self.k)
             self.store.codebook = CodeBook()
         self._variants: dict[_VariantSpec, Relation] = {}
         self._variant_counts: dict[str, MutableMapping] = {}
@@ -749,21 +739,12 @@ class ForwardReducer:
                 for row in self.transform_tuple(atom, spec, t, tuple_id):
                     counts[row] = counts.get(row, 0) + 1
             result = Relation(spec.name(), schema, set(counts))
-        elif self.vectorized:
+        else:
             # array path: uint32 code matrix + int64 refcount array;
             # Python tuples are decoded only if a consumer demands them
             block, count_array = self._vectorized_counts(atom, spec, order)
             counts = ColumnarCounts(block, count_array)
             result = Relation.from_columns(spec.name(), schema, block)
-        else:
-            # a Counter (dict subclass) so batched C-level .update calls
-            # do the refcounting; content-identical to the reference dict
-            counts = Counter()
-            self._columnar_counts(atom, spec, order, counts)
-            # rows are schema-width tuples by construction; skip the
-            # per-tuple re-validation pass of Relation.__init__
-            result = Relation(spec.name(), schema)
-            result.tuples = set(counts)
         self._variants[spec] = result
         self._variant_counts[spec.name()] = counts
         return result
@@ -774,21 +755,23 @@ class ForwardReducer:
         spec: _VariantSpec,
         order: Sequence[tuple],
     ) -> tuple[ColumnBlock, np.ndarray]:
-        """The vectorized variant builder: the same per-projection-group
-        expansion as :meth:`_columnar_counts`, but as array ops on
-        ``uint32`` codes.  Per group, the cartesian product of part
-        encodings is laid out with mixed-radix ``np.repeat``/``np.tile``
-        index arrays, member point columns and provenance ids are
-        broadcast across the templates, and the per-group matrices are
-        deduplicated globally with ``np.unique(axis=0)`` — whose inverse
-        bin-counts are exactly the reference path's refcounts (two
-        groups can derive equal rows when distinct intervals share a
-        canonical partition, so dedup must be global).
+        """The variant builder: group the relation's tuples by their
+        interval-column projection and expand the cartesian product of
+        part encodings **once per distinct projection group**, as array
+        ops on ``uint32`` codes.  Per group, the product is laid out
+        with mixed-radix ``np.repeat``/``np.tile`` index arrays, member
+        point columns and provenance ids are broadcast across the
+        templates, and the per-group matrices are deduplicated globally
+        with ``np.unique(axis=0)`` — whose inverse bin-counts are
+        exactly the reference path's refcounts (two groups can derive
+        equal rows when distinct intervals share a canonical partition,
+        so dedup must be global).
 
-        Bit-identical to the reference loop by the same argument as the
-        pure-Python columnar path: within one input tuple, distinct
-        template combinations never collide, so each (member, template)
-        pair contributes exactly one count to its row.
+        Bit-identical to the reference loop: distinct canonical-
+        partition nodes and distinct splits never concatenate to the
+        same parts, so within one input tuple distinct template
+        combinations never collide and each (member, template) pair
+        contributes exactly one count to its row.
         """
         store = self.store
         assert store is not None
@@ -859,110 +842,6 @@ class ForwardReducer:
             inverse.ravel(), weights=weights, minlength=unique_rows.shape[0]
         ).astype(COUNT_DTYPE)
         return ColumnBlock(unique_rows, kinds, book), counts
-
-    def _columnar_counts(
-        self,
-        atom: Atom,
-        spec: _VariantSpec,
-        order: Sequence[tuple],
-        counts: Counter,
-    ) -> None:
-        """The columnar variant builder: group the relation's tuples by
-        their interval-column projection, expand the cartesian product
-        of part encodings **once per distinct projection group**, and
-        stitch each member tuple's point columns (and provenance id)
-        back into the pre-expanded templates.
-
-        Bit-identical to the reference loop: distinct canonical-
-        partition nodes and distinct splits never concatenate to the
-        same parts, so every expanded choice yields a distinct row for
-        a given tuple (exactly what the reference path's per-tuple set
-        collects) and each member tuple contributes one count per row.
-        """
-        parts = dict(spec.parts)
-        nonempty = set(spec.nonempty_last)
-        store = self.store
-        assert store is not None
-        # split the atom's columns into maximal runs of interval columns
-        # separated by single point columns: a row is then
-        # ``chunk_0 ∘ pt_0 ∘ chunk_1 ∘ ... ∘ chunk_M`` where the chunks
-        # are pre-concatenated interval encodings and the pts are the
-        # member tuple's point values
-        interval_cols: list[tuple[int, str, int, bool]] = []
-        runs: list[list[int]] = [[]]     # interval-slot indices per run
-        point_cols: list[int] = []
-        for col, v in enumerate(atom.variables):
-            if v.is_interval:
-                runs[-1].append(len(interval_cols))
-                interval_cols.append(
-                    (col, v.name, parts[v.name], v.name in nonempty)
-                )
-            else:
-                point_cols.append(col)
-                runs.append([])
-        provenance = spec.provenance and bool(parts)
-        groups: dict[tuple, list[int]] = {}
-        for tuple_id, t in enumerate(order):
-            key = tuple(t[col] for col, _, _, _ in interval_cols)
-            groups.setdefault(key, []).append(tuple_id)
-        update = counts.update
-        for projection, members in groups.items():
-            option_lists = [
-                store.interval_encodings(name, value, i, flag)
-                for (_, name, i, flag), value in zip(interval_cols, projection)
-            ]
-            # fold each run's per-slot options into whole-chunk options
-            # (one C-level tuple concat per combination)
-            run_options: list[list[tuple]] = []
-            for run in runs:
-                if not run:
-                    run_options.append([()])
-                    continue
-                opts: list[tuple] = list(option_lists[run[0]])
-                for slot in run[1:]:
-                    slot_opts = option_lists[slot]
-                    opts = [x + y for x in opts for y in slot_opts]
-                run_options.append(opts)
-            chunks = run_options[0]
-            if not point_cols:
-                if provenance:
-                    update(
-                        [c + (tid,) for tid in members for c in chunks]
-                    )
-                else:
-                    # interval-only, no provenance: every member derives
-                    # the very same rows — one dict update per row, not
-                    # per (member, row) pair
-                    bump = len(members)
-                    for row in chunks:
-                        counts[row] += bump
-            elif len(point_cols) == 1 and len(run_options[1]) == 1:
-                # one point column with no interval columns after it
-                # (the dominant mixed schema): straight-line concat
-                col = point_cols[0]
-                tail = run_options[1][0]
-                if provenance:
-                    mids = [
-                        (order[tid][col],) + tail + (tid,) for tid in members
-                    ]
-                else:
-                    mids = [(order[tid][col],) + tail for tid in members]
-                update([c + m for m in mids for c in chunks])
-            else:
-                templates = list(product(*run_options))
-                rows: list[tuple] = []
-                append = rows.append
-                for tid in members:
-                    t = order[tid]
-                    pts = [t[col] for col in point_cols]
-                    for combo in templates:
-                        row = combo[0]
-                        for pt, chunk in zip(pts, combo[1:]):
-                            row += (pt,) + chunk
-                        if provenance:
-                            row += (tid,)
-                        append(row)
-                update(rows)
 
     def transform_tuple(
         self, atom: Atom, spec: _VariantSpec, t: tuple, tuple_id: int
@@ -1040,18 +919,10 @@ def forward_reduce(
     disjoint: bool = False,
     provenance: bool = False,
     reference: bool = False,
-    vectorized: bool = True,
 ) -> ForwardReductionResult:
     """Full forward reduction of an IJ/EIJ query and database.
 
     ``reference=True`` runs the retained naive per-tuple path (no
-    encoding memo, no columnar grouping) — the differential oracle; its
-    output is bit-identical to the default memoized path.
-    ``vectorized=False`` selects the pure-Python columnar builder
-    (tuple concats + ``Counter`` refcounts) instead of the NumPy kernel
-    — retained as the comparison baseline for
-    ``benchmarks/bench_vectorized_kernels.py``; all three paths are
-    bit-identical."""
-    return ForwardReducer(
-        query, db, disjoint, provenance, reference, vectorized
-    ).reduce()
+    encoding memo, no code arrays) — the differential oracle; its
+    output is bit-identical to the default builder's."""
+    return ForwardReducer(query, db, disjoint, provenance, reference).reduce()

@@ -160,7 +160,6 @@ def _worker_main(
             "answer_admission_min_intervals", 0
         ),
         cache_namespace=options.get("cache_namespace"),
-        cache_allow_pickle=options.get("cache_allow_pickle", False),
     )
     try:
         while True:
@@ -235,7 +234,6 @@ class WorkerPool:
         cache_max_bytes: int | None = None,
         answer_admission_min_intervals: int = 0,
         cache_namespace: str | None = None,
-        cache_allow_pickle: bool = False,
         strategy: str = "reduction",
         start_method: Literal["spawn", "fork", "forkserver"] = "spawn",
         respawn: bool = True,
@@ -269,7 +267,6 @@ class WorkerPool:
             "cache_max_bytes": cache_max_bytes,
             "answer_admission_min_intervals": answer_admission_min_intervals,
             "cache_namespace": cache_namespace,
-            "cache_allow_pickle": cache_allow_pickle,
         }
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()

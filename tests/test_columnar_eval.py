@@ -1,12 +1,13 @@
 """Differential pins for the columnar evaluation tier
 (:mod:`repro.engine.columnar_eval`).
 
-The evaluation kernels — the vectorized counting DP, the
-sorted-column-array generic join, and the mask-sweep full reducer —
-must be *bit/count-identical* to the retained tuple implementations,
-which stay in the tree as the oracles:
+The evaluation kernels — the Boolean semijoin sweep, the vectorized
+counting DP, the sorted-column-array generic join, and the mask-sweep
+full reducer — must be *bit/count-identical* to the retained tuple
+implementations, which stay in the tree as the oracles:
 
-* per reduced EJ disjunct, columnar count ≡ dict-of-tuples DP ≡
+* per reduced EJ disjunct, columnar Boolean ≡ tuple semijoin sweep,
+  columnar count ≡ dict-of-tuples DP ≡
   trie-based ``generic_join_count``, and columnar full evaluation ≡
   tuple ``yannakakis_full`` (schema and tuple set);
 * end to end, ``count_ij`` / ``witnesses_ij`` answer identically with
@@ -32,8 +33,10 @@ import random
 import tempfile
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
+from test_columnar_bags import _relation
 from test_differential_cache import (
     SCENARIOS,
     _patchable_deltas,
@@ -49,7 +52,9 @@ from repro.core.disjunct_eval import count_disjunction
 from repro.core.ij_engine import count_ij, witnesses_ij
 from repro.core.reduction_cache import FORMAT_VERSION
 from repro.engine import (
+    JoinAtom,
     columnar_generic_join_count,
+    columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
     use_columnar_kernels,
@@ -64,7 +69,11 @@ from repro.engine.ej import (
 )
 from repro.engine.generic_join import generic_join_count
 from repro.engine.relation import Database, Relation
-from repro.engine.yannakakis import yannakakis_count, yannakakis_full
+from repro.engine.yannakakis import (
+    yannakakis_boolean,
+    yannakakis_count,
+    yannakakis_full,
+)
 from repro.hypergraph.acyclicity import join_tree
 from repro.intervals import Interval
 from repro.queries import parse_query
@@ -73,6 +82,8 @@ from repro.reduction import (
     forward_reduce,
     shift_distinct_left,
 )
+from repro.reduction.columnar import COL_CODE, COL_ID, CodeBook
+from repro.workloads import random_database
 
 
 def _acyclic_disjuncts(result):
@@ -129,6 +140,7 @@ def test_kernels_engage_on_columnar_disjuncts():
     assert disjuncts
     for (ej, tree), oracle_ej in zip(disjuncts, oracle_side.ej_queries):
         atoms = join_atoms_for(ej, kernel_side.database)
+        boolean = columnar_yannakakis_boolean(atoms, tree)
         count = columnar_yannakakis_count(atoms, tree)
         generic = columnar_generic_join_count(
             join_atoms_for(ej, kernel_side.database)
@@ -136,11 +148,13 @@ def test_kernels_engage_on_columnar_disjuncts():
         full = columnar_yannakakis_full(
             join_atoms_for(ej, kernel_side.database), tree
         )
+        assert boolean is not None, ej.name
         assert count is not None, ej.name
         assert generic is not None, ej.name
         assert full is not None, ej.name
         oracle_atoms = join_atoms_for(oracle_ej, oracle_side.database)
         assert count == yannakakis_count(oracle_atoms, tree)
+        assert boolean is (count > 0)
         assert generic == count
         reference = yannakakis_full(
             join_atoms_for(oracle_ej, oracle_side.database), tree
@@ -156,6 +170,7 @@ def test_kill_switch_forces_the_tuple_tier():
     ej, tree = _acyclic_disjuncts(result)[0]
     atoms = join_atoms_for(ej, result.database)
     with use_columnar_kernels(False):
+        assert columnar_yannakakis_boolean(atoms, tree) is None
         assert columnar_yannakakis_count(atoms, tree) is None
         assert columnar_generic_join_count(atoms) is None
         assert columnar_yannakakis_full(atoms, tree) is None
@@ -163,9 +178,157 @@ def test_kill_switch_forces_the_tuple_tier():
     assert columnar_yannakakis_count(atoms, tree) is not None
 
 
+def test_kill_switch_reaches_the_tuple_boolean_sweep(monkeypatch):
+    """With the kernels off, an acyclic Boolean disjunct over columnar
+    relations must be answered by ``yannakakis_boolean`` — otherwise
+    every "kernels ≡ tuple tier" Boolean differential compares the
+    array sweep with itself."""
+    import repro.engine.ej as ej_module
+
+    calls = []
+
+    def spy(atoms, tree):
+        calls.append(len(atoms))
+        return yannakakis_boolean(atoms, tree)
+
+    monkeypatch.setattr(ej_module, "yannakakis_boolean", spy)
+    query = parse_query("R([A],[B]) & S([B],[C])")
+    result = forward_reduce(query, random_database(query, 12, seed=5))
+    ej = result.ej_queries[0]
+    on = evaluate_ej(ej, result.database)
+    assert calls == []  # kernels on: the array sweep answered
+    with use_columnar_kernels(False):
+        off = evaluate_ej(ej, result.database)
+    assert calls == [2]
+    assert on == off
+
+
+# ----------------------------------------------------------------------
+# the Boolean sweep, kernel-level: hand-built edge cases
+# ----------------------------------------------------------------------
+
+
+def _coded_atoms(relations):
+    """``JoinAtom`` s over hand-built columnar relations on one identity
+    codebook (code ``i`` decodes to ``i``), so a verbatim id column and
+    a code column hold comparable values on the tuple path.  Built fresh
+    per call: the tuple oracle's ``.tuples`` touch drops the blocks."""
+    book = CodeBook(range(16))
+    return [
+        JoinAtom(
+            _relation(
+                name,
+                list(schema),
+                rows,
+                kinds[0] if kinds else (COL_CODE,) * len(schema),
+                book,
+            )
+        )
+        for name, schema, rows, *kinds in relations
+    ]
+
+
+#: name -> (relations, join-tree edges, what the kernel must answer)
+BOOLEAN_SWEEP_CASES = {
+    # R-S share nothing: a non-empty child never filters its parent
+    "cartesian_edge": (
+        [("R", "AB", [(0, 1), (2, 3)]), ("S", "C", [(5,)]), ("T", "B", [(3,)])],
+        [(0, 1), (0, 2)],
+        True,
+    ),
+    # T empties S (no C in common), which must empty R two levels up
+    "emptied_child": (
+        [
+            ("R", "AB", [(0, 1), (2, 3)]),
+            ("S", "BC", [(1, 7), (3, 8)]),
+            ("T", "C", [(9,)]),
+        ],
+        [(0, 1), (1, 2)],
+        False,
+    ),
+    "emptied_child_behind_a_cartesian_edge": (
+        [("R", "A", [(0,)]), ("S", "B", [(1,), (2,)]), ("T", "B", [(3,)])],
+        [(0, 1), (1, 2)],
+        False,
+    ),
+    # B is a code in R and a verbatim id in S: raw ints are incomparable,
+    # so the kernel must decline (None), never guess a Boolean
+    "verbatim_id_shared_column": (
+        [
+            ("R", "AB", [(0, 1)]),
+            ("S", "BC", [(1, 2)], (COL_ID, COL_CODE)),
+        ],
+        [(0, 1)],
+        None,
+    ),
+    # a forest: every component's root must survive
+    "forest_all_components_survive": (
+        [
+            ("R", "A", [(0,)]),
+            ("S", "B", [(1,)]),
+            ("T", "C", [(2,), (3,)]),
+            ("U", "C", [(3,)]),
+        ],
+        [(2, 3)],
+        True,
+    ),
+    "forest_last_component_dies": (
+        [
+            ("R", "A", [(0,)]),
+            ("S", "B", [(1,)]),
+            ("T", "C", [(2,), (3,)]),
+            ("U", "C", [(4,)]),
+        ],
+        [(2, 3)],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_SWEEP_CASES))
+def test_boolean_sweep_edge_cases(case):
+    relations, edges, expected = BOOLEAN_SWEEP_CASES[case]
+    tree = nx.Graph()
+    tree.add_nodes_from(range(len(relations)))
+    tree.add_edges_from(edges)
+    assert columnar_yannakakis_boolean(_coded_atoms(relations), tree) is expected
+    if expected is not None:
+        assert yannakakis_boolean(_coded_atoms(relations), tree) is expected
+
+
 # ----------------------------------------------------------------------
 # fuzz-matrix differential pins
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", range(SCENARIOS))
+def test_boolean_sweep_matches_tuple_sweep(index):
+    """``columnar_yannakakis_boolean`` ≡ ``yannakakis_boolean`` per
+    acyclic disjunct of the fuzz-seed scenario family (plain and
+    disjoint/provenance reductions)."""
+    seed = scenario_seed(index)
+    rng = random.Random(seed)
+    queries = random_queries(rng)
+    db, _ = build_database(rng, queries)
+    engaged = 0
+    for query in queries:
+        for disjoint, provenance in ((False, False), (True, True)):
+            kernel_side = forward_reduce(query, db, disjoint, provenance)
+            oracle_side = forward_reduce(query, db, disjoint, provenance)
+            for (ej, tree), oracle_ej in zip(
+                _acyclic_disjuncts(kernel_side), oracle_side.ej_queries
+            ):
+                fast = columnar_yannakakis_boolean(
+                    join_atoms_for(ej, kernel_side.database), tree
+                )
+                if fast is None:
+                    continue
+                engaged += 1
+                assert fast is yannakakis_boolean(
+                    join_atoms_for(oracle_ej, oracle_side.database), tree
+                ), (seed, query.name, ej.name)
+    assert engaged, f"seed={seed}: the Boolean sweep never engaged"
+
 
 
 @pytest.mark.parametrize("index", range(SCENARIOS))

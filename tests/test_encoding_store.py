@@ -6,7 +6,6 @@ behaviour, and the session timing stats behind ``repro evaluate
 --profile``.
 """
 
-import pickle
 import random
 
 from repro.core import QuerySession
@@ -93,24 +92,6 @@ class TestEncodingStore:
         assert stats["hits"] > 0
         # the store's trees are the result's trees (no duplication)
         assert result.encoding_store.trees["A"] is result.segment_trees["A"]
-
-    def test_pickle_drops_the_memo_but_keeps_bindings(self):
-        query, db = _db(TRIANGLE)
-        result = forward_reduce(query, db)
-        assert result.encoding_store.stats()["entries"] > 0
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone.encoding_store is not None
-        assert clone.encoding_store.stats() == {
-            "entries": 0,
-            "hits": 0,
-            "misses": 0,
-        }
-        assert result_digest(clone) == result_digest(result)
-        # the rebuilt store still produces correct encodings
-        value = next(iter(db["R"].tuples))[0]
-        assert clone.encoding_store.interval_encodings(
-            "A", value, 2, False
-        ) == result.encoding_store.interval_encodings("A", value, 2, False)
 
 
 # ----------------------------------------------------------------------

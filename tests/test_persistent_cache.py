@@ -252,7 +252,7 @@ class TestIntegrityDigest:
 
 class TestFramedFormat:
     """The v5 layout itself: digest-equal round trips, zero-copy memmap
-    loads, and the explicit opt-in gate on legacy pickled entries."""
+    loads, and no reader for legacy pickled entries."""
 
     @staticmethod
     def _stored(tmp_path, **cache_kwargs):
@@ -295,48 +295,65 @@ class TestFramedFormat:
         assert raw[:8] == b"REPROV05"
         assert not raw.startswith(b"\x80")
 
-    def _legacy_entry(self, cache, key, result):
-        import hashlib
+    def test_stray_pkl_is_dead_bytes_counted_and_evicted_never_opened(
+        self, tmp_path
+    ):
+        """An upgraded directory may still hold pre-v5 ``.pkl``
+        envelopes.  Nothing reads them (a hostile one must not run), but
+        they occupy the bytes ``max_bytes`` caps, so size accounting,
+        ``prune`` and ``purge_namespace`` still see them."""
         import pickle
 
-        from repro.core.reduction_cache import LEGACY_PICKLE_VERSION
+        class Hostile:
+            def __reduce__(self):
+                return (Path.touch, (tmp_path / "pwned",))
 
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {
-            "version": LEGACY_PICKLE_VERSION,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
-        path = cache._legacy_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps(envelope))
-        return path
-
-    def test_legacy_pickle_requires_explicit_opt_in(self, tmp_path):
         query = parse_query("R([A],[B]) ∧ S([B],[C])")
         db = random_database(query, 6, seed=12)
         key = reduction_key(query, database_digests(db))
-        result = forward_reduce(query, db)
-        default = ReductionCache(tmp_path)
-        self._legacy_entry(default, key, result)
-        # default-off: the pickled envelope is invisible
-        assert default.get(key) is None
-        assert default.misses == 1
-        # explicit opt-in restores the migration path
-        trusting = ReductionCache(tmp_path, allow_pickle=True)
-        loaded = trusting.get(key)
-        assert loaded is not None
-        assert loaded.database.size == result.database.size
-
-    def test_legacy_entries_are_never_exported(self, tmp_path):
-        query = parse_query("R([A],[B]) ∧ S([B],[C])")
-        db = random_database(query, 6, seed=13)
-        key = reduction_key(query, database_digests(db))
-        cache = ReductionCache(tmp_path, allow_pickle=True)
-        self._legacy_entry(cache, key, forward_reduce(query, db))
-        assert cache.get(key) is not None  # readable locally...
-        assert cache.entry_keys() == []  # ...but never shipped
+        cache = ReductionCache(tmp_path, namespace="acme")
+        stray = tmp_path / key[:2] / f"{key}.pkl"
+        stray.parent.mkdir(parents=True)
+        stray.write_bytes(pickle.dumps(Hostile()))
+        assert cache.get(key) is None and cache.misses == 1
+        assert not (tmp_path / "pwned").exists()
+        assert cache.entry_keys() == []  # never shipped either
         assert cache.export_entry(key) is None
+        assert cache.size_bytes() == stray.stat().st_size
+        assert len(cache) == 1
+        assert cache.prune(0) == 1 and not stray.exists()
+        # a tenant's purge reclaims the stray bytes filed under its keys
+        stray.write_bytes(b"junk")
+        cache._mark(key)
+        assert cache.purge_namespace() == 1 and not stray.exists()
+
+    def test_retired_knobs_are_gone(self, capsys):
+        """One reduction builder, one cache reader: nothing under
+        ``src/repro`` imports ``pickle``, and the options that used to
+        select the losing paths are rejected, not ignored."""
+        import re
+
+        import repro
+        from repro.cli import main
+
+        offenders = [
+            path
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            if re.search(
+                r"^\s*(import pickle|from pickle)", path.read_text(), re.M
+            )
+        ]
+        assert offenders == []
+        query = parse_query("R([A],[B]) ∧ S([B],[C])")
+        db = random_database(query, 4, seed=13)
+        with pytest.raises(TypeError):
+            forward_reduce(query, db, vectorized=False)
+        with pytest.raises(TypeError):
+            ReductionCache("unused", allow_pickle=True)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "R([A],[B])", "--cache-allow-pickle"])
+        assert exit_info.value.code == 2
+        assert "--cache-allow-pickle" in capsys.readouterr().err
 
     def test_import_entry_rejects_pickled_bytes(self, tmp_path):
         import pickle
