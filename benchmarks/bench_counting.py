@@ -4,11 +4,8 @@ Exact witness counting through the disjoint rewriting: scaling in N,
 default vs factored encodings, and the witness-enumeration stream.
 """
 
-import time
-
 import pytest
 from conftest import (
-    bench_n,
     bench_sizes,
     fit_loglog_slope,
     print_table,
@@ -16,7 +13,6 @@ from conftest import (
 )
 
 from repro.core import count_ij, naive_count, witnesses_ij
-from repro.engine import use_columnar_kernels
 from repro.queries import catalog
 from repro.reduction.factored import count_ij_factored
 from repro.workloads import random_database
@@ -69,34 +65,6 @@ def test_count_encodings_agree(benchmark):
         [(default, factored, expected)],
     )
     assert default == factored == expected
-
-
-def test_count_kernels_on_off_identical(benchmark):
-    """``count_ij`` answers identically with the columnar evaluation
-    kernels engaged and forced off — quick mode included (the identity
-    is exact, only the sizes shrink)."""
-    q = catalog.triangle_ij()
-    db = _db(bench_n(48, 16))
-
-    def both():
-        start = time.perf_counter()
-        fast = count_ij(q, db)
-        fast_s = time.perf_counter() - start
-        with use_columnar_kernels(False):
-            start = time.perf_counter()
-            tuple_tier = count_ij(q, db)
-            tuple_s = time.perf_counter() - start
-        return fast, tuple_tier, fast_s, tuple_s
-
-    fast, tuple_tier, fast_s, tuple_s = benchmark.pedantic(
-        both, rounds=1, iterations=1
-    )
-    print_table(
-        "count_ij: columnar kernels vs tuple tier",
-        ["kernels", "tuple tier", "kernels time", "tuple time"],
-        [(fast, tuple_tier, f"{fast_s * 1e3:.0f}ms", f"{tuple_s * 1e3:.0f}ms")],
-    )
-    assert fast == tuple_tier
 
 
 def test_witness_stream(benchmark):

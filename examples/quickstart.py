@@ -26,8 +26,7 @@ Walks through the paper's running example, the triangle query
    stats (``repro evaluate --profile`` on the CLI) and the memoized
    columnar cold reduction: encodings are computed once per
    ``(variable, value, position)`` and shared across tuples, variants
-   and delta patches, with the naive per-tuple path retained as a
-   bit-identical reference oracle;
+   and delta patches;
 9. the sharded router tier — a consistent-hash ring of shard nodes
    serving two tenants whose pools share one namespaced cache
    (identical data costs the second tenant zero reductions), with one
@@ -42,13 +41,11 @@ Walks through the paper's running example, the triangle query
     of unpickling object graphs.  No pickle is involved anywhere:
     pre-v5 ``.pkl`` entries have no reader (they are evicted like any
     other entry) — migrate by simply re-warming the cache directory;
-13. the columnar evaluation tier — the vectorized counting DP, the
-    sorted-column-array generic join and the mask-sweep full reducer,
-    which evaluate reduced EJ disjuncts directly on the uint32 code
-    matrices (no tuple materialization on the warm path), fall back
-    to the retained tuple implementations whenever a relation is not
-    columnar over one codebook, and can be forced off with the
-    ``use_columnar_kernels`` kill switch.
+13. the evaluation engine — the vectorized counting DP, the
+    sorted-array generic join and the mask-sweep full reducer, which
+    evaluate reduced EJ disjuncts directly on the uint32 code matrices
+    (no tuple is decoded on the warm path) and dictionary-encode plain
+    row relations handed to the public entry points at their door.
 """
 
 import asyncio
@@ -177,8 +174,8 @@ def main() -> None:
     # matrix by packed-key binary search, and the int64 refcounts
     # bumped (new rows spliced in, dead rows masked out), copy-on-write
     # so a memmap-loaded cache entry is never written.  The patched
-    # relations stay columnar: re-persisting them is a blob copy and
-    # the evaluation kernels of section 13 keep running on them.
+    # relations keep their column blocks: re-persisting them is a blob
+    # copy and the kernels of section 13 evaluate them as before.
     rng = random.Random(0)
     endpoints_a = sorted(reduction.segment_trees["A"].endpoints)
     endpoints_b = sorted(reduction.segment_trees["B"].endpoints)
@@ -281,28 +278,17 @@ def main() -> None:
     # split family of a segment-tree node depends only on (node,
     # position) — Claim C.1 — and real workloads repeat interval values,
     # so each (variable, value, position) encoding is computed once and
-    # shared by every tuple, variant and delta patch.  The naive
-    # per-tuple path is retained as a bit-identical reference oracle:
-    reference_ms = memoized_ms = float("inf")
-    for _ in range(2):  # best of 2: absorb cold-start noise
-        start = time.perf_counter()
-        reference = forward_reduce(query, db, reference=True)
-        reference_ms = min(
-            reference_ms, (time.perf_counter() - start) * 1e3
-        )
-        start = time.perf_counter()
-        memoized = forward_reduce(query, db)
-        memoized_ms = min(memoized_ms, (time.perf_counter() - start) * 1e3)
+    # shared by every tuple, variant and delta patch (tests/oracles
+    # keeps a naive per-tuple loop the builder is pinned to, bit for
+    # bit):
+    start = time.perf_counter()
+    memoized = forward_reduce(query, db)
+    memoized_ms = (time.perf_counter() - start) * 1e3
     store = memoized.encoding_store
     print(
-        f"cold reduction: reference {reference_ms:.1f} ms, memoized "
-        f"{memoized_ms:.1f} ms ({store.stats()['entries']} memoized "
-        f"encodings, {store.stats()['hits']} memo hits)"
-    )
-    assert reference.database.size == memoized.database.size
-    print(
-        "benchmarks/bench_forward_reduction.py asserts >=3x on a "
-        "duplicate-heavy workload"
+        f"cold reduction: {memoized_ms:.1f} ms "
+        f"({store.stats()['entries']} memoized encodings, "
+        f"{store.stats()['hits']} memo hits)"
     )
     print()
 
@@ -528,60 +514,51 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    print("13. the columnar evaluation tier: counting without tuples")
+    print("13. the evaluation engine: counting without tuples")
     print("=" * 64)
     # The forward reduction's derived relations are dictionary-encoded
     # uint32 code matrices (section 8).  The evaluation kernels work on
     # those arrays directly:
-    #   * counting DP — int64 count arrays per join-tree node, group-by
-    #     messages via mixed-radix packed keys + np.bincount, so
-    #     COUNT(*) over a warm artifact never decodes a tuple;
-    #   * generic join — each atom's rows packed into one int64 key
-    #     in the global variable order and sorted once; a prefix's
-    #     children are one contiguous key range found by searchsorted,
-    #     and the whole frontier of partial assignments advances one
-    #     level at a time (method='generic');
+    #   * counting DP — count arrays per join-tree node, group-by
+    #     messages via packed keys + np.bincount, so COUNT(*) over a
+    #     warm artifact never decodes a tuple (and counts past int64
+    #     continue as Python ints);
+    #   * generic join — each atom's rows sorted once in the global
+    #     variable order; a prefix's children are one contiguous key
+    #     range found by searchsorted, and the whole frontier of
+    #     partial assignments advances one level at a time
+    #     (method='generic');
     #   * bag materialisation — the cyclic-disjunct path (method='auto'
     #     picks the fhtw decomposition): every bag is that level-wise
     #     join over column slices of the atoms, each frontier row
     #     expanded from its own narrowest candidate range (which keeps
-    #     the AGM bound), and the bags stay columnar, so the counting DP
-    #     above runs over them and no row is decoded in between;
+    #     the AGM bound), and the bags are code matrices too, so the
+    #     counting DP above runs over them and no row is decoded in
+    #     between;
     #   * full evaluation — semijoin mask sweeps + output-projected
     #     frame joins; only the final result rows are decoded.
-    # Every kernel falls back to the retained tuple implementation
-    # (dict DP, trie LFTJ, tuple bags, tuple Yannakakis) when a
-    # relation is not columnar over one shared codebook — e.g. once a tuple-tier
-    # consumer has touched `.tuples`; a delta patch (section 6) does
-    # not, it keeps the blocks — and `use_columnar_kernels(False)`
-    # forces the tuple tier everywhere, which is how the differential
-    # tests pin the two tiers against each other.  The SQL cost model knows the
-    # difference: EXPLAIN prints `columnar: yes/no` per disjunct and
-    # prices COUNT(*) heads accordingly.
+    # There is one engine: a reduction artifact is evaluated as it is,
+    # and plain row relations handed to evaluate_ej / count_ej /
+    # generic_join_* are dictionary-encoded into a call-local codebook
+    # first.  Reading `.tuples` of an artifact relation is a decoded
+    # view; the arrays stay.  The tuple implementations the kernels are
+    # pinned to (dict DP, trie join, tuple bags, tuple Yannakakis) live
+    # under tests/oracles.
     # The triangle's reduced disjuncts are cyclic, so this exercises
-    # the bag kernel (a session counts the times it had to decline, by
-    # reason, as stats.bag_fallbacks); the counting DP's
-    # order-of-magnitude wins show on acyclic queries with join-value
-    # fan-in — see benchmarks/bench_columnar_eval.py.
+    # the bag kernel.
     from repro.core.disjunct_eval import count_disjunction
-    from repro.engine import use_columnar_kernels
     from repro.reduction import shift_distinct_left
 
     shifted = shift_distinct_left(query, db)
     artifact = forward_reduce(query, shifted, disjoint=True, provenance=True)
     start = time.perf_counter()
-    fast = count_disjunction(artifact)
-    fast_s = time.perf_counter() - start
-    twin = forward_reduce(query, shifted, disjoint=True, provenance=True)
-    with use_columnar_kernels(False):
-        start = time.perf_counter()
-        slow = count_disjunction(twin)
-        slow_s = time.perf_counter() - start
-    assert fast == slow
+    count = count_disjunction(artifact)
+    seconds = time.perf_counter() - start
+    assert count == naive_count(query, db)
+    assert all(r.columnar is not None for r in artifact.database)
     print(
         f"count over {len(artifact.ej_queries)} disjuncts: "
-        f"kernels {fast} in {fast_s * 1e3:.1f}ms, "
-        f"tuple tier {slow} in {slow_s * 1e3:.1f}ms"
+        f"{count} in {seconds * 1e3:.1f}ms"
     )
     print()
 

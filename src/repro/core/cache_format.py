@@ -23,12 +23,13 @@ The JSON metadata carries the structural half of a
 position maps, segment-tree endpoint domains, provenance order, variant
 specs, the shared codebook — using the service wire codec
 (:mod:`repro.service.protocol`) for attribute values, so intervals and
-nested tuples survive without pickle.  The heavy half — each columnar
+nested tuples survive without pickle.  The heavy half — each
 relation's ``uint32`` code matrix and ``int64`` refcount array — lives
 in the blob section, described per blob by dtype/shape/offset in the
-metadata.  Loading opens the file as one ``np.memmap`` and hands out
-array *views* into it: a warm worker maps a cached reduction zero-copy
-and decodes Python tuples only if evaluation actually demands them.
+metadata; ``columnar`` is the only relation kind there is.  Loading
+opens the file as one ``np.memmap`` and hands out array *views* into
+it: a warm worker maps a cached reduction zero-copy and decodes Python
+tuples only if a consumer actually demands them.
 
 Integrity: the digest is verified over the mapped bytes before any
 field is trusted, so truncated, bit-flipped or version-skewed frames
@@ -170,55 +171,33 @@ class _BlobWriter:
 
 def _relation_entry(
     relation: Relation,
-    counts,
+    counts: ColumnarCounts | None,
     book: CodeBook | None,
     blobs: _BlobWriter,
-) -> tuple[dict, CodeBook | None]:
+) -> tuple[dict, CodeBook]:
     """One relation (plus its refcounts, if any) as a metadata entry,
-    appending its arrays to the blob section when it is still columnar.
-    Returns the entry and the (possibly newly adopted) shared book."""
-    entry: dict = {
+    its arrays appended to the blob section.  Returns the entry and the
+    artifact's one shared book."""
+    block = relation.columnar
+    if (
+        block is None
+        or block.book is None
+        or (book is not None and block.book is not book)
+        or (counts is not None and counts.block is not block)
+    ):
+        raise CacheFormatError(
+            f"{relation.name} is not a code matrix over the artifact's "
+            f"codebook"
+        )
+    entry = {
         "name": relation.name,
         "schema": list(relation.schema),
+        "kind": "columnar",
+        "kinds": list(block.kinds),
+        "codes": blobs.add(block.codes),
+        "counts": None if counts is None else blobs.add(counts.array),
     }
-    block = relation.columnar
-    counts_ok = (
-        counts is None
-        or (
-            isinstance(counts, ColumnarCounts)
-            and not counts.materialized
-            and counts.block is block
-        )
-    )
-    if block is not None and counts_ok and (book is None or block.book is book):
-        book = block.book if book is None else book
-        entry["kind"] = "columnar"
-        entry["kinds"] = list(block.kinds)
-        entry["codes"] = blobs.add(block.codes)
-        entry["counts"] = (
-            None if counts is None else blobs.add(counts.array)
-        )
-        return entry, book
-    # fallback: decoded rows (reference-path artifacts, relations
-    # already materialized by evaluation or patching, foreign books)
-    encode_value = _wire().encode_value
-    rows = list(relation.tuples)
-    entry["kind"] = "rows"
-    entry["rows"] = [[encode_value(v) for v in t] for t in rows]
-    if counts is None:
-        entry["counts"] = None
-    else:
-        try:
-            entry["counts"] = [counts[t] for t in rows]
-        except KeyError as exc:  # pragma: no cover - invariant breach
-            raise CacheFormatError(
-                f"refcounts of {relation.name} do not cover its rows"
-            ) from exc
-        if len(counts) != len(rows):
-            raise CacheFormatError(
-                f"refcounts of {relation.name} disagree with its rows"
-            )
-    return entry, book
+    return entry, block.book
 
 
 def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
@@ -358,8 +337,8 @@ def deserialize_result(
     """Rebuild a reduction artifact from one validated frame.  Array
     fields are *views* into ``buffer`` — pass an ``np.memmap`` to get
     zero-copy cache loads, or bytes to materialize from a wire frame.
-    Returns ``None`` on any validation failure (callers treat it as a
-    cache miss)."""
+    Returns ``None`` on any validation failure — a relation kind other
+    than ``columnar`` included — which callers treat as a cache miss."""
     parsed = _parse_frame(buffer, expected_version)
     if parsed is None:
         return None
@@ -409,36 +388,27 @@ def deserialize_result(
         for entry in meta["relations"]:
             name = entry["name"]
             schema = [str(a) for a in entry["schema"]]
-            if entry["kind"] == "columnar":
-                if book is None:
-                    raise CacheFormatError("columnar relation without a codebook")
-                kinds = [str(k) for k in entry["kinds"]]
-                if any(k not in _KINDS for k in kinds):
-                    raise CacheFormatError("unknown column kind")
-                codes = _blob_view(buffer, blob_base, descriptors, entry["codes"])
-                if codes.dtype != CODE_DTYPE or codes.ndim != 2:
-                    raise CacheFormatError("code matrix has the wrong dtype")
-                block = ColumnBlock(codes, kinds, book)
-                relation = Relation.from_columns(name, schema, block)
-                if entry["counts"] is not None:
-                    counts = _blob_view(
-                        buffer, blob_base, descriptors, entry["counts"]
-                    )
-                    if counts.dtype != COUNT_DTYPE or counts.shape != (
-                        codes.shape[0],
-                    ):
-                        raise CacheFormatError("refcount array mismatch")
-                    variant_counts[name] = ColumnarCounts(block, counts)
-            elif entry["kind"] == "rows":
-                rows = [tuple(decode_value(v) for v in t) for t in entry["rows"]]
-                relation = Relation(name, schema, rows)
-                if entry["counts"] is not None:
-                    counts_list = [int(c) for c in entry["counts"]]
-                    if len(counts_list) != len(rows):
-                        raise CacheFormatError("refcount list mismatch")
-                    variant_counts[name] = dict(zip(rows, counts_list))
-            else:
+            if entry["kind"] != "columnar":
                 raise CacheFormatError(f"unknown relation kind {entry['kind']!r}")
+            if book is None:
+                raise CacheFormatError("columnar relation without a codebook")
+            kinds = [str(k) for k in entry["kinds"]]
+            if any(k not in _KINDS for k in kinds):
+                raise CacheFormatError("unknown column kind")
+            codes = _blob_view(buffer, blob_base, descriptors, entry["codes"])
+            if codes.dtype != CODE_DTYPE or codes.ndim != 2:
+                raise CacheFormatError("code matrix has the wrong dtype")
+            block = ColumnBlock(codes, kinds, book)
+            relation = Relation.from_columns(name, schema, block)
+            if entry["counts"] is not None:
+                counts = _blob_view(
+                    buffer, blob_base, descriptors, entry["counts"]
+                )
+                if counts.dtype != COUNT_DTYPE or counts.shape != (
+                    codes.shape[0],
+                ):
+                    raise CacheFormatError("refcount array mismatch")
+                variant_counts[name] = ColumnarCounts(block, counts)
             database.add(relation)
         k = {
             x: len(original.atoms_containing(x))

@@ -145,7 +145,7 @@ def result_digest(result: ForwardReductionResult) -> str:
     Two results digest equal exactly when they are bit-identical as
     reduction artifacts — the oracle behind the differential tests that
     pin the memoized columnar reduction (and its delta-patched
-    descendants) to the retained reference path.
+    descendants) to the naive per-tuple loop of ``tests/oracles``.
     """
     h = hashlib.sha256()
 

@@ -46,13 +46,11 @@ from statistics import median
 from time import perf_counter
 from typing import Iterator, Literal, Sequence
 
-from ..engine.columnar_eval import BAG_FALLBACK_REASONS, record_bag_fallbacks
 from ..engine.relation import Database, Delta
 from ..hypergraph.isomorphism import structure_hash
 from ..queries.query import Atom, Query, Variable
 from ..reduction.disjoint import shift_distinct_left
 from ..reduction.forward import (
-    PATCH_FALLBACK_REASONS,
     DomainChanged,
     ForwardReductionResult,
     forward_reduce,
@@ -382,17 +380,6 @@ class SessionStats:
     admission_raises: int = 0   # adaptive-floor tightenings (churn windows)
     admission_readmissions: int = 0  # rejected answers requested again
     sql_plan_hits: int = 0     # SQL optimizer plans served from cache
-    #: variants a delta patch handled as decoded rows instead of on the
-    #: code arrays, per reason (see ``ForwardReductionResult.apply_delta``)
-    patch_fallbacks: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(PATCH_FALLBACK_REASONS, 0)
-    )
-    #: cyclic disjuncts whose bags the tuple tier materialised instead
-    #: of the array kernel, per reason (see
-    #: ``columnar_eval.columnar_materialise_bags``)
-    bag_fallbacks: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(BAG_FALLBACK_REASONS, 0)
-    )
     #: accumulated wall seconds per phase — the built-in flame-sketch
     #: behind ``repro evaluate --profile``
     phase_seconds: dict[str, float] = field(
@@ -412,14 +399,6 @@ class SessionStats:
             "admission_raises": self.admission_raises,
             "admission_readmissions": self.admission_readmissions,
             "sql_plan_hits": self.sql_plan_hits,
-            **{
-                f"patch_fallback_{reason}": count
-                for reason, count in self.patch_fallbacks.items()
-            },
-            **{
-                f"bag_fallback_{reason}": count
-                for reason, count in self.bag_fallbacks.items()
-            },
         }
 
     def profile(self) -> dict[str, float]:
@@ -539,15 +518,6 @@ class QuerySession:
             yield
         finally:
             self.stats.phase_seconds[phase] += perf_counter() - start
-
-    @contextmanager
-    def _evaluating_disjuncts(self):
-        """The ``evaluate`` phase of a reduced disjunction: timed, with
-        the bag kernel's reasoned fallbacks counted into the stats."""
-        with self._timed("evaluate"), record_bag_fallbacks(
-            self.stats.bag_fallbacks
-        ):
-            yield
 
     def _canonical(self, query: Query) -> CanonicalForm:
         with self._timed("canonicalize"):
@@ -701,10 +671,8 @@ class QuerySession:
             try:
                 with self._timed("reduce"):
                     for delta in deltas:
-                        fallbacks = result.apply_delta(delta)
+                        result.apply_delta(delta)
                         self.stats.delta_patches += 1
-                        for reason, count in fallbacks.items():
-                            self.stats.patch_fallbacks[reason] += count
             except DomainChanged:
                 stale.append(key)
                 continue
@@ -984,7 +952,7 @@ class QuerySession:
         self, form: CanonicalForm, ej_method: Method
     ) -> bool:
         result = self._reduction(form, False, False)
-        with self._evaluating_disjuncts():
+        with self._timed("evaluate"):
             return evaluate_disjunction(result, ej_method)
 
     def count(self, query: Query, ej_method: Method = "auto") -> int:
@@ -998,7 +966,7 @@ class QuerySession:
             return int(cached)  # type: ignore[call-overload]
         self.stats.misses += 1
         result = self._disjoint_reduction(form)
-        with self._evaluating_disjuncts():
+        with self._timed("evaluate"):
             total = count_disjunction(result, ej_method)
         self._answer_put(key, total, _form_deps(form))
         return total

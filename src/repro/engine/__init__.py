@@ -2,34 +2,24 @@
 
 Relations and databases, a worst-case optimal generic join, Yannakakis'
 algorithm for acyclic queries, and hypertree-decomposition evaluation —
-the substrate the forward reduction targets.
+all on code arrays — the substrate the forward reduction targets.
 """
 
 from .relation import Database, Delta, Relation, relation_from_mapping
-from .generic_join import (
-    JoinAtom,
-    default_variable_order,
-    generic_join,
-    generic_join_boolean,
-    generic_join_count,
-    generic_join_relation,
-)
-from .yannakakis import yannakakis_boolean, yannakakis_count, yannakakis_full
+from .generic_join import JoinAtom, default_variable_order
 from .columnar_eval import (
-    columnar_generic_join_boolean,
-    columnar_generic_join_count,
     columnar_materialise_bags,
     columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
-    kernels_enabled,
-    use_columnar_kernels,
+    generic_join_boolean,
+    generic_join_count,
+    generic_join_relation,
 )
 from .decomposition import (
     count_with_decomposition,
     evaluate_boolean_with_decomposition,
     evaluate_full_with_decomposition,
-    materialise_bags,
 )
 from .io import (
     load_database_json,
@@ -52,25 +42,16 @@ __all__ = [
     "relation_from_mapping",
     "JoinAtom",
     "default_variable_order",
-    "generic_join",
     "generic_join_boolean",
     "generic_join_count",
     "generic_join_relation",
-    "yannakakis_boolean",
-    "yannakakis_count",
-    "yannakakis_full",
-    "columnar_generic_join_boolean",
-    "columnar_generic_join_count",
     "columnar_materialise_bags",
     "columnar_yannakakis_boolean",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",
-    "kernels_enabled",
-    "use_columnar_kernels",
     "count_with_decomposition",
     "evaluate_boolean_with_decomposition",
     "evaluate_full_with_decomposition",
-    "materialise_bags",
     "load_database_json",
     "load_relation_csv",
     "save_database_json",

@@ -1,14 +1,14 @@
-"""The columnar evaluation tier: semijoin sweeps, counting DP, generic
+"""The EJ evaluation engine: semijoin sweeps, counting DP, generic
 join, bag materialisation and the full reducer on code arrays.
 
 Transformed relations are ``uint32`` code matrices over one shared
 :class:`~repro.reduction.columnar.CodeBook`; code equality is value
-equality, so everything the evaluation tier does runs on the codes and
+equality, so everything the engine does runs on the codes and
 evaluates warm, memmap-loaded reductions without materializing a Python
 tuple:
 
 * :func:`columnar_yannakakis_boolean` — the bottom-up semijoin sweep of
-  Yannakakis' algorithm on survivor masks.  Per join-tree edge the
+  Yannakakis' algorithm [35] on survivor masks.  Per join-tree edge the
   shared columns are folded into one comparable ``int64`` key per row
   and the parent's mask is intersected with an ``np.isin`` membership
   test against the child's surviving keys (:func:`_semijoin_mask` — the
@@ -17,72 +17,64 @@ tuple:
   mask.
 
 * :func:`columnar_yannakakis_count` — the join-tree counting DP with
-  per-node extension counts held as ``int64`` arrays.  Each bottom-up
-  message is one vectorized group-by: the edge's shared code columns are
-  folded into mixed-radix ``int64`` keys (radices straight from the
-  shared codebook's domain size — no column rescans), child counts are
-  aggregated per key with ``np.bincount`` (small radices) or a stable
-  ``argsort`` + ``np.add.reduceat`` (large), and the aggregate is
-  broadcast-multiplied onto the parent rows through ``searchsorted``
-  lookups.  Exactness is guarded: any intermediate that could leave the
-  ``int64``-safe range falls back to the retained dict DP (which counts
-  in unbounded Python ints).
+  per-node extension counts held as arrays.  Each bottom-up message is
+  one vectorized group-by: the edge's shared code columns are folded
+  into ``int64`` keys (radices straight from the shared codebook's
+  domain size — no column rescans), child counts are aggregated per key
+  with ``np.bincount`` (small key spaces) or a stable ``argsort`` +
+  ``np.add.reduceat`` (large), and the aggregate is broadcast-multiplied
+  onto the parent rows through ``searchsorted`` lookups.  Counts are
+  ``int64`` while a running bound says they fit and Python ints
+  (``dtype=object`` arrays on the sort path) beyond, so the answer is
+  exact at any magnitude.
 
-* :func:`columnar_generic_join_count` / ``_boolean`` — the worst-case
-  optimal join on sorted arrays instead of nested dict tries.  Each
-  atom's columns are packed, in the global variable order, into one
-  mixed-radix ``int64`` key per row and sorted **once** per call; the
-  distinct keys of every prefix length are the levels of a flattened
-  trie in which the children of a prefix are one contiguous key range,
-  found by ``searchsorted``.  Counting runs the join one level at a
-  time over the whole frontier of partial assignments
+* :func:`generic_join_count` / ``_boolean`` / ``_relation`` — the
+  worst-case optimal join [27, 34] on sorted arrays.  Each atom's rows
+  are sorted **once** per call, in the global variable order; the
+  distinct prefixes of every length are the levels of a flattened trie
+  in which the children of a prefix are one contiguous key range, found
+  by ``searchsorted``.  Counting and materialisation run the join one
+  level at a time over the whole frontier of partial assignments
   (:func:`_levelwise_join`); the Boolean form walks the same state
   depth-first and stops at the first witness.
 
 * :func:`columnar_materialise_bags` — phase 1 of the ``decomposition``
   strategy (Appendix A.2.1): every bag of a tree decomposition as the
   level-wise join of the projections ``π_{bag ∩ vars(e)} R_e``, a
-  projection being a column slice that the packed-key sort
-  deduplicates.  The bags come back as columnar relations over the
-  atoms' own codebook, so phase 2 takes the Yannakakis kernels above
-  and a cyclic disjunct is answered without decoding a row.  At each
-  level every frontier row is expanded from its own narrowest candidate
-  range and filtered by membership in the other atoms, so a row costs
-  its smallest candidate set, exactly as in the trie join; the frontier
-  is the join of the atoms' projections onto the variables bound so far
-  and stays within their AGM bound, where a fixed pivot atom — a
-  pairwise join — is quadratically larger on skewed inputs.
+  projection being a column slice that the sort deduplicates.  The bags
+  come back block-backed over the atoms' own codebook, so phase 2 takes
+  the Yannakakis kernels above and a cyclic disjunct is answered
+  without decoding a row.  At each level every frontier row is expanded
+  from its own narrowest candidate range and filtered by membership in
+  the other atoms, so a row costs its smallest candidate set; the
+  frontier is the join of the atoms' projections onto the variables
+  bound so far and stays within their AGM bound, where a fixed pivot
+  atom — a pairwise join — is quadratically larger on skewed inputs.
 
 * :func:`columnar_yannakakis_full` — full acyclic evaluation
   (full reducer + output-projected bottom-up joins) over survivor masks
   and gathered key arrays: the Boolean sweep, then its top-down mirror.
   Joins expand ``searchsorted`` match ranges with ``np.repeat`` index
   arithmetic, intermediate frames are deduplicated in packed-key space
-  (set semantics, exactly like the tuple path's projections), and rows
-  are decoded through the codebook only for the final output.
+  (set semantics), and rows are decoded through the codebook only for
+  the final output.
 
-Every kernel returns ``None`` whenever the atoms are not all columnar
-over one shared codebook (or a join column is not dictionary-encoded on
-both sides, or packed keys would overflow) — the caller then falls back
-to the retained tuple implementations, which stay in the tree as the
-differential oracles (:func:`or_tuple_tier` is that hand-off for the
-acyclic phase).  The bag kernel says why: each of its ``None``
-exits names one of :data:`BAG_FALLBACK_REASONS` — ``kernels_off``,
-``not_columnar`` (an atom has materialized its tuples), ``mixed_codebooks``,
-``mixed_kinds`` (a variable is a code column in one atom and a verbatim
-id column in another) or ``key_overflow`` (a part's packed rows exceed
-62 bits) — and :func:`record_bag_fallbacks` collects the counts, which
-:class:`~repro.core.session.QuerySession` surfaces as
-``stats.bag_fallbacks``.  :func:`use_columnar_kernels` turns the tier
-off wholesale — every kernel checks it first — so tests and benchmarks
-can force the tuple tier on demand.
+Every kernel enters through :func:`_require_blocks`, which makes its
+inputs comparable: atoms that are block-backed over one codebook with
+one column kind per variable — every reduction artifact — are taken as
+they are; anything else (row-backed relations handed to the public API,
+blocks over different books, a variable that is a code column here and
+a verbatim id there) is dictionary-encoded into one call-local book
+first.  Rows wider than one machine word are handled where keys are
+built (:func:`~repro.reduction.columnar.pack_keys` re-ranks, the sorted
+trie levels are keyed by dense prefix ids), so there is no input the
+kernels decline.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator, NamedTuple, Sequence
+import math
+from typing import NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -91,37 +83,33 @@ from ..reduction.columnar import (
     CODE_DTYPE,
     COL_CODE,
     COUNT_DTYPE,
+    KEY_LIMIT,
+    CodeBook,
     ColumnBlock,
-    pack_key_columns,
+    encode_rows,
+    pack_keys,
 )
 from ..widths.tree_decomposition import TreeDecomposition
 from .generic_join import JoinAtom, default_variable_order
 from .relation import Relation
-from .yannakakis import _rooted_orders
 
 __all__ = [
-    "BAG_FALLBACK_REASONS",
-    "atom_blocks",
-    "columnar_generic_join_boolean",
-    "columnar_generic_join_count",
     "columnar_materialise_bags",
     "columnar_yannakakis_boolean",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",
-    "kernels_enabled",
-    "or_tuple_tier",
-    "record_bag_fallbacks",
-    "use_columnar_kernels",
+    "generic_join_boolean",
+    "generic_join_count",
+    "generic_join_relation",
 ]
 
-#: Packed-key radix products at or below this are "small": membership
-#: tests use ``np.isin(kind="table")`` and counting messages use a dense
+#: Packed-key spaces at or below this are "small": membership tests use
+#: ``np.isin(kind="table")`` and counting messages use a dense
 #: ``np.bincount`` table (a few MB at most) instead of sort-based paths.
 TABLE_RADIX_LIMIT = 1 << 22
 
-#: Conservative ceiling for exact ``int64`` count arithmetic: any
-#: intermediate bound crossing it falls back to the dict DP, which
-#: counts in unbounded Python ints.
+#: Conservative ceiling for exact ``int64`` count arithmetic: a count
+#: array whose bound crosses it holds Python ints instead.
 _INT64_SAFE = 1 << 62
 
 #: ``np.bincount`` accumulates float64 weights; sums below this are
@@ -129,111 +117,62 @@ _INT64_SAFE = 1 << 62
 _FLOAT_EXACT = 1 << 52
 
 
-#: Why :func:`columnar_materialise_bags` handed a disjunct to the tuple
-#: tier — every ``None`` exit of that kernel names exactly one of these
-#: (counted per session as ``stats.bag_fallbacks``).
-BAG_FALLBACK_REASONS = (
-    "kernels_off",
-    "not_columnar",
-    "mixed_codebooks",
-    "mixed_kinds",
-    "key_overflow",
-)
-
-
-class _Fallback(Exception):
-    """Internal unwind signal: this query needs the tuple tier.
-    ``reason`` is one of :data:`BAG_FALLBACK_REASONS` where the kernel
-    that catches it reports why."""
-
-    def __init__(self, reason: str | None = None):
-        super().__init__(reason)
-        self.reason = reason
-
-
-# ----------------------------------------------------------------------
-# the kill switch (benchmarks/tests force the tuple tier through this)
-# ----------------------------------------------------------------------
-
-_ENABLED = True
-
-
-def kernels_enabled() -> bool:
-    """Whether the columnar evaluation kernels are active (default on)."""
-    return _ENABLED
-
-
-@contextmanager
-def use_columnar_kernels(enabled: bool) -> Iterator[None]:
-    """Temporarily force the columnar evaluation tier on or off — the
-    knob benchmarks and differential tests use to measure/pin the
-    retained tuple implementations through the very same call paths."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def or_tuple_tier(kernel, tuple_tier, atoms, tree, **options):
-    """Run one acyclic pass over ``(atoms, tree)``: the columnar
-    ``kernel``, or — when it answers ``None`` (kernels off, row-backed
-    inputs, incomparable columns, counts beyond ``int64``) — the tuple
-    implementation of the same pass, which is also its oracle."""
-    answer = kernel(atoms, tree, **options)
-    return tuple_tier(atoms, tree, **options) if answer is None else answer
-
-
 # ----------------------------------------------------------------------
 # shared plumbing
 # ----------------------------------------------------------------------
 
 
-def _require_blocks(atoms: Sequence[JoinAtom]) -> list[ColumnBlock]:
-    """Every atom's live column block; raises :class:`_Fallback` when
-    any atom has materialized (``not_columnar``) or the blocks do not
-    share one codebook (``mixed_codebooks`` — cross-relation code
-    comparison would be meaningless)."""
-    blocks: list[ColumnBlock] = []
+def _require_blocks(
+    atoms: Sequence[JoinAtom],
+) -> tuple[list[ColumnBlock], dict[str, str], CodeBook | None]:
+    """One column block per atom, each variable's column kind, and the
+    one codebook all the blocks are over (``None`` without atoms) — the
+    form every kernel computes in.
+
+    Atoms that already are block-backed over one shared book with one
+    kind per variable are returned untouched.  Otherwise codes are not
+    comparable across the atoms as they stand, and every atom's rows are
+    dictionary-encoded into a fresh book local to this call (one pass
+    over the rows, all columns as code columns)."""
+    blocks = [atom.relation.columnar for atom in atoms]
+    kind_of: dict[str, str] = {}
     book = None
-    for atom in atoms:
-        block = getattr(atom.relation, "columnar", None)
-        if (
-            block is None
-            or block.book is None
-            or block.width != len(atom.variables)
-        ):
-            raise _Fallback("not_columnar")
+    comparable = True
+    for atom, block in zip(atoms, blocks):
+        if block is None or block.book is None:
+            comparable = False
+            break
         if book is None:
             book = block.book
         elif block.book is not book:
-            raise _Fallback("mixed_codebooks")
-        blocks.append(block)
-    return blocks
-
-
-def atom_blocks(atoms: Sequence[JoinAtom]) -> list[ColumnBlock] | None:
-    """:func:`_require_blocks`, with ``None`` for "fall back"."""
-    try:
-        return _require_blocks(atoms)
-    except _Fallback:
-        return None
-
-
-def _variable_kinds(
-    atoms: Sequence[JoinAtom], blocks: Sequence[ColumnBlock]
-) -> dict[str, str]:
-    """Each variable's column kind.  Codes and verbatim ids are
-    incomparable as raw ints, so a variable's kind must agree everywhere
-    it occurs — :class:`_Fallback` (``mixed_kinds``) otherwise."""
-    kind_of: dict[str, str] = {}
-    for atom, block in zip(atoms, blocks):
+            comparable = False
+            break
         for v, kind in zip(atom.variables, block.kinds):
             if kind_of.setdefault(v, kind) != kind:
-                raise _Fallback("mixed_kinds")
-    return kind_of
+                comparable = False
+    if comparable:
+        return blocks, kind_of, book
+    book = CodeBook()
+    blocks = [
+        encode_rows(
+            atom.relation.tuples, (COL_CODE,) * len(atom.variables), book
+        )
+        for atom in atoms
+    ]
+    kind_of = {v: COL_CODE for atom in atoms for v in atom.variables}
+    return blocks, kind_of, book
+
+
+def _rooted_orders(tree: nx.Graph, root) -> tuple[list, dict]:
+    """BFS order from the root and the parent map."""
+    order = [root]
+    parent = {root: None}
+    for u in order:
+        for v in tree.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 def _expand_ranges(
@@ -248,78 +187,44 @@ def _expand_ranges(
     return row_idx, positions
 
 
-def edge_keys(
-    book, left_cols: Sequence[np.ndarray], right_cols: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Packed join keys for the two sides of one edge over *code*
-    columns.  Radices come from the shared codebook's domain size (every
-    code is ``< len(book)``) — an O(1) derivation instead of a full
-    ``.max()`` rescan per edge.  When the book is large enough that the
-    O(1) radices overflow the packable range, the per-column maxima are
-    scanned once as a second chance; only then does the edge fall back
-    to the tuple tier."""
-    radices: list[int] = [len(book)] * len(left_cols)
-    left = pack_key_columns(left_cols, radices)
-    right = pack_key_columns(right_cols, radices) if left is not None else None
-    if left is None or right is None:
-        radices = [
-            max(
-                int(lc.max()) if lc.size else 0,
-                int(rc.max()) if rc.size else 0,
-            )
-            + 1
-            for lc, rc in zip(left_cols, right_cols)
-        ]
-        left = pack_key_columns(left_cols, radices)
-        right = pack_key_columns(right_cols, radices)
-        if left is None or right is None:
-            raise _Fallback
-    return left, right, radices
-
-
 def key_isin(
-    haystack: np.ndarray, needles: np.ndarray, radices: Sequence[int]
+    haystack: np.ndarray, needles: np.ndarray, bound: int
 ) -> np.ndarray:
-    """``np.isin`` over packed keys, using the dense table algorithm
-    whenever the radix product says the key space is small."""
-    total = 1
-    for radix in radices:
-        total *= max(int(radix), 1)
-    if total <= TABLE_RADIX_LIMIT:
+    """``np.isin`` over packed keys below ``bound``, using the dense
+    table algorithm whenever the key space is small."""
+    if bound <= TABLE_RADIX_LIMIT:
         return np.isin(haystack, needles, kind="table")
     return np.isin(haystack, needles)
 
 
-def _shared_code_columns(
+def _shared_columns(
     blocks: Sequence[ColumnBlock],
     atoms: Sequence[JoinAtom],
     a: int,
     b: int,
-) -> tuple[list[str], list[int], list[int]]:
-    """Shared variables of atoms ``a``/``b`` (in ``a``'s schema order)
-    with their column indices; raises :class:`_Fallback` when a shared
-    column is not dictionary-encoded on both sides (verbatim ids joined
-    against codes are incomparable as raw ints)."""
+) -> tuple[list[int], list[int], list[int]]:
+    """Column indices of the variables atoms ``a``/``b`` share (in
+    ``a``'s schema order) on either side, and per shared variable an
+    exclusive bound on its cells — the codebook's domain size for code
+    columns (O(1)), one max scan for verbatim ids.  A variable has one
+    kind wherever it occurs (:func:`_require_blocks`), so the raw cells
+    of both sides compare directly."""
     a_vars = atoms[a].variables
     b_vars = atoms[b].variables
-    shared = [v for v in a_vars if v in b_vars]
-    a_idx: list[int] = []
-    b_idx: list[int] = []
-    for v in shared:
-        ai = a_vars.index(v)
-        bi = b_vars.index(v)
-        if blocks[a].kinds[ai] != COL_CODE or blocks[b].kinds[bi] != COL_CODE:
-            raise _Fallback
-        a_idx.append(ai)
-        b_idx.append(bi)
-    return shared, a_idx, b_idx
+    a_idx = [i for i, v in enumerate(a_vars) if v in b_vars]
+    b_idx = [b_vars.index(a_vars[i]) for i in a_idx]
+    radices = [
+        max(blocks[a].column_radix(i), blocks[b].column_radix(j))
+        for i, j in zip(a_idx, b_idx)
+    ]
+    return a_idx, b_idx, radices
 
 
 def _group_sum(
     keys: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-key ``int64`` sums of ``weights``: sorted unique keys plus
-    their exact sums (stable argsort + ``np.add.reduceat``)."""
+    """Per-key sums of ``weights`` in their own dtype: sorted unique
+    keys plus their exact sums (stable argsort + ``np.add.reduceat``)."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     sorted_weights = weights[order]
@@ -336,116 +241,101 @@ def _lookup_sums(
     idx = np.searchsorted(unique_keys, queries)
     clipped = np.minimum(idx, unique_keys.size - 1)
     hit = (idx < unique_keys.size) & (unique_keys[clipped] == queries)
-    return np.where(hit, sums[clipped], np.int64(0))
+    gathered = sums[clipped]
+    gathered[~hit] = 0
+    return gathered
 
 
 # ----------------------------------------------------------------------
-# counting: the join-tree DP on int64 arrays
+# counting: the join-tree DP on count arrays
 # ----------------------------------------------------------------------
+
+
+def _fit(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values`` in a dtype that holds everything up to ``bound``
+    exactly: ``int64`` while the bound is safe, Python ints beyond."""
+    if bound > _INT64_SAFE and values.dtype != object:
+        return values.astype(object)
+    return values
+
+
+def _exact_sum(values: np.ndarray, bound: int) -> int:
+    """The exact sum of a count array whose entries ``bound`` bounds."""
+    return int(_fit(values, bound * max(values.size, 1)).sum())
 
 
 def columnar_yannakakis_count(
     atoms: Sequence[JoinAtom], tree: nx.Graph
-) -> int | None:
-    """Number of satisfying assignments via the join-tree counting DP on
-    code arrays, or ``None`` when the caller must fall back.
+) -> int:
+    """Number of satisfying assignments over *all* variables via the
+    classical join-tree counting DP, on code arrays (nodes of ``tree``
+    are indices into ``atoms``).
 
-    Mirrors :func:`repro.engine.yannakakis.yannakakis_count` exactly:
-    per-row extension counts start at 1, each bottom-up edge aggregates
+    Per-row extension counts start at 1, each bottom-up edge aggregates
     child counts grouped by the shared columns and multiplies the
-    aggregate onto the matching parent rows (absent keys multiply by 0,
-    which is the array form of the dict DP dropping the tuple), and the
-    total is the product over components of the root's count sum.  All
-    arithmetic is overflow-guarded; a count that could leave the safe
-    ``int64`` range returns ``None`` so the dict DP's unbounded Python
-    ints take over.
+    aggregate onto the matching parent rows (absent keys multiply by 0 —
+    the row has no extension), and the total is the product over
+    components of the root's count sum.  Per node, a Python-int bound on
+    any single count entry decides the arithmetic: ``int64`` arrays
+    while it is safe, ``dtype=object`` arrays of Python ints (through
+    the sort-based group-by, which is exact on them) once it is not.
     """
-    if not _ENABLED:
-        return None
-    blocks = atom_blocks(atoms)
-    if blocks is None:
-        return None
+    blocks, *_ = _require_blocks(atoms)
     if tree.number_of_nodes() == 0:
         return 0
     if any(block.row_count == 0 for block in blocks):
         return 0
-    book = blocks[0].book
     counts = [np.ones(block.row_count, dtype=COUNT_DTYPE) for block in blocks]
-    #: per node, an upper bound on any single count entry (Python int —
-    #: the overflow guard for the int64 arrays)
     bounds = [1] * len(blocks)
     total = 1
-    try:
-        for component in nx.connected_components(tree):
-            root = min(component)
-            order, parent = _rooted_orders(tree, root)
-            for node in reversed(order):
-                p = parent[node]
-                if p is None:
-                    continue
-                shared, p_idx, c_idx = _shared_code_columns(
-                    blocks, atoms, p, node
-                )
-                if not shared:
-                    # cartesian edge: every parent row extends by every
-                    # child assignment — multiply by the child's total
-                    child_total = _exact_sum(counts[node], bounds[node])
-                    if child_total == 0:
-                        return 0
-                    bounds[p] *= child_total
-                    if bounds[p] > _INT64_SAFE:
-                        raise _Fallback
-                    counts[p] = counts[p] * np.int64(child_total)
-                    continue
-                parent_cols = [np.asarray(blocks[p].column(j)) for j in p_idx]
-                child_cols = [
-                    np.asarray(blocks[node].column(j)) for j in c_idx
-                ]
-                parent_keys, child_keys, radices = edge_keys(
-                    book, parent_cols, child_cols
-                )
-                message_bound = bounds[node] * blocks[node].row_count
-                new_bound = bounds[p] * message_bound
-                if new_bound > _INT64_SAFE:
-                    raise _Fallback
-                radix_total = 1
-                for radix in radices:
-                    radix_total *= max(int(radix), 1)
-                if radix_total <= TABLE_RADIX_LIMIT and (
-                    message_bound < _FLOAT_EXACT
-                ):
-                    table = np.bincount(
-                        child_keys,
-                        weights=counts[node],
-                        minlength=radix_total,
-                    )
-                    message = table[parent_keys].astype(COUNT_DTYPE)
-                else:
-                    unique_keys, sums = _group_sum(child_keys, counts[node])
-                    message = _lookup_sums(unique_keys, sums, parent_keys)
-                counts[p] = counts[p] * message
-                bounds[p] = new_bound
-                if not counts[p].any():
+    for component in nx.connected_components(tree):
+        root = min(component)
+        order, parent = _rooted_orders(tree, root)
+        for node in reversed(order):
+            p = parent[node]
+            if p is None:
+                continue
+            p_idx, c_idx, radices = _shared_columns(blocks, atoms, p, node)
+            if not p_idx:
+                # cartesian edge: every parent row extends by every
+                # child assignment — multiply by the child's total
+                child_total = _exact_sum(counts[node], bounds[node])
+                if child_total == 0:
                     return 0
-            component_total = _exact_sum(counts[root], bounds[root])
-            if component_total == 0:
+                bounds[p] *= child_total
+                counts[p] = _fit(counts[p], bounds[p]) * child_total
+                continue
+            (parent_keys, child_keys), key_bound = pack_keys(
+                [
+                    [np.asarray(blocks[p].column(j)) for j in p_idx],
+                    [np.asarray(blocks[node].column(j)) for j in c_idx],
+                ],
+                radices,
+            )
+            message_bound = bounds[node] * blocks[node].row_count
+            bounds[p] *= message_bound
+            if key_bound <= TABLE_RADIX_LIMIT and message_bound < _FLOAT_EXACT:
+                table = np.bincount(
+                    child_keys, weights=counts[node], minlength=key_bound
+                )
+                message = table[parent_keys].astype(COUNT_DTYPE)
+            else:
+                unique_keys, sums = _group_sum(
+                    child_keys, _fit(counts[node], message_bound)
+                )
+                message = _lookup_sums(unique_keys, sums, parent_keys)
+            counts[p] = _fit(counts[p], bounds[p]) * _fit(message, bounds[p])
+            if not counts[p].any():
                 return 0
-            total *= component_total
-    except _Fallback:
-        return None
-    return int(total)
-
-
-def _exact_sum(values: np.ndarray, bound: int) -> int:
-    """``int(values.sum())``, guarded so the int64 accumulation cannot
-    have overflowed (``bound`` bounds every entry)."""
-    if bound * max(values.size, 1) > _INT64_SAFE:
-        raise _Fallback
-    return int(values.sum())
+        component_total = _exact_sum(counts[root], bounds[root])
+        if component_total == 0:
+            return 0
+        total *= component_total
+    return total
 
 
 # ----------------------------------------------------------------------
-# generic join on sorted packed-prefix arrays, and the bag kernel
+# generic join on sorted prefix arrays, and the bag kernel
 # ----------------------------------------------------------------------
 
 
@@ -461,12 +351,18 @@ class _Part(NamedTuple):
 class _Sorted(NamedTuple):
     """Sorted-prefix state of one join, shared by both traversals.
 
-    Atom ``a``'s columns are taken in the global variable order and
-    packed into one mixed-radix ``int64`` key per row;
-    ``prefixes[a][d]`` is the sorted array of *distinct* packed keys of
-    its first ``d + 1`` columns — level ``d`` of a trie, flattened, with
-    the children of prefix ``k`` occupying the contiguous key range
-    ``[k * r, (k + 1) * r)`` for ``r = radices[a][d]``.
+    Atom ``a``'s columns are taken in the global variable order;
+    ``prefixes[a][d]`` is level ``d`` of its trie, flattened: one sorted
+    ``int64`` key ``parent * r + value`` per *distinct* prefix of
+    ``d + 1`` columns, with ``r = radices[a][d]``, so the children of
+    one parent occupy the contiguous key range
+    ``[parent * r, (parent + 1) * r)``.  What names the parent — the
+    prefix's first ``d`` columns — depends on the atom's width: while a
+    whole row packs into 62 bits it is the parent's own key (the keys
+    are the mixed-radix packed prefixes, all peeled off one sort);
+    ``dense[a]`` marks the atoms whose rows do not, and there it is the
+    parent's *position* in level ``d - 1``, so a key needs
+    ``log2(rows) + log2(r)`` bits whatever the arity.
     ``advancing[level]`` lists the ``(atom, depth)`` pairs that bind
     that level's variable.
     """
@@ -474,6 +370,7 @@ class _Sorted(NamedTuple):
     radices: list[list[int]]
     prefixes: list[list[np.ndarray]]
     advancing: list[list[tuple[int, int]]]
+    dense: list[bool]
 
 
 def _shared_radices(
@@ -504,40 +401,57 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
 def _sort_parts(
     parts: Sequence[_Part], order: Sequence[str], radix_of: dict[str, int]
 ) -> _Sorted:
-    """Pack, sort and deduplicate every part's full-row keys once,
-    then peel the shorter prefixes off by floor division.  Raises
-    :class:`_Fallback` when a part's keys do not fit 62 bits."""
+    """Build every part's trie levels.  Rows that pack into one key are
+    packed, sorted and deduplicated once, and the shorter prefixes
+    peeled off by floor division; wider rows are ranked one column at a
+    time (each level's ``np.unique`` hands the next its parent
+    positions)."""
     level_of = {v: i for i, v in enumerate(order)}
-    state = _Sorted([], [], [[] for _ in order])
+    state = _Sorted([], [], [[] for _ in order], [])
     for a, part in enumerate(parts):
         positions = sorted(
             range(len(part.variables)),
             key=lambda j: level_of[part.variables[j]],
         )
         radices = [radix_of[part.variables[j]] for j in positions]
-        keys = pack_key_columns([part.columns[j] for j in positions], radices)
-        if keys is None:
-            raise _Fallback("key_overflow")
-        keys.sort()
-        levels = [_distinct_sorted(keys)]
-        for radix in reversed(radices[1:]):
-            levels.append(_distinct_sorted(levels[-1] // radix))
-        levels.reverse()
+        columns = [part.columns[j] for j in positions]
+        dense = math.prod(radices) > KEY_LIMIT
+        levels: list[np.ndarray] = []
+        if dense:
+            parent = np.zeros(columns[0].size, dtype=np.int64)
+            for column, radix in zip(columns, radices):
+                level, parent = np.unique(
+                    parent * radix + column, return_inverse=True
+                )
+                levels.append(level)
+        elif columns:
+            (keys,), _ = pack_keys([columns], radices)
+            keys.sort()
+            levels.append(_distinct_sorted(keys))
+            for radix in reversed(radices[1:]):
+                levels.append(_distinct_sorted(levels[-1] // radix))
+            levels.reverse()
         state.radices.append(radices)
         state.prefixes.append(levels)
+        state.dense.append(dense)
         for depth, j in enumerate(positions):
             state.advancing[level_of[part.variables[j]]].append((a, depth))
     return state
 
 
-def _sorted_member_mask(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _sorted_positions(
+    segment: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Membership of ``values`` in a sorted ``segment`` via
-    ``searchsorted`` (no hashing, no table)."""
+    ``searchsorted`` (no hashing, no table), and where each member
+    sits."""
     if segment.size == 0:
-        return np.zeros(values.shape, dtype=bool)
+        return np.zeros(values.shape, dtype=bool), np.zeros(
+            values.shape, dtype=np.int64
+        )
     idx = np.searchsorted(segment, values)
-    clipped = np.minimum(idx, segment.size - 1)
-    return (idx < segment.size) & (segment[clipped] == values)
+    at = np.minimum(idx, segment.size - 1)
+    return (idx < segment.size) & (segment[at] == values), at
 
 
 def _levelwise_join(state: _Sorted) -> np.ndarray:
@@ -547,20 +461,24 @@ def _levelwise_join(state: _Sorted) -> np.ndarray:
     time.
 
     Per level, each active atom's candidate range is found for every
-    frontier row at once (``searchsorted`` on packed prefix keys); each
-    row is expanded from its own **narrowest** range and the candidates
-    are kept only where every other active atom has the extended prefix.
-    The per-row pivot is what keeps the worst-case-optimal bound: a row
-    costs the size of its smallest candidate set, as in the trie join,
-    so the frontier never exceeds the AGM bound of the atoms seen so
-    far — a fixed pivot atom (a pairwise join) can be quadratically
-    larger on skew.
+    frontier row at once (``searchsorted`` on the level's prefix keys);
+    each row is expanded from its own **narrowest** range and the
+    candidates are kept only where every other active atom has the
+    extended prefix — a membership search whose hit position names the
+    extended prefix for the next level of a dense atom.  The per-row
+    pivot is what
+    keeps the worst-case-optimal bound: a row costs the size of its
+    smallest candidate set, as in the trie join, so the frontier never
+    exceeds the AGM bound of the atoms seen so far — a fixed pivot atom
+    (a pairwise join) can be quadratically larger on skew.
     """
-    radices, prefixes, advancing = state
+    radices, prefixes, advancing, dense = state
     rows = 1
     bound: list[np.ndarray] = []
-    #: per atom, the packed prefix each frontier row has bound so far
-    #: (``None`` before the atom's first level and after its last)
+    #: per atom, what names the prefix each frontier row has bound so
+    #: far — its key, or for a dense atom its position, in the atom's
+    #: previous trie level (``None`` before the atom's first level and
+    #: after its last)
     prefix: list[np.ndarray | None] = [None] * len(prefixes)
     for active in advancing:
         tries = [prefixes[a][d] for a, d in active]
@@ -579,33 +497,38 @@ def _levelwise_join(state: _Sorted) -> np.ndarray:
         if len(active) == 1:
             # a variable private to one atom (every provenance id): no
             # pivot to choose and nothing to filter against
-            starts, counts, pool = los[0], widths[0], tries[0] % steps[0]
+            row_idx, positions = _expand_ranges(los[0], widths[0])
+            keys = tries[0][positions]
+            values = keys % steps[0]
+            carried = [positions if dense[active[0][0]] else keys]
         else:
             stacked = np.stack(widths)
             pivot = stacked.argmin(axis=0)
             at = np.arange(rows)
-            counts = stacked[pivot, at]
             # one pool of candidate values, each atom's at its offset
             offsets = np.cumsum([0] + [t.size for t in tries[:-1]])
-            starts = np.stack(los)[pivot, at] + offsets[pivot]
+            row_idx, positions = _expand_ranges(
+                np.stack(los)[pivot, at] + offsets[pivot], stacked[pivot, at]
+            )
             pool = np.concatenate([t % step for t, step in zip(tries, steps)])
-        row_idx, positions = _expand_ranges(starts, counts)
-        values = pool[positions]
-        extended = [base[row_idx] + values for base in bases]
-        if len(active) > 1:
+            values = pool[positions]
             keep = np.ones(values.size, dtype=bool)
-            for t, keys in zip(tries, extended):
-                keep &= _sorted_member_mask(t, keys)
+            carried = []
+            for (a, _), t, base in zip(active, tries, bases):
+                keys = base[row_idx] + values
+                hit, where = _sorted_positions(t, keys)
+                keep &= hit
+                carried.append(where if dense[a] else keys)
             if not keep.all():
                 row_idx = row_idx[keep]
                 values = values[keep]
-                extended = [keys[keep] for keys in extended]
+                carried = [names[keep] for names in carried]
         rows = int(values.size)
         if rows == 0:
             return np.empty((0, len(advancing)), dtype=np.int64)
         prefix = [p if p is None else p[row_idx] for p in prefix]
-        for (a, d), keys in zip(active, extended):
-            prefix[a] = keys if d + 1 < len(prefixes[a]) else None
+        for (a, d), names in zip(active, carried):
+            prefix[a] = names if d + 1 < len(prefixes[a]) else None
         bound = [column[row_idx] for column in bound]
         bound.append(values)
     if not bound:
@@ -619,7 +542,7 @@ def _has_witness(state: _Sorted) -> bool:
     other active atoms filter them in one vectorized membership test
     each, and the search descends into the survivors one at a time —
     stopping at the first full assignment."""
-    radices, prefixes, advancing = state
+    radices, prefixes, advancing, dense = state
     last = len(advancing) - 1
 
     def recurse(level: int, prefix: list[int]) -> bool:
@@ -641,157 +564,145 @@ def _has_witness(state: _Sorted) -> bool:
             if i == pivot:
                 continue
             lo, hi, base = spans[i]
-            values = values[
-                _sorted_member_mask(prefixes[a][d][lo:hi], base + values)
-            ]
+            hit, _ = _sorted_positions(prefixes[a][d][lo:hi], base + values)
+            values = values[hit]
             if values.size == 0:
                 return False
         if level == last:
             return True
-        for value in values.tolist():
+        # every survivor is present in every active range: its key — for
+        # a dense atom its position — there names it at the next level
+        carried = [
+            (
+                lo + np.searchsorted(prefixes[a][d][lo:hi], base + values)
+                if dense[a]
+                else base + values
+            ).tolist()
+            for (a, d), (lo, hi, base) in zip(active, spans)
+        ]
+        for names in zip(*carried):
             extended = list(prefix)
-            for a, d in active:
-                extended[a] = prefix[a] * radices[a][d] + value
+            for (a, _), name in zip(active, names):
+                extended[a] = name
             if recurse(level + 1, extended):
                 return True
         return False
 
+    if last < 0:
+        return True
     return recurse(0, [0] * len(prefixes))
 
 
 def _generic_setup(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None,
-) -> _Sorted | None:
-    """Sorted-prefix state for a flat generic join over ``atoms``, or
-    ``None`` on fallback."""
-    if not atoms or any(not atom.variables for atom in atoms):
-        return None
+) -> tuple[_Sorted, list[str], dict[str, str], dict[str, int], CodeBook | None]:
+    """Sorted-prefix state for a flat generic join over ``atoms``, with
+    the variable order, column kinds, cell bounds and codebook it was
+    built from.  Zero-arity atoms bind no variable and take no part."""
     order = (
         list(variable_order)
         if variable_order
         else default_variable_order(atoms)
     )
-    var_set = {v for atom in atoms for v in atom.variables}
-    if set(order) != var_set:
-        return None  # let the tuple path raise its usual error
-    try:
-        blocks = _require_blocks(atoms)
-        _variable_kinds(atoms, blocks)
-        matrices = [np.asarray(block.codes) for block in blocks]
-        parts = [
-            _Part(atom.variables, list(matrix.T))
-            for atom, matrix in zip(atoms, matrices)
-        ]
-        return _sort_parts(parts, order, _shared_radices(atoms, matrices))
-    except _Fallback:
-        return None
+    if set(order) != {v for atom in atoms for v in atom.variables}:
+        raise ValueError("variable order must cover exactly the join variables")
+    blocks, kind_of, book = _require_blocks(atoms)
+    matrices = [np.asarray(block.codes) for block in blocks]
+    radix_of = _shared_radices(atoms, matrices)
+    parts = [
+        _Part(atom.variables, list(matrix.T))
+        for atom, matrix in zip(atoms, matrices)
+    ]
+    return _sort_parts(parts, order, radix_of), order, kind_of, radix_of, book
 
 
-def columnar_generic_join_count(
+def generic_join_count(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
-) -> int | None:
-    """Assignment count via the level-wise array generic join, or
-    ``None`` when the atoms are not columnar and the trie path must
-    run."""
-    if not _ENABLED:
-        return None
-    setup = _generic_setup(atoms, variable_order)
-    if setup is None:
-        return None
-    return int(_levelwise_join(setup).shape[0])
+) -> int:
+    """Number of satisfying assignments of the natural join, via the
+    level-wise array generic join."""
+    state, *_ = _generic_setup(atoms, variable_order)
+    return int(_levelwise_join(state).shape[0])
 
 
-def columnar_generic_join_boolean(
+def generic_join_boolean(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
-) -> bool | None:
-    """Non-emptiness via the depth-first array generic join (stops at
-    the first witness), or ``None`` on fallback."""
-    if not _ENABLED:
-        return None
-    setup = _generic_setup(atoms, variable_order)
-    if setup is None:
-        return None
-    return _has_witness(setup)
+) -> bool:
+    """True iff the join is non-empty, via the depth-first array
+    generic join (stops at the first witness)."""
+    state, *_ = _generic_setup(atoms, variable_order)
+    return _has_witness(state)
 
 
-_bag_fallback_sink: ContextVar[dict[str, int] | None] = ContextVar(
-    "bag_fallback_sink", default=None
-)
-
-
-@contextmanager
-def record_bag_fallbacks(counts: dict[str, int]) -> Iterator[None]:
-    """Within the block, every ``None`` exit of
-    :func:`columnar_materialise_bags` adds one to ``counts[reason]``
-    (keys: :data:`BAG_FALLBACK_REASONS`)."""
-    token = _bag_fallback_sink.set(counts)
-    try:
-        yield
-    finally:
-        _bag_fallback_sink.reset(token)
+def generic_join_relation(
+    atoms: Sequence[JoinAtom],
+    output: Sequence[str],
+    name: str = "join",
+    variable_order: Sequence[str] | None = None,
+) -> Relation:
+    """Materialise the join projected onto ``output``: the level-wise
+    join's assignment matrix, projected and deduplicated in key space
+    and decoded once."""
+    state, order, kind_of, radix_of, book = _generic_setup(
+        atoms, variable_order
+    )
+    joined = _levelwise_join(state)
+    frame = _project_frame(
+        _Frame(order, list(joined.T), int(joined.shape[0])),
+        list(output),
+        radix_of,
+    )
+    return Relation(name, output, _decode_frame(frame, kind_of, book))
 
 
 def columnar_materialise_bags(
     atoms: Sequence[JoinAtom], td: TreeDecomposition
-) -> list[Relation] | None:
-    """One *columnar* relation per bag of ``td`` — the worst-case
-    optimal join of the projections ``π_{bag ∩ vars(e)} R_e`` — or
-    ``None`` (with the reason recorded, see
-    :func:`record_bag_fallbacks`) when the tuple path must run.
+) -> list[Relation]:
+    """One block-backed relation per bag of ``td``: the worst-case
+    optimal join of the projections ``π_{bag ∩ vars(e)} R_e`` over every
+    overlapping atom.
 
-    A projection is a column slice of the atom's code matrix (the
-    packed-key sort of :func:`_sort_parts` deduplicates it); the join is
+    A projection is a column slice of the atom's code matrix (the sort
+    of :func:`_sort_parts` deduplicates it); the join is
     :func:`_levelwise_join`; the result is wrapped over the atoms' own
     codebook with per-variable column kinds, so the bag relations feed
-    the columnar Yannakakis kernels and no row is ever decoded.  Input
-    matrices (possibly read-only maps of a cache entry) are only read.
+    the Yannakakis kernels and no row is ever decoded.  Input matrices
+    (possibly read-only maps of a cache entry) are only read.
     """
-    try:
-        if not _ENABLED:
-            raise _Fallback("kernels_off")
-        blocks = _require_blocks(atoms)
-        kind_of = _variable_kinds(atoms, blocks)
-        matrices = [np.asarray(block.codes) for block in blocks]
-        radix_of = _shared_radices(atoms, matrices)
-        book = blocks[0].book if blocks else None
-        bags: list[Relation] = []
-        for i, bag in enumerate(td.bags):
-            bag_vars = sorted(bag, key=str)
-            parts: list[_Part] = []
-            for atom, matrix in zip(atoms, matrices):
-                shared = [
-                    j for j, v in enumerate(atom.variables) if v in bag
-                ]
-                if shared:
-                    parts.append(
-                        _Part(
-                            tuple(atom.variables[j] for j in shared),
-                            [matrix[:, j] for j in shared],
-                        )
+    blocks, kind_of, book = _require_blocks(atoms)
+    matrices = [np.asarray(block.codes) for block in blocks]
+    radix_of = _shared_radices(atoms, matrices)
+    bags: list[Relation] = []
+    for i, bag in enumerate(td.bags):
+        bag_vars = sorted(bag, key=str)
+        parts: list[_Part] = []
+        for atom, matrix in zip(atoms, matrices):
+            shared = [j for j, v in enumerate(atom.variables) if v in bag]
+            if shared:
+                parts.append(
+                    _Part(
+                        tuple(atom.variables[j] for j in shared),
+                        [matrix[:, j] for j in shared],
                     )
-            covered = {v for part in parts for v in part.variables}
-            if set(bag_vars) - covered:
-                raise ValueError(
-                    f"bag {bag_vars} contains vertices covered by no atom"
                 )
-            order = default_variable_order(parts)
-            joined = _levelwise_join(_sort_parts(parts, order, radix_of))
-            codes = joined[:, [order.index(v) for v in bag_vars]]
-            block = ColumnBlock(
-                codes.astype(CODE_DTYPE),
-                [kind_of[v] for v in bag_vars],
-                book,
+        covered = {v for part in parts for v in part.variables}
+        if set(bag_vars) - covered:
+            raise ValueError(
+                f"bag {bag_vars} contains vertices covered by no atom"
             )
-            bags.append(Relation.from_columns(f"bag{i}", bag_vars, block))
-        return bags
-    except _Fallback as fallback:
-        sink = _bag_fallback_sink.get()
-        if sink is not None:
-            sink[fallback.reason] += 1
-        return None
+        order = default_variable_order(parts)
+        joined = _levelwise_join(_sort_parts(parts, order, radix_of))
+        codes = joined[:, [order.index(v) for v in bag_vars]]
+        block = ColumnBlock(
+            codes.astype(CODE_DTYPE),
+            [kind_of[v] for v in bag_vars],
+            book,
+        )
+        bags.append(Relation.from_columns(f"bag{i}", bag_vars, block))
+    return bags
 
 
 # ----------------------------------------------------------------------
@@ -800,10 +711,9 @@ def columnar_materialise_bags(
 
 
 class _Frame:
-    """An intermediate join result as parallel code columns: the
-    columnar stand-in for the tuple path's intermediate relations.
-    ``rows`` is kept explicitly so zero-width frames (everything
-    projected away) still know whether they hold the empty tuple."""
+    """An intermediate join result as parallel code columns.  ``rows``
+    is kept explicitly so zero-width frames (everything projected away)
+    still know whether they hold the empty tuple."""
 
     __slots__ = ("vars", "cols", "rows")
 
@@ -821,88 +731,56 @@ def _semijoin_mask(
     alive: list[np.ndarray],
     target: int,
     source: int,
-    book,
 ) -> None:
     """Intersect ``target``'s survivor mask with membership of its
     shared-column keys among ``source``'s surviving keys (one direction
     of the full reducer's semijoin sweeps)."""
-    shared, t_idx, s_idx = _shared_code_columns(blocks, atoms, target, source)
-    if not shared:
+    t_idx, s_idx, radices = _shared_columns(blocks, atoms, target, source)
+    if not t_idx:
         if not alive[source].any():
             alive[target][:] = False
         return
-    target_cols = [np.asarray(blocks[target].column(j)) for j in t_idx]
-    source_cols = [
-        np.asarray(blocks[source].column(j))[alive[source]] for j in s_idx
-    ]
-    target_keys, source_keys, radices = edge_keys(
-        book, target_cols, source_cols
+    (target_keys, source_keys), bound = pack_keys(
+        [
+            [np.asarray(blocks[target].column(j)) for j in t_idx],
+            [
+                np.asarray(blocks[source].column(j))[alive[source]]
+                for j in s_idx
+            ],
+        ],
+        radices,
     )
-    alive[target] &= key_isin(target_keys, source_keys, radices)
+    alive[target] &= key_isin(target_keys, source_keys, bound)
 
 
 def columnar_yannakakis_boolean(
     atoms: Sequence[JoinAtom], tree: nx.Graph
-) -> bool | None:
-    """Boolean acyclic evaluation over code arrays, or ``None`` when
-    the caller must fall back.
-
-    Mirrors :func:`repro.engine.yannakakis.yannakakis_boolean`: nodes of
-    ``tree`` index into ``atoms``; per component, a bottom-up sweep
-    semijoins each parent with its children and the query is true iff
-    every root keeps a surviving row.  A shared column that is a
-    verbatim id on either side is incomparable as raw ints and an
-    unpackable key has no cheap comparable form — both answer ``None``.
-    """
-    if not _ENABLED:
-        return None
-    try:
-        blocks = _require_blocks(atoms)
-        if any(block.row_count == 0 for block in blocks):
-            return False
-        if tree.number_of_nodes() == 0:
-            return True
-        book = blocks[0].book
-        alive = [np.ones(block.row_count, dtype=bool) for block in blocks]
-        for component in nx.connected_components(tree):
-            order, parent = _rooted_orders(tree, min(component))
-            for node in reversed(order):
-                p = parent[node]
-                if p is None:
-                    continue
-                _semijoin_mask(blocks, atoms, alive, p, node, book)
-                if not alive[p].any():
-                    return False
-    except _Fallback:
-        return None
+) -> bool:
+    """Boolean acyclic evaluation over code arrays: nodes of ``tree``
+    index into ``atoms``; per component, a bottom-up sweep semijoins
+    each parent with its children and the query is true iff every root
+    keeps a surviving row."""
+    blocks, *_ = _require_blocks(atoms)
+    if any(block.row_count == 0 for block in blocks):
+        return False
+    if tree.number_of_nodes() == 0:
+        return True
+    alive = [np.ones(block.row_count, dtype=bool) for block in blocks]
+    for component in nx.connected_components(tree):
+        order, parent = _rooted_orders(tree, min(component))
+        for node in reversed(order):
+            p = parent[node]
+            if p is None:
+                continue
+            _semijoin_mask(blocks, atoms, alive, p, node)
+            if not alive[p].any():
+                return False
     return True
 
 
-def _unique_row_index(
-    cols: Sequence[np.ndarray], radices: Sequence[int] | None = None
-) -> np.ndarray:
-    """Indices of one representative row per distinct row (any order —
-    consumers are building sets).  Packs rows into scalars when the
-    per-column value ranges allow — using the caller's O(1) radix
-    bounds when given, rescanning for tight per-column maxima only if
-    those bounds overflow the packable range — else ``np.unique`` over
-    the row matrix."""
-    if radices is not None:
-        packed = pack_key_columns(cols, radices)
-        if packed is not None:
-            _, first = np.unique(packed, return_index=True)
-            return first
-    tight = [int(c.max()) + 1 if c.size else 1 for c in cols]
-    packed = pack_key_columns(cols, tight)
-    if packed is not None:
-        _, first = np.unique(packed, return_index=True)
-        return first
-    matrix = np.stack([c.astype(np.int64, copy=False) for c in cols], axis=1)
-    _, first = np.unique(matrix, axis=0, return_index=True)
-    return first
-
-
-def _join_frames(left: _Frame, right: _Frame, kind_of, book) -> _Frame:
+def _join_frames(
+    left: _Frame, right: _Frame, radix_of: dict[str, int]
+) -> _Frame:
     """Natural join of two frames on their shared variables: sort the
     right side's packed keys once, locate each left row's match range
     with ``searchsorted``, and expand the ranges with ``np.repeat``
@@ -910,12 +788,13 @@ def _join_frames(left: _Frame, right: _Frame, kind_of, book) -> _Frame:
     shared = [v for v in left.vars if v in right.vars]
     right_only = [j for j, v in enumerate(right.vars) if v not in left.vars]
     if shared:
-        for v in shared:
-            if kind_of[v] != COL_CODE:
-                raise _Fallback
-        left_cols = [left.cols[left.vars.index(v)] for v in shared]
-        right_cols = [right.cols[right.vars.index(v)] for v in shared]
-        left_keys, right_keys, _ = edge_keys(book, left_cols, right_cols)
+        (left_keys, right_keys), _ = pack_keys(
+            [
+                [left.cols[left.vars.index(v)] for v in shared],
+                [right.cols[right.vars.index(v)] for v in shared],
+            ],
+            [radix_of[v] for v in shared],
+        )
         right_order = np.argsort(right_keys, kind="stable")
         right_sorted = right_keys[right_order]
         lo = np.searchsorted(right_sorted, left_keys, side="left")
@@ -935,21 +814,21 @@ def _join_frames(left: _Frame, right: _Frame, kind_of, book) -> _Frame:
 def _project_frame(
     frame: _Frame, keep: Sequence[str], radix_of: dict[str, int]
 ) -> _Frame:
-    """Project onto ``keep`` and deduplicate rows — the frame analogue
-    of the tuple path's set-semantics projection.  ``radix_of`` carries
-    the per-variable O(1) value bounds (codebook domain size for code
-    columns) so dedup keys pack without rescanning columns."""
+    """Project onto ``keep`` and deduplicate rows (set semantics) by
+    their packed keys.  ``radix_of`` carries the per-variable value
+    bounds (codebook domain size for code columns)."""
     cols = [frame.cols[frame.vars.index(v)] for v in keep]
     if not cols:
         return _Frame((), [], 1 if frame.rows else 0)
-    unique = _unique_row_index(cols, [radix_of[v] for v in keep])
+    (keys,), _ = pack_keys([cols], [radix_of[v] for v in keep])
+    _, unique = np.unique(keys, return_index=True)
     return _Frame(keep, [c[unique] for c in cols], int(unique.size))
 
 
 def _decode_frame(frame: _Frame, kind_of, book) -> list[tuple]:
-    """Decode a frame's rows into Python tuples — the only place the
-    full-evaluation kernel touches decoded values, and it runs on the
-    final (projected, deduplicated) output rows alone."""
+    """Decode a frame's rows into Python tuples — the only place full
+    evaluation touches decoded values, and it runs on the final
+    (projected, deduplicated) output rows alone."""
     if not frame.vars:
         return [()] * frame.rows
     columns: list[list] = []
@@ -967,25 +846,18 @@ def columnar_yannakakis_full(
     atoms: Sequence[JoinAtom],
     tree: nx.Graph,
     output: Sequence[str] | None = None,
-) -> Relation | None:
-    """Full acyclic evaluation over code arrays, or ``None`` when the
-    caller must fall back to the tuple path.
+) -> Relation:
+    """Full acyclic evaluation over code arrays.
 
-    Mirrors :func:`repro.engine.yannakakis.yannakakis_full`: the full
-    reducer (bottom-up then top-down semijoin sweeps) runs on survivor
-    masks, the bottom-up joins keep only output variables plus each
-    node's own bag schema (running intersection), and components are
-    joined at the end.  Output rows are decoded through the codebook
-    only once, at the very end.
+    The full reducer (bottom-up then top-down semijoin sweeps) runs on
+    survivor masks, giving output-sensitive ``O(input + output)``
+    behaviour; the bottom-up joins keep only output variables plus each
+    node's own bag schema (its own schema carries every link to the
+    parent and to children not yet absorbed — running intersection),
+    and components are joined at the end.  Output rows are decoded
+    through the codebook only once, at the very end.
     """
-    if not _ENABLED:
-        return None
-    try:
-        blocks = _require_blocks(atoms)
-        kind_of = _variable_kinds(atoms, blocks)
-    except _Fallback:
-        return None
-    book = blocks[0].book if blocks else None
+    blocks, kind_of, book = _require_blocks(atoms)
     radix_of: dict[str, int] = {}
     for atom, block in zip(atoms, blocks):
         for j, v in enumerate(atom.variables):
@@ -999,48 +871,45 @@ def columnar_yannakakis_full(
     if tree.number_of_nodes() == 0:
         return Relation("result", out_vars, set())
     out_set = set(out_vars)
-    try:
-        alive = [np.ones(block.row_count, dtype=bool) for block in blocks]
-        results: list[_Frame] = []
-        for component in nx.connected_components(tree):
-            root = min(component)
-            order, parent = _rooted_orders(tree, root)
-            for node in reversed(order):
-                p = parent[node]
-                if p is not None:
-                    _semijoin_mask(blocks, atoms, alive, p, node, book)
-            for node in order:
-                p = parent[node]
-                if p is not None:
-                    _semijoin_mask(blocks, atoms, alive, node, p, book)
-            acc = {
-                node: _Frame(
-                    atoms[node].variables,
-                    [
-                        np.asarray(blocks[node].column(j))[alive[node]]
-                        for j in range(blocks[node].width)
-                    ],
-                    int(alive[node].sum()),
-                )
-                for node in order
-            }
-            for node in reversed(order):
-                p = parent[node]
-                if p is None:
-                    continue
-                joined = _join_frames(acc[p], acc[node], kind_of, book)
-                keep = [
-                    v
-                    for v in joined.vars
-                    if v in out_set or v in atoms[p].variables
-                ]
-                acc[p] = _project_frame(joined, keep, radix_of)
-            results.append(acc[root])
-        final = results[0]
-        for frame in results[1:]:
-            final = _join_frames(final, frame, kind_of, book)
-    except _Fallback:
-        return None
+    alive = [np.ones(block.row_count, dtype=bool) for block in blocks]
+    results: list[_Frame] = []
+    for component in nx.connected_components(tree):
+        root = min(component)
+        order, parent = _rooted_orders(tree, root)
+        for node in reversed(order):
+            p = parent[node]
+            if p is not None:
+                _semijoin_mask(blocks, atoms, alive, p, node)
+        for node in order:
+            p = parent[node]
+            if p is not None:
+                _semijoin_mask(blocks, atoms, alive, node, p)
+        acc = {
+            node: _Frame(
+                atoms[node].variables,
+                [
+                    np.asarray(blocks[node].column(j))[alive[node]]
+                    for j in range(blocks[node].width)
+                ],
+                int(alive[node].sum()),
+            )
+            for node in order
+        }
+        for node in reversed(order):
+            p = parent[node]
+            if p is None:
+                continue
+            joined = _join_frames(acc[p], acc[node], radix_of)
+            keep = [
+                v
+                for v in joined.vars
+                if v in out_set or v in atoms[p].variables
+            ]
+            acc[p] = _project_frame(joined, keep, radix_of)
+        results.append(acc[root])
+    final = results[0]
+    for frame in results[1:]:
+        final = _join_frames(final, frame, radix_of)
     present = [v for v in out_vars if v in final.vars]
     final = _project_frame(final, present, radix_of)
     return Relation("result", present, _decode_frame(final, kind_of, book))

@@ -8,20 +8,15 @@ The two-phase strategy the paper's upper bounds rest on:
 2. run Yannakakis' algorithm over the resulting α-acyclic query whose
    join tree is the decomposition tree.
 
-Both phases run on code arrays while every atom is columnar over one
-codebook: :func:`materialise_bags` dispatches to
-:func:`~repro.engine.columnar_eval.columnar_materialise_bags`, whose
-bag relations are themselves columnar, so phase 2 takes the columnar
-Yannakakis kernels of the same module and no row is decoded between the
-inputs and the answer.  The tuple bodies below are the fallback (same
-``-> None ->`` protocol as every other kernel, handed off by
-:func:`~repro.engine.columnar_eval.or_tuple_tier`) and the differential
-oracle.
+Both phases run on code arrays:
+:func:`~repro.engine.columnar_eval.columnar_materialise_bags` returns
+block-backed bag relations over the atoms' own codebook, so phase 2
+takes the Yannakakis kernels of the same module and no row is decoded
+between the inputs and the answer.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 import networkx as nx
@@ -32,57 +27,15 @@ from .columnar_eval import (
     columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
-    or_tuple_tier,
 )
-from .generic_join import JoinAtom, generic_join_relation
+from .generic_join import JoinAtom
 from .relation import Relation
-from .yannakakis import yannakakis_boolean, yannakakis_count, yannakakis_full
-
-
-def materialise_bags(
-    atoms: Sequence[JoinAtom], td: TreeDecomposition
-) -> list[Relation]:
-    """Compute one relation per bag: the worst-case-optimal join of the
-    projections ``π_{bag ∩ vars(e)} R_e`` over every overlapping atom."""
-    fast = columnar_materialise_bags(atoms, td)
-    if fast is not None:
-        return fast
-    bags: list[Relation] = []
-    for i, bag in enumerate(td.bags):
-        bag_vars = sorted(bag, key=str)
-        parts: list[JoinAtom] = []
-        for atom in atoms:
-            positions = [
-                j for j, v in enumerate(atom.variables) if v in bag
-            ]
-            if not positions:
-                continue
-            if len(positions) == 1:
-                (j,) = positions
-                rows = {(t[j],) for t in atom.relation.tuples}
-            else:
-                rows = set(map(itemgetter(*positions), atom.relation.tuples))
-            projected = Relation(
-                f"proj_{atom.relation.name}_{i}",
-                [atom.variables[j] for j in positions],
-                rows,
-            )
-            parts.append(JoinAtom(projected))
-        covered = {v for part in parts for v in part.variables}
-        if set(bag_vars) - covered:
-            raise ValueError(
-                f"bag {bag_vars} contains vertices covered by no atom"
-            )
-        bags.append(
-            generic_join_relation(parts, bag_vars, name=f"bag{i}")
-        )
-    return bags
 
 
 def _bag_atoms_and_tree(
     atoms: Sequence[JoinAtom], td: TreeDecomposition
 ) -> tuple[list[JoinAtom], nx.Graph]:
-    bag_relations = materialise_bags(atoms, td)
+    bag_relations = columnar_materialise_bags(atoms, td)
     bag_atoms = [JoinAtom(r) for r in bag_relations]
     tree = nx.Graph()
     tree.add_nodes_from(range(len(bag_relations)))
@@ -94,11 +47,7 @@ def evaluate_boolean_with_decomposition(
     atoms: Sequence[JoinAtom], td: TreeDecomposition
 ) -> bool:
     """Boolean CQ evaluation: materialise bags, then Yannakakis."""
-    return or_tuple_tier(
-        columnar_yannakakis_boolean,
-        yannakakis_boolean,
-        *_bag_atoms_and_tree(atoms, td),
-    )
+    return columnar_yannakakis_boolean(*_bag_atoms_and_tree(atoms, td))
 
 
 def evaluate_full_with_decomposition(
@@ -107,11 +56,8 @@ def evaluate_full_with_decomposition(
     output: Sequence[str] | None = None,
 ) -> Relation:
     """Full CQ evaluation through the decomposition."""
-    return or_tuple_tier(
-        columnar_yannakakis_full,
-        yannakakis_full,
-        *_bag_atoms_and_tree(atoms, td),
-        output=output,
+    return columnar_yannakakis_full(
+        *_bag_atoms_and_tree(atoms, td), output=output
     )
 
 
@@ -124,8 +70,4 @@ def count_with_decomposition(
     the original join and the decomposition tree is a join tree of the
     bag query.
     """
-    return or_tuple_tier(
-        columnar_yannakakis_count,
-        yannakakis_count,
-        *_bag_atoms_and_tree(atoms, td),
-    )
+    return columnar_yannakakis_count(*_bag_atoms_and_tree(atoms, td))

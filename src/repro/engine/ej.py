@@ -7,14 +7,10 @@ Chooses the asymptotically right strategy per query structure:
   optimal bag materialisation + Yannakakis (``O(N^fhtw log N)``);
 * ``method='generic'`` forces one flat worst-case optimal join.
 
-All three have an array path (:mod:`repro.engine.columnar_eval`) that
-runs while every relation is still columnar over one codebook: the
-Yannakakis kernels are tried here, the generic join and the bag
-materialisation dispatch inside :mod:`~repro.engine.generic_join` and
-:mod:`~repro.engine.decomposition`.  A kernel that returns ``None``
-hands the disjunct to the tuple implementation of the same strategy,
-which is also its oracle
-(:func:`~repro.engine.columnar_eval.or_tuple_tier`).
+Each strategy is one set of kernels on code arrays
+(:mod:`repro.engine.columnar_eval`).  Reduction artifacts are evaluated
+as they are; row-backed relations handed to these entry points are
+dictionary-encoded at the kernels' door.
 """
 
 from __future__ import annotations
@@ -32,21 +28,17 @@ from .columnar_eval import (
     columnar_yannakakis_boolean,
     columnar_yannakakis_count,
     columnar_yannakakis_full,
-    or_tuple_tier,
+    generic_join_boolean,
+    generic_join_count,
+    generic_join_relation,
 )
 from .decomposition import (
     count_with_decomposition,
     evaluate_boolean_with_decomposition,
     evaluate_full_with_decomposition,
 )
-from .generic_join import (
-    JoinAtom,
-    generic_join_boolean,
-    generic_join_count,
-    generic_join_relation,
-)
+from .generic_join import JoinAtom
 from .relation import Database, Relation
-from .yannakakis import yannakakis_boolean, yannakakis_count, yannakakis_full
 
 Method = Literal["auto", "yannakakis", "decomposition", "generic"]
 
@@ -124,8 +116,8 @@ def evaluate_ej(query: Query, db: Database, method: Method = "auto") -> bool:
         raise ValueError(f"{query.name} is not an EJ query")
     atoms = join_atoms_for(query, db)
     # an empty relation empties the conjunction — O(atoms), and len()
-    # is array-cheap for columnar relations, so reduced disjuncts over
-    # pruned variants short-circuit before any join machinery runs
+    # is array-cheap, so reduced disjuncts over pruned variants
+    # short-circuit before any join machinery runs
     if query.atoms and any(len(a.relation) == 0 for a in atoms):
         return False
     strategy = _plan(query, method)
@@ -136,11 +128,7 @@ def evaluate_ej(query: Query, db: Database, method: Method = "auto") -> bool:
         if tree is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
         index_tree = _label_tree_to_index_tree(query, tree)
-        # code-array semijoin sweep while every relation is still
-        # columnar (no tuple materialization)
-        return or_tuple_tier(
-            columnar_yannakakis_boolean, yannakakis_boolean, atoms, index_tree
-        )
+        return columnar_yannakakis_boolean(atoms, index_tree)
     td = optimal_decomposition(query.hypergraph())
     return evaluate_boolean_with_decomposition(atoms, td)
 
@@ -160,11 +148,7 @@ def count_ej(query: Query, db: Database, method: Method = "auto") -> int:
         if tree is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
         index_tree = _label_tree_to_index_tree(query, tree)
-        # counting DP on code arrays while every relation is still
-        # columnar and no count can leave the int64-safe range
-        return or_tuple_tier(
-            columnar_yannakakis_count, yannakakis_count, atoms, index_tree
-        )
+        return columnar_yannakakis_count(atoms, index_tree)
     td = optimal_decomposition(query.hypergraph())
     return count_with_decomposition(atoms, td)
 
@@ -189,15 +173,7 @@ def evaluate_ej_full(
         if tree is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
         index_tree = _label_tree_to_index_tree(query, tree)
-        # mask-sweep full reducer + frame joins on code arrays,
-        # decoding only the final output rows
-        return or_tuple_tier(
-            columnar_yannakakis_full,
-            yannakakis_full,
-            atoms,
-            index_tree,
-            output=output,
-        )
+        return columnar_yannakakis_full(atoms, index_tree, output=output)
     td = optimal_decomposition(query.hypergraph())
     return evaluate_full_with_decomposition(atoms, td, output=output)
 

@@ -42,26 +42,27 @@ class Delta:
 
 
 class Relation:
-    """An in-memory relation with set semantics.
+    """An in-memory relation with set semantics, in one of two forms
+    fixed at construction.
 
-    A relation normally holds its tuple set eagerly.  The forward
-    reduction instead builds *columnar* relations
-    (:meth:`from_columns`): the rows live as a ``uint32`` code matrix
+    A **row-backed** relation (the constructor) holds a mutable Python
+    tuple set — the form source databases are loaded and mutated in.
+
+    A **block-backed** relation (:meth:`from_columns`) holds its rows as
+    a ``uint32`` code matrix
     (:class:`~repro.reduction.columnar.ColumnBlock`, possibly an
-    ``np.memmap`` view of a cache entry) and the Python tuple set is
-    decoded lazily on first access to :attr:`tuples`.  Cardinality
-    (:meth:`__len__`) and per-column distinct counts
-    (:meth:`distinct_count`) are served from the arrays without
-    decoding.  Because the returned set is mutable and mutations cannot
-    be observed, materializing drops the column block — consumers that
-    want the arrays (:attr:`columnar`) must ask before touching tuples.
-
-    A columnar relation changes only through its block: the delta-patch
-    path (:meth:`~repro.reduction.forward.ForwardReductionResult.apply_delta`)
+    ``np.memmap`` view of a cache entry) and keeps that block for life:
+    everything a reducer emits is block-backed, and the evaluation
+    kernels, cardinality statistics (:meth:`__len__`,
+    :meth:`distinct_count`) and the cache serializer read the arrays.
+    :attr:`tuples` is then a read-only decoded view (a ``frozenset``,
+    decoded once per matrix), so looking at an artifact never degrades
+    it.  A block-backed relation changes only through its block: the
+    delta-patch path
+    (:meth:`~repro.reduction.forward.ForwardReductionResult.apply_delta`)
     swaps a new code matrix into the *same* block object
     (:meth:`~repro.reduction.columnar.ColumnBlock.replace_rows`,
-    copy-on-write — the old matrix may be a read-only mapped file), so a
-    patched relation is still columnar and never decodes its rows.
+    copy-on-write — the old matrix may be a read-only mapped file).
     """
 
     def __init__(
@@ -83,14 +84,14 @@ class Relation:
                     f"tuple {tt} does not match schema {self.schema}"
                 )
             data.add(tt)
-        self.tuples = data
+        self._tuples = data
+        self._columns = None
 
     @classmethod
     def from_columns(cls, name: str, schema: Sequence[str], block) -> "Relation":
-        """A lazily-decoded columnar relation over ``block`` (a
+        """A block-backed relation over ``block`` (a
         :class:`~repro.reduction.columnar.ColumnBlock` whose width must
-        match the schema).  Rows are decoded on first ``tuples`` access;
-        until then length/distinct statistics come from the arrays."""
+        match the schema)."""
         self = cls.__new__(cls)
         self.name = name
         self.schema = tuple(schema)
@@ -104,38 +105,37 @@ class Relation:
         return self
 
     @property
-    def tuples(self) -> set[tuple]:
-        if self._tuples is None:
-            # the set is handed out mutable, so the block could go
-            # silently stale — drop it at the materialization boundary
-            self._tuples = self._columns.tuple_set()
-            self._columns = None
+    def tuples(self) -> set[tuple] | frozenset[tuple]:
+        if self._columns is not None:
+            return self._columns.tuple_set()
         return self._tuples
 
     @tuples.setter
     def tuples(self, value: Iterable[tuple]) -> None:
+        if self._columns is not None:
+            raise AttributeError(
+                f"{self.name} is block-backed: its rows change only "
+                f"through its column block"
+            )
         self._tuples = value if isinstance(value, set) else set(value)
-        self._columns = None
 
     @property
     def columnar(self):
-        """The live :class:`~repro.reduction.columnar.ColumnBlock`, or
-        ``None`` once the relation has materialized its tuple set."""
-        return self._columns if self._tuples is None else None
+        """The :class:`~repro.reduction.columnar.ColumnBlock` of a
+        block-backed relation, ``None`` for a row-backed one."""
+        return self._columns
 
     def sample_tuple(self) -> tuple | None:
-        """An arbitrary row, or ``None`` when empty.  Columnar
-        relations decode exactly one row — unlike a ``.tuples`` touch,
-        sampling never materializes the set, so the column block (and
-        every kernel that needs it) survives."""
-        block = self.columnar
+        """An arbitrary row, or ``None`` when empty.  Block-backed
+        relations decode exactly one row instead of the whole set."""
+        block = self._columns
         if block is not None:
             return block.row(0) if block.row_count else None
-        return next(iter(self.tuples), None)
+        return next(iter(self._tuples), None)
 
     # ------------------------------------------------------------------
     # pickling (``spawn`` ships a worker its database this way): always
-    # the materialized form — column blocks (possibly memmap-backed)
+    # the row-backed form — column blocks (possibly memmap-backed)
     # never cross a process boundary
     # ------------------------------------------------------------------
 
@@ -143,7 +143,7 @@ class Relation:
         return {
             "name": self.name,
             "schema": self.schema,
-            "tuples": self.tuples,
+            "tuples": set(self.tuples),
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -155,7 +155,7 @@ class Relation:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._tuples is None:
+        if self._columns is not None:
             return self._columns.row_count
         return len(self._tuples)
 
@@ -239,10 +239,9 @@ class Relation:
 
     def distinct_count(self, attribute: str) -> int:
         """Number of distinct values in a column — answered from the
-        code arrays when this relation is still columnar (codes are
-        injective, so distinct codes = distinct values), else by
-        materializing the column."""
-        if self._tuples is None:
+        code arrays of a block-backed relation (codes are injective,
+        so distinct codes = distinct values)."""
+        if self._columns is not None:
             return self._columns.distinct_count(self.position(attribute))
         return len(self.distinct_values(attribute))
 

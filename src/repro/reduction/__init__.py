@@ -7,7 +7,6 @@ from .forward import (
     ForwardReducer,
     ForwardReductionResult,
     forward_reduce,
-    transform_tuple,
 )
 from .backward import (
     backward_database,
@@ -30,7 +29,6 @@ __all__ = [
     "ForwardReducer",
     "ForwardReductionResult",
     "forward_reduce",
-    "transform_tuple",
     "backward_database",
     "backward_reduce",
     "bitstring_encode_database",

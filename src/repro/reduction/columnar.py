@@ -10,15 +10,14 @@ relation becomes a dense ``uint32`` code matrix — a :class:`ColumnBlock`
 — with derived-row refcounts held as a parallel ``int64`` array in a
 :class:`ColumnarCounts`.
 
-Nothing downstream is forced to change: a columnar
-:class:`~repro.engine.relation.Relation` *materializes* its Python
-tuple set lazily on first access (decoding each column once through the
-codebook), and :class:`ColumnarCounts` is a ``MutableMapping`` that
-behaves exactly like the ``dict[row, count]`` it replaces.  Until such a
-touch, Boolean evaluation, cardinality statistics and the v5 cache
-serializer all operate on the raw arrays — including arrays backed by
-an ``np.memmap`` of a cache entry, which is how warm workers serve
-reductions zero-copy.
+Everything a reducer emits is such a block, and a block-backed
+:class:`~repro.engine.relation.Relation` keeps it for life: evaluation,
+cardinality statistics, delta patches and the v5 cache serializer all
+operate on the raw arrays — including arrays backed by an ``np.memmap``
+of a cache entry, which is how warm workers serve reductions zero-copy —
+and a consumer that asks for Python tuples gets a read-only decoded
+view (each column decoded once through the codebook) that leaves the
+arrays in place.
 
 Delta maintenance stays in array space too:
 :meth:`ColumnarCounts.adjust` locates one input tuple's derived code
@@ -28,20 +27,17 @@ and masks out rows whose count reaches zero.  The rule is
 **copy-on-write**: a patch never stores into an existing array (it may
 be a read-only view of a mapped cache file, which must never be
 written) — it builds new arrays and swaps them in through
-:meth:`ColumnBlock.replace_rows`, so the relation stays columnar and
-its refcounts stay an array.  Only a consumer that mutates the mapping
-facade key by key (the row-backed patch path of an already materialized
-variant) degrades a :class:`ColumnarCounts` to a plain dict.
+:meth:`ColumnBlock.replace_rows`.
 
 Equality of codes is equality of values (the codebook is injective), so
-columnar joins compare ``uint32`` codes directly; decoding happens only
-when actual tuples are demanded.
+joins compare ``uint32`` codes directly; :func:`pack_keys` is the one
+place multi-column rows become comparable scalars, whatever their
+width.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +49,9 @@ __all__ = [
     "CodeBook",
     "ColumnBlock",
     "ColumnarCounts",
-    "pack_key_columns",
+    "KEY_LIMIT",
+    "encode_rows",
+    "pack_keys",
 ]
 
 #: Per-cell dtype of every code matrix.  Interval encodings, point
@@ -71,6 +69,10 @@ COUNT_DTYPE = np.dtype(np.int64)
 #: pointless indirection).
 COL_CODE = "code"
 COL_ID = "id"
+
+#: Packed row keys stay below this (62 bits, clear of the ``int64``
+#: sign); :func:`pack_keys` re-ranks before a digit would cross it.
+KEY_LIMIT = 1 << 62
 
 
 class CodeBook:
@@ -129,12 +131,13 @@ class ColumnBlock:
     """One relation's rows as an ``(n, width)`` ``uint32`` code matrix.
 
     ``kinds[j]`` says how column ``j`` decodes (:data:`COL_CODE` through
-    the shared book, :data:`COL_ID` verbatim).  The decoded row list is
-    memoized: a block decodes each column exactly once no matter how
-    many consumers (relation tuple set, refcount mapping, digests) ask
-    for rows.  The matrix may be a read-only ``np.memmap`` view of a
-    cache entry — nothing here writes into it: the one mutation,
-    :meth:`replace_rows`, swaps in a whole new matrix.
+    the shared book, :data:`COL_ID` verbatim).  The one decoded form a
+    block retains is the frozen set a relation serves for ``.tuples``
+    (:meth:`tuple_set`, memoized per matrix); :meth:`rows` decodes on
+    demand and keeps nothing.  The matrix may be a read-only
+    ``np.memmap`` view of a cache entry — nothing here writes into it:
+    the one mutation, :meth:`replace_rows`, swaps in a whole new
+    matrix.
 
     Blocks built by the forward reduction hold *distinct* rows in
     lexicographic order (what its packed-key dedup emits);
@@ -142,7 +145,7 @@ class ColumnBlock:
     binary search and preserves it.
     """
 
-    __slots__ = ("codes", "kinds", "book", "_rows")
+    __slots__ = ("codes", "kinds", "book", "_tuple_set")
 
     def __init__(
         self,
@@ -153,7 +156,7 @@ class ColumnBlock:
         self.codes = codes
         self.kinds = tuple(kinds)
         self.book = book
-        self._rows: list[tuple] | None = None
+        self._tuple_set: frozenset[tuple] | None = None
 
     def replace_rows(self, codes: np.ndarray) -> None:
         """Swap in a new code matrix of the same width — the block's
@@ -165,7 +168,7 @@ class ColumnBlock:
                 f"match block width {self.codes.shape[1]}"
             )
         self.codes = codes
-        self._rows = None
+        self._tuple_set = None
 
     @property
     def row_count(self) -> int:
@@ -180,7 +183,7 @@ class ColumnBlock:
 
     def column_radix(self, j: int) -> int:
         """An exclusive upper bound on column ``j``'s cell values — the
-        mixed radix :func:`pack_key_columns` needs.  Dictionary-encoded
+        mixed radix :func:`pack_keys` needs.  Dictionary-encoded
         columns answer in O(1): every code is an index into the shared
         book, so the book's domain size bounds them all.  Verbatim id
         columns need one max scan."""
@@ -206,69 +209,43 @@ class ColumnBlock:
         return tuple(out)
 
     def rows(self) -> list[tuple]:
-        """The decoded rows, in matrix order (memoized)."""
-        if self._rows is None:
-            n = self.row_count
-            columns: list[list] = []
-            for j, kind in enumerate(self.kinds):
-                raw = self.codes[:, j].tolist()
-                if kind == COL_CODE:
-                    values = self.book.values
-                    columns.append([values[c] for c in raw])
-                else:
-                    columns.append(raw)
-            if columns:
-                self._rows = list(zip(*columns))
+        """The decoded rows, in matrix order — each column decoded once
+        through the book, nothing retained."""
+        columns: list[list] = []
+        for j, kind in enumerate(self.kinds):
+            raw = self.codes[:, j].tolist()
+            if kind == COL_CODE:
+                values = self.book.values
+                columns.append([values[c] for c in raw])
             else:
-                self._rows = [()] * n
-        return self._rows
+                columns.append(raw)
+        if columns:
+            return list(zip(*columns))
+        return [()] * self.row_count
 
-    def tuple_set(self) -> set[tuple]:
-        return set(self.rows())
+    def tuple_set(self) -> frozenset[tuple]:
+        """The decoded rows as a set (memoized, immutable: the arrays
+        stay the source of truth)."""
+        if self._tuple_set is None:
+            self._tuple_set = frozenset(self.rows())
+        return self._tuple_set
 
 
-class ColumnarCounts(MutableMapping):
+class ColumnarCounts:
     """Derived-row refcounts as an ``int64`` array parallel to a
-    :class:`ColumnBlock`'s rows.
+    :class:`ColumnBlock`'s rows: how many distinct input tuples derive
+    each row, which is what lets a delete remove a derived row only
+    with its last deriving tuple.  Delta patches go through
+    :meth:`adjust`; :meth:`items` is the read-only decoded view
+    (``result_digest`` and the tests iterate it)."""
 
-    Read-only consumers (the ``result_digest`` oracle iterates
-    :meth:`items`) never build a dict.  Delta patches of a columnar
-    variant go through :meth:`adjust` and stay in array form; only the
-    per-key ``MutableMapping`` mutators (used to patch a variant whose
-    relation has already materialized) turn the mapping into a plain
-    dict, once, after which it behaves identically to the
-    ``dict[row, count]`` it replaces.  Pickling always yields a plain
-    dict — array form is an in-process/v5-cache optimization, not a
-    wire format.
-    """
-
-    __slots__ = ("block", "array", "_dict")
+    __slots__ = ("block", "array")
 
     def __init__(self, block: ColumnBlock, array: np.ndarray):
         self.block = block
         self.array = array
-        self._dict: dict[tuple, int] | None = None
 
-    @property
-    def materialized(self) -> bool:
-        return self._dict is not None
-
-    def _materialize(self) -> dict[tuple, int]:
-        if self._dict is None:
-            self._dict = dict(zip(self.block.rows(), self.array.tolist()))
-        return self._dict
-
-    def replace_rows(self, codes: np.ndarray, array: np.ndarray) -> None:
-        """Swap in a new code matrix and its parallel refcount array
-        together (the block drops its decoded-row memo)."""
-        if self._dict is not None:
-            raise ValueError("refcounts have materialized into a dict")
-        if array.shape != (codes.shape[0],):
-            raise ValueError("refcount array is not parallel to the rows")
-        self.block.replace_rows(codes)
-        self.array = array
-
-    def adjust(self, rows: np.ndarray, step: int) -> bool:
+    def adjust(self, rows: np.ndarray, step: int) -> None:
         """Add ``step`` to the refcount of every row of ``rows`` — the
         *distinct* code rows one input tuple derives, ``+1`` for an
         insert and ``-1`` for a delete.  Rows not yet in the block are
@@ -277,31 +254,36 @@ class ColumnarCounts(MutableMapping):
 
         The block's rows must be distinct and lexicographically sorted
         (see :class:`ColumnBlock`); both properties are preserved.  Rows
-        are located by packing each row into one mixed-radix ``int64``
-        key and binary-searching the block's keys — whole-array
-        operations only, never a Python loop over the block.  Returns
-        ``False``, having changed nothing, when the keys do not fit 64
-        bits; the caller then patches the decoded rows instead.
+        are located by packing each row into one order-preserving
+        ``int64`` key (:func:`pack_keys`) and binary-searching the
+        block's keys — whole-array operations only, never a Python loop
+        over the block.
 
         Copy-on-write: the current arrays (possibly read-only views of
-        a mapped cache entry) are never stored into; the result goes in
-        through :meth:`replace_rows`.
+        a mapped cache entry) are never stored into; the block takes
+        the result through :meth:`ColumnBlock.replace_rows`.
         """
         if rows.shape[0] == 0:
-            return True
+            return
         codes = self.block.codes
         columns = range(codes.shape[1])
-        radices = [
-            int(max(a, b)) + 1
-            for a, b in zip(
-                codes.max(axis=0, initial=0).tolist(),
-                rows.max(axis=0).tolist(),
+        if columns:
+            radices = [
+                int(max(a, b)) + 1
+                for a, b in zip(
+                    codes.max(axis=0, initial=0).tolist(),
+                    rows.max(axis=0).tolist(),
+                )
+            ]
+            (keys, wanted), _ = pack_keys(
+                [[codes[:, j] for j in columns], [rows[:, j] for j in columns]],
+                radices,
             )
-        ]
-        keys = pack_key_columns([codes[:, j] for j in columns], radices)
-        if keys is None:
-            return False
-        wanted = pack_key_columns([rows[:, j] for j in columns], radices)
+        else:
+            # a zero-arity variant holds at most the one row (): every
+            # key is equal
+            keys = np.zeros(codes.shape[0], dtype=np.int64)
+            wanted = np.zeros(rows.shape[0], dtype=np.int64)
         at = np.searchsorted(keys, wanted)
         present = at < keys.size
         present[present] = keys[at[present]] == wanted[present]
@@ -322,52 +304,63 @@ class ColumnarCounts(MutableMapping):
             if not alive.all():
                 codes = codes[alive]
                 array = array[alive]
-        self.replace_rows(codes, array)
-        return True
+        self.block.replace_rows(codes)
+        self.array = array
 
-    def __getitem__(self, key):
-        return self._materialize()[key]
-
-    def __setitem__(self, key, value):
-        self._materialize()[key] = value
-
-    def __delitem__(self, key):
-        del self._materialize()[key]
-
-    def __iter__(self):
-        if self._dict is not None:
-            return iter(self._dict)
-        return iter(self.block.rows())
-
-    def __len__(self) -> int:
-        if self._dict is not None:
-            return len(self._dict)
-        return self.block.row_count
-
-    def items(self):
-        if self._dict is not None:
-            return self._dict.items()
+    def items(self) -> Iterator[tuple[tuple, int]]:
+        """``(decoded row, refcount)`` pairs, in matrix order."""
         return zip(self.block.rows(), self.array.tolist())
 
 
-def pack_key_columns(
-    columns: Sequence[np.ndarray], radices: Sequence[int]
-) -> np.ndarray | None:
-    """Fold multi-column join keys into one comparable ``int64`` array.
+def encode_rows(
+    rows: Iterable[Sequence[Hashable]],
+    kinds: Sequence[str],
+    book: CodeBook,
+) -> ColumnBlock:
+    """Python rows as a :class:`ColumnBlock` over ``book``, in the
+    given order: :data:`COL_CODE` columns are interned through the
+    book, :data:`COL_ID` columns (small non-negative ints) are stored
+    verbatim."""
+    rows = list(rows)
+    codes = np.empty((len(rows), len(kinds)), dtype=CODE_DTYPE)
+    for j, (kind, column) in enumerate(zip(kinds, zip(*rows))):
+        if kind == COL_CODE:
+            codes[:, j] = book.encode_column(column, count=len(rows))
+        else:
+            codes[:, j] = column
+    return ColumnBlock(codes, kinds, book)
 
-    Codes from one shared :class:`CodeBook` are directly comparable, so
-    a mixed-radix fold over per-column code ranges gives an injective
-    scalar key — provided the radix product fits ``int64`` (returns
-    ``None`` otherwise and the caller falls back to tuples).  The
-    radices must be shared by both sides of a join (max code across both
-    arrays, plus one), so equal packed keys mean equal value tuples.
+
+def pack_keys(
+    sides: Sequence[Sequence[np.ndarray]], radices: Sequence[int]
+) -> tuple[list[np.ndarray], int]:
+    """Fold multi-column rows into one comparable ``int64`` key per
+    row — jointly for every side of a join or search, so that equal
+    keys mean equal rows and key order is lexicographic row order
+    *across* sides.
+
+    ``sides[s][j]`` is column ``j`` of side ``s`` (every side has the
+    same columns, at least one); ``radices[j]`` is an exclusive bound
+    on column ``j``'s cells on every side.  Columns are folded left to
+    right as mixed-radix digits.  When the next digit would push the
+    key space past 62 bits, the running keys of all sides are first
+    replaced by their joint dense ranks (one ``np.unique`` over their
+    concatenation — order-preserving, and at most the total row count),
+    so a key needs ``log2(rows) + log2(radix)`` bits whatever the
+    width.  Returns the per-side keys and an exclusive bound on them.
     """
-    total = 1
-    for radix in radices:
-        total *= max(int(radix), 1)
-        if total > 2**62:
-            return None
-    packed = columns[0].astype(np.int64)
-    for col, radix in zip(columns[1:], radices[1:]):
-        packed = packed * int(radix) + col.astype(np.int64)
-    return packed
+    keys = [side[0].astype(np.int64) for side in sides]
+    bound = max(int(radices[0]), 1)
+    for j in range(1, len(radices)):
+        radix = max(int(radices[j]), 1)
+        if bound * radix > KEY_LIMIT:
+            distinct, ranks = np.unique(
+                np.concatenate(keys), return_inverse=True
+            )
+            bound = max(int(distinct.size), 1)
+            if bound * radix > KEY_LIMIT:  # pragma: no cover - 2**30 rows
+                raise OverflowError("row keys exceed 62 bits after ranking")
+            keys = np.split(ranks, np.cumsum([k.size for k in keys[:-1]]))
+        keys = [k * radix + side[j] for k, side in zip(keys, sides)]
+        bound *= radix
+    return keys, bound

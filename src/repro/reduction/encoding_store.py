@@ -27,7 +27,7 @@ just as fast after its first few lookups.
 
 Memoization never changes *what* is computed — only how often.  The
 differential digest tests assert the memoized reduction is bit-identical
-to the retained reference path.
+to a naive per-tuple loop that re-walks the trees for every tuple.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from ..engine.relation import Database, Relation
 from ..hypergraph.transform import part_vertex
 from ..queries.query import Atom, Query, pvar
+from .columnar import COL_CODE, COL_ID, encode_rows
 from .forward import (
     EncodedQuery,
     ForwardReducer,
@@ -57,22 +58,13 @@ class FactoredForwardReducer(ForwardReducer):
 
     Shares the memoized :class:`~repro.reduction.encoding_store.EncodingStore`
     of the base reducer: every ``(variable, value, i)`` encoding is
-    computed once across all factored relations (``reference=True``
-    selects the naive path, as in :class:`ForwardReducer`).
+    computed once across all factored relations, and every relation is
+    a code matrix over the store's codebook (Id columns verbatim).
     """
 
-    def __init__(
-        self,
-        query: Query,
-        db: Database,
-        disjoint: bool = False,
-        reference: bool = False,
-    ):
+    def __init__(self, query: Query, db: Database, disjoint: bool = False):
         # provenance is inherent to this encoding (the Id columns)
-        super().__init__(
-            query, db, disjoint=disjoint, provenance=False,
-            reference=reference,
-        )
+        super().__init__(query, db, disjoint=disjoint, provenance=False)
         self._factor_cache: dict[_FactorSpec, Relation] = {}
         self._base_cache: dict[str, Relation] = {}
         self._tuple_order: dict[str, list[tuple]] = {
@@ -146,7 +138,7 @@ class FactoredForwardReducer(ForwardReducer):
             (tuple_id, *[t[idx] for idx, _ in point_positions])
             for tuple_id, t in enumerate(self._tuple_order[atom.label])
         }
-        relation = Relation(self._base_name(atom), schema, rows)
+        relation = self._coded(self._base_name(atom), schema, rows, ids=True)
         self._base_cache[atom.label] = relation
         return relation
 
@@ -160,13 +152,24 @@ class FactoredForwardReducer(ForwardReducer):
         ]
         rows: set[tuple] = set()
         for tuple_id, t in enumerate(self._tuple_order[atom.label]):
-            for split in self._encodings(
+            for split in self.store.interval_encodings(
                 spec.variable, t[var_idx], spec.parts, spec.nonempty_last
             ):
                 rows.add((tuple_id, *split))
-        relation = Relation(spec.name(), schema, rows)
+        relation = self._coded(spec.name(), schema, rows, ids=True)
         self._factor_cache[spec] = relation
         return relation
+
+    def _coded(self, name: str, schema, rows, ids: bool) -> Relation:
+        """``rows`` as a block-backed relation over the store's
+        codebook; with ``ids`` the first column is a verbatim tuple
+        id."""
+        kinds = [COL_CODE] * len(schema)
+        if ids:
+            kinds[0] = COL_ID
+        return Relation.from_columns(
+            name, schema, encode_rows(rows, kinds, self.store.codebook)
+        )
 
     # ------------------------------------------------------------------
     # full reduction
@@ -188,8 +191,11 @@ class FactoredForwardReducer(ForwardReducer):
                         seen.add(atom.relation)
                         source = self.db[atom.relation]
                         database.add(
-                            Relation(
-                                atom.relation, source.schema, source.tuples
+                            self._coded(
+                                atom.relation,
+                                source.schema,
+                                source.tuples,
+                                ids=False,
                             )
                         )
                     continue
@@ -216,12 +222,9 @@ def forward_reduce_factored(
     query: Query,
     db: Database,
     disjoint: bool = False,
-    reference: bool = False,
 ) -> ForwardReductionResult:
     """Full forward reduction with the factored (Id) encoding."""
-    return FactoredForwardReducer(
-        query, db, disjoint=disjoint, reference=reference
-    ).reduce()
+    return FactoredForwardReducer(query, db, disjoint=disjoint).reduce()
 
 
 def count_ij_factored(query: Query, db: Database) -> int:

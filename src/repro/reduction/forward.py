@@ -24,10 +24,10 @@ memoized globally at the ``(node, i)`` layer, per Claim C.1), and
 :meth:`ForwardReducer.variant_relation` groups a relation's tuples by
 their interval-column projection, running the cartesian expansion once
 per distinct projection group, on ``uint32`` code arrays, instead of
-once per tuple.  That is the only builder; its output is bit-identical
-to the naive per-tuple path, which is retained (``reference=True``) as
-the oracle for differential digest tests and the baseline for
-``benchmarks/bench_forward_reduction.py``.
+once per tuple.  That is the only builder, and every relation it emits
+— point-only atoms included — is a code matrix over the artifact's one
+codebook; the differential digest tests pin its output, bit for bit, to
+a naive per-tuple loop kept under ``tests/oracles``.
 
 With ``disjoint=True`` the Appendix G refinement is applied: after the
 distinct-left-endpoint shift, every satisfying tuple combination is
@@ -39,12 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterator, Mapping, MutableMapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..engine.relation import Database, Delta, Relation
-from ..intervals.bitstring import splits
 from ..intervals.interval import Interval
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, Variable, pvar
@@ -71,14 +70,6 @@ class DomainChanged(Exception):
     patch metadata.  Callers must re-run the full forward reduction."""
 
 
-#: Why :meth:`ForwardReductionResult.apply_delta` may patch an interval
-#: variant as decoded rows instead of on its code arrays: the variant
-#: was no longer columnar (reference-path artifact, relation
-#: materialized by a tuple-tier consumer, ``"rows"`` cache entry), or
-#: its rows do not pack into one 64-bit search key.
-PATCH_FALLBACK_REASONS = ("row_backed", "key_overflow")
-
-
 @dataclass(frozen=True)
 class _VariantSpec:
     """What one transformed relation looks like: per interval variable,
@@ -100,6 +91,21 @@ class _VariantSpec:
             extras += "p"
         return f"{self.atom_label}~{suffix}{extras or ''}"
 
+    def schema(self, atom: Atom) -> list[str]:
+        """The variant's columns: per interval variable its ``i`` part
+        vertices, point variables in place, the provenance id last."""
+        parts = dict(self.parts)
+        schema: list[str] = []
+        for v in atom.variables:
+            if v.is_interval:
+                for j in range(1, parts[v.name] + 1):
+                    schema.append(part_vertex(v.name, j))
+            else:
+                schema.append(v.name)
+        if self.provenance and parts:
+            schema.append(f"__id_{atom.label}")
+        return schema
+
 
 @dataclass
 class EncodedQuery:
@@ -107,26 +113,6 @@ class EncodedQuery:
 
     query: Query
     positions: PositionMap
-
-
-def _interval_encodings(
-    tree: SegmentTree, k: int, value: Interval, i: int, nonempty_last: bool
-) -> list[tuple[str, ...]]:
-    """All ``(X1..Xi)`` bitstring tuples for one interval value against
-    one segment tree: CP-variant splits for ``i < k``, leaf-variant
-    splits for ``i = k`` (Definition 4.9), with the Appendix G
-    non-emptiness constraint applied when requested."""
-    if i < k:
-        nodes = tree.canonical_partition(value)
-    else:
-        nodes = [tree.leaf_of_interval(value)]
-    out: list[tuple[str, ...]] = []
-    for node in nodes:
-        for split in splits(node, i):
-            if nonempty_last and i > 1 and split[-1] == "":
-                continue
-            out.append(split)
-    return out
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,73 +145,10 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-def transform_tuple(
-    atom: Atom,
-    spec: _VariantSpec,
-    t: tuple,
-    trees: Mapping[str, SegmentTree],
-    k: Mapping[str, int],
-    tuple_id: int | None = None,
-    store: EncodingStore | None = None,
-) -> set[tuple]:
-    """The rows one input tuple contributes to one transformed relation
-    variant (the per-tuple body of Definition 4.9).
-
-    This is the single transform shared by the batch reduction loop
-    (:meth:`ForwardReducer.variant_relation`) and the delta-patching
-    path (:meth:`ForwardReductionResult.apply_delta`): both derive a
-    tuple's rows the same way, so a patched artifact is bit-identical
-    to what a fresh reduction over the mutated data would build
-    (endpoint domains permitting).
-
-    ``store`` — when given — serves each interval encoding from its
-    memo instead of re-walking the segment tree and re-enumerating
-    splits; the rows produced are identical either way.
-
-    Distinct canonical-partition nodes and distinct splits never
-    concatenate to the same parts, so the returned rows are exactly the
-    tuple's derived rows with no within-tuple multiplicity.
-    """
-    parts = dict(spec.parts)
-    nonempty = set(spec.nonempty_last)
-    encodings: list[Sequence[tuple[str, ...]]] = []
-    fixed: list = []
-    order: list[tuple[str, int]] = []  # (kind, payload index)
-    for v, value in zip(atom.variables, t):
-        if v.is_interval:
-            i = parts[v.name]
-            if store is not None:
-                options: Sequence[tuple[str, ...]] = store.interval_encodings(
-                    v.name, value, i, v.name in nonempty
-                )
-            else:
-                options = _interval_encodings(
-                    trees[v.name], k[v.name], value, i, v.name in nonempty
-                )
-            encodings.append(options)
-            order.append(("interval", len(encodings) - 1))
-        else:
-            fixed.append(value)
-            order.append(("point", len(fixed) - 1))
-    rows: set[tuple] = set()
-    for choice in product(*encodings):
-        row: list = []
-        for kind, idx in order:
-            if kind == "interval":
-                row.extend(choice[idx])
-            else:
-                row.append(fixed[idx])
-        if spec.provenance and parts:
-            row.append(tuple_id)
-        rows.add(tuple(row))
-    return rows
-
-
 @dataclass(frozen=True)
 class _VariantLayout:
     """Where each source column lands in a variant's code matrix
-    (mirrors the schema construction in
-    :meth:`ForwardReducer.variant_relation`): per interval variable its
+    (mirrors :meth:`_VariantSpec.schema`): per interval variable its
     ``i`` part columns, point columns in place, provenance id last."""
 
     n_cols: int
@@ -295,9 +218,12 @@ def transform_tuple_codes(
     tuple_id: int,
     intern: bool,
 ) -> np.ndarray:
-    """:func:`transform_tuple` in code space: the distinct rows one
-    input tuple contributes to one variant, as a ``uint32`` matrix over
-    ``store``'s codebook (same rows, same order).
+    """The distinct rows one input tuple contributes to one transformed
+    relation variant (the per-tuple body of Definition 4.9), as a
+    ``uint32`` matrix over ``store``'s codebook — what a delta patch
+    adds to or removes from the variant.  Distinct canonical-partition
+    nodes and distinct splits never concatenate to the same parts, so
+    the rows carry no within-tuple multiplicity.
 
     With ``intern=False`` values are only looked up: a row holding a
     value the book has never seen is in no block of the artifact, so it
@@ -340,18 +266,17 @@ class ForwardReductionResult:
     #: the patch metadata :meth:`apply_delta` walks.  Empty for results
     #: of encodings that do not support patching (e.g. factored).
     atom_variants: dict[str, tuple] = field(default_factory=dict)
-    #: variant relation name -> derived row -> number of distinct input
-    #: tuples deriving it.  Needed to delete safely under set semantics:
-    #: a derived row disappears only when its last deriving input tuple
-    #: does.  Default-builder reductions hold these as
-    #: :class:`~repro.reduction.columnar.ColumnarCounts` (an ``int64``
-    #: array behind a ``MutableMapping`` facade), which the patch path
-    #: adjusts as an array; plain dicts are patched key by key.
-    variant_counts: dict[str, MutableMapping] = field(default_factory=dict)
+    #: variant relation name -> per derived row (parallel to the
+    #: relation's code matrix), the number of distinct input tuples
+    #: deriving it.  Needed to delete safely under set semantics: a
+    #: derived row disappears only when its last deriving input tuple
+    #: does.
+    variant_counts: dict[str, ColumnarCounts] = field(default_factory=dict)
     #: the memoized-encoding store the reduction was built with (shares
-    #: its segment trees with :attr:`segment_trees`), re-used by
+    #: its segment trees with :attr:`segment_trees`, and its codebook
+    #: with every block of :attr:`database`), re-used by
     #: :meth:`apply_delta` so patching pays memo lookups, not tree
-    #: walks.  ``None`` for reference-path results; rebuilt lazily.
+    #: walks.
     encoding_store: EncodingStore | None = None
 
     @property
@@ -379,9 +304,9 @@ class ForwardReductionResult:
         """True when this artifact carries the metadata
         :meth:`apply_delta` needs (built by :meth:`ForwardReducer.reduce`;
         factored results and pre-delta artifacts do not)."""
-        return bool(self.atom_variants)
+        return bool(self.atom_variants) and self.encoding_store is not None
 
-    def apply_delta(self, delta: Delta) -> dict[str, int]:
+    def apply_delta(self, delta: Delta) -> None:
         """Patch the transformed database in place for one tuple-level
         mutation of a source relation, instead of re-running Algorithm 1.
 
@@ -393,9 +318,9 @@ class ForwardReductionResult:
         endpoints already lie in the segment trees' endpoint domains,
         the trees a fresh reduction would build are *identical* to the
         stored ones, so appending the tuple's derived rows (per variant,
-        via :func:`transform_tuple`) reproduces the fresh reduction
-        exactly.  For a **delete**, the stored trees remain valid
-        (their endpoint domain is a superset of the remaining
+        via :func:`transform_tuple_codes`) reproduces the fresh
+        reduction exactly.  For a **delete**, the stored trees remain
+        valid (their endpoint domain is a superset of the remaining
         intervals'), so removing the tuple's derived rows — refcounted
         in :attr:`variant_counts`, since set semantics may share rows
         between input tuples — yields a correct, if not bit-identical,
@@ -408,28 +333,21 @@ class ForwardReductionResult:
         domain, or an artifact without patch metadata.  A delta whose
         relation is not referenced by the query is a no-op.
 
-        Variants patch in the representation they are already in.  A
-        **columnar** variant (default-builder reductions, ``.red`` cache
-        loads) is patched in array space: the tuple's derived rows are
-        encoded through the artifact's own codebook (looked up, never
-        interned, on a delete), located in the ``uint32`` code matrix by
-        packed-key binary search, and the ``int64`` refcounts bumped —
-        new rows spliced in, dead rows masked out
+        Every variant — point-only copies of a source relation
+        included — is patched in array space: the tuple's derived rows
+        are encoded through the artifact's own codebook (looked up,
+        never interned, on a delete), located in the ``uint32`` code
+        matrix by packed-key binary search, and the ``int64`` refcounts
+        bumped — new rows spliced in, dead rows masked out
         (:meth:`~repro.reduction.columnar.ColumnarCounts.adjust`).  It
         is copy-on-write: arrays may be read-only views of a mapped
         cache file, so a patch swaps in new arrays and never stores
-        into the old ones.  The relation keeps its column block and the
-        refcounts stay an array, so the patched artifact re-persists as
-        raw blobs and evaluates on the columnar kernels.  A **row-backed**
-        variant (``reference=True`` artifacts, relations a tuple-tier
-        consumer has materialized, ``"rows"`` cache entries) is patched
-        as the Python set and dict it already is.
-
-        Returns, per reason (:data:`PATCH_FALLBACK_REASONS`), how many
-        interval variants were patched as rows instead of arrays.
+        into the old ones.  The relation keeps its column block, so the
+        patched artifact re-persists as raw blobs and evaluates as it
+        did before.
         """
         if delta.relation not in self.source_relations:
-            return {}
+            return
         if not delta.is_tuple_level or delta.tuple is None:
             raise DomainChanged(
                 f"{delta.kind!r} delta on {delta.relation!r} is not a "
@@ -450,10 +368,6 @@ class ForwardReductionResult:
                     f"tuple {t} does not match the arity of atom "
                     f"{atom.label}"
                 )
-        k = {
-            v.name: len(self.original.atoms_containing(v.name))
-            for v in self.original.interval_variables
-        }
         if delta.kind == "insert":
             for atom in atoms:
                 for v, value in zip(atom.variables, t):
@@ -464,24 +378,9 @@ class ForwardReductionResult:
                             f"endpoint of {value} falls outside the "
                             f"[{v.name}] segment tree's endpoint domain"
                         )
-        return self._patch(atoms, t, k, inserting=delta.kind == "insert")
+        self._patch(atoms, t, inserting=delta.kind == "insert")
 
-    def _store(self, k: Mapping[str, int]) -> EncodingStore:
-        """The encoding store patches go through — the one the
-        reduction was built with, or (for reference-path results, which
-        carry none) a fresh store over the same segment trees, attached
-        so later patches stay warm."""
-        if self.encoding_store is None:
-            self.encoding_store = EncodingStore(self.segment_trees, k)
-        return self.encoding_store
-
-    def _patch(
-        self,
-        atoms: list[Atom],
-        t: tuple,
-        k: Mapping[str, int],
-        inserting: bool,
-    ) -> dict[str, int]:
+    def _patch(self, atoms: list[Atom], t: tuple, inserting: bool) -> None:
         # assign/locate the tuple's provenance id per atom label; order
         # lists are shared between self-join atoms of one relation, so
         # adjust each underlying list exactly once
@@ -502,52 +401,23 @@ class ForwardReductionResult:
                         f"tuple {t} is unknown to this reduction's "
                         f"provenance order for atom {atom.label}"
                     ) from None
-        store = self._store(k)
-        fallbacks: dict[str, int] = {}
         for atom in atoms:
             for spec in self.atom_variants[atom.label]:
-                name = spec.name()
-                relation = self.database[name]
-                if not spec.parts:
-                    # point-only variant: a verbatim copy of the source,
-                    # held as a plain tuple set from the start
-                    if inserting:
-                        relation.tuples.add(t)
-                    else:
-                        relation.tuples.discard(t)
-                    continue
-                counts = self.variant_counts.get(name)
+                counts = self.variant_counts.get(spec.name())
                 if counts is None:
                     raise DomainChanged(
-                        f"variant {name} has no derived-row refcounts"
+                        f"variant {spec.name()} has no derived-row refcounts"
                     )
-                tuple_id = ids[atom.label]
-                block = relation.columnar
-                if (
-                    block is not None
-                    and isinstance(counts, ColumnarCounts)
-                    and not counts.materialized
-                    and counts.block is block
-                    and block.book is store.codebook
-                ):
-                    if counts.adjust(
-                        transform_tuple_codes(
-                            atom, spec, t, store, tuple_id, intern=inserting
-                        ),
-                        1 if inserting else -1,
-                    ):
-                        continue
-                    reason = "key_overflow"
-                else:
-                    reason = "row_backed"
-                fallbacks[reason] = fallbacks.get(reason, 0) + 1
-                self._patch_rows(
-                    relation,
-                    counts,
-                    transform_tuple(
-                        atom, spec, t, self.segment_trees, k, tuple_id, store
+                counts.adjust(
+                    transform_tuple_codes(
+                        atom,
+                        spec,
+                        t,
+                        self.encoding_store,
+                        ids[atom.label],
+                        intern=inserting,
                     ),
-                    inserting,
+                    1 if inserting else -1,
                 )
         if not inserting:
             cleared: set[int] = set()
@@ -556,42 +426,15 @@ class ForwardReductionResult:
                 if id(order) not in cleared:
                     order[ids[atom.label]] = None
                     cleared.add(id(order))
-        return fallbacks
-
-    @staticmethod
-    def _patch_rows(
-        relation: Relation,
-        counts: MutableMapping,
-        rows: set[tuple],
-        inserting: bool,
-    ) -> None:
-        """Patch one row-backed variant: the relation's Python tuple set
-        and its ``dict``-like refcounts."""
-        tuples = relation.tuples
-        if inserting:
-            for row in rows:
-                count = counts.get(row, 0) + 1
-                counts[row] = count
-                if count == 1:
-                    tuples.add(row)
-        else:
-            for row in rows:
-                count = counts.get(row, 0) - 1
-                if count <= 0:
-                    counts.pop(row, None)
-                    tuples.discard(row)
-                else:
-                    counts[row] = count
 
 
 class ForwardReducer:
     """Shared-variant forward reduction for one (query, database) pair.
 
-    One builder — ``uint32`` code matrices expanded with
+    One builder: ``uint32`` code matrices expanded with
     ``np.repeat``/``np.tile`` and ``int64`` refcount arrays
-    (:meth:`_vectorized_counts`) — plus ``reference=True``, the naive
-    per-tuple transform loop (no encoding memo, no code arrays) that
-    the differential tests compare it against, bit for bit.
+    (:meth:`_vectorized_counts`), all over the one codebook of
+    :attr:`store`.
     """
 
     def __init__(
@@ -600,13 +443,11 @@ class ForwardReducer:
         db: Database,
         disjoint: bool = False,
         provenance: bool = False,
-        reference: bool = False,
     ):
         self.query = query
         self.db = db
         self.disjoint = disjoint
         self.provenance = provenance
-        self.reference = reference
         self.interval_vars = [v.name for v in query.interval_variables]
         self.k: dict[str, int] = {
             x: len(query.atoms_containing(x)) for x in self.interval_vars
@@ -619,12 +460,10 @@ class ForwardReducer:
                 for t in db[atom.relation].tuples:
                     intervals.append(t[idx])
             self.trees[x] = SegmentTree(intervals)
-        self.store: EncodingStore | None = None
-        if not reference:
-            self.store = EncodingStore(self.trees, self.k)
-            self.store.codebook = CodeBook()
+        self.store = EncodingStore(self.trees, self.k)
+        self.store.codebook = CodeBook()
         self._variants: dict[_VariantSpec, Relation] = {}
-        self._variant_counts: dict[str, MutableMapping] = {}
+        self._variant_counts: dict[str, ColumnarCounts] = {}
         self._atom_variants: dict[str, dict[_VariantSpec, None]] = {}
         self._tuple_order: dict[str, list[tuple]] = {}
 
@@ -720,33 +559,12 @@ class ForwardReducer:
     def variant_relation(self, atom: Atom, spec: _VariantSpec) -> Relation:
         if spec in self._variants:
             return self._variants[spec]
-        parts = dict(spec.parts)
-        schema: list[str] = []
-        for v in atom.variables:
-            if v.is_interval:
-                for j in range(1, parts[v.name] + 1):
-                    schema.append(part_vertex(v.name, j))
-            else:
-                schema.append(v.name)
-        if spec.provenance and parts:
-            schema.append(f"__id_{atom.label}")
-        order = self.relation_order(atom.relation)
-        counts: MutableMapping
-        if self.store is None:
-            # reference path: the naive per-tuple transform loop
-            counts = {}
-            for tuple_id, t in enumerate(order):
-                for row in self.transform_tuple(atom, spec, t, tuple_id):
-                    counts[row] = counts.get(row, 0) + 1
-            result = Relation(spec.name(), schema, set(counts))
-        else:
-            # array path: uint32 code matrix + int64 refcount array;
-            # Python tuples are decoded only if a consumer demands them
-            block, count_array = self._vectorized_counts(atom, spec, order)
-            counts = ColumnarCounts(block, count_array)
-            result = Relation.from_columns(spec.name(), schema, block)
+        block, count_array = self._vectorized_counts(
+            atom, spec, self.relation_order(atom.relation)
+        )
+        result = Relation.from_columns(spec.name(), spec.schema(atom), block)
         self._variants[spec] = result
-        self._variant_counts[spec.name()] = counts
+        self._variant_counts[spec.name()] = ColumnarCounts(block, count_array)
         return result
 
     def _vectorized_counts(
@@ -762,19 +580,19 @@ class ForwardReducer:
         with mixed-radix ``np.repeat``/``np.tile`` index arrays, member
         point columns and provenance ids are broadcast across the
         templates, and the per-group matrices are deduplicated globally
-        with ``np.unique(axis=0)`` — whose inverse bin-counts are
-        exactly the reference path's refcounts (two groups can derive
-        equal rows when distinct intervals share a canonical partition,
-        so dedup must be global).
+        with ``np.unique(axis=0)`` — whose inverse bin-counts are the
+        refcounts (two groups can derive equal rows when distinct
+        intervals share a canonical partition, so dedup must be
+        global).  A point-only atom is the degenerate case: one group,
+        one template row, the source tuples copied in code form.
 
-        Bit-identical to the reference loop: distinct canonical-
+        Bit-identical to a naive per-tuple loop: distinct canonical-
         partition nodes and distinct splits never concatenate to the
         same parts, so within one input tuple distinct template
         combinations never collide and each (member, template) pair
         contributes exactly one count to its row.
         """
         store = self.store
-        assert store is not None
         book = store.codebook
         assert book is not None
         layout = _VariantLayout.of(atom, spec)
@@ -843,29 +661,6 @@ class ForwardReducer:
         ).astype(COUNT_DTYPE)
         return ColumnBlock(unique_rows, kinds, book), counts
 
-    def transform_tuple(
-        self, atom: Atom, spec: _VariantSpec, t: tuple, tuple_id: int
-    ) -> set[tuple]:
-        """The rows one input tuple contributes to one variant — the
-        per-tuple transform shared with the delta-patching path (see
-        the module-level :func:`transform_tuple`)."""
-        return transform_tuple(
-            atom, spec, t, self.trees, self.k, tuple_id, store=self.store
-        )
-
-    def _encodings(
-        self, x: str, value: Interval, i: int, nonempty_last: bool
-    ) -> Sequence[tuple[str, ...]]:
-        """All ``(X1..Xi)`` bitstring tuples for one interval value:
-        CP-variant splits for ``i < k``, leaf-variant splits for
-        ``i = k`` (Definition 4.9) — served from the encoding store
-        unless this is a reference-path reducer."""
-        if self.store is not None:
-            return self.store.interval_encodings(x, value, i, nonempty_last)
-        return _interval_encodings(
-            self.trees[x], self.k[x], value, i, nonempty_last
-        )
-
     # ------------------------------------------------------------------
     # full reduction
     # ------------------------------------------------------------------
@@ -883,16 +678,7 @@ class ForwardReducer:
                     continue
                 seen.add(atom.relation)
                 _, spec = self.encoded_atom(original, positions)
-                if spec.parts:
-                    database.add(self.variant_relation(original, spec))
-                else:
-                    database.add(
-                        Relation(
-                            atom.relation,
-                            original.variable_names,
-                            self.db[original.relation].tuples,
-                        )
-                    )
+                database.add(self.variant_relation(original, spec))
         tuple_order = {
             atom.label: self.relation_order(atom.relation)
             for atom in self.query.atoms
@@ -918,11 +704,6 @@ def forward_reduce(
     db: Database,
     disjoint: bool = False,
     provenance: bool = False,
-    reference: bool = False,
 ) -> ForwardReductionResult:
-    """Full forward reduction of an IJ/EIJ query and database.
-
-    ``reference=True`` runs the retained naive per-tuple path (no
-    encoding memo, no code arrays) — the differential oracle; its
-    output is bit-identical to the default builder's."""
-    return ForwardReducer(query, db, disjoint, provenance, reference).reduce()
+    """Full forward reduction of an IJ/EIJ query and database."""
+    return ForwardReducer(query, db, disjoint, provenance).reduce()

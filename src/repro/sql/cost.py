@@ -5,9 +5,8 @@ Carmeli–Kröll per-disjunct view of UCQs): the optimizer combines
 
 * **cardinality/selectivity statistics** — per-relation sizes and
   per-column distinct counts via
-  :func:`repro.engine.statistics.distinct_count` (columnar relations
-  answer from their code arrays), discounted by pushed-down scan
-  filters, and
+  :func:`repro.engine.statistics.distinct_count`, discounted by
+  pushed-down scan filters, and
 * **the paper's width measures** — ``ijw``/``subw``/``fhtw`` from
   :func:`repro.widths.ij_width_report`, which bound the forward
   reduction at ``O(N^ijw polylog N)`` and decide whether the reduced EJ
@@ -35,27 +34,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.engine.columnar_eval import kernels_enabled
 from repro.engine.relation import Database
 from repro.engine.statistics import StatsCache, distinct_count
 from repro.queries import Query
 
-from .ast import HEAD_COUNT, HEAD_EXISTS
+from .ast import HEAD_EXISTS
 from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef, compile_sql
 
 #: Constant factor charged to the reduction pipeline: it pays for
 #: segment-tree construction, variant expansion and per-disjunct EJ
 #: evaluation before its asymptotics win.
 REDUCTION_OVERHEAD = 24.0
-
-#: Divisor applied to the reduction's evaluation constant for COUNT(*)
-#: heads that will run the vectorized counting DP
-#: (:func:`repro.engine.columnar_eval.columnar_yannakakis_count`)
-#: instead of the dict-of-tuples DP: when the plan's relations are
-#: columnar, each join-tree message is one array group-by rather than a
-#: Python loop over tuples, and measured per-disjunct evaluation
-#: constants drop accordingly (see ``bench_columnar_eval``).
-COLUMNAR_COUNT_SPEEDUP = 6.0
 
 #: Brute-force budget mirroring :mod:`repro.core.planner`.
 DEFAULT_NAIVE_BUDGET = 20_000.0
@@ -79,22 +68,6 @@ class DisjunctPlan:
     estimated_rows: float
     filters: tuple[str, ...] = field(default_factory=tuple)
     residuals: tuple[str, ...] = field(default_factory=tuple)
-    #: every table of this disjunct is columnar (and the kernels are
-    #: on), so the evaluation tier runs on code arrays
-    columnar: bool = False
-
-
-def _tables_columnar(disjunct: CompiledDisjunct, db: Database) -> bool:
-    """True when every relation the disjunct scans still holds its
-    column block — the precondition for the columnar evaluation
-    kernels (and for the vectorized reduction keeping the whole
-    pipeline tuple-free)."""
-    if not kernels_enabled():
-        return False
-    return all(
-        db[relation].columnar is not None
-        for relation, _ in disjunct.tables.values()
-    )
 
 
 def lowered_text(query: Query) -> str:
@@ -208,7 +181,6 @@ def plan_disjunct(
     ej_method = "yannakakis" if report.max_fhtw <= 1.0 else "generic"
     rows = _estimated_rows(disjunct, db, sizes, cache)
     log_n = math.log2(total + 2.0)
-    columnar = _tables_columnar(disjunct, db)
 
     if disjunct.residuals:
         candidates = {"filtered": brute}
@@ -228,18 +200,13 @@ def plan_disjunct(
             estimated_rows=rows,
             filters=_filter_texts(disjunct),
             residuals=tuple(r.unparse() for r in disjunct.residuals),
-            columnar=columnar,
         )
 
     candidates: dict[str, float] = {"naive": brute}
     if disjunct.select.head == HEAD_EXISTS and single_shared_interval_variable(query):
         candidates["sweep"] = total * log_n + total
-    reduction_overhead = REDUCTION_OVERHEAD
-    if columnar and disjunct.select.head == HEAD_COUNT:
-        # COUNT(*) over columnar tables runs the vectorized counting DP
-        reduction_overhead /= COLUMNAR_COUNT_SPEEDUP
     candidates["reduction"] = (
-        reduction_overhead
+        REDUCTION_OVERHEAD
         * max(widths["ej_disjuncts"], 1.0)
         * (max(total, 2.0) ** max(widths["ijw"], 1.0))
         * log_n**2
@@ -269,8 +236,6 @@ def plan_disjunct(
             f"{int(widths['ej_disjuncts'])} EJ disjunct(s) via {ej_method} "
             f"(max fhtw {widths['max_fhtw']:.1f})"
         )
-        if columnar and disjunct.select.head == HEAD_COUNT:
-            reason += "; COUNT priced for the vectorized counting DP"
     return DisjunctPlan(
         strategy=strategy,
         ej_method=ej_method,
@@ -282,7 +247,6 @@ def plan_disjunct(
         estimated_rows=rows,
         filters=_filter_texts(disjunct),
         residuals=(),
-        columnar=columnar,
     )
 
 
@@ -317,7 +281,6 @@ def explain_program(
                 "widths": dict(plan.widths),
                 "input_size": plan.input_size,
                 "estimated_rows": plan.estimated_rows,
-                "columnar": plan.columnar,
                 "scan_filters": list(plan.filters),
                 "residuals": list(plan.residuals),
                 "reason": plan.reason,
@@ -347,8 +310,7 @@ def render_explain(data: dict) -> str:
         )
         lines.append(
             f"   input size: {d['input_size']:.0f}   "
-            f"est. rows: {d['estimated_rows']:.1f}   "
-            f"columnar: {'yes' if d.get('columnar') else 'no'}"
+            f"est. rows: {d['estimated_rows']:.1f}"
         )
         if d["scan_filters"]:
             lines.append(f"   scan filters: {', '.join(d['scan_filters'])}")

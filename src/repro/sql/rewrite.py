@@ -231,9 +231,8 @@ class _SchemaRegistry:
         return order.index(ref.column)
 
     def _sample_kind(self, relation: str, index: int) -> Optional[str]:
-        # sample_tuple decodes a single row of a columnar relation: a
-        # .tuples touch here would materialize the whole set and drop
-        # the column block the evaluation kernels run on
+        # sample_tuple decodes a single row of a block-backed relation
+        # instead of its whole tuple set
         sample = self.db[relation].sample_tuple()  # type: ignore[union-attr]
         if sample is None:
             return None

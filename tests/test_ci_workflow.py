@@ -64,10 +64,18 @@ class TestWorkflow:
         ]
         assert len(fuzz_steps) == 1
         assert "REPRO_FUZZ_SEED" in fuzz_steps[0].get("env", {})
-        # the array-native delta-patch differentials ride the same matrix
-        assert "tests/test_delta_maintenance.py" in fuzz_steps[0]["run"]
-        # ... and so do the columnar bag-kernel differentials
-        assert "tests/test_columnar_bags.py" in fuzz_steps[0]["run"]
+        # the explicit file list: the cache fuzz, the array-native
+        # delta-patch differentials, the columnar bag-kernel
+        # differentials and the point-only / wide-key / big-count
+        # regressions all ride the same matrix
+        assert [
+            word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
+        ] == [
+            "tests/test_differential_cache.py",
+            "tests/test_delta_maintenance.py",
+            "tests/test_columnar_bags.py",
+            "tests/test_one_engine.py",
+        ]
 
     def test_lint_job_runs_ruff(self, workflow):
         steps = workflow["jobs"]["lint"]["steps"]

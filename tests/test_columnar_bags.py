@@ -1,31 +1,32 @@
-"""Differential and structural pins for the columnar bag kernel
+"""Differential and structural pins for the bag kernel
 (:func:`repro.engine.columnar_eval.columnar_materialise_bags`).
 
 Cyclic EJ disjuncts are evaluated through a tree decomposition
 (Appendix A.2.1): materialise every bag with a worst-case optimal join,
 then Yannakakis over the bags.  The kernel does the first phase on code
-arrays; the tuple body of :func:`repro.engine.decomposition.materialise_bags`
-stays as its oracle.  Pinned here:
+arrays; the tuple ``materialise_bags`` of ``tests/oracles`` is its
+oracle.  Pinned here:
 
 * per cyclic disjunct of ``triangle_ij``, ``cycle_ij(4)``,
   ``loomis_whitney4_ij`` and ``clique4_ij`` — plain and
   disjoint + provenance; on a fresh reduction, on a v5 cache entry
   loaded as a read-only memmap (asserted unmodified on disk) and after
-  an ``apply_delta`` insert/delete pair — every columnar bag decodes to
-  exactly the tuple path's bag, its rows are distinct, and
-  ``evaluate_ej`` / ``count_ej`` / ``evaluate_ej_full`` agree with
-  ``use_columnar_kernels(False)`` on an independently built twin (tuple
-  oracles materialize relations, so each side owns its artifact);
+  an ``apply_delta`` insert/delete pair — every bag decodes to exactly
+  the oracle's bag, its rows are distinct, and ``evaluate_ej`` /
+  ``count_ej`` / ``evaluate_ej_full`` agree with the oracle dispatch
+  over the same artifact;
 * the triangle and the 4-cycle are small enough to evaluate every
   disjunct, so their disjunctions are also checked against the naive
   oracle.  The two 4-variable queries reduce to 1296 disjuncts of
   pairwise different shape (one fhtw search each), so a seeded sample
-  of their disjuncts is compared kernel-vs-tuple only;
-* the kernel **engages**: evaluation leaves every source relation
-  columnar;
-* every fallback exit returns ``None`` *with its reason* and the
-  dispatch still answers through the tuple tier; the uncovered-vertex
-  ``ValueError`` is raised by both paths;
+  of their disjuncts is compared kernel-vs-oracle only;
+* evaluation — the oracles' tuple reads included — leaves every source
+  relation block-backed;
+* inputs that are not comparable as they stand (row-backed relations,
+  two codebooks, a variable with two column kinds) and rows wider than
+  62 bits are answered by the kernel itself, with the oracle's answer;
+  the uncovered-vertex ``ValueError`` is raised by kernel and oracle
+  alike;
 * the per-row pivot keeps the frontier within the AGM bound on a
   skewed triangle where any pairwise plan is quadratic.
 
@@ -37,21 +38,15 @@ import random
 
 import numpy as np
 import pytest
+from oracles import ej as oracle
 from test_delta_maintenance import _in_domain_tuple
 
 from repro.core import QuerySession, naive_count, naive_evaluate
 from repro.core.cache_format import load_result, serialize_result
 from repro.core.reduction_cache import FORMAT_VERSION
-from repro.engine import columnar_eval, use_columnar_kernels
-from repro.engine.columnar_eval import (
-    BAG_FALLBACK_REASONS,
-    columnar_materialise_bags,
-    record_bag_fallbacks,
-)
-from repro.engine.decomposition import (
-    count_with_decomposition,
-    materialise_bags,
-)
+from repro.engine import columnar_eval
+from repro.engine.columnar_eval import columnar_materialise_bags
+from repro.engine.decomposition import count_with_decomposition
 from repro.engine.ej import (
     count_ej,
     evaluate_ej,
@@ -145,24 +140,21 @@ def _mutation_pair(rng, query, db, result, mode):
     return deltas, mutated
 
 
-def _twins(query, db, mode, state, tmp_path, rng):
-    """Two identical, independent artifacts in ``state`` (kernel side,
-    oracle side), the source database they now describe, and the cache
-    entry path when there is one."""
-    sides = [_reduce(query, db, mode) for _ in range(2)]
+def _artifact(query, db, mode, state, tmp_path, rng):
+    """A reduction artifact in ``state``, the source database it now
+    describes, and the cache entry path when there is one."""
+    result = _reduce(query, db, mode)
     path = None
     if state == "cache":
         path = tmp_path / "entry.red"
-        path.write_bytes(serialize_result(sides[0], FORMAT_VERSION))
-        sides = [load_result(path, FORMAT_VERSION) for _ in range(2)]
-        assert all(side is not None for side in sides)
+        path.write_bytes(serialize_result(result, FORMAT_VERSION))
+        result = load_result(path, FORMAT_VERSION)
+        assert result is not None
     elif state == "patched":
-        deltas, db = _mutation_pair(rng, query, db, sides[0], mode)
-        for side in sides:
-            for delta in deltas:
-                # the kernel side must still be columnar afterwards
-                assert side.apply_delta(delta) == {}
-    return sides[0], sides[1], db, path
+        deltas, db = _mutation_pair(rng, query, db, result, mode)
+        for delta in deltas:
+            result.apply_delta(delta)
+    return result, db, path
 
 
 def _cyclic(result, limit, rng):
@@ -192,30 +184,27 @@ def test_bags_and_answers_match_the_tuple_path(
     seed = _seed(index)
     rng = random.Random(seed)
     db = random_database(query, n, seed=seed, domain=spread * n)
-    kernel, oracle, db, path = _twins(query, db, mode, state, tmp_path, rng)
+    result, db, path = _artifact(query, db, mode, state, tmp_path, rng)
     on_disk = path.read_bytes() if path is not None else None
     context = (name, mode, state, seed)
 
     booleans, counts = [], []
-    for i in _cyclic(kernel, limit, rng):
-        ej_k, ej_o = kernel.ej_queries[i], oracle.ej_queries[i]
-        td = optimal_decomposition(ej_k.hypergraph())
-        fast = columnar_materialise_bags(
-            join_atoms_for(ej_k, kernel.database), td
-        )
-        assert fast is not None, context
+    for i in _cyclic(result, limit, rng):
+        ej = result.ej_queries[i]
+        td = optimal_decomposition(ej.hypergraph())
+        atoms = join_atoms_for(ej, result.database)
+        fast = columnar_materialise_bags(atoms, td)
+        slow = oracle.materialise_bags(atoms, td)
         got = (
-            evaluate_ej(ej_k, kernel.database),
-            count_ej(ej_k, kernel.database),
-            evaluate_ej_full(ej_k, kernel.database),
+            evaluate_ej(ej, result.database),
+            count_ej(ej, result.database),
+            evaluate_ej_full(ej, result.database),
         )
-        with use_columnar_kernels(False):
-            slow = materialise_bags(join_atoms_for(ej_o, oracle.database), td)
-            want = (
-                evaluate_ej(ej_o, oracle.database),
-                count_ej(ej_o, oracle.database),
-                evaluate_ej_full(ej_o, oracle.database),
-            )
+        want = (
+            oracle.evaluate_ej(ej, result.database),
+            oracle.count_ej(ej, result.database),
+            oracle.evaluate_ej_full(ej, result.database),
+        )
         assert len(fast) == len(slow) == len(td.bags)
         for bag, reference in zip(fast, slow):
             assert (bag.name, bag.schema) == (reference.name, reference.schema)
@@ -225,20 +214,21 @@ def test_bags_and_answers_match_the_tuple_path(
             assert codes.dtype == CODE_DTYPE
             assert len(np.unique(codes, axis=0)) == len(codes), context
             assert set(block.rows()) == reference.tuples, (context, bag.name)
-        assert got[:2] == want[:2], (context, ej_k.name)
+        assert got[:2] == want[:2], (context, ej.name)
         assert got[0] == (got[1] > 0)
         assert got[2].schema == want[2].schema
-        assert got[2].tuples == want[2].tuples, (context, ej_k.name)
+        assert got[2].tuples == want[2].tuples, (context, ej.name)
         booleans.append(got[0])
         counts.append(got[1])
 
-    # the kernel engaged: nothing on its side ever decoded a source row
-    _assert_all_columnar(kernel)
+    # nothing — the oracles' tuple reads included — cost a relation
+    # its block
+    _assert_all_columnar(result)
     if on_disk is not None:
         assert path.read_bytes() == on_disk
     if limit is None:
         # every disjunct of these reductions is cyclic
-        assert len(booleans) == len(kernel.ej_queries)
+        assert len(booleans) == len(result.ej_queries)
         assert any(booleans) == naive_evaluate(query, db), context
         if mode == "disjoint":
             assert sum(counts) == naive_count(query, db), context
@@ -258,11 +248,10 @@ def test_session_evaluation_leaves_cyclic_reductions_columnar():
     assert len(stores) == 2
     for result, _ in stores:
         _assert_all_columnar(result)
-    assert not any(session.stats.bag_fallbacks.values())
 
 
 # ----------------------------------------------------------------------
-# fallbacks: None, with the reason, and the tuple answer
+# the door: inputs that are not comparable as they stand
 # ----------------------------------------------------------------------
 
 
@@ -273,8 +262,8 @@ def _relation(name, schema, rows, kinds, book):
 
 def _triangle_atoms(book, kinds=None, scale=1):
     """A small hand-built triangle over ``book`` whose codes decode to
-    themselves, so code columns and verbatim id columns hold comparable
-    values on the tuple path."""
+    themselves, so code columns and verbatim id columns decode to
+    comparable values."""
     kinds = kinds or {}
     edges = {
         "R": ("A", "B"),
@@ -303,113 +292,79 @@ def _identity_book(size=4):
     return CodeBook(range(size))
 
 
-def _fallback_reason(atoms, td=ONE_BAG):
-    counts = dict.fromkeys(BAG_FALLBACK_REASONS, 0)
-    with record_bag_fallbacks(counts):
-        assert columnar_materialise_bags(atoms, td) is None
-    (reason,) = [r for r, hits in counts.items() if hits]
-    assert counts[reason] == 1
-    return reason
-
-
-def _tuple_count(atoms, td=ONE_BAG):
-    with use_columnar_kernels(False):
-        return count_with_decomposition(atoms, td)
-
-
-def test_engaged_kernel_records_no_fallback():
-    atoms = _triangle_atoms(_identity_book())
-    counts = dict.fromkeys(BAG_FALLBACK_REASONS, 0)
-    with record_bag_fallbacks(counts):
-        assert columnar_materialise_bags(atoms, ONE_BAG) is not None
-    assert not any(counts.values())
-    assert count_with_decomposition(atoms, ONE_BAG) == _tuple_count(
-        _triangle_atoms(_identity_book())
-    )
-
-
-def test_fallback_materialised_relation():
-    atoms = _triangle_atoms(_identity_book())
-    atoms[1].relation.tuples  # a tuple-tier consumer dropped the block
-    assert _fallback_reason(atoms) == "not_columnar"
-    assert count_with_decomposition(atoms, ONE_BAG) == _tuple_count(
-        _triangle_atoms(_identity_book())
-    )
-
-
-def test_fallback_two_codebooks():
+def _two_codebooks():
     atoms = _triangle_atoms(_identity_book())
     atoms[2] = _triangle_atoms(_identity_book())[2]
-    assert _fallback_reason(atoms) == "mixed_codebooks"
-    assert count_with_decomposition(atoms, ONE_BAG) == _tuple_count(
-        _triangle_atoms(_identity_book())
-    )
+    return atoms
 
 
-def test_fallback_variable_with_two_kinds():
-    kinds = {"S": (COL_ID, COL_CODE)}  # B: a code in R, an id in S
-    atoms = _triangle_atoms(_identity_book(), kinds)
-    assert _fallback_reason(atoms) == "mixed_kinds"
-    assert count_with_decomposition(atoms, ONE_BAG) == _tuple_count(
-        _triangle_atoms(_identity_book())
-    )
+def _row_backed():
+    return [
+        JoinAtom(Relation(a.relation.name, a.variables, a.relation.tuples))
+        for a in _triangle_atoms(_identity_book())
+    ]
 
 
-def test_fallback_keys_beyond_62_bits():
+#: inputs whose raw cells must not be compared across atoms as they are
+INCOMPARABLE = {
+    "row_backed": _row_backed,
+    "one_row_backed": lambda: _triangle_atoms(_identity_book())[:2]
+    + _row_backed()[2:],
+    "two_codebooks": _two_codebooks,
+    # B: a code in R, a verbatim id in S
+    "two_kinds": lambda: _triangle_atoms(
+        _identity_book(), {"S": (COL_ID, COL_CODE)}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCOMPARABLE))
+def test_incomparable_inputs_are_re_encoded_at_the_door(case):
+    atoms = INCOMPARABLE[case]()
+    blocks = [atom.relation.columnar for atom in atoms]
+    (bag,) = columnar_materialise_bags(atoms, ONE_BAG)
+    (reference,) = oracle.materialise_bags(atoms, ONE_BAG)
+    assert bag.columnar is not None
+    assert bag.tuples == reference.tuples
+    assert count_with_decomposition(
+        atoms, ONE_BAG
+    ) == oracle.count_with_decomposition(atoms, ONE_BAG)
+    # the inputs are left as they were
+    assert [atom.relation.columnar for atom in atoms] == blocks
+
+
+def test_keys_beyond_62_bits_stay_in_the_kernel():
     # verbatim ids up to 3 * 2**29: two of them pack into 62 bits, the
     # three columns of the 3-ary atom below do not
     ids = (COL_ID, COL_ID)
     kinds = {"R": ids, "S": ids, "T": ids}
     scale = 1 << 29
     book = CodeBook()
-
-    def atoms():
-        wide = _relation(
-            "U",
-            ("A", "B", "C"),
-            [(0, scale, 2 * scale), (scale, scale, scale)],
-            (COL_ID,) * 3,
-            book,
-        )
-        return _triangle_atoms(book, kinds, scale) + [JoinAtom(wide)]
-
-    assert columnar_materialise_bags(atoms()[:3], ONE_BAG) is not None
-    assert _fallback_reason(atoms()) == "key_overflow"
-    assert count_with_decomposition(atoms(), ONE_BAG) == _tuple_count(atoms())
-
-
-def test_fallback_kernels_off():
-    atoms = _triangle_atoms(_identity_book())
-    with use_columnar_kernels(False):
-        assert _fallback_reason(atoms) == "kernels_off"
-        bags = materialise_bags(atoms, ONE_BAG)
-    assert [bag.columnar for bag in bags] == [None]
-
-
-def test_session_counts_bag_fallbacks_by_reason():
-    query = triangle_ij()
-    db = random_database(query, 8, seed=_seed(8), domain=24)
-    session = QuerySession(db)
-    with use_columnar_kernels(False):
-        assert session.evaluate(query, strategy="reduction") == (
-            naive_evaluate(query, db)
-        )
-    stats = session.stats.as_dict()
-    assert {f"bag_fallback_{r}" for r in BAG_FALLBACK_REASONS} <= set(stats)
-    assert all(isinstance(value, int) for value in stats.values())
-    assert stats["bag_fallback_kernels_off"] > 0
-    assert sum(session.stats.bag_fallbacks.values()) == (
-        stats["bag_fallback_kernels_off"]
+    wide = _relation(
+        "U",
+        ("A", "B", "C"),
+        [(0, scale, 2 * scale), (scale, scale, scale)],
+        (COL_ID,) * 3,
+        book,
     )
+    atoms = _triangle_atoms(book, kinds, scale) + [JoinAtom(wide)]
+    (bag,) = columnar_materialise_bags(atoms, ONE_BAG)
+    (reference,) = oracle.materialise_bags(atoms, ONE_BAG)
+    assert bag.tuples == reference.tuples
+    assert len(bag) == 2
+    assert bag.columnar.book is book
+    assert count_with_decomposition(atoms, ONE_BAG) == 2
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_uncovered_bag_vertex_raises_on_both_paths(enabled):
+@pytest.mark.parametrize("engine", [True, False])
+def test_uncovered_bag_vertex_raises_on_both_paths(engine):
     atoms = _triangle_atoms(_identity_book())
     td = TreeDecomposition([frozenset("ABC"), frozenset("CZ")], [(0, 1)])
-    with use_columnar_kernels(enabled):
-        with pytest.raises(ValueError, match="covered by no atom"):
-            materialise_bags(atoms, td)
+    materialise = (
+        columnar_materialise_bags if engine else oracle.materialise_bags
+    )
+    with pytest.raises(ValueError, match="covered by no atom"):
+        materialise(atoms, td)
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +408,6 @@ def test_frontier_stays_within_the_agm_bound_on_skew(monkeypatch):
     # linear in the input (a pairwise plan expands 10_000 / 40_000 rows)
     assert small <= 4 * 100 + 4
     assert large <= 4 * 200 + 4
-    with use_columnar_kernels(False):
-        (reference,) = materialise_bags(_skewed_triangle(20), ONE_BAG)
+    (reference,) = oracle.materialise_bags(_skewed_triangle(20), ONE_BAG)
     (bag,) = columnar_materialise_bags(_skewed_triangle(20), ONE_BAG)
     assert set(bag.columnar.rows()) == reference.tuples

@@ -12,8 +12,9 @@ Covers the whole stack, bottom-up:
   differentially against a fresh reduction;
 * the array-native patch path — columnar variants are patched on their
   code matrices and refcount arrays (copy-on-write), pinned on the
-  ``REPRO_FUZZ_SEED`` matrix against a ``reference=True`` twin and a
-  fresh reduction, through re-persist and memmap loads;
+  ``REPRO_FUZZ_SEED`` matrix against the dict/set row patcher of
+  ``tests/oracles`` and a fresh reduction, through re-persist and
+  memmap loads;
 * the :class:`~repro.core.session.QuerySession` integration — in-domain
   deltas patch cached reductions in place (``stats.delta_patches``),
   everything else falls back to the digest-diff rebuild;
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.reduction import apply_delta_rows, naive_forward_reduce
 from test_differential_cache import (
     SCENARIOS,
     _patchable_deltas,
@@ -59,15 +61,7 @@ from repro.reduction import (
     forward_reduce,
     forward_reduce_factored,
 )
-from repro.reduction import columnar as columnar_module
-from repro.reduction.columnar import (
-    CODE_DTYPE,
-    COL_CODE,
-    COUNT_DTYPE,
-    CodeBook,
-    ColumnarCounts,
-    ColumnBlock,
-)
+from repro.reduction.columnar import CODE_DTYPE, ColumnarCounts
 from repro.reduction.forward import transform_tuple_codes
 from repro.workloads import random_database
 
@@ -294,7 +288,7 @@ class TestApplyDelta:
         result.apply_delta(db.delete("R", (iv(0, 1),)))
         for name, row in shared:
             assert row in result.database[name].tuples, (name, row)
-            assert result.variant_counts[name][row] == 1
+            assert dict(result.variant_counts[name].items())[row] == 1
         assert evaluate_disjunction(result) == naive_evaluate(q, db)
         # deleting the second tuple finally clears the shared rows
         result.apply_delta(db.delete("R", (iv(0, 3),)))
@@ -383,10 +377,9 @@ class TestApplyDelta:
 
 
 def _variant_view(result, by_source_tuple=False):
-    """variant name -> {derived row: refcount}, read without
-    materializing anything (a ``.tuples`` touch would drop the column
-    block and push later patches onto the row path).  Also checks the
-    relation's stored rows are exactly the refcounted rows.  With
+    """variant name -> {derived row: refcount}, for an array artifact
+    or a row-backed oracle result alike.  Also checks the relation's
+    stored rows are exactly the refcounted rows.  With
     ``by_source_tuple`` a trailing provenance id is replaced by the
     source tuple it names, so artifacts that number tuples differently
     compare equal."""
@@ -410,14 +403,16 @@ def _variant_view(result, by_source_tuple=False):
 
 
 def _assert_columnar(result):
-    """Every interval variant still holds its block, its refcounts are
-    still the array parallel to that very block, and the rows are still
-    distinct and sorted (the invariant the next patch searches by)."""
+    """Every relation still holds its block over the artifact's one
+    codebook, its refcounts are still the array parallel to that very
+    block, and the rows are still distinct and sorted (the invariant
+    the next patch searches by)."""
+    assert set(result.variant_counts) == set(result.database.relation_names)
     for name, counts in result.variant_counts.items():
         block = result.database[name].columnar
         assert block is not None, name
+        assert block.book is result.encoding_store.codebook, name
         assert isinstance(counts, ColumnarCounts), name
-        assert not counts.materialized, name
         assert counts.block is block, name
         assert counts.array.shape == (block.row_count,), name
         assert (np.asarray(counts.array) > 0).all(), name
@@ -453,8 +448,10 @@ class TestArrayNativePatch:
     @pytest.mark.parametrize("index", range(SCENARIOS))
     def test_fuzz_sequences_match_reference_and_fresh(self, index):
         """(a) + (b) on the fuzz-seed matrix: the same insert/delete
-        sequence on a columnar artifact and on its ``reference=True``
-        twin gives the same rows and refcounts per variant, and — while
+        sequence patched into an artifact's arrays and into the naive
+        reduction's rows (``oracles.reduction``: per-tuple transform,
+        dict/set patcher) gives the same rows and refcounts per
+        variant after every delta, and — while
         the endpoint domains still equal a fresh reduction's — the same
         as reducing the mutated database from scratch.  Every variant
         stays columnar through every patch and through a
@@ -467,8 +464,8 @@ class TestArrayNativePatch:
         for query in queries:
             for disjoint, provenance in ((False, False), (True, True)):
                 columnar = forward_reduce(query, db, disjoint, provenance)
-                reference = forward_reduce(
-                    query, db, disjoint, provenance, reference=True
+                reference = naive_forward_reduce(
+                    query, db, disjoint, provenance
                 )
                 mutated = db.clone()
                 # two rounds: the second re-inserts what the first
@@ -487,10 +484,10 @@ class TestArrayNativePatch:
                 ]
                 for delta in deltas + undo:
                     try:
-                        reference.apply_delta(delta)
+                        apply_delta_rows(reference, delta)
                     except DomainChanged:
                         continue
-                    assert columnar.apply_delta(delta) == {}, delta
+                    columnar.apply_delta(delta)
                     mutated.apply_delta(delta)
                     patched_any = True
                     _assert_columnar(columnar)
@@ -551,7 +548,7 @@ class TestArrayNativePatch:
         result.apply_delta(db.insert("R", (iv(0, 1),)))
         _assert_columnar(result)
         assert _variant_view(result) == _variant_view(
-            forward_reduce(q, db, reference=True)
+            naive_forward_reduce(q, db)
         )
         assert evaluate_disjunction(result) == naive_evaluate(q, db)
 
@@ -575,9 +572,7 @@ class TestArrayNativePatch:
             ]
         )
         columnar = forward_reduce(q, db, provenance, provenance)
-        reference = forward_reduce(
-            q, db, provenance, provenance, reference=True
-        )
+        reference = naive_forward_reduce(q, db, provenance, provenance)
         assert columnar.tuple_order["R"] is columnar.tuple_order["R#2"]
         before = len(columnar.tuple_order["R"])
         inserted = []
@@ -594,16 +589,16 @@ class TestArrayNativePatch:
             if delta is None:
                 continue
             inserted.append(t)
-            reference.apply_delta(delta)
-            assert columnar.apply_delta(delta) == {}
+            apply_delta_rows(reference, delta)
+            columnar.apply_delta(delta)
             _assert_columnar(columnar)
             assert _variant_view(columnar) == _variant_view(reference)
         assert len(columnar.tuple_order["R"]) == before + len(inserted)
         victims = inserted[:1] + sorted(db["R"].tuples - set(inserted), key=repr)[:2]
         for t in victims:
             delta = db.delete("R", t)
-            reference.apply_delta(delta)
-            assert columnar.apply_delta(delta) == {}
+            apply_delta_rows(reference, delta)
+            columnar.apply_delta(delta)
             _assert_columnar(columnar)
             assert _variant_view(columnar) == _variant_view(reference)
             assert evaluate_disjunction(columnar) == naive_evaluate(q, db)
@@ -619,14 +614,14 @@ class TestArrayNativePatch:
             ]
         )
         columnar = forward_reduce(q, db)
-        reference = forward_reduce(q, db, reference=True)
+        reference = naive_forward_reduce(q, db)
         book = columnar.encoding_store.codebook
         size = len(book)
         assert book.lookup(99) is None
         for name in ("R", "S"):
             delta = db.insert(name, (iv(0, 3), 99))
-            reference.apply_delta(delta)
-            assert columnar.apply_delta(delta) == {}
+            apply_delta_rows(reference, delta)
+            columnar.apply_delta(delta)
         assert len(book) > size and book.lookup(99) is not None
         _assert_columnar(columnar)
         assert _variant_view(columnar) == _variant_view(reference)
@@ -661,14 +656,14 @@ class TestArrayNativePatch:
             result = deserialize_bytes(
                 serialize_result(result, FORMAT_VERSION)
             )
-        reference = forward_reduce(q, db, reference=True)
+        reference = naive_forward_reduce(q, db)
         book = result.encoding_store.codebook
         size = len(book)
         for name in ("R", "S", "T", "S", "R"):
             victim = sorted(db[name].tuples, key=repr)[0]
             delta = db.delete(name, victim)
-            reference.apply_delta(delta)
-            assert result.apply_delta(delta) == {}
+            apply_delta_rows(reference, delta)
+            result.apply_delta(delta)
             assert len(book) == size, (name, victim)
             assert _variant_view(result) == _variant_view(reference)
         _assert_columnar(result)
@@ -700,7 +695,7 @@ class TestArrayNativePatch:
             t = _in_domain_tuple(result, name, rng)
             delta = db.insert(name, t)
             if delta is not None:
-                assert result.apply_delta(delta) == {}
+                result.apply_delta(delta)
         fresh = forward_reduce(q, db)
         assert _same_domains(fresh, result)
         patched_frame = serialize_result(result, FORMAT_VERSION)
@@ -727,7 +722,7 @@ class TestArrayNativePatch:
         for counts in loaded.variant_counts.values():
             assert not counts.array.flags.writeable
             assert not counts.block.codes.flags.writeable
-        reference = forward_reduce(q, db, reference=True)
+        reference = naive_forward_reduce(q, db)
         inserted = []
         for name in ("R", "S", "T", "R"):
             t = _in_domain_tuple(loaded, name, rng)
@@ -735,16 +730,16 @@ class TestArrayNativePatch:
             if delta is None:
                 continue
             inserted.append((name, t))
-            reference.apply_delta(delta)
-            assert loaded.apply_delta(delta) == {}
+            apply_delta_rows(reference, delta)
+            loaded.apply_delta(delta)
         for name, t in inserted[:2]:
             delta = db.delete(name, t)
-            reference.apply_delta(delta)
-            assert loaded.apply_delta(delta) == {}
+            apply_delta_rows(reference, delta)
+            loaded.apply_delta(delta)
         victim = sorted(db["S"].tuples, key=repr)[0]
         delta = db.delete("S", victim)
-        reference.apply_delta(delta)
-        assert loaded.apply_delta(delta) == {}
+        apply_delta_rows(reference, delta)
+        loaded.apply_delta(delta)
         _assert_columnar(loaded)
         patched = _variant_view(loaded)
         assert patched == _variant_view(reference)
@@ -761,56 +756,6 @@ class TestArrayNativePatch:
         assert _variant_view(reloaded) == patched
         assert reloaded.tuple_order == loaded.tuple_order
         assert evaluate_disjunction(reloaded) == naive_evaluate(q, db)
-
-    def test_row_backed_variants_patch_as_rows_and_are_counted(self):
-        """Dispatch is by the representation a variant is in: a
-        ``reference=True`` artifact and a relation some tuple-tier
-        consumer materialized both take the dict/set body, reported
-        per variant under ``row_backed``."""
-        rng = random.Random(2)
-        q = parse_query(TRIANGLE)
-        db = _random_db(q, rng, n=10)
-        columnar = forward_reduce(q, db)
-        reference = forward_reduce(q, db, reference=True)
-        touched = next(iter(columnar.atom_variants["R"])).name()
-        columnar.database[touched].tuples  # materializes: block dropped
-        delta = db.insert("R", _in_domain_tuple(columnar, "R", rng))
-        assert columnar.apply_delta(delta) == {"row_backed": 1}
-        assert reference.apply_delta(delta) == {
-            "row_backed": len(reference.atom_variants["R"])
-        }
-        assert _variant_view(columnar) == _variant_view(reference)
-        for name in columnar.variant_counts:
-            assert (columnar.database[name].columnar is None) == (
-                name == touched
-            )
-
-    def test_key_overflow_falls_back_to_rows(self, monkeypatch):
-        """Rows too wide for one 64-bit key: ``adjust`` declines without
-        changing anything and the variant is patched as rows."""
-        book = CodeBook()
-        codes = np.array([[7, 2**31, 2**31, 2**31]], dtype=CODE_DTYPE)
-        counts = ColumnarCounts(
-            ColumnBlock(codes, (COL_CODE,) * 4, book),
-            np.ones(1, dtype=COUNT_DTYPE),
-        )
-        assert counts.adjust(codes.copy(), 1) is False
-        assert counts.block.codes is codes and counts.array.tolist() == [1]
-
-        rng = random.Random(4)
-        q = parse_query(TRIANGLE)
-        db = _random_db(q, rng, n=10)
-        columnar = forward_reduce(q, db)
-        reference = forward_reduce(q, db, reference=True)
-        delta = db.insert("R", _in_domain_tuple(columnar, "R", rng))
-        monkeypatch.setattr(
-            columnar_module, "pack_key_columns", lambda columns, radices: None
-        )
-        assert columnar.apply_delta(delta) == {
-            "key_overflow": len(columnar.atom_variants["R"])
-        }
-        reference.apply_delta(delta)
-        assert _variant_view(columnar) == _variant_view(reference)
 
     def test_replace_rows_resets_the_decoded_row_memo(self):
         """A patched block must never serve the previous matrix's
@@ -830,7 +775,7 @@ class TestArrayNativePatch:
         assert result.database[name].columnar is block
         assert len(block.rows()) > len(stale)
         assert set(block.rows()) == set(
-            forward_reduce(q, db, reference=True).database[name].tuples
+            naive_forward_reduce(q, db).database[name].tuples
         )
         with pytest.raises(ValueError):
             block.replace_rows(np.zeros((1, block.width + 1), CODE_DTYPE))
@@ -963,9 +908,8 @@ class TestSessionDeltaMaintenance:
         assert warm.stats.persistent_hits >= 1
 
     def test_patched_reduction_repersists_columnar(self, tmp_path):
-        """The write path the tentpole moves: a patch followed by the
-        session's re-persist stores blobs, and a restarted session loads
-        every interval variant columnar."""
+        """A patch followed by the session's re-persist stores blobs,
+        and a restarted session loads every variant block-backed."""
         q = parse_query("R([A],[B]) ∧ S([B],[C]) ∧ T([C],[D])")
         db = random_database(q, 30, seed=7)
         session = QuerySession(db, cache_dir=tmp_path)
@@ -976,10 +920,6 @@ class TestSessionDeltaMaintenance:
             q, db
         )
         assert session.stats.delta_patches > 0
-        assert session.stats.patch_fallbacks == {
-            "row_backed": 0,
-            "key_overflow": 0,
-        }
         warm = QuerySession(db, cache_dir=tmp_path)
         result = warm._reduction(warm._canonical(q), False, False)
         assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
@@ -999,8 +939,6 @@ class TestSessionDeltaMaintenance:
                 ) == naive_evaluate(q, db)
         assert session.stats.delta_patches > 0
         assert session.stats.reductions == 1
-        assert session.stats.patch_fallbacks["row_backed"] == 0
-        assert not any(session.stats.bag_fallbacks.values())
         warm = QuerySession(db, cache_dir=tmp_path)
         result = warm._reduction(warm._canonical(q), False, False)
         assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
@@ -1011,30 +949,6 @@ class TestSessionDeltaMaintenance:
         for entry in entries:
             kinds = _frame_kinds(entry.read_bytes())
             assert set(kinds.values()) == {"columnar"}, entry.name
-
-    def test_patch_fallbacks_are_counted_with_their_reason(self):
-        q, db, session = self.warm_session()
-        assert {
-            "patch_fallback_row_backed",
-            "patch_fallback_key_overflow",
-        } <= set(session.stats.as_dict())
-        assert all(
-            isinstance(v, int) for v in session.stats.as_dict().values()
-        )
-        result = next(iter(session._reductions.values()))[0]
-        for relation in result.database:
-            relation.tuples  # a tuple-tier consumer materialized them
-        t = self.in_domain_tuple(session, q)
-        assert db.insert("R", t) is not None
-        assert session.evaluate(q, strategy="reduction") == naive_evaluate(
-            q, db
-        )
-        stats = session.stats.as_dict()
-        atom = next(a for a in result.original.atoms if a.relation == "R")
-        assert stats["patch_fallback_row_backed"] == len(
-            result.atom_variants[atom.label]
-        )
-        assert stats["patch_fallback_key_overflow"] == 0
 
     def test_many_interleaved_api_mutations_stay_correct(self):
         rng = random.Random(13)

@@ -37,6 +37,7 @@ import os
 import random
 
 import pytest
+from oracles.reduction import apply_delta_rows, naive_forward_reduce
 
 from repro.core import (
     IntersectionJoinEngine,
@@ -315,10 +316,11 @@ def _patchable_deltas(
 def test_memoized_reduction_digest_identical_to_reference(index):
     """The reduction builder's oracle, over the same fuzz seed family as
     the engine-agreement suite: for every scenario query/database (and
-    both pipeline flag combinations) the default array builder must be
-    **digest-identical** to the reference path — and must *stay*
-    identical after the same sequence of ``apply_delta`` patches is
-    applied to both artifacts."""
+    both pipeline flag combinations) the array builder must be
+    **digest-identical** to the naive per-tuple loop
+    (``oracles.reduction``) — and must *stay* identical after the same
+    delta sequence is applied to both: ``apply_delta`` on the arrays,
+    the dict/set row patcher on the oracle's rows."""
     seed = scenario_seed(index)
     rng = random.Random(seed)
     queries = random_queries(rng)
@@ -326,9 +328,7 @@ def test_memoized_reduction_digest_identical_to_reference(index):
     patched_any = False
     for query in queries:
         for disjoint, provenance in ((False, False), (True, True)):
-            reference = forward_reduce(
-                query, db, disjoint, provenance, reference=True
-            )
+            reference = naive_forward_reduce(query, db, disjoint, provenance)
             default = forward_reduce(query, db, disjoint, provenance)
             assert result_digest(default) == result_digest(reference), (
                 seed,
@@ -341,7 +341,7 @@ def test_memoized_reduction_digest_identical_to_reference(index):
             )
             for delta in deltas:
                 try:
-                    reference.apply_delta(delta)
+                    apply_delta_rows(reference, delta)
                 except DomainChanged:
                     continue
                 patched_any = True

@@ -1,12 +1,18 @@
-"""The encoding-memoized columnar forward reduction (tentpole of the
-perf PR): the :class:`EncodingStore`, the interned ``split_tuples``
-wrapper, the columnar variant builder's bit-identity with the retained
-reference path, store reuse by the delta-patch path, persistence
-behaviour, and the session timing stats behind ``repro evaluate
---profile``.
+"""The encoding-memoized columnar forward reduction: the
+:class:`EncodingStore`, the interned ``split_tuples`` wrapper, the
+array variant builder's bit-identity with the naive per-tuple loop of
+``tests/oracles``, store reuse by the delta-patch path, and the
+session timing stats behind ``repro evaluate --profile``.
 """
 
 import random
+
+from oracles.reduction import (
+    apply_delta_rows,
+    interval_encodings,
+    naive_forward_reduce,
+    naive_forward_reduce_factored,
+)
 
 from repro.core import QuerySession
 from repro.core.reduction_cache import result_digest
@@ -72,14 +78,14 @@ class TestEncodingStore:
     def test_memoized_encodings_match_the_reference(self):
         query, db = _db(TRIANGLE)
         fast = ForwardReducer(query, db)
-        ref = ForwardReducer(query, db, reference=True)
-        assert ref.store is None
         for t in sorted(db["R"].tuples, key=repr):
             for i in (1, 2):
                 for flag in (False, True):
                     assert tuple(
-                        ref._encodings("A", t[0], i, flag)
-                    ) == fast._encodings("A", t[0], i, flag)
+                        interval_encodings(
+                            fast.trees["A"], fast.k["A"], t[0], i, flag
+                        )
+                    ) == fast.store.interval_encodings("A", t[0], i, flag)
 
     def test_reduction_reuses_one_store_across_variants(self):
         query, db = _db(TRIANGLE)
@@ -95,7 +101,7 @@ class TestEncodingStore:
 
 
 # ----------------------------------------------------------------------
-# columnar builder ≡ reference path
+# array builder ≡ naive per-tuple loop
 # ----------------------------------------------------------------------
 
 
@@ -109,22 +115,23 @@ class TestColumnarBitIdentity:
                 (False, True),
                 (True, True),
             ):
-                ref = forward_reduce(
-                    query, db, disjoint, provenance, reference=True
-                )
+                ref = naive_forward_reduce(query, db, disjoint, provenance)
                 fast = forward_reduce(query, db, disjoint, provenance)
                 assert result_digest(ref) == result_digest(fast), (
                     text,
                     disjoint,
                     provenance,
                 )
-                assert ref.variant_counts == fast.variant_counts
+                assert ref.variant_counts == {
+                    name: dict(counts.items())
+                    for name, counts in fast.variant_counts.items()
+                }
 
     def test_self_join_shares_tuple_order(self):
         query = parse_query("R([A],[B]) ∧ R([B],[C])")
         base = parse_query("R([A],[B])")
         db = random_database(base, 15, seed=9, domain=40.0, mean_length=6.0)
-        ref = forward_reduce(query, db, True, True, reference=True)
+        ref = naive_forward_reduce(query, db, True, True)
         fast = forward_reduce(query, db, True, True)
         assert result_digest(ref) == result_digest(fast)
 
@@ -151,7 +158,7 @@ class TestColumnarBitIdentity:
                 )
             ]
         )
-        ref = forward_reduce_factored(query, db, disjoint=True, reference=True)
+        ref = naive_forward_reduce_factored(query, db, disjoint=True)
         fast = forward_reduce_factored(query, db, disjoint=True)
         assert result_digest(ref) == result_digest(fast)
         assert fast.encoding_store is not None
@@ -173,10 +180,10 @@ class TestColumnarBitIdentity:
                 Relation("S", ("A", "u"), s_rows),
             ]
         )
-        ref = forward_reduce(query, db, reference=True)
+        ref = naive_forward_reduce(query, db)
         fast = forward_reduce(query, db)
         assert result_digest(ref) == result_digest(fast)
-        ref_prov = forward_reduce(query, db, provenance=True, reference=True)
+        ref_prov = naive_forward_reduce(query, db, provenance=True)
         fast_prov = forward_reduce(query, db, provenance=True)
         assert result_digest(ref_prov) == result_digest(fast_prov)
 
@@ -202,10 +209,10 @@ class TestPatchReusesStore:
             return
         result.apply_delta(Delta(99, "insert", "R", t))
         assert store.hits + store.misses > hits_before
-        # and the patched artifact matches a reference artifact patched
-        # with the same delta
-        ref = forward_reduce(query, db, reference=True)
-        ref.apply_delta(Delta(99, "insert", "R", t))
+        # and the patched artifact matches the naive reduction patched
+        # row by row with the same delta
+        ref = naive_forward_reduce(query, db)
+        apply_delta_rows(ref, Delta(99, "insert", "R", t))
         assert result_digest(ref) == result_digest(result)
 
 

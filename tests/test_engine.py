@@ -1,5 +1,7 @@
 """EJ engine tests: relations, generic join, Yannakakis, decompositions,
-and the dispatcher — cross-validated against brute force."""
+and the dispatcher — the array kernels (fed plain row relations, so
+through their door) and the tuple oracles of ``tests/oracles`` side by
+side, both cross-validated against brute force."""
 
 import random
 from itertools import product
@@ -7,22 +9,23 @@ from itertools import product
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import ej as oracle
 
 from repro.engine import (
     Database,
     JoinAtom,
     Relation,
+    columnar_materialise_bags,
+    columnar_yannakakis_boolean,
+    columnar_yannakakis_count,
+    columnar_yannakakis_full,
     count_ej,
     evaluate_ej,
     evaluate_ej_full,
-    generic_join,
     generic_join_boolean,
     generic_join_count,
-    materialise_bags,
+    generic_join_relation,
     relation_from_mapping,
-    yannakakis_boolean,
-    yannakakis_count,
-    yannakakis_full,
 )
 from repro.engine.ej import optimal_decomposition
 from repro.hypergraph import join_tree
@@ -144,9 +147,10 @@ class TestGenericJoin:
                 variables, expected = brute_force_assignments(atoms)
                 got = {
                     tuple(a[v] for v in variables)
-                    for a in generic_join(atoms)
+                    for a in oracle.generic_join(atoms)
                 }
                 assert got == expected, (shape, trial)
+                assert generic_join_relation(atoms, variables).tuples == expected
                 assert generic_join_count(atoms) == len(expected)
                 assert generic_join_boolean(atoms) == bool(expected)
 
@@ -155,19 +159,30 @@ class TestGenericJoin:
             JoinAtom(Relation("R", ("A", "B"), [(1, 2)])),
             JoinAtom(Relation("S", ("B", "C"), [(2, 3)])),
         ]
-        got = list(generic_join(atoms, variable_order=["C", "B", "A"]))
+        order = ["C", "B", "A"]
+        got = list(oracle.generic_join(atoms, variable_order=order))
         assert got == [{"C": 3, "B": 2, "A": 1}]
+        assert generic_join_count(atoms, variable_order=order) == 1
+        assert generic_join_relation(
+            atoms, order, variable_order=order
+        ).tuples == {(3, 2, 1)}
 
     def test_bad_variable_order(self):
         atoms = [JoinAtom(Relation("R", ("A",), [(1,)]))]
-        with pytest.raises(ValueError):
-            list(generic_join(atoms, variable_order=["A", "Z"]))
+        for join in (
+            oracle.generic_join_count,
+            generic_join_count,
+            generic_join_boolean,
+        ):
+            with pytest.raises(ValueError, match="cover exactly"):
+                join(atoms, variable_order=["A", "Z"])
 
     def test_self_join_binding(self):
         r = Relation("E", ("X", "Y"), [(1, 2), (2, 3)])
         atoms = [JoinAtom(r, ("A", "B")), JoinAtom(r, ("B", "C"))]
-        got = {tuple(a[v] for v in "ABC") for a in generic_join(atoms)}
+        got = {tuple(a[v] for v in "ABC") for a in oracle.generic_join(atoms)}
         assert got == {(1, 2, 3)}
+        assert generic_join_relation(atoms, "ABC").tuples == {(1, 2, 3)}
 
     def test_binding_arity_check(self):
         r = Relation("E", ("X", "Y"), [])
@@ -192,8 +207,12 @@ class TestYannakakis:
         for trial in range(15):
             atoms = random_atoms(rng, shape, rng.randint(1, 10), 3)
             tree = self._tree(atoms, text)
-            assert yannakakis_boolean(atoms, tree) == generic_join_boolean(atoms)
-            assert yannakakis_count(atoms, tree) == generic_join_count(atoms)
+            count = oracle.generic_join_count(atoms)
+            assert generic_join_count(atoms) == count
+            for tier in (oracle.yannakakis_count, columnar_yannakakis_count):
+                assert tier(atoms, tree) == count
+            for tier in (oracle.yannakakis_boolean, columnar_yannakakis_boolean):
+                assert tier(atoms, tree) == (count > 0)
 
     def test_full_multi_child_projection(self):
         """Regression: a node with two children must keep its own join
@@ -205,12 +224,13 @@ class TestYannakakis:
             atoms = random_atoms(rng, shape, rng.randint(1, 8), 3)
             tree = self._tree(atoms, text)
             variables, expected = brute_force_assignments(atoms)
-            full = yannakakis_full(atoms, tree)
-            got = {
-                tuple(t[full.schema.index(v)] for v in variables)
-                for t in full.tuples
-            }
-            assert got == expected, trial
+            for tier in (oracle.yannakakis_full, columnar_yannakakis_full):
+                full = tier(atoms, tree)
+                got = {
+                    tuple(t[full.schema.index(v)] for v in variables)
+                    for t in full.tuples
+                }
+                assert got == expected, trial
 
     def test_full_projected_output(self):
         atoms = [
@@ -219,8 +239,9 @@ class TestYannakakis:
         ]
         tree = nx.Graph()
         tree.add_edge(0, 1)
-        out = yannakakis_full(atoms, tree, output=["A", "C"])
-        assert out.tuples == {(1, 3)}
+        for tier in (oracle.yannakakis_full, columnar_yannakakis_full):
+            out = tier(atoms, tree, output=["A", "C"])
+            assert out.tuples == {(1, 3)}
 
     def test_empty_relation_false(self):
         atoms = [
@@ -229,8 +250,10 @@ class TestYannakakis:
         ]
         tree = nx.Graph()
         tree.add_edge(0, 1)
-        assert not yannakakis_boolean(atoms, tree)
-        assert yannakakis_count(atoms, tree) == 0
+        assert not oracle.yannakakis_boolean(atoms, tree)
+        assert oracle.yannakakis_count(atoms, tree) == 0
+        assert not columnar_yannakakis_boolean(atoms, tree)
+        assert columnar_yannakakis_count(atoms, tree) == 0
 
 
 class TestDecompositionEval:
@@ -260,8 +283,11 @@ class TestDecompositionEval:
             JoinAtom(Relation("R1", ("B", "C"), [(2, 3)])),
             JoinAtom(Relation("R2", ("A", "C"), [(1, 3)])),
         ]
-        bags = materialise_bags(atoms, td)
+        bags = columnar_materialise_bags(atoms, td)
         assert all(len(b) >= 1 for b in bags)
+        assert [b.tuples for b in bags] == [
+            b.tuples for b in oracle.materialise_bags(atoms, td)
+        ]
 
     def test_decomposition_with_singletons(self):
         """optimal_decomposition must cover edges with singleton vars."""

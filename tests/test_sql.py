@@ -289,32 +289,6 @@ COST_SPLIT_SQL = (
 )
 
 
-def columnar_span_db() -> Database:
-    """``cost_split_db``'s ``Span`` relation re-hosted as a columnar
-    relation (one shared CodeBook, one ``uint32`` code column) — the
-    exact same tuples, so plans against the tuple twin differ only by
-    the columnar pricing."""
-    import numpy as np
-
-    from repro.reduction.columnar import (
-        CODE_DTYPE,
-        COL_CODE,
-        CodeBook,
-        ColumnBlock,
-    )
-
-    source = cost_split_db()["Span"]
-    book = CodeBook()
-    codes = np.array(
-        [[book.code(t[0])] for t in sorted(source.tuples)],
-        dtype=CODE_DTYPE,
-    )
-    block = ColumnBlock(codes, (COL_CODE,), book)
-    db = Database()
-    db.add(Relation.from_columns("Span", source.schema, block))
-    return db
-
-
 class TestOptimizer:
     def test_union_disjuncts_pick_different_strategies(self):
         """The acceptance workload: one EXPLAIN, two disjuncts, two
@@ -359,7 +333,6 @@ class TestOptimizer:
                 "ej_method",
                 "candidates",
                 "widths",
-                "columnar",
                 "reason",
             } <= set(entry)
 
@@ -370,179 +343,59 @@ class TestOptimizer:
         assert triangle["widths"]["max_fhtw"] <= 1.0
         assert triangle["ej_method"] == "yannakakis"
 
-    def test_tuple_tables_render_columnar_no(self):
-        """`cost_split_db` holds plain tuple relations: every disjunct
-        reports ``columnar: no`` and no COUNT discount applies."""
-        db = cost_split_db()
-        data = explain_program(compile_sql(COST_SPLIT_SQL, db), db)
-        assert all(not d["columnar"] for d in data["disjuncts"])
-        assert "columnar: no" in render_explain(data)
-        assert "columnar: yes" not in render_explain(data)
-
-    def test_columnar_tables_discount_count_reduction(self):
-        """COUNT(*) over columnar tables is priced with the
-        vectorized-DP constant: the reduction candidate is exactly
-        ``COLUMNAR_COUNT_SPEEDUP`` cheaper than the same plan over the
-        tuple twin, the payload says ``columnar: yes``, and forcing the
-        kernels off restores the undiscounted price."""
-        from repro.engine import use_columnar_kernels
-        from repro.sql.cost import COLUMNAR_COUNT_SPEEDUP
-
-        columnar_db = columnar_span_db()
-        tuple_db = cost_split_db()
-        sql = (
-            "SELECT COUNT(*) FROM Span x, Span y, Span z "
-            "WHERE x.t OVERLAPS y.t AND y.t OVERLAPS z.t "
-            "AND x.t OVERLAPS z.t"
-        )
-        col_plan = plan_disjunct(
-            compile_sql(sql, columnar_db).disjuncts[0], columnar_db
-        )
-        tup_plan = plan_disjunct(
-            compile_sql(sql, tuple_db).disjuncts[0], tuple_db
-        )
-        assert col_plan.columnar and not tup_plan.columnar
-        assert col_plan.candidates["reduction"] == pytest.approx(
-            tup_plan.candidates["reduction"] / COLUMNAR_COUNT_SPEEDUP
-        )
-        assert col_plan.strategy == "reduction"
-        assert "vectorized counting DP" in col_plan.reason
-        data = explain_program(
-            compile_sql(sql, columnar_db), columnar_db
-        )
-        assert data["disjuncts"][0]["columnar"] is True
-        assert "columnar: yes" in render_explain(data)
-        # EXISTS heads never take the COUNT discount, columnar or not
-        exists_sql = sql.replace("SELECT COUNT(*)", "SELECT EXISTS")
-        exists_plan = plan_disjunct(
-            compile_sql(exists_sql, columnar_db).disjuncts[0], columnar_db
-        )
-        assert exists_plan.columnar
-        assert exists_plan.candidates["reduction"] == pytest.approx(
-            tup_plan.candidates["reduction"]
-        )
-        # the kill switch turns the columnar flag (and discount) off
-        with use_columnar_kernels(False):
-            off_plan = plan_disjunct(
-                compile_sql(sql, columnar_db).disjuncts[0], columnar_db
-            )
-        assert not off_plan.columnar
-        assert off_plan.candidates["reduction"] == pytest.approx(
-            tup_plan.candidates["reduction"]
-        )
-
-    def test_delta_patched_tables_still_render_columnar_yes(self):
-        """EXPLAIN golden: ``apply_delta`` patches a reduction on its
-        code matrices, so the patched relations (scanned here under
-        SQL-safe names, same blocks) still report ``columnar: yes`` —
-        and a relation some consumer materialized reports ``no``."""
-        from repro.reduction import forward_reduce
-
-        query = parse_query("R([A]) ∧ S([A])")
-        source = Database(
-            [
-                Relation(
-                    "R", ("A",), [(Interval(0, 1),), (Interval(0, 3),)]
-                ),
-                Relation(
-                    "S", ("A",), [(Interval(0, 8),), (Interval(2, 5),)]
-                ),
-            ]
-        )
-        reduction = forward_reduce(query, source)
-        assert reduction.apply_delta(
-            source.insert("R", (Interval(2, 3),))
-        ) == {}
-        assert reduction.apply_delta(
-            source.delete("R", (Interval(0, 1),))
-        ) == {}
-
-        def scan_db() -> Database:
-            db = Database()
-            for label in ("R", "S"):
-                relation = reduction.database[
-                    reduction.atom_variants[label][0].name()
-                ]
-                db.add(
-                    Relation.from_columns(
-                        f"Patched{label}",
-                        [f"c{j}" for j in range(relation.arity)],
-                        relation.columnar,
-                    )
-                )
-            return db
-
-        sql = (
-            "SELECT COUNT(*) FROM PatchedR r, PatchedS s WHERE r.c0 = s.c0"
-        )
-        patched = scan_db()
-        text = render_explain(
-            explain_program(compile_sql(sql, patched), patched)
-        )
-        assert "columnar: yes" in text and "columnar: no" not in text
-        patched["PatchedR"].tuples  # a tuple-tier touch drops the block
-        text = render_explain(
-            explain_program(compile_sql(sql, patched), patched)
-        )
-        assert "columnar: no" in text and "columnar: yes" not in text
-
-    def test_cyclic_evaluation_keeps_tables_columnar_yes(self):
-        """EXPLAIN golden: a cyclic EJ query materialises its bags on
-        the code arrays, so the tables it read still report
-        ``columnar: yes`` afterwards — the tuple tier (kernels off)
-        decodes them and they report ``no``."""
-        from repro.engine import use_columnar_kernels
-        from repro.engine.ej import count_ej
-        from repro.queries.catalog import triangle_ij
-        from repro.reduction import forward_reduce
+    def test_plans_are_unchanged_by_the_single_engine(self):
+        """Golden, literals captured at the commit that still priced
+        ``COUNT(*)`` over *columnar source tables* with a discount: no
+        loader ever produced such tables, so for row-backed sources —
+        the ``COST_SPLIT_SQL`` acceptance workload and an ``EXISTS`` and
+        a ``COUNT(*)`` overlap statement of the ``serve_hot`` benchmark
+        shape — strategy, EJ method and every candidate cost are what
+        they were."""
         from repro.workloads import random_database
 
-        triangle = triangle_ij()
-        reduction = forward_reduce(
-            triangle, random_database(triangle, 10, seed=5, domain=30)
-        )
-        disjunct = reduction.ej_queries[0]
-        tables = [f"Tri{i}" for i in range(len(disjunct.atoms))]
+        def plans(sql, db):
+            return [
+                (plan.strategy, plan.ej_method, plan.candidates)
+                for plan in (
+                    plan_disjunct(d, db) for d in compile_sql(sql, db).disjuncts
+                )
+            ]
 
-        def scan_db() -> Database:
-            db = Database()
-            for table, atom in zip(tables, disjunct.atoms):
-                block = reduction.database[atom.relation].columnar
-                columns = [f"c{j}" for j in range(block.width)]
-                db.add(Relation.from_columns(table, columns, block))
-            return db
-
-        cyclic = parse_query(
-            " ∧ ".join(
-                f"{table}({', '.join(atom.variable_names)})"
-                for table, atom in zip(tables, disjunct.atoms)
+        assert plans(COST_SPLIT_SQL, cost_split_db()) == [
+            (
+                "naive",
+                "yannakakis",
+                {"naive": 64.0, "reduction": pytest.approx(6677.0974147790075)},
+            ),
+            (
+                "reduction",
+                "yannakakis",
+                {
+                    "naive": 512000.0,
+                    "reduction": pytest.approx(2167202.1301859776),
+                },
+            ),
+        ]
+        path = parse_query("Pa([X0],[X1]) ∧ Pb([X1],[X2]) ∧ Pc([X2],[X3])")
+        db = random_database(path, 100, seed=7, domain=1200.0)
+        for head in ("EXISTS", "COUNT(*)"):
+            sql = (
+                f"SELECT {head} FROM Pa t0, Pb t1, Pc t2 "
+                "WHERE t0.X1 OVERLAPS t1.X1 AND t1.X2 OVERLAPS t2.X2"
             )
+            assert plans(sql, db) == [
+                (
+                    "reduction",
+                    "yannakakis",
+                    {
+                        "naive": 1000000.0,
+                        "reduction": pytest.approx(1954693.8042892965),
+                    },
+                )
+            ], head
+        assert "columnar" not in render_explain(
+            explain_program(compile_sql(sql, db), db)
         )
-        seen: dict[str, str] = {}
-        equalities = []
-        for table, atom in zip(tables, disjunct.atoms):
-            for j, v in enumerate(atom.variable_names):
-                column = f"{table.lower()}.c{j}"
-                if v in seen:
-                    equalities.append(f"{seen[v]} = {column}")
-                seen[v] = column
-        sql = (
-            "SELECT COUNT(*) FROM "
-            + ", ".join(f"{table} {table.lower()}" for table in tables)
-            + " WHERE "
-            + " AND ".join(equalities)
-        )
-
-        def explain(db: Database) -> str:
-            return render_explain(explain_program(compile_sql(sql, db), db))
-
-        kept, decoded = scan_db(), scan_db()
-        count = count_ej(cyclic, kept, "decomposition")
-        assert "columnar: yes" in explain(kept)
-        assert "columnar: no" not in explain(kept)
-        with use_columnar_kernels(False):
-            assert count_ej(cyclic, decoded, "decomposition") == count
-        assert "columnar: no" in explain(decoded)
 
 
 # ----------------------------------------------------------------------
