@@ -86,6 +86,27 @@ WORKLOADS = {
 }
 
 
+#: Options several commands take, declared once: flag → its
+#: ``add_argument`` keywords.  A command passes only what differs for
+#: it (a help text, a default); see :func:`_shared`.
+SHARED_OPTIONS: dict[str, dict] = {
+    "--n": dict(type=int, default=50, help="tuples per relation"),
+    "--seed": dict(type=int, default=0),
+    "--workload": dict(choices=sorted(WORKLOADS), default="random"),
+    "--cache-dir": dict(default=None, metavar="DIR"),
+    "--cache-max-bytes": dict(type=int, default=None, metavar="BYTES"),
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=int, default=0),
+    "--max-inflight": dict(type=int, default=64),
+    "--deadline-ms": dict(type=float, default=30_000.0),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *flags: str, **differs) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **{**SHARED_OPTIONS[flag], **differs})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -116,15 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
             "conjunction syntax (blank lines and #-comments skipped)"
         ),
     )
-    p_eval.add_argument("--n", type=int, default=50, help="tuples per relation")
-    p_eval.add_argument("--seed", type=int, default=0)
+    _shared(p_eval, "--n", "--seed")
     p_eval.add_argument(
         "--repeat", type=int, default=1,
         help="evaluate the batch this many times (cold vs warm cache)",
     )
-    p_eval.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="random"
-    )
+    _shared(p_eval, "--workload")
     p_eval.add_argument(
         "--count", action="store_true", help="also count witnesses"
     )
@@ -132,16 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="cross-check against the naive oracle (small n only)",
     )
-    p_eval.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
+    _shared(
+        p_eval, "--cache-dir",
         help=(
             "persistent reduction cache directory: reductions are "
             "content-addressed on disk and shared across runs, so a "
             "warm re-run performs zero forward reductions"
         ),
     )
-    p_eval.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="BYTES",
+    _shared(
+        p_eval, "--cache-max-bytes",
         help=(
             "cap the persistent cache directory at this many bytes; "
             "least-recently-used entries are evicted after each store "
@@ -166,11 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
             "WHERE r.t OVERLAPS s.t\""
         ),
     )
-    p_sql.add_argument("--n", type=int, default=50, help="tuples per relation")
-    p_sql.add_argument("--seed", type=int, default=0)
-    p_sql.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="random"
-    )
+    _shared(p_sql, "--n", "--seed", "--workload")
     p_sql.add_argument(
         "--explain", action="store_true",
         help="print the optimizer's per-disjunct plan instead of running",
@@ -182,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="inspect the forward reduction")
     p_reduce.add_argument("query")
-    p_reduce.add_argument("--n", type=int, default=50)
-    p_reduce.add_argument("--seed", type=int, default=0)
+    _shared(p_reduce, "--n", help=None)
+    _shared(p_reduce, "--seed")
     p_reduce.add_argument(
         "--factored", action="store_true",
         help="use the Id-decomposition encoding (Section 1.1)",
@@ -197,34 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "query", nargs="+", help="queries defining the served schema"
     )
-    p_serve.add_argument("--n", type=int, default=50, help="tuples per relation")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="random"
-    )
+    _shared(p_serve, "--n", "--seed", "--workload")
     p_serve.add_argument(
         "--workers", type=int, default=4, help="worker processes"
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=0,
+    _shared(p_serve, "--host")
+    _shared(
+        p_serve, "--port",
         help="TCP port (0 binds an ephemeral port, printed on startup)",
     )
-    p_serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
+    _shared(
+        p_serve, "--cache-dir",
         help="shared persistent reduction cache for the worker pool",
     )
-    p_serve.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="BYTES"
-    )
-    p_serve.add_argument(
-        "--max-inflight", type=int, default=64,
+    _shared(p_serve, "--cache-max-bytes")
+    _shared(
+        p_serve, "--max-inflight",
         help="admitted-but-unanswered request bound (backpressure above)",
     )
-    p_serve.add_argument(
-        "--deadline-ms", type=float, default=30_000.0,
-        help="default per-request deadline",
-    )
+    _shared(p_serve, "--deadline-ms", help="default per-request deadline")
     p_serve.add_argument(
         "--admission-min-intervals", type=int, default=0,
         help=(
@@ -240,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "query", nargs="+",
         help="base queries; requests are isomorphic variants of these",
     )
-    p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--port", type=int, required=True)
+    _shared(p_load, "--host")
+    _shared(p_load, "--port", default=None, required=True)
     p_load.add_argument("--requests", type=int, default=200)
     p_load.add_argument(
         "--mode", choices=("closed", "open"), default="closed"
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument("--count-fraction", type=float, default=0.0)
     p_load.add_argument("--mutate-fraction", type=float, default=0.0)
-    p_load.add_argument("--seed", type=int, default=0)
+    _shared(p_load, "--seed")
     p_load.add_argument(
         "--domain", type=float, default=1000.0,
         help="value domain for generated mutation tuples",
@@ -323,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drop", default=None, metavar="NAME",
         help="report how many groups remap when NAME leaves the ring",
     )
-    p_route.add_argument(
-        "--seed", type=int, default=0, help="variant-generation seed"
-    )
+    _shared(p_route, "--seed", help="variant-generation seed")
     p_route.add_argument(
         "--serve", action="store_true",
         help=(
@@ -333,25 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
             "worker-pool nodes; tenants attach over the wire"
         ),
     )
-    p_route.add_argument("--host", default="127.0.0.1")
-    p_route.add_argument(
-        "--port", type=int, default=0,
+    _shared(p_route, "--host")
+    _shared(
+        p_route, "--port",
         help="TCP port for --serve (0 binds an ephemeral port)",
     )
     p_route.add_argument(
         "--workers-per-shard", type=int, default=1,
         help="worker processes per (shard, tenant) pool under --serve",
     )
-    p_route.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
+    _shared(
+        p_route, "--cache-dir",
         help="shared namespaced reduction cache for every pool (--serve)",
     )
-    p_route.add_argument(
-        "--max-inflight", type=int, default=64,
-        help="admission-control bound for --serve",
+    _shared(
+        p_route, "--max-inflight", help="admission-control bound for --serve"
     )
-    p_route.add_argument(
-        "--deadline-ms", type=float, default=30_000.0,
+    _shared(
+        p_route, "--deadline-ms",
         help="default per-request deadline for --serve",
     )
     p_route.add_argument(
@@ -384,19 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes per attached tenant on this node",
     )
-    p_shard.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
+    _shared(
+        p_shard, "--cache-dir",
         help=(
             "this node's own reduction cache directory (a coordinator "
             "warms it content-addressed over the wire)"
         ),
     )
-    p_shard.add_argument(
-        "--max-inflight", type=int, default=64,
-        help="admission-control bound",
-    )
-    p_shard.add_argument(
-        "--deadline-ms", type=float, default=300_000.0,
+    _shared(p_shard, "--max-inflight", help="admission-control bound")
+    _shared(
+        p_shard, "--deadline-ms", default=300_000.0,
         help=(
             "default per-request deadline (generous: a coordinator "
             "ships whole database snapshots through attach/reload)"
@@ -411,6 +410,41 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
+
+
+def _fail(message: object) -> int:
+    """A usage error: say so on stderr, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _cache_options_error(args: argparse.Namespace) -> str | None:
+    """The one check on ``--cache-dir`` / ``--cache-max-bytes``."""
+    if args.cache_max_bytes is not None:
+        if args.cache_dir is None:
+            return "--cache-max-bytes requires --cache-dir"
+        if args.cache_max_bytes < 0:
+            return "--cache-max-bytes must be non-negative"
+    return None
+
+
+def _serve_until_interrupted(server, banner, close) -> int:
+    """Start ``server``, print ``banner(host, port)`` (the
+    ``listening on HOST:PORT`` line tools parse), serve until
+    interrupted, then ``close()`` — its return value is the farewell
+    line."""
+
+    async def serve() -> None:
+        print(banner(*await server.start()), flush=True)
+        await server.serve_forever()
+
+    try:
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        pass
+    finally:
+        print(close(), flush=True)
+    return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -476,33 +510,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         try:
             file_texts, sql_texts = _read_query_file(args.query_file)
         except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            return _fail(error)
         texts.extend(file_texts)
     if not texts and not sql_texts:
-        print("error: no queries given (args or --query-file)", file=sys.stderr)
-        return 2
+        return _fail("no queries given (args or --query-file)")
     try:
         queries = [parse_query(text) for text in texts]
         # db-less compile: infers each program's schemas and kinds, so
         # the workload generator below can cover its relations too
         programs = [compile_sql(text) for text in sql_texts]
     except (SqlError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.cache_max_bytes is not None:
-        if args.cache_dir is None:
-            print(
-                "error: --cache-max-bytes requires --cache-dir",
-                file=sys.stderr,
-            )
-            return 2
-        if args.cache_max_bytes < 0:
-            print(
-                "error: --cache-max-bytes must be non-negative",
-                file=sys.stderr,
-            )
-            return 2
+        return _fail(error)
+    if (error := _cache_options_error(args)) is not None:
+        return _fail(error)
     try:
         # SQL programs contribute their lowered disjunct queries, so one
         # generated database covers the whole mixed batch
@@ -510,8 +530,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             queries + [d.query for p in programs for d in p.disjuncts], args
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     session = QuerySession(
         db,
         cache_dir=args.cache_dir,
@@ -615,19 +634,14 @@ def cmd_sql(args: argparse.Namespace) -> int:
         # kinds from the query text, which defines the generated data
         probe = compile_sql(args.sql)
     except SqlError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    class _Args:
-        n, seed, workload = args.n, args.seed, args.workload
+        return _fail(error)
 
     try:
         generated = _evaluation_database(
-            [d.query for d in probe.disjuncts], _Args
+            [d.query for d in probe.disjuncts], args
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     # rebind relations under the SQL-visible column names, then compile
     # db-backed so the optimizer sees real statistics
     from .engine import Relation
@@ -691,24 +705,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceServer, WorkerPool
 
     queries = [parse_query(text) for text in args.query]
-    if args.cache_max_bytes is not None:
-        if args.cache_dir is None:
-            print(
-                "error: --cache-max-bytes requires --cache-dir",
-                file=sys.stderr,
-            )
-            return 2
-        if args.cache_max_bytes < 0:
-            print(
-                "error: --cache-max-bytes must be non-negative",
-                file=sys.stderr,
-            )
-            return 2
+    if (error := _cache_options_error(args)) is not None:
+        return _fail(error)
     try:
         db = _evaluation_database(queries, args)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     try:
         pool = WorkerPool(
             db,
@@ -718,8 +720,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             answer_admission_min_intervals=args.admission_min_intervals,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     server = ServiceServer(
         pool,
         host=args.host,
@@ -728,28 +729,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_ms=args.deadline_ms,
     )
 
-    async def serve() -> None:
-        host, port = await server.start()
-        print(
+    def close() -> str:
+        report = pool.close()
+        return "final worker stats: " + json.dumps(
+            report["aggregate"], sort_keys=True
+        )
+
+    return _serve_until_interrupted(
+        server,
+        lambda host, port: (
             f"repro.service listening on {host}:{port} "
             f"({args.workers} workers, |D| = {db.size} tuples, "
-            f"cache_dir = {args.cache_dir})",
-            flush=True,
-        )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        report = pool.close()
-        print(
-            "final worker stats: "
-            + json.dumps(report["aggregate"], sort_keys=True),
-            flush=True,
-        )
-    return 0
+            f"cache_dir = {args.cache_dir})"
+        ),
+        close,
+    )
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -760,8 +754,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     if args.tenants is not None:
         tenants = [t.strip() for t in args.tenants.split(",") if t.strip()]
         if not tenants:
-            print("error: --tenants must name at least one tenant", file=sys.stderr)
-            return 2
+            return _fail("--tenants must name at least one tenant")
     requests = generate_requests(
         base_queries,
         args.requests,
@@ -786,12 +779,10 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             )
         )
     except ConnectionRefusedError:
-        print(
-            f"error: no server at {args.host}:{args.port} "
-            f"(start one with `repro serve`)",
-            file=sys.stderr,
+        return _fail(
+            f"no server at {args.host}:{args.port} "
+            f"(start one with `repro serve`)"
         )
-        return 2
     print(report.summary())
     if args.out is not None:
         with open(args.out, "w") as handle:
@@ -813,8 +804,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
     names = _route_shard_names(args)
     if not names:
-        print("error: need at least one shard", file=sys.stderr)
-        return 2
+        return _fail("need at least one shard")
     queries = [parse_query(text) for text in args.query]
     if args.serve:
         return _route_serve(args, names, queries)
@@ -855,11 +845,9 @@ def cmd_route(args: argparse.Namespace) -> int:
         )
     if args.drop is not None:
         if args.drop not in ring:
-            print(f"error: shard {args.drop!r} is not on the ring", file=sys.stderr)
-            return 2
+            return _fail(f"shard {args.drop!r} is not on the ring")
         if len(ring) == 1:
-            print("error: cannot drop the only shard", file=sys.stderr)
-            return 2
+            return _fail("cannot drop the only shard")
         ring.remove(args.drop)
         after = ring.placement(groups)
         moved = sum(1 for k in groups if placement[k] != after[k])
@@ -901,8 +889,7 @@ def _route_serve(
         try:
             remote = _parse_remote_shards(args.remote_shards)
         except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            return _fail(error)
     try:
         router = ShardRouter(
             shards=names,
@@ -913,8 +900,7 @@ def _route_serve(
             health_interval=args.health_interval,
         )
     except ShardUnreachable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     server = RouterServer(
         router,
         host=args.host,
@@ -923,31 +909,21 @@ def _route_serve(
         default_deadline_ms=args.deadline_ms,
     )
 
-    async def serve() -> None:
-        host, port = await server.start()
+    def banner(host: str, port: int) -> str:
         placement = {q.name: router.shard_for(q) for q in queries}
-        shard_names = router.shard_names
         tier = "coordinator for" if remote is not None else "router"
-        print(
+        return (
             f"repro.service {tier} listening on {host}:{port} "
-            f"({len(shard_names)} shards, {args.workers_per_shard} workers "
-            f"per pool, cache_dir = {args.cache_dir}); attach tenants with "
-            f"the attach_tenant verb; placement: {json.dumps(placement)}",
-            flush=True,
+            f"({len(router.shard_names)} shards, {args.workers_per_shard} "
+            f"workers per pool, cache_dir = {args.cache_dir}); attach tenants "
+            f"with the attach_tenant verb; placement: {json.dumps(placement)}"
         )
-        await server.serve_forever()
 
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
+    def close() -> str:
         report = router.close()
-        print(
-            f"router closed ({len(report['tenants'])} tenants drained)",
-            flush=True,
-        )
-    return 0
+        return f"router closed ({len(report['tenants'])} tenants drained)"
+
+    return _serve_until_interrupted(server, banner, close)
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -955,14 +931,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
     host, _, port_text = args.listen.rpartition(":")
     if not host or not port_text.isdigit():
-        print(
-            f"error: --listen must be HOST:PORT, got {args.listen!r}",
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(f"--listen must be HOST:PORT, got {args.listen!r}")
     if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
+        return _fail("--workers must be at least 1")
     # one shard node = a single-node router: same wire protocol, same
     # tenancy/reload semantics, internal shard name "local" (the
     # coordinator's ring names live one level up)
@@ -980,26 +951,21 @@ def cmd_shard(args: argparse.Namespace) -> int:
         max_line_bytes=args.max_line_bytes,
     )
 
-    async def serve() -> None:
-        bound_host, bound_port = await server.start()
-        # keep this line stable: spawn_shard_process parses it to learn
-        # the ephemeral port
-        print(
+    def close() -> str:
+        router.close()
+        return f"shard {args.name} closed"
+
+    # keep the banner stable: spawn_shard_process parses it to learn the
+    # ephemeral port
+    return _serve_until_interrupted(
+        server,
+        lambda bound_host, bound_port: (
             f"repro.service shard {args.name} listening on "
             f"{bound_host}:{bound_port} ({args.workers} workers, "
-            f"cache_dir = {args.cache_dir})",
-            flush=True,
-        )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        router.close()
-        print(f"shard {args.name} closed", flush=True)
-    return 0
+            f"cache_dir = {args.cache_dir})"
+        ),
+        close,
+    )
 
 
 COMMANDS = {

@@ -4,23 +4,30 @@ The sessions-and-caching layers (PR 1–3) made the forward reduction an
 amortised, content-addressed, delta-patchable artifact; this package is
 the first consumer that turns that substrate into a *service*:
 
-* :mod:`repro.service.pool` — a :class:`WorkerPool` that fans batched
-  query workloads out across N worker processes, each owning a
-  :class:`~repro.core.session.QuerySession` over the *shared* persistent
-  reduction cache.  Work is partitioned by canonical-query group, so
-  isomorphic queries land on the same worker and each reduction is
-  computed once cluster-wide;
-* :mod:`repro.service.server` — an asyncio front-end speaking a small
-  line-delimited JSON protocol (``evaluate``, ``count``,
-  ``evaluate_many``, ``mutate``, ``stats``, plus ``sql``/``explain``
-  for the :mod:`repro.sql` front-end — malformed query text answers
-  with the typed ``bad_query`` code) with admission control: a
-  bounded in-flight window, per-request deadlines, and typed
-  backpressure responses.  Mutations go through the logged
-  :class:`~repro.engine.relation.Database` delta API, so warm workers
-  patch cached reductions instead of rebuilding them;
-* :mod:`repro.service.client` — blocking and asyncio clients for the
-  wire protocol;
+* :mod:`repro.service.protocol` — the line-delimited JSON wire format
+  and the **verb table**: one entry per verb (``evaluate``, ``count``,
+  ``evaluate_many``, ``sql``, ``explain``, ``mutate``, ``stats`` and the
+  router-tier admin and cache-shipping verbs) holding its schema,
+  client-side cast, placement and lost-ack outcome.  Every other module
+  here reads the table instead of restating a verb; values are
+  validated where they are decoded;
+* :mod:`repro.service.pool` — the pool contract (:class:`Pool`: what
+  work is placed on), written once with its batch grouping, SQL
+  routing and lost-work settlement, and :class:`WorkerPool`, which
+  meets it with N worker processes, each owning a
+  :class:`~repro.core.session.QuerySession` over the *shared*
+  persistent reduction cache.  Work is partitioned by canonical-query
+  group, so isomorphic queries land on the same worker and each
+  reduction is computed once cluster-wide;
+* :mod:`repro.service.server` — an asyncio front-end with admission
+  control: a bounded in-flight window, per-request deadlines, typed
+  backpressure responses, and one dispatch for both tiers
+  (:class:`ServiceServer` over a pool, :class:`RouterServer` over a
+  router with the request's tenant bound first).  Mutations go through
+  the logged :class:`~repro.engine.relation.Database` delta API, so
+  warm workers patch cached reductions instead of rebuilding them;
+* :mod:`repro.service.client` — blocking and asyncio clients whose verb
+  methods are generated from the table;
 * :mod:`repro.service.loadgen` — an open/closed-loop load harness that
   replays :mod:`repro.workloads`-generated request mixes against a
   server and reports throughput and latency percentiles;
@@ -31,16 +38,17 @@ the first consumer that turns that substrate into a *service*:
   whose pools share one namespaced content-addressed cache, mutations
   replicate through each tenant's delta log, and served databases
   hot-reload via snapshot + delta replay without dropping in-flight
-  requests.  :class:`RouterServer` speaks the wire protocol extended
-  with the router admin verbs;
+  requests;
 * :mod:`repro.service.remote` — remote shard nodes (PR 7): each shard a
   standalone ``repro shard --listen`` OS process speaking the same
   protocol, dialed by a coordinator :class:`ShardRouter` through
-  :class:`RemoteShardNode`/:class:`RemoteShardPool`.  Dead shards are
-  health-checked out of the ring and their in-flight work resubmitted
-  to survivors (exactly-once futures, the pool's crash contract across
-  machine boundaries); a joining node's per-node cache is warmed by
-  shipping content-addressed entries over the wire; routing clients
+  :class:`RemoteShardNode`/:class:`RemoteShardPool`.  Outstanding work
+  lives in one registry per failure domain — a worker's, a node
+  connection's — and whoever pops an entry owns its resolve, so dead
+  shards are evicted and their in-flight work resubmitted to survivors
+  on the original futures (exactly-once, the pool's crash contract
+  across machine boundaries); a joining node's per-node cache is warmed
+  by shipping content-addressed entries over the wire; routing clients
   learn the ring and dial shards directly.
 
 ``repro serve``, ``repro route``, ``repro shard`` and ``repro loadgen``
@@ -56,7 +64,7 @@ from .client import (
     StaleConnection,
 )
 from .loadgen import LoadReport, generate_requests, run_load
-from .pool import PoolClosed, WorkerCrash, WorkerPool
+from .pool import Pool, PoolClosed, WorkerCrash, WorkerPool
 from .protocol import (
     ERROR_BAD_QUERY,
     ERROR_BAD_REQUEST,
@@ -96,6 +104,7 @@ __all__ = [
     "LoadReport",
     "generate_requests",
     "run_load",
+    "Pool",
     "PoolClosed",
     "WorkerCrash",
     "WorkerPool",

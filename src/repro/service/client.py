@@ -6,6 +6,13 @@ is the asyncio client the load generator uses; it pipelines: many
 requests may be in flight on one connection, matched back to their
 futures by request ``id``.
 
+Neither client spells a verb out: one method per entry of the verb
+table (:data:`~repro.service.protocol.VERBS`) is generated on
+:class:`_VerbMethods` from the entry's ``encode`` and result cast, and
+each client only says how a frame travels (``_call``).  The
+coordinator's :class:`~repro.service.remote.RemoteShardNode` gets its
+verbs the same way.
+
 Both clients can do **client-side routing** against a coordinator whose
 ``ring`` verb advertises shard addresses (:meth:`learn_ring`): the
 owning shard of an ``evaluate``/``count`` request is computed locally
@@ -21,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import socket
-from typing import Any, Sequence
+from typing import Any
 
 from . import protocol
 
@@ -95,7 +102,48 @@ def _canonical_key(query: str, cache: dict[str, Any]) -> Any | None:
     return key
 
 
-class ServiceClient:
+def _ring_view(info: dict) -> tuple[Any, dict[str, tuple[str, int]]]:
+    """``(ring, addresses)`` out of a ``ring`` payload: a coordinator
+    that advertises shard addresses enables direct dialing, anything
+    else disables it (``ring`` is ``None``)."""
+    from .ring import HashRing
+
+    addresses = info.get("addresses") or {}
+    return (
+        HashRing.from_describe(info) if addresses else None,
+        {
+            name: (str(host), int(port))
+            for name, (host, port) in addresses.items()
+        },
+    )
+
+
+class _VerbMethods:
+    """One method per wire verb, generated below from the verb table:
+    ``client.<verb>(*args, **fields)`` encodes ``args`` with the verb's
+    ``encode``, lets ``fields`` (``tenant=``, ``deadline_ms=``, an
+    optional field by its wire name) ride along, sends the frame
+    through the subclass's ``_call`` — blocking or awaitable — and
+    casts the result."""
+
+
+def _verb_method(verb: protocol.Verb):
+    def method(self, *args: Any, **fields: Any):
+        return self._call(verb, {**verb.encode(*args), **fields})
+
+    method.__name__ = method.__qualname__ = verb.name
+    method.__doc__ = (
+        f"The ``{verb.name}`` verb: arguments, result and placement are "
+        f"listed in :mod:`repro.service.protocol`."
+    )
+    return method
+
+
+for _verb in protocol.VERBS.values():
+    setattr(_VerbMethods, _verb.name, _verb_method(_verb))
+
+
+class ServiceClient(_VerbMethods):
     """Blocking line-protocol client.
 
     ``tenant`` — for router-tier servers — is stamped onto every
@@ -178,24 +226,9 @@ class ServiceClient:
             raise ConnectionError("server closed the connection")
         return protocol.parse_line(line)
 
-    def evaluate(self, query: str, **fields: Any) -> bool:
-        return bool(_unwrap(self._routed("evaluate", query=query, **fields)))
-
-    def count(self, query: str, **fields: Any) -> int:
-        return int(_unwrap(self._routed("count", query=query, **fields)))
-
-    def sql(self, text: str, **fields: Any) -> bool | int:
-        """Evaluate SQL ``text`` server-side: ``bool`` for ``EXISTS``
-        heads, ``int`` for ``COUNT(*)``.  Malformed SQL raises the
-        typed :class:`BadQuery`."""
-        result = _unwrap(self.request("sql", sql=text, **fields))
-        return result if isinstance(result, bool) else int(result)
-
-    def explain(self, text: str, **fields: Any) -> dict:
-        """The server's EXPLAIN payload for SQL ``text``: per disjunct,
-        the lowered query, widths, candidate costs and the chosen
-        strategy."""
-        return _unwrap(self.request("explain", sql=text, **fields))
+    def _call(self, verb: protocol.Verb, fields: dict) -> Any:
+        send = self._routed if verb.placement == protocol.ROUTED else self.request
+        return verb.cast(_unwrap(send(verb.name, **fields)))
 
     # ------------------------------------------------------------------
     # client-side routing
@@ -206,23 +239,9 @@ class ServiceClient:
         advertises shard addresses — enable direct dialing: later
         ``evaluate``/``count`` calls go straight to the owning shard,
         falling back to the router on any shard failure."""
-        info = _unwrap(self.request("ring"))
-        self._learn(info)
+        info = self.ring()
+        self._ring, self._addresses = _ring_view(info)
         return info
-
-    def _learn(self, info: dict) -> None:
-        from .ring import HashRing
-
-        addresses = info.get("addresses") or {}
-        if addresses:
-            self._ring = HashRing.from_describe(info)
-            self._addresses = {
-                name: (str(host), int(port))
-                for name, (host, port) in addresses.items()
-            }
-        else:
-            self._ring = None
-            self._addresses = {}
 
     def _direct_target(self, query: str) -> tuple[str, "ServiceClient"] | None:
         if self._ring is None:
@@ -285,74 +304,8 @@ class ServiceClient:
                     self._relearn()
         return self.request(op, **fields)
 
-    def evaluate_many(
-        self, queries: Sequence[str], **fields: Any
-    ) -> list[bool]:
-        return list(
-            _unwrap(self.request("evaluate_many", queries=list(queries), **fields))
-        )
 
-    def mutate(
-        self, kind: str, relation: str, values: Sequence[Any], **fields: Any
-    ) -> dict:
-        return _unwrap(
-            self.request(
-                "mutate",
-                kind=kind,
-                relation=relation,
-                tuple=protocol.encode_tuple(values),
-                **fields,
-            )
-        )
-
-    def stats(self) -> dict:
-        return _unwrap(self.request("stats"))
-
-    # ------------------------------------------------------------------
-    # router-tier admin verbs
-    # ------------------------------------------------------------------
-
-    def attach_tenant(self, tenant: str, db: Any, **fields: Any) -> dict:
-        """Attach ``tenant`` serving ``db`` (a
-        :class:`~repro.engine.relation.Database`, shipped as a
-        snapshot)."""
-        return _unwrap(
-            self.request(
-                "attach_tenant",
-                tenant=tenant,
-                database=protocol.encode_database(db),
-                **fields,
-            )
-        )
-
-    def detach_tenant(self, tenant: str, purge: bool = True, **fields: Any) -> dict:
-        return _unwrap(
-            self.request("detach_tenant", tenant=tenant, purge=purge, **fields)
-        )
-
-    def reload(self, tenant: str, db: Any, **fields: Any) -> dict:
-        """Hot-swap ``tenant``'s served database for ``db`` under live
-        traffic."""
-        return _unwrap(
-            self.request(
-                "reload",
-                tenant=tenant,
-                database=protocol.encode_database(db),
-                **fields,
-            )
-        )
-
-    def ring(self, **fields: Any) -> dict:
-        return _unwrap(self.request("ring", **fields))
-
-    def ring_add(self, shard: str, **fields: Any) -> dict:
-        return _unwrap(self.request("ring_add", shard=shard, **fields))
-
-    def ring_remove(self, shard: str, **fields: Any) -> dict:
-        return _unwrap(self.request("ring_remove", shard=shard, **fields))
-
-
-class AsyncServiceClient:
+class AsyncServiceClient(_VerbMethods):
     """Pipelining asyncio client: requests resolve out of order, matched
     by id.  Open with :meth:`connect`, or use as an async context
     manager."""
@@ -470,23 +423,9 @@ class AsyncServiceClient:
             raise
         return await future
 
-    async def evaluate(self, query: str, **fields: Any) -> bool:
-        return bool(
-            _unwrap(await self._routed("evaluate", query=query, **fields))
-        )
-
-    async def count(self, query: str, **fields: Any) -> int:
-        return int(_unwrap(await self._routed("count", query=query, **fields)))
-
-    async def sql(self, text: str, **fields: Any) -> bool | int:
-        """Evaluate SQL ``text`` server-side (see
-        :meth:`ServiceClient.sql`)."""
-        result = _unwrap(await self.request("sql", sql=text, **fields))
-        return result if isinstance(result, bool) else int(result)
-
-    async def explain(self, text: str, **fields: Any) -> dict:
-        """The server's EXPLAIN payload for SQL ``text``."""
-        return _unwrap(await self.request("explain", sql=text, **fields))
+    async def _call(self, verb: protocol.Verb, fields: dict) -> Any:
+        send = self._routed if verb.placement == protocol.ROUTED else self.request
+        return verb.cast(_unwrap(await send(verb.name, **fields)))
 
     # ------------------------------------------------------------------
     # client-side routing
@@ -496,23 +435,9 @@ class AsyncServiceClient:
         """Fetch the coordinator's ring topology and — when it
         advertises shard addresses — enable direct dialing (see
         :meth:`ServiceClient.learn_ring`)."""
-        info = _unwrap(await self.request("ring"))
-        self._learn(info)
+        info = await self.ring()
+        self._ring, self._addresses = _ring_view(info)
         return info
-
-    def _learn(self, info: dict) -> None:
-        from .ring import HashRing
-
-        addresses = info.get("addresses") or {}
-        if addresses:
-            self._ring = HashRing.from_describe(info)
-            self._addresses = {
-                name: (str(host), int(port))
-                for name, (host, port) in addresses.items()
-            }
-        else:
-            self._ring = None
-            self._addresses = {}
 
     async def _direct_target(
         self, query: str
@@ -574,81 +499,10 @@ class AsyncServiceClient:
 
     async def route_request(self, request: dict) -> dict:
         """Issue one wire-shaped request (as the load generator builds
-        them), direct-dialing the owning shard for ``evaluate``/
-        ``count`` when the ring is known."""
+        them), direct-dialing the owning shard for routed verbs when
+        the ring is known."""
         fields = {k: v for k, v in request.items() if k != "op"}
-        op = request.get("op")
-        if op in ("evaluate", "count"):
-            return await self._routed(op, **fields)
-        return await self.request(op, **fields)
-
-    async def evaluate_many(
-        self, queries: Sequence[str], **fields: Any
-    ) -> list[bool]:
-        return list(
-            _unwrap(
-                await self.request(
-                    "evaluate_many", queries=list(queries), **fields
-                )
-            )
-        )
-
-    async def mutate(
-        self, kind: str, relation: str, values: Sequence[Any], **fields: Any
-    ) -> dict:
-        return _unwrap(
-            await self.request(
-                "mutate",
-                kind=kind,
-                relation=relation,
-                tuple=protocol.encode_tuple(values),
-                **fields,
-            )
-        )
-
-    async def stats(self) -> dict:
-        return _unwrap(await self.request("stats"))
-
-    # ------------------------------------------------------------------
-    # router-tier admin verbs
-    # ------------------------------------------------------------------
-
-    async def attach_tenant(self, tenant: str, db: Any, **fields: Any) -> dict:
-        return _unwrap(
-            await self.request(
-                "attach_tenant",
-                tenant=tenant,
-                database=protocol.encode_database(db),
-                **fields,
-            )
-        )
-
-    async def detach_tenant(
-        self, tenant: str, purge: bool = True, **fields: Any
-    ) -> dict:
-        return _unwrap(
-            await self.request(
-                "detach_tenant", tenant=tenant, purge=purge, **fields
-            )
-        )
-
-    async def reload(self, tenant: str, db: Any, **fields: Any) -> dict:
-        return _unwrap(
-            await self.request(
-                "reload",
-                tenant=tenant,
-                database=protocol.encode_database(db),
-                **fields,
-            )
-        )
-
-    async def ring(self, **fields: Any) -> dict:
-        return _unwrap(await self.request("ring", **fields))
-
-    async def ring_add(self, shard: str, **fields: Any) -> dict:
-        return _unwrap(await self.request("ring_add", shard=shard, **fields))
-
-    async def ring_remove(self, shard: str, **fields: Any) -> dict:
-        return _unwrap(
-            await self.request("ring_remove", shard=shard, **fields)
-        )
+        verb = protocol.VERBS.get(request.get("op"))
+        if verb is not None and verb.placement == protocol.ROUTED:
+            return await self._routed(verb.name, **fields)
+        return await self.request(request.get("op"), **fields)

@@ -30,7 +30,7 @@ from ..queries.query import Query
 from ..workloads.generators import random_interval
 from ..workloads.query_generator import isomorphic_variants
 from .client import AsyncServiceClient, ServiceError
-from .protocol import encode_tuple, query_text
+from .protocol import VERBS, query_text
 
 __all__ = ["LoadReport", "generate_requests", "run_load"]
 
@@ -104,36 +104,17 @@ def generate_requests(
         if roll < mutate_fraction:
             relation, variables = rng.choice(schemas)
             if mine and rng.random() < 0.5:
+                kind = "delete"
                 relation, values = mine.pop(rng.randrange(len(mine)))
-                requests.append(
-                    {
-                        "op": "mutate",
-                        "kind": "delete",
-                        "relation": relation,
-                        "tuple": encode_tuple(values),
-                        **tag,
-                    }
-                )
             else:
+                kind = "insert"
                 values = _random_tuple(rng, variables, domain, mean_length)
                 mine.append((relation, values))
-                requests.append(
-                    {
-                        "op": "mutate",
-                        "kind": "insert",
-                        "relation": relation,
-                        "tuple": encode_tuple(values),
-                        **tag,
-                    }
-                )
+            requests.append(VERBS["mutate"].frame(kind, relation, values, **tag))
         elif roll < mutate_fraction + count_fraction:
-            requests.append(
-                {"op": "count", "query": rng.choice(variants), **tag}
-            )
+            requests.append(VERBS["count"].frame(rng.choice(variants), **tag))
         else:
-            requests.append(
-                {"op": "evaluate", "query": rng.choice(variants), **tag}
-            )
+            requests.append(VERBS["evaluate"].frame(rng.choice(variants), **tag))
     return requests
 
 

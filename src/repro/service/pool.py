@@ -17,50 +17,116 @@ patches its cached reductions in place (PR 3) instead of rebuilding.
 Tuple-level mutations are idempotent under set semantics (a replayed
 insert/delete is a no-op), which is what makes crash-resubmission safe.
 
-Failure model: workers are monitored through their result pipes.  A
-worker that dies mid-task (crash, OOM-kill) is detected by EOF; its
-outstanding ``evaluate``/``count`` tasks are resubmitted to surviving
-workers — every future resolves exactly once, with no lost or duplicated
-answers.  The dead worker is then **respawned** in place (the parent
-keeps its database copy current by replaying every broadcast mutation,
-so the replacement sees the served contents), restoring the pool to
-full strength instead of shrinking it; over a shared ``cache_dir`` the
-replacement warms from the persistent reduction cache and performs zero
-forward reductions.  ``respawn=False`` (or an exhausted
-``max_respawns`` budget — a crash-*loop* guard: each respawn spends a
-unit, a replacement's first answer refills it, so only rapid successive
-crash-respawn cycles exhaust it) restores the old shrinking behaviour.
-When the last worker dies, outstanding futures fail with
-:class:`WorkerCrash`.
+Failure model — one registry per failure domain, and whoever pops an
+entry owns its resolve.  A worker's failure domain is its process, so
+its ``outstanding`` map is the one registry: an :class:`Entry`
+``(op, query, payload, future)`` goes in when the task is queued and is
+popped either by the collector matching the worker's answer or, on pipe
+EOF (crash, OOM-kill), by the death handler, which hands the popped
+entries to :func:`settle_lost` — the one function, shared with the
+router tier, that reads the verb table's lost-ack column: routed work
+is placed again on the *same* future (every future resolves exactly
+once, no lost or duplicated answers), a broadcast's ack resolves
+benignly, anything else fails typed.  The dead worker is then
+**respawned** in place (the parent keeps its database copy current by
+replaying every broadcast mutation, so the replacement sees the served
+contents), restoring the pool to full strength instead of shrinking
+it; over a shared ``cache_dir`` the replacement warms from the
+persistent reduction cache and performs zero forward reductions.
+``max_respawns`` is a crash-*loop* guard — each respawn spends a unit,
+a replacement's first answer refills it, so only rapid successive
+crash-respawn cycles exhaust it; ``max_respawns=0`` never respawns and
+the pool shrinks.  When the last worker dies, outstanding futures fail
+with :class:`WorkerCrash`.
 
-The pool uses the ``spawn`` start method by default: it is safe in
-threaded parents (the asyncio server, the collector) and exercises the
-cross-process stability of the content-addressed cache for real — a
-spawned worker shares no interpreter state, only the cache directory.
+Workers are started with ``spawn``, the only start method that is safe
+in a threaded parent (the asyncio server, the collector); it also
+exercises the cross-process stability of the content-addressed cache
+for real — a spawned worker shares no interpreter state, only the cache
+directory.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
+from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Literal, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from ..core.reduction_cache import ReductionCache
 from ..core.session import QuerySession, canonical_form
-from ..engine.relation import Database
+from ..engine.relation import Database, Delta
 from ..queries.query import Query
+from .protocol import DROP, FAIL, RESUBMIT, VERBS
+from .ring import stable_digest
 
-__all__ = ["PoolClosed", "WorkerCrash", "WorkerPool"]
+__all__ = [
+    "Entry",
+    "Pool",
+    "PoolClosed",
+    "WorkerCrash",
+    "WorkerPool",
+    "settle_lost",
+    "submit_many",
+    "submit_sql",
+]
 
 
 class WorkerCrash(RuntimeError):
     """Every worker died before the task could complete."""
+
+
+class PoolClosed(RuntimeError):
+    """The pool no longer accepts work."""
+
+
+# ----------------------------------------------------------------------
+# the pool contract
+# ----------------------------------------------------------------------
+
+
+class Pool(Protocol):
+    """What the router places work on and the serving tier is written
+    against — met by :class:`WorkerPool` (worker processes) and
+    :class:`~repro.service.remote.RemoteShardPool` (one tenant on a
+    remote shard node) alike.  ``submit`` routes one task by ``query``'s
+    canonical form; passing ``future`` places work again on a future a
+    caller already holds, which is all a resubmission is."""
+
+    def submit(
+        self, op: str, query: Query, *, future: Future | None = None, **payload: Any
+    ) -> Future: ...
+
+    def mutate(self, kind: str, relation: str, t: tuple) -> Future: ...
+
+    def stats_async(self) -> Future: ...
+
+    def close(self) -> dict: ...
+
+    def terminate(self) -> None: ...
+
+
+@dataclass
+class Entry:
+    """One unit of outstanding work, as every registry holds it: enough
+    to resolve it (``future``) and enough to place it again
+    (``submit(op, query, future=future, **payload)``)."""
+
+    op: str
+    query: Query | None
+    payload: dict
+    future: Future
+    #: how many workers died with this task outstanding
+    crashes: int = 0
+    #: a respawn's delta catch-up: fire-and-forget, and no proof of health
+    replay: bool = False
+    #: whose work it is, in a registry that spans tenants
+    tenant: str | None = None
 
 
 def _resolve(future: Future, value=None, error: BaseException | None = None) -> None:
@@ -80,17 +146,104 @@ def _resolve(future: Future, value=None, error: BaseException | None = None) -> 
         pass
 
 
-class PoolClosed(RuntimeError):
-    """The pool no longer accepts work."""
+def settle_lost(
+    entries: Iterable[Entry],
+    resubmit: Callable[[Entry], bool] | None,
+    error: BaseException,
+) -> tuple[int, int]:
+    """Decide the outcome of entries whose worker or connection died —
+    the one place that does, for the worker-death, shard-eviction and
+    router-close paths alike.  The caller has *popped* the entries from
+    its registry, so it owns their resolve; the verb table says what a
+    lost ack means.  ``resubmit(entry)`` takes a routed task over (it
+    returns ``False`` when nobody can, ``None`` stands for nobody) and
+    everything left fails with ``error``.  Returns ``(resubmitted,
+    failed)``."""
+    resubmitted = failed = 0
+    for entry in entries:
+        verb = VERBS.get(entry.op)
+        lost = FAIL if verb is None else verb.lost
+        if lost == DROP:
+            _resolve(entry.future, None)
+        elif lost == RESUBMIT and resubmit is not None and resubmit(entry):
+            resubmitted += 1
+        else:
+            failed += 1
+            _resolve(entry.future, error=error)
+    return resubmitted, failed
 
 
-def _route_digest(key: object) -> int:
-    """A stable integer digest of a canonical-form key, the routing
-    hash.  ``hash()`` would be salted per process; this must agree
-    between a pool and its restarted successor so warm workers see the
-    same groups again."""
-    raw = hashlib.sha256(repr(key).encode()).digest()
-    return int.from_bytes(raw[:8], "big")
+def _gather(futures: list[Future], assemble: Callable[[list], Any]) -> Future:
+    """A future of ``assemble([f.result() for f in futures])``, resolved
+    once every future is done (first exception wins)."""
+    result: Future = Future()
+    remaining = len(futures)
+    if remaining == 0:
+        result.set_result(assemble([]))
+        return result
+    lock = threading.Lock()
+    state = {"remaining": remaining}
+
+    def on_done(_future: Future) -> None:
+        with lock:
+            state["remaining"] -= 1
+            last = state["remaining"] == 0
+        if result.done():
+            return
+        error = _future.exception()
+        if error is not None:
+            _resolve(result, error=error)
+            return
+        if last:
+            try:
+                _resolve(result, assemble([f.result() for f in futures]))
+            except Exception as err:  # pragma: no cover - defensive
+                _resolve(result, error=err)
+
+    for future in futures:
+        future.add_done_callback(on_done)
+    return result
+
+
+def submit_many(
+    submit: Callable[..., Future], queries: Sequence[Query], op: str = "evaluate"
+) -> Future:
+    """A batch over any ``submit``: the batch is grouped by canonical
+    form, one task per group is routed to the group's owner, and every
+    member receives its group's answer.  One future resolving to the
+    full, order-preserving answer list."""
+    groups: dict[tuple, list[int]] = {}
+    for i, query in enumerate(queries):
+        groups.setdefault(canonical_form(query).key, []).append(i)
+
+    def assemble(values: list) -> list:
+        answers: list = [None] * len(queries)
+        for indices, value in zip(groups.values(), values):
+            for i in indices:
+                answers[i] = value
+        return answers
+
+    return _gather(
+        [submit(op, queries[indices[0]]) for indices in groups.values()], assemble
+    )
+
+
+def submit_sql(submit: Callable[..., Future], db: Database, text: str) -> Future:
+    """A SQL program over any ``submit``: compiled (and cost-based-
+    optimized) once, here, against ``db``; each disjunct is then routed
+    by the canonical form of its *lowered* query — so a disjunct
+    isomorphic to an already-hot conjunctive query lands on the same
+    shard and worker — carrying its single-disjunct SQL text, which the
+    worker recompiles against its own replica.  The answers combine per
+    the head (``EXISTS``: any, ``COUNT(*)``: sum).  Raises
+    :class:`~repro.sql.SqlError` on malformed SQL."""
+    from ..sql import compile_sql
+
+    program = compile_sql(text, db)
+    return _gather(
+        [submit("sql", d.query, sql=d.sql) for d in program.disjuncts],
+        program.combine,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -98,39 +251,20 @@ def _route_digest(key: object) -> int:
 # ----------------------------------------------------------------------
 
 
-def _worker_execute(
-    session: QuerySession, db: Database, op: str, payload: dict
-) -> Any:
-    if op == "evaluate":
-        return bool(
-            session.evaluate(payload["query"], strategy=payload["strategy"])
-        )
-    if op == "count":
-        return int(session.count(payload["query"]))
-    if op == "mutate":
-        kind, relation, t = (
-            payload["kind"],
-            payload["relation"],
-            payload["tuple"],
-        )
-        if kind == "insert":
-            delta = db.insert(relation, t)
-        elif kind == "delete":
-            delta = db.delete(relation, t)
-        else:
-            raise ValueError(f"unknown mutation kind {kind!r}")
-        return {"applied": delta is not None, "version": db.version}
-    if op == "sql":
-        from repro.sql import compile_sql, run_program
+def _worker_mutate(session: QuerySession, db: Database, task: dict) -> dict:
+    # the task is a Delta's kind / relation / tuple
+    delta = db.apply_delta(Delta(db.version, **task))
+    return {"applied": delta is not None, "version": db.version}
 
-        # one single-disjunct SQL text per task: recompile against the
-        # worker's own database (schemas may differ from the submitter's
-        # view only in statistics, never in shape) and run through the
-        # session so SQL plans and answers share its memoization.
-        return run_program(compile_sql(payload["sql"], db), session)
-    if op == "stats":
-        return _worker_stats(session)
-    raise ValueError(f"unknown op {op!r}")
+
+def _worker_sql(session: QuerySession, db: Database, task: dict):
+    # one single-disjunct SQL text per task: recompile against the
+    # worker's own database (schemas may differ from the submitter's
+    # view only in statistics, never in shape) and run through the
+    # session so SQL plans and answers share its memoization.
+    from repro.sql import compile_sql, run_program
+
+    return run_program(compile_sql(task["sql"], db), session)
 
 
 def _worker_stats(session: QuerySession) -> dict:
@@ -139,6 +273,18 @@ def _worker_stats(session: QuerySession) -> dict:
         "session": session.stats.as_dict(),
         "cache": session.cache.stats() if session.cache is not None else None,
     }
+
+
+#: What a worker does with each task op: ``handler(session, db, task)``.
+_WORKER_OPS: dict[str, Callable[[QuerySession, Database, dict], Any]] = {
+    "evaluate": lambda session, db, task: bool(
+        session.evaluate(task["query"], strategy="reduction")
+    ),
+    "count": lambda session, db, task: int(session.count(task["query"])),
+    "sql": _worker_sql,
+    "mutate": _worker_mutate,
+    "stats": lambda session, db, task: _worker_stats(session),
+}
 
 
 def _worker_main(
@@ -151,16 +297,7 @@ def _worker_main(
     """One worker: a session-owning loop over the task queue.  ``None``
     is the graceful-shutdown sentinel; the final message on the result
     pipe is ``("exit", ...)`` carrying the session's lifetime stats."""
-    session = QuerySession(
-        db,
-        cache_dir=options.get("cache_dir"),
-        answer_cache_size=options.get("answer_cache_size", 1024),
-        cache_max_bytes=options.get("cache_max_bytes"),
-        answer_admission_min_intervals=options.get(
-            "answer_admission_min_intervals", 0
-        ),
-        cache_namespace=options.get("cache_namespace"),
-    )
+    session = QuerySession(db, **options)
     try:
         while True:
             task = tasks.get()
@@ -169,7 +306,7 @@ def _worker_main(
                 return
             task_id, op, payload = task
             try:
-                value = _worker_execute(session, db, op, payload)
+                value = _WORKER_OPS[op](session, db, payload)
             except Exception as error:
                 results.send(
                     (
@@ -201,7 +338,7 @@ class _Worker:
         self.alive = True
         self.exited = False          # sent its graceful "exit" message
         self.respawned = False       # a crash replacement, not yet heard from
-        self.outstanding: dict[int, tuple[str, dict]] = {}
+        self.outstanding: dict[int, Entry] = {}  # the worker's one registry
         self.final_stats: dict | None = None
 
 
@@ -234,9 +371,6 @@ class WorkerPool:
         cache_max_bytes: int | None = None,
         answer_admission_min_intervals: int = 0,
         cache_namespace: str | None = None,
-        strategy: str = "reduction",
-        start_method: Literal["spawn", "fork", "forkserver"] = "spawn",
-        respawn: bool = True,
         max_respawns: int | None = None,
     ):
         if workers < 1:
@@ -260,7 +394,7 @@ class WorkerPool:
         ):
             raise ValueError(f"invalid cache namespace {cache_namespace!r}")
         self.db = db
-        self.strategy = strategy
+        # the keyword arguments of every worker's QuerySession
         self._options = {
             "cache_dir": os.fspath(cache_dir) if cache_dir is not None else None,
             "answer_cache_size": answer_cache_size,
@@ -268,11 +402,9 @@ class WorkerPool:
             "answer_admission_min_intervals": answer_admission_min_intervals,
             "cache_namespace": cache_namespace,
         }
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._task_ids = itertools.count(1)
-        self._futures: dict[int, Future] = {}
-        self._respawn = respawn
         # crash-loop guard, not a lifetime cap: each respawn consumes a
         # unit of budget, and the first message from a replacement (it
         # started, served, proved healthy) refills it — so a worker
@@ -284,10 +416,11 @@ class WorkerPool:
         )
         self._respawns_remaining = self._respawn_budget
         self._respawns_inflight = 0  # replacement builds not yet registered
-        # routed tasks submitted while no worker is alive but a
-        # replacement is being built — routed (or failed) when the
-        # in-flight respawn resolves
-        self._parked: list[tuple[str, dict, Future]] = []
+        # routed tasks with no worker alive to take them but a
+        # replacement being built (submitted in that window, or lost
+        # with the last worker) — routed, or failed, when the in-flight
+        # respawn resolves
+        self._parked: list[Entry] = []
         self.respawns = 0          # replacements actually performed
         self._closed = False
         self._all_exited = threading.Event()
@@ -354,7 +487,12 @@ class WorkerPool:
             worker.tasks.close()
             worker.tasks.cancel_join_thread()
         self._collector.join(timeout=timeout)
-        return self._final_report()
+        with self._lock:
+            return self._report(
+                {"worker": w.index, **w.final_stats}
+                for w in self._workers
+                if w.final_stats is not None
+            )
 
     def terminate(self) -> None:
         """Hard stop: kill every worker.  Outstanding futures fail."""
@@ -368,16 +506,15 @@ class WorkerPool:
             worker.process.join(timeout=10)
         self._all_exited.wait(10)
 
-    def _final_report(self) -> dict:
-        with self._lock:
-            per_worker = [
-                {"worker": w.index, **(w.final_stats or {})}
-                for w in self._workers
-                if w.final_stats is not None
-            ]
+    def _report(self, per_worker: Iterable[dict]) -> dict:
+        per_worker = list(per_worker)
+        totals: dict[str, int] = {}
+        for entry in per_worker:
+            for name, value in (entry.get("session") or {}).items():
+                totals[name] = totals.get(name, 0) + int(value)
         return {
             "workers": per_worker,
-            "aggregate": _sum_session_stats(per_worker),
+            "aggregate": totals,
             "respawns": self.respawns,
         }
 
@@ -385,41 +522,56 @@ class WorkerPool:
     # submission and routing
     # ------------------------------------------------------------------
 
-    def _route(self, key: object, alive: Sequence[_Worker]) -> _Worker:
-        return alive[_route_digest(key) % len(alive)]
+    @staticmethod
+    def _slot(query: Query) -> int:
+        """The routing hash: a stable digest of the canonical form
+        (``hash()`` would be salted per process; this must agree between
+        a pool and its restarted successor so warm workers see the same
+        groups again), taken modulo the alive workers."""
+        return stable_digest(canonical_form(query).key)
 
-    def _submit_to(
-        self, worker: _Worker, op: str, payload: dict, future: Future
-    ) -> None:
+    def _submit_to(self, worker: _Worker, entry: Entry) -> Future:
         """Caller holds the lock."""
         task_id = next(self._task_ids)
-        self._futures[task_id] = future
-        worker.outstanding[task_id] = (op, payload)
-        worker.tasks.put((task_id, op, payload))
+        worker.outstanding[task_id] = entry
+        payload = entry.payload
+        if entry.query is not None:
+            payload = {"query": entry.query, **payload}
+        worker.tasks.put((task_id, entry.op, payload))
+        return entry.future
 
-    def submit(self, op: str, query: Query, **payload: Any) -> Future:
-        """Submit one routed task (``evaluate`` or ``count``).  The
-        worker is chosen by the query's canonical form, so isomorphic
-        queries always share a worker — and hence its in-memory caches.
-        If every worker is dead but a replacement is being built, the
-        task is parked and routed once the respawn resolves, instead of
-        failing a blip the pool recovers from by itself."""
-        form_key = canonical_form(query).key
-        payload = {"query": query, **payload}
-        if op == "evaluate":
-            payload.setdefault("strategy", self.strategy)
-        future: Future = Future()
+    def _place(
+        self, entry: Entry, alive: Sequence[_Worker], slot: int | None = None
+    ) -> None:
+        """Route (or re-route) a task by its own query.  Caller holds
+        the lock."""
+        if slot is None:
+            slot = self._slot(entry.query)
+        self._submit_to(alive[slot % len(alive)], entry)
+
+    def submit(
+        self, op: str, query: Query, *, future: Future | None = None, **payload: Any
+    ) -> Future:
+        """Submit one routed task (``evaluate``, ``count`` or ``sql``).
+        The worker is chosen by the query's canonical form, so
+        isomorphic queries always share a worker — and hence its
+        in-memory caches.  If every worker is dead but a replacement is
+        being built, the task is parked and routed once the respawn
+        resolves, instead of failing a blip the pool recovers from by
+        itself."""
+        entry = Entry(op, query, payload, future if future is not None else Future())
+        slot = self._slot(query)  # outside the lock: first sight is not cheap
         with self._lock:
             alive = [w for w in self._workers if w.alive]
             if self._closed:
                 raise PoolClosed("pool is closed")
-            if not alive:
-                if self._respawns_inflight > 0:
-                    self._parked.append((op, payload, future))
-                    return future
+            if alive:
+                self._place(entry, alive, slot)
+            elif self._respawns_inflight > 0:
+                self._parked.append(entry)
+            else:
                 raise WorkerCrash("no alive workers")
-            self._submit_to(self._route(form_key, alive), op, payload, future)
-        return future
+        return entry.future
 
     def evaluate(self, query: Query) -> Future:
         """Future Boolean answer for ``query``."""
@@ -429,45 +581,30 @@ class WorkerPool:
         """Future exact witness count for ``query``."""
         return self.submit("count", query)
 
-    def evaluate_many(self, queries: Sequence[Query]) -> list[bool]:
-        """Batch-evaluate: the batch is grouped by canonical form in the
-        parent, one task per group is routed to the group's worker, and
-        every member receives its group's answer.  Blocks until done."""
-        return self._many(queries, "evaluate")
-
-    def count_many(self, queries: Sequence[Query]) -> list[int]:
-        return self._many(queries, "count")
-
     def submit_many(
         self, queries: Sequence[Query], op: str = "evaluate"
     ) -> Future:
-        """Non-blocking :meth:`evaluate_many`: one future resolving to
-        the full, order-preserving answer list (the async server awaits
-        this)."""
-        groups: dict[tuple, list[int]] = {}
-        for i, query in enumerate(queries):
-            groups.setdefault(canonical_form(query).key, []).append(i)
-        futures = [
-            self.submit(op, queries[indices[0]]) for indices in groups.values()
-        ]
-        result: Future = Future()
+        """Non-blocking :meth:`evaluate_many` (see :func:`submit_many`)."""
+        return submit_many(self.submit, queries, op)
 
-        def assemble(values: list) -> list:
-            answers: list = [None] * len(queries)
-            for indices, value in zip(groups.values(), values):
-                for i in indices:
-                    answers[i] = value
-            return answers
+    def evaluate_many(self, queries: Sequence[Query]) -> list[bool]:
+        """Batch-evaluate, one task per canonical group.  Blocks until
+        done."""
+        return self.submit_many(queries).result()
 
-        _gather(futures, result, assemble)
-        return result
-
-    def _many(self, queries: Sequence[Query], op: str) -> list:
-        return self.submit_many(queries, op).result()
+    def count_many(self, queries: Sequence[Query]) -> list[int]:
+        return self.submit_many(queries, "count").result()
 
     # ------------------------------------------------------------------
     # broadcasts: mutations and stats
     # ------------------------------------------------------------------
+
+    def _broadcast(self, op: str, payload: dict, alive: Sequence[_Worker]) -> list[Future]:
+        """Caller holds the lock."""
+        return [
+            self._submit_to(worker, Entry(op, None, payload, Future()))
+            for worker in alive
+        ]
 
     def mutate(self, kind: str, relation: str, t: tuple) -> Future:
         """Broadcast one tuple-level mutation to every worker through
@@ -475,8 +612,6 @@ class WorkerPool:
         instead of rebuilding).  The parent's copy is mutated first, so
         the pool's view stays the served view.  Resolves to the list of
         per-worker acks once all alive workers applied it."""
-        if kind not in ("insert", "delete"):
-            raise ValueError(f"unknown mutation kind {kind!r}")
         payload = {"kind": kind, "relation": relation, "tuple": tuple(t)}
         with self._lock:
             if self._closed:
@@ -488,18 +623,9 @@ class WorkerPool:
             # the parent's (logged) copy is enough: the delta's version
             # is above the replacement's replay floor, so the replay
             # delivers it — the ack list is simply empty
-            if kind == "insert":
-                self.db.insert(relation, payload["tuple"])
-            else:
-                self.db.delete(relation, payload["tuple"])
-            futures: list[Future] = []
-            for worker in alive:
-                future: Future = Future()
-                self._submit_to(worker, "mutate", payload, future)
-                futures.append(future)
-        result: Future = Future()
-        _gather(futures, result, lambda acks: [a for a in acks if a is not None])
-        return result
+            self.db.apply_delta(Delta(self.db.version, **payload))
+            futures = self._broadcast("mutate", payload, alive)
+        return _gather(futures, lambda acks: [a for a in acks if a is not None])
 
     def stats(self) -> dict:
         """Blocking aggregate of live per-worker stats (see
@@ -515,27 +641,15 @@ class WorkerPool:
             alive = [w for w in self._workers if w.alive]
             if not alive:
                 raise WorkerCrash("no alive workers")
-            pairs: list[tuple[int, Future]] = []
-            for worker in alive:
-                future: Future = Future()
-                self._submit_to(worker, "stats", {}, future)
-                pairs.append((worker.index, future))
-        result: Future = Future()
-
-        def assemble(values: list) -> dict:
-            per_worker = [
-                {"worker": index, **value}
-                for (index, _), value in zip(pairs, values)
+            futures = self._broadcast("stats", {}, alive)
+        return _gather(
+            futures,
+            lambda values: self._report(
+                {"worker": worker.index, **value}
+                for worker, value in zip(alive, values)
                 if value is not None
-            ]
-            return {
-                "workers": per_worker,
-                "aggregate": _sum_session_stats(per_worker),
-                "respawns": self.respawns,
-            }
-
-        _gather([f for _, f in pairs], result, assemble)
-        return result
+            ),
+        )
 
     # ------------------------------------------------------------------
     # the collector: results, graceful exits, crash recovery
@@ -575,9 +689,7 @@ class WorkerPool:
             return
         with self._lock:
             entry = worker.outstanding.pop(task_id, None)
-            if worker.respawned and not (
-                entry is not None and entry[1].get("_replay")
-            ):
+            if worker.respawned and not (entry is not None and entry.replay):
                 # the replacement answered real routed work: the crash
                 # was not a spawn loop — refill the crash-loop budget.
                 # (Replayed-delta acks don't count: a worker that only
@@ -585,107 +697,86 @@ class WorkerPool:
                 # still exhaust the budget.)
                 worker.respawned = False
                 self._respawns_remaining = self._respawn_budget
-            future = self._futures.pop(task_id, None)
-        if future is None:  # pragma: no cover - defensive
+        if entry is None:  # pragma: no cover - defensive
             return
         if kind == "ok":
-            _resolve(future, value)
+            _resolve(entry.future, value)
         else:
-            _resolve(future, error=RuntimeError(value))
+            _resolve(entry.future, error=RuntimeError(value))
 
     def _on_worker_death(self, worker: _Worker) -> None:
-        """A worker's pipe hit EOF without a graceful exit: resubmit its
-        outstanding routed work to survivors (bounded by
-        ``MAX_TASK_CRASHES`` — a task that keeps killing workers must
-        eventually fail its future, not cycle through replacements
-        forever), resolve broadcast acks, launch the respawn on a helper
-        thread (``Process.start`` pickles the whole database; the
+        """A worker's pipe hit EOF without a graceful exit: pop its
+        registry and settle the entries — routed work is resubmitted to
+        survivors (bounded by ``MAX_TASK_CRASHES``: a task that keeps
+        killing workers must eventually fail its future, not cycle
+        through replacements forever) or parked for the replacement,
+        broadcast acks resolve benignly (the dead worker's database copy
+        died with it; nothing to apply or report), and futures fail only
+        when no worker can ever take them.  The respawn is launched on a
+        helper thread (``Process.start`` pickles the whole database; the
         collector must keep draining every other worker's results
-        meanwhile), and fail futures only when no worker can ever take
-        them."""
+        meanwhile)."""
         with self._lock:
             worker.alive = False
-            orphaned = dict(worker.outstanding)
+            lost = list(worker.outstanding.values())
             worker.outstanding.clear()
-            should_respawn = (
-                self._respawn
-                and not self._closed
-                and self._respawns_remaining > 0
-            )
+            should_respawn = not self._closed and self._respawns_remaining > 0
             if should_respawn:
                 self._respawns_remaining -= 1
                 self._respawns_inflight += 1
             # the replay floor: every broadcast mutation logged after
             # this version is re-sent to the replacement, so nothing is
             # lost in the registration window (replays are idempotent)
-            version_before = getattr(self.db, "version", 0)
+            version_before = self.db.version
             alive = [w for w in self._workers if w.alive]
             # once close() has queued the shutdown sentinels, a
             # survivor's queue ends in a sentinel it will exit at —
             # resubmitted tasks queued behind it would never run and
             # their futures would hang forever; fail them instead
             can_resubmit = bool(alive) and not self._closed
-            resubmit: list[tuple[str, dict, Future]] = []
-            held: list[tuple[str, dict, Future]] = []
-            for task_id, (op, payload) in orphaned.items():
-                future = self._futures.pop(task_id, None)
-                if future is None:
-                    continue
-                if op in ("mutate", "stats"):
-                    # the dead worker's database copy died with it;
-                    # nothing to apply or report — the broadcast gather
-                    # drops the None
-                    _resolve(future, None)
-                    continue
-                crashes = payload.get("_crashes", 0) + 1
-                if crashes > self.MAX_TASK_CRASHES:
+
+            def resubmit(entry: Entry) -> bool:
+                entry.crashes += 1
+                if entry.crashes > self.MAX_TASK_CRASHES:
                     _resolve(
-                        future,
+                        entry.future,
                         error=WorkerCrash(
-                            f"task killed {crashes} workers in a row — "
+                            f"task killed {entry.crashes} workers in a row — "
                             f"not resubmitting it again"
                         ),
                     )
-                    continue
-                payload["_crashes"] = crashes
-                if can_resubmit:
-                    resubmit.append((op, payload, future))
+                elif can_resubmit:
+                    self._place(entry, alive)
                 elif should_respawn:
                     # no survivor today, but a replacement is coming:
                     # park the task until the respawn resolves it
-                    held.append((op, payload, future))
+                    self._parked.append(entry)
                 else:
-                    _resolve(
-                        future,
-                        error=WorkerCrash(
-                            f"worker {worker.index} died with the task "
-                            f"outstanding and no worker can take over "
-                            f"({'pool is closing' if self._closed else 'none survive'})"
-                        ),
-                    )
-            for op, payload, future in resubmit:
-                form_key = canonical_form(payload["query"]).key
-                self._submit_to(
-                    self._route(form_key, alive), op, payload, future
-                )
+                    return False
+                return True
+
+            settle_lost(
+                lost,
+                resubmit,
+                WorkerCrash(
+                    f"worker {worker.index} died with the task outstanding "
+                    f"and no worker can take over "
+                    f"({'pool is closing' if self._closed else 'none survive'})"
+                ),
+            )
         worker.process.join(timeout=5)
         if should_respawn:
             try:
                 threading.Thread(
                     target=self._respawn_worker,
-                    args=(worker.index, version_before, held),
+                    args=(worker.index, version_before),
                     name=f"repro-pool-respawn-{worker.index}",
                     daemon=True,
                 ).start()
             except RuntimeError:  # pragma: no cover - thread exhaustion
-                self._respawn_worker(worker.index, version_before, held)
+                self._respawn_worker(worker.index, version_before)
 
-    def _respawn_worker(
-        self,
-        index: int,
-        version_before: int,
-        held: list[tuple[str, dict, Future]],
-    ) -> None:
+    def _respawn_worker(self, index: int, version_before: int) -> None:
         """Build and register a replacement worker off the collector
         thread.  The spawn pickles the parent's live database; a
         broadcast mutation racing that pickle can make it raise (or
@@ -696,8 +787,8 @@ class WorkerPool:
         overlap with the snapshot is harmless and the replacement
         converges on the served contents.  A failed spawn (or a change
         log trimmed past the replay floor) degrades to the shrunk-pool
-        behaviour: held tasks fail only if no other worker survives and
-        no other respawn is in flight."""
+        behaviour: parked tasks fail only if no other worker survives
+        and no other respawn is in flight."""
         replacement = None
         for attempt in range(2):
             try:
@@ -711,39 +802,30 @@ class WorkerPool:
             # collector's exit check, submit()'s parking check and other
             # respawn threads' drains all see a consistent state
             self._respawns_inflight -= 1
-            deltas: list = []
+            logged: list | None = []
             if replacement is not None:
-                changes = getattr(self.db, "changes_since", None)
-                logged = (
-                    changes(version_before) if changes is not None else []
-                )
+                logged = self.db.changes_since(version_before)
                 if logged is None:
                     # the log was trimmed mid-spawn: the snapshot cannot
                     # be proven current — better a shrunk pool than a
                     # worker silently serving stale data
                     replacement.process.terminate()
                     replacement = None
-                else:
-                    deltas = [d for d in logged if d.is_tuple_level]
             if replacement is not None:
                 self.respawns += 1
                 replacement.respawned = True
                 self._workers[index] = replacement
-                for delta in deltas:
-                    self._submit_to(
-                        replacement,
-                        "mutate",
-                        {
+                for delta in logged or ():
+                    if delta.is_tuple_level:
+                        payload = {
                             "kind": delta.kind,
                             "relation": delta.relation,
                             "tuple": delta.tuple,
-                            # catch-up, not proof of health: must not
-                            # refill the crash-loop budget (and the ack
-                            # is fire-and-forget)
-                            "_replay": True,
-                        },
-                        Future(),
-                    )
+                        }
+                        self._submit_to(
+                            replacement,
+                            Entry("mutate", None, payload, Future(), replay=True),
+                        )
                 if self._closed:
                     # the pool began closing while we were spawning and
                     # its sentinel sweep could not see the replacement —
@@ -752,59 +834,18 @@ class WorkerPool:
             alive = [w for w in self._workers if w.alive]
             can_resubmit = bool(alive) and not self._closed
             parked, self._parked = self._parked, []
-            for op, payload, future in [*held, *parked]:
+            for entry in parked:
                 if can_resubmit:
-                    form_key = canonical_form(payload["query"]).key
-                    self._submit_to(
-                        self._route(form_key, alive), op, payload, future
-                    )
+                    self._place(entry, alive)
                 elif not self._closed and self._respawns_inflight > 0:
                     # this respawn failed but another is still being
                     # built — leave the task parked for it
-                    self._parked.append((op, payload, future))
+                    self._parked.append(entry)
                 else:
                     _resolve(
-                        future,
+                        entry.future,
                         error=WorkerCrash(
                             f"worker {index} died and no replacement "
                             f"could take its outstanding task"
                         ),
                     )
-
-
-def _gather(futures: list[Future], result: Future, assemble) -> None:
-    """Resolve ``result`` with ``assemble([f.result() for f in
-    futures])`` once every future is done (first exception wins)."""
-    remaining = len(futures)
-    if remaining == 0:
-        result.set_result(assemble([]))
-        return
-    lock = threading.Lock()
-    state = {"remaining": remaining}
-
-    def on_done(_future: Future) -> None:
-        with lock:
-            state["remaining"] -= 1
-            last = state["remaining"] == 0
-        if result.done():
-            return
-        error = _future.exception()
-        if error is not None:
-            _resolve(result, error=error)
-            return
-        if last:
-            try:
-                _resolve(result, assemble([f.result() for f in futures]))
-            except Exception as err:  # pragma: no cover - defensive
-                _resolve(result, error=err)
-
-    for future in futures:
-        future.add_done_callback(on_done)
-
-
-def _sum_session_stats(per_worker: list[dict]) -> dict:
-    totals: dict[str, int] = {}
-    for entry in per_worker:
-        for name, value in (entry.get("session") or {}).items():
-            totals[name] = totals.get(name, 0) + int(value)
-    return totals

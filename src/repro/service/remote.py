@@ -5,38 +5,42 @@ tenancy, replication and hot-reload semantics over worker pools inside
 one process tree.  This module distributes it: a shard node is a
 standalone ``RouterServer``-speaking OS process (``repro shard
 --listen``), and the coordinator dials it over the existing JSON-lines
-protocol instead of owning its worker pools — the codec already ships
-databases and deltas, so attach/reload/mutate replication become wire
-calls.
+protocol instead of owning its worker pools — the verb table already
+ships databases and mutations, so attach/reload/mutate replication
+become wire calls.
 
 Three pieces:
 
 * :class:`ShardConnection` — one persistent, pipelined TCP connection
-  to a shard node.  Thread-safe: any thread issues requests; a daemon
-  reader thread matches responses back to their
-  :class:`concurrent.futures.Future`\\ s by id (the same contract
-  :class:`~repro.service.client.AsyncServiceClient` implements on
-  asyncio).  Connection loss fails every pending future with the typed
-  :class:`ShardUnreachable` and fires an ``on_down`` callback exactly
-  once — the coordinator's failover hook.
+  to a shard node, and the **one registry** of its failure domain: a
+  connection is what fails, so the pending map holds every
+  :class:`~repro.service.pool.Entry` in flight on it, whichever tenant
+  it belongs to.  Thread-safe: any thread issues requests; a daemon
+  reader thread matches responses back to their entries by id and
+  resolves the caller's future directly.  Whoever pops an entry owns
+  its resolve: the reader (a reply arrived), or :meth:`~ShardConnection
+  .drain` (the coordinator evicts the node and settles the entries
+  itself — a later reply finds nothing and is dropped).  On connection
+  loss ``on_down`` fires exactly once, *before* anything is failed, so
+  the coordinator can drain and resubmit; whatever nobody claimed then
+  fails with the typed :class:`ShardUnreachable`.
 
 * :class:`RemoteShardNode` — the coordinator-side handle for one shard
-  process: the connection plus admin wrappers (tenant attach/detach/
-  reload, and the content-addressed cache-shipping verbs
-  ``cache_keys``/``cache_fetch``/``cache_push`` that warm a joining
-  node's per-node cache directory over the wire).
+  process: that connection under the shard's ring name, plus one
+  blocking method per verb, generated from the verb table (tenant
+  attach/detach/reload, and the content-addressed cache-shipping verbs
+  that warm a joining node's per-node cache directory over the wire).
 
-* :class:`RemoteShardPool` — the :class:`~repro.service.pool.WorkerPool`
-  surface over one (shard node, tenant) pair, so the router's routing,
+* :class:`RemoteShardPool` — the :class:`~repro.service.pool.Pool`
+  contract over one (shard node, tenant) pair, so the router's routing,
   mutation fan-out and stats paths work unchanged against remote
-  backends.  It carries the pool's **exactly-once future semantics**
-  across the wire: every submitted task is tracked in an outstanding
-  registry; the wire future's completion *pops* the entry and resolves
-  the outer future — unless the shard died, in which case the entry is
-  deliberately left for the router's failover sweep, which pops it and
-  resubmits the task to a surviving shard.  Pop-based mutual exclusion:
-  whoever pops the entry owns the resolve, so an answer is never lost
-  and never delivered twice.
+  backends.  It keeps no registry of its own: it encodes a task into a
+  frame and an entry (stamped with its tenant) and hands both to the
+  connection.  Exactly-once futures across the wire follow from the
+  connection's pop rule — the router's failover drains the dead node
+  and resubmits routed tasks to a survivor *on the original future*;
+  an entry whose tenant was detached meanwhile finds no pool and fails
+  typed, never hangs.
 
 :func:`spawn_shard_process` is the test/CI helper that launches a real
 shard OS process (own cache directory, own interpreter) and parses its
@@ -55,12 +59,12 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 from ..queries.query import Query
 from . import protocol
-from .client import ServiceError
-from .pool import PoolClosed, _resolve
+from .client import _VerbMethods, _unwrap
+from .pool import Entry, PoolClosed, _resolve
 
 __all__ = [
     "RemoteShardNode",
@@ -79,16 +83,6 @@ class ShardUnreachable(ConnectionError):
     has been attempted."""
 
 
-class SqlTask(NamedTuple):
-    """What the outstanding registry remembers about one routed ``sql``
-    task: the lowered query (whose canonical form placed it — the
-    failover sweep re-routes by it) and the single-disjunct SQL text
-    that actually crosses the wire."""
-
-    query: Query
-    sql: str
-
-
 # ----------------------------------------------------------------------
 # the pipelined connection
 # ----------------------------------------------------------------------
@@ -100,10 +94,10 @@ class ShardConnection:
     Many requests may be in flight at once; responses resolve their
     futures out of order, matched by id.  ``on_down`` (if given) fires
     exactly once, from the reader thread, when the connection is lost
-    for any reason other than a local :meth:`close` — after every
-    pending future has already been failed with
-    :class:`ShardUnreachable`, so the callback observes a settled
-    world."""
+    for any reason other than a local :meth:`close` — while the
+    unanswered entries are still pending, so the callback can
+    :meth:`drain` and re-place them; what it leaves behind fails with
+    :class:`ShardUnreachable` as soon as it returns."""
 
     def __init__(
         self,
@@ -118,8 +112,10 @@ class ShardConnection:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()        # pending map + down state
         self._write_lock = threading.Lock()  # one frame at a time
-        self._pending: dict[int, Future] = {}
+        # id -> (entry, reshape): the registry of this failure domain
+        self._pending: dict[int, tuple[Entry, Callable[[dict], Any] | None]] = {}
         self._down: BaseException | None = None
+        self._settled = False  # the loss has been handed over and failed
         self._closing = False
         try:
             self._sock = socket.create_connection(
@@ -142,48 +138,60 @@ class ShardConnection:
     def is_down(self) -> bool:
         return self._down is not None
 
-    def request_async(self, op: str, **fields: Any) -> Future:
-        """Send one request; a future resolving to the raw response
-        dict.  A send failure (or an already-down connection) resolves
-        the future with :class:`ShardUnreachable` instead of raising —
-        enqueue-only callers (the router under its lock) must never
-        block or throw on a dead wire."""
-        future: Future = Future()
-        with self._lock:
-            if self._down is not None:
-                future.set_exception(
-                    ShardUnreachable(
-                        f"shard {self.host}:{self.port} is down: {self._down}"
-                    )
-                )
-                return future
-            request_id = next(self._ids)
-            self._pending[request_id] = future
+    def request_async(
+        self,
+        op: str,
+        *,
+        entry: Entry | None = None,
+        reshape: Callable[[dict], Any] | None = None,
+        **fields: Any,
+    ) -> Future:
+        """Send one request; returns ``entry.future`` (a fresh entry is
+        minted when none is given), which the reader resolves with
+        ``reshape(response)`` — the raw response dict by default — or
+        with the exception ``reshape`` raises.  Never raises and never
+        blocks on a dead wire (enqueue-only callers hold the router
+        lock): a send failure, or a connection that is already down but
+        whose loss is still being handed over, leaves the entry pending
+        for whoever settles the loss; once the loss is settled the
+        future fails with :class:`ShardUnreachable` at once."""
+        if entry is None:
+            entry = Entry(op, None, fields, Future())
+        request_id = next(self._ids)
+        # encoded before anything is registered: an unencodable field
+        # raises to the caller instead of stranding a pending entry
         line = protocol.dump_line({"id": request_id, "op": op, **fields})
-        try:
-            with self._write_lock:
-                self._file.write(line)
-                self._file.flush()
-        except OSError as error:
-            with self._lock:
-                self._pending.pop(request_id, None)
-            self._lost(error)
-            _resolve(
-                future,
-                error=ShardUnreachable(
-                    f"shard {self.host}:{self.port} send failed: {error}"
-                ),
-            )
-        return future
+        with self._lock:
+            if self._settled:
+                _resolve(
+                    entry.future,
+                    error=ShardUnreachable(
+                        f"shard {self.host}:{self.port} is down: {self._down}"
+                    ),
+                )
+                return entry.future
+            self._pending[request_id] = (entry, reshape)
+            down = self._down is not None
+        if not down:
+            try:
+                with self._write_lock:
+                    self._file.write(line)
+                    self._file.flush()
+            except (OSError, ValueError):  # ValueError: the file is closed
+                # wake the reader with an EOF and let *it* settle the
+                # loss: this thread may hold the router lock mid-fan-out,
+                # where an eviction must not run re-entrantly
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already disconnected: the loss is under way
+        return entry.future
 
     def request(self, op: str, timeout: float | None = 60.0, **fields: Any):
         """Blocking request; unwraps the response (raising
         :class:`~repro.service.client.ServiceError` on a typed error
         response, :class:`ShardUnreachable` on connection loss)."""
-        response = self.request_async(op, **fields).result(timeout)
-        if response.get("ok"):
-            return response["result"]
-        raise ServiceError(response.get("error") or {"code": "internal"})
+        return self.request_async(op, reshape=_unwrap, **fields).result(timeout)
 
     def ping(self, timeout: float = 5.0) -> bool:
         """One cheap round-trip (the ``ring`` verb); ``False`` on any
@@ -193,6 +201,13 @@ class ShardConnection:
             return True
         except Exception:
             return False
+
+    def drain(self) -> list[Entry]:
+        """Pop every unanswered entry: the caller owns their resolve
+        from here on (a reply that still arrives is dropped)."""
+        with self._lock:
+            pending, self._pending = self._pending, {}
+        return [entry for entry, _reshape in pending.values()]
 
     def _read_loop(self) -> None:
         try:
@@ -211,26 +226,27 @@ class ShardConnection:
                         f"shard answered with an id-less error: {message}"
                     )
                 with self._lock:
-                    future = self._pending.pop(response_id, None)
-                if future is not None:
-                    _resolve(future, response)
+                    entry, reshape = self._pending.pop(response_id, (None, None))
+                if entry is None:
+                    continue  # drained: whoever popped it owns it
+                try:
+                    value = response if reshape is None else reshape(response)
+                except Exception as error:
+                    _resolve(entry.future, error=error)
+                else:
+                    _resolve(entry.future, value)
         except Exception as error:
             self._lost(error)
 
     def _lost(self, error: BaseException) -> None:
-        """Mark the connection down exactly once: fail every pending
-        future, then fire ``on_down`` (unless this is a local close)."""
+        """Mark the connection down exactly once, let ``on_down`` claim
+        the unanswered entries (unless this is a local close), then fail
+        the ones nobody claimed."""
         with self._lock:
             if self._down is not None:
                 return
             self._down = error
-            pending, self._pending = self._pending, {}
             closing = self._closing
-        unreachable = ShardUnreachable(
-            f"shard {self.host}:{self.port} connection lost: {error}"
-        )
-        for future in pending.values():
-            _resolve(future, error=unreachable)
         try:
             # unblock a reader parked in readline() BEFORE touching the
             # file object: its buffer lock is held for the whole blocking
@@ -251,6 +267,14 @@ class ShardConnection:
                 self._on_down(self)
             except Exception:  # pragma: no cover - callback must not kill reader
                 pass
+        with self._lock:
+            self._settled = True
+            unclaimed, self._pending = self._pending, {}
+        unreachable = ShardUnreachable(
+            f"shard {self.host}:{self.port} connection lost: {error}"
+        )
+        for entry, _reshape in unclaimed.values():
+            _resolve(entry.future, error=unreachable)
 
     def close(self) -> None:
         with self._lock:
@@ -265,9 +289,17 @@ class ShardConnection:
 # ----------------------------------------------------------------------
 
 
-class RemoteShardNode:
-    """One remote shard process, as the coordinator sees it: a named
-    address, a pipelined connection, and the admin verbs."""
+class RemoteShardNode(ShardConnection, _VerbMethods):
+    """One remote shard process, as the coordinator sees it: its
+    pipelined connection under the shard's ring name (``on_down``
+    receives the node), plus one blocking method per verb, generated
+    from the verb table — the coordinator uses the tenant admin and
+    cache-shipping ones.  A database argument may be an already-encoded
+    snapshot: the coordinator encodes once and ships the same dict to
+    every node."""
+
+    #: generous: attach/reload ship whole database snapshots
+    ADMIN_TIMEOUT = 300.0
 
     def __init__(
         self,
@@ -277,177 +309,77 @@ class RemoteShardNode:
         connect_timeout: float = 10.0,
         on_down: Callable[["RemoteShardNode"], None] | None = None,
     ):
-        self.name = name
-        self.host = host
-        self.port = port
-        self.connection = ShardConnection(
-            host,
-            port,
-            connect_timeout=connect_timeout,
-            on_down=(lambda _conn: on_down(self)) if on_down is not None else None,
-        )
+        self.name = name  # before the reader starts: on_down may need it
+        super().__init__(host, port, connect_timeout, on_down)
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    def request(self, op: str, timeout: float | None = 60.0, **fields: Any):
-        return self.connection.request(op, timeout=timeout, **fields)
-
-    def close(self) -> None:
-        self.connection.close()
-
-    # -- tenant admin, fanned out by the coordinator -------------------
-
-    def attach_tenant(self, tenant: str, encoded_db: dict) -> dict:
-        return self.request(
-            "attach_tenant", tenant=tenant, database=encoded_db, timeout=300.0
-        )
-
-    def detach_tenant(self, tenant: str, purge: bool = True) -> dict:
-        return self.request(
-            "detach_tenant", tenant=tenant, purge=purge, timeout=300.0
-        )
-
-    def reload(self, tenant: str, encoded_db: dict) -> dict:
-        return self.request(
-            "reload", tenant=tenant, database=encoded_db, timeout=300.0
-        )
-
-    # -- content-addressed cache shipping ------------------------------
-
-    def cache_keys(self) -> list[str]:
-        return list(self.request("cache_keys"))
-
-    def cache_fetch(self, key: str) -> dict:
-        """The encoded cache entry for ``key`` — ready to forward to
-        :meth:`cache_push` on another node."""
-        return self.request("cache_fetch", key=key)
-
-    def cache_push(self, entry: dict) -> dict:
-        return self.request(
-            "cache_push",
-            key=entry["key"],
-            sha256=entry["sha256"],
-            data=entry["data"],
+    def _call(self, verb: protocol.Verb, fields: dict) -> Any:
+        return verb.cast(
+            self.request(verb.name, timeout=self.ADMIN_TIMEOUT, **fields)
         )
 
 
 # ----------------------------------------------------------------------
-# the WorkerPool-surface adapter
+# the pool contract over one (node, tenant)
 # ----------------------------------------------------------------------
 
 
 class RemoteShardPool:
-    """The pool surface over one (remote shard node, tenant) pair.
-
-    Mirrors exactly the :class:`~repro.service.pool.WorkerPool` methods
-    the router calls — ``submit``/``mutate``/``stats_async``/``close``/
-    ``terminate`` — so the router's traffic paths are backend-agnostic.
-    Outstanding work lives in a registry keyed by entry id; see the
-    module docstring for the exactly-once pop protocol shared with the
-    router's failover sweep."""
+    """The :class:`~repro.service.pool.Pool` contract over one (remote
+    shard node, tenant) pair, so the router's traffic paths are
+    backend-agnostic.  Stateless but for ``closed``: outstanding work
+    lives in the node connection's registry (see the module
+    docstring)."""
 
     def __init__(self, node: RemoteShardNode, tenant: str):
         self.node = node
         self.tenant = tenant
-        self._lock = threading.Lock()
-        self._entry_ids = itertools.count(1)
-        self._outstanding: dict[int, tuple[str, Query | None, Future]] = {}
         self._closed = False
-        self._orphaned = False
 
-    def _register(self, op: str, query: Query | None, future: Future) -> int:
-        with self._lock:
-            if self._closed:
-                raise PoolClosed("remote shard pool is closed")
-            entry_id = next(self._entry_ids)
-            self._outstanding[entry_id] = (op, query, future)
-        return entry_id
-
-    def _finish(self, entry_id: int, wire: Future, reshape=None) -> None:
-        """Wire-future completion: pop-and-resolve, except on
-        :class:`ShardUnreachable` — then the entry is *left* for the
-        failover sweep, which owns resubmission."""
-        error = wire.exception()
-        if isinstance(error, ShardUnreachable):
-            with self._lock:
-                if not self._orphaned:
-                    return  # the router's failover sweep owns this entry
-                entry = self._outstanding.pop(entry_id, None)
-            if entry is not None:
-                _resolve(entry[2], error=error)
-            return
-        with self._lock:
-            entry = self._outstanding.pop(entry_id, None)
-        if entry is None:
-            return  # swept by failover; it owns the future now
-        _op, _query, outer = entry
-        if error is not None:  # pragma: no cover - non-wire failure
-            _resolve(outer, error=error)
-            return
-        response = wire.result()
-        if response.get("ok"):
-            value = response["result"]
-            _resolve(outer, reshape(value) if reshape is not None else value)
-        else:
-            _resolve(
-                outer,
-                error=ServiceError(response.get("error") or {"code": "internal"}),
-            )
+    def _send(
+        self,
+        entry: Entry,
+        fields: dict,
+        project: Callable[[Any], Any] | None = None,
+    ) -> Future:
+        if self._closed:
+            raise PoolClosed("remote shard pool is closed")
+        entry.tenant = self.tenant
+        if protocol.VERBS[entry.op].tenant:
+            fields = {"tenant": self.tenant, **fields}
+        return self.node.request_async(
+            entry.op,
+            entry=entry,
+            reshape=_unwrap if project is None else lambda r: project(_unwrap(r)),
+            **fields,
+        )
 
     def submit(
-        self,
-        op: str,
-        query: Query,
-        future: Future | None = None,
-        sql: str | None = None,
+        self, op: str, query: Query, *, future: Future | None = None, **payload: Any
     ) -> Future:
         """Submit one routed task.  ``future`` — used by the failover
-        sweep — resubmits an *existing* outer future instead of minting
-        a new one, preserving the original caller's handle across the
-        shard death.  For ``op="sql"``, ``sql`` is the single-disjunct
-        SQL text shipped on the wire (the shard recompiles it against
-        its own replica); ``query`` stays the lowered form whose
-        canonical key placed the task."""
-        outer = future if future is not None else Future()
-        if op == "sql":
-            assert sql is not None
-            entry_id = self._register(op, SqlTask(query, sql), outer)
-            wire = self.node.connection.request_async(
-                op, tenant=self.tenant, sql=sql
-            )
-        else:
-            entry_id = self._register(op, query, outer)
-            wire = self.node.connection.request_async(
-                op, tenant=self.tenant, query=protocol.query_text(query)
-            )
-        wire.add_done_callback(lambda f: self._finish(entry_id, f))
-        return outer
+        path — places the work on an *existing* future instead of
+        minting one, preserving the original caller's handle across a
+        shard death.  A task's payload is what crosses the wire when it
+        has one (a SQL disjunct's text, which the shard recompiles
+        against its own replica); otherwise its query text does —
+        ``query`` stays the lowered form whose canonical key placed the
+        task."""
+        verb = protocol.VERBS[op]
+        fields = verb.encode(**payload) if payload else verb.encode(query)
+        if future is None:
+            future = Future()
+        return self._send(Entry(op, query, payload, future), fields)
 
     def mutate(self, kind: str, relation: str, t: tuple) -> Future:
-        outer: Future = Future()
-        entry_id = self._register("mutate", None, outer)
-        wire = self.node.connection.request_async(
-            "mutate",
-            tenant=self.tenant,
-            kind=kind,
-            relation=relation,
-            tuple=protocol.encode_tuple(t),
-        )
-        wire.add_done_callback(lambda f: self._finish(entry_id, f))
-        return outer
+        fields = protocol.VERBS["mutate"].encode(kind, relation, t)
+        return self._send(Entry("mutate", None, {}, Future()), fields)
 
     def stats_async(self) -> Future:
-        outer: Future = Future()
-        entry_id = self._register("stats", None, outer)
-        wire = self.node.connection.request_async("stats")
-        wire.add_done_callback(
-            lambda f: self._finish(entry_id, f, reshape=self._reshape_stats)
+        return self._send(
+            Entry("stats", None, {}, Future()), {}, self._project_stats
         )
-        return outer
 
-    def _reshape_stats(self, value: dict) -> dict:
+    def _project_stats(self, value: dict) -> dict:
         """Project the node-wide stats payload down to this tenant's
         slice, in the ``{"workers": [...], "aggregate": {...}}`` shape
         the router's aggregation expects from a pool."""
@@ -460,42 +392,8 @@ class RemoteShardPool:
                 aggregate[name] = aggregate.get(name, 0) + int(count)
         return {"workers": workers, "aggregate": aggregate, "node": self.node.name}
 
-    def sweep(self) -> list[tuple[str, Query | None, Future]]:
-        """Take ownership of every outstanding entry (the shard died):
-        the caller — the router's failover path — resubmits query tasks
-        to survivors and resolves broadcast acks benignly.  After the
-        sweep, any late :meth:`_finish` finds its entry gone and backs
-        off, so each future still resolves exactly once."""
-        with self._lock:
-            entries = list(self._outstanding.values())
-            self._outstanding.clear()
-        return entries
-
-    def orphan(self) -> None:
-        """Declare that no failover sweep will ever visit this pool
-        again (its tenant was detached).  From now on a dead-wire
-        completion resolves its own future with
-        :class:`ShardUnreachable` instead of waiting for a sweep that
-        will never come; entries already stranded by a dead wire are
-        failed here."""
-        with self._lock:
-            self._orphaned = True
-            entries: list[tuple[str, Query | None, Future]] = []
-            if self.node.connection.is_down:
-                entries = list(self._outstanding.values())
-                self._outstanding.clear()
-        for _op, _query, future in entries:
-            _resolve(
-                future,
-                error=ShardUnreachable(
-                    f"shard {self.node.name} is down and tenant "
-                    f"{self.tenant!r} was detached"
-                ),
-            )
-
     def close(self) -> dict:
-        with self._lock:
-            self._closed = True
+        self._closed = True
         return {"node": self.node.name, "tenant": self.tenant}
 
     def terminate(self) -> None:

@@ -19,9 +19,10 @@ of every other key is untouched, which is the invariant the
 placement-stability tests pin.
 
 Keys are arbitrary structured objects (canonical-form keys are nested
-tuples); :func:`stable_digest` turns them into circle positions the same
-way the pool's router does — ``repr`` is deterministic for the tuple
-trees canonicalization produces.
+tuples); :func:`stable_digest` turns them into circle positions —
+``repr`` is deterministic for the tuple trees canonicalization produces
+— and is the one routing digest of the tier: the pool takes the same
+function modulo its alive workers.
 """
 
 from __future__ import annotations

@@ -41,14 +41,26 @@ design extends the pool's single-node amortisation story to a fleet:
   OS process (its own interpreter, workers and per-node cache
   directory), dialed over the JSON-lines protocol through
   :class:`~repro.service.remote.RemoteShardNode` instead of owning its
-  pools in-process.  The same codec that ships databases and deltas for
-  tenancy now *is* the replication transport; a health-check thread
-  pings every node and evicts the unreachable; in-flight work on a dead
-  shard is resubmitted to survivors reusing the original futures
-  (exactly-once, the pool's crash-resubmission contract carried across
-  machine boundaries); a joining node's cache is warmed by shipping a
-  donor's content-addressed entries over the wire, so it performs zero
-  forward reductions for already-reduced groups.
+  pools in-process.  The same verbs that clients speak *are* the
+  replication transport (``attach_tenant``/``reload`` ship snapshots,
+  ``mutate`` ships each logged change); a health-check thread pings
+  every node and evicts the unreachable; a joining node's cache is
+  warmed by shipping a donor's content-addressed entries over the wire,
+  so it performs zero forward reductions for already-reduced groups.
+
+* **Failure model.**  One registry per failure domain, and whoever
+  pops an entry owns its resolve.  What fails in remote mode is a
+  node's *connection*, so the connection's pending map is the registry
+  for every tenant's work on that node.  Eviction — connection loss,
+  failed health check or decommission, all through :meth:`_shard_down`
+  — drops the node from the ring, drains that map and hands the entries
+  to :func:`~repro.service.pool.settle_lost`, the same function a
+  pool's worker-death path uses: routed work is submitted again *on the
+  original future* and recomputes its own placement over the surviving
+  ring (exactly-once, the pool's crash-resubmission contract carried
+  across machine boundaries), broadcast acks resolve benignly, and an
+  entry nobody can take — its tenant was detached meanwhile, or no
+  shard survives — fails with the typed ``ShardUnreachable``.
 
 Routing and pool mutation are enqueue-only and happen under one router
 lock; slow operations (process spawns in attach/reload/rescale, pool
@@ -58,18 +70,20 @@ stall traffic.
 
 from __future__ import annotations
 
+import inspect
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.reduction_cache import ReductionCache
 from ..core.session import canonical_form
-from ..engine.relation import Database
+from ..engine.relation import Database, Delta
 from ..queries.query import Query
 from . import protocol
 from .client import ServiceError
-from .pool import WorkerPool, _gather, _resolve
+from .pool import Entry, Pool, WorkerPool, _gather, settle_lost, submit_many, submit_sql
 from .remote import RemoteShardNode, RemoteShardPool, ShardUnreachable
 from .ring import HashRing
 
@@ -94,7 +108,7 @@ class _Tenant:
     def __init__(self, name: str, master: Database):
         self.name = name
         self.master = master
-        self.pools: dict[str, Any] = {}  # shard name -> pool
+        self.pools: dict[str, Pool] = {}  # shard name -> pool
         self.reloads = 0
 
 
@@ -124,7 +138,6 @@ class ShardRouter:
         cache_dir: str | os.PathLike | None = None,
         workers_per_shard: int = 1,
         replicas: int = 128,
-        strategy: str = "reduction",
         remote_shards: Mapping[str, tuple[str, int]] | None = None,
         health_interval: float | None = None,
         connect_timeout: float = 10.0,
@@ -143,7 +156,9 @@ class ShardRouter:
             raise ValueError("workers_per_shard must be at least 1")
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self.workers_per_shard = workers_per_shard
-        self.strategy = strategy
+        # a misspelt (or retired) pool option is a TypeError here, not
+        # at the first attach — or never, in remote mode
+        inspect.signature(WorkerPool).bind_partial(**pool_options)
         self._pool_options = pool_options
         self._connect_timeout = connect_timeout
         self._nodes: dict[str, RemoteShardNode] = {}
@@ -259,7 +274,6 @@ class ShardRouter:
             workers=self.workers_per_shard,
             cache_dir=self.cache_dir,
             cache_namespace=tenant,
-            strategy=self.strategy,
             **self._pool_options,
         )
 
@@ -310,8 +324,8 @@ class ShardRouter:
             if not closed and not duplicate:
                 if self.remote:
                     # a shard evicted while we were attaching must not
-                    # keep a pool: its broadcasts would strand futures
-                    # no failover sweep will ever visit
+                    # keep a pool: its connection is settled, so every
+                    # broadcast through it would fail
                     state.pools = {
                         name: pool
                         for name, pool in state.pools.items()
@@ -337,7 +351,6 @@ class ShardRouter:
         for name, pool in state.pools.items():
             pool.terminate()
             if self.remote:
-                pool.orphan()
                 node = self._nodes.get(name)
                 if node is not None:
                     try:
@@ -359,9 +372,8 @@ class ShardRouter:
         for name, pool in state.pools.items():
             pool.close()
             if self.remote:
-                # no failover sweep will visit a detached tenant's
-                # pools: dead-wire completions must self-resolve
-                pool.orphan()
+                # work still in flight on a node that dies from here on
+                # finds no pool at eviction and fails typed
                 node = nodes.get(name)
                 if node is not None:
                     try:
@@ -377,7 +389,19 @@ class ShardRouter:
     # query traffic
     # ------------------------------------------------------------------
 
-    def _submit(self, tenant: str, op: str, query: Query) -> Future:
+    def submit(
+        self,
+        tenant: str,
+        op: str,
+        query: Query,
+        *,
+        future: Future | None = None,
+        **payload: Any,
+    ) -> Future:
+        """Place one routed task on the ring shard that owns ``query``'s
+        canonical form.  ``future`` places the work on a future a caller
+        already holds — a failover resubmission is exactly this call, so
+        it recomputes its own placement over the surviving ring."""
         key = canonical_form(query).key
         state = self._tenant(tenant)
         # lookup + enqueue under the router lock: a concurrent reload
@@ -391,89 +415,32 @@ class ShardRouter:
             if not len(self._ring):
                 raise ShardUnreachable("no shard nodes are reachable")
             pool = state.pools[self._ring.node_for(key)]
-            return pool.submit(op, query)
+            return pool.submit(op, query, future=future, **payload)
 
     def evaluate(self, tenant: str, query: Query) -> Future:
         """Future Boolean answer, served by the group's ring shard."""
-        return self._submit(tenant, "evaluate", query)
+        return self.submit(tenant, "evaluate", query)
 
     def count(self, tenant: str, query: Query) -> Future:
         """Future exact witness count."""
-        return self._submit(tenant, "count", query)
+        return self.submit(tenant, "count", query)
 
     def submit_many(
         self, queries: Sequence[Query], tenant: str, op: str = "evaluate"
     ) -> Future:
-        """Batch interface: the batch is grouped by canonical form, one
-        task per group goes to the group's ring shard, every member
-        receives its group's answer.  Resolves to the ordered list."""
-        state = self._tenant(tenant)
-        groups: dict[tuple, list[int]] = {}
-        for i, query in enumerate(queries):
-            groups.setdefault(canonical_form(query).key, []).append(i)
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            self._check_tenant(tenant, state)
-            if not len(self._ring):
-                raise ShardUnreachable("no shard nodes are reachable")
-            futures = [
-                state.pools[self._ring.node_for(key)].submit(
-                    op, queries[indices[0]]
-                )
-                for key, indices in groups.items()
-            ]
-        result: Future = Future()
-
-        def assemble(values: list) -> list:
-            answers: list = [None] * len(queries)
-            for indices, value in zip(groups.values(), values):
-                for i in indices:
-                    answers[i] = value
-            return answers
-
-        _gather(futures, result, assemble)
-        return result
+        """Batch interface: one task per canonical group goes to the
+        group's ring shard (see :func:`~repro.service.pool.submit_many`).
+        Resolves to the ordered answer list."""
+        return submit_many(partial(self.submit, tenant), queries, op)
 
     def evaluate_many(self, queries: Sequence[Query], tenant: str) -> list[bool]:
         return self.submit_many(queries, tenant).result()
 
     def sql(self, tenant: str, text: str) -> Future:
-        """Future answer for a SQL program.  The program is compiled
-        (and cost-based-optimized) once here against the tenant's master
-        database; each disjunct is then routed by the canonical form of
-        its *lowered* query — so a disjunct isomorphic to an already-hot
-        conjunctive query lands on the same shard and worker.  Remote
-        shards receive the disjunct's canonical SQL text and recompile
-        it against their own replica.  The disjunct answers are combined
-        per the head (``EXISTS``: any, ``COUNT(*)``: sum)."""
-        from repro.sql import compile_sql
-
-        state = self._tenant(tenant)
-        program = compile_sql(text, state.master)
-        result: Future = Future()
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            self._check_tenant(tenant, state)
-            if not len(self._ring):
-                raise ShardUnreachable("no shard nodes are reachable")
-            futures = [
-                state.pools[
-                    self._ring.node_for(canonical_form(d.query).key)
-                ].submit("sql", d.query, sql=d.sql)
-                for d in program.disjuncts
-            ]
-        _gather(futures, result, program.combine)
-        return result
-
-    def explain(self, tenant: str, text: str) -> dict:
-        """JSON-safe EXPLAIN for SQL ``text`` against the tenant's
-        master database — compiled and costed at the router; nothing is
-        routed or executed."""
-        from repro.sql import explain_data
-
-        return explain_data(text, self._tenant(tenant).master)
+        """Future answer for a SQL program, compiled once here against
+        the tenant's master database and routed disjunct by disjunct
+        (see :func:`~repro.service.pool.submit_sql`)."""
+        return submit_sql(partial(self.submit, tenant), self.database(tenant), text)
 
     def mutate(self, tenant: str, kind: str, relation: str, t: tuple) -> Future:
         """Apply one tuple-level mutation to the tenant's master
@@ -482,37 +449,22 @@ class ShardRouter:
         decides who answers a group, but all shards stay converged so
         rescaling is always safe.  Resolves to
         ``{"applied": ..., "version": ..., "shards": ...}``."""
-        if kind not in ("insert", "delete"):
-            raise ValueError(f"unknown mutation kind {kind!r}")
         state = self._tenant(tenant)
         with self._lock:
             if self._closed:
                 raise RouterClosed("router is closed")
             self._check_tenant(tenant, state)
-            if kind == "insert":
-                delta = state.master.insert(relation, t)
-            else:
-                delta = state.master.delete(relation, t)
-            version = state.master.version
+            master = state.master
+            delta = master.apply_delta(Delta(master.version, kind, relation, tuple(t)))
+            version = master.version
             # enqueue-only fan-out under the lock: add_shard's delta
             # catch-up runs under the same lock, so a new shard either
             # replays this delta or receives this very broadcast
             futures = [
                 pool.mutate(kind, relation, t) for pool in state.pools.values()
             ]
-        applied = delta is not None
-        shards = len(futures)
-        result: Future = Future()
-        _gather(
-            futures,
-            result,
-            lambda acks: {
-                "applied": applied,
-                "version": version,
-                "shards": shards,
-            },
-        )
-        return result
+        ack = {"applied": delta is not None, "version": version, "shards": len(futures)}
+        return _gather(futures, lambda acks: ack)
 
     # ------------------------------------------------------------------
     # ring rescaling
@@ -652,7 +604,8 @@ class ShardRouter:
                 for key in donor.cache_keys():
                     if key in have:
                         continue
-                    node.cache_push(donor.cache_fetch(key))
+                    # fetched entries arrive verified (key, raw bytes)
+                    node.cache_push(*donor.cache_fetch(key))
                     have.add(key)
                     shipped += 1
             except (ShardUnreachable, ServiceError):
@@ -699,8 +652,9 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def _node_down(self, node: RemoteShardNode) -> None:
-        """Connection-loss callback, fired on a node's reader thread
-        after every pending wire future has been failed."""
+        """Connection-loss callback, fired on the node's reader thread
+        while its unanswered entries are still pending — the eviction
+        drains and settles them."""
         try:
             self._shard_down(node.name)
         except Exception:  # pragma: no cover - eviction must not raise
@@ -708,91 +662,53 @@ class ShardRouter:
 
     def _shard_down(self, name: str) -> dict:
         """Evict a dead (or decommissioned) remote shard: drop it from
-        the ring and every tenant's pool map, sweep its in-flight work
-        and resubmit the routed tasks to surviving shards — *reusing
-        the original futures*, so a caller waiting on an answer still
-        gets exactly one, from a shard that converged on the same data.
-        Broadcast acks (mutate/stats) resolve benignly, as the pool's
-        crash path does.  Runs under the router lock, so no new work
-        can be routed to the node mid-eviction and a concurrent
-        :meth:`_submit` sees either the full fleet or the survivors."""
-        resubmitted = failed = 0
+        the ring and every tenant's pool map, drain its connection's
+        registry and settle the entries (see the module docstring's
+        failure model).  Runs under the router lock, so no new work can
+        be routed to the node mid-eviction and a concurrent
+        :meth:`submit` sees either the full fleet or the survivors."""
         with self._lock:
-            if self._closed:
-                node = self._nodes.pop(name, None)
-                orphans: list[tuple[_Tenant, Any]] = []
-            else:
-                node = self._nodes.pop(name, None)
-                if node is None and name not in self._ring:
-                    return {
-                        "shard": name,
-                        "shards": len(self._ring),
-                        "tenants": 0,
-                        "resubmitted": 0,
-                        "failed": 0,
-                    }
-                if name in self._ring:
-                    self._ring.remove(name)
-                orphans = []
-                for state in self._tenants.values():
-                    pool = state.pools.pop(name, None)
-                    if pool is not None:
-                        orphans.append((state, pool))
-                for state, pool in orphans:
-                    entries = pool.sweep()
+            node = self._nodes.pop(name, None)
+            if name in self._ring:
+                self._ring.remove(name)
+            tenants = 0
+            for state in self._tenants.values():
+                pool = state.pools.pop(name, None)
+                if pool is not None:
                     pool.close()
-                    for op, query, future in entries:
-                        if (
-                            op in ("evaluate", "count")
-                            and query is not None
-                            and len(self._ring)
-                        ):
-                            target = state.pools.get(
-                                self._ring.node_for(canonical_form(query).key)
-                            )
-                            if target is not None:
-                                target.submit(op, query, future=future)
-                                resubmitted += 1
-                                continue
-                        if op == "sql" and query is not None and len(self._ring):
-                            # the registry slot holds a SqlTask: re-route
-                            # by the lowered query, reship the SQL text
-                            target = state.pools.get(
-                                self._ring.node_for(
-                                    canonical_form(query.query).key
-                                )
-                            )
-                            if target is not None:
-                                target.submit(
-                                    op, query.query, future=future, sql=query.sql
-                                )
-                                resubmitted += 1
-                                continue
-                        if op == "mutate":
-                            # already applied to the master and every
-                            # survivor; the dead shard's ack is moot
-                            _resolve(future, None)
-                        elif op == "stats":
-                            _resolve(
-                                future,
-                                {"workers": [], "aggregate": {}, "node": name},
-                            )
-                        else:
-                            failed += 1
-                            _resolve(
-                                future,
-                                error=ShardUnreachable(
-                                    f"shard {name!r} died and no surviving "
-                                    f"shard can take the work"
-                                ),
-                            )
+                    tenants += 1
+
+            def resubmit(entry: Entry) -> bool:
+                try:
+                    self.submit(
+                        entry.tenant,
+                        entry.op,
+                        entry.query,
+                        future=entry.future,
+                        **entry.payload,
+                    )
+                except Exception:
+                    # its tenant was detached meanwhile, no shard
+                    # survives, the router closed: the entry fails typed
+                    return False
+                return True
+
+            # (an eviction that lost the race to another finds nothing)
+            resubmitted, failed = settle_lost(
+                node.drain() if node is not None else (),
+                resubmit,
+                ShardUnreachable(
+                    f"shard {name!r} died and no surviving shard can "
+                    f"take the work"
+                ),
+            )
             shards = len(self._ring)
         if node is not None:
             node.close()
         return {
             "shard": name,
             "shards": shards,
-            "tenants": len(orphans),
+            "tenants": tenants,
             "resubmitted": resubmitted,
             "failed": failed,
         }
@@ -801,8 +717,8 @@ class ShardRouter:
         """Ping every node each ``interval`` seconds (the cheap ``ring``
         verb); evict the ones that are down or silent.  Eviction is how
         a *hung* (not crashed) node's in-flight work fails over: the
-        eviction closes the connection, which fails its wire futures,
-        whose entries the eviction already swept and resubmitted."""
+        eviction drains the connection's registry and resubmits, then
+        closes the connection — a late reply finds nothing pending."""
         timeout = min(interval, 5.0)
         while not self._health_stop.wait(interval):
             with self._lock:
@@ -810,7 +726,7 @@ class ShardRouter:
             for node in nodes:
                 if self._health_stop.is_set():
                     return
-                if node.connection.is_down or not node.connection.ping(
+                if node.is_down or not node.ping(
                     timeout=timeout
                 ):
                     self._node_down(node)
@@ -954,22 +870,42 @@ class ShardRouter:
                 for name, pool in state.pools.items()
             ]
             ring = self.describe()
-        result: Future = Future()
 
         def assemble(values: list) -> dict:
             shards: dict[str, dict] = {}
             totals: dict[str, int] = {}
             for (tenant, name, _), value in zip(triples, values):
+                if value is None:
+                    continue  # the shard died with the broadcast in flight
                 shards.setdefault(name, {})[tenant] = value
                 for stat, count in (value.get("aggregate") or {}).items():
                     totals[stat] = totals.get(stat, 0) + int(count)
             return {"ring": ring, "shards": shards, "aggregate": totals}
 
-        _gather([f for _, _, f in triples], result, assemble)
-        return result
+        return _gather([f for _, _, f in triples], assemble)
 
     def stats(self) -> dict:
         return self.stats_async().result()
+
+    # -- cache shipping: this node's own directory (disk I/O — the wire
+    # -- tier runs these on the admin executor) -------------------------
+
+    def _cache(self) -> ReductionCache:
+        if self.cache_dir is None:
+            raise protocol.ProtocolError("this node has no cache directory")
+        return ReductionCache(self.cache_dir)
+
+    def cache_keys(self) -> list[str]:
+        return self._cache().entry_keys()
+
+    def cache_fetch(self, key: str) -> dict:
+        raw = self._cache().export_entry(key)
+        if raw is None:
+            raise ValueError(f"no cache entry {key!r}")
+        return protocol.encode_cache_entry(key, raw)
+
+    def cache_push(self, key: str, raw: bytes) -> dict:
+        return {"key": key, "stored": self._cache().import_entry(key, raw)}
 
     def close(self) -> dict:
         """Close every pool gracefully and stop the admin executor (in
@@ -989,23 +925,11 @@ class ShardRouter:
             tenant: {name: pool.close() for name, pool in state.pools.items()}
             for tenant, state in tenants.items()
         }
-        if self.remote:
-            for state in tenants.values():
-                for name, pool in state.pools.items():
-                    for op, _query, future in pool.sweep():
-                        if op == "mutate":
-                            _resolve(future, None)
-                        elif op == "stats":
-                            _resolve(
-                                future,
-                                {"workers": [], "aggregate": {}, "node": name},
-                            )
-                        else:
-                            _resolve(
-                                future, error=RouterClosed("router is closed")
-                            )
-            for node in nodes:
-                node.close()
+        for node in nodes:
+            settle_lost(
+                node.drain(), None, RouterClosed("router is closed")
+            )
+            node.close()
         self._admin.shutdown(wait=True)
         return {"tenants": reports}
 

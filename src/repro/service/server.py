@@ -15,19 +15,25 @@ request carries an optional ``deadline_ms`` (defaulting to the server's
 ``default_deadline_ms``); a request whose deadline elapses is answered
 with ``deadline_exceeded`` — the worker-side computation may still
 finish and warm the caches for its successors.
+
+Both tiers share one dispatch: a request's verb is looked up in the
+verb table (:data:`~repro.service.protocol.VERBS`), the table's schema
+decodes its arguments, and :data:`HANDLERS` says what the verb does
+with them against a *target* — the pool, or the router with the
+request's tenant bound first.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Future, InvalidStateError
-from typing import Any
+from concurrent.futures import Future
+from functools import partial
+from typing import Any, Callable
 
-from ..core.reduction_cache import ReductionCache
+from ..engine.relation import Database
 from ..intervals.interval import Interval
-from ..queries.parser import parse_query
 from .client import ServiceError
-from .pool import PoolClosed, WorkerCrash, WorkerPool, _gather
+from .pool import PoolClosed, WorkerCrash, WorkerPool, _gather, submit_many, submit_sql
 from .remote import ShardUnreachable
 from .router import RouterClosed, ShardRouter, UnknownTenant
 from . import protocol
@@ -48,25 +54,103 @@ from .protocol import (
 __all__ = ["RouterServer", "ServiceServer"]
 
 
-def _parse_query_text(text: str):
-    """:func:`~repro.queries.parser.parse_query`, with parse failures
-    mapped to the typed ``bad_query`` error instead of the generic
-    ``bad_request`` — the request framing was fine, the query was not."""
-    try:
-        return parse_query(text)
-    except (ValueError, KeyError, TypeError) as error:
-        raise BadQueryError(str(error)) from error
+# ----------------------------------------------------------------------
+# what each verb does
+# ----------------------------------------------------------------------
 
 
-def _sql_guard(fn, *args: Any, **kwargs: Any):
+def _sql_guard(fn, *args: Any):
     """Run a SQL compile/explain step, mapping tokenizer/parser/binder
     diagnostics (:class:`~repro.sql.SqlError`) to ``bad_query``."""
     from ..sql import SqlError
 
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except SqlError as error:
         raise BadQueryError(str(error)) from error
+
+
+def _explain(target, text: str) -> dict:
+    from ..sql import explain_data
+
+    return _sql_guard(explain_data, text, target.db)
+
+
+def _mutate(target, kind: str, relation: str, values: tuple) -> Future:
+    if kind == "insert":
+        _check_tuple_kinds(target.db, relation, values)
+    return target.mutate(kind, relation, values)
+
+
+#: What the serving tier does with each verb's decoded arguments:
+#: ``handler(target, *args)``.  A tenant-addressed verb's target is
+#: pool-shaped (``db`` / ``submit`` / ``mutate``: a :class:`_PoolTarget`
+#: or a :class:`_TenantTarget`); a router-tier verb's target is the
+#: :class:`ShardRouter`.  The verb's placement says how the handler
+#: runs: ``routed`` and ``broadcast`` handlers return a future, a
+#: ``local`` handler's value is the answer, an ``admin`` handler blocks
+#: and runs on the router's admin executor.  (``stats`` is the one verb
+#: the server itself contributes to: :meth:`ServiceServer._stats`.)
+HANDLERS: dict[str, Callable[..., Any]] = {
+    "evaluate": lambda target, query: target.submit("evaluate", query),
+    "count": lambda target, query: target.submit("count", query),
+    "evaluate_many": lambda target, queries: submit_many(target.submit, queries),
+    "sql": lambda target, text: _sql_guard(
+        submit_sql, target.submit, target.db, text
+    ),
+    "explain": _explain,
+    "mutate": _mutate,
+    "attach_tenant": ShardRouter.attach_tenant,
+    "detach_tenant": ShardRouter.detach_tenant,
+    "reload": ShardRouter.reload,
+    "ring": ShardRouter.describe,
+    "ring_add": ShardRouter.add_shard,
+    "ring_remove": ShardRouter.remove_shard,
+    "cache_keys": ShardRouter.cache_keys,
+    "cache_fetch": ShardRouter.cache_fetch,
+    "cache_push": ShardRouter.cache_push,
+}
+
+
+def _then(future: Future, reshape: Callable[[Any], Any]) -> Future:
+    """A future of ``reshape(future.result())`` (a missed deadline may
+    cancel it while the first is still running; the late value is then
+    dropped)."""
+    return _gather([future], lambda done: reshape(done[0]))
+
+
+def _summarise_acks(acks: list[dict]) -> dict:
+    """One client-facing ack out of a pool's per-worker ack list."""
+    return {
+        "applied": bool(acks and acks[0]["applied"]),
+        "version": max((ack["version"] for ack in acks), default=None),
+        "workers": len(acks),
+    }
+
+
+class _PoolTarget:
+    """The pool tier's target: a :class:`WorkerPool` whose per-worker
+    mutation acks are summarised into the one ack a client sees."""
+
+    def __init__(self, pool: WorkerPool):
+        self.db = pool.db
+        self.submit = pool.submit
+        self.stats_async = pool.stats_async
+        self._pool = pool
+
+    def mutate(self, kind: str, relation: str, values: tuple) -> Future:
+        return _then(self._pool.mutate(kind, relation, values), _summarise_acks)
+
+
+class _TenantTarget:
+    """The router tier's target for a tenant-addressed verb: the router
+    with the request's tenant bound first (an unknown tenant raises
+    here, before anything is placed)."""
+
+    def __init__(self, router: ShardRouter, tenant: str):
+        self.db = router.database(tenant)
+        self.submit = partial(router.submit, tenant)
+        self.mutate = partial(router.mutate, tenant)
 
 
 class ServiceServer:
@@ -79,9 +163,9 @@ class ServiceServer:
     the default deadline entirely).
     """
 
-    #: The ops this server admits; subclasses extend (the router tier
-    #: admits the admin verbs too).
-    OPS = protocol.OPS
+    #: The tiers whose verbs this server admits (the router tier admits
+    #: the router-only verbs too).
+    TIERS: tuple[str, ...] = (protocol.POOL,)
 
     def __init__(
         self,
@@ -95,6 +179,8 @@ class ServiceServer:
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self.pool = pool
+        self._target = None if pool is None else _PoolTarget(pool)
+        self._handlers = dict(HANDLERS, stats=self._stats)
         self.host = host
         self.port = port
         self.max_inflight = max_inflight
@@ -233,21 +319,17 @@ class ServiceServer:
             return None, error_response(None, ERROR_BAD_REQUEST, str(error))
         request_id = request.get("id")
         op = request.get("op")
-        if op not in self.OPS:
+        verb = protocol.VERBS.get(op) if isinstance(op, str) else None
+        if verb is None or verb.tier not in self.TIERS:
             self.counters["bad_requests"] += 1
             return None, error_response(
                 request_id, ERROR_BAD_REQUEST, f"unknown op {op!r}"
             )
         try:
             self._deadline(request)
-        except (TypeError, ValueError):
+        except ProtocolError as error:
             self.counters["bad_requests"] += 1
-            return None, error_response(
-                request_id,
-                ERROR_BAD_REQUEST,
-                f"deadline_ms must be a number, got "
-                f"{request.get('deadline_ms')!r}",
-            )
+            return None, error_response(request_id, ERROR_BAD_REQUEST, str(error))
         if self._stopping:
             return None, error_response(
                 request_id, ERROR_SHUTTING_DOWN, "server is draining"
@@ -303,12 +385,16 @@ class ServiceServer:
         deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
         if deadline_ms is None:
             return None
+        if not protocol.is_finite_number(deadline_ms):
+            raise ProtocolError(
+                f"deadline_ms must be a number, got {deadline_ms!r}"
+            )
         return max(float(deadline_ms), 0.0) / 1e3
 
     async def _execute(self, request_id: Any, request: dict) -> dict:
-        op = request["op"]
+        verb = protocol.VERBS[request["op"]]
         try:
-            future = self._dispatch(op, request)
+            future = self._dispatch(verb, request)
         except ShardUnreachable as error:
             return error_response(request_id, ERROR_SHARD_UNREACHABLE, str(error))
         except BadQueryError as error:
@@ -317,9 +403,9 @@ class ServiceServer:
             self.counters["bad_queries"] += 1
             return error_response(request_id, ERROR_BAD_QUERY, str(error))
         except (ProtocolError, ValueError, KeyError, TypeError) as error:
-            # TypeError included: malformed payload values surface as
-            # one (e.g. an interval endpoint of null), and an unanswered
-            # request would hang the client forever
+            # KeyError: an unknown tenant.  TypeError: a malformed
+            # payload no decoder anticipated — an unanswered request
+            # would hang the client forever
             self.counters["bad_requests"] += 1
             return error_response(request_id, ERROR_BAD_REQUEST, str(error))
         except (PoolClosed, RouterClosed):
@@ -351,262 +437,76 @@ class ServiceServer:
                 error.code or ERROR_INTERNAL,
                 error.message or str(error),
             )
+        except (UnknownTenant, ValueError) as error:
+            # an admin operation that failed a precondition (duplicate
+            # attach, unknown shard, malformed entry) is the client's
+            # mistake, not an internal fault
+            self.counters["bad_requests"] += 1
+            return error_response(
+                request_id, ERROR_BAD_REQUEST, f"{type(error).__name__}: {error}"
+            )
         except (WorkerCrash, PoolClosed, RouterClosed) as error:
             return error_response(request_id, ERROR_INTERNAL, str(error))
         except Exception as error:
             return error_response(
                 request_id, ERROR_INTERNAL, f"{type(error).__name__}: {error}"
             )
-        if op == "stats":
-            result = {"server": dict(self.counters, inflight=self._inflight),
-                      **result}
         return ok_response(request_id, result)
 
-    def _dispatch(self, op: str, request: dict):
-        """Turn one admitted request into a pool future.  Raises
-        ``ProtocolError``/``ValueError`` for malformed payloads."""
-        if op == "evaluate":
-            return self.pool.evaluate(
-                _parse_query_text(_field(request, "query", str))
-            )
-        if op == "count":
-            return self.pool.count(
-                _parse_query_text(_field(request, "query", str))
-            )
-        if op == "evaluate_many":
-            texts = _field(request, "queries", list)
-            if not all(isinstance(t, str) for t in texts):
-                raise ProtocolError("queries must be a list of strings")
-            return self.pool.submit_many([_parse_query_text(t) for t in texts])
-        if op == "sql":
-            return self._submit_sql(_field(request, "sql", str))
-        if op == "explain":
-            from ..sql import explain_data
+    def _bind(self, verb: protocol.Verb, request: dict):
+        """The target ``verb``'s handler runs against."""
+        return self._target
 
+    def _dispatch(self, verb: protocol.Verb, request: dict) -> Future:
+        """Turn one admitted request into a future of its result.
+        Raises ``ProtocolError``/``BadQueryError`` for malformed
+        payloads."""
+        args = verb.decode(request)
+        target = self._bind(verb, request)
+        handler = self._handlers[verb.name]
+        if verb.placement == protocol.ADMIN:
+            return target.admin(handler, target, *args)
+        if verb.placement == protocol.LOCAL:
             done: Future = Future()
-            done.set_result(
-                _sql_guard(
-                    explain_data, _field(request, "sql", str), self.pool.db
-                )
-            )
+            done.set_result(handler(target, *args))
             return done
-        if op == "mutate":
-            kind = _field(request, "kind", str)
-            if kind not in protocol.MUTATION_KINDS:
-                raise ProtocolError(
-                    f"mutation kind must be one of {protocol.MUTATION_KINDS}"
-                )
-            relation = _field(request, "relation", str)
-            values = protocol.decode_tuple(_field(request, "tuple", list))
-            if kind == "insert":
-                self._check_tuple_kinds(relation, values)
-            future = self.pool.mutate(kind, relation, values)
-            shaped: Future = Future()
+        return handler(target, *args)
 
-            def reshape(f: Future) -> None:
-                # one client-facing ack out of the per-worker ack list;
-                # `shaped` may already be cancelled by a missed deadline
-                # (wait_for cancels through wrap_future) — then the ack
-                # is simply dropped
-                if shaped.done():
-                    return
-                try:
-                    error = f.exception()
-                    if error is not None:
-                        shaped.set_exception(error)
-                        return
-                    acks = f.result()
-                    shaped.set_result(
-                        {
-                            "applied": bool(acks and acks[0]["applied"]),
-                            "version": max(
-                                (a["version"] for a in acks), default=None
-                            ),
-                            "workers": len(acks),
-                        }
-                    )
-                except InvalidStateError:  # cancelled in the race window
-                    pass
-
-            future.add_done_callback(reshape)
-            return shaped
-        if op == "stats":
-            return self.pool.stats_async()
-        raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
-
-    def _submit_sql(self, text: str) -> Future:
-        """Compile a SQL program against the served database and route
-        each disjunct to its canonical-form worker; the answers combine
-        per the head (``EXISTS``: any, ``COUNT(*)``: sum)."""
-        from ..sql import compile_sql
-
-        program = _sql_guard(compile_sql, text, self.pool.db)
-        futures = [
-            self.pool.submit("sql", d.query, sql=d.sql)
-            for d in program.disjuncts
-        ]
-        result: Future = Future()
-        _gather(futures, result, program.combine)
-        return result
-
-    def _check_tuple_kinds(self, relation: str, values: tuple) -> None:
-        _check_tuple_kinds(self.pool.db, relation, values)
+    def _stats(self, target) -> Future:
+        """The target's stats with this server's own counters on top."""
+        return _then(
+            target.stats_async(),
+            lambda stats: {
+                "server": dict(self.counters, inflight=self._inflight),
+                **stats,
+            },
+        )
 
 
 class RouterServer(ServiceServer):
     """Serve a :class:`~repro.service.router.ShardRouter` over the same
-    wire protocol, extended with the router verbs: every query/mutation
-    request carries a ``tenant`` field, and the admin verbs
-    (``attach_tenant``/``detach_tenant``/``reload``/``ring_add``/
-    ``ring_remove``/``ring``) manage tenancy and the ring under live
-    traffic.  Slow admin operations run on the router's serial admin
-    executor, so the event loop keeps multiplexing query traffic while
-    a shard spawns or a tenant hot-reloads."""
+    wire protocol and the same dispatch, admitting the router-tier
+    verbs too: every query/mutation request carries a ``tenant`` field,
+    which is bound first, and the admin verbs (``attach_tenant``/
+    ``detach_tenant``/``reload``/``ring_add``/``ring_remove``/``ring``
+    and the cache-shipping verbs) manage tenancy and the ring under
+    live traffic.  Slow admin operations run on the router's serial
+    admin executor, so the event loop keeps multiplexing query traffic
+    while a shard spawns or a tenant hot-reloads."""
 
-    OPS = protocol.ROUTER_OPS
+    TIERS = (protocol.POOL, protocol.ROUTER)
 
     def __init__(self, router: ShardRouter, **server_options: Any):
         super().__init__(pool=None, **server_options)  # type: ignore[arg-type]
         self.router = router
 
-    def _dispatch(self, op: str, request: dict):
-        router = self.router
-        if op == "evaluate":
-            return router.evaluate(
-                _field(request, "tenant", str),
-                _parse_query_text(_field(request, "query", str)),
-            )
-        if op == "count":
-            return router.count(
-                _field(request, "tenant", str),
-                _parse_query_text(_field(request, "query", str)),
-            )
-        if op == "evaluate_many":
-            tenant = _field(request, "tenant", str)
-            texts = _field(request, "queries", list)
-            if not all(isinstance(t, str) for t in texts):
-                raise ProtocolError("queries must be a list of strings")
-            return router.submit_many(
-                [_parse_query_text(t) for t in texts], tenant
-            )
-        if op == "sql":
-            return _sql_guard(
-                router.sql,
-                _field(request, "tenant", str),
-                _field(request, "sql", str),
-            )
-        if op == "explain":
-            done: Future = Future()
-            done.set_result(
-                _sql_guard(
-                    router.explain,
-                    _field(request, "tenant", str),
-                    _field(request, "sql", str),
-                )
-            )
-            return done
-        if op == "mutate":
-            tenant = _field(request, "tenant", str)
-            kind = _field(request, "kind", str)
-            if kind not in protocol.MUTATION_KINDS:
-                raise ProtocolError(
-                    f"mutation kind must be one of {protocol.MUTATION_KINDS}"
-                )
-            relation = _field(request, "relation", str)
-            values = protocol.decode_tuple(_field(request, "tuple", list))
-            if kind == "insert":
-                _check_tuple_kinds(router.database(tenant), relation, values)
-            return router.mutate(tenant, kind, relation, values)
-        if op == "stats":
-            return self.router.stats_async()
-        if op == "attach_tenant":
-            tenant = _field(request, "tenant", str)
-            db = protocol.decode_database(_field(request, "database", dict))
-            return router.admin(router.attach_tenant, tenant, db)
-        if op == "detach_tenant":
-            tenant = _field(request, "tenant", str)
-            purge = request.get("purge", True)
-            if not isinstance(purge, bool):
-                raise ProtocolError(f"purge must be a boolean, got {purge!r}")
-            return router.admin(router.detach_tenant, tenant, purge=purge)
-        if op == "reload":
-            tenant = _field(request, "tenant", str)
-            db = protocol.decode_database(_field(request, "database", dict))
-            return router.admin(router.reload, tenant, db)
-        if op == "ring_add":
-            shard = _field(request, "shard", str)
-            address = request.get("address")
-            if address is None:
-                return router.admin(router.add_shard, shard)
-            if (
-                not isinstance(address, list)
-                or len(address) != 2
-                or not isinstance(address[0], str)
-                or not isinstance(address[1], int)
-                or isinstance(address[1], bool)
-            ):
-                raise ProtocolError(
-                    f"address must be [host, port], got {address!r}"
-                )
-            return router.admin(
-                router.add_shard, shard, (address[0], address[1])
-            )
-        if op == "ring_remove":
-            return router.admin(
-                router.remove_shard, _field(request, "shard", str)
-            )
-        if op == "ring":
-            done: Future = Future()
-            done.set_result(router.describe())
-            return done
-        if op == "cache_keys":
-            return router.admin(self._cache_keys)
-        if op == "cache_fetch":
-            return router.admin(self._cache_fetch, _field(request, "key", str))
-        if op == "cache_push":
-            # the request itself carries the encoded entry fields
-            # (key/sha256/data); decoding verifies the integrity digest
-            key, raw = protocol.decode_cache_entry(request)
-            return router.admin(self._cache_push, key, raw)
-        raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
-
-    # -- cache shipping (runs on the admin executor: disk I/O) ---------
-
-    def _cache(self) -> ReductionCache:
-        if self.router.cache_dir is None:
-            raise ProtocolError("this node has no cache directory")
-        return ReductionCache(self.router.cache_dir)
-
-    def _cache_keys(self) -> list[str]:
-        return self._cache().entry_keys()
-
-    def _cache_fetch(self, key: str) -> dict:
-        raw = self._cache().export_entry(key)
-        if raw is None:
-            raise ValueError(f"no cache entry {key!r}")
-        return protocol.encode_cache_entry(key, raw)
-
-    def _cache_push(self, key: str, raw: bytes) -> dict:
-        return {"key": key, "stored": self._cache().import_entry(key, raw)}
-
-    async def _execute(self, request_id: Any, request: dict) -> dict:
-        response = await super()._execute(request_id, request)
-        # typed errors for tenant/topology misuse: an admin future that
-        # failed a precondition is the client's mistake, not an internal
-        # fault — rewrite it so clients can react mechanically
-        if not response.get("ok"):
-            message = response["error"].get("message", "")
-            if response["error"].get(
-                "code"
-            ) == ERROR_INTERNAL and message.startswith(
-                ("UnknownTenant", "ValueError", "ProtocolError")
-            ):
-                self.counters["bad_requests"] += 1
-                response["error"]["code"] = ERROR_BAD_REQUEST
-        return response
+    def _bind(self, verb: protocol.Verb, request: dict):
+        if not verb.tenant:
+            return self.router
+        return _TenantTarget(self.router, protocol.TENANT.read(request))
 
 
-def _check_tuple_kinds(db, relation: str, values: tuple) -> None:
+def _check_tuple_kinds(db: Database, relation: str, values: tuple) -> None:
     """Reject an insert whose value kinds (interval vs. scalar per
     position) contradict the relation's existing tuples.  The database
     layer only checks arity, so without this gate one malformed mutate
@@ -627,12 +527,3 @@ def _check_tuple_kinds(db, relation: str, values: tuple) -> None:
                     f"tuple position {position} of {relation!r} must "
                     f"be {'an interval' if isinstance(reference, Interval) else 'a scalar'}"
                 )
-
-
-def _field(request: dict, name: str, kind: type):
-    value = request.get(name)
-    if not isinstance(value, kind):
-        raise ProtocolError(
-            f"field {name!r} must be a {kind.__name__}, got {value!r}"
-        )
-    return value

@@ -163,7 +163,14 @@ class TestWorkflow:
         assert len(versions) >= 2  # more than one interpreter proves it
         runs = " ".join(step.get("run", "") for step in job["steps"])
         assert "tests/test_router.py" in runs
+        # test_protocol.py carries the structural guard that keeps the
+        # `if op == "..."` chains from growing back, so this job must
+        # keep running it
         assert "tests/test_protocol.py" in runs
+        assert (
+            "def test_no_dispatcher_compares_an_op_against_a_verb_literal"
+            in (REPO / "tests" / "test_protocol.py").read_text()
+        )
         uploads = [
             step
             for step in job["steps"]

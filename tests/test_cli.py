@@ -5,6 +5,198 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: The option surface of every subcommand at PR 17, in ``--help`` order:
+#: (option strings, dest, default, type, choices, required, help).  A raw
+#: ``--help`` golden would differ across the CI Python matrix; this is the
+#: data argparse renders it from.
+OPTION_SURFACE = {
+    "analyze": [
+        (("query",), "query", None, None, None, True, "query text, e.g. 'R([A],[B]) ∧ S([B],[C])'"),
+        (("--no-widths",), "no_widths", False, None, None, False, "skip the width computation"),
+    ],
+    "evaluate": [
+        (("query",), "query", None, None, None, True,
+         "one or more query texts; a batch shares one session cache"),
+        (("--query-file",), "query_file", None, None, None, False,
+         "read additional queries from FILE, one per line; lines starting with SELECT "
+         "are parsed as SQL, the rest as conjunction syntax (blank lines and #-comments "
+         "skipped)"),
+        (("--n",), "n", 50, "int", None, False, "tuples per relation"),
+        (("--seed",), "seed", 0, "int", None, False, None),
+        (("--repeat",), "repeat", 1, "int", None, False,
+         "evaluate the batch this many times (cold vs warm cache)"),
+        (("--workload",), "workload", "random", None, ("points", "random", "temporal"), False,
+         None),
+        (("--count",), "count", False, None, None, False, "also count witnesses"),
+        (("--check",), "check", False, None, None, False,
+         "cross-check against the naive oracle (small n only)"),
+        (("--cache-dir",), "cache_dir", None, None, None, False,
+         "persistent reduction cache directory: reductions are content-addressed on disk"
+         " and shared across runs, so a warm re-run performs zero forward reductions"),
+        (("--cache-max-bytes",), "cache_max_bytes", None, "int", None, False,
+         "cap the persistent cache directory at this many bytes; least-recently-used "
+         "entries are evicted after each store (requires --cache-dir)"),
+        (("--profile",), "profile", False, None, None, False,
+         "print a per-phase timing breakdown (canonicalize / reduce / evaluate / "
+         "cache-I/O) from the session's timing stats"),
+    ],
+    "sql": [
+        (("sql",), "sql", None, None, None, True,
+         "SQL text, e.g. \"SELECT COUNT(*) FROM R r, S s WHERE r.t OVERLAPS s.t\""),
+        (("--n",), "n", 50, "int", None, False, "tuples per relation"),
+        (("--seed",), "seed", 0, "int", None, False, None),
+        (("--workload",), "workload", "random", None, ("points", "random", "temporal"), False,
+         None),
+        (("--explain",), "explain", False, None, None, False,
+         "print the optimizer's per-disjunct plan instead of running"),
+        (("--check",), "check", False, None, None, False,
+         "cross-check against the strategy-free naive oracle"),
+    ],
+    "reduce": [
+        (("query",), "query", None, None, None, True, None),
+        (("--n",), "n", 50, "int", None, False, None),
+        (("--seed",), "seed", 0, "int", None, False, None),
+        (("--factored",), "factored", False, None, None, False,
+         "use the Id-decomposition encoding (Section 1.1)"),
+    ],
+    "catalog": [
+    ],
+    "serve": [
+        (("query",), "query", None, None, None, True, "queries defining the served schema"),
+        (("--n",), "n", 50, "int", None, False, "tuples per relation"),
+        (("--seed",), "seed", 0, "int", None, False, None),
+        (("--workload",), "workload", "random", None, ("points", "random", "temporal"), False,
+         None),
+        (("--workers",), "workers", 4, "int", None, False, "worker processes"),
+        (("--host",), "host", "127.0.0.1", None, None, False, None),
+        (("--port",), "port", 0, "int", None, False,
+         "TCP port (0 binds an ephemeral port, printed on startup)"),
+        (("--cache-dir",), "cache_dir", None, None, None, False,
+         "shared persistent reduction cache for the worker pool"),
+        (("--cache-max-bytes",), "cache_max_bytes", None, "int", None, False, None),
+        (("--max-inflight",), "max_inflight", 64, "int", None, False,
+         "admitted-but-unanswered request bound (backpressure above)"),
+        (("--deadline-ms",), "deadline_ms", 30000.0, "float", None, False,
+         "default per-request deadline"),
+        (("--admission-min-intervals",), "admission_min_intervals", 0, "int", None, False,
+         "answer-cache admission threshold: only answers whose reduction reads at least "
+         "this many input tuples are cached"),
+    ],
+    "loadgen": [
+        (("query",), "query", None, None, None, True,
+         "base queries; requests are isomorphic variants of these"),
+        (("--host",), "host", "127.0.0.1", None, None, False, None),
+        (("--port",), "port", None, "int", None, True, None),
+        (("--requests",), "requests", 200, "int", None, False, None),
+        (("--mode",), "mode", "closed", None, ("closed", "open"), False, None),
+        (("--concurrency",), "concurrency", 8, "int", None, False,
+         "virtual users (closed-loop mode)"),
+        (("--rate",), "rate", 100.0, "float", None, False,
+         "arrival rate in req/s (open-loop mode)"),
+        (("--connections",), "connections", 8, "int", None, False,
+         "pipelined connections (open-loop mode)"),
+        (("--variants",), "variants", 10, "int", None, False,
+         "isomorphic variants generated per base query"),
+        (("--count-fraction",), "count_fraction", 0.0, "float", None, False, None),
+        (("--mutate-fraction",), "mutate_fraction", 0.0, "float", None, False, None),
+        (("--seed",), "seed", 0, "int", None, False, None),
+        (("--domain",), "domain", 1000.0, "float", None, False,
+         "value domain for generated mutation tuples"),
+        (("--out",), "out", None, None, None, False, "also write the full report as JSON"),
+        (("--tenants",), "tenants", None, None, None, False,
+         "comma-separated tenant names: each request is stamped with one, for driving a "
+         "router-tier server"),
+        (("--direct",), "direct", False, None, None, False,
+         "learn the coordinator's ring and dial the owning shard directly for "
+         "evaluate/count traffic (falls back to the coordinator on remaps and failures)"),
+    ],
+    "route": [
+        (("query",), "query", None, None, None, True,
+         "queries whose canonical groups are placed on the ring"),
+        (("--shards",), "shards", 2, "int", None, False,
+         "ring size (nodes are named shard-0..shard-N-1)"),
+        (("--shard-names",), "shard_names", None, None, None, False,
+         "explicit comma-separated shard names (overrides --shards)"),
+        (("--replicas",), "replicas", 128, "int", None, False,
+         "virtual nodes per shard on the ring"),
+        (("--variants",), "variants", 0, "int", None, False,
+         "also place this many isomorphic variants per query (they collapse onto the "
+         "base query's group)"),
+        (("--grow",), "grow", 0, "int", None, False,
+         "report how many groups remap when N shards join the ring"),
+        (("--drop",), "drop", None, None, None, False,
+         "report how many groups remap when NAME leaves the ring"),
+        (("--seed",), "seed", 0, "int", None, False, "variant-generation seed"),
+        (("--serve",), "serve", False, None, None, False,
+         "start a live router server instead: shards are in-process worker-pool nodes; "
+         "tenants attach over the wire"),
+        (("--host",), "host", "127.0.0.1", None, None, False, None),
+        (("--port",), "port", 0, "int", None, False,
+         "TCP port for --serve (0 binds an ephemeral port)"),
+        (("--workers-per-shard",), "workers_per_shard", 1, "int", None, False,
+         "worker processes per (shard, tenant) pool under --serve"),
+        (("--cache-dir",), "cache_dir", None, None, None, False,
+         "shared namespaced reduction cache for every pool (--serve)"),
+        (("--max-inflight",), "max_inflight", 64, "int", None, False,
+         "admission-control bound for --serve"),
+        (("--deadline-ms",), "deadline_ms", 30000.0, "float", None, False,
+         "default per-request deadline for --serve"),
+        (("--remote-shards",), "remote_shards", None, None, None, False,
+         "coordinator mode for --serve: dial these standalone `repro shard` processes "
+         "instead of spawning in-process worker pools"),
+        (("--health-interval",), "health_interval", None, "float", None, False,
+         "ping remote shards this often and fail their in-flight work over to survivors "
+         "when one stops answering"),
+    ],
+    "shard": [
+        (("--name",), "name", None, None, None, True, "this node's shard name"),
+        (("--listen",), "listen", "127.0.0.1:0", None, None, False,
+         "bind address (port 0 binds an ephemeral port, printed)"),
+        (("--workers",), "workers", 1, "int", None, False,
+         "worker processes per attached tenant on this node"),
+        (("--cache-dir",), "cache_dir", None, None, None, False,
+         "this node's own reduction cache directory (a coordinator warms it content-"
+         "addressed over the wire)"),
+        (("--max-inflight",), "max_inflight", 64, "int", None, False, "admission-control bound"),
+        (("--deadline-ms",), "deadline_ms", 300000.0, "float", None, False,
+         "default per-request deadline (generous: a coordinator ships whole database "
+         "snapshots through attach/reload)"),
+        (("--max-line-bytes",), "max_line_bytes", 67108864, "int", None, False,
+         "largest accepted request frame (generous by default: attach/reload snapshots "
+         "and shipped cache entries arrive as single JSON lines)"),
+    ],
+}
+
+
+class TestOptionSurface:
+    def test_every_subcommand_keeps_its_option_surface(self):
+        """The shared options are declared once (``SHARED_OPTIONS``);
+        what each of the nine commands *offers* must not have moved."""
+        import argparse
+
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(subparsers.choices) == list(OPTION_SURFACE)
+        for command, parser in subparsers.choices.items():
+            surface = [
+                (
+                    tuple(action.option_strings) or (action.dest,),
+                    action.dest,
+                    action.default,
+                    getattr(action.type, "__name__", None),
+                    tuple(action.choices) if action.choices else None,
+                    action.required,
+                    action.help,
+                )
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            ]
+            assert surface == OPTION_SURFACE[command], command
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -354,6 +354,27 @@ class TestFramedFormat:
             main(["evaluate", "R([A],[B])", "--cache-allow-pickle"])
         assert exit_info.value.code == 2
         assert "--cache-allow-pickle" in capsys.readouterr().err
+        # the serving tier's options with one value in use (PR 18): the
+        # pool evaluates by reduction, spawns, and respawns within
+        # ``max_respawns``; a stale keyword is an error before any
+        # process starts, not a silently different pool
+        from repro.service import ShardRouter, WorkerPool, pool, protocol
+
+        for retired in (
+            {"strategy": "reduction"},
+            {"start_method": "spawn"},
+            {"respawn": False},
+        ):
+            with pytest.raises(TypeError):
+                WorkerPool(db, workers=1, **retired)
+        with pytest.raises(TypeError):
+            ShardRouter(shards=("s0",), strategy="reduction")
+        for module, name in (
+            (protocol, "encode_delta"),
+            (protocol, "decode_delta"),
+            (pool, "_route_digest"),
+        ):
+            assert not hasattr(module, name), name
 
     def test_import_entry_rejects_pickled_bytes(self, tmp_path):
         import pickle

@@ -2,21 +2,28 @@
 
 Property-style round-trip tests: seeded random generators drive many
 cases through encode → JSON → decode and assert exact identity — for
-tagged values (intervals, nested tuples, scalars), whole tuples, full
-database snapshots and change-log deltas.  The router verb tables are
-pinned, and a live (pool-less) :class:`RouterServer` answers malformed
-frames — garbage bytes, non-object JSON, unknown ops, missing or
-mistyped fields — with *typed* ``bad_request`` errors rather than
-dropped connections.
+tagged values (intervals, nested tuples, scalars), whole tuples and full
+database snapshots.  The verb table is pinned from every side: each
+verb's ``decode(encode(args))`` round-trips, every hop that reads the
+table covers it, nothing outside its module compares an op against a
+verb literal any more, and a pool-tier and a router-tier server answer
+the schema-generated malformed-frame matrix with *typed* errors — and
+every frame, valid or not, exactly as the servers before the table did
+(``golden/wire_frames.json``).
 """
 
+import ast
+import inspect
 import json
 import random
+import re
 import socket
+from pathlib import Path
 
 import pytest
 
-from repro.engine.relation import Database, Delta
+import wire_golden
+from repro.engine.relation import Database
 from repro.intervals import Interval
 from repro.queries import parse_query
 from repro.core.session import canonical_form
@@ -30,13 +37,11 @@ from repro.service.protocol import (
     ProtocolError,
     decode_cache_entry,
     decode_database,
-    decode_delta,
     decode_tuple,
     decode_value,
     dump_line,
     encode_cache_entry,
     encode_database,
-    encode_delta,
     encode_tuple,
     encode_value,
     error_response,
@@ -110,6 +115,19 @@ class TestValueCodec:
             {},
             [1, 2],
             {"tuple": [1], "interval": [1, 2]},
+            # endpoints are two finite, ordered, non-bool numbers
+            {"interval": ["a", "b"]},
+            {"interval": [float("nan"), 1]},
+            {"interval": [True, 2]},
+            {"interval": [1, float("inf")]},
+            {"interval": [3, 1]},
+            {"interval": [1, None]},
+            {"interval": [1, 2, 3]},
+            {"interval": 5},
+            {"tuple": [{"interval": [2, 1]}]},
+            {"tuple": "ab"},
+            float("nan"),
+            float("-inf"),
         ],
     )
     def test_undecodable_values_are_typed_errors(self, bad):
@@ -150,51 +168,16 @@ class TestDatabaseCodec:
             {"R": {"schema": ["x", "y"], "tuples": [[1]]}},
             # duplicate attribute: likewise
             {"R": {"schema": ["x", "x"], "tuples": []}},
+            # attach / reload ship whole databases through the value
+            # decoder: a bad endpoint anywhere rejects the snapshot
+            {"R": {"schema": ["x"], "tuples": [[{"interval": ["a", "b"]}]]}},
+            {"R": {"schema": ["x"], "tuples": [[{"interval": [float("nan"), 1]}]]}},
+            {"R": {"schema": ["x", "y"], "tuples": [[1, float("inf")]]}},
         ],
     )
     def test_malformed_database_payloads_are_typed_errors(self, bad):
         with pytest.raises(ProtocolError):
             decode_database(bad)
-
-
-class TestDeltaCodec:
-    def test_logged_deltas_round_trip(self):
-        db = random_database(parse_query(TRIANGLE), 10, seed=7)
-        victims = list(db["R"].tuples)[:3]
-        for t in victims:
-            db.delete("R", t)
-        db.insert("S", victims[0])
-        logged = [d for d in db.changes_since(0) if d.is_tuple_level]
-        assert len(logged) == 4
-        for delta in logged:
-            assert decode_delta(through_json(encode_delta(delta))) == delta
-
-    def test_whole_relation_deltas_have_no_wire_encoding(self):
-        with pytest.raises(ProtocolError):
-            encode_delta(Delta(3, "replace", "R", None))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "nope",
-            {"version": 1, "kind": "insert", "relation": "R"},  # no tuple
-            {
-                "version": 1,
-                "kind": "insert",
-                "relation": "R",
-                "tuple": [],
-                "extra": 1,
-            },
-            {"version": 1, "kind": "replace", "relation": "R", "tuple": []},
-            {"version": True, "kind": "insert", "relation": "R", "tuple": []},
-            {"version": "1", "kind": "insert", "relation": "R", "tuple": []},
-            {"version": 1, "kind": "insert", "relation": 7, "tuple": []},
-            {"version": 1, "kind": "insert", "relation": "R", "tuple": "t"},
-        ],
-    )
-    def test_malformed_delta_payloads_are_typed_errors(self, bad):
-        with pytest.raises(ProtocolError):
-            decode_delta(bad)
 
 
 class TestCacheEntryCodec:
@@ -348,3 +331,202 @@ class TestMalformedFramesOverTheWire:
             assert response["error"]["code"] == protocol.ERROR_BAD_REQUEST
         assert final["ok"] is True
         assert sorted(final["result"]["nodes"]) == ["s0", "s1"]
+
+
+# ----------------------------------------------------------------------
+# the verb table, from every side that reads it
+# ----------------------------------------------------------------------
+
+SERVICE = Path(protocol.__file__).resolve().parent
+#: everything that could grow an ``if op == "..."`` chain back
+DISPATCHERS = sorted(
+    path for path in SERVICE.glob("*.py") if path.name != "protocol.py"
+) + [SERVICE.parent / "cli.py"]
+
+
+def verb_comparisons(source: str) -> list[str]:
+    """Every comparison in ``source`` of something op-like (``op``,
+    ``request["op"]``, ``verb.name``) against a verb literal or a
+    collection holding one — what the verb table exists to replace."""
+
+    def names_a_verb(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(names_a_verb(element) for element in node.elts)
+        return isinstance(node, ast.Constant) and node.value in protocol.VERBS
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(names_a_verb(operand) for operand in operands) and any(
+                re.search(r"\bop\b|\.name\b", ast.unparse(operand))
+                for operand in operands
+            ):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def comparable(value):
+    """Arguments as something ``==`` works on (a Database has none)."""
+    if isinstance(value, Database):
+        return {r.name: (tuple(r.schema), frozenset(r.tuples)) for r in value}
+    if isinstance(value, (tuple, list)):
+        return type(value)(comparable(v) for v in value)
+    return value
+
+
+class TestVerbTable:
+    def test_every_verb_round_trips_its_sample_through_the_wire(self):
+        samples = wire_golden.samples()
+        assert set(samples) == set(protocol.VERBS)
+        for name, verb in protocol.VERBS.items():
+            frame = verb.frame(*samples[name])
+            assert frame["op"] == name
+            received = parse_line(dump_line({"id": 1, **frame}))
+            assert received == {"id": 1, **frame}, name  # JSON-safe as built
+            assert comparable(verb.decode(received)) == comparable(
+                samples[name]
+            ), name
+
+    def test_encode_rejects_what_the_schema_does_not_declare(self):
+        sql = protocol.VERBS["sql"]
+        assert sql.encode(sql="SELECT 1") == sql.encode("SELECT 1")
+        for bad in (lambda: sql.encode(), lambda: sql.encode("a", "b"),
+                    lambda: sql.encode("a", frob=1)):
+            with pytest.raises(TypeError):
+                bad()
+        # an optional field left at None stays off the wire
+        assert protocol.VERBS["ring_add"].encode("s1") == {"shard": "s1"}
+
+    def test_the_exported_op_tuples_are_derived_from_the_table(self):
+        by_tier = {
+            tier: [n for n, v in protocol.VERBS.items() if v.tier == tier]
+            for tier in (protocol.POOL, protocol.ROUTER)
+        }
+        assert list(OPS) == by_tier[protocol.POOL]
+        assert list(ROUTER_ADMIN_OPS + CACHE_OPS) == by_tier[protocol.ROUTER]
+        assert list(ROUTER_OPS) == list(protocol.VERBS)
+
+    def test_every_hop_covers_every_verb(self):
+        from repro.service import (
+            AsyncServiceClient,
+            RemoteShardNode,
+            ServiceClient,
+            pool,
+            server,
+        )
+
+        from repro.service.client import _VerbMethods
+
+        # generated, and not shadowed by a hand-written namesake (the
+        # node handle also inherits a connection's attributes)
+        for name in protocol.VERBS:
+            generated = getattr(_VerbMethods, name)
+            for hop in (ServiceClient, AsyncServiceClient, RemoteShardNode):
+                assert getattr(hop, name, None) is generated, (hop, name)
+        # the server's handler column (it contributes `stats` itself)
+        assert set(server.HANDLERS) | {"stats"} == set(protocol.VERBS)
+        # what a worker executes and what a registry may hold are verbs
+        assert set(pool._WORKER_OPS) <= set(OPS)
+        assert {
+            name
+            for name, verb in protocol.VERBS.items()
+            if verb.lost != protocol.FAIL
+        } == set(pool._WORKER_OPS)
+
+    def test_the_module_docstring_lists_exactly_the_table(self):
+        listed = re.findall(
+            r"^``(\w+)`` \*\((\w+), (\w+)\)\*", protocol.__doc__, re.MULTILINE
+        )
+        assert listed == [
+            (verb.name, verb.tier, verb.placement)
+            for verb in protocol.VERBS.values()
+        ]
+
+    def test_no_dispatcher_compares_an_op_against_a_verb_literal(self):
+        """The chains must not grow back: outside the table's module, no
+        comparison of an op against a verb name (39 at PR 17)."""
+        # the scanner does see one when it is there
+        assert verb_comparisons('if op == "stats":\n    pass') == [
+            "line 1: op == 'stats'"
+        ]
+        assert verb_comparisons('x = request["op"] in ("evaluate", "count")')
+        assert verb_comparisons('kind == "insert" or op == mode') == []
+        for path in DISPATCHERS:
+            assert verb_comparisons(path.read_text()) == [], path
+        # and no dispatcher defines a second decoder: one _dispatch, in
+        # the server, and one _call per client
+        from repro.service import client, server
+
+        assert inspect.getsource(server).count("def _dispatch(") == 1
+        assert inspect.getsource(client).count("def _call(") == 2
+
+
+@pytest.fixture(scope="module")
+def wire():
+    """Both tiers' whole conversation (see :mod:`wire_golden`), held
+    once for the module: ``{tier: [(request, normalised response)]}``."""
+    with wire_golden.Tiers() as tiers:
+        yield {
+            tier: list(
+                zip(
+                    wire_golden.frames(tier),
+                    wire_golden.exchange(
+                        tiers.addresses[tier], wire_golden.frames(tier)
+                    ),
+                )
+            )
+            for tier in (protocol.POOL, protocol.ROUTER)
+        }
+
+
+class TestWireFrames:
+    @pytest.mark.parametrize("tier", [protocol.POOL, protocol.ROUTER])
+    def test_the_malformed_matrix_is_answered_typed(self, wire, tier):
+        """Every verb × every required field, missing and mistyped, on
+        both servers: ``bad_request`` (``bad_query`` for unparsable query
+        text) with the id echoed — never ``internal``, never a hang (the
+        exchange has a socket timeout), and the connection kept serving:
+        every later frame still got its answer."""
+        valid = malformed = 0
+        for request, response in wire[tier]:
+            assert response["id"] == request["id"]
+            op = request.get("op")
+            verb = protocol.VERBS.get(op) if isinstance(op, str) else None
+            admitted = verb is not None and (
+                tier == protocol.ROUTER or verb.tier == protocol.POOL
+            )
+            if admitted and response["ok"]:
+                valid += 1
+                continue
+            malformed += 1
+            assert response["ok"] is False, (request, response)
+            unparsable = admitted and any(
+                request.get(name) == text
+                for name, text in wire_golden.BAD_TEXT.items()
+            )
+            assert response["error"]["code"] == (
+                "bad_query" if unparsable else "bad_request"
+            ), (request, response)
+        admitted_verbs = [
+            v for v in protocol.VERBS.values()
+            if tier == protocol.ROUTER or v.tier == protocol.POOL
+        ]
+        assert valid == len(admitted_verbs)  # one valid request per verb
+        assert malformed >= 2 * sum(
+            len([f for f in v.fields if f.required]) for v in admitted_verbs
+        )
+        assert wire[tier][-1][1]["ok"] or tier == protocol.POOL
+
+    @pytest.mark.parametrize("tier", [protocol.POOL, protocol.ROUTER])
+    def test_every_frame_is_answered_as_before_the_table(self, wire, tier):
+        """Golden frames: the requests are regenerated from the table
+        (so the file cannot drift from the schemas) and every response
+        equals the one the PR-17 servers gave, modulo digests, pids and
+        counters."""
+        golden = json.loads(wire_golden.GOLDEN.read_text())[tier]
+        assert [request for request, _ in golden] == [
+            request for request, _ in wire[tier]
+        ]
+        for (request, before), (_, now) in zip(golden, wire[tier]):
+            assert now == before, request

@@ -18,9 +18,9 @@ Layers under test:
 * :class:`ShardConnection` — pipelined out-of-order matching, typed
   :class:`ShardUnreachable` on dial failure / connection loss / id-less
   errors, and the exactly-once ``on_down`` contract;
-* :class:`RemoteShardPool` — the pop-based exactly-once protocol
-  between wire completion and the failover sweep, pinned with scripted
-  futures (no sockets);
+* :class:`RemoteShardPool` over :class:`ShardConnection` — the
+  pop-based exactly-once protocol between a reply and the failover's
+  ``drain()``, pinned against scripted peers;
 * client-side routing — a client learns the ring, dials the owning
   shard directly, and falls back to the router on connection loss or a
   typed can't-serve response;
@@ -40,7 +40,6 @@ import json
 import socket
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -53,6 +52,7 @@ from repro.queries import parse_query
 from repro.service import (
     AsyncServiceClient,
     PoolClosed,
+    RemoteShardNode,
     RemoteShardPool,
     RouterServer,
     ServiceClient,
@@ -536,117 +536,235 @@ class TestShardConnection:
 
 
 # ----------------------------------------------------------------------
-# the remote pool's exactly-once pop protocol (scripted futures)
+# exactly-once across the wire: the connection's registry (scripted peers)
 # ----------------------------------------------------------------------
 
 
-class FakeConnection:
-    def __init__(self):
-        self.wires: list[tuple[str, dict, Future]] = []
-        self.is_down = False
-
-    def request_async(self, op, **fields):
-        future: Future = Future()
-        self.wires.append((op, fields, future))
-        return future
+def read(file) -> dict:
+    return protocol.parse_line(file.readline())
 
 
-class FakeNode:
-    name = "s0"
+def reply(file, request: dict, result) -> None:
+    file.write(protocol.dump_line(protocol.ok_response(request["id"], result)))
+    file.flush()
 
-    def __init__(self):
-        self.connection = FakeConnection()
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
 
 
 class TestRemoteShardPoolExactlyOnce:
+    """The pool over one (node, tenant) keeps no registry: every entry
+    lives in the node connection's pending map, and whoever pops it —
+    the reader on a reply, or ``drain()`` — owns its resolve."""
+
+    SQL = "SELECT COUNT(*) FROM R r, S s WHERE r.B OVERLAPS s.B"
+
     def setup_method(self):
-        self.node = FakeNode()
-        self.pool = RemoteShardPool(self.node, "acme")
         self.query = parse_query(TRIANGLE)
 
-    def wire(self, index=-1) -> Future:
-        return self.node.connection.wires[index][2]
+    @contextlib.contextmanager
+    def pool(self, handler, on_down=None):
+        """A ``RemoteShardPool`` for tenant ``acme`` on a node whose far
+        side is ``handler(file)``; when the handler returns, the node's
+        connection drops."""
+        with scripted_peer(handler) as (host, port):
+            node = RemoteShardNode("s0", host, port, on_down=on_down)
+            try:
+                yield RemoteShardPool(node, "acme")
+            finally:
+                node.close()
 
     def test_ok_response_resolves_the_outer_future(self):
-        outer = self.pool.submit("evaluate", self.query)
-        op, fields, wire = self.node.connection.wires[-1]
-        assert op == "evaluate" and fields["tenant"] == "acme"
-        assert "query" in fields
-        wire.set_result(protocol.ok_response(1, True))
-        assert outer.result(1) is True
-        assert self.pool.sweep() == []  # popped: nothing outstanding
+        seen: list[dict] = []
+
+        def handler(file):
+            seen.append(read(file))
+            reply(file, seen[-1], True)
+            file.readline()
+
+        with self.pool(handler) as pool:
+            assert pool.submit("evaluate", self.query).result(10) is True
+            assert pool.node.drain() == []  # popped: nothing outstanding
+        (request,) = seen
+        assert request["op"] == "evaluate" and request["tenant"] == "acme"
+        assert parse_query(request["query"]) == self.query
 
     def test_typed_error_response_raises_service_error(self):
-        outer = self.pool.submit("evaluate", self.query)
-        self.wire().set_result(
-            protocol.error_response(1, "deadline_exceeded", "slow")
-        )
-        with pytest.raises(ServiceError) as excinfo:
-            outer.result(1)
+        def handler(file):
+            request = read(file)
+            file.write(
+                protocol.dump_line(
+                    protocol.error_response(
+                        request["id"], "deadline_exceeded", "slow"
+                    )
+                )
+            )
+            file.flush()
+            file.readline()
+
+        with self.pool(handler) as pool:
+            with pytest.raises(ServiceError) as excinfo:
+                pool.submit("evaluate", self.query).result(10)
         assert excinfo.value.code == "deadline_exceeded"
 
     def test_dead_wire_leaves_the_entry_for_the_sweep(self):
-        outer = self.pool.submit("evaluate", self.query)
-        self.wire().set_exception(ShardUnreachable("shard died"))
-        assert not outer.done()  # deliberately NOT failed: the sweep owns it
-        entries = self.pool.sweep()
-        assert len(entries) == 1
-        op, query, future = entries[0]
-        assert (op, query, future) == ("evaluate", self.query, outer)
+        """Loss with ``on_down``: every unanswered entry is handed over
+        exactly once and *unresolved* — the failover owns it now."""
+        handed: list = []
+        downs: list = []
+
+        def on_down(node):
+            downs.append(node)
+            handed.extend(node.drain())
+
+        def handler(file):
+            read(file), read(file)  # swallow both requests, then die
+
+        with self.pool(handler, on_down) as pool:
+            outer = pool.submit("evaluate", self.query)
+            ack = pool.mutate("delete", "R", (Interval(1.0, 2.0),))
+            wait_until(lambda: len(handed) == 2)
+            wait_until(lambda: pool.node._settled)
+            assert downs == [pool.node]
+            assert not outer.done() and not ack.done()  # deliberately NOT failed
+            entry = next(e for e in handed if e.op == "evaluate")
+            assert (entry.query, entry.future, entry.tenant) == (
+                self.query, outer, "acme",
+            )
+            assert {e.op for e in handed} == {"evaluate", "mutate"}
+            assert pool.node.drain() == []  # handed over once, not twice
+            # a settled connection resolves new work at once, typed
+            with pytest.raises(ShardUnreachable):
+                pool.submit("evaluate", self.query).result(1)
+
+    def test_unclaimed_entries_fail_typed_on_loss(self):
+        """Was ``test_orphaned_pool_self_resolves_dead_wires``: when no
+        failover will come for an entry (no ``on_down``, or one that
+        claims nothing), the loss itself fails it with
+        ``ShardUnreachable`` — never a hang."""
+
+        def handler(file):
+            read(file)
+
+        for on_down in (None, lambda node: None):
+            with self.pool(handler, on_down) as pool:
+                outer = pool.submit("evaluate", self.query)
+                with pytest.raises(ShardUnreachable):
+                    outer.result(10)
+                assert pool.node.drain() == []
 
     def test_late_wire_completion_after_sweep_backs_off(self):
-        outer = self.pool.submit("evaluate", self.query)
-        entries = self.pool.sweep()  # failover swept first
-        self.wire().set_result(protocol.ok_response(1, True))  # late answer
-        assert not outer.done()  # the sweeper owns the resolve now
-        _resolve(entries[0][2], False)  # ...and delivers exactly once
-        assert outer.result(1) is False
+        """A reply that arrives after ``drain()`` is dropped: the
+        drainer owns the resolve."""
+        release = threading.Event()
+
+        def handler(file):
+            first = read(file)
+            release.wait(10)
+            reply(file, first, True)  # the late answer
+            reply(file, read(file), "pong")
+            file.readline()
+
+        with self.pool(handler) as pool:
+            outer = pool.submit("evaluate", self.query)
+            (entry,) = pool.node.drain()  # failover swept first
+            release.set()
+            # replies come back in order: once the ping is answered the
+            # late reply has been read — and found nothing pending
+            assert pool.node.request("ring", timeout=10) == "pong"
+            assert not outer.done()
+            _resolve(entry.future, False)  # ...the drainer delivers, once
+            assert outer.result(1) is False
 
     def test_resubmission_reuses_the_original_future(self):
-        outer = self.pool.submit("evaluate", self.query)
-        self.wire().set_exception(ShardUnreachable("shard died"))
-        (entry,) = self.pool.sweep()
-        survivor = RemoteShardPool(FakeNode(), "acme")
-        assert survivor.submit("evaluate", self.query, future=entry[2]) is outer
-        survivor.node.connection.wires[-1][2].set_result(
-            protocol.ok_response(1, False)
-        )
-        assert outer.result(1) is False
+        """A drained entry placed again is ``submit(op, query,
+        future=original, **payload)`` — same future object, and for a
+        SQL disjunct the same text crosses the wire."""
+        seen: list[dict] = []
 
-    def test_orphaned_pool_self_resolves_dead_wires(self):
-        self.pool.orphan()
-        outer = self.pool.submit("evaluate", self.query)
-        self.wire().set_exception(ShardUnreachable("shard died"))
-        with pytest.raises(ShardUnreachable):
-            outer.result(1)
-        assert self.pool.sweep() == []
+        def dying(file):
+            read(file), read(file)
 
-    def test_orphan_fails_entries_already_stranded_by_a_dead_wire(self):
-        outer = self.pool.submit("evaluate", self.query)
-        self.wire().set_exception(ShardUnreachable("shard died"))
-        assert not outer.done()
-        self.node.connection.is_down = True
-        self.pool.orphan()
-        with pytest.raises(ShardUnreachable):
-            outer.result(1)
+        def survivor(file):
+            for answer in (False, 7):
+                seen.append(read(file))
+                reply(file, seen[-1], answer)
+            file.readline()
+
+        handed: list = []
+        with self.pool(dying, lambda node: handed.extend(node.drain())) as pool:
+            outer = pool.submit("evaluate", self.query)
+            outer_sql = pool.submit("sql", self.query, sql=self.SQL)
+            wait_until(lambda: len(handed) == 2)
+        with self.pool(survivor) as pool:
+            for entry in handed:
+                assert pool.submit(
+                    entry.op, entry.query, future=entry.future, **entry.payload
+                ) is entry.future
+            assert outer.result(10) is False
+            assert outer_sql.result(10) == 7
+        assert [r["op"] for r in seen] == ["evaluate", "sql"]
+        assert seen[1]["sql"] == self.SQL and "query" not in seen[1]
+
+    def test_detached_tenant_fails_typed_on_node_death(self):
+        """Was ``test_orphan_fails_entries_already_stranded_by_a_dead_
+        wire``: a tenant detached with work still pinned on a node that
+        then dies is work the eviction finds no pool for — it fails
+        with ``ShardUnreachable`` instead of waiting for a resubmission
+        that cannot come."""
+        detached = threading.Event()
+
+        def handler(file):
+            reply(file, read(file), {"tenant": "acme", "shards": 1})  # attach
+            read(file)  # the evaluate: pinned, never answered
+            reply(file, read(file), {"tenant": "acme", "purged": 0})  # detach
+            detached.wait(10)  # ...and then the node dies
+
+        with scripted_peer(handler) as (host, port):
+            with ShardRouter(remote_shards={"s0": (host, port)}) as router:
+                router.attach_tenant("acme", small_db(4))
+                outer = router.evaluate("acme", self.query)
+                router.detach_tenant("acme")
+                detached.set()
+                with pytest.raises(ShardUnreachable):
+                    outer.result(10)
+                wait_until(lambda: router.shard_names == ())
 
     def test_closed_pool_rejects_new_work(self):
-        assert self.pool.close() == {"node": "s0", "tenant": "acme"}
-        with pytest.raises(PoolClosed):
-            self.pool.submit("evaluate", self.query)
+        def handler(file):
+            file.readline()
+
+        with self.pool(handler) as pool:
+            assert pool.close() == {"node": "s0", "tenant": "acme"}
+            for call in (
+                lambda: pool.submit("evaluate", self.query),
+                lambda: pool.mutate("insert", "R", (1,)),
+                pool.stats_async,
+            ):
+                with pytest.raises(PoolClosed):
+                    call()
 
     def test_mutate_wire_shape_and_ack(self):
         t = (Interval(1.0, 2.0), Interval(3.0, 4.0))
-        outer = self.pool.mutate("insert", "R", t)
-        op, fields, wire = self.node.connection.wires[-1]
-        assert op == "mutate" and fields["kind"] == "insert"
-        assert fields["relation"] == "R"
+        seen: list[dict] = []
+
+        def handler(file):
+            seen.append(read(file))
+            reply(file, seen[-1], {"applied": True})
+            file.readline()
+
+        with self.pool(handler) as pool:
+            assert pool.mutate("insert", "R", t).result(10) == {"applied": True}
+        (fields,) = seen
+        assert fields["op"] == "mutate" and fields["kind"] == "insert"
+        assert fields["relation"] == "R" and fields["tenant"] == "acme"
         assert decode_tuple(fields["tuple"]) == t
-        wire.set_result(protocol.ok_response(1, {"applied": True}))
-        assert outer.result(1) == {"applied": True}
 
     def test_stats_reshape_projects_this_tenants_slice(self):
-        outer = self.pool.stats_async()
         payload = {
             "ring": {"nodes": ["local"]},
             "shards": {
@@ -662,12 +780,20 @@ class TestRemoteShardPoolExactlyOnce:
                 }
             },
         }
-        self.wire().set_result(protocol.ok_response(1, payload))
-        assert outer.result(1) == {
-            "workers": [{"worker": 0}],
-            "aggregate": {"reductions": 3, "persistent_hits": 2},
-            "node": "s0",
-        }
+        seen: list[dict] = []
+
+        def handler(file):
+            seen.append(read(file))
+            reply(file, seen[-1], payload)
+            file.readline()
+
+        with self.pool(handler) as pool:
+            assert pool.stats_async().result(10) == {
+                "workers": [{"worker": 0}],
+                "aggregate": {"reductions": 3, "persistent_hits": 2},
+                "node": "s0",
+            }
+        assert "tenant" not in seen[0]  # stats spans the node's tenants
 
 
 # ----------------------------------------------------------------------

@@ -301,11 +301,11 @@ class TestWorkerPool:
             pool.close()
 
     def test_crash_without_respawn_shrinks_the_pool(self):
-        """``respawn=False`` restores the pre-respawn behaviour: the
-        pool shrinks and survivors keep serving."""
+        """``max_respawns=0`` is the pool that never respawns: it
+        shrinks and survivors keep serving."""
         db = small_db(n=10)
         query = parse_query(TRIANGLE)
-        pool = WorkerPool(db, workers=2, respawn=False)
+        pool = WorkerPool(db, workers=2, max_respawns=0)
         try:
             pool.evaluate_many([query])
             victim = pool._workers[0]
@@ -494,32 +494,54 @@ class TestServer:
 
     def test_schema_invalid_mutate_is_rejected_not_applied(self):
         """Regression: a mutate whose value kinds contradict the
-        relation (ints where intervals live) must be a ``bad_request``
-        — the database layer only checks arity, and applying it would
-        poison every later query over the relation cluster-wide."""
+        relation (ints where intervals live), or whose interval
+        endpoints are not finite ordered numbers, must be a
+        ``bad_request`` — the database layer only checks arity, and
+        applying it would poison every later query over the relation
+        cluster-wide (and every respawned worker, through the parent's
+        copy)."""
         db = small_db(n=10)
+        good = {"interval": [2, 3]}
+        bad_values = [
+            {"interval": [1, None]},
+            {"interval": ["a", "b"]},
+            {"interval": [float("nan"), 1]},
+            {"interval": [True, 2]},
+            {"interval": [1, float("inf")]},
+            {"interval": [3, 1]},
+            float("nan"),
+        ]
 
         def body(host, port):
             with ServiceClient(host, port) as client:
                 bad_kinds = client.request(
                     "mutate", kind="insert", relation="R", tuple=[1, 2]
                 )
-                bad_value = client.request(
-                    "mutate", kind="insert", relation="R",
-                    tuple=[{"interval": [1, None]}, {"interval": [2, 3]}],
-                )
+                rejected = [
+                    client.request(
+                        "mutate", kind="insert", relation="R", tuple=[bad, good]
+                    )
+                    for bad in bad_values
+                ]
                 unknown = client.request(
                     "mutate", kind="insert", relation="NOPE", tuple=[1]
                 )
                 answer = client.evaluate(TRIANGLE)  # R is unpoisoned
-            return bad_kinds, bad_value, unknown, answer
+                count = client.count(TRIANGLE)
+            return bad_kinds, rejected, unknown, answer, count
 
-        (bad_kinds, bad_value, unknown, answer), _ = run_with_server(db, body)
+        before = set(db["R"].tuples)
+        (bad_kinds, rejected, unknown, answer, count), _ = run_with_server(
+            db, body
+        )
         assert bad_kinds["error"]["code"] == "bad_request"
-        assert bad_value["error"]["code"] == "bad_request"
+        for response in rejected:
+            assert response["error"]["code"] == "bad_request", response
         assert unknown["error"]["code"] == "bad_request"
         assert answer == naive_evaluate(parse_query(TRIANGLE), small_db(n=10))
-        assert (1, 2) not in db["R"].tuples
+        assert count == naive_count(parse_query(TRIANGLE), small_db(n=10))
+        # nothing reached the parent's copy, which respawns inherit
+        assert set(db["R"].tuples) == before
 
     def test_pool_rejects_invalid_options_at_construction(self):
         """Regression: a bad session option must raise in the parent,
@@ -559,17 +581,21 @@ class TestServer:
 
     def test_malformed_deadline_is_a_bad_request(self):
         db = small_db(n=10)
+        malformed = ["fast", "5", True, float("nan"), float("inf"), [5]]
 
         def body(host, port):
             with ServiceClient(host, port) as client:
-                response = client.request(
-                    "evaluate", query=TRIANGLE, deadline_ms="fast"
-                )
-                answer = client.evaluate(TRIANGLE)  # connection survives
-            return response, answer
+                responses = [
+                    client.request("evaluate", query=TRIANGLE, deadline_ms=bad)
+                    for bad in malformed
+                ]
+                # null means no deadline; the connection survived
+                answer = client.evaluate(TRIANGLE, deadline_ms=None)
+            return responses, answer
 
-        (response, answer), _ = run_with_server(db, body)
-        assert response["error"]["code"] == "bad_request"
+        (responses, answer), _ = run_with_server(db, body)
+        for response in responses:
+            assert response["error"]["code"] == "bad_request", response
         assert answer == naive_evaluate(parse_query(TRIANGLE), small_db(n=10))
 
     def test_deadline_exceeded_is_typed(self):
