@@ -114,7 +114,7 @@ def main() -> None:
     warm = time.perf_counter() - start
     print(
         f"evaluate: cold {cold * 1e3:.1f} ms, warm {warm * 1e6:.1f} us "
-        f"(the reduction is cached per database fingerprint)"
+        f"(cached until a relation it reads changes version)"
     )
     batch = isomorphic_variants(query, 10, seed=0)
     answers = session.evaluate_many(batch, strategy="reduction")

@@ -14,11 +14,11 @@ from .session import (
     QuerySession,
     SessionStats,
     canonical_form,
-    database_fingerprint,
 )
 from .reduction_cache import (
     ReductionCache,
     database_digests,
+    database_fingerprint,
     reduction_key,
     relation_digest,
 )

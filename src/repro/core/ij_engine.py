@@ -20,7 +20,7 @@ from typing import Iterator, Literal
 from ..engine.ej import evaluate_ej_full
 from ..engine.relation import Database
 from ..queries.query import Query
-from ..reduction.disjoint import shift_distinct_left
+from ..reduction.disjoint import shift_distinct_left, shifted_rows
 from ..reduction.forward import ForwardReductionResult, forward_reduce
 from .disjunct_eval import count_disjunction, evaluate_disjunction
 
@@ -78,15 +78,11 @@ def witnesses_from_reduction(
     construction; the G.1 shift is then inverted tuple-by-tuple to
     reach the original database.
     """
-    eps = _shift_epsilon(query, db)
-    n = len(query.atoms)
     shifted_order = result.tuple_order
-    unshift: dict[str, dict[tuple, tuple]] = {}
-    for i, atom in enumerate(query.atoms, start=1):
-        mapping: dict[tuple, tuple] = {}
-        for original in db[atom.relation].tuples:
-            mapping[_shift_tuple(atom, original, i, n, eps)] = original
-        unshift[atom.label] = mapping
+    unshift = {
+        atom.label: {shifted: original for original, shifted in rows.items()}
+        for atom, rows in zip(query.atoms, shifted_rows(query, db))
+    }
 
     # Atoms with interval variables carry a provenance id; point-only
     # atoms are identified by their variable values directly (every
@@ -127,43 +123,15 @@ def witnesses_from_reduction(
                 return
 
 
-def _shift_epsilon(query: Query, db: Database) -> float:
-    """The epsilon :func:`shift_distinct_left` uses for this instance."""
-    from ..intervals.endpoints import distinct_left_epsilon
-
-    columns = []
-    for a in query.atoms:
-        relation = db[a.relation]
-        intervals = []
-        for idx, v in enumerate(a.variables):
-            if v.is_interval:
-                intervals.extend(t[idx] for t in relation.tuples)
-        columns.append(intervals)
-    return distinct_left_epsilon(columns)
-
-
-def _shift_tuple(atom, original, i: int, n: int, eps: float):
-    """Apply the same G.1 shift to one tuple (for id alignment)."""
-    from ..intervals.interval import Interval
-
-    row = list(original)
-    for idx, v in enumerate(atom.variables):
-        if v.is_interval:
-            x = row[idx]
-            row[idx] = Interval(x.left + i * eps, x.right + n * eps)
-    return tuple(row)
-
-
 class IntersectionJoinEngine:
     """Object API bundling reduction reuse across evaluations.
 
     Reduces once per database: every call routes through the database's
     shared :class:`~repro.core.session.QuerySession`, which memoizes the
-    forward reduction (keyed by the query's canonical form and the
-    database fingerprint) and invalidates it if the database's contents
-    change.  Two ``evaluate`` calls on the same unchanged database run
-    ``forward_reduce`` exactly once; so do two engines whose queries are
-    isomorphic.
+    forward reduction (keyed by the query's canonical form) and patches
+    or drops it when a relation it reads changes.  Two ``evaluate``
+    calls on the same unchanged database run ``forward_reduce`` exactly
+    once; so do two engines whose queries are isomorphic.
     """
 
     def __init__(self, query: Query, ej_method: Method = "auto"):

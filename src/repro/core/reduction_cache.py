@@ -3,16 +3,15 @@
 The forward reduction (Theorem 4.13) is a pure function of the query and
 the database contents, so its result can be addressed by *content*: a
 stable SHA-256 digest per relation plus a structural serialization of
-the (canonical) query.  Two consequences the in-process ``hash()``-based
-fingerprint of PR 1 could not deliver:
-
-* **cross-process sharing** — digests are identical across interpreter
-  runs (no ``PYTHONHASHSEED`` salting), so a reduction serialized to a
-  cache directory by one worker is a valid artifact for every other
-  worker and for the same worker after a restart;
-* **incremental invalidation** — the fingerprint is per-relation, so a
-  mutation identifies exactly *which* relations changed and the session
-  can keep every cached artifact whose query does not touch them.
+the (canonical) query.  Digests are identical across interpreter runs
+(no ``PYTHONHASHSEED`` salting), so a reduction serialized to a cache
+directory by one worker is a valid artifact for every other worker and
+for the same worker after a restart; and they are per relation, so a key
+commits only to the relations its query reads — mutating an unrelated
+relation leaves the entry reachable.  Digests exist for these keys only:
+a session learns *that* a relation changed from its version
+(:attr:`~repro.engine.relation.Relation.version`), never by re-hashing
+it, and :func:`relation_digest` is memoized per version.
 
 :class:`ReductionCache` is the on-disk store:
 :class:`~repro.reduction.forward.ForwardReductionResult` artifacts in
@@ -110,20 +109,28 @@ def relation_digest(relation: Relation) -> str:
     under tuple enumeration order and across processes.  Each encoded
     tuple is fed length-framed, so values containing the separator
     (e.g. strings with newlines) cannot make two different tuple sets
-    collide."""
+    collide.  Memoized on the relation per :attr:`Relation.version`, so
+    digesting an unchanged relation again reads no tuple."""
+    version = relation.version
+    memo = relation._digest
+    if memo is not None and memo[0] == version:
+        return memo[1]
     h = hashlib.sha256()
     h.update(repr(relation.schema).encode())
     for line in sorted(encode_value(t) for t in relation.tuples):
         encoded = line.encode()
         h.update(b"%d:" % len(encoded))
         h.update(encoded)
-    return h.hexdigest()
+    digest = h.hexdigest()
+    relation._digest = (version, digest)
+    return digest
 
 
 def database_digests(db: Database) -> dict[str, str]:
-    """Per-relation content digests — the unit of incremental
-    invalidation: a mutation changes exactly the digests of the
-    relations it touched."""
+    """Per-relation content digests — what persistent-cache keys
+    commit to: a mutation changes exactly the digests of the relations
+    it touched (and only those are re-hashed, see
+    :func:`relation_digest`)."""
     return {r.name: relation_digest(r) for r in db}
 
 
@@ -201,7 +208,7 @@ def reduction_key(
     """The content address of one forward reduction: the query's
     structural serialization, the digests of exactly the relations it
     references, the reduction flags and the pipeline tag (``plain`` vs
-    ``disjoint-shifted`` for the Appendix G counting pipeline, which
+    the session's tag for the Appendix G counting pipeline, which
     reduces over the shifted database — itself a pure function of the
     original relations)."""
     referenced = sorted(query.relations)

@@ -12,10 +12,10 @@ unions of conjunctive queries).
 A :class:`QuerySession` pins one :class:`~repro.engine.relation.Database`
 and makes the amortisation explicit:
 
-* the database is **fingerprinted per relation** with stable content
-  digests (:mod:`repro.core.reduction_cache`); a mutation invalidates
-  only the cached artifacts whose query *touches a changed relation* —
-  everything else stays warm;
+* freshness comes **from the database** — relation versions and the
+  change log say what changed (see :class:`QuerySession`) — and a
+  mutation invalidates only the cached artifacts whose query *touches a
+  changed relation*: everything else stays warm;
 * ``forward_reduce`` results are **memoized** keyed by the query's
   canonical form and the ``disjoint``/``provenance`` flags, and — when
   the session is given a ``cache_dir`` — **persisted** to a
@@ -44,9 +44,9 @@ from itertools import permutations, product
 from math import factorial
 from statistics import median
 from time import perf_counter
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
-from ..engine.relation import Database, Delta
+from ..engine.relation import Database, Delta, Relation
 from ..hypergraph.isomorphism import structure_hash
 from ..queries.query import Atom, Query, Variable
 from ..reduction.disjoint import shift_distinct_left
@@ -55,12 +55,11 @@ from ..reduction.forward import (
     ForwardReductionResult,
     forward_reduce,
 )
-from .baselines import naive_evaluate
+from .baselines import naive_count, naive_evaluate
 from .disjunct_eval import count_disjunction, evaluate_disjunction
 from .reduction_cache import (
     ReductionCache,
     database_digests,
-    database_fingerprint,
     query_content_key,
     reduction_key,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "QuerySession",
     "SessionStats",
     "canonical_form",
-    "database_fingerprint",
 ]
 
 Method = Literal["auto", "yannakakis", "decomposition", "generic"]
@@ -104,40 +102,6 @@ class CanonicalForm:
     def relabel_witness(self, witness: dict[str, tuple]) -> dict[str, tuple]:
         back = dict(self.label_map)
         return {back[label]: value for label, value in witness.items()}
-
-
-def _form_deps(form: CanonicalForm) -> frozenset[str]:
-    """The relations a canonical form's cached artifacts depend on —
-    the unit of incremental invalidation."""
-    return form.query.relations
-
-
-_STAMP_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _quick_stamp(db: Database) -> dict[str, tuple]:
-    """A cheap, order-independent *in-process* change stamp: per
-    relation, tuple hashes folded with two commutative accumulators —
-    one O(|D|) scan, no allocations.  Only meaningful within one
-    process (built on ``hash()``); it gates the hot path so the heavier
-    SHA digests of :func:`database_digests` are recomputed exactly when
-    something actually changed.
-
-    The per-relation accumulators are *incrementally predictable*:
-    inserting tuple ``t`` adds ``hash(t)`` to the sum and xors it into
-    the xor fold.  :meth:`QuerySession._ensure_current` exploits this to
-    verify that the database's change log fully explains an observed
-    change before trusting it for delta patching."""
-    relations: dict[str, tuple] = {}
-    for r in db:
-        acc_sum = 0
-        acc_xor = 0
-        for t in r.tuples:
-            h = hash(t)
-            acc_sum = (acc_sum + h) & _STAMP_MASK
-            acc_xor ^= h
-        relations[r.name] = (r.schema, len(r.tuples), acc_sum, acc_xor)
-    return relations
 
 
 #: Above this many candidate atom orders the exact minimisation is
@@ -406,23 +370,49 @@ class SessionStats:
         return dict(self.phase_seconds)
 
 
+#: Pipeline tags of :func:`~repro.core.reduction_cache.reduction_key`:
+#: the plain Theorem 4.15 reduction, and the Appendix G counting /
+#: witness pipeline (disjoint provenance reduction over the rank-shifted
+#: database).
+_PLAIN = "plain"
+_COUNTING = "disjoint-ranked"
+
+
+class _Reduction(NamedTuple):
+    """One memoized forward reduction with what invalidating and
+    re-persisting it needs."""
+
+    result: ForwardReductionResult
+    deps: frozenset[str]
+    disjoint: bool
+    provenance: bool
+    pipeline: str
+
+
 class QuerySession:
     """Cached query evaluation over one pinned database.
 
     All artifacts — reductions, plans, per-disjunct EJ outcomes and
     answers — are keyed by the query's canonical form, so isomorphic
     queries (same structure up to variable renaming and atom reordering
-    over the same relations) share one reduction.  The database is
-    re-digested (per relation, content SHA) on every public call; a
-    mutation invalidates exactly the artifacts whose query references a
-    changed relation, so answers never go stale and untouched queries
-    stay warm.
+    over the same relations) share one reduction.  Every public call
+    first compares the ``(relation object, version)`` pairs it last
+    saw with the database's current ones — O(#relations), no tuple
+    read, no digest; a mutation invalidates exactly the artifacts whose
+    query references a changed relation, so answers never go stale and
+    untouched queries stay warm.  A changed relation's cached
+    reductions are *patched* when the change log's tuple-level deltas
+    account for its whole version gap; a direct ``relation.tuples``
+    mutation, a relation shared with another database, a whole-relation
+    delta or a trimmed log leaves a gap, and they are rebuilt.
 
     ``cache_dir`` plugs in a persistent
     :class:`~repro.core.reduction_cache.ReductionCache`: reductions are
     content-addressed on disk, so a fresh session (same process or a
     restarted worker) over the same data performs **zero** forward
-    reductions — only cheap disjunct evaluations.
+    reductions — only cheap disjunct evaluations.  The SHA content
+    digests behind those addresses are computed only when a cache key
+    is needed; a session without a ``cache_dir`` never computes one.
 
     The answer cache is LRU-bounded at ``answer_cache_size`` entries
     (reductions and plans are far fewer — one per canonical form — and
@@ -478,18 +468,19 @@ class QuerySession:
             else None
         )
         self.answer_cache_size = answer_cache_size
-        self._stamp = _quick_stamp(db)
-        self._digests = database_digests(db)
-        self._db_version = getattr(db, "version", 0)
-        # every store maps key -> (artifact, relation names it depends on)
-        self._reductions: dict[tuple, tuple[ForwardReductionResult, frozenset[str]]] = {}
-        self._disjoint: dict[tuple, tuple[ForwardReductionResult, frozenset[str]]] = {}
+        # what the caches reflect: each relation as last seen, and the
+        # change-log position it was seen at
+        self._seen = self._relation_versions()
+        self._db_version = db.version
+        # every store maps key -> (artifact, the relation names its
+        # query reads — the unit of invalidation, ...); reductions also
+        # carry what re-persisting them needs
+        self._reductions: dict[tuple, _Reduction] = {}
         self._plans: dict[tuple, tuple[object, frozenset[str]]] = {}
         self._sql_plans: dict[tuple, tuple[object, frozenset[str]]] = {}
         self._answers: OrderedDict[tuple, tuple[object, frozenset[str]]] = (
             OrderedDict()
         )
-        self._in_batch = False
 
     @classmethod
     def for_database(cls, db: Database) -> "QuerySession":
@@ -527,178 +518,110 @@ class QuerySession:
     # invalidation
     # ------------------------------------------------------------------
 
+    def _relation_versions(self) -> dict[str, tuple[Relation, int]]:
+        return {r.name: (r, r.version) for r in self.db}
+
     def invalidate(self) -> None:
         """Drop every cached artifact unconditionally.  (Automatic
         invalidation is finer: a detected mutation drops only the
         artifacts touching changed relations.)"""
-        self._reductions.clear()
-        self._disjoint.clear()
-        self._plans.clear()
-        self._sql_plans.clear()
-        self._answers.clear()
-        self._stamp = _quick_stamp(self.db)
-        self._digests = database_digests(self.db)
-        self._db_version = getattr(self.db, "version", self._db_version)
-        self.stats.invalidations += 1
+        self.invalidate_relations(None)
 
-    def invalidate_relations(self, changed: frozenset[str] | set[str]) -> None:
+    def invalidate_relations(
+        self, changed: frozenset[str] | set[str] | None
+    ) -> None:
         """Drop exactly the cached artifacts whose query references a
-        relation in ``changed``; everything else stays warm."""
-        stores: tuple[dict, ...] = (
-            self._reductions,
-            self._disjoint,
-            self._plans,
-            self._sql_plans,
-            self._answers,
-        )
-        for store in stores:
+        relation in ``changed`` (``None``: any relation); everything
+        else stays warm."""
+        for store in (
+            self._reductions, self._plans, self._sql_plans, self._answers
+        ):
             stale = [
-                key for key, (_, deps) in store.items() if deps & changed
+                key
+                for key, entry in store.items()
+                if changed is None or entry[1] & changed
             ]
             for key in stale:
                 del store[key]
         self.stats.invalidations += 1
 
     def _ensure_current(self) -> None:
-        if self._in_batch:
-            return  # checked once at batch entry; a batch call is atomic
-        stamp = _quick_stamp(self.db)
-        if stamp == self._stamp:
-            # hot path: one hash() fold, no digest recompute.  Contents
-            # are what the caches reflect, so any log entries since the
-            # last sync were net-zero — fast-forward past them.
-            self._db_version = getattr(self.db, "version", self._db_version)
+        """Bring the caches up to date with the database: compare each
+        relation's identity and version with what was last seen; what
+        touches a changed relation is dropped, except the reductions
+        the change log lets us patch."""
+        current = self._relation_versions()
+        seen, since = self._seen, self._db_version
+        self._seen, self._db_version = current, self.db.version
+        if current == seen:
             return
-        digests = database_digests(self.db)
-        changed = {
-            name
-            for name in set(digests) | set(self._digests)
-            if digests.get(name) != self._digests.get(name)
-        }
-        patch, rebuild = self._split_changes(changed, stamp)
-        self._stamp = stamp
-        self._digests = digests
-        self._db_version = getattr(self.db, "version", self._db_version)
-        if not changed:
-            return
-        if patch:
-            self._patch_or_drop(changed, patch, rebuild, digests)
-        else:
-            self.invalidate_relations(changed)
-
-    def _split_changes(
-        self, changed: set[str], new_stamp: dict[str, tuple]
-    ) -> tuple[dict[str, list[Delta]], set[str]]:
-        """Partition the changed relations into *patchable* (the change
-        log fully explains the observed content change with tuple-level
-        deltas) and *rebuild* (whole-relation deltas, direct mutations
-        bypassing the log, or a log trimmed past our last sync)."""
-        changes = getattr(self.db, "changes_since", None)
-        deltas = changes(self._db_version) if changes is not None else None
-        if deltas is None:
-            return {}, set(changed)
-        by_relation: dict[str, list[Delta]] = {}
-        for delta in deltas:
-            by_relation.setdefault(delta.relation, []).append(delta)
+        deltas: dict[str, list[Delta]] = {}
+        for delta in self.db.changes_since(since) or ():
+            deltas.setdefault(delta.relation, []).append(delta)
+        changed: set[str] = set()
         patch: dict[str, list[Delta]] = {}
-        rebuild: set[str] = set()
-        for name in changed:
-            relation_deltas = by_relation.get(name)
+        for name in current.keys() | seen.keys():
+            old, new, log = seen.get(name), current.get(name), deltas.get(name)
+            if old == new:
+                continue
+            changed.add(name)
+            # patchable: still the same relation object, and the log's
+            # tuple-level deltas are its whole version gap — one advance
+            # each, so anything else that touched it leaves a remainder
             if (
-                not relation_deltas
-                or any(not d.is_tuple_level for d in relation_deltas)
-                or not self._log_explains(name, relation_deltas, new_stamp)
+                old and new and log
+                and new[0] is old[0]
+                and all(d.is_tuple_level for d in log)
+                and len(log) == new[1] - old[1]
             ):
-                rebuild.add(name)
-            else:
-                patch[name] = relation_deltas
-        return patch, rebuild
+                patch[name] = log
+        patched = self._patched(changed, patch)
+        self.invalidate_relations(changed)
+        self._reductions.update(patched)
 
-    def _log_explains(
-        self, name: str, deltas: list[Delta], new_stamp: dict[str, tuple]
-    ) -> bool:
-        """Verify that replaying ``deltas`` over the relation's last
-        synced stamp lands exactly on its current stamp — the integrity
-        check that catches direct ``relation.tuples`` mutations made
-        alongside logged ones (the stamp algebra would then not add up
-        and the relation falls back to a rebuild)."""
-        old = self._stamp.get(name)
-        new = new_stamp.get(name)
-        if old is None or new is None:
-            return False
-        schema, count, acc_sum, acc_xor = old
-        if new[0] != schema:
-            return False
-        for delta in deltas:
-            h = hash(delta.tuple)
-            if delta.kind == "insert":
-                count += 1
-                acc_sum = (acc_sum + h) & _STAMP_MASK
-            else:
-                count -= 1
-                acc_sum = (acc_sum - h) & _STAMP_MASK
-            acc_xor ^= h
-        return (schema, count, acc_sum, acc_xor) == new
-
-    def _patch_or_drop(
-        self,
-        changed: set[str],
-        patch: dict[str, list[Delta]],
-        rebuild: set[str],
-        digests: dict[str, str],
-    ) -> None:
-        """The delta-maintenance core: cached reductions whose touched
-        relations all have verified tuple-level deltas are patched in
-        place (and re-persisted under the post-delta digests, so a
-        restarted worker stays warm; a patched artifact is still
-        columnar, so the store is a blob copy, not a row re-encode);
-        everything else touching a changed relation is dropped.
-        Answers and plans for touched queries always drop — patching
+    def _patched(
+        self, changed: set[str], patch: dict[str, list[Delta]]
+    ) -> dict[tuple, _Reduction]:
+        """The delta-maintenance core: the cached plain reductions whose
+        changed relations are all in ``patch``, brought up to date in
+        place and re-persisted under the post-delta digests, so a
+        restarted worker stays warm (a patched artifact is still
+        columnar, so the store is a blob copy, not a row re-encode).
+        Answers and plans of the patched queries still drop: patching
         keeps the *reduction* warm, the (cheap) disjunct evaluation
-        still re-runs."""
-        stale: list[tuple] = []
-        for key, (result, deps) in self._reductions.items():
-            touched = deps & changed
-            if not touched:
+        re-runs."""
+        patched: dict[tuple, _Reduction] = {}
+        for key, entry in self._reductions.items():
+            touched = entry.deps & changed
+            # the counting pipeline reduces over the G.1-shifted
+            # database, whose ranks depend on every endpoint — never
+            # patched, always rebuilt
+            if (
+                not touched
+                or not touched <= patch.keys()
+                or entry.pipeline != _PLAIN
+                or not entry.result.supports_patching()
+            ):
                 continue
-            if touched & rebuild or not result.supports_patching():
-                stale.append(key)
-                continue
-            deltas = sorted(
-                (d for name in touched for d in patch[name]),
-                key=lambda d: d.version,
-            )
             try:
                 with self._timed("reduce"):
-                    for delta in deltas:
-                        result.apply_delta(delta)
+                    for delta in sorted(
+                        (d for name in touched for d in patch[name]),
+                        key=lambda d: d.version,
+                    ):
+                        entry.result.apply_delta(delta)
                         self.stats.delta_patches += 1
             except DomainChanged:
-                stale.append(key)
                 continue
+            patched[key] = entry
             if self.cache is not None:
-                # key shapes: ("exact", qck, disjoint, provenance) and
-                # (form.key, disjoint, provenance) — flags are trailing
+                address = reduction_key(
+                    entry.result.original, database_digests(self.db),
+                    entry.disjoint, entry.provenance, entry.pipeline,
+                )
                 with self._timed("cache_io"):
-                    self.cache.put(
-                        reduction_key(
-                            result.original, digests, key[-2], key[-1],
-                            "plain",
-                        ),
-                        result,
-                    )
-        for key in stale:
-            del self._reductions[key]
-        # the disjoint-shifted pipeline reduces over the G.1 shifted
-        # database, whose epsilon depends on every interval — never
-        # patched, always rebuilt
-        for store in (self._disjoint, self._plans, self._sql_plans, self._answers):
-            dead = [
-                key for key, (_, deps) in store.items() if deps & changed
-            ]
-            for key in dead:
-                del store[key]
-        self.stats.invalidations += 1
+                    self.cache.put(address, entry.result)
+        return patched
 
     # ------------------------------------------------------------------
     # cached artifacts
@@ -715,64 +638,58 @@ class QuerySession:
         accessor trades that sharing for a faithful schema."""
         self._ensure_current()
         key = ("exact", query_content_key(query), disjoint, provenance)
-        entry = self._reductions.get(key)
-        if entry is None:
-            entry = self._reduce(query, disjoint, provenance, "plain")
-            self._reductions[key] = entry
-        return entry[0]
+        return self._reduce(key, query, disjoint, provenance, _PLAIN)
 
     def _reduction(
-        self, form: CanonicalForm, disjoint: bool, provenance: bool
+        self,
+        form: CanonicalForm,
+        disjoint: bool,
+        provenance: bool,
+        pipeline: str = _PLAIN,
     ) -> ForwardReductionResult:
-        key = (form.key, disjoint, provenance)
-        entry = self._reductions.get(key)
-        if entry is None:
-            entry = self._reduce(form.query, disjoint, provenance, "plain")
-            self._reductions[key] = entry
-        return entry[0]
-
-    def _disjoint_reduction(self, form: CanonicalForm) -> ForwardReductionResult:
-        """The disjoint provenance reduction over the G.1-shifted
-        database (the Appendix G counting/witness pipeline), memoized."""
-        entry = self._disjoint.get(form.key)
-        if entry is None:
-            entry = self._reduce(form.query, True, True, "disjoint-shifted")
-            self._disjoint[form.key] = entry
-        return entry[0]
+        key = (form.key, disjoint, provenance, pipeline)
+        return self._reduce(key, form.query, disjoint, provenance, pipeline)
 
     def _reduce(
-        self, query: Query, disjoint: bool, provenance: bool, pipeline: str
-    ) -> tuple[ForwardReductionResult, frozenset[str]]:
-        """Compute (or load from the persistent cache) one forward
-        reduction, returning it with its relation dependency set.  The
-        persistent key is content-addressed — canonical query plus the
-        digests of exactly the relations it reads — so entries written
-        by other processes (or before a mutation of an unrelated
-        relation) are shared, and stale entries are unreachable."""
-        deps = query.relations
-        key = None
+        self, key: tuple, query: Query, disjoint: bool, provenance: bool,
+        pipeline: str,
+    ) -> ForwardReductionResult:
+        """The reduction memoized under ``key`` — else loaded from the
+        persistent cache, else computed (and persisted).  The persistent
+        address is content-based — canonical query plus the digests of
+        exactly the relations it reads — so entries written by other
+        processes (or before a mutation of an unrelated relation) are
+        shared, and stale entries are unreachable."""
+        entry = self._reductions.get(key)
+        if entry is not None:
+            return entry.result
+        result = None
         if self.cache is not None:
-            key = reduction_key(
-                query, self._digests, disjoint, provenance, pipeline
+            address = reduction_key(
+                query, database_digests(self.db), disjoint, provenance,
+                pipeline,
             )
             with self._timed("cache_io"):
-                result = self.cache.get(key)
-            if result is not None:
-                self.stats.persistent_hits += 1
-                return result, deps
-        with self._timed("reduce"):
-            if pipeline == "disjoint-shifted":
-                base = shift_distinct_left(query, self.db)
-            else:
-                base = self.db
-            result = forward_reduce(
-                query, base, disjoint=disjoint, provenance=provenance
-            )
-        self.stats.reductions += 1
-        if self.cache is not None and key is not None:
-            with self._timed("cache_io"):
-                self.cache.put(key, result)
-        return result, deps
+                result = self.cache.get(address)
+        if result is not None:
+            self.stats.persistent_hits += 1
+        else:
+            with self._timed("reduce"):
+                if pipeline == _COUNTING:
+                    base = shift_distinct_left(query, self.db)
+                else:
+                    base = self.db
+                result = forward_reduce(
+                    query, base, disjoint=disjoint, provenance=provenance
+                )
+            self.stats.reductions += 1
+            if self.cache is not None:
+                with self._timed("cache_io"):
+                    self.cache.put(address, result)
+        self._reductions[key] = _Reduction(
+            result, query.relations, disjoint, provenance, pipeline
+        )
+        return result
 
     def plan(self, query: Query, naive_budget: float | None = None):
         """The (memoized) adaptive plan for ``query`` on this database.
@@ -789,7 +706,7 @@ class QuerySession:
             from .planner import plan_query
 
             plan = plan_query(form.query, self.db, budget)
-            entry = (plan, _form_deps(form))
+            entry = (plan, form.query.relations)
             self._plans[key] = entry
         return entry[0]
 
@@ -928,7 +845,7 @@ class QuerySession:
             return bool(cached)
         self.stats.misses += 1
         answer = self._evaluate_uncached(form, ej_method, strategy)
-        self._answer_put(key, answer, _form_deps(form))
+        self._answer_put(key, answer, form.query.relations)
         return answer
 
     def _evaluate_uncached(
@@ -946,17 +863,22 @@ class QuerySession:
             if shared is not None:
                 with self._timed("evaluate"):
                     return sweep_evaluate_binary(form.query, self.db, shared)
-        return self._evaluate_reduction(form, ej_method)
-
-    def _evaluate_reduction(
-        self, form: CanonicalForm, ej_method: Method
-    ) -> bool:
         result = self._reduction(form, False, False)
         with self._timed("evaluate"):
             return evaluate_disjunction(result, ej_method)
 
-    def count(self, query: Query, ej_method: Method = "auto") -> int:
-        """Exact witness count, cached by canonical form."""
+    def count(
+        self,
+        query: Query,
+        ej_method: Method = "auto",
+        strategy: Literal["naive", "reduction"] = "reduction",
+    ) -> int:
+        """Exact witness count, cached by canonical form.
+
+        ``strategy='reduction'`` runs the Appendix G counting pipeline;
+        ``'naive'`` enumerates witnesses (what the SQL optimizer plans
+        for small inputs).  As for :meth:`evaluate`, the answer cache is
+        strategy-agnostic."""
         self._ensure_current()
         form = self._canonical(query)
         key = ("count", form.key)
@@ -965,20 +887,24 @@ class QuerySession:
             self.stats.hits += 1
             return int(cached)  # type: ignore[call-overload]
         self.stats.misses += 1
-        result = self._disjoint_reduction(form)
-        with self._timed("evaluate"):
-            total = count_disjunction(result, ej_method)
-        self._answer_put(key, total, _form_deps(form))
+        if strategy == "naive":
+            with self._timed("evaluate"):
+                total = naive_count(form.query, self.db)
+        else:
+            result = self._reduction(form, True, True, _COUNTING)
+            with self._timed("evaluate"):
+                total = count_disjunction(result, ej_method)
+        self._answer_put(key, total, form.query.relations)
         return total
 
     def witnesses(
         self, query: Query, limit: int | None = None
     ) -> Iterator[dict[str, tuple]]:
-        """Enumerate witnesses through the memoized disjoint reduction,
-        relabeled back to the original query's atom labels."""
+        """Enumerate witnesses through the memoized counting-pipeline
+        reduction, relabeled back to the original query's atom labels."""
         self._ensure_current()
         form = self._canonical(query)
-        result = self._disjoint_reduction(form)
+        result = self._reduction(form, True, True, _COUNTING)
         from .ij_engine import witnesses_from_reduction
 
         for witness in witnesses_from_reduction(
@@ -1013,21 +939,14 @@ class QuerySession:
     def _many(self, queries: Sequence[Query], compute) -> list:
         """Group a batch by canonical form, compute one answer per
         group, fan it out; duplicates beyond each group's first member
-        count as cache hits.  Freshness is checked once — the batch is
-        a single atomic call, so the per-group calls skip the O(|D|)
-        fingerprint scan."""
-        self._ensure_current()
+        count as cache hits."""
         results: list = [None] * len(queries)
         groups: dict[tuple, list[int]] = {}
         for i, query in enumerate(queries):
             groups.setdefault(self._canonical(query).key, []).append(i)
-        self._in_batch = True
-        try:
-            for indices in groups.values():
-                value = compute(queries[indices[0]])
-                for i in indices:
-                    results[i] = value
-                self.stats.hits += len(indices) - 1
-        finally:
-            self._in_batch = False
+        for indices in groups.values():
+            value = compute(queries[indices[0]])
+            for i in indices:
+                results[i] = value
+            self.stats.hits += len(indices) - 1
         return results

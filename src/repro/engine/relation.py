@@ -41,12 +41,48 @@ class Delta:
         return self.kind in ("insert", "delete")
 
 
+class _VersionedSet(set):
+    """The tuple set of a row-backed :class:`Relation`: a ``set`` whose
+    every mutating method first advances :attr:`version`, so a consumer
+    that remembers the version knows the contents it derived artifacts
+    from are still the contents, without reading a tuple.  The version
+    advances per mutating *call*, whether or not the call changed
+    anything — conservative, never stale."""
+
+    def __init__(self, rows: Iterable[tuple] = (), version: int = 0):
+        super().__init__(rows)
+        self.version = version
+
+
+def _advancing(name: str):
+    mutate = getattr(set, name)
+
+    def method(self, *args):
+        self.version += 1
+        return mutate(self, *args)
+
+    method.__name__ = name
+    return method
+
+
+for _name in (
+    "add", "discard", "remove", "pop", "clear", "update",
+    "difference_update", "intersection_update",
+    "symmetric_difference_update",
+    "__ior__", "__iand__", "__isub__", "__ixor__",
+):
+    setattr(_VersionedSet, _name, _advancing(_name))
+
+
 class Relation:
     """An in-memory relation with set semantics, in one of two forms
     fixed at construction.
 
     A **row-backed** relation (the constructor) holds a mutable Python
     tuple set — the form source databases are loaded and mutated in.
+    The set observes its own mutation: ``relation.tuples.add(...)``,
+    ``|=``, ``.clear()`` and assigning ``relation.tuples = ...`` all
+    advance :attr:`version`, exactly like :meth:`Database.insert`.
 
     A **block-backed** relation (:meth:`from_columns`) holds its rows as
     a ``uint32`` code matrix
@@ -64,6 +100,10 @@ class Relation:
     (:meth:`~repro.reduction.columnar.ColumnBlock.replace_rows`,
     copy-on-write — the old matrix may be a read-only mapped file).
     """
+
+    #: ``(version, sha)`` memo of
+    #: :func:`repro.core.reduction_cache.relation_digest`
+    _digest: tuple[int, str] | None = None
 
     def __init__(
         self,
@@ -84,7 +124,7 @@ class Relation:
                     f"tuple {tt} does not match schema {self.schema}"
                 )
             data.add(tt)
-        self._tuples = data
+        self._tuples = _VersionedSet(data)
         self._columns = None
 
     @classmethod
@@ -117,7 +157,19 @@ class Relation:
                 f"{self.name} is block-backed: its rows change only "
                 f"through its column block"
             )
-        self._tuples = value if isinstance(value, set) else set(value)
+        if value is not self._tuples:  # ``r.tuples |= x`` assigns it back
+            self._tuples = _VersionedSet(value, self._tuples.version + 1)
+
+    @property
+    def version(self) -> int:
+        """Monotone content version: advanced by every mutation of the
+        tuple set (row-backed) or every
+        :meth:`~repro.reduction.columnar.ColumnBlock.replace_rows` of
+        the block (block-backed).  An unchanged version means unchanged
+        contents; consumers compare it instead of scanning tuples."""
+        if self._columns is not None:
+            return self._columns.version
+        return self._tuples.version
 
     @property
     def columnar(self):
@@ -149,7 +201,7 @@ class Relation:
     def __setstate__(self, state: dict) -> None:
         self.name = state["name"]
         self.schema = tuple(state["schema"])
-        self._tuples = set(state["tuples"])
+        self._tuples = _VersionedSet(state["tuples"])
         self._columns = None
 
     # ------------------------------------------------------------------
@@ -260,8 +312,9 @@ class Database:
     :class:`~repro.core.session.QuerySession`) can see *what* changed
     since a version they remember, not just *that* something changed,
     and patch instead of rebuilding.  Mutating ``relation.tuples``
-    directly still works but bypasses the log; consumers detect such
-    changes by content and fall back to a full rebuild.
+    directly still works but bypasses the log; it still advances the
+    relation's own :attr:`Relation.version`, so consumers see a version
+    gap the log does not account for and fall back to a full rebuild.
     """
 
     #: Retained change-log length.  Once exceeded, the oldest deltas are
@@ -289,8 +342,8 @@ class Database:
     def changes_since(self, version: int) -> list[Delta] | None:
         """The deltas applied after ``version``, oldest first — or
         ``None`` when the log has been trimmed past ``version`` and can
-        no longer account for every change (callers must then fall back
-        to content-based invalidation)."""
+        no longer account for every change (callers must then rebuild
+        whatever they derived from a changed relation)."""
         if version >= self._version:
             return []
         if version < self._log_floor:

@@ -145,7 +145,7 @@ class ColumnBlock:
     binary search and preserves it.
     """
 
-    __slots__ = ("codes", "kinds", "book", "_tuple_set")
+    __slots__ = ("codes", "kinds", "book", "version", "_tuple_set")
 
     def __init__(
         self,
@@ -156,18 +156,21 @@ class ColumnBlock:
         self.codes = codes
         self.kinds = tuple(kinds)
         self.book = book
+        self.version = 0  # what ``Relation.version`` serves for a block
         self._tuple_set: frozenset[tuple] | None = None
 
     def replace_rows(self, codes: np.ndarray) -> None:
         """Swap in a new code matrix of the same width — the block's
-        single mutation entry point.  Drops the decoded-row memo, so no
-        consumer is ever served the previous matrix's rows."""
+        single mutation entry point.  Advances :attr:`version` and
+        drops the decoded-row memo, so no consumer is ever served the
+        previous matrix's rows."""
         if codes.ndim != 2 or codes.shape[1] != self.codes.shape[1]:
             raise ValueError(
                 f"replacement matrix of shape {codes.shape} does not "
                 f"match block width {self.codes.shape[1]}"
             )
         self.codes = codes
+        self.version += 1
         self._tuple_set = None
 
     @property

@@ -312,9 +312,9 @@ class ForwardReductionResult:
 
         The delta must be expressed over the *same database* this
         reduction was computed from (in particular, not over the G.1
-        shifted copy of a ``disjoint-shifted`` pipeline: the shift
-        epsilon depends on every interval, so those artifacts are
-        rebuilt, not patched).  For an **insert** whose interval
+        shifted copy the counting pipeline reduces: a shifted endpoint
+        is a rank among *all* endpoints, so one new endpoint moves
+        every tuple, and those artifacts are rebuilt, not patched).  For an **insert** whose interval
         endpoints already lie in the segment trees' endpoint domains,
         the trees a fresh reduction would build are *identical* to the
         stored ones, so appending the tuple's derived rows (per variant,

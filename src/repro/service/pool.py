@@ -287,6 +287,15 @@ _WORKER_OPS: dict[str, Callable[[QuerySession, Database, dict], Any]] = {
 }
 
 
+def _exit_with_parent() -> None:
+    """A worker must not outlive the process that spawned it, however
+    that process ends (SIGKILL included): the worker itself holds a
+    write end of its task queue, so ``tasks.get()`` never sees EOF and
+    the loop alone would wait forever, re-parented to init."""
+    connection_wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
 def _worker_main(
     worker_id: int,
     db: Database,
@@ -297,6 +306,7 @@ def _worker_main(
     """One worker: a session-owning loop over the task queue.  ``None``
     is the graceful-shutdown sentinel; the final message on the result
     pipe is ``("exit", ...)`` carrying the session's lifetime stats."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     session = QuerySession(db, **options)
     try:
         while True:

@@ -487,11 +487,15 @@ def spawn_shard_process(
     ]
     if cache_dir is not None:
         command += ["--cache-dir", os.fspath(cache_dir)]
+    # its own session, hence its own process group: everything the node
+    # spawns (workers, the multiprocessing resource tracker) is findable
+    # by pgid == process.pid even after the node itself is gone
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
     deadline = time.monotonic() + startup_timeout
     collected: list[str] = []

@@ -73,9 +73,9 @@ def run_disjunct(
 
     # Pure join: the session-cached path.
     if counting:
-        if plan.strategy == "naive":
-            return naive_count(disjunct.query, session.db)
-        return session.count(disjunct.query, ej_method=plan.ej_method)
+        return session.count(
+            disjunct.query, ej_method=plan.ej_method, strategy=plan.strategy
+        )
     return session.evaluate(
         disjunct.query, ej_method=plan.ej_method, strategy=plan.strategy
     )

@@ -143,6 +143,14 @@ class TestWorkflow:
         ]
         assert uploads
         assert "e2e-smoke.jsonl" in uploads[0]["with"]["path"]
+        # ... and once more traced, so every name tracing.py rebinds and
+        # layers.py probes is exercised, not just resolved
+        # (tests/test_benchmark_bindings.py)
+        assert (
+            'python3 benchmarks/e2e/run.py --workload "$w" --seed 1 '
+            "--seconds 2 --reduced --trace 1"
+        ) in runs
+        assert (REPO / "tests" / "test_benchmark_bindings.py").is_file()
         all_runs = " ".join(
             str(step.get("run", ""))
             for job in workflow["jobs"].values()
@@ -267,6 +275,45 @@ class TestPyproject:
         ]
         # the coverage job measures the installed package, not the repo
         assert data["tool"]["coverage"]["run"]["source"] == ["repro"]
+
+    def test_every_third_party_import_under_tests_is_declared(self):
+        """``pip install -e ".[dev]"`` followed by ``pytest`` must be
+        able to *collect* on a clean runner: every module imported
+        under ``tests/`` is stdlib, first-party, or a declared
+        dependency (regression: ``hypothesis`` was not)."""
+        import ast
+        import sys
+
+        tomllib = pytest.importorskip("tomllib")
+        with PYPROJECT.open("rb") as handle:
+            project = tomllib.load(handle)["project"]
+        declared = {
+            re.split(r"[<>=!~ \[;]", requirement, maxsplit=1)[0].lower()
+            for requirement in project["dependencies"]
+            + project["optional-dependencies"]["dev"]
+        }
+        distribution = {"yaml": "pyyaml"}  # import name -> project name
+        tests = REPO / "tests"
+        first_party = {"repro"} | {
+            path.stem if path.is_file() else path.name
+            for path in tests.iterdir()
+        }
+        undeclared = set()
+        for path in tests.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    top = module.split(".")[0]
+                    if top in sys.stdlib_module_names or top in first_party:
+                        continue
+                    if distribution.get(top, top).lower() not in declared:
+                        undeclared.add((top, path.name))
+        assert undeclared == set()
 
     def test_setup_py_is_gone(self):
         assert not (REPO / "setup.py").exists()

@@ -101,6 +101,42 @@ class TestShift:
         with pytest.raises(ValueError):
             shift_distinct_left(q, db)
 
+    @pytest.mark.parametrize("offset", [2.0**52, 2.0**53, -(2.0**52)])
+    def test_shift_is_exact_at_large_magnitudes(self, offset):
+        """Regression: the shift used to add a float epsilon
+        (``gap / (2(n+1))``), which rounds away once endpoints pass
+        2^52 — left endpoints then collide across atoms, the disjuncts
+        stop being disjoint and this instance counted 9 (14 at 2^53)
+        instead of 6.  Ranks are exact at any magnitude."""
+        from repro.core import QuerySession
+
+        q = parse_query("R([A]) ∧ S([A]) ∧ T([A])")
+        db = Database(
+            Relation(
+                name,
+                ("A",),
+                [(Interval(offset + lo, offset + hi),) for lo, hi in rows],
+            )
+            for name, rows in (
+                ("R", [(0, 2), (1, 3)]),
+                ("S", [(0, 2), (2, 4)]),
+                ("T", [(0, 2), (1, 1)]),
+            )
+        )
+        shifted = shift_distinct_left(q, db)
+        assert verify_distinct_left(q, shifted)
+        assert naive_count(q, shifted) == naive_count(q, db) == 6
+        assert count_ij(q, db) == 6
+        assert QuerySession(db).count(q) == 6
+
+        def canon(witnesses):
+            return sorted(sorted(w.items()) for w in witnesses)
+
+        assert canon(witnesses_ij(q, db)) == canon(naive_witnesses(q, db))
+        assert canon(QuerySession(db).witnesses(q)) == canon(
+            naive_witnesses(q, db)
+        )
+
 
 class TestCounting:
     @pytest.mark.parametrize("name", sorted(QUERIES))

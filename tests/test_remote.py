@@ -37,6 +37,8 @@ Layers under test:
 import asyncio
 import contextlib
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -64,9 +66,8 @@ from repro.service import (
     UnknownTenant,
     generate_requests,
     run_load,
-    spawn_shard_process,
 )
-from repro.service import protocol
+from repro.service import protocol, remote
 from repro.service.loadgen import LoadReport
 from repro.service.pool import _resolve
 from repro.service.protocol import decode_tuple, query_text
@@ -76,6 +77,52 @@ TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
 PATH2 = "U([A],[B]) ∧ V([B],[C])"
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+
+# ----------------------------------------------------------------------
+# no process outlives the suite: every shard node this module spawns is
+# its own process group, and each must be empty once the node is gone
+# ----------------------------------------------------------------------
+
+_SPAWNED: list[int] = []
+
+
+def spawn_shard_process(*args, **kwargs):
+    shard = remote.spawn_shard_process(*args, **kwargs)
+    _SPAWNED.append(shard.process.pid)
+    return shard
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """Pids in ``/proc`` whose process group is ``pgid``, zombies (dead,
+    waiting for whoever adopted them to reap) excluded."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # the command name may contain spaces; fields resume after ")"
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def assert_group_dies(pgid: int, within: float = 10.0) -> None:
+    deadline = time.monotonic() + within
+    while live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live_group_members(pgid) == []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_process_outlives_the_suite():
+    yield
+    for pgid in _SPAWNED:
+        assert_group_dies(pgid)
 
 
 def small_db(n: int = 14, seed: int = 11) -> Database:
@@ -1183,6 +1230,26 @@ class TestDistributedSmoke:
                 assert client.evaluate(TRIANGLE) == naive_evaluate(q, db)
                 stats = client.stats()
                 assert "acme" in stats["shards"]["local"]
+
+
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM])
+    def test_a_killed_shard_node_takes_its_workers_with_it(self, signum):
+        """Regression: each worker holds a write end of its own task
+        queue, so ``tasks.get()`` never saw EOF when the node died and
+        the workers (and the resource tracker) lived on under init."""
+        db = small_db(8, seed=3)
+        shard = spawn_shard_process("doomed", workers=2)
+        pgid = shard.process.pid
+        with ServiceClient(*shard.address, tenant="acme") as client:
+            client.attach_tenant("acme", db)
+            assert client.evaluate(TRIANGLE) == naive_evaluate(
+                parse_query(TRIANGLE), db
+            )
+        # the node, its two workers and their resource tracker
+        assert len(live_group_members(pgid)) >= 4
+        os.kill(pgid, signum)
+        shard.process.wait(timeout=30)
+        assert_group_dies(pgid)
 
 
 # ----------------------------------------------------------------------

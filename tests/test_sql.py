@@ -518,6 +518,27 @@ class TestExecution:
         patched = session.sql(text)
         assert patched == naive_program(compile_sql(text, db), db)
 
+    def test_a_naive_planned_count_is_answer_cached(self):
+        """Regression: the pure-join ``COUNT(*)`` branch called
+        ``naive_count`` directly when the optimizer chose ``naive``, so
+        small counts were recomputed on every request."""
+        db = meetings_db(n=5, seed=scenario_seed(9))
+        session = QuerySession(db)
+        text = (
+            "SELECT COUNT(*) FROM Meet m, Hold h "
+            "WHERE m.slot OVERLAPS h.slot"
+        )
+        program = compile_sql(text, db)
+        assert [session.sql_plan(d).strategy for d in program.disjuncts] == [
+            "naive"
+        ]
+        first = session.sql(text)
+        assert first == naive_program(program, db)
+        assert (session.stats.misses, session.stats.hits) == (1, 0)
+        assert session.sql(text) == first
+        assert (session.stats.misses, session.stats.hits) == (1, 1)
+        assert session.stats.reductions == 0  # naive both times
+
 
 # ----------------------------------------------------------------------
 # the service tier: sql/explain verbs + typed bad_query everywhere
