@@ -3,13 +3,13 @@ introduction, end to end through the engine.
 
 Temporal: concurrent-incident triangle over validity intervals.
 Spatial: two-layer MBR overlay (rectangle = two interval variables),
-computed by plane sweep, the reduction, and the adaptive planner — all
+computed by plane sweep, the reduction, and the optimizer's plan — all
 agreeing.
 """
 
 from conftest import bench_n, print_table
 
-from repro.core import count_ij, evaluate_ij, execute, sweep_join
+from repro.core import QuerySession, count_ij, evaluate_ij, sweep_join
 from repro.engine import Database, Relation
 from repro.queries import parse_query
 from repro.workloads import spatial_rectangles, temporal_database
@@ -53,8 +53,13 @@ def test_spatial_overlay_three_ways(benchmark):
             if a[1].intersects(b[1])
         )
         by_reduction = count_ij(pair, db)
-        answer, plan = execute(pair, db)
-        return by_sweep, by_reduction, answer, plan.strategy
+        session = QuerySession(db)
+        return (
+            by_sweep,
+            by_reduction,
+            session.evaluate(pair),
+            session.plan(pair).strategy,
+        )
 
     sweep_count, reduction_count, answer, strategy = benchmark.pedantic(
         three_ways, rounds=1, iterations=1

@@ -59,7 +59,7 @@ from .core import (
     witnesses_ij,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "Interval",

@@ -72,7 +72,7 @@ import sys
 import time
 from typing import Sequence
 
-from .core import QuerySession, analyze_query, naive_evaluate
+from .core import QuerySession, analyze_query, naive_count, naive_evaluate
 from .engine import Database
 from .queries import catalog as query_catalog
 from .queries import parse_query
@@ -230,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admitted-but-unanswered request bound (backpressure above)",
     )
     _shared(p_serve, "--deadline-ms", help="default per-request deadline")
-    p_serve.add_argument(
-        "--admission-min-intervals", type=int, default=0,
-        help=(
-            "answer-cache admission threshold: only answers whose "
-            "reduction reads at least this many input tuples are cached"
-        ),
-    )
 
     p_load = sub.add_parser(
         "loadgen", help="drive a running server with synthetic load"
@@ -416,6 +409,13 @@ def _fail(message: object) -> int:
     """A usage error: say so on stderr, exit status 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _mismatch(expected: object, answer: object, label: str = "") -> bool:
+    """Print one ``--check`` verdict; true when the oracle disagrees."""
+    status = "OK" if expected == answer else "MISMATCH"
+    print(f"naive oracle: {expected}   [{status}]" + (label and f"   ({label})"))
+    return expected != answer
 
 
 def _cache_options_error(args: argparse.Namespace) -> str | None:
@@ -599,23 +599,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for i, (query, answer) in enumerate(zip(queries, answers), start=1):
         label = query.name if len(queries) == 1 else f"#{i} {query.name}"
         if args.check:
-            expected = naive_evaluate(query, db)
-            status = "OK" if expected == answer else "MISMATCH"
-            print(f"naive oracle: {expected}   [{status}]   ({label})")
-            if expected != answer:  # pragma: no cover - defensive
-                failed = True
+            failed |= _mismatch(naive_evaluate(query, db), answer, label)
         if args.count:
             start = time.perf_counter()
             total = session.count(query)
             elapsed = time.perf_counter() - start
             print(f"#witnesses = {total}   [{elapsed * 1e3:.1f} ms]")
+            if args.check:
+                failed |= _mismatch(naive_count(query, db), total, label)
     if args.check:
         for text, program, value in zip(sql_texts, programs, sql_answers):
-            expected = naive_program(program, db)
-            status = "OK" if expected == value else "MISMATCH"
-            print(f"naive oracle: {expected}   [{status}]   (sql: {text})")
-            if expected != value:  # pragma: no cover - defensive
-                failed = True
+            failed |= _mismatch(naive_program(program, db), value, f"sql: {text}")
     return 1 if failed else 0
 
 
@@ -664,12 +658,8 @@ def cmd_sql(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     head = "COUNT(*)" if program.head == "count" else "EXISTS"
     print(f"{head} = {answer}   [{elapsed * 1e3:.1f} ms]")
-    if args.check:
-        expected = naive_program(program, db)
-        status = "OK" if expected == answer else "MISMATCH"
-        print(f"naive oracle: {expected}   [{status}]")
-        if expected != answer:  # pragma: no cover - defensive
-            return 1
+    if args.check and _mismatch(naive_program(program, db), answer):
+        return 1
     return 0
 
 
@@ -717,7 +707,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes,
-            answer_admission_min_intervals=args.admission_min_intervals,
         )
     except ValueError as error:
         return _fail(error)

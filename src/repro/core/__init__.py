@@ -14,6 +14,9 @@ from .session import (
     QuerySession,
     SessionStats,
     canonical_form,
+    execute_sql,
+    explain,
+    explain_sql,
 )
 from .reduction_cache import (
     ReductionCache,
@@ -49,7 +52,6 @@ from .membership import (
     count_membership,
     evaluate_membership,
 )
-from .planner import Plan, execute, execute_sql, explain, explain_sql, plan_query
 from .analysis import QueryAnalysis, analyze_query, nice_fraction
 
 __all__ = [
@@ -91,12 +93,9 @@ __all__ = [
     "coerce_membership_database",
     "count_membership",
     "evaluate_membership",
-    "Plan",
-    "execute",
     "execute_sql",
     "explain",
     "explain_sql",
-    "plan_query",
     "QueryAnalysis",
     "analyze_query",
     "nice_fraction",

@@ -6,9 +6,9 @@ rank disjuncts cheapest-first, short-circuit Boolean evaluation on the
 first true one, sum the (pairwise-disjoint, Lemma G.2) per-disjunct
 counts — is policy that used to be duplicated between the stateless
 engine and the caching session layer.  It lives here, once: the
-engine (:mod:`repro.core.ij_engine`), the session
-(:mod:`repro.core.session`) and the planner's ``reduction`` strategy
-all route through these functions, so a smarter cost model changes
+engine (:mod:`repro.core.ij_engine`) and the session's ``reduction``
+rung (:mod:`repro.core.session`, which every planned execution runs
+through) route through these functions, so a smarter cost model changes
 every caller at once.
 """
 

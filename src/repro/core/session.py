@@ -24,10 +24,12 @@ and makes the amortisation explicit:
 * queries are **canonicalized** (variable renaming + atom reordering,
   cross-checked against :mod:`repro.hypergraph.isomorphism`), so
   isomorphic queries share one reduction;
-* planner decisions (:func:`repro.core.planner.plan_query`) and Boolean /
-  count answers are memoized under the same keys (the answer cache is
-  LRU-bounded), so a batch whose members share a reduction also shares
-  its short-circuit outcome.
+* optimizer plans (:func:`repro.sql.cost.plan_disjunct` — the one
+  planner, which Query ASTs reach through
+  :func:`repro.sql.rewrite.lower_query`) and Boolean / count answers are
+  memoized under the same keys (the answer cache is LRU-bounded), so a
+  batch whose members share a reduction also shares its short-circuit
+  outcome.
 
 ``evaluate_many`` / ``count_many`` batch-execute a list of queries: the
 batch is grouped by canonical form, one reduction (and one answer) is
@@ -63,7 +65,7 @@ from .reduction_cache import (
     query_content_key,
     reduction_key,
 )
-from .sweep import sweep_evaluate_binary
+from .sweep import single_shared_interval_variable, sweep_evaluate_binary
 
 __all__ = [
     "AdmissionController",
@@ -71,10 +73,17 @@ __all__ = [
     "QuerySession",
     "SessionStats",
     "canonical_form",
+    "execute_sql",
+    "explain",
+    "explain_sql",
 ]
 
 Method = Literal["auto", "yannakakis", "decomposition", "generic"]
 Strategy = Literal["auto", "naive", "sweep", "reduction"]
+
+#: Brute-force budget: at or under this many candidate witnesses
+#: (∏ |R_i|) the optimizer plans naive backtracking.
+DEFAULT_NAIVE_BUDGET = 20_000.0
 
 
 # ----------------------------------------------------------------------
@@ -217,9 +226,7 @@ def canonical_form(query: Query) -> CanonicalForm:
 class AdmissionController:
     """Adaptive cost floor for the answer cache.
 
-    Active when the session has no static
-    ``answer_admission_min_intervals`` threshold (a positive threshold
-    keeps the old fixed-cutoff semantics).  The *cost* of an answer is
+    The *cost* of an answer is
     the number of input tuples its reduction reads — the reduction runs
     in ``O(N polylog N)`` of exactly this ``N``, so cost is a latency
     proxy — and the pressure signal is eviction churn relative to cache
@@ -343,7 +350,7 @@ class SessionStats:
     admission_rejects: int = 0  # answers denied a cache slot (too cheap)
     admission_raises: int = 0   # adaptive-floor tightenings (churn windows)
     admission_readmissions: int = 0  # rejected answers requested again
-    sql_plan_hits: int = 0     # SQL optimizer plans served from cache
+    sql_plan_hits: int = 0     # optimizer plans served from the plan store
     #: accumulated wall seconds per phase — the built-in flame-sketch
     #: behind ``repro evaluate --profile``
     phase_seconds: dict[str, float] = field(
@@ -416,43 +423,27 @@ class QuerySession:
 
     The answer cache is LRU-bounded at ``answer_cache_size`` entries
     (reductions and plans are far fewer — one per canonical form — and
-    stay unbounded), and admission is cost-aware.  By default an
-    :class:`AdmissionController` adapts the cost floor to the observed
-    hit/eviction balance (warmup-gated, so small workloads admit
-    everything); setting ``answer_admission_min_intervals`` to a
-    positive value replaces it with the old static cutoff — answers
-    whose reduction reads fewer input tuples than the threshold are
-    denied slots unconditionally.
+    stay unbounded), and admission is cost-aware: an
+    :class:`AdmissionController` (``admission=`` injects one) adapts
+    the cost floor to the observed hit/eviction balance, warmup-gated
+    so small workloads admit everything.
     """
 
     def __init__(
         self,
         db: Database,
-        naive_budget: float = 20_000.0,
+        naive_budget: float = DEFAULT_NAIVE_BUDGET,
         cache_dir: str | os.PathLike | None = None,
         answer_cache_size: int = 1024,
         cache_max_bytes: int | None = None,
-        answer_admission_min_intervals: int = 0,
         cache_namespace: str | None = None,
         admission: AdmissionController | None = None,
     ):
         if answer_cache_size < 1:
             raise ValueError("answer_cache_size must be at least 1")
-        if answer_admission_min_intervals < 0:
-            raise ValueError(
-                "answer_admission_min_intervals must be non-negative"
-            )
         self.db = db
         self.naive_budget = naive_budget
-        self.answer_admission_min_intervals = answer_admission_min_intervals
-        # a positive static threshold takes full precedence (its exact
-        # semantics are part of the public contract); otherwise the
-        # adaptive controller governs, with injectable knobs for tests
-        self._admission = (
-            None
-            if answer_admission_min_intervals > 0
-            else (admission if admission is not None else AdmissionController())
-        )
+        self._admission = admission or AdmissionController()
         self.stats = SessionStats()
         # cache_namespace tags this session's persistent hits/stores as
         # belonging to one tenant (see ReductionCache namespaces); the
@@ -477,7 +468,6 @@ class QuerySession:
         # carry what re-persisting them needs
         self._reductions: dict[tuple, _Reduction] = {}
         self._plans: dict[tuple, tuple[object, frozenset[str]]] = {}
-        self._sql_plans: dict[tuple, tuple[object, frozenset[str]]] = {}
         self._answers: OrderedDict[tuple, tuple[object, frozenset[str]]] = (
             OrderedDict()
         )
@@ -533,9 +523,7 @@ class QuerySession:
         """Drop exactly the cached artifacts whose query references a
         relation in ``changed`` (``None``: any relation); everything
         else stays warm."""
-        for store in (
-            self._reductions, self._plans, self._sql_plans, self._answers
-        ):
+        for store in (self._reductions, self._plans, self._answers):
             stale = [
                 key
                 for key, entry in store.items()
@@ -691,24 +679,13 @@ class QuerySession:
         )
         return result
 
-    def plan(self, query: Query, naive_budget: float | None = None):
-        """The (memoized) adaptive plan for ``query`` on this database.
-        ``naive_budget`` overrides the session default for this lookup
-        (plans are cached per effective budget)."""
+    def plan(self, query: Query):
+        """The (memoized) optimizer plan for ``query`` on this database:
+        that of the filter-less ``EXISTS`` disjunct it lowers to."""
+        from repro.sql.rewrite import lower_query
+
         self._ensure_current()
-        return self._plan_for(self._canonical(query), naive_budget)
-
-    def _plan_for(self, form: CanonicalForm, naive_budget: float | None = None):
-        budget = self.naive_budget if naive_budget is None else naive_budget
-        key = (form.key, budget)
-        entry = self._plans.get(key)
-        if entry is None:
-            from .planner import plan_query
-
-            plan = plan_query(form.query, self.db, budget)
-            entry = (plan, form.query.relations)
-            self._plans[key] = entry
-        return entry[0]
+        return self.sql_plan(lower_query(query, self.db).disjuncts[0])
 
     # ------------------------------------------------------------------
     # the SQL front-end (repro.sql)
@@ -720,7 +697,7 @@ class QuerySession:
         Returns a ``bool`` for ``EXISTS`` heads and an ``int`` for
         ``COUNT(*)`` heads.  Pure join disjuncts run through the
         session's cached evaluate/count paths; per-disjunct optimizer
-        plans are memoized in :attr:`_sql_plans` and invalidated by
+        plans are memoized (:meth:`sql_plan`) and invalidated by
         relation like every other artifact.  Malformed or unbindable
         text raises :class:`repro.sql.SqlError`.
         """
@@ -734,23 +711,30 @@ class QuerySession:
         per disjunct, the canonical SQL, the lowered query, the width
         report, candidate costs and the chosen strategy.  Render with
         :func:`repro.sql.render_explain`."""
-        from repro.sql import explain_data
+        from repro.sql import compile_sql, explain_program
 
         self._ensure_current()
-        return explain_data(text, self.db, self)
+        program = compile_sql(text, self.db)
+        plans = [self.sql_plan(d) for d in program.disjuncts]
+        return explain_program(program, self.db, plans)
 
     def sql_plan(self, disjunct):
         """The (memoized) optimizer plan for one compiled disjunct,
-        keyed by its canonical SQL text and invalidated when any
-        relation it reads changes (plans embed cardinality stats)."""
-        key = ("sql", disjunct.sql)
-        entry = self._sql_plans.get(key)
+        invalidated when any relation it reads changes (plans embed
+        cardinality stats).  A filter-less disjunct is keyed by its
+        lowered query's canonical form and its head, so Query ASTs and
+        isomorphic SQL texts share one plan; a filtered one by its
+        canonical SQL text."""
+        if disjunct.filtered:
+            key = ("sql", disjunct.sql)
+        else:
+            key = (self._canonical(disjunct.query).key, disjunct.select.head)
+        entry = self._plans.get(key)
         if entry is None:
             from repro.sql.cost import plan_disjunct
 
             plan = plan_disjunct(disjunct, self.db, self.naive_budget)
-            entry = (plan, disjunct.query.relations)
-            self._sql_plans[key] = entry
+            entry = self._plans[key] = (plan, disjunct.query.relations)
         else:
             self.stats.sql_plan_hits += 1
         return entry[0]
@@ -765,59 +749,36 @@ class QuerySession:
         ctrl = self._admission
         entry = self._answers.get(key)
         if entry is None:
-            if ctrl is not None:
-                ctrl.note_miss(key)  # readmission feedback
-                self.stats.admission_readmissions = ctrl.readmissions
+            ctrl.note_miss(key)  # readmission feedback
+            self.stats.admission_readmissions = ctrl.readmissions
             return None
         self._answers.move_to_end(key)
-        if ctrl is not None:
-            ctrl.note_hit()
+        ctrl.note_hit()
         return entry[0]
 
-    def _answer_cost(self, deps: frozenset[str]) -> int:
-        """The admission cost proxy: input tuples the answer's
-        reduction reads (its ``O(N polylog N)`` ``N``)."""
-        return sum(
-            len(self.db[name]) for name in deps if name in self.db
-        )
-
-    def _admit_answer(self, key: tuple, deps: frozenset[str]) -> bool:
-        """Cost-aware admission: an answer earns a cache slot only when
-        recomputing it is expensive enough.  With a positive
-        ``answer_admission_min_intervals`` the cutoff is that static
-        threshold; otherwise the adaptive :class:`AdmissionController`
-        floor applies (everything is admitted until its warmup ends).
-        Either way, cheap answers are recomputed on demand instead of
-        evicting expensive ones; rejections are counted in
-        ``stats.admission_rejects``."""
-        threshold = self.answer_admission_min_intervals
-        if threshold > 0:
-            if self._answer_cost(deps) >= threshold:
-                return True
-            self.stats.admission_rejects += 1
-            return False
-        ctrl = self._admission
-        if ctrl is None or ctrl.admit(self._answer_cost(deps)):
-            return True
-        ctrl.note_rejected(key)
-        self.stats.admission_rejects += 1
-        return False
-
     def _answer_put(self, key: tuple, value, deps: frozenset[str]) -> None:
-        if not self._admit_answer(key, deps):
-            return
+        """Cost-aware admission: an answer earns a cache slot only when
+        recomputing it is expensive enough for the
+        :class:`AdmissionController`'s floor (everything is admitted
+        until its warmup ends).  Cheap answers are recomputed on demand
+        instead of evicting expensive ones; rejections are counted in
+        ``stats.admission_rejects``.  The cost proxy is the input tuples
+        the answer's reduction reads (its ``O(N polylog N)`` ``N``)."""
         ctrl = self._admission
+        cost = sum(len(self.db[name]) for name in deps if name in self.db)
+        if not ctrl.admit(cost):
+            ctrl.note_rejected(key)
+            self.stats.admission_rejects += 1
+            return
         if key in self._answers:
             self._answers.move_to_end(key)
         else:
             while len(self._answers) >= self.answer_cache_size:
                 self._answers.popitem(last=False)
                 self.stats.evictions += 1
-                if ctrl is not None:
-                    ctrl.note_eviction()
+                ctrl.note_eviction()
         self._answers[key] = (value, deps)
-        if ctrl is not None:
-            self.stats.admission_raises = ctrl.raises
+        self.stats.admission_raises = ctrl.raises
 
     # ------------------------------------------------------------------
     # evaluation
@@ -831,41 +792,14 @@ class QuerySession:
     ) -> bool:
         """Boolean answer, cached by canonical form.
 
-        ``strategy='auto'`` consults the planner; ``'reduction'`` forces
-        the Theorem 4.15 pipeline (what :func:`repro.core.evaluate_ij`
-        does).  The answer cache is strategy-agnostic — every correct
-        strategy returns the same Boolean.
+        ``strategy='auto'`` runs the optimizer's plan (:meth:`plan`) —
+        its strategy and, unless the caller names one, its EJ method;
+        ``'reduction'`` forces the Theorem 4.15 pipeline (what
+        :func:`repro.core.evaluate_ij` does).  The answer cache is
+        strategy-agnostic — every correct strategy returns the same
+        Boolean.
         """
-        self._ensure_current()
-        form = self._canonical(query)
-        key = ("eval", form.key)
-        cached = self._answer_get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            return bool(cached)
-        self.stats.misses += 1
-        answer = self._evaluate_uncached(form, ej_method, strategy)
-        self._answer_put(key, answer, form.query.relations)
-        return answer
-
-    def _evaluate_uncached(
-        self, form: CanonicalForm, ej_method: Method, strategy: Strategy
-    ) -> bool:
-        if strategy == "auto":
-            strategy = self._plan_for(form).strategy
-        if strategy == "naive":
-            with self._timed("evaluate"):
-                return naive_evaluate(form.query, self.db)
-        if strategy == "sweep":
-            from .planner import single_shared_interval_variable
-
-            shared = single_shared_interval_variable(form.query)
-            if shared is not None:
-                with self._timed("evaluate"):
-                    return sweep_evaluate_binary(form.query, self.db, shared)
-        result = self._reduction(form, False, False)
-        with self._timed("evaluate"):
-            return evaluate_disjunction(result, ej_method)
+        return bool(self._answer("eval", query, ej_method, strategy))
 
     def count(
         self,
@@ -879,23 +813,52 @@ class QuerySession:
         ``'naive'`` enumerates witnesses (what the SQL optimizer plans
         for small inputs).  As for :meth:`evaluate`, the answer cache is
         strategy-agnostic."""
+        return int(self._answer("count", query, ej_method, strategy))
+
+    def _answer(self, kind: str, query: Query, ej_method: str, strategy: str):
+        """The cached read both heads share: ``kind`` is ``"eval"`` or
+        ``"count"``."""
         self._ensure_current()
         form = self._canonical(query)
-        key = ("count", form.key)
+        key = (kind, form.key)
         cached = self._answer_get(key)
         if cached is not None:
             self.stats.hits += 1
-            return int(cached)  # type: ignore[call-overload]
+            return cached
         self.stats.misses += 1
+        answer = self._run(form, kind == "count", ej_method, strategy)
+        self._answer_put(key, answer, form.query.relations)
+        return answer
+
+    def _run(
+        self, form: CanonicalForm, counting: bool, ej_method: str, strategy: str
+    ):
+        """The one strategy ladder — ``naive | sweep | reduction``, for
+        either head.  ``sweep`` has no counting form and needs a binary
+        join on one interval variable; a caller naming it for anything
+        else gets the reduction."""
+        query = form.query
+        if strategy == "auto":
+            strategy, planned = self.plan(query).execution
+            if ej_method == "auto":
+                ej_method = planned
         if strategy == "naive":
             with self._timed("evaluate"):
-                total = naive_count(form.query, self.db)
-        else:
+                return (naive_count if counting else naive_evaluate)(
+                    query, self.db
+                )
+        if strategy == "sweep" and not counting:
+            shared = single_shared_interval_variable(query)
+            if shared is not None:
+                with self._timed("evaluate"):
+                    return sweep_evaluate_binary(query, self.db, shared)
+        if counting:
             result = self._reduction(form, True, True, _COUNTING)
             with self._timed("evaluate"):
-                total = count_disjunction(result, ej_method)
-        self._answer_put(key, total, form.query.relations)
-        return total
+                return count_disjunction(result, ej_method)
+        result = self._reduction(form, False, False)
+        with self._timed("evaluate"):
+            return evaluate_disjunction(result, ej_method)
 
     def witnesses(
         self, query: Query, limit: int | None = None
@@ -950,3 +913,32 @@ class QuerySession:
                 results[i] = value
             self.stats.hits += len(indices) - 1
         return results
+
+
+# ----------------------------------------------------------------------
+# one-call conveniences over a database's shared session
+# ----------------------------------------------------------------------
+
+
+def execute_sql(text: str, db: Database) -> bool | int:
+    """Evaluate SQL ``text`` against ``db`` through its shared session
+    (so repeated text queries hit warm caches): ``bool`` for ``EXISTS``
+    heads, ``int`` for ``COUNT(*)``."""
+    return QuerySession.for_database(db).sql(text)
+
+
+def explain_sql(text: str, db: Database) -> str:
+    """Human-readable EXPLAIN for SQL ``text``: per disjunct, the
+    lowered query, the width report, candidate costs and the chosen
+    strategy."""
+    from repro.sql import render_explain
+
+    return render_explain(QuerySession.for_database(db).explain_sql(text))
+
+
+def explain(query: Query, db: Database) -> str:
+    """The same EXPLAIN for a Query AST, through the ``EXISTS`` program
+    it lowers to."""
+    from repro.sql import explain_program, lower_query, render_explain
+
+    return render_explain(explain_program(lower_query(query, db), db))

@@ -66,10 +66,24 @@ def sweep_join_count(
     return sum(1 for _ in sweep_join(left, right))
 
 
+def single_shared_interval_variable(query) -> str | None:
+    """The shared variable when the query is a two-atom join on exactly
+    one interval variable (and nothing else shared)."""
+    if len(query.atoms) != 2:
+        return None
+    a, b = query.atoms
+    shared = set(a.variable_names) & set(b.variable_names)
+    if len(shared) != 1:
+        return None
+    name = next(iter(shared))
+    variable = next(v for v in a.variables if v.name == name)
+    return name if variable.is_interval else None
+
+
 def sweep_evaluate_binary(query, db, shared: str) -> bool:
     """Boolean plane-sweep evaluation of a two-atom query joined on the
-    single interval variable ``shared`` — the planner's and the query
-    session's ``sweep`` strategy."""
+    single interval variable ``shared`` (see
+    :func:`single_shared_interval_variable`) — the ``sweep`` strategy."""
     a, b = query.atoms
     a_idx = a.variable_names.index(shared)
     b_idx = b.variable_names.index(shared)

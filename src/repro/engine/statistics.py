@@ -43,26 +43,35 @@ def distinct_count(
 
 
 def estimate_join_cardinality(
-    query: Query, db: Database, cache: StatsCache | None = None
+    query: Query,
+    db: Database,
+    cache: StatsCache | None = None,
+    sizes: dict[str, float] | None = None,
 ) -> float:
     """A System-R style estimate of the full join cardinality:
     product of relation sizes divided by, per join variable, the
-    largest (n-1) distinct counts among the atoms sharing it."""
+    largest (n-1) distinct counts among the atoms sharing it.
+
+    Columns are resolved by position (``relation.schema[index]``): a
+    reduced relation's schema is its atom's variable list, a SQL source
+    table's is not.  ``sizes`` overrides ``|R|`` per atom label (the SQL
+    optimizer's filter-discounted scans)."""
     if not query.atoms:
         return 0.0
     size_product = 1.0
+    columns: dict[str, list[tuple[Relation, int]]] = {}
     for atom in query.atoms:
-        size_product *= max(len(db[atom.relation]), 1)
+        relation = db[atom.relation]
+        size = len(relation) if sizes is None else sizes[atom.label]
+        size_product *= max(size, 1)
+        for index, v in enumerate(atom.variables):
+            columns.setdefault(v.name, []).append((relation, index))
     selectivity = 1.0
-    for v in query.variables:
-        atoms = query.atoms_containing(v.name)
-        if len(atoms) < 2:
+    for slots in columns.values():
+        if len(slots) < 2:
             continue
         counts = sorted(
-            (
-                max(distinct_count(db[a.relation], v.name, cache), 1)
-                for a in atoms
-            ),
+            (max(distinct_count(r, r.schema[i], cache), 1) for r, i in slots),
             reverse=True,
         )
         for c in counts[:-1]:

@@ -379,7 +379,6 @@ class WorkerPool:
         cache_dir: str | os.PathLike | None = None,
         answer_cache_size: int = 1024,
         cache_max_bytes: int | None = None,
-        answer_admission_min_intervals: int = 0,
         cache_namespace: str | None = None,
         max_respawns: int | None = None,
     ):
@@ -393,10 +392,6 @@ class WorkerPool:
         # WorkerCrash on the first request
         if answer_cache_size < 1:
             raise ValueError("answer_cache_size must be at least 1")
-        if answer_admission_min_intervals < 0:
-            raise ValueError(
-                "answer_admission_min_intervals must be non-negative"
-            )
         if cache_max_bytes is not None and cache_max_bytes < 0:
             raise ValueError("cache_max_bytes must be non-negative")
         if cache_namespace is not None and not ReductionCache.NAMESPACE_PATTERN.match(
@@ -409,7 +404,6 @@ class WorkerPool:
             "cache_dir": os.fspath(cache_dir) if cache_dir is not None else None,
             "answer_cache_size": answer_cache_size,
             "cache_max_bytes": cache_max_bytes,
-            "answer_admission_min_intervals": answer_admission_min_intervals,
             "cache_namespace": cache_namespace,
         }
         self._ctx = multiprocessing.get_context("spawn")

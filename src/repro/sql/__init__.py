@@ -16,13 +16,15 @@ speak queries as text instead of Python ASTs:
   normalization, selection pushdown, cartesian-to-theta-join) lowering
   the logical IR onto the engine's :class:`~repro.queries.query.Query`
   AST, with non-lowerable predicates kept as residual filters;
-* :mod:`repro.sql.cost` — a per-disjunct cost-based optimizer
-  combining cardinality statistics with the paper's width bounds
-  (ijw/subw/fhtw) to choose naive / sweep / reduction / filtered
-  execution, plus ``EXPLAIN`` rendering;
+* :mod:`repro.sql.cost` — the repo's one planner: a per-disjunct
+  cost-based optimizer combining cardinality statistics with the
+  paper's width bounds (ijw/subw/fhtw) to choose naive / sweep /
+  reduction / filtered execution, plus ``EXPLAIN`` rendering.  Query
+  ASTs reach it through :func:`~repro.sql.rewrite.lower_query`;
 * :mod:`repro.sql.exec` — execution through a
-  :class:`~repro.core.session.QuerySession`, so pure join disjuncts hit
-  the cached, delta-patchable substrate.
+  :class:`~repro.core.session.QuerySession`, whose one strategy ladder
+  runs every plan, so pure join disjuncts hit the cached,
+  delta-patchable substrate.
 """
 
 from .ast import HEAD_COUNT, HEAD_EXISTS, Program, SelectStmt
@@ -30,7 +32,7 @@ from .cost import DisjunctPlan, explain_program, lowered_text, plan_disjunct, re
 from .errors import SqlError
 from .exec import explain_data, naive_program, run_disjunct, run_program, run_sql
 from .parser import parse_sql
-from .rewrite import CompiledDisjunct, CompiledProgram, Residual, compile_sql
+from .rewrite import CompiledDisjunct, CompiledProgram, Residual, compile_sql, lower_query
 from .tokenizer import Token, tokenize
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "CompiledProgram",
     "Residual",
     "compile_sql",
+    "lower_query",
     "Token",
     "tokenize",
 ]

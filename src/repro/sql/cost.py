@@ -1,7 +1,9 @@
-"""Width-driven cost-based optimizer for compiled SQL disjuncts.
+"""Width-driven cost-based optimizer — the one place a strategy is chosen.
 
 Each disjunct of a compiled program is planned independently (the
-Carmeli–Kröll per-disjunct view of UCQs): the optimizer combines
+Carmeli–Kröll per-disjunct view of UCQs); a Query AST is planned as the
+filter-less ``EXISTS`` disjunct it lowers to
+(:func:`repro.sql.rewrite.lower_query`).  The optimizer combines
 
 * **cardinality/selectivity statistics** — per-relation sizes and
   per-column distinct counts via
@@ -23,6 +25,10 @@ into one cost per candidate strategy:
   when the disjunct carries predicates the engine cannot express
   (``INSIDE``/``CONTAINS``, same-alias comparisons).
 
+The choice itself needs statistics only (see :func:`plan_disjunct`), so
+the width report — data-independent, memoized per query structure — is
+paid when a plan's prices are first read, not to decide.
+
 ``explain_program`` renders the whole decision — per disjunct: the
 canonical SQL, the lowered query, widths, candidate costs, the chosen
 strategy and why — as a JSON-safe dict plus a text view for the CLI.
@@ -31,43 +37,144 @@ strategy and why — as a JSON-safe dict plus a text view for the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
+from repro.core.session import DEFAULT_NAIVE_BUDGET, canonical_form
+from repro.core.sweep import single_shared_interval_variable
 from repro.engine.relation import Database
-from repro.engine.statistics import StatsCache, distinct_count
+from repro.engine.statistics import (
+    StatsCache,
+    distinct_count,
+    estimate_join_cardinality,
+)
 from repro.queries import Query
+from repro.widths import ij_width_report
 
 from .ast import HEAD_EXISTS
-from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef, compile_sql
+from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef
 
 #: Constant factor charged to the reduction pipeline: it pays for
 #: segment-tree construction, variant expansion and per-disjunct EJ
 #: evaluation before its asymptotics win.
 REDUCTION_OVERHEAD = 24.0
 
-#: Brute-force budget mirroring :mod:`repro.core.planner`.
-DEFAULT_NAIVE_BUDGET = 20_000.0
-
 #: Skip the exponential exact subw search above this variable count;
 #: the report then bounds subw by fhtw, which is still sound for costs.
 SUBW_VARIABLE_LIMIT = 8
 
+#: Width reports by the lowered query's canonical form.  Widths depend
+#: on the query's structure alone — not on data, variable names or atom
+#: order — and the report is the expensive part of a plan (milliseconds
+#: for a triangle, seconds for a 4-clique), so it is computed once per
+#: structure per process and a re-plan after a mutation re-reads
+#: statistics only.
+_width_cache: dict[tuple, dict[str, float]] = {}
+
+
+def query_widths(query: Query) -> dict[str, float]:
+    """The paper's width measures of ``query`` (memoized, see
+    :data:`_width_cache`)."""
+    key = canonical_form(query).key
+    widths = _width_cache.get(key)
+    if widths is None:
+        report = ij_width_report(
+            query.hypergraph(),
+            interval_vertices=query.interval_variable_names(),
+            compute_subw=len(query.variables) <= SUBW_VARIABLE_LIMIT,
+        )
+        widths = _width_cache[key] = {
+            "ijw": float(report.ijw),
+            "max_fhtw": float(report.max_fhtw),
+            "ej_disjuncts": float(report.num_ej_hypergraphs),
+            "reduced": float(report.num_reduced),
+        }
+    return widths
+
 
 @dataclass
 class DisjunctPlan:
-    """The optimizer's verdict for one disjunct."""
+    """The optimizer's verdict for one disjunct.
+
+    The strategy is decided from statistics alone (see
+    :func:`plan_disjunct`); what the width report prices — ``widths``,
+    ``ej_method``, ``candidates``, ``cost``, ``reason`` — is computed
+    when first read, i.e. by a reduction-planned execution or an
+    EXPLAIN, never for running a naive or sweep plan.
+    """
 
     strategy: str  # naive | sweep | reduction | filtered
-    ej_method: str  # yannakakis | generic
-    cost: float
-    candidates: dict[str, float]
-    widths: dict[str, float]
-    reason: str
+    query: Query
+    sweepable: bool
+    brute: float
+    naive_budget: float
     input_size: float
     estimated_rows: float
-    filters: tuple[str, ...] = field(default_factory=tuple)
-    residuals: tuple[str, ...] = field(default_factory=tuple)
+    filters: tuple[str, ...] = ()
+    residuals: tuple[str, ...] = ()
+
+    @cached_property
+    def widths(self) -> dict[str, float]:
+        return dict(query_widths(self.query))  # the memo's own dict stays private
+
+    @property
+    def ej_method(self) -> str:  # yannakakis | generic
+        return "yannakakis" if self.widths["max_fhtw"] <= 1.0 else "generic"
+
+    @property
+    def execution(self) -> tuple[str, str]:
+        """The ``(strategy, ej_method)`` a session runs this plan with;
+        only a reduction has (and pays the width report for) a method."""
+        if self.strategy == "reduction":
+            return self.strategy, self.ej_method
+        return self.strategy, "auto"
+
+    @property
+    def candidates(self) -> dict[str, float]:
+        if self.strategy == "filtered":
+            return {"filtered": self.brute}
+        total, widths = self.input_size, self.widths
+        log_n = math.log2(total + 2.0)
+        candidates = {"naive": self.brute}
+        if self.sweepable:
+            candidates["sweep"] = total * log_n + total
+        candidates["reduction"] = (
+            REDUCTION_OVERHEAD
+            * max(widths["ej_disjuncts"], 1.0)
+            * (max(total, 2.0) ** max(widths["ijw"], 1.0))
+            * log_n**2
+        )
+        return candidates
+
+    @property
+    def cost(self) -> float:
+        return self.candidates[self.strategy]
+
+    @property
+    def reason(self) -> str:
+        if self.strategy == "filtered":
+            return (
+                f"residual predicates ({', '.join(self.residuals)}) force "
+                "witness enumeration with post-join filters"
+            )
+        if self.strategy == "naive":
+            return (
+                f"brute-force product {self.brute:.0f} is the cheapest "
+                f"candidate (budget {self.naive_budget:.0f})"
+            )
+        if self.strategy == "sweep":
+            return (
+                "binary join on a single shared interval variable: plane sweep "
+                f"is O(N log N), N={self.input_size:.0f}"
+            )
+        widths = self.widths
+        return (
+            f"forward reduction at O(N^ijw polylog N) with ijw="
+            f"{widths['ijw']:.1f} beats the {self.brute:.0f}-row brute force; "
+            f"{int(widths['ej_disjuncts'])} EJ disjunct(s) via {self.ej_method} "
+            f"(max fhtw {widths['max_fhtw']:.1f})"
+        )
 
 
 def lowered_text(query: Query) -> str:
@@ -109,144 +216,51 @@ def _effective_sizes(
     return sizes
 
 
-def _estimated_rows(
-    disjunct: CompiledDisjunct,
-    db: Database,
-    sizes: dict[str, float],
-    cache: StatsCache,
-) -> float:
-    """System-R style join cardinality over the lowered query, with
-    distinct counts resolved positionally (variable names do not match
-    real schemas)."""
-    query = disjunct.query
-    rows = 1.0
-    for alias in disjunct.tables:
-        rows *= max(sizes[alias], 1.0)
-    occurrences: dict[str, list[tuple[str, int]]] = {}
-    for atom in query.atoms:
-        for index, variable in enumerate(atom.variables):
-            occurrences.setdefault(variable.name, []).append((atom.label, index))
-    for slots in occurrences.values():
-        if len(slots) < 2:
-            continue
-        counts = sorted(
-            (
-                max(
-                    distinct_count(
-                        db[disjunct.tables[alias][0]],
-                        db[disjunct.tables[alias][0]].schema[index],
-                        cache,
-                    ),
-                    1,
-                )
-                for alias, index in slots
-            ),
-            reverse=True,
-        )
-        for count in counts[:-1]:
-            rows /= count
-    return rows
-
-
 def plan_disjunct(
     disjunct: CompiledDisjunct,
     db: Database,
     naive_budget: float = DEFAULT_NAIVE_BUDGET,
     cache: Optional[StatsCache] = None,
 ) -> DisjunctPlan:
-    """Cost every candidate strategy and pick the cheapest."""
-    from repro.core.planner import single_shared_interval_variable
-    from repro.widths import ij_width_report
+    """Pick the cheapest candidate strategy, from statistics alone.
 
+    Residual predicates force ``filtered``; at or under the brute-force
+    budget ``naive`` wins outright; above it the asymptotically-aware
+    candidates compete — and no width can change the winner: whenever
+    ``sweep`` is a candidate its ``N log N + N`` is below the
+    reduction's ``24 · #EJ · N^max(1, ijw) · log² N``, and otherwise the
+    reduction stands alone.
+    """
     cache = {} if cache is None else cache
     query = disjunct.query
     sizes = _effective_sizes(disjunct, db, cache)
-    total = sum(sizes.values())
     brute = 1.0
     for size in sizes.values():
         brute *= max(size, 1.0)
         if brute > 1e15:
             break
-    report = ij_width_report(
-        query.hypergraph(),
-        interval_vertices=query.interval_variable_names(),
-        compute_subw=len(query.variables) <= SUBW_VARIABLE_LIMIT,
+    sweepable = (
+        disjunct.select.head == HEAD_EXISTS
+        and single_shared_interval_variable(query) is not None
     )
-    widths = {
-        "ijw": float(report.ijw),
-        "max_fhtw": float(report.max_fhtw),
-        "ej_disjuncts": float(report.num_ej_hypergraphs),
-        "reduced": float(report.num_reduced),
-    }
-    ej_method = "yannakakis" if report.max_fhtw <= 1.0 else "generic"
-    rows = _estimated_rows(disjunct, db, sizes, cache)
-    log_n = math.log2(total + 2.0)
-
     if disjunct.residuals:
-        candidates = {"filtered": brute}
-        reason = (
-            "residual predicates "
-            f"({', '.join(r.unparse() for r in disjunct.residuals)}) force "
-            "witness enumeration with post-join filters"
-        )
-        return DisjunctPlan(
-            strategy="filtered",
-            ej_method=ej_method,
-            cost=brute,
-            candidates=candidates,
-            widths=widths,
-            reason=reason,
-            input_size=total,
-            estimated_rows=rows,
-            filters=_filter_texts(disjunct),
-            residuals=tuple(r.unparse() for r in disjunct.residuals),
-        )
-
-    candidates: dict[str, float] = {"naive": brute}
-    if disjunct.select.head == HEAD_EXISTS and single_shared_interval_variable(query):
-        candidates["sweep"] = total * log_n + total
-    candidates["reduction"] = (
-        REDUCTION_OVERHEAD
-        * max(widths["ej_disjuncts"], 1.0)
-        * (max(total, 2.0) ** max(widths["ijw"], 1.0))
-        * log_n**2
-    )
-    # Naive wins outright under the brute-force budget (the planner's
-    # small-instance rule); above it, the asymptotically-aware
-    # candidates compete on estimated cost.
-    if brute <= naive_budget:
+        strategy = "filtered"
+    elif brute <= naive_budget:
         strategy = "naive"
+    elif sweepable:
+        strategy = "sweep"
     else:
-        asymptotic = {k: v for k, v in candidates.items() if k != "naive"}
-        strategy = min(asymptotic, key=lambda k: (asymptotic[k], k))
-    if strategy == "naive":
-        reason = (
-            f"brute-force product {brute:.0f} is the cheapest candidate "
-            f"(budget {naive_budget:.0f})"
-        )
-    elif strategy == "sweep":
-        reason = (
-            "binary join on a single shared interval variable: plane sweep "
-            f"is O(N log N), N={total:.0f}"
-        )
-    else:
-        reason = (
-            f"forward reduction at O(N^ijw polylog N) with ijw="
-            f"{widths['ijw']:.1f} beats the {brute:.0f}-row brute force; "
-            f"{int(widths['ej_disjuncts'])} EJ disjunct(s) via {ej_method} "
-            f"(max fhtw {widths['max_fhtw']:.1f})"
-        )
+        strategy = "reduction"
     return DisjunctPlan(
         strategy=strategy,
-        ej_method=ej_method,
-        cost=candidates[strategy],
-        candidates=candidates,
-        widths=widths,
-        reason=reason,
-        input_size=total,
-        estimated_rows=rows,
+        query=query,
+        sweepable=sweepable,
+        brute=brute,
+        naive_budget=naive_budget,
+        input_size=sum(sizes.values()),
+        estimated_rows=estimate_join_cardinality(query, db, cache, sizes),
         filters=_filter_texts(disjunct),
-        residuals=(),
+        residuals=tuple(r.unparse() for r in disjunct.residuals),
     )
 
 
@@ -319,8 +333,3 @@ def render_explain(data: dict) -> str:
         lines.append(f"   candidates: {candidates}")
         lines.append(f"   chosen: {d['strategy']} ({d['reason']})")
     return "\n".join(lines)
-
-
-def explain_sql(text: str, db: Database) -> str:
-    """One-call EXPLAIN: compile ``text`` against ``db`` and render."""
-    return render_explain(explain_program(compile_sql(text, db), db))

@@ -38,6 +38,7 @@ from repro.queries import Atom, Query, Variable
 
 from .ast import (
     HEAD_COUNT,
+    HEAD_EXISTS,
     OP_CONTAINS,
     OP_EQ,
     OP_INSIDE,
@@ -47,6 +48,7 @@ from .ast import (
     Comparison,
     Literal,
     SelectStmt,
+    TableRef,
 )
 from .errors import SqlError
 from .parser import parse_sql
@@ -189,6 +191,38 @@ class CompiledProgram:
         if self.head == HEAD_COUNT:
             return sum(int(a) for a in answers)  # type: ignore[arg-type]
         return any(bool(a) for a in answers)
+
+
+def lower_query(query: Query, db: Database) -> CompiledProgram:
+    """The filter-less ``EXISTS`` program a :class:`Query` AST stands
+    for — alias = atom label, one ``OVERLAPS`` / ``=`` chain per shared
+    variable over ``db``'s column names — so Query-AST callers are
+    planned and explained by the one optimizer."""
+    columns: dict[str, list[ColumnRef]] = {}
+    for atom in query.atoms:
+        for v, column in zip(atom.variables, db[atom.relation].schema):
+            columns.setdefault(v.name, []).append(ColumnRef(atom.label, column))
+    ops = {
+        v.name: OP_OVERLAPS if v.is_interval else OP_EQ for v in query.variables
+    }
+    select = SelectStmt(
+        HEAD_EXISTS,
+        tuple(TableRef(atom.relation, atom.label) for atom in query.atoms),
+        tuple(
+            Comparison(ops[name], left, right)
+            for name, refs in columns.items()
+            for left, right in zip(refs, refs[1:])
+        ),
+    )
+    disjunct = CompiledDisjunct(
+        select=select,
+        sql=select.unparse(),
+        query=query,
+        scan_filters={},
+        residuals=(),
+        tables={a.label: (a.relation, len(a.variables)) for a in query.atoms},
+    )
+    return CompiledProgram(HEAD_EXISTS, [disjunct], disjunct.sql)
 
 
 class _SchemaRegistry:

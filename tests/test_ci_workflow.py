@@ -47,7 +47,8 @@ class TestWorkflow:
         steps = workflow["jobs"]["tests"]["steps"]
         runs = " ".join(step.get("run", "") for step in steps)
         assert 'pip install -e ".[dev]"' in runs
-        assert "pytest -x -q" in runs
+        # the suite's wall time is a row worth watching
+        assert "pytest -x -q --durations=15" in runs
 
     def test_fuzz_job_covers_seed_matrix(self, workflow):
         """Acceptance criterion: 3 seeds x py3.10/3.12, steered through
@@ -275,6 +276,15 @@ class TestPyproject:
         ]
         # the coverage job measures the installed package, not the repo
         assert data["tool"]["coverage"]["run"]["source"] == ["repro"]
+        # one version: the package's, which the build reads
+        import repro
+
+        assert "version" not in data["project"]
+        assert data["project"]["dynamic"] == ["version"]
+        assert data["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        assert repro.__version__ == "1.1.0"
 
     def test_every_third_party_import_under_tests_is_declared(self):
         """``pip install -e ".[dev]"`` followed by ``pytest`` must be

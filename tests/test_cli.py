@@ -78,9 +78,6 @@ OPTION_SURFACE = {
          "admitted-but-unanswered request bound (backpressure above)"),
         (("--deadline-ms",), "deadline_ms", 30000.0, "float", None, False,
          "default per-request deadline"),
-        (("--admission-min-intervals",), "admission_min_intervals", 0, "int", None, False,
-         "answer-cache admission threshold: only answers whose reduction reads at least "
-         "this many input tuples are cached"),
     ],
     "loadgen": [
         (("query",), "query", None, None, None, True,
@@ -235,6 +232,21 @@ class TestCommands:
         assert "Q(D) =" in out
         assert "[OK]" in out
         assert "#witnesses" in out
+
+    def test_evaluate_check_covers_the_count(self, capsys, monkeypatch):
+        """Regression: ``--count --check`` printed ``#witnesses``
+        without ever comparing it with the oracle."""
+        argv = [
+            "evaluate", "R([A],[B]) & S([B],[C])",
+            "--n", "30", "--count", "--check",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "#witnesses = 8" in out
+        assert "naive oracle: 8   [OK]" in out
+        monkeypatch.setattr("repro.cli.naive_count", lambda query, db: 7)
+        assert main(argv) == 1
+        assert "naive oracle: 7   [MISMATCH]" in capsys.readouterr().out
 
     def test_evaluate_workloads(self, capsys):
         for workload in ["random", "temporal", "points"]:

@@ -2,8 +2,7 @@
 
 import random
 
-from repro.core import naive_evaluate
-from repro.core.planner import Plan, execute, explain, plan_query
+from repro.core import QuerySession, explain, naive_evaluate
 from repro.engine import Database, Relation
 from repro.engine.io import (
     load_database_json,
@@ -14,6 +13,7 @@ from repro.engine.io import (
 )
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
+from repro.sql import DisjunctPlan
 from repro.workloads import random_database
 
 
@@ -126,28 +126,31 @@ class TestValidation:
 
 
 class TestPlanner:
+    """The one planner (``repro.sql.cost.plan_disjunct``), reached from
+    a Query AST through ``QuerySession.plan``."""
+
     def test_tiny_uses_naive(self):
         q = catalog.triangle_ij()
         db = random_database(q, 3, seed=0)
-        plan = plan_query(q, db)
+        plan = QuerySession(db).plan(q)
         assert plan.strategy == "naive"
 
     def test_binary_single_var_uses_sweep(self):
         q = parse_query("R([T], [X]) ∧ S([T], [Y])")
         db = random_database(q, 500, seed=1)
-        plan = plan_query(q, db)
+        plan = QuerySession(db).plan(q)
         assert plan.strategy == "sweep"
 
     def test_general_uses_reduction(self):
         q = catalog.triangle_ij()
         db = random_database(q, 500, seed=2)
-        plan = plan_query(q, db)
+        plan = QuerySession(db).plan(q)
         assert plan.strategy == "reduction"
 
     def test_two_shared_vars_not_sweep(self):
         q = parse_query("R([A],[B]) ∧ S([A],[B])")
         db = random_database(q, 500, seed=3)
-        assert plan_query(q, db).strategy == "reduction"
+        assert QuerySession(db).plan(q).strategy == "reduction"
 
     def test_execute_agrees_with_naive(self):
         rng = random.Random(4)
@@ -162,12 +165,15 @@ class TestPlanner:
                     q, rng.randint(2, 30), seed=trial, domain=60,
                     mean_length=10,
                 )
-                answer, plan = execute(q, db, naive_budget=50)
-                assert isinstance(plan, Plan)
-                assert answer == naive_evaluate(q, db), (q.name, trial)
+                session = QuerySession(db, naive_budget=50)
+                assert isinstance(session.plan(q), DisjunctPlan)
+                assert session.evaluate(q) == naive_evaluate(q, db), (
+                    q.name, trial,
+                )
 
     def test_explain_text(self):
         q = catalog.triangle_ij()
         db = random_database(q, 10, seed=0)
         text = explain(q, db)
-        assert "plan:" in text and "input sizes:" in text
+        assert "chosen: naive" in text and "input size: 30" in text
+        assert "lowered: R([A], [B]) ∧ S([B], [C]) ∧ T([A], [C])" in text

@@ -351,15 +351,15 @@ class TestWorkerPool:
             assert worker["session"]["reductions"] == 0, worker
 
     def test_admission_policy_is_plumbed_to_workers(self):
+        """Pool options reach the worker sessions: a one-slot answer
+        cache evicts as soon as a second answer arrives."""
         db = small_db(n=10)
         query = parse_query(TRIANGLE)
-        with WorkerPool(
-            db, workers=1, answer_admission_min_intervals=10_000
-        ) as pool:
+        with WorkerPool(db, workers=1, answer_cache_size=1) as pool:
             pool.evaluate_many([query])
-            pool.evaluate_many([query])
+            pool.count_many([query])
             stats = pool.stats()
-        assert stats["aggregate"]["admission_rejects"] >= 2, stats
+        assert stats["aggregate"]["evictions"] >= 1, stats
 
 
 # ----------------------------------------------------------------------
@@ -547,8 +547,6 @@ class TestServer:
         """Regression: a bad session option must raise in the parent,
         not kill every spawned worker and surface as a WorkerCrash."""
         db = small_db(n=5)
-        with pytest.raises(ValueError):
-            WorkerPool(db, workers=1, answer_admission_min_intervals=-1)
         with pytest.raises(ValueError):
             WorkerPool(db, workers=1, answer_cache_size=0)
         with pytest.raises(ValueError):

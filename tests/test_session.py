@@ -11,11 +11,11 @@ from repro.core import (
     QuerySession,
     canonical_form,
     database_fingerprint,
+    evaluate_ij,
     naive_count,
     naive_evaluate,
 )
 from repro.core import session as session_module
-from repro.core.planner import execute
 from repro.engine import Database, Relation
 from repro.hypergraph import are_isomorphic
 from repro.intervals import Interval
@@ -383,26 +383,24 @@ class TestPlannerIntegration:
             for trial in range(3):
                 db = small_db(q, n=rng.randint(2, 8), seed=trial)
                 session = QuerySession(db)
-                answer, plan = execute(q, db, session=session)
-                stateless_answer, stateless_plan = execute(q, db)
-                assert answer == stateless_answer
-                assert plan.strategy == stateless_plan.strategy
+                assert session.evaluate(q) == evaluate_ij(q, db)
+                assert (
+                    session.plan(q).strategy
+                    == QuerySession(db).plan(q).strategy
+                )
 
     def test_execute_uses_the_session_budget_by_default(self):
         q = parse_query(TRIANGLE)
         db = small_db(q, n=4, seed=2)
         session = QuerySession(db, naive_budget=0.0)
-        _, plan = execute(q, db, session=session)
-        assert plan.strategy != "naive"
-        _, default_plan = execute(q, db)
-        assert default_plan.strategy == "naive"
-
-    def test_execute_rejects_foreign_session(self):
-        q = parse_query(TRIANGLE)
-        db = small_db(q, n=3, seed=0)
-        other = small_db(q, n=3, seed=1)
-        with pytest.raises(ValueError):
-            execute(q, db, session=QuerySession(other))
+        assert session.plan(q).strategy != "naive"
+        assert QuerySession(db).plan(q).strategy == "naive"
+        # SQL execution plans under the same budget
+        text = "SELECT COUNT(*) FROM R, S WHERE R.B OVERLAPS S.B"
+        assert session.sql(text) == naive_count(
+            parse_query("R([A],[B]) ∧ S([B],[C])"), db
+        )
+        assert session.stats.reductions == 1
 
     def test_plan_is_cached(self):
         q = parse_query(TRIANGLE)
@@ -413,8 +411,8 @@ class TestPlannerIntegration:
 
 class TestAnswerAdmission:
     """Cost-aware answer-cache admission: only answers whose reduction
-    reads at least ``answer_admission_min_intervals`` input tuples earn
-    a slot; the rest are recomputed on demand."""
+    reads at least the controller's floor of input tuples earn a slot;
+    the rest are recomputed on demand."""
 
     def _db(self, cheap_n=2, expensive_n=30):
         q_cheap = parse_query("C([A],[B])")
@@ -424,9 +422,14 @@ class TestAnswerAdmission:
             db.add(relation)
         return db, q_cheap, q_costly
 
+    def _session(self, db, floor=10.0):
+        ctrl = AdmissionController(warmup=0, decay=0.9)
+        ctrl.floor = floor
+        return QuerySession(db, admission=ctrl)
+
     def test_cheap_answers_are_rejected_expensive_admitted(self):
         db, q_cheap, q_costly = self._db()
-        session = QuerySession(db, answer_admission_min_intervals=10)
+        session = self._session(db)
         session.evaluate(q_cheap)   # reads 2 tuples < 10: rejected
         session.evaluate(q_costly)  # reads 60 tuples: admitted
         assert session.stats.admission_rejects == 1
@@ -439,7 +442,7 @@ class TestAnswerAdmission:
 
     def test_counts_follow_the_same_policy(self):
         db, q_cheap, _ = self._db()
-        session = QuerySession(db, answer_admission_min_intervals=10)
+        session = self._session(db)
         for _ in range(2):
             assert session.count(q_cheap) == naive_count(q_cheap, db)
         assert session.stats.hits == 0
@@ -454,15 +457,9 @@ class TestAnswerAdmission:
         assert session.stats.admission_rejects == 0
         assert "admission_rejects" in session.stats.as_dict()
 
-    def test_threshold_must_be_non_negative(self):
-        db, _, _ = self._db()
-        with pytest.raises(ValueError):
-            QuerySession(db, answer_admission_min_intervals=-1)
-
 
 class TestAdaptiveAdmission:
-    """The zero-config admission policy: with no static
-    ``answer_admission_min_intervals`` threshold, an
+    """The zero-config admission policy: an
     :class:`AdmissionController` learns a cost floor from eviction
     churn and relaxes it when rejections cause recomputation."""
 
@@ -537,17 +534,6 @@ class TestAdaptiveAdmission:
             session.evaluate(q_cheap)
         assert session.stats.admission_rejects == 0  # inside warmup
         assert session.stats.hits == 2
-
-    def test_static_threshold_disables_the_controller(self):
-        db, q_cheap, _ = self._db()
-        ctrl = AdmissionController(warmup=0, window=2)
-        session = QuerySession(
-            db, answer_admission_min_intervals=10, admission=ctrl
-        )
-        session.evaluate(q_cheap)
-        session.evaluate(q_cheap)
-        assert session.stats.admission_rejects == 2  # static semantics
-        assert ctrl.admitted == 0  # the controller never saw a thing
 
 
 class TestSharedRegistry:
