@@ -528,13 +528,12 @@ def main() -> None:
     #     range found by searchsorted, and the whole frontier of
     #     partial assignments advances one level at a time
     #     (method='generic');
-    #   * bag materialisation — the cyclic-disjunct path (method='auto'
-    #     picks the fhtw decomposition): every bag is that level-wise
-    #     join over column slices of the atoms, each frontier row
-    #     expanded from its own narrowest candidate range (which keeps
-    #     the AGM bound), and the bags are code matrices too, so the
-    #     counting DP above runs over them and no row is decoded in
-    #     between;
+    #   * bag materialisation (method='decomposition') — every bag is
+    #     that level-wise join over column slices of the atoms, each
+    #     frontier row expanded from its own narrowest candidate range
+    #     (which keeps the AGM bound), and the bags are code matrices
+    #     too, so the counting DP above runs over them and no row is
+    #     decoded in between;
     #   * full evaluation — semijoin mask sweeps + output-projected
     #     frame joins; only the final result rows are decoded.
     # There is one engine: a reduction artifact is evaluated as it is,
@@ -544,8 +543,15 @@ def main() -> None:
     # view; the arrays stay.  The tuple implementations the kernels are
     # pinned to (dict DP, trie join, tuple bags, tuple Yannakakis) live
     # under tests/oracles.
-    # The triangle's reduced disjuncts are cyclic, so this exercises
-    # the bag kernel.
+    # Which of the two a cyclic disjunct gets is one rule, read off two
+    # widths per structure *and head* (engine/ej.py::plan_ej, the
+    # default method='auto'): a flat generic join costs N^ρ*, the bags
+    # N^fhtw, so decompose iff fhtw < ρ* — with ρ* taken over the
+    # variables the head enumerates.  EXISTS never branches on a column
+    # private to one atom, so the triangle's disjuncts (3/2 = 3/2) run
+    # as one generic join; COUNT(*) enumerates every provenance id
+    # (ρ* = 3) and a flat join would list each witness, so the same
+    # disjuncts count through the bag kernel — which this exercises.
     from repro.core.disjunct_eval import count_disjunction
     from repro.reduction import shift_distinct_left
 

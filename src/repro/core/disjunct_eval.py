@@ -10,18 +10,23 @@ engine (:mod:`repro.core.ij_engine`) and the session's ``reduction``
 rung (:mod:`repro.core.session`, which every planned execution runs
 through) route through these functions, so a smarter cost model changes
 every caller at once.
+
+*How each disjunct is run* is not decided here: ``evaluate_ej`` /
+``count_ej`` plan it per (edge structure, head) by the one rule of
+:func:`repro.engine.ej.plan_ej` — Yannakakis when α-acyclic, else one
+flat generic join iff ``fhtw >= ρ*`` of what the head enumerates.  The
+rule is per head because the two heads of one reduction enumerate
+different variables: a cyclic disjunct is typically a generic join here
+and a decomposition under ``count_disjunction``, whose provenance ids
+would make the flat join output-bound.
 """
 
 from __future__ import annotations
-
-from typing import Literal
 
 from ..engine.ej import count_ej, evaluate_ej
 from ..engine.statistics import rank_disjuncts
 from ..queries.query import Query
 from ..reduction.forward import ForwardReductionResult
-
-Method = Literal["auto", "yannakakis", "decomposition", "generic"]
 
 
 def ranked_disjuncts(result: ForwardReductionResult) -> list[Query]:
@@ -30,25 +35,18 @@ def ranked_disjuncts(result: ForwardReductionResult) -> list[Query]:
     return rank_disjuncts(result.ej_queries, result.database)
 
 
-def evaluate_disjunction(
-    result: ForwardReductionResult, ej_method: Method = "auto"
-) -> bool:
+def evaluate_disjunction(result: ForwardReductionResult) -> bool:
     """Boolean value of a reduced disjunction: disjuncts are ranked and
     evaluation short-circuits on the first true one (order never
     changes the answer, only the constant factors)."""
     return any(
-        evaluate_ej(query, result.database, ej_method)
+        evaluate_ej(query, result.database)
         for query in ranked_disjuncts(result)
     )
 
 
-def count_disjunction(
-    result: ForwardReductionResult, ej_method: Method = "auto"
-) -> int:
+def count_disjunction(result: ForwardReductionResult) -> int:
     """Total assignment count of a *disjoint* reduction: the Appendix G
     rewriting makes disjuncts pairwise disjoint, so the exact count is
     the plain sum (no ranking — every disjunct is consumed)."""
-    return sum(
-        count_ej(query, result.database, ej_method)
-        for query in result.ej_queries
-    )
+    return sum(count_ej(query, result.database) for query in result.ej_queries)

@@ -2,12 +2,16 @@
 
 ``evaluate_ij`` runs the full forward reduction, then evaluates the EJ
 disjuncts over the shared transformed database with the structurally
-right strategy per disjunct (Yannakakis when α-acyclic, fhtw-optimal
-decomposition otherwise), short-circuiting on the first true disjunct.
-Total time ``O(N^ijw(H) · polylog N)``.
+right method per disjunct and head (:func:`repro.engine.ej.plan_ej`:
+Yannakakis when α-acyclic; otherwise one flat generic join iff
+``fhtw >= ρ*`` over the variables the head enumerates, the fhtw-optimal
+decomposition iff ``fhtw < ρ*``), short-circuiting on the first true
+disjunct.  Total time ``O(N^ijw(H) · polylog N)``.
 
 ``count_ij`` uses the Appendix G disjoint rewriting plus provenance
-columns so that satisfying tuple combinations are counted exactly once.
+columns so that satisfying tuple combinations are counted exactly once
+— the ids are variables the count head enumerates, so its cyclic
+disjuncts decompose where ``evaluate_ij`` runs them flat.
 
 ``witnesses_ij`` enumerates satisfying original tuple combinations by
 mapping provenance ids back through the reduction.
@@ -15,7 +19,7 @@ mapping provenance ids back through the reduction.
 
 from __future__ import annotations
 
-from typing import Iterator, Literal
+from typing import Iterator
 
 from ..engine.ej import evaluate_ej_full
 from ..engine.relation import Database
@@ -24,22 +28,16 @@ from ..reduction.disjoint import shift_distinct_left, shifted_rows
 from ..reduction.forward import ForwardReductionResult, forward_reduce
 from .disjunct_eval import count_disjunction, evaluate_disjunction
 
-Method = Literal["auto", "yannakakis", "decomposition", "generic"]
 
-
-def evaluate_ij(
-    query: Query, db: Database, ej_method: Method = "auto"
-) -> bool:
+def evaluate_ij(query: Query, db: Database) -> bool:
     """Boolean evaluation of an IJ (or EIJ) query via the forward
     reduction (Theorem 4.13 + Theorem 4.15).  The disjunction itself is
     evaluated by the shared :mod:`repro.core.disjunct_eval` path."""
     result = forward_reduce(query, db)
-    return evaluate_disjunction(result, ej_method)
+    return evaluate_disjunction(result)
 
 
-def count_ij(
-    query: Query, db: Database, ej_method: Method = "auto"
-) -> int:
+def count_ij(query: Query, db: Database) -> int:
     """Exact number of satisfying tuple combinations.
 
     Pipeline: G.1 distinct-left shift -> disjoint forward reduction with
@@ -50,7 +48,7 @@ def count_ij(
     """
     shifted = shift_distinct_left(query, db)
     result = forward_reduce(query, shifted, disjoint=True, provenance=True)
-    return count_disjunction(result, ej_method)
+    return count_disjunction(result)
 
 
 def witnesses_ij(
@@ -134,9 +132,8 @@ class IntersectionJoinEngine:
     once; so do two engines whose queries are isomorphic.
     """
 
-    def __init__(self, query: Query, ej_method: Method = "auto"):
+    def __init__(self, query: Query):
         self.query = query
-        self.ej_method: Method = ej_method
 
     @staticmethod
     def _session(db: Database):
@@ -145,12 +142,10 @@ class IntersectionJoinEngine:
         return QuerySession.for_database(db)
 
     def evaluate(self, db: Database) -> bool:
-        return self._session(db).evaluate(
-            self.query, ej_method=self.ej_method, strategy="reduction"
-        )
+        return self._session(db).evaluate(self.query, strategy="reduction")
 
     def count(self, db: Database) -> int:
-        return self._session(db).count(self.query, ej_method=self.ej_method)
+        return self._session(db).count(self.query)
 
     def witnesses(self, db: Database, limit: int | None = None):
         return self._session(db).witnesses(self.query, limit=limit)

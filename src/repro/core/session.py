@@ -78,7 +78,6 @@ __all__ = [
     "explain_sql",
 ]
 
-Method = Literal["auto", "yannakakis", "decomposition", "generic"]
 Strategy = Literal["auto", "naive", "sweep", "reduction"]
 
 #: Brute-force budget: at or under this many candidate witnesses
@@ -784,27 +783,20 @@ class QuerySession:
     # evaluation
     # ------------------------------------------------------------------
 
-    def evaluate(
-        self,
-        query: Query,
-        ej_method: Method = "auto",
-        strategy: Strategy = "auto",
-    ) -> bool:
+    def evaluate(self, query: Query, strategy: Strategy = "auto") -> bool:
         """Boolean answer, cached by canonical form.
 
-        ``strategy='auto'`` runs the optimizer's plan (:meth:`plan`) —
-        its strategy and, unless the caller names one, its EJ method;
+        ``strategy='auto'`` runs the optimizer's plan (:meth:`plan`);
         ``'reduction'`` forces the Theorem 4.15 pipeline (what
         :func:`repro.core.evaluate_ij` does).  The answer cache is
         strategy-agnostic — every correct strategy returns the same
         Boolean.
         """
-        return bool(self._answer("eval", query, ej_method, strategy))
+        return bool(self._answer("eval", query, strategy))
 
     def count(
         self,
         query: Query,
-        ej_method: Method = "auto",
         strategy: Literal["naive", "reduction"] = "reduction",
     ) -> int:
         """Exact witness count, cached by canonical form.
@@ -813,9 +805,9 @@ class QuerySession:
         ``'naive'`` enumerates witnesses (what the SQL optimizer plans
         for small inputs).  As for :meth:`evaluate`, the answer cache is
         strategy-agnostic."""
-        return int(self._answer("count", query, ej_method, strategy))
+        return int(self._answer("count", query, strategy))
 
-    def _answer(self, kind: str, query: Query, ej_method: str, strategy: str):
+    def _answer(self, kind: str, query: Query, strategy: str):
         """The cached read both heads share: ``kind`` is ``"eval"`` or
         ``"count"``."""
         self._ensure_current()
@@ -826,22 +818,19 @@ class QuerySession:
             self.stats.hits += 1
             return cached
         self.stats.misses += 1
-        answer = self._run(form, kind == "count", ej_method, strategy)
+        answer = self._run(form, kind == "count", strategy)
         self._answer_put(key, answer, form.query.relations)
         return answer
 
-    def _run(
-        self, form: CanonicalForm, counting: bool, ej_method: str, strategy: str
-    ):
+    def _run(self, form: CanonicalForm, counting: bool, strategy: str):
         """The one strategy ladder — ``naive | sweep | reduction``, for
         either head.  ``sweep`` has no counting form and needs a binary
         join on one interval variable; a caller naming it for anything
-        else gets the reduction."""
+        else gets the reduction (whose disjuncts :mod:`repro.engine.ej`
+        plans per structure and head — no width report is read here)."""
         query = form.query
         if strategy == "auto":
-            strategy, planned = self.plan(query).execution
-            if ej_method == "auto":
-                ej_method = planned
+            strategy = self.plan(query).strategy
         if strategy == "naive":
             with self._timed("evaluate"):
                 return (naive_count if counting else naive_evaluate)(
@@ -855,10 +844,10 @@ class QuerySession:
         if counting:
             result = self._reduction(form, True, True, _COUNTING)
             with self._timed("evaluate"):
-                return count_disjunction(result, ej_method)
+                return count_disjunction(result)
         result = self._reduction(form, False, False)
         with self._timed("evaluate"):
-            return evaluate_disjunction(result, ej_method)
+            return evaluate_disjunction(result)
 
     def witnesses(
         self, query: Query, limit: int | None = None
@@ -880,24 +869,17 @@ class QuerySession:
     # ------------------------------------------------------------------
 
     def evaluate_many(
-        self,
-        queries: Sequence[Query],
-        ej_method: Method = "auto",
-        strategy: Strategy = "auto",
+        self, queries: Sequence[Query], strategy: Strategy = "auto"
     ) -> list[bool]:
         """Evaluate a batch: queries are grouped by canonical form, one
         answer (and at most one reduction) is computed per group, and
         every member of a group shares the group's short-circuit
         outcome."""
-        return self._many(
-            queries, lambda q: self.evaluate(q, ej_method, strategy)
-        )
+        return self._many(queries, lambda q: self.evaluate(q, strategy))
 
-    def count_many(
-        self, queries: Sequence[Query], ej_method: Method = "auto"
-    ) -> list[int]:
+    def count_many(self, queries: Sequence[Query]) -> list[int]:
         """Count a batch, one disjoint reduction per canonical form."""
-        return self._many(queries, lambda q: self.count(q, ej_method))
+        return self._many(queries, self.count)
 
     def _many(self, queries: Sequence[Query], compute) -> list:
         """Group a batch by canonical form, compute one answer per

@@ -16,11 +16,7 @@ from .columnar_eval import (
     generic_join_count,
     generic_join_relation,
 )
-from .decomposition import (
-    count_with_decomposition,
-    evaluate_boolean_with_decomposition,
-    evaluate_full_with_decomposition,
-)
+from .decomposition import bag_atoms_and_tree
 from .io import (
     load_database_json,
     load_relation_csv,
@@ -49,9 +45,7 @@ __all__ = [
     "columnar_yannakakis_boolean",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",
-    "count_with_decomposition",
-    "evaluate_boolean_with_decomposition",
-    "evaluate_full_with_decomposition",
+    "bag_atoms_and_tree",
     "load_database_json",
     "load_relation_csv",
     "save_database_json",

@@ -639,16 +639,19 @@ def generic_join_boolean(
 
 def generic_join_relation(
     atoms: Sequence[JoinAtom],
-    output: Sequence[str],
+    output: Sequence[str] | None = None,
     name: str = "join",
     variable_order: Sequence[str] | None = None,
 ) -> Relation:
-    """Materialise the join projected onto ``output``: the level-wise
-    join's assignment matrix, projected and deduplicated in key space
-    and decoded once."""
+    """Materialise the join projected onto ``output`` (every variable,
+    in first-occurrence order, when ``None``): the level-wise join's
+    assignment matrix, projected and deduplicated in key space and
+    decoded once."""
     state, order, kind_of, radix_of, book = _generic_setup(
         atoms, variable_order
     )
+    if output is None:
+        output = list(dict.fromkeys(v for atom in atoms for v in atom.variables))
     joined = _levelwise_join(state)
     frame = _project_frame(
         _Frame(order, list(joined.T), int(joined.shape[0])),

@@ -11,8 +11,7 @@ filter-less ``EXISTS`` disjunct it lowers to
   pushed-down scan filters, and
 * **the paper's width measures** — ``ijw``/``subw``/``fhtw`` from
   :func:`repro.widths.ij_width_report`, which bound the forward
-  reduction at ``O(N^ijw polylog N)`` and decide whether the reduced EJ
-  disjuncts are Yannakakis-able (``fhtw <= 1``) or need generic join
+  reduction at ``O(N^ijw polylog N)``
 
 into one cost per candidate strategy:
 
@@ -27,7 +26,13 @@ into one cost per candidate strategy:
 
 The choice itself needs statistics only (see :func:`plan_disjunct`), so
 the width report — data-independent, memoized per query structure — is
-paid when a plan's prices are first read, not to decide.
+paid when a plan's prices are first read, not to decide.  No EJ method
+is chosen here either: a reduction's disjuncts are planned where they
+run, per structure and head, by :func:`repro.engine.ej.plan_ej`
+(Yannakakis when α-acyclic, else generic iff ``fhtw >= ρ*`` of what the
+head enumerates, else decomposition); EXPLAIN's ``ej_method`` only
+*reports* what that one rule gives the width report's class
+representatives.
 
 ``explain_program`` renders the whole decision — per disjunct: the
 canonical SQL, the lowered query, widths, candidate costs, the chosen
@@ -43,16 +48,18 @@ from typing import Optional
 
 from repro.core.session import DEFAULT_NAIVE_BUDGET, canonical_form
 from repro.core.sweep import single_shared_interval_variable
+from repro.engine.ej import plan_ej
 from repro.engine.relation import Database
 from repro.engine.statistics import (
     StatsCache,
     distinct_count,
     estimate_join_cardinality,
 )
+from repro.hypergraph import Hypergraph
 from repro.queries import Query
 from repro.widths import ij_width_report
 
-from .ast import HEAD_EXISTS
+from .ast import HEAD_COUNT, HEAD_EXISTS
 from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef
 
 #: Constant factor charged to the reduction pipeline: it pays for
@@ -69,28 +76,61 @@ SUBW_VARIABLE_LIMIT = 8
 #: order — and the report is the expensive part of a plan (milliseconds
 #: for a triangle, seconds for a 4-clique), so it is computed once per
 #: structure per process and a re-plan after a mutation re-reads
-#: statistics only.
-_width_cache: dict[tuple, dict[str, float]] = {}
+#: statistics only.  Beside the widths: per SQL head, the EJ methods of
+#: the report's class representatives.
+_width_cache: dict[tuple, tuple[dict[str, float], dict[str, str]]] = {}
 
 
-def query_widths(query: Query) -> dict[str, float]:
-    """The paper's width measures of ``query`` (memoized, see
-    :data:`_width_cache`)."""
+def _ej_methods(query: Query, representatives: list[Hypergraph], head: str) -> str:
+    """The ``+``-joined methods :func:`plan_ej` gives the reduced
+    disjunct classes of ``query`` for ``head``.  The representatives are
+    singleton-free, which is all the Boolean head enumerates; a
+    ``COUNT(*)`` enumerates every column, so each atom regains the
+    private one it carries — its provenance id (any interval variable)
+    or an unshared point variable."""
+    private, ej_head = {}, "boolean"
+    if head == HEAD_COUNT:
+        ej_head = "count"
+        private = {
+            atom.label: {("private", atom.label)}
+            for atom in query.atoms
+            if any(
+                v.is_interval or len(query.atoms_containing(v.name)) == 1
+                for v in atom.variables
+            )
+        }
+    methods = set()
+    for h in representatives:
+        edges = h.edges
+        for label, column in private.items():
+            edges[label] = edges.get(label, frozenset()) | column
+        methods.add(plan_ej(Hypergraph(edges), ej_head).method)
+    return "+".join(sorted(methods))
+
+
+def query_widths(query: Query) -> tuple[dict[str, float], dict[str, str]]:
+    """The paper's width measures of ``query`` and, per SQL head, its
+    disjuncts' EJ methods (memoized, see :data:`_width_cache`)."""
     key = canonical_form(query).key
-    widths = _width_cache.get(key)
-    if widths is None:
+    entry = _width_cache.get(key)
+    if entry is None:
         report = ij_width_report(
             query.hypergraph(),
             interval_vertices=query.interval_variable_names(),
             compute_subw=len(query.variables) <= SUBW_VARIABLE_LIMIT,
         )
-        widths = _width_cache[key] = {
+        widths = {
             "ijw": float(report.ijw),
             "max_fhtw": float(report.max_fhtw),
             "ej_disjuncts": float(report.num_ej_hypergraphs),
             "reduced": float(report.num_reduced),
         }
-    return widths
+        representatives = [c.representative for c in report.classes]
+        entry = _width_cache[key] = widths, {
+            head: _ej_methods(query, representatives, head)
+            for head in (HEAD_EXISTS, HEAD_COUNT)
+        }
+    return entry
 
 
 @dataclass
@@ -100,12 +140,12 @@ class DisjunctPlan:
     The strategy is decided from statistics alone (see
     :func:`plan_disjunct`); what the width report prices — ``widths``,
     ``ej_method``, ``candidates``, ``cost``, ``reason`` — is computed
-    when first read, i.e. by a reduction-planned execution or an
-    EXPLAIN, never for running a naive or sweep plan.
+    when first read, i.e. by an EXPLAIN, never for running a plan.
     """
 
     strategy: str  # naive | sweep | reduction | filtered
     query: Query
+    head: str
     sweepable: bool
     brute: float
     naive_budget: float
@@ -116,19 +156,14 @@ class DisjunctPlan:
 
     @cached_property
     def widths(self) -> dict[str, float]:
-        return dict(query_widths(self.query))  # the memo's own dict stays private
+        return dict(query_widths(self.query)[0])  # the memo's own dict stays private
 
     @property
-    def ej_method(self) -> str:  # yannakakis | generic
-        return "yannakakis" if self.widths["max_fhtw"] <= 1.0 else "generic"
-
-    @property
-    def execution(self) -> tuple[str, str]:
-        """The ``(strategy, ej_method)`` a session runs this plan with;
-        only a reduction has (and pays the width report for) a method."""
-        if self.strategy == "reduction":
-            return self.strategy, self.ej_method
-        return self.strategy, "auto"
+    def ej_method(self) -> str:
+        """What a reduction of this disjunct runs its EJ disjuncts with,
+        e.g. ``yannakakis`` or ``generic+yannakakis`` — a report, not an
+        instruction (see :func:`_ej_methods`)."""
+        return query_widths(self.query)[1][self.head]
 
     @property
     def candidates(self) -> dict[str, float]:
@@ -254,6 +289,7 @@ def plan_disjunct(
     return DisjunctPlan(
         strategy=strategy,
         query=query,
+        head=disjunct.select.head,
         sweepable=sweepable,
         brute=brute,
         naive_budget=naive_budget,

@@ -47,7 +47,7 @@ def run_disjunct(disjunct: CompiledDisjunct, session: QuerySession) -> Answer:
     """Evaluate one disjunct as the session's optimizer plans it."""
     if disjunct.residuals:
         return _enumerate(disjunct, session.db)
-    strategy, ej_method = session.sql_plan(disjunct).execution
+    strategy = session.sql_plan(disjunct).strategy
     query = disjunct.query
     if disjunct.scan_filters:
         # Scan-filtered: the plan runs on an ad-hoc filtered database,
@@ -56,7 +56,7 @@ def run_disjunct(disjunct: CompiledDisjunct, session: QuerySession) -> Answer:
         query, db = disjunct.execution_target(session.db)
         session = QuerySession(db)
     run = session.count if disjunct.select.head == HEAD_COUNT else session.evaluate
-    return run(query, ej_method=ej_method, strategy=strategy)
+    return run(query, strategy=strategy)
 
 
 def run_program(program: CompiledProgram, session: QuerySession) -> Answer:

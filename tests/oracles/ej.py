@@ -16,15 +16,9 @@ from typing import Hashable, Iterator, Sequence
 
 import networkx as nx
 
-from repro.engine.ej import (
-    _label_tree_to_index_tree,
-    _plan,
-    join_atoms_for,
-    optimal_decomposition,
-)
+from repro.engine.ej import join_atoms_for, plan_ej
 from repro.engine.generic_join import JoinAtom, default_variable_order
 from repro.engine.relation import Database, Relation
-from repro.hypergraph.acyclicity import join_tree
 from repro.queries.query import Query
 from repro.widths.tree_decomposition import TreeDecomposition
 
@@ -341,38 +335,28 @@ def count_with_decomposition(
 # ----------------------------------------------------------------------
 
 
-def _acyclic_inputs(query: Query, db: Database):
-    tree = join_tree(query.hypergraph())
-    if tree is None:
-        raise ValueError(f"{query.name} is not alpha-acyclic")
-    return join_atoms_for(query, db), _label_tree_to_index_tree(query, tree)
-
-
 def evaluate_ej(query: Query, db: Database, method: str = "auto") -> bool:
     atoms = join_atoms_for(query, db)
     if query.atoms and any(len(a.relation) == 0 for a in atoms):
         return False
-    strategy = _plan(query, method)
-    if strategy == "generic":
+    plan = plan_ej(query.hypergraph(), "boolean", method)
+    if plan.method == "generic":
         return generic_join_boolean(atoms)
-    if strategy == "yannakakis":
-        return yannakakis_boolean(*_acyclic_inputs(query, db))
-    td = optimal_decomposition(query.hypergraph())
-    return yannakakis_boolean(*_bag_atoms_and_tree(atoms, td))
+    if plan.method == "yannakakis":
+        return yannakakis_boolean(atoms, plan.tree)
+    return yannakakis_boolean(*_bag_atoms_and_tree(atoms, plan.td))
 
 
 def count_ej(query: Query, db: Database, method: str = "auto") -> int:
     atoms = join_atoms_for(query, db)
     if query.atoms and any(len(a.relation) == 0 for a in atoms):
         return 0
-    strategy = _plan(query, method)
-    if strategy == "generic":
+    plan = plan_ej(query.hypergraph(), "count", method)
+    if plan.method == "generic":
         return generic_join_count(atoms)
-    if strategy == "yannakakis":
-        return yannakakis_count(*_acyclic_inputs(query, db))
-    return count_with_decomposition(
-        atoms, optimal_decomposition(query.hypergraph())
-    )
+    if plan.method == "yannakakis":
+        return yannakakis_count(atoms, plan.tree)
+    return count_with_decomposition(atoms, plan.td)
 
 
 def evaluate_ej_full(
@@ -382,12 +366,13 @@ def evaluate_ej_full(
     method: str = "auto",
 ) -> Relation:
     atoms = join_atoms_for(query, db)
-    strategy = _plan(query, method)
-    if strategy == "generic":
-        variables = [v.name for v in query.variables]
-        target = list(output) if output is not None else variables
+    variables = [v.name for v in query.variables]
+    target = list(output) if output is not None else variables
+    if query.atoms and any(len(a.relation) == 0 for a in atoms):
+        return Relation("result", [v for v in target if v in variables], ())
+    plan = plan_ej(query.hypergraph(), "full", method)
+    if plan.method == "generic":
         return generic_join_relation(atoms, target)
-    if strategy == "yannakakis":
-        return yannakakis_full(*_acyclic_inputs(query, db), output=output)
-    td = optimal_decomposition(query.hypergraph())
-    return yannakakis_full(*_bag_atoms_and_tree(atoms, td), output=output)
+    if plan.method == "yannakakis":
+        return yannakakis_full(atoms, plan.tree, output=output)
+    return yannakakis_full(*_bag_atoms_and_tree(atoms, plan.td), output=output)

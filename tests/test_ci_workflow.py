@@ -50,6 +50,20 @@ class TestWorkflow:
         # the suite's wall time is a row worth watching
         assert "pytest -x -q --durations=15" in runs
 
+    def test_sql_smoke_reaches_the_ej_rule(self, workflow):
+        """Binary joins are planned ``naive`` / ``sweep``; only a cyclic,
+        reduction-planned statement consults ``engine.ej.plan_ej`` — one
+        per head, the count checked against the naive oracle."""
+        steps = workflow["jobs"]["tests"]["steps"]
+        (smoke,) = [s["run"] for s in steps if s.get("name", "").startswith("sql-smoke")]
+        smoke = " ".join(smoke.replace("\\\n", " ").split())
+        triangle = (
+            "FROM R r, S s, T t WHERE r.a OVERLAPS t.a "
+            "AND r.b OVERLAPS s.b AND s.c OVERLAPS t.c"
+        )
+        assert f'"SELECT COUNT(*) {triangle}" --n 40 --seed 3 --check' in smoke
+        assert f'"SELECT EXISTS {triangle}" --n 40 --explain' in smoke
+
     def test_fuzz_job_covers_seed_matrix(self, workflow):
         """Acceptance criterion: 3 seeds x py3.10/3.12, steered through
         REPRO_FUZZ_SEED into the differential suite."""

@@ -45,14 +45,17 @@ from repro.core import QuerySession, naive_count, naive_evaluate
 from repro.core.cache_format import load_result, serialize_result
 from repro.core.reduction_cache import FORMAT_VERSION
 from repro.engine import columnar_eval
-from repro.engine.columnar_eval import columnar_materialise_bags
-from repro.engine.decomposition import count_with_decomposition
+from repro.engine.columnar_eval import (
+    columnar_materialise_bags,
+    columnar_yannakakis_count,
+)
+from repro.engine.decomposition import bag_atoms_and_tree
 from repro.engine.ej import (
     count_ej,
     evaluate_ej,
     evaluate_ej_full,
     join_atoms_for,
-    optimal_decomposition,
+    plan_ej,
 )
 from repro.engine.generic_join import JoinAtom
 from repro.engine.relation import Delta, Relation
@@ -191,7 +194,7 @@ def test_bags_and_answers_match_the_tuple_path(
     booleans, counts = [], []
     for i in _cyclic(result, limit, rng):
         ej = result.ej_queries[i]
-        td = optimal_decomposition(ej.hypergraph())
+        td = plan_ej(ej.hypergraph(), method="decomposition").td
         atoms = join_atoms_for(ej, result.database)
         fast = columnar_materialise_bags(atoms, td)
         slow = oracle.materialise_bags(atoms, td)
@@ -324,8 +327,8 @@ def test_incomparable_inputs_are_re_encoded_at_the_door(case):
     (reference,) = oracle.materialise_bags(atoms, ONE_BAG)
     assert bag.columnar is not None
     assert bag.tuples == reference.tuples
-    assert count_with_decomposition(
-        atoms, ONE_BAG
+    assert columnar_yannakakis_count(
+        *bag_atoms_and_tree(atoms, ONE_BAG)
     ) == oracle.count_with_decomposition(atoms, ONE_BAG)
     # the inputs are left as they were
     assert [atom.relation.columnar for atom in atoms] == blocks
@@ -351,7 +354,7 @@ def test_keys_beyond_62_bits_stay_in_the_kernel():
     assert bag.tuples == reference.tuples
     assert len(bag) == 2
     assert bag.columnar.book is book
-    assert count_with_decomposition(atoms, ONE_BAG) == 2
+    assert columnar_yannakakis_count(*bag_atoms_and_tree(atoms, ONE_BAG)) == 2
 
 
 @pytest.mark.parametrize("engine", [True, False])

@@ -56,14 +56,13 @@ from repro.engine import (
     generic_join_count,
 )
 from repro.engine.ej import (
-    _label_tree_to_index_tree,
     count_ej,
     evaluate_ej,
     evaluate_ej_full,
     join_atoms_for,
+    plan_ej,
 )
 from repro.engine.relation import Database, Relation
-from repro.hypergraph.acyclicity import join_tree
 from repro.intervals import Interval
 from repro.queries import parse_query
 from repro.reduction import (
@@ -78,9 +77,9 @@ def _acyclic_disjuncts(result):
     """(ej_query, index_tree) for every α-acyclic disjunct."""
     out = []
     for ej in result.ej_queries:
-        tree = join_tree(ej.hypergraph())
-        if tree is not None:
-            out.append((ej, _label_tree_to_index_tree(ej, tree)))
+        plan = plan_ej(ej.hypergraph())
+        if plan.method == "yannakakis":
+            out.append((ej, plan.tree))
     return out
 
 

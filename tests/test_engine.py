@@ -27,7 +27,7 @@ from repro.engine import (
     generic_join_relation,
     relation_from_mapping,
 )
-from repro.engine.ej import optimal_decomposition
+from repro.engine.ej import plan_ej
 from repro.hypergraph import join_tree
 from repro.queries import parse_query
 
@@ -261,23 +261,19 @@ class TestDecompositionEval:
         rng = random.Random(3)
         q = parse_query("R0(A,B) ∧ R1(B,C) ∧ R2(A,C)")
         shape = [("A", "B"), ("B", "C"), ("A", "C")]
-        td = optimal_decomposition(q.hypergraph())
+        td = plan_ej(q.hypergraph(), method="decomposition").td
         for trial in range(15):
             atoms = random_atoms(rng, shape, rng.randint(1, 10), 3)
             _, expected = brute_force_assignments(atoms)
-            from repro.engine import (
-                count_with_decomposition,
-                evaluate_boolean_with_decomposition,
-            )
+            from repro.engine import bag_atoms_and_tree
 
-            assert evaluate_boolean_with_decomposition(atoms, td) == bool(
-                expected
-            )
-            assert count_with_decomposition(atoms, td) == len(expected)
+            bags = bag_atoms_and_tree(atoms, td)
+            assert columnar_yannakakis_boolean(*bags) == bool(expected)
+            assert columnar_yannakakis_count(*bags) == len(expected)
 
     def test_materialise_bags_cover(self):
         q = parse_query("R0(A,B) ∧ R1(B,C) ∧ R2(A,C)")
-        td = optimal_decomposition(q.hypergraph())
+        td = plan_ej(q.hypergraph(), method="decomposition").td
         atoms = [
             JoinAtom(Relation("R0", ("A", "B"), [(1, 2)])),
             JoinAtom(Relation("R1", ("B", "C"), [(2, 3)])),
@@ -290,9 +286,9 @@ class TestDecompositionEval:
         ]
 
     def test_decomposition_with_singletons(self):
-        """optimal_decomposition must cover edges with singleton vars."""
+        """the decomposition plan must cover edges with singleton vars."""
         q = parse_query("R(A,B,X) ∧ S(B,C,Y) ∧ T(A,C)")
-        td = optimal_decomposition(q.hypergraph())
+        td = plan_ej(q.hypergraph(), method="decomposition").td
         td.validate(q.hypergraph())
 
 

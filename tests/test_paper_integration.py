@@ -8,32 +8,105 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import ej as oracle
 
 from repro.core import analyze_query, count_ij, evaluate_ij, naive_count, naive_evaluate
-from repro.engine import Database, Relation, evaluate_ej
+from repro.engine import Database, Relation, count_ej, evaluate_ej
+from repro.engine.ej import plan_ej
 from repro.hypergraph import is_alpha_acyclic, tau
 from repro.intervals import Interval
-from repro.queries import catalog
+from repro.queries import catalog, parse_query
 from repro.reduction import forward_reduce
 from repro.workloads import embed_ej_into_ij, point_database, random_database
+
+
+#: Hand-authored EJ hypergraphs with the method the one rule
+#: (``fhtw`` vs ``ρ*`` of what the head enumerates) gives each head:
+#: shape -> (query, Boolean head, count head).
+RULE_TABLE = {
+    "path": ("R0(A,B) ∧ R1(B,C) ∧ R2(C,D)", "yannakakis", "yannakakis"),
+    "star": ("R0(A,B) ∧ R1(A,C) ∧ R2(A,D)", "yannakakis", "yannakakis"),
+    # fhtw = ρ*: one bag is already optimal (3/2, 2, 4/3)
+    "triangle": ("R0(A,B) ∧ R1(B,C) ∧ R2(A,C)", "generic", "generic"),
+    "four_cycle": ("R0(A,B) ∧ R1(B,C) ∧ R2(C,D) ∧ R3(A,D)", "generic", "generic"),
+    "lw4": (
+        "R0(A,B,C) ∧ R1(B,C,D) ∧ R2(A,C,D) ∧ R3(A,B,D)",
+        "generic",
+        "generic",
+    ),
+    # two triangles sharing A: fhtw 3/2 < ρ* 5/2
+    "bow_tie": (
+        "R0(A,B) ∧ R1(B,C) ∧ R2(A,C) ∧ R3(A,D) ∧ R4(D,E) ∧ R5(A,E)",
+        "decomposition",
+        "decomposition",
+    ),
+    # one private column per atom (a reduction's provenance ids): the
+    # Boolean head never branches on them, the count head enumerates
+    # them — ρ* 3/2 vs 3
+    "triangle_with_ids": (
+        "R0(A,B,I) ∧ R1(B,C,J) ∧ R2(A,C,K)",
+        "generic",
+        "decomposition",
+    ),
+}
 
 
 class TestTheorem413EndToEnd:
     """Q(D) iff the disjunction of EJ queries over D~ — across engines."""
 
     def test_all_ej_methods_agree_on_disjuncts(self):
-        rng = random.Random(0)
         q = catalog.triangle_ij()
         for trial in range(5):
             db = random_database(q, 8, seed=trial, domain=40, mean_length=10)
             expected = naive_evaluate(q, db)
             result = forward_reduce(q, db)
-            for method in ["generic", "auto"]:
+            for method in ["generic", "decomposition", "auto"]:
                 got = any(
                     evaluate_ej(eq, result.database, method)
                     for eq in result.ej_queries
                 )
                 assert got == expected, (trial, method)
+        # the rule itself, and every kernel against the tuple oracle
+        # for both heads, on each hand-authored shape
+        rng = random.Random(0)
+        for shape, (text, boolean, count) in RULE_TABLE.items():
+            query = parse_query(text)
+            h = query.hypergraph()
+            assert plan_ej(h, "boolean").method == boolean, shape
+            assert plan_ej(h, "count").method == count, shape
+            assert plan_ej(h, "full").method == count, shape
+            methods = ["auto", "decomposition", "generic"]
+            if boolean == "yannakakis":
+                methods.append("yannakakis")
+            for trial in range(4):
+                db = Database(
+                    Relation(
+                        atom.relation,
+                        atom.variable_names,
+                        {
+                            tuple(rng.randint(0, 2) for _ in atom.variables)
+                            for _ in range(rng.randint(2, 9))
+                        },
+                    )
+                    for atom in query.atoms
+                )
+                truth = oracle.generic_join_count(
+                    [
+                        oracle.JoinAtom(db[a.relation], a.variable_names)
+                        for a in query.atoms
+                    ]
+                )
+                if "yannakakis" not in methods:
+                    with pytest.raises(ValueError):
+                        evaluate_ej(query, db, "yannakakis")
+                for method in methods:
+                    context = (shape, trial, method)
+                    assert evaluate_ej(query, db, method) == oracle.evaluate_ej(
+                        query, db, method
+                    ) == bool(truth), context
+                    assert count_ej(query, db, method) == oracle.count_ej(
+                        query, db, method
+                    ) == truth, context
 
 
 class TestIotaLinearTimePath:

@@ -1,6 +1,7 @@
 """One decision layer: every plan comes from ``plan_disjunct``, every
-strategy runs through the session's one ladder, and the width report
-stays off the decision path."""
+strategy runs through the session's one ladder, the width report stays
+off the decision *and* the execution path, and the EJ method of a
+reduction's disjuncts is chosen in ``engine/ej.py`` alone."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,10 @@ import pytest
 import repro
 from repro.core import QuerySession, naive_count, naive_evaluate
 from repro.core.sweep import single_shared_interval_variable
+from repro.engine import Database, Relation, columnar_eval
+from repro.engine.ej import plan_ej
 from repro.engine.statistics import rank_disjuncts
+from repro.intervals import Interval
 from repro.queries import catalog, parse_query
 from repro.reduction import forward_reduce
 from repro.sql import compile_sql, cost, lower_query
@@ -119,6 +123,9 @@ def test_naive_and_sweep_plans_never_price_a_width(width_reports):
 
 
 def test_widths_are_priced_once_per_structure_per_process(width_reports):
+    """Running a reduction-planned query reads no width report — its
+    disjuncts are planned by ``engine.ej`` where they run; only reading
+    a plan's prices (``.ej_method``, EXPLAIN) pays it, once."""
     triangle = SHAPES["triangle"]
     db = random_database(triangle, 40, seed=1)
     expected = naive_evaluate(triangle, db)
@@ -130,6 +137,11 @@ def test_widths_are_priced_once_per_structure_per_process(width_reports):
         assert session.sql(overlap_sql(triangle, db, "COUNT(*)")) == naive_count(
             triangle, db
         )
+    assert width_reports == []
+    for session in sessions:
+        assert "via generic" in session.explain_sql(
+            overlap_sql(triangle, db, "EXISTS")
+        )["disjuncts"][0]["reason"]
     assert len(width_reports) == 1
     # a mutation drops the plan; the re-plan re-reads statistics only
     session = sessions[0]
@@ -156,14 +168,14 @@ STRATEGY_LITERALS = {"naive", "sweep", "filtered"}
 DECIDES_AND_RUNS = {"sql/cost.py", "core/session.py"}
 
 
-def strategy_comparisons(source: str) -> list[str]:
+def strategy_comparisons(source: str, literals=STRATEGY_LITERALS) -> list[str]:
     """Every comparison in ``source`` against a strategy literal (or a
     collection holding one)."""
 
     def names_a_strategy(node: ast.AST) -> bool:
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             return any(names_a_strategy(element) for element in node.elts)
-        return isinstance(node, ast.Constant) and node.value in STRATEGY_LITERALS
+        return isinstance(node, ast.Constant) and node.value in literals
 
     return [
         f"line {node.lineno}: {ast.unparse(node)}"
@@ -188,6 +200,65 @@ def test_strategies_are_compared_where_they_are_decided_and_run():
         found = strategy_comparisons(path.read_text())
         assert bool(found) == (relative in DECIDES_AND_RUNS), (relative, found)
     assert not (root / "core" / "planner.py").exists()
+
+
+EJ_METHOD_LITERALS = {"yannakakis", "decomposition", "generic"}
+
+
+def test_ej_methods_are_compared_in_the_ej_module_alone():
+    """Beside the strategy scan: the method rule must not fork again
+    (``ej._plan`` vs ``DisjunctPlan.ej_method``'s query-wide override,
+    reconciled through nine ``ej_method`` parameters, before the
+    merge).  ``sql/cost.py`` keeps the EXPLAIN field and nothing else."""
+    root = Path(repro.__file__).resolve().parent
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        source = path.read_text()
+        compared = strategy_comparisons(source, EJ_METHOD_LITERALS)
+        assert bool(compared) == (relative == "engine/ej.py"), (relative, compared)
+        assert ("ej_method" in source) == (relative == "sql/cost.py"), relative
+
+
+def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
+    """All-overlapping triangle, ``n**3`` witnesses: ``COUNT(*)``
+    decomposes — its provenance ids are variables a flat join would
+    enumerate one witness at a time — while ``EXISTS`` over the same
+    data runs each cyclic disjunct as one generic join."""
+    n = 40
+    triangle = SHAPES["triangle"]
+    db = Database(
+        Relation(
+            atom.relation,
+            atom.variable_names,
+            [(Interval(i, 1000 + i), Interval(i, 1000 + i)) for i in range(n)],
+        )
+        for atom in triangle.atoms
+    )
+    widest = [0]
+    real = columnar_eval._levelwise_join
+
+    def measured(state):
+        joined = real(state)
+        widest[0] = max(widest[0], joined.shape[0])
+        return joined
+
+    monkeypatch.setattr(columnar_eval, "_levelwise_join", measured)
+    session = QuerySession(db)
+    count_sql = overlap_sql(triangle, db, "COUNT(*)")
+    (count_plan,) = compile_sql(count_sql, db).disjuncts
+    assert session.sql_plan(count_plan).strategy == "reduction"
+    assert session.sql(count_sql) == n**3
+    assert 0 < widest[0] <= n**2  # bags, never the witnesses
+    assert session.evaluate(triangle) is True
+    assert session.sql_plan(count_plan).ej_method == "decomposition"
+    assert session.plan(triangle).ej_method == "generic"
+    for head, disjoint, method in (
+        ("count", True, "decomposition"),
+        ("boolean", False, "generic"),
+    ):
+        reduction = session.reduction(triangle, disjoint=disjoint, provenance=disjoint)
+        methods = {plan_ej(q.hypergraph(), head).method for q in reduction.ej_queries}
+        assert methods == {method}, head
 
 
 #: ``rank_disjuncts`` orders captured at the commit whose estimator
