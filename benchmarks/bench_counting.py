@@ -12,9 +12,10 @@ from conftest import (
     time_scaling,
 )
 
+from factored_encoding import count_ij_factored
+
 from repro.core import count_ij, naive_count, witnesses_ij
 from repro.queries import catalog
-from repro.reduction.factored import count_ij_factored
 from repro.workloads import random_database
 
 NS = bench_sizes([16, 32, 64])

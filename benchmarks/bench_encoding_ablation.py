@@ -10,10 +10,11 @@ here: transformed database sizes and end-to-end Boolean runtimes.
 import pytest
 from conftest import bench_n, bench_sizes, print_table, shape_assert
 
+from factored_encoding import evaluate_ij_factored, forward_reduce_factored
+
 from repro.core import evaluate_ij
 from repro.queries import catalog
-from repro.reduction import forward_reduce, forward_reduce_factored
-from repro.reduction.factored import evaluate_ij_factored
+from repro.reduction import forward_reduce
 from repro.workloads import random_database
 
 NS = bench_sizes([32, 64, 128])

@@ -11,21 +11,39 @@ tuple identifier::
 One relation per (atom, interval variable) position — ``m`` relations
 per m-way variable — each of size ``O(N log N)`` for 2-way variables,
 avoiding the per-atom multiplicative blowup.  Data complexity is the
-same modulo log factors; space is strictly better.  This module
-implements that encoding as a drop-in alternative to
-:mod:`repro.reduction.forward`, including the Appendix-G disjoint
-variant for counting.
+same modulo log factors; space is strictly better.
+
+This is the **ablation**, not the product's encoding, and lives beside
+the benchmark that measures it (``bench_encoding_ablation.py``): it wins
+size and build time but loses end to end, because the Id variable ties
+an atom's factor relations into cycles, so an ι-acyclic query's
+disjuncts stop being α-acyclic (measured at n = 60 in ROADMAP 6(a):
+``fig9f`` evaluate 0.5 → 186 ms, triangle 3.2 → 43 ms), and its
+artifacts can be neither patched nor cached.  It is built on the
+production reducer's trees and codebook, Appendix-G disjoint variant
+included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.relation import Database, Relation
-from ..hypergraph.transform import part_vertex
-from ..queries.query import Atom, Query, pvar
-from .columnar import COL_CODE, COL_ID, encode_rows
-from .forward import (
+import numpy as np
+
+from repro.core.disjunct_eval import count_disjunction, evaluate_disjunction
+from repro.engine.relation import Database, Relation
+from repro.hypergraph.transform import part_vertex
+from repro.queries.query import Atom, Query, pvar
+from repro.reduction.columnar import (
+    CODE_DTYPE,
+    COL_BITS,
+    COL_CODE,
+    COL_ID,
+    ColumnBlock,
+    encode_rows,
+)
+from repro.reduction.disjoint import shift_distinct_left
+from repro.reduction.forward import (
     EncodedQuery,
     ForwardReducer,
     ForwardReductionResult,
@@ -56,10 +74,10 @@ class _FactorSpec:
 class FactoredForwardReducer(ForwardReducer):
     """Forward reduction with the lossless Id-decomposition encoding.
 
-    Shares the memoized :class:`~repro.reduction.encoding_store.EncodingStore`
-    of the base reducer: every ``(variable, value, i)`` encoding is
-    computed once across all factored relations, and every relation is
-    a code matrix over the store's codebook (Id columns verbatim).
+    Shares the segment trees of the base reducer, so every
+    ``(value, i)`` encoding is computed once across all factored
+    relations, and every relation is a code matrix over the reducer's
+    codebook (Id and part columns verbatim).
     """
 
     def __init__(self, query: Query, db: Database, disjoint: bool = False):
@@ -134,10 +152,10 @@ class FactoredForwardReducer(ForwardReducer):
         schema = [id_variable(atom.label)] + [
             v.name for _, v in point_positions
         ]
-        rows = {
+        rows = [
             (tuple_id, *[t[idx] for idx, _ in point_positions])
             for tuple_id, t in enumerate(self._tuple_order[atom.label])
-        }
+        ]
         relation = self._coded(self._base_name(atom), schema, rows, ids=True)
         self._base_cache[atom.label] = relation
         return relation
@@ -150,25 +168,42 @@ class FactoredForwardReducer(ForwardReducer):
         schema = [id_variable(atom.label)] + [
             part_vertex(spec.variable, j) for j in range(1, spec.parts + 1)
         ]
-        rows: set[tuple] = set()
-        for tuple_id, t in enumerate(self._tuple_order[atom.label]):
-            for split in self.store.interval_encodings(
-                spec.variable, t[var_idx], spec.parts, spec.nonempty_last
-            ):
-                rows.add((tuple_id, *split))
-        relation = self._coded(spec.name(), schema, rows, ids=True)
+        tree = self.trees[spec.variable]
+        leaf = spec.parts == self.k[spec.variable]
+        order = self._tuple_order[atom.label]
+        encodings = [
+            tree.encodings(t[var_idx], spec.parts, leaf, spec.nonempty_last)
+            for t in order
+        ]
+        # a tuple's encodings are distinct and carry its id: no dedup
+        codes = np.empty(
+            (sum(len(m) for m in encodings), 1 + spec.parts), dtype=CODE_DTYPE
+        )
+        codes[:, 0] = np.repeat(
+            np.arange(len(order)), [len(m) for m in encodings]
+        )
+        codes[:, 1:] = np.concatenate(
+            encodings or [np.empty((0, spec.parts), dtype=CODE_DTYPE)]
+        )
+        block = ColumnBlock(
+            codes,
+            [COL_ID] + [COL_BITS] * spec.parts,
+            self.codebook,
+            [None] + [tree.id_bound] * spec.parts,
+        )
+        relation = Relation.from_columns(spec.name(), schema, block)
         self._factor_cache[spec] = relation
         return relation
 
     def _coded(self, name: str, schema, rows, ids: bool) -> Relation:
-        """``rows`` as a block-backed relation over the store's
+        """``rows`` as a block-backed relation over the reducer's
         codebook; with ``ids`` the first column is a verbatim tuple
         id."""
         kinds = [COL_CODE] * len(schema)
         if ids:
             kinds[0] = COL_ID
         return Relation.from_columns(
-            name, schema, encode_rows(rows, kinds, self.store.codebook)
+            name, schema, encode_rows(rows, kinds, self.codebook)
         )
 
     # ------------------------------------------------------------------
@@ -214,7 +249,7 @@ class FactoredForwardReducer(ForwardReducer):
                         database.add(self.factor_relation(atom, spec))
         return ForwardReductionResult(
             self.query, encoded, database, dict(self.trees),
-            encoding_store=self.store,
+            codebook=self.codebook,
         )
 
 
@@ -230,9 +265,6 @@ def forward_reduce_factored(
 def count_ij_factored(query: Query, db: Database) -> int:
     """Exact witness count through the factored encoding (the Id columns
     double as provenance, so no extra columns are needed)."""
-    from ..core.disjunct_eval import count_disjunction
-    from .disjoint import shift_distinct_left
-
     shifted = shift_distinct_left(query, db)
     result = forward_reduce_factored(query, shifted, disjoint=True)
     return count_disjunction(result)
@@ -242,7 +274,5 @@ def evaluate_ij_factored(query: Query, db: Database) -> bool:
     """Boolean IJ evaluation through the factored encoding, via the
     shared rank-and-short-circuit path of
     :mod:`repro.core.disjunct_eval`."""
-    from ..core.disjunct_eval import evaluate_disjunction
-
     result = forward_reduce_factored(query, db)
     return evaluate_disjunction(result)

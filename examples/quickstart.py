@@ -169,9 +169,10 @@ def main() -> None:
     # an insert whose endpoints are already in the segment trees'
     # endpoint domains (here: reuse endpoints of existing intervals)
     # patches the cached reduction — no re-reduction.  The patch runs
-    # on the arrays: the tuple's derived rows are encoded through the
-    # artifact's codebook, found in each variant's sorted uint32 code
-    # matrix by packed-key binary search, and the int64 refcounts
+    # on the arrays: the tuple's derived rows are encoded against the
+    # artifact's own trees (interval parts are node ids, written
+    # verbatim) and codebook (point values), found in each variant's
+    # sorted uint32 matrix by packed-key binary search, and the int64 refcounts
     # bumped (new rows spliced in, dead rows masked out), copy-on-write
     # so a memmap-loaded cache entry is never written.  The patched
     # relations keep their column blocks: re-persisting them is a blob
@@ -274,21 +275,24 @@ def main() -> None:
             for name, seconds in phases.items()
         )
     )
-    # the cold reduction itself is encoding-memoized and columnar: the
-    # split family of a segment-tree node depends only on (node,
-    # position) — Claim C.1 — and real workloads repeat interval values,
-    # so each (variable, value, position) encoding is computed once and
-    # shared by every tuple, variant and delta patch (tests/oracles
-    # keeps a naive per-tuple loop the builder is pinned to, bit for
-    # bit):
+    # the cold reduction itself is encoding-memoized and columnar: a
+    # segment-tree node is an integer (its heap index — the bitstring
+    # of the paper is that index in binary), the split family of a node
+    # is an integer matrix from a cut plan per (depth, position) —
+    # Claim C.1 — and real workloads repeat interval values, so each
+    # tree computes a (value, position) encoding once and shares it
+    # across every tuple, variant and delta patch (tests/oracles keeps
+    # a naive per-tuple loop on bitstrings the builder is pinned to,
+    # bit for bit).  Only point values need a dictionary:
     start = time.perf_counter()
     memoized = forward_reduce(query, db)
     memoized_ms = (time.perf_counter() - start) * 1e3
-    store = memoized.encoding_store
+    tree = memoized.segment_trees["A"]
     print(
         f"cold reduction: {memoized_ms:.1f} ms "
-        f"({store.stats()['entries']} memoized encodings, "
-        f"{store.stats()['hits']} memo hits)"
+        f"([A]: {len(tree.endpoints)} endpoints, height {tree.height}, "
+        f"{len(tree._encodings)} memoized encodings; "
+        f"{len(memoized.codebook)} point values in the codebook)"
     )
     print()
 
@@ -426,7 +430,7 @@ def main() -> None:
             f"stored frame {entry.name}: {len(raw) >> 10} KB, "
             f"magic {raw[:8]!r}"
         )
-        assert raw[:8] == b"REPROV05"
+        assert raw[:8] == b"REPROV06"
         # a warm load maps the frame (np.memmap) and wraps the array
         # sections zero-copy: columnar relations point straight into
         # the file's pages instead of re-materializing object graphs

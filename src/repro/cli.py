@@ -23,7 +23,7 @@ Commands
     optimizer's per-disjunct plan — widths, candidate costs, chosen
     strategy — without running.
 
-``reduce "<query>" --n 50 [--factored]``
+``reduce "<query>" --n 50 [--seed 0]``
     Show the forward reduction: number of disjuncts, shared variants,
     and the measured polylog blowup.
 
@@ -76,7 +76,7 @@ from .core import QuerySession, analyze_query, naive_count, naive_evaluate
 from .engine import Database
 from .queries import catalog as query_catalog
 from .queries import parse_query
-from .reduction import forward_reduce, forward_reduce_factored
+from .reduction import forward_reduce
 from .workloads import point_database, random_database, temporal_database
 
 WORKLOADS = {
@@ -198,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("query")
     _shared(p_reduce, "--n", help=None)
     _shared(p_reduce, "--seed")
-    p_reduce.add_argument(
-        "--factored", action="store_true",
-        help="use the Id-decomposition encoding (Section 1.1)",
-    )
 
     sub.add_parser("catalog", help="tour the paper's named queries")
 
@@ -666,12 +662,9 @@ def cmd_sql(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     query = parse_query(args.query)
     db = random_database(query, args.n, seed=args.seed)
-    reducer = forward_reduce_factored if args.factored else forward_reduce
     start = time.perf_counter()
-    result = reducer(query, db)
+    result = forward_reduce(query, db)
     elapsed = time.perf_counter() - start
-    encoding = "factored (Id)" if args.factored else "default"
-    print(f"encoding: {encoding}")
     print(f"EJ disjuncts: {len(result.ej_queries)}")
     print(f"relations in D~: {len(result.database.relation_names)}")
     print(

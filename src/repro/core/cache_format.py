@@ -1,16 +1,11 @@
-"""The v5 on-disk reduction-cache layout: framed, safe, mmap-able.
+"""The v6 on-disk reduction-cache layout: framed, safe, mmap-able.
 
-Versions ≤ 4 stored cache entries as pickled envelopes — compact, but
-loading one runs the pickle VM over attacker-controllable bytes (hence
-the long-standing "trust the cache directory" caveat) and rebuilds every
-derived Python tuple eagerly, which dominates warm worker start-up.
-No reader for those envelopes remains anywhere in the package.
-
-Version 5 replaces the envelope with a length-framed binary layout that
-contains **no executable serialization** at all::
+A cache entry is a length-framed binary layout that contains **no
+executable serialization** at all (the pickled envelopes of versions
+≤ 4 have no reader anywhere in the package)::
 
     offset  size       field
-    0       8          magic  b"REPROV05"
+    0       8          magic  b"REPROV06"
     8       32         SHA-256 of everything after this field
     40      8          meta length (uint64, little-endian)
     48      meta_len   UTF-8 JSON metadata
@@ -19,23 +14,36 @@ contains **no executable serialization** at all::
                        each blob padded to a 16-byte boundary
 
 The JSON metadata carries the structural half of a
-:class:`~repro.reduction.forward.ForwardReductionResult` — queries,
-position maps, segment-tree endpoint domains, provenance order, variant
-specs, the shared codebook — using the service wire codec
-(:mod:`repro.service.protocol`) for attribute values, so intervals and
-nested tuples survive without pickle.  The heavy half — each
-relation's ``uint32`` code matrix and ``int64`` refcount array — lives
-in the blob section, described per blob by dtype/shape/offset in the
-metadata; ``columnar`` is the only relation kind there is.  Loading
-opens the file as one ``np.memmap`` and hands out array *views* into
-it: a warm worker maps a cached reduction zero-copy and decodes Python
-tuples only if a consumer actually demands them.
+:class:`~repro.reduction.forward.ForwardReductionResult`::
+
+    format_version   6
+    query            the original query
+    encoded_queries  per disjunct: its EJ query and position map
+    trees            per interval variable: its sorted endpoint list —
+                     all there is to a segment tree
+    tuple_order      per atom label: the input tuples in provenance order
+    atom_variants    per atom label: its variant specs
+    codebook         the point values, in code order (interval parts are
+                     node ids in the matrices and need no table)
+    relations        per relation: name, schema, per-column ``kinds``
+                     (``bits`` | ``code`` | ``id``) and ``bounds``, blob
+                     indices of its matrix and refcounts
+    blobs            per blob: dtype, shape, offset, nbytes
+
+Attribute values use the service wire codec
+(:mod:`repro.service.protocol`), so intervals and nested tuples survive
+without pickle.  The heavy half — each relation's ``uint32`` matrix and
+``int64`` refcount array — lives in the blob section.  Loading opens
+the file as one ``np.memmap`` and hands out array *views* into it: a
+warm worker maps a cached reduction zero-copy, rebuilds nothing per
+tree node or per part, and decodes Python tuples only if a consumer
+actually demands them.
 
 Integrity: the digest is verified over the mapped bytes before any
 field is trusted, so truncated, bit-flipped or version-skewed frames
-degrade to cache misses, never to errors — mirroring (and replacing)
-the pickled envelope's digest check.  Everything here is pure data;
-a hostile cache entry can at worst fail validation.
+(a v5 entry found in the directory included) degrade to cache misses,
+never to errors.  Everything here is pure data; a hostile cache entry
+can at worst fail validation.
 """
 
 from __future__ import annotations
@@ -48,11 +56,11 @@ from typing import Any
 import numpy as np
 
 from ..engine.relation import Database, Relation
-from ..intervals.interval import Interval
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, Variable
 from ..reduction.columnar import (
     CODE_DTYPE,
+    COL_BITS,
     COL_CODE,
     COL_ID,
     COUNT_DTYPE,
@@ -60,7 +68,6 @@ from ..reduction.columnar import (
     ColumnBlock,
     ColumnarCounts,
 )
-from ..reduction.encoding_store import EncodingStore
 from ..reduction.forward import (
     EncodedQuery,
     ForwardReductionResult,
@@ -87,18 +94,18 @@ __all__ = [
     "validate_entry_bytes",
 ]
 
-MAGIC = b"REPROV05"
+MAGIC = b"REPROV06"
 _HEADER = struct.Struct("<8s32sQ")  # magic, sha256, meta length
 _META_ALIGN = 64
 _BLOB_ALIGN = 16
 
-#: Column kinds a v5 frame may declare; anything else fails validation.
-_KINDS = (COL_CODE, COL_ID)
+#: Column kinds a frame may declare; anything else fails validation.
+_KINDS = (COL_BITS, COL_CODE, COL_ID)
 
 
 class CacheFormatError(ValueError):
     """A reduction artifact that cannot be expressed in (or recovered
-    from) the v5 layout — unknown value types, malformed frames,
+    from) the frame layout — unknown value types, malformed frames,
     inconsistent blob descriptors.  Writers treat it as "skip the
     store"; readers as a cache miss."""
 
@@ -172,53 +179,50 @@ class _BlobWriter:
 def _relation_entry(
     relation: Relation,
     counts: ColumnarCounts | None,
-    book: CodeBook | None,
+    book: CodeBook,
     blobs: _BlobWriter,
-) -> tuple[dict, CodeBook]:
+) -> dict:
     """One relation (plus its refcounts, if any) as a metadata entry,
-    its arrays appended to the blob section.  Returns the entry and the
-    artifact's one shared book."""
+    its arrays appended to the blob section."""
     block = relation.columnar
     if (
         block is None
-        or block.book is None
-        or (book is not None and block.book is not book)
+        or block.book is not book
         or (counts is not None and counts.block is not block)
     ):
         raise CacheFormatError(
             f"{relation.name} is not a code matrix over the artifact's "
             f"codebook"
         )
-    entry = {
+    return {
         "name": relation.name,
         "schema": list(relation.schema),
         "kind": "columnar",
         "kinds": list(block.kinds),
+        "bounds": list(block.bounds),
         "codes": blobs.add(block.codes),
         "counts": None if counts is None else blobs.add(counts.array),
     }
-    return entry, block.book
 
 
 def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
-    """One reduction artifact as a v5 frame (bytes, ready for an atomic
+    """One reduction artifact as a frame (bytes, ready for an atomic
     write).  Raises :class:`CacheFormatError` for artifacts the layout
     cannot express — callers skip the store (the cache is best-effort).
     """
     wire = _wire()
     encode_value = wire.encode_value
     blobs = _BlobWriter()
-    book: CodeBook | None = None
-    relations = []
     try:
-        for relation in result.database:
-            entry, book = _relation_entry(
+        relations = [
+            _relation_entry(
                 relation,
                 result.variant_counts.get(relation.name),
-                book,
+                result.codebook,
                 blobs,
             )
-            relations.append(entry)
+            for relation in result.database
+        ]
         meta = {
             "format_version": int(version),
             "query": _encode_query(result.original),
@@ -230,7 +234,7 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
                 for eq in result.encoded_queries
             ],
             "trees": {
-                name: sorted(tree.endpoints)
+                name: list(tree.endpoints)
                 for name, tree in result.segment_trees.items()
             },
             "tuple_order": {
@@ -251,11 +255,7 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
                 ]
                 for label, specs in result.atom_variants.items()
             },
-            "codebook": (
-                None
-                if book is None
-                else [encode_value(v) for v in book.values]
-            ),
+            "codebook": [encode_value(v) for v in result.codebook.values],
             "relations": relations,
             "blobs": blobs.descriptors,
         }
@@ -307,7 +307,7 @@ def _parse_frame(buffer, expected_version: int) -> tuple[dict, int] | None:
 
 
 def validate_entry_bytes(raw: bytes, expected_version: int) -> bool:
-    """True iff ``raw`` is a structurally valid v5 frame of the
+    """True iff ``raw`` is a structurally valid frame of the
     expected version — the pickle-free receiver-side check for shipped
     cache entries (``cache_push``)."""
     try:
@@ -358,7 +358,7 @@ def deserialize_result(
             for eq in meta["encoded_queries"]
         ]
         trees = {
-            name: SegmentTree(Interval(p, p) for p in endpoints)
+            name: SegmentTree.from_endpoints(endpoints)
             for name, endpoints in meta["trees"].items()
         }
         tuple_order = {
@@ -377,11 +377,7 @@ def deserialize_result(
             )
             for label, specs in meta["atom_variants"].items()
         }
-        book = (
-            None
-            if meta["codebook"] is None
-            else CodeBook(decode_value(v) for v in meta["codebook"])
-        )
+        book = CodeBook(decode_value(v) for v in meta["codebook"])
         descriptors = meta["blobs"]
         database = Database()
         variant_counts: dict = {}
@@ -390,15 +386,18 @@ def deserialize_result(
             schema = [str(a) for a in entry["schema"]]
             if entry["kind"] != "columnar":
                 raise CacheFormatError(f"unknown relation kind {entry['kind']!r}")
-            if book is None:
-                raise CacheFormatError("columnar relation without a codebook")
             kinds = [str(k) for k in entry["kinds"]]
             if any(k not in _KINDS for k in kinds):
                 raise CacheFormatError("unknown column kind")
+            bounds = entry["bounds"]
+            if len(bounds) != len(kinds) or any(
+                b is not None and type(b) is not int for b in bounds
+            ):
+                raise CacheFormatError("malformed column bounds")
             codes = _blob_view(buffer, blob_base, descriptors, entry["codes"])
             if codes.dtype != CODE_DTYPE or codes.ndim != 2:
                 raise CacheFormatError("code matrix has the wrong dtype")
-            block = ColumnBlock(codes, kinds, book)
+            block = ColumnBlock(codes, kinds, book, bounds)
             relation = Relation.from_columns(name, schema, block)
             if entry["counts"] is not None:
                 counts = _blob_view(
@@ -410,12 +409,6 @@ def deserialize_result(
                     raise CacheFormatError("refcount array mismatch")
                 variant_counts[name] = ColumnarCounts(block, counts)
             database.add(relation)
-        k = {
-            x: len(original.atoms_containing(x))
-            for x in (v.name for v in original.interval_variables)
-        }
-        store = EncodingStore(trees, k)
-        store.codebook = book
         return ForwardReductionResult(
             original,
             encoded,
@@ -424,7 +417,7 @@ def deserialize_result(
             tuple_order,
             atom_variants,
             variant_counts,
-            encoding_store=store,
+            book,
         )
     except (
         CacheFormatError,

@@ -57,13 +57,15 @@ from .cache_format import (
 #: ``variant_counts``, segment-tree endpoint domains).
 #: Version 3: the result pickle is framed as opaque bytes next to its
 #: SHA-256 integrity digest, verified on load.
-#: Version 4: results carry the memoized
-#: :class:`~repro.reduction.encoding_store.EncodingStore`.
+#: Version 4: results carry their memoized interval encodings.
 #: Version 5: pickle-free framed binary layout (``.red``, see
 #: :mod:`repro.core.cache_format`): JSON structural metadata plus raw
 #: little-endian array blobs behind one SHA-256, memmap-loadable.
+#: Version 6: interval parts are segment-tree node ids stored verbatim
+#: (``bits`` columns with a declared bound); the codebook holds point
+#: values only and the frame no string table.
 #: Versions 2-4 were pickled ``.pkl`` envelopes; no reader remains.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +368,7 @@ class ReductionCache:
     def put(self, key: str, result: ForwardReductionResult) -> None:
         """Store ``result`` under ``key`` atomically (write to a temp
         file in the same directory, then rename over the target).  The
-        artifact is serialized to the framed v5 layout — readers verify
+        artifact is serialized to the framed layout — readers verify
         the frame's SHA-256 before trusting any field.  Artifacts the
         layout cannot express (exotic value types) skip the store and
         bump :attr:`unserializable`; losing a race against a concurrent
@@ -459,7 +461,7 @@ class ReductionCache:
     def export_entry(self, key: str) -> bytes | None:
         """The raw on-disk frame bytes for ``key`` (the unit
         ``cache_fetch`` ships), or ``None`` if the entry is missing or
-        the key is malformed.  The bytes are the framed v5 layout —
+        the key is malformed.  The bytes are the framed layout —
         carrying its own SHA-256 — so the receiver validates the frame
         as pure data before it ever touches the cache directory."""
         if not self.ENTRY_KEY_PATTERN.match(key):

@@ -587,7 +587,6 @@ class QuerySession:
                 not touched
                 or not touched <= patch.keys()
                 or entry.pipeline != _PLAIN
-                or not entry.result.supports_patching()
             ):
                 continue
             try:

@@ -86,6 +86,7 @@ from ..reduction.columnar import (
     KEY_LIMIT,
     CodeBook,
     ColumnBlock,
+    decode_cells,
     encode_rows,
     pack_keys,
 )
@@ -107,6 +108,14 @@ __all__ = [
 #: ``np.isin(kind="table")`` and counting messages use a dense
 #: ``np.bincount`` table (a few MB at most) instead of sort-based paths.
 TABLE_RADIX_LIMIT = 1 << 22
+
+#: ... and a counting table (``float64`` slots, filled and cast per
+#: message) must also be *dense*: at most this many slots per row it
+#: serves.  Node ids are sparse in their bound (``2 << height``, where a
+#: dictionary code is below the number of distinct values), so two part
+#: columns can span thousands of slots per row — sorting the rows is
+#: cheaper than filling that.
+TABLE_SLOTS_PER_ROW = 16
 
 #: Conservative ceiling for exact ``int64`` count arithmetic: a count
 #: array whose bound crosses it holds Python ints instead.
@@ -314,7 +323,11 @@ def columnar_yannakakis_count(
             )
             message_bound = bounds[node] * blocks[node].row_count
             bounds[p] *= message_bound
-            if key_bound <= TABLE_RADIX_LIMIT and message_bound < _FLOAT_EXACT:
+            rows = child_keys.size + parent_keys.size
+            if (
+                key_bound <= min(TABLE_RADIX_LIMIT, TABLE_SLOTS_PER_ROW * rows)
+                and message_bound < _FLOAT_EXACT
+            ):
                 table = np.bincount(
                     child_keys, weights=counts[node], minlength=key_bound
                 )
@@ -703,6 +716,7 @@ def columnar_materialise_bags(
             codes.astype(CODE_DTYPE),
             [kind_of[v] for v in bag_vars],
             book,
+            [radix_of[v] for v in bag_vars],
         )
         bags.append(Relation.from_columns(f"bag{i}", bag_vars, block))
     return bags
@@ -834,14 +848,10 @@ def _decode_frame(frame: _Frame, kind_of, book) -> list[tuple]:
     (projected, deduplicated) output rows alone."""
     if not frame.vars:
         return [()] * frame.rows
-    columns: list[list] = []
-    for v, col in zip(frame.vars, frame.cols):
-        raw = col.tolist()
-        if kind_of[v] == COL_CODE:
-            values = book.values
-            columns.append([values[c] for c in raw])
-        else:
-            columns.append(raw)
+    columns = [
+        decode_cells(kind_of[v], col.tolist(), book)
+        for v, col in zip(frame.vars, frame.cols)
+    ]
     return list(zip(*columns))
 
 

@@ -13,11 +13,8 @@ from .interval import (
     minimum_endpoint_gap,
 )
 from .segment_tree import (
-    IntervalLocation,
-    OutOfDomainError,
     Segment,
     SegmentTree,
-    SegmentTreeNode,
     ancestors,
     elementary_segments,
     is_ancestor,
@@ -29,7 +26,6 @@ from .bitstring import (
     dyadic_interval,
     is_prefix,
     perfect_tree_segment,
-    split_tuples,
     splits,
 )
 from .interval_tree import IntervalTree, index_join
@@ -49,11 +45,8 @@ __all__ = [
     "close_open_interval",
     "intersect_all",
     "minimum_endpoint_gap",
-    "IntervalLocation",
-    "OutOfDomainError",
     "Segment",
     "SegmentTree",
-    "SegmentTreeNode",
     "ancestors",
     "elementary_segments",
     "is_ancestor",
@@ -63,7 +56,6 @@ __all__ = [
     "dyadic_interval",
     "is_prefix",
     "perfect_tree_segment",
-    "split_tuples",
     "splits",
     "collect_endpoints",
     "distinct_left_epsilon",

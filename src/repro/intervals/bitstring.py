@@ -1,10 +1,23 @@
-"""Bitstring utilities for segment-tree node identifiers.
+"""Segment-tree node identifiers: the one place their format is known.
 
-Segment-tree nodes are identified by ``{0,1}``-strings (Section 3).  The
-forward reduction splits a node's bitstring into ``i`` ordered, possibly
-empty parts (the set ``𝔉(u, i)`` of Claim C.1); the backward reduction
-maps bitstrings to dyadic intervals via the function ``F`` of Example 5.1
-and to the explicit perfect-tree segments of Appendix D (Figure 7).
+A node of the paper's segment tree (Section 3) is named by a
+``{0,1}``-string — the root is the empty string, the children of ``b``
+are ``b + '0'`` and ``b + '1'``.  That string is the binary expansion of
+the node's index in the heap layout of the complete tree (root ``1``,
+children ``2v`` and ``2v + 1``) with the leading ``1`` dropped, so the
+integer ``v = (1 << len(b)) | int(b, 2)`` *is* the node: :func:`node_id`
+and :func:`bits` convert, and everything between the tree and the code
+matrices of the forward reduction carries the integer.  The empty
+string — the root, and an empty split part — is :data:`EMPTY` ``= 1``.
+
+The forward reduction splits a node into ``i`` ordered, possibly empty
+parts (the set ``𝔉(u, i)`` of Claim C.1): :func:`split_ids` gives that
+family as one integer matrix from a cut plan memoized per
+``(len(u), i)``; :func:`splits` is the same family on strings, in the
+same order, for the paper-figure walk-throughs and the test oracles.
+The backward reduction maps bitstrings to dyadic intervals via the
+function ``F`` of Example 5.1 and to the explicit perfect-tree segments
+of Appendix D (Figure 7).
 """
 
 from __future__ import annotations
@@ -15,12 +28,27 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from .interval import Interval
+
+#: The id of the empty bitstring: the root, and an empty split part.
+EMPTY = 1
+
+
+def node_id(b: str) -> int:
+    """The integer form of bitstring ``b``: ``(1 << len(b)) | int(b, 2)``."""
+    return int("1" + b, 2)
+
+
+def bits(v: int) -> str:
+    """The bitstring of node id ``v`` (inverse of :func:`node_id`)."""
+    return format(v, "b")[1:]
 
 
 def is_prefix(u: str, v: str) -> bool:
     """True iff ``u`` is a prefix of ``v`` — equivalently, the node ``u``
-    is an ancestor of node ``v`` (Property 3.2(1))."""
+    is an ancestor of node ``v``, inclusive (Property 3.2(1))."""
     return v.startswith(u)
 
 
@@ -40,22 +68,31 @@ def splits(u: str, parts: int) -> Iterator[tuple[str, ...]]:
         yield tuple(u[bounds[i]:bounds[i + 1]] for i in range(parts))
 
 
-@lru_cache(maxsize=65536)
-def split_tuples(u: str, parts: int) -> tuple[tuple[str, ...], ...]:
-    """``𝔉(u, parts)`` as a materialised tuple, memoized.
+@lru_cache(maxsize=None)
+def _cut_plan(length: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """How to cut any node of depth ``length`` into ``parts`` parts: per
+    split (rows, in :func:`splits` order) and part (columns), the right
+    shift that drops what follows the part and the part's own leading
+    bit ``1 << len(part)``.  At most ``height * k`` plans exist per
+    process, so the memo is unbounded."""
+    cuts = list(combinations_with_replacement(range(length + 1), parts - 1))
+    bounds = np.empty((len(cuts), parts + 1), dtype=np.int64)
+    bounds[:, 0] = 0
+    bounds[:, 1:-1] = np.array(cuts, dtype=np.int64).reshape(len(cuts), -1)
+    bounds[:, -1] = length
+    shifts = length - bounds[:, 1:]
+    tops = np.int64(1) << np.diff(bounds, axis=1)
+    shifts.setflags(write=False)
+    tops.setflags(write=False)
+    return shifts, tops
 
-    A pure, LRU-safe wrapper around :func:`splits`: the split family of
-    a node depends only on its bitstring and the part count (Claim C.1),
-    so one computation serves every tuple, tree, and reduction that
-    encodes against the node.  Because results are cached, the returned
-    part-tuples are *interned* — repeated encodings share the same tuple
-    objects instead of materialising fresh strings per input tuple.
 
-    Callers must not mutate the returned value (it is a tuple, so they
-    cannot).  This is the primitive behind
-    :class:`repro.reduction.encoding_store.EncodingStore`.
-    """
-    return tuple(splits(u, parts))
+def split_ids(v: int, parts: int) -> np.ndarray:
+    """``𝔉(u, parts)`` for the node with id ``v`` as an
+    ``(n_splits, parts)`` matrix of part ids, rows in the order
+    :func:`splits` yields them.  Ids stay below ``2 << len(u)``."""
+    shifts, tops = _cut_plan(v.bit_length() - 1, parts)
+    return ((v >> shifts) & (tops - 1) | tops).astype(np.uint32)
 
 
 def count_splits(length: int, parts: int) -> int:

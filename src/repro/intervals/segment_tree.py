@@ -6,8 +6,6 @@ endpoints ``p_1 < ... < p_m``::
 
     (-inf, p_1), [p_1, p_1], (p_1, p_2), [p_2, p_2], ..., (p_m, +inf)
 
-Every node is identified by a bitstring: the root is the empty string,
-the left child of ``b`` is ``b + '0'`` and the right child ``b + '1'``.
 Key properties (Property 3.2):
 
 1. ``u`` is an ancestor of ``v`` iff ``seg(u) ⊇ seg(v)`` iff the
@@ -15,35 +13,39 @@ Key properties (Property 3.2):
 2. The canonical partition ``CP_I(x)`` of an interval ``x`` is an
    antichain (no node is an ancestor of another).
 3. ``|CP_I(x)| = O(log |I|)`` and it is computable in ``O(log |I|)``.
+
+The tree is fully determined by the sorted endpoint list, and that list
+is all a :class:`SegmentTree` stores: a node is its index ``v`` in the
+heap layout of the complete tree (root ``1``, children ``2v`` and
+``2v + 1`` — see :mod:`repro.intervals.bitstring`), its segment follows
+from ``v`` by index arithmetic, and :meth:`SegmentTree.cp_ids` /
+:meth:`SegmentTree.leaf_id` are a binary search plus an ``O(log n)``
+integer walk.  Endpoints are ordered by Python comparison only, so
+``2**53`` and ``2**53 + 1`` stay two leaves.  The methods that speak
+bitstrings (:meth:`~SegmentTree.canonical_partition`,
+:meth:`~SegmentTree.leaf_of_point`, :meth:`~SegmentTree.seg`, ...) are
+the paper's vocabulary as views of the integer ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
+from .bitstring import EMPTY, bits, is_prefix, node_id, split_ids
 from .interval import Interval
 
 NEG_INF = -math.inf
 POS_INF = math.inf
 
-
-class OutOfDomainError(ValueError):
-    """An interval's endpoints are not all in a segment tree's endpoint
-    domain: the tree built for the *new* interval set would have a
-    different shape, so node bitstrings cannot be reused and derived
-    artifacts must be rebuilt (see :meth:`SegmentTree.locate`)."""
-
-
-@dataclass(frozen=True)
-class IntervalLocation:
-    """Where a (possibly new) interval lives in an existing tree: its
-    canonical-partition nodes (the CP variant of Definition 4.9) and the
-    leaf of its left endpoint (the leaf variant)."""
-
-    canonical: tuple[str, ...]
-    leaf: str
+#: Node and part ids are cells of ``uint32`` code matrices: a tree deeper
+#: than this would wrap them (``2 << 30`` is the largest id bound that
+#: fits), so it is refused at construction.
+MAX_HEIGHT = 30
 
 
 @dataclass(frozen=True)
@@ -62,41 +64,17 @@ class Segment:
             return False
         return True
 
-    def within_interval(self, x: Interval) -> bool:
-        """True iff this segment is a subset of the closed interval ``x``."""
-        return self.lo >= x.left and self.hi <= x.right
-
-    def intersects_interval(self, x: Interval) -> bool:
-        """True iff this segment and the closed interval ``x`` overlap."""
-        if self.hi < x.left or (self.hi == x.left and self.hi_open):
-            return False
-        if self.lo > x.right or (self.lo == x.right and self.lo_open):
-            return False
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lo = "(" if self.lo_open else "["
         hi = ")" if self.hi_open else "]"
         return f"{lo}{self.lo}, {self.hi}{hi}"
 
 
-@dataclass
-class SegmentTreeNode:
-    """One node of a segment tree, identified by its bitstring."""
+class Leaf(NamedTuple):
+    """One leaf as :meth:`SegmentTree.leaves` reports it."""
 
     bitstring: str
     seg: Segment
-    left: "SegmentTreeNode | None" = None
-    right: "SegmentTreeNode | None" = None
-    canonical: list[Any] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def depth(self) -> int:
-        return len(self.bitstring)
 
 
 def elementary_segments(endpoints: Sequence[float]) -> list[Segment]:
@@ -123,19 +101,46 @@ class SegmentTree:
     The tree shape is the *complete* binary tree of the paper: every
     level except possibly the last is full, and the last level's leaves
     are packed to the left.  This reproduces Figure 3 exactly.
+
+    Leaves are numbered by *rank* ``0 .. 2m`` from the left (even ranks
+    are the open gaps, odd rank ``2i + 1`` is the point ``[p_i, p_i]``).
+    With ``n = 2m + 1`` leaves and height ``d = ceil(log2 n)``, level
+    ``d`` holds the first ``2 * (n - 2^(d-1))`` leaves and level
+    ``d - 1`` the rest, which is all :meth:`_span` needs to give a node's
+    leaf-rank range in O(1).
     """
 
-    def __init__(self, intervals: Iterable[Interval]):
+    def __init__(self, intervals: Iterable[Interval] = ()):
         self._intervals = list(intervals)
-        endpoints: list[float] = []
-        for x in self._intervals:
-            endpoints.append(x.left)
-            endpoints.append(x.right)
-        self._endpoints = frozenset(endpoints)
-        self._leaf_segments = elementary_segments(endpoints)
-        self.root = _build_complete(self._leaf_segments, "")
-        self._nodes: dict[str, SegmentTreeNode] = {}
-        _collect(self.root, self._nodes)
+        self._set_endpoints(
+            p for x in self._intervals for p in (x.left, x.right)
+        )
+
+    @classmethod
+    def from_endpoints(cls, endpoints: Iterable[float]) -> "SegmentTree":
+        """The tree over an endpoint domain — identical, for every
+        encoding purpose, to the tree of any interval set with those
+        endpoints (how a cache entry restores its trees)."""
+        tree = cls()
+        tree._set_endpoints(endpoints)
+        return tree
+
+    def _set_endpoints(self, endpoints: Iterable[float]) -> None:
+        self._points: tuple = tuple(sorted(set(endpoints)))
+        leaves = 2 * len(self._points) + 1
+        self.height = (leaves - 1).bit_length()
+        if self.height > MAX_HEIGHT:
+            raise OverflowError(
+                f"a segment tree of height {self.height} exceeds the "
+                f"uint32 node-id space (height <= {MAX_HEIGHT})"
+            )
+        # internal nodes of level d-1 / leaves of level d (the root of a
+        # one-leaf tree counts as its own bottom level)
+        self._inner = leaves - (1 << (self.height - 1)) if self.height else 0
+        self._bottom = 2 * self._inner if self.height else 1
+        self._canonical: dict[int, list[Any]] = {}
+        # (value, parts, leaf variant?, nonempty_last) -> part-id matrix
+        self._encodings: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # basic structure
@@ -148,110 +153,174 @@ class SegmentTree:
     @property
     def size(self) -> int:
         """Number of nodes in the tree."""
-        return len(self._nodes)
+        return 4 * len(self._points) + 1
 
     @property
-    def height(self) -> int:
-        return max(len(b) for b in self._nodes)
+    def id_bound(self) -> int:
+        """An exclusive bound on every node id of this tree and on every
+        part id its nodes split into, known without a scan."""
+        return 2 << self.height
 
-    def node(self, bitstring: str) -> SegmentTreeNode:
-        """Node lookup by bitstring id (raises ``KeyError`` if absent)."""
-        return self._nodes[bitstring]
+    @property
+    def endpoints(self) -> tuple:
+        """The endpoint domain, ascending.  A segment tree's *structure*
+        (elementary segments, node ids) is a pure function of it, which
+        is why a cache entry stores nothing else of a tree."""
+        return self._points
+
+    def _rank(self, position: int) -> int:
+        """The leaf rank at a level-``height`` position (positions past
+        the bottom leaves fall, in pairs, on the leaves of the level
+        above)."""
+        if position < self._bottom:
+            return position
+        return (position >> 1) + self._inner
+
+    def _span(self, v: int) -> tuple[int, int]:
+        """Ranks of the leftmost and rightmost leaf under node ``v``."""
+        depth = v.bit_length() - 1
+        below = self.height - depth
+        first = (v - (1 << depth)) << below
+        return self._rank(first), self._rank(first + (1 << below) - 1)
+
+    def _leaf_at(self, rank: int) -> int:
+        if rank < self._bottom:
+            return (1 << self.height) + rank
+        return (1 << (self.height - 1)) + rank - self._inner
+
+    def _segment(self, v: int) -> Segment:
+        points = self._points
+        first, last = self._span(v)
+        if first % 2:
+            lo, lo_open = points[first >> 1], False
+        else:
+            lo, lo_open = (points[(first >> 1) - 1] if first else NEG_INF), True
+        if last % 2:
+            hi, hi_open = points[last >> 1], False
+        else:
+            at = last >> 1
+            hi, hi_open = (points[at] if at < len(points) else POS_INF), True
+        return Segment(lo, hi, lo_open, hi_open)
+
+    def _node_ids(self) -> range:
+        """Levels above the bottom are full; the bottom is packed left."""
+        return range(1, (1 << self.height) + self._bottom)
 
     def __contains__(self, bitstring: str) -> bool:
-        return bitstring in self._nodes
-
-    def bitstrings(self) -> list[str]:
-        return list(self._nodes)
-
-    def seg(self, bitstring: str) -> Segment:
-        return self._nodes[bitstring].seg
-
-    def leaves(self) -> list[SegmentTreeNode]:
-        return [n for n in self._nodes.values() if n.is_leaf]
+        if not isinstance(bitstring, str) or bitstring.strip("01"):
+            return False
+        depth = len(bitstring)
+        return depth < self.height or (
+            depth == self.height
+            and node_id(bitstring) - (1 << depth) < self._bottom
+        )
 
     # ------------------------------------------------------------------
-    # canonical partitions and point location
+    # canonical partitions and point location, on node ids
     # ------------------------------------------------------------------
 
-    def canonical_partition(self, x: Interval) -> list[str]:
-        """``CP_I(x)``: bitstrings of the maximal nodes whose segments
-        are contained in ``x`` (Definition 3.1).
+    def cp_ids(self, x: Interval) -> list[int]:
+        """``CP_I(x)``: ids of the maximal nodes whose segments are
+        contained in ``x`` (Definition 3.1), left to right.
 
-        The segments of the returned nodes are pairwise disjoint and, when
-        the endpoints of ``x`` occur in the tree, their union is exactly
-        ``x``.  The recursion visits at most four nodes per level, so the
-        result has size ``O(log |I|)``.
+        The leaves inside ``x`` are the rank range from the first
+        endpoint ``>= x.left`` to the last ``<= x.right``; the walk
+        descends only into nodes that straddle an end of that range, at
+        most four per level, so the result has size ``O(log |I|)``.
+        When the endpoints of ``x`` occur in the tree, the segments of
+        the result tile ``x`` exactly.
         """
-        result: list[str] = []
-        stack = [self.root]
+        points = self._points
+        lo = 2 * bisect_left(points, x.left) + 1
+        hi = 2 * bisect_right(points, x.right) - 1
+        result: list[int] = []
+        if lo > hi:
+            return result
+        stack = [1]
         while stack:
-            node = stack.pop()
-            if node.seg.within_interval(x):
-                result.append(node.bitstring)
-            elif not node.is_leaf:
-                if node.right is not None and node.right.seg.intersects_interval(x):
-                    stack.append(node.right)
-                if node.left is not None and node.left.seg.intersects_interval(x):
-                    stack.append(node.left)
-        result.sort()
+            v = stack.pop()
+            first, last = self._span(v)
+            if lo <= first and last <= hi:
+                result.append(v)
+            elif first <= hi and lo <= last:
+                stack.append(2 * v + 1)
+                stack.append(2 * v)
         return result
 
-    def leaf_of_point(self, p: float) -> str:
-        """Bitstring of the unique leaf whose segment contains ``p``."""
-        node = self.root
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            node = node.left if node.left.seg.contains_point(p) else node.right
-        return node.bitstring
+    def _rank_of(self, p: float) -> int:
+        """Rank of the leaf containing ``p`` — odd iff ``p`` is an
+        endpoint of the domain."""
+        points = self._points
+        i = bisect_left(points, p)
+        return 2 * i + (i < len(points) and points[i] == p)
 
-    def leaf_of_interval(self, x: Interval) -> str:
-        """``leaf(x)``: the leaf containing the left endpoint of ``x``."""
-        return self.leaf_of_point(x.left)
-
-    # ------------------------------------------------------------------
-    # locating new intervals against the existing endpoint domain
-    # ------------------------------------------------------------------
-
-    @property
-    def endpoints(self) -> frozenset:
-        """The endpoint domain.  A segment tree's *structure* (elementary
-        segments, node bitstrings) is a pure function of this set, so a
-        tree serialized as its endpoints and rebuilt from degenerate
-        ``[p, p]`` intervals is bit-identical for every encoding
-        purpose — the basis of the v5 cache layout."""
-        return self._endpoints
+    def leaf_id(self, p: float) -> int:
+        """Id of the unique leaf whose segment contains ``p``."""
+        return self._leaf_at(self._rank_of(p))
 
     def in_domain(self, x: Interval) -> bool:
         """True iff both endpoints of ``x`` already occur in the tree's
         endpoint domain.  Exactly then would rebuilding the tree with
         ``x`` included produce the *identical* tree (same elementary
-        segments, same bitstrings), so ``x`` can be encoded against this
+        segments, same node ids), so ``x`` can be encoded against this
         tree without a rebuild."""
-        return x.left in self._endpoints and x.right in self._endpoints
+        return self._rank_of(x.left) % 2 == self._rank_of(x.right) % 2 == 1
 
-    def locate(self, x: Interval) -> IntervalLocation:
-        """Locate a (possibly new) interval against this tree without
-        rebuilding it: its canonical-partition nodes and the leaf of its
-        left endpoint.
-
-        Raises :class:`OutOfDomainError` when an endpoint of ``x`` falls
-        outside the endpoint domain — the canonical partition would then
-        overshoot ``x`` (its maximal in-``x`` nodes no longer tile ``x``
-        exactly), so encodings derived from it would be wrong and the
-        caller must rebuild.
-        """
-        if not self.in_domain(x):
-            missing = [
-                p for p in (x.left, x.right) if p not in self._endpoints
-            ]
-            raise OutOfDomainError(
-                f"endpoint(s) {missing} of {x} are outside the segment "
-                f"tree's {len(self._endpoints)}-point endpoint domain"
+    def encodings(
+        self, value: Interval, parts: int, leaf: bool, nonempty_last: bool
+    ) -> np.ndarray:
+        """All ``(X1..Xparts)`` encodings of one interval value as a
+        read-only ``(n, parts)`` ``uint32`` matrix of part ids: the
+        splits of its canonical-partition nodes (CP variant) or, with
+        ``leaf``, of the leaf of its left endpoint (Definition 4.9),
+        without the splits whose last part is empty when the Appendix G
+        ordering constraint ``nonempty_last`` applies.  Memoized — real
+        interval workloads repeat values across tuples, atoms and
+        variants, and a delta patch asks again."""
+        key = (value, parts, leaf, nonempty_last)
+        matrix = self._encodings.get(key)
+        if matrix is None:
+            nodes = [self.leaf_id(value.left)] if leaf else self.cp_ids(value)
+            matrix = np.concatenate(
+                [split_ids(v, parts) for v in nodes]
+                or [np.empty((0, parts), dtype=np.uint32)]
             )
-        return IntervalLocation(
-            tuple(self.canonical_partition(x)), self.leaf_of_interval(x)
-        )
+            if nonempty_last and parts > 1:
+                matrix = matrix[matrix[:, -1] != EMPTY]
+            matrix.setflags(write=False)
+            self._encodings[key] = matrix
+        return matrix
+
+    # ------------------------------------------------------------------
+    # the paper's vocabulary: the same, on bitstrings
+    # ------------------------------------------------------------------
+
+    def bitstrings(self) -> list[str]:
+        return [bits(v) for v in self._node_ids()]
+
+    def seg(self, bitstring: str) -> Segment:
+        """``seg(u)`` (raises ``KeyError`` for a string that is no node)."""
+        if bitstring not in self:
+            raise KeyError(bitstring)
+        return self._segment(node_id(bitstring))
+
+    def leaves(self) -> list[Leaf]:
+        """The leaves, left to right."""
+        ids = map(self._leaf_at, range(2 * len(self._points) + 1))
+        return [Leaf(bits(v), self._segment(v)) for v in ids]
+
+    def canonical_partition(self, x: Interval) -> list[str]:
+        """``CP_I(x)`` as bitstrings, in lexicographic order (which, for
+        an antichain, is left to right)."""
+        return [bits(v) for v in self.cp_ids(x)]
+
+    def leaf_of_point(self, p: float) -> str:
+        """Bitstring of the unique leaf whose segment contains ``p``."""
+        return bits(self.leaf_id(p))
+
+    def leaf_of_interval(self, x: Interval) -> str:
+        """``leaf(x)``: the leaf containing the left endpoint of ``x``."""
+        return bits(self.leaf_id(x.left))
 
     # ------------------------------------------------------------------
     # classical insert / stab (Algorithms 2 and 3)
@@ -262,67 +331,30 @@ class SegmentTree:
         (Algorithm 2)."""
         if payload is None:
             payload = x
-        for bitstring in self.canonical_partition(x):
-            self._nodes[bitstring].canonical.append(payload)
+        for v in self.cp_ids(x):
+            self._canonical.setdefault(v, []).append(payload)
 
     def stab(self, p: float) -> list[Any]:
         """All payloads whose interval contains the point ``p``
         (Algorithm 3): the canonical subsets along the root-to-leaf path."""
+        leaf = self.leaf_id(p)
         result: list[Any] = []
-        node = self.root
-        while True:
-            result.extend(node.canonical)
-            if node.is_leaf:
-                return result
-            assert node.left is not None and node.right is not None
-            node = node.left if node.left.seg.contains_point(p) else node.right
+        for up in range(leaf.bit_length() - 1, -1, -1):
+            result.extend(self._canonical.get(leaf >> up, ()))
+        return result
 
 
-def is_ancestor(u: str, v: str) -> bool:
-    """True iff node ``u`` is an ancestor of ``v`` (inclusive), i.e. the
-    bitstring of ``u`` is a prefix of that of ``v`` (Property 3.2(1))."""
-    return v.startswith(u)
+#: Property 3.2(1) in tree vocabulary: ``u`` is an ancestor of ``v``
+#: (inclusive) iff its bitstring is a prefix of ``v``'s.
+is_ancestor = is_prefix
 
 
 def is_strict_ancestor(u: str, v: str) -> bool:
     """True iff ``u`` is a strict ancestor of ``v`` (Appendix G)."""
-    return u != v and v.startswith(u)
+    return u != v and is_prefix(u, v)
 
 
 def ancestors(v: str) -> list[str]:
     """``anc(v)``: all ancestors of ``v`` including ``v`` itself, i.e. all
     prefixes of its bitstring, from the root down."""
     return [v[:i] for i in range(len(v) + 1)]
-
-
-def _build_complete(segments: list[Segment], bitstring: str) -> SegmentTreeNode:
-    """Recursively build the complete binary tree over leaf segments.
-
-    With ``n`` leaves and height ``d = ceil(log2 n)``, the bottom level
-    holds ``2 * (n - 2^(d-1))`` leaves packed to the left; the split point
-    follows from giving the left subtree the first ``2^(d-2)`` slots of
-    level ``d - 1``.
-    """
-    n = len(segments)
-    if n == 1:
-        return SegmentTreeNode(bitstring, segments[0])
-    if n == 2:
-        n_left = 1
-    else:
-        depth = math.ceil(math.log2(n))
-        slots = 1 << (depth - 1)
-        extra = n - slots
-        left_slots = slots // 2
-        n_left = left_slots + min(max(extra, 0), left_slots)
-    left = _build_complete(segments[:n_left], bitstring + "0")
-    right = _build_complete(segments[n_left:], bitstring + "1")
-    seg = Segment(left.seg.lo, right.seg.hi, left.seg.lo_open, right.seg.hi_open)
-    return SegmentTreeNode(bitstring, seg, left, right)
-
-
-def _collect(node: SegmentTreeNode, out: dict[str, SegmentTreeNode]) -> None:
-    out[node.bitstring] = node
-    if node.left is not None:
-        _collect(node.left, out)
-    if node.right is not None:
-        _collect(node.right, out)

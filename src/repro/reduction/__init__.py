@@ -1,6 +1,5 @@
 """Forward (IJ -> EJ) and backward (EJ -> IJ) reductions."""
 
-from .encoding_store import EncodingStore
 from .forward import (
     DomainChanged,
     EncodedQuery,
@@ -15,17 +14,10 @@ from .backward import (
 )
 from .disjoint import shift_distinct_left, verify_distinct_left
 from .one_step import OneStepResult, iterate_one_step, one_step_forward
-from .factored import (
-    FactoredForwardReducer,
-    count_ij_factored,
-    evaluate_ij_factored,
-    forward_reduce_factored,
-)
 
 __all__ = [
     "DomainChanged",
     "EncodedQuery",
-    "EncodingStore",
     "ForwardReducer",
     "ForwardReductionResult",
     "forward_reduce",
@@ -34,10 +26,6 @@ __all__ = [
     "bitstring_encode_database",
     "shift_distinct_left",
     "verify_distinct_left",
-    "FactoredForwardReducer",
-    "count_ij_factored",
-    "evaluate_ij_factored",
-    "forward_reduce_factored",
     "OneStepResult",
     "iterate_one_step",
     "one_step_forward",

@@ -1,27 +1,31 @@
 """Columnar (NumPy) representation of transformed relations.
 
 The forward reduction's derived rows are tuples over a tiny value
-universe: interval part encodings are short bitstrings served from one
-:class:`~repro.reduction.encoding_store.EncodingStore`, point values
-repeat across tuples, and provenance ids are small ints.  That makes
-the whole transformed database naturally *dictionary-encodable*: one
-shared :class:`CodeBook` interns every distinct value once and each
-relation becomes a dense ``uint32`` code matrix — a :class:`ColumnBlock`
-— with derived-row refcounts held as a parallel ``int64`` array in a
-:class:`ColumnarCounts`.
+universe, so each relation is a dense ``uint32`` matrix — a
+:class:`ColumnBlock` — with derived-row refcounts held as a parallel
+``int64`` array in a :class:`ColumnarCounts`.  A column is one of three
+kinds:
+
+* :data:`COL_BITS` — an interval part: the segment-tree node id
+  (:mod:`repro.intervals.bitstring`) stored verbatim.  No dictionary,
+  and its exclusive bound (``2 << height`` of the variable's tree) is
+  known without a scan;
+* :data:`COL_CODE` — a point value, interned once in the artifact's one
+  shared :class:`CodeBook`;
+* :data:`COL_ID` — a provenance id, a small int stored verbatim.
 
 Everything a reducer emits is such a block, and a block-backed
 :class:`~repro.engine.relation.Relation` keeps it for life: evaluation,
-cardinality statistics, delta patches and the v5 cache serializer all
+cardinality statistics, delta patches and the cache serializer all
 operate on the raw arrays — including arrays backed by an ``np.memmap``
 of a cache entry, which is how warm workers serve reductions zero-copy —
 and a consumer that asks for Python tuples gets a read-only decoded
-view (each column decoded once through the codebook) that leaves the
-arrays in place.
+view (code columns through the book, bits columns as the paper's
+bitstrings) that leaves the arrays in place.
 
 Delta maintenance stays in array space too:
-:meth:`ColumnarCounts.adjust` locates one input tuple's derived code
-rows in the (lexicographically sorted) code matrix with a packed-key
+:meth:`ColumnarCounts.adjust` locates one input tuple's derived rows in
+the (lexicographically sorted) matrix with a packed-key
 ``searchsorted``, bumps the refcounts, splices in rows not yet present
 and masks out rows whose count reaches zero.  The rule is
 **copy-on-write**: a patch never stores into an existing array (it may
@@ -29,10 +33,11 @@ be a read-only view of a mapped cache file, which must never be
 written) — it builds new arrays and swaps them in through
 :meth:`ColumnBlock.replace_rows`.
 
-Equality of codes is equality of values (the codebook is injective), so
-joins compare ``uint32`` codes directly; :func:`pack_keys` is the one
-place multi-column rows become comparable scalars, whatever their
-width.
+Equality of cells is equality of values (the codebook and the node-id
+format are both injective, and a variable has one kind wherever it
+occurs), so joins compare ``uint32`` cells directly; :func:`pack_keys`
+is the one place multi-column rows become comparable scalars, whatever
+their width.
 """
 
 from __future__ import annotations
@@ -41,32 +46,39 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..intervals.bitstring import bits
+
 __all__ = [
     "CODE_DTYPE",
     "COUNT_DTYPE",
+    "COL_BITS",
     "COL_CODE",
     "COL_ID",
     "CodeBook",
     "ColumnBlock",
     "ColumnarCounts",
     "KEY_LIMIT",
+    "decode_cells",
     "encode_rows",
     "pack_keys",
 ]
 
-#: Per-cell dtype of every code matrix.  Interval encodings, point
-#: values and provenance ids all fit comfortably: the codebook refuses
-#: to grow past the uint32 code space.
+#: Per-cell dtype of every code matrix.  Interval parts, point codes
+#: and provenance ids all fit: the codebook refuses to grow past the
+#: uint32 code space and a segment tree refuses a height whose node ids
+#: would.
 CODE_DTYPE = np.dtype(np.uint32)
 
 #: Refcount dtype — exact integer counts (``np.bincount`` sums are
 #: exact well below 2**53 and are cast back immediately).
 COUNT_DTYPE = np.dtype(np.int64)
 
-#: Column kinds: ``code`` cells are :class:`CodeBook` codes (decode via
-#: the book), ``id`` cells are small non-negative ints stored verbatim
-#: (provenance ids — already integers, interning them would be a
-#: pointless indirection).
+#: Column kinds: ``bits`` cells are segment-tree node ids (decode to the
+#: node's bitstring), ``code`` cells are :class:`CodeBook` codes (decode
+#: via the book), ``id`` cells are small non-negative ints stored
+#: verbatim (provenance ids — already integers, interning them would be
+#: a pointless indirection).
+COL_BITS = "bits"
 COL_CODE = "code"
 COL_ID = "id"
 
@@ -76,7 +88,7 @@ KEY_LIMIT = 1 << 62
 
 
 class CodeBook:
-    """A shared value ↔ ``uint32`` dictionary encoding.
+    """A shared value ↔ ``uint32`` dictionary encoding of point values.
 
     One book serves every column block of one reduction artifact, so a
     code is meaningful across relations: two cells holding the same
@@ -122,19 +134,26 @@ class CodeBook:
             (code(v) for v in values), dtype=CODE_DTYPE, count=count
         )
 
-    def decode_column(self, codes: np.ndarray) -> list:
-        values = self.values
-        return [values[c] for c in codes.tolist()]
+def decode_cells(kind: str, cells: list[int], book: CodeBook | None) -> list:
+    """One column's raw cells (``ndarray.tolist()``) as values."""
+    if kind == COL_CODE:
+        values = book.values
+        return [values[c] for c in cells]
+    if kind == COL_BITS:
+        return [bits(c) for c in cells]
+    return cells
 
 
 class ColumnBlock:
     """One relation's rows as an ``(n, width)`` ``uint32`` code matrix.
 
-    ``kinds[j]`` says how column ``j`` decodes (:data:`COL_CODE` through
-    the shared book, :data:`COL_ID` verbatim).  The one decoded form a
-    block retains is the frozen set a relation serves for ``.tuples``
-    (:meth:`tuple_set`, memoized per matrix); :meth:`rows` decodes on
-    demand and keeps nothing.  The matrix may be a read-only
+    ``kinds[j]`` says how column ``j`` decodes (:func:`decode_cells`)
+    and ``bounds[j]``, where not ``None``, is an exclusive bound on its
+    cells that holds for every matrix the block will ever take — what a
+    :data:`COL_BITS` column gets from its segment tree.  The one decoded
+    form a block retains is the frozen set a relation serves for
+    ``.tuples`` (:meth:`tuple_set`, memoized per matrix); :meth:`rows`
+    decodes on demand and keeps nothing.  The matrix may be a read-only
     ``np.memmap`` view of a cache entry — nothing here writes into it:
     the one mutation, :meth:`replace_rows`, swaps in a whole new
     matrix.
@@ -145,17 +164,21 @@ class ColumnBlock:
     binary search and preserves it.
     """
 
-    __slots__ = ("codes", "kinds", "book", "version", "_tuple_set")
+    __slots__ = ("codes", "kinds", "book", "bounds", "version", "_tuple_set")
 
     def __init__(
         self,
         codes: np.ndarray,
         kinds: Sequence[str],
         book: CodeBook | None,
+        bounds: Sequence[int | None] | None = None,
     ):
         self.codes = codes
         self.kinds = tuple(kinds)
         self.book = book
+        self.bounds = (
+            (None,) * len(self.kinds) if bounds is None else tuple(bounds)
+        )
         self.version = 0  # what ``Relation.version`` serves for a block
         self._tuple_set: frozenset[tuple] | None = None
 
@@ -188,10 +211,13 @@ class ColumnBlock:
         """An exclusive upper bound on column ``j``'s cell values — the
         mixed radix :func:`pack_keys` needs.  Dictionary-encoded
         columns answer in O(1): every code is an index into the shared
-        book, so the book's domain size bounds them all.  Verbatim id
-        columns need one max scan."""
+        book, so the book's domain size bounds them all; so do columns
+        with a declared bound (node ids).  Verbatim id columns need one
+        max scan."""
         if self.kinds[j] == COL_CODE and self.book is not None:
             return len(self.book)
+        if self.bounds[j] is not None:
+            return self.bounds[j]
         col = self.codes[:, j]
         return int(col.max()) + 1 if col.size else 1
 
@@ -205,23 +231,18 @@ class ColumnBlock:
         crucially no whole-column decode: samplers (e.g. SQL column-kind
         inference) get one tuple without the block's consumers losing
         the arrays."""
-        out = []
-        for j, kind in enumerate(self.kinds):
-            c = int(self.codes[i, j])
-            out.append(self.book.values[c] if kind == COL_CODE else c)
-        return tuple(out)
+        return tuple(
+            decode_cells(kind, [int(self.codes[i, j])], self.book)[0]
+            for j, kind in enumerate(self.kinds)
+        )
 
     def rows(self) -> list[tuple]:
         """The decoded rows, in matrix order — each column decoded once
         through the book, nothing retained."""
-        columns: list[list] = []
-        for j, kind in enumerate(self.kinds):
-            raw = self.codes[:, j].tolist()
-            if kind == COL_CODE:
-                values = self.book.values
-                columns.append([values[c] for c in raw])
-            else:
-                columns.append(raw)
+        columns = [
+            decode_cells(kind, self.codes[:, j].tolist(), self.book)
+            for j, kind in enumerate(self.kinds)
+        ]
         if columns:
             return list(zip(*columns))
         return [()] * self.row_count

@@ -17,17 +17,19 @@ depends only on its position per variable, so ``∏_X k_X`` variants per
 atom serve all ``∏_X k_X!`` EJ disjuncts (the Section 1.1 observation
 that relation schemas identify the transformed relations).
 
-The batch loop is **encoding-memoized and columnar**: an
-:class:`~repro.reduction.encoding_store.EncodingStore` computes each
-``(variable, value, position)`` encoding once (split families are
-memoized globally at the ``(node, i)`` layer, per Claim C.1), and
-:meth:`ForwardReducer.variant_relation` groups a relation's tuples by
-their interval-column projection, running the cartesian expansion once
-per distinct projection group, on ``uint32`` code arrays, instead of
-once per tuple.  That is the only builder, and every relation it emits
-— point-only atoms included — is a code matrix over the artifact's one
-codebook; the differential digest tests pin its output, bit for bit, to
-a naive per-tuple loop kept under ``tests/oracles``.
+The batch loop is **encoding-memoized and columnar**.  A node is an
+integer from the tree to the matrix (:mod:`repro.intervals.bitstring`):
+each variable's :class:`~repro.intervals.segment_tree.SegmentTree`
+serves the encodings of one ``(value, position)`` as a matrix of part
+ids, computed once (:meth:`~repro.intervals.segment_tree.SegmentTree.encodings`),
+and :meth:`ForwardReducer.variant_relation` groups a relation's tuples
+by their interval-column projection, running the cartesian expansion
+once per distinct projection group, on ``uint32`` arrays, instead of
+once per tuple.  Part ids are written into the matrix verbatim
+(``bits`` columns), point values through the artifact's one codebook,
+provenance ids verbatim.  That is the only builder; the differential
+digest tests pin its decoded output, bit for bit, to a naive per-tuple
+loop on bitstrings kept under ``tests/oracles``.
 
 With ``disjoint=True`` the Appendix G refinement is applied: after the
 distinct-left-endpoint shift, every satisfying tuple combination is
@@ -39,17 +41,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..engine.relation import Database, Delta, Relation
-from ..intervals.interval import Interval
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, Variable, pvar
 from ..hypergraph.transform import part_vertex
 from .columnar import (
     CODE_DTYPE,
+    COL_BITS,
     COL_CODE,
     COL_ID,
     COUNT_DTYPE,
@@ -57,7 +59,6 @@ from .columnar import (
     ColumnBlock,
     ColumnarCounts,
 )
-from .encoding_store import EncodingStore
 
 # variable name -> atom label -> 1-based permutation position
 PositionMap = dict[str, dict[str, int]]
@@ -66,8 +67,17 @@ PositionMap = dict[str, dict[str, int]]
 class DomainChanged(Exception):
     """A delta cannot be applied to an existing reduction — the segment
     trees' endpoint domains no longer describe the data (a new endpoint
-    appeared), the change is not tuple-level, or the artifact carries no
-    patch metadata.  Callers must re-run the full forward reduction."""
+    appeared) or the change is not tuple-level.  Callers must re-run the
+    full forward reduction."""
+
+
+def atom_counts(query: Query) -> dict[str, int]:
+    """``k`` per interval variable: the number of atoms containing it —
+    the position that takes the leaf variant (Definition 4.9)."""
+    return {
+        v.name: len(query.atoms_containing(v.name))
+        for v in query.interval_variables
+    }
 
 
 @dataclass(frozen=True)
@@ -153,47 +163,66 @@ class _VariantLayout:
 
     n_cols: int
     kinds: tuple[str, ...]
-    #: per interval column: (first output col, variable, i,
-    #: nonempty_last, source tuple col)
-    slots: tuple[tuple[int, str, int, bool, int], ...]
+    #: per column, the id bound of a part column's tree (else ``None``)
+    bounds: tuple[int | None, ...]
+    #: per interval column: (first output col, i, the variable's tree,
+    #: leaf variant?, nonempty_last, source tuple col)
+    slots: tuple[tuple[int, int, SegmentTree, bool, bool, int], ...]
     #: per point column: (output col, source tuple col)
     point_cols: tuple[tuple[int, int], ...]
     prov_col: int | None
 
     @classmethod
-    def of(cls, atom: Atom, spec: _VariantSpec) -> "_VariantLayout":
+    def of(
+        cls,
+        atom: Atom,
+        spec: _VariantSpec,
+        trees: Mapping[str, SegmentTree],
+        k: Mapping[str, int],
+    ) -> "_VariantLayout":
         parts = dict(spec.parts)
         nonempty = set(spec.nonempty_last)
-        n_cols = 0
         kinds: list[str] = []
+        bounds: list[int | None] = []
         slots = []
         point_cols = []
         for col, v in enumerate(atom.variables):
             if v.is_interval:
-                i = parts[v.name]
-                slots.append((n_cols, v.name, i, v.name in nonempty, col))
-                kinds.extend([COL_CODE] * i)
-                n_cols += i
+                i, tree = parts[v.name], trees[v.name]
+                slots.append(
+                    (len(kinds), i, tree, i == k[v.name], v.name in nonempty, col)
+                )
+                kinds.extend([COL_BITS] * i)
+                bounds.extend([tree.id_bound] * i)
             else:
-                point_cols.append((n_cols, col))
+                point_cols.append((len(kinds), col))
                 kinds.append(COL_CODE)
-                n_cols += 1
+                bounds.append(None)
         prov_col = None
         if spec.provenance and parts:
-            prov_col = n_cols
+            prov_col = len(kinds)
             kinds.append(COL_ID)
-            n_cols += 1
+            bounds.append(None)
         return cls(
-            n_cols, tuple(kinds), tuple(slots), tuple(point_cols), prov_col
+            len(kinds),
+            tuple(kinds),
+            tuple(bounds),
+            tuple(slots),
+            tuple(point_cols),
+            prov_col,
         )
 
-    def template(self, option_arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """The cartesian product of one tuple's per-slot part encodings
-        as an ``(n_options, n_cols)`` matrix, in the order
-        ``itertools.product`` enumerates it, laid out with mixed-radix
-        ``np.repeat``/``np.tile`` index arrays.  Point and provenance
-        columns are left for the caller to fill.  Empty when any slot
-        has no option."""
+    def template(self, values: Sequence) -> np.ndarray:
+        """The cartesian product of the part encodings of one tuple's
+        interval ``values`` (one per slot) as an ``(n_options, n_cols)``
+        matrix, in the order ``itertools.product`` enumerates it, laid
+        out with mixed-radix ``np.repeat``/``np.tile`` index arrays.
+        Point and provenance columns are left for the caller to fill.
+        Empty when any slot has no option."""
+        option_arrays = [
+            tree.encodings(value, i, leaf, flag)
+            for (_, i, tree, leaf, flag, _), value in zip(self.slots, values)
+        ]
         total = 1
         for arr in option_arrays:
             total *= arr.shape[0]
@@ -201,51 +230,13 @@ class _VariantLayout:
         if total == 0:
             return template
         repeat, tile = total, 1
-        for (first, _, i, _, _), arr in zip(self.slots, option_arrays):
+        for (first, i, *_), arr in zip(self.slots, option_arrays):
             s = arr.shape[0]
             repeat //= s
             idx = np.tile(np.repeat(np.arange(s), repeat), tile)
             template[:, first : first + i] = arr[idx]
             tile *= s
         return template
-
-
-def transform_tuple_codes(
-    atom: Atom,
-    spec: _VariantSpec,
-    t: tuple,
-    store: EncodingStore,
-    tuple_id: int,
-    intern: bool,
-) -> np.ndarray:
-    """The distinct rows one input tuple contributes to one transformed
-    relation variant (the per-tuple body of Definition 4.9), as a
-    ``uint32`` matrix over ``store``'s codebook — what a delta patch
-    adds to or removes from the variant.  Distinct canonical-partition
-    nodes and distinct splits never concatenate to the same parts, so
-    the rows carry no within-tuple multiplicity.
-
-    With ``intern=False`` values are only looked up: a row holding a
-    value the book has never seen is in no block of the artifact, so it
-    is left out — which is what a delete wants, and keeps deletes from
-    growing the book every later cache store re-serializes."""
-    layout = _VariantLayout.of(atom, spec)
-    rows = layout.template(
-        [
-            store.encoded_parts(name, t[col], i, flag, intern=intern)
-            for _, name, i, flag, col in layout.slots
-        ]
-    )
-    book = store.codebook
-    assert book is not None
-    for out_col, col in layout.point_cols:
-        code = book.code(t[col]) if intern else book.lookup(t[col])
-        if code is None:
-            return rows[:0]
-        rows[:, out_col] = code
-    if layout.prov_col is not None:
-        rows[:, layout.prov_col] = tuple_id
-    return rows
 
 
 @dataclass
@@ -263,8 +254,7 @@ class ForwardReductionResult:
     tuple_order: dict[str, list[tuple]] = field(default_factory=dict)
     #: atom label -> the transformed-relation variants built for it
     #: (every distinct :class:`_VariantSpec` across all disjuncts) —
-    #: the patch metadata :meth:`apply_delta` walks.  Empty for results
-    #: of encodings that do not support patching (e.g. factored).
+    #: the patch metadata :meth:`apply_delta` walks.
     atom_variants: dict[str, tuple] = field(default_factory=dict)
     #: variant relation name -> per derived row (parallel to the
     #: relation's code matrix), the number of distinct input tuples
@@ -272,12 +262,9 @@ class ForwardReductionResult:
     #: derived row disappears only when its last deriving input tuple
     #: does.
     variant_counts: dict[str, ColumnarCounts] = field(default_factory=dict)
-    #: the memoized-encoding store the reduction was built with (shares
-    #: its segment trees with :attr:`segment_trees`, and its codebook
-    #: with every block of :attr:`database`), re-used by
-    #: :meth:`apply_delta` so patching pays memo lookups, not tree
-    #: walks.
-    encoding_store: EncodingStore | None = None
+    #: the one dictionary of point values every block of
+    #: :attr:`database` is over (interval parts need none)
+    codebook: CodeBook = field(default_factory=CodeBook)
 
     @property
     def ej_queries(self) -> list[Query]:
@@ -300,12 +287,6 @@ class ForwardReductionResult:
     # delta maintenance
     # ------------------------------------------------------------------
 
-    def supports_patching(self) -> bool:
-        """True when this artifact carries the metadata
-        :meth:`apply_delta` needs (built by :meth:`ForwardReducer.reduce`;
-        factored results and pre-delta artifacts do not)."""
-        return bool(self.atom_variants) and self.encoding_store is not None
-
     def apply_delta(self, delta: Delta) -> None:
         """Patch the transformed database in place for one tuple-level
         mutation of a source relation, instead of re-running Algorithm 1.
@@ -318,8 +299,8 @@ class ForwardReductionResult:
         endpoints already lie in the segment trees' endpoint domains,
         the trees a fresh reduction would build are *identical* to the
         stored ones, so appending the tuple's derived rows (per variant,
-        via :func:`transform_tuple_codes`) reproduces the fresh
-        reduction exactly.  For a **delete**, the stored trees remain
+        via :meth:`tuple_rows`) reproduces the fresh reduction
+        exactly.  For a **delete**, the stored trees remain
         valid (their endpoint domain is a superset of the remaining
         intervals'), so removing the tuple's derived rows — refcounted
         in :attr:`variant_counts`, since set semantics may share rows
@@ -329,16 +310,17 @@ class ForwardReductionResult:
 
         Raises :class:`DomainChanged` when a full re-reduction is
         required: a whole-relation delta (``add``/``replace``/
-        ``remove``), an insert with an endpoint outside a tree's
-        domain, or an artifact without patch metadata.  A delta whose
-        relation is not referenced by the query is a no-op.
+        ``remove``) or an insert with an endpoint outside a tree's
+        domain.  A delta whose relation is not referenced by the query
+        is a no-op.
 
         Every variant — point-only copies of a source relation
         included — is patched in array space: the tuple's derived rows
-        are encoded through the artifact's own codebook (looked up,
-        never interned, on a delete), located in the ``uint32`` code
-        matrix by packed-key binary search, and the ``int64`` refcounts
-        bumped — new rows spliced in, dead rows masked out
+        are encoded against the artifact's own trees and codebook
+        (point values looked up, never interned, on a delete), located
+        in the ``uint32`` code matrix by packed-key binary search, and
+        the ``int64`` refcounts bumped — new rows spliced in, dead rows
+        masked out
         (:meth:`~repro.reduction.columnar.ColumnarCounts.adjust`).  It
         is copy-on-write: arrays may be read-only views of a mapped
         cache file, so a patch swaps in new arrays and never stores
@@ -352,11 +334,6 @@ class ForwardReductionResult:
             raise DomainChanged(
                 f"{delta.kind!r} delta on {delta.relation!r} is not a "
                 f"tuple-level change"
-            )
-        if not self.supports_patching():
-            raise DomainChanged(
-                "this reduction carries no patch metadata "
-                "(factored encoding or pre-delta artifact)"
             )
         atoms = [
             a for a in self.original.atoms if a.relation == delta.relation
@@ -379,6 +356,40 @@ class ForwardReductionResult:
                             f"[{v.name}] segment tree's endpoint domain"
                         )
         self._patch(atoms, t, inserting=delta.kind == "insert")
+
+    def tuple_rows(
+        self,
+        atom: Atom,
+        spec: _VariantSpec,
+        t: tuple,
+        tuple_id: int,
+        intern: bool,
+    ) -> np.ndarray:
+        """The distinct rows one input tuple contributes to one
+        transformed relation variant (the per-tuple body of Definition
+        4.9), as a ``uint32`` matrix — what a delta patch adds to or
+        removes from the variant.  Distinct canonical-partition nodes
+        and distinct splits never concatenate to the same parts, so the
+        rows carry no within-tuple multiplicity.
+
+        With ``intern=False`` point values are only looked up: a row
+        holding a value the book has never seen is in no block of the
+        artifact, so there are no rows to report — which is what a
+        delete wants, and keeps deletes from growing the book every
+        later cache store re-serializes."""
+        layout = _VariantLayout.of(
+            atom, spec, self.segment_trees, atom_counts(self.original)
+        )
+        rows = layout.template([t[col] for *_, col in layout.slots])
+        book = self.codebook
+        for out_col, col in layout.point_cols:
+            code = book.code(t[col]) if intern else book.lookup(t[col])
+            if code is None:
+                return rows[:0]
+            rows[:, out_col] = code
+        if layout.prov_col is not None:
+            rows[:, layout.prov_col] = tuple_id
+        return rows
 
     def _patch(self, atoms: list[Atom], t: tuple, inserting: bool) -> None:
         # assign/locate the tuple's provenance id per atom label; order
@@ -409,14 +420,7 @@ class ForwardReductionResult:
                         f"variant {spec.name()} has no derived-row refcounts"
                     )
                 counts.adjust(
-                    transform_tuple_codes(
-                        atom,
-                        spec,
-                        t,
-                        self.encoding_store,
-                        ids[atom.label],
-                        intern=inserting,
-                    ),
+                    self.tuple_rows(atom, spec, t, ids[atom.label], inserting),
                     1 if inserting else -1,
                 )
         if not inserting:
@@ -433,8 +437,8 @@ class ForwardReducer:
 
     One builder: ``uint32`` code matrices expanded with
     ``np.repeat``/``np.tile`` and ``int64`` refcount arrays
-    (:meth:`_vectorized_counts`), all over the one codebook of
-    :attr:`store`.
+    (:meth:`_vectorized_counts`), all over :attr:`trees` and the one
+    :attr:`codebook`.
     """
 
     def __init__(
@@ -449,19 +453,17 @@ class ForwardReducer:
         self.disjoint = disjoint
         self.provenance = provenance
         self.interval_vars = [v.name for v in query.interval_variables]
-        self.k: dict[str, int] = {
-            x: len(query.atoms_containing(x)) for x in self.interval_vars
-        }
+        self.k = atom_counts(query)
         self.trees: dict[str, SegmentTree] = {}
         for x in self.interval_vars:
-            intervals: list[Interval] = []
+            endpoints: set = set()
             for atom in query.atoms_containing(x):
                 idx = atom.variable_names.index(x)
                 for t in db[atom.relation].tuples:
-                    intervals.append(t[idx])
-            self.trees[x] = SegmentTree(intervals)
-        self.store = EncodingStore(self.trees, self.k)
-        self.store.codebook = CodeBook()
+                    endpoints.add(t[idx].left)
+                    endpoints.add(t[idx].right)
+            self.trees[x] = SegmentTree.from_endpoints(endpoints)
+        self.codebook = CodeBook()
         self._variants: dict[_VariantSpec, Relation] = {}
         self._variant_counts: dict[str, ColumnarCounts] = {}
         self._atom_variants: dict[str, dict[_VariantSpec, None]] = {}
@@ -592,13 +594,10 @@ class ForwardReducer:
         combinations never collide and each (member, template) pair
         contributes exactly one count to its row.
         """
-        store = self.store
-        book = store.codebook
-        assert book is not None
-        layout = _VariantLayout.of(atom, spec)
-        n_cols, kinds, slots = layout.n_cols, layout.kinds, layout.slots
+        book = self.codebook
+        layout = _VariantLayout.of(atom, spec, self.trees, self.k)
         point_cols, prov_col = layout.point_cols, layout.prov_col
-        interval_tuple_cols = [col for _, _, _, _, col in slots]
+        interval_tuple_cols = [col for *_, col in layout.slots]
         member_dep = bool(point_cols) or prov_col is not None
         n_src = len(order)
         pt_codes: dict[int, np.ndarray] = {
@@ -611,14 +610,8 @@ class ForwardReducer:
             groups.setdefault(key, []).append(tuple_id)
         blocks: list[np.ndarray] = []
         weight_scalars: list[int] = []
-        encoded_parts = store.encoded_parts
         for projection, members in groups.items():
-            template = layout.template(
-                [
-                    encoded_parts(name, value, i, flag)
-                    for (_, name, i, flag, _), value in zip(slots, projection)
-                ]
-            )
+            template = layout.template(projection)
             total = template.shape[0]
             if total == 0:
                 continue  # an empty option list empties the product
@@ -642,10 +635,8 @@ class ForwardReducer:
                 blocks.append(template)
                 weight_scalars.append(len(members))
         if not blocks:
-            return (
-                ColumnBlock(np.empty((0, n_cols), dtype=CODE_DTYPE), kinds, book),
-                np.empty(0, dtype=COUNT_DTYPE),
-            )
+            blocks.append(np.empty((0, layout.n_cols), dtype=CODE_DTYPE))
+            weight_scalars.append(0)
         all_rows = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
         weights = np.concatenate(
             [
@@ -659,7 +650,10 @@ class ForwardReducer:
         counts = np.bincount(
             inverse.ravel(), weights=weights, minlength=unique_rows.shape[0]
         ).astype(COUNT_DTYPE)
-        return ColumnBlock(unique_rows, kinds, book), counts
+        return (
+            ColumnBlock(unique_rows, layout.kinds, book, layout.bounds),
+            counts,
+        )
 
     # ------------------------------------------------------------------
     # full reduction
@@ -695,7 +689,7 @@ class ForwardReducer:
             tuple_order,
             atom_variants,
             self._variant_counts,
-            encoding_store=self.store,
+            self.codebook,
         )
 
 

@@ -4,8 +4,9 @@
 
 The query-level half of Algorithm 1 (position maps, encoded atoms,
 variant specs) is shared with production; everything *database*-level is
-redone here the slow way — every tuple re-walks its segment trees and
-re-enumerates its splits (no encoding memo), rows are Python tuples in
+redone here the slow way and on the paper's own vocabulary — every
+tuple re-walks its segment trees and re-enumerates its splits as
+bitstrings (no encoding memo, no node ids), rows are Python tuples in
 sets, refcounts a ``dict`` — so a result from :func:`naive_forward_reduce`
 is row-backed throughout and digests
 (:func:`repro.core.reduction_cache.result_digest`) equal to the array
@@ -19,16 +20,10 @@ from itertools import product
 from typing import Mapping, MutableMapping, Sequence
 
 from repro.engine.relation import Database, Delta, Relation
-from repro.hypergraph.transform import part_vertex
 from repro.intervals.bitstring import splits
 from repro.intervals.interval import Interval
 from repro.intervals.segment_tree import SegmentTree
 from repro.queries.query import Atom, Query
-from repro.reduction.factored import (
-    FactoredForwardReducer,
-    _FactorSpec,
-    id_variable,
-)
 from repro.reduction.forward import (
     DomainChanged,
     ForwardReducer,
@@ -133,38 +128,6 @@ def naive_forward_reduce(
 ) -> ForwardReductionResult:
     """Full forward reduction through the per-tuple loop."""
     return NaiveForwardReducer(query, db, disjoint, provenance).reduce()
-
-
-class NaiveFactoredReducer(FactoredForwardReducer):
-    """:class:`FactoredForwardReducer` with un-memoized encodings and
-    row-backed relations."""
-
-    def factor_relation(self, atom: Atom, spec: _FactorSpec) -> Relation:
-        var_idx = atom.variable_names.index(spec.variable)
-        schema = [id_variable(atom.label)] + [
-            part_vertex(spec.variable, j) for j in range(1, spec.parts + 1)
-        ]
-        rows = {
-            (tuple_id, *split)
-            for tuple_id, t in enumerate(self._tuple_order[atom.label])
-            for split in interval_encodings(
-                self.trees[spec.variable],
-                self.k[spec.variable],
-                t[var_idx],
-                spec.parts,
-                spec.nonempty_last,
-            )
-        }
-        return Relation(spec.name(), schema, rows)
-
-    def _coded(self, name, schema, rows, ids):
-        return Relation(name, schema, rows)
-
-
-def naive_forward_reduce_factored(
-    query: Query, db: Database, disjoint: bool = False
-) -> ForwardReductionResult:
-    return NaiveFactoredReducer(query, db, disjoint=disjoint).reduce()
 
 
 def patch_rows(

@@ -47,8 +47,11 @@ class TestWorkflow:
         steps = workflow["jobs"]["tests"]["steps"]
         runs = " ".join(step.get("run", "") for step in steps)
         assert 'pip install -e ".[dev]"' in runs
-        # the suite's wall time is a row worth watching
-        assert "pytest -x -q --durations=15" in runs
+        # the suite's wall time is a row worth watching, and so is the
+        # line count of src/ printed right after it
+        (tier1,) = [s["run"] for s in steps if "--durations=15" in s.get("run", "")]
+        assert "pytest -x -q --durations=15" in tier1
+        assert "find src -name '*.py'" in tier1 and "wc -l" in tier1
 
     def test_sql_smoke_reaches_the_ej_rule(self, workflow):
         """Binary joins are planned ``naive`` / ``sweep``; only a cyclic,
@@ -102,6 +105,15 @@ class TestWorkflow:
         runs = " ".join(step.get("run", "") for step in steps)
         assert "benchmarks/bench_*.py" in runs
         assert "--quick" in runs
+        # the factored encoding is an ablation: its reducer lives beside
+        # the two benches that compare it with the product's encoding,
+        # under a name the glob does not collect
+        benchmarks = REPO / "benchmarks"
+        assert (benchmarks / "factored_encoding.py").is_file()
+        for bench in ("bench_encoding_ablation.py", "bench_counting.py"):
+            source = (benchmarks / bench).read_text()
+            assert "from factored_encoding import" in source, bench
+            assert "repro.reduction.factored" not in source, bench
 
     def test_bench_smoke_uploads_json_results(self, workflow):
         steps = workflow["jobs"]["bench-smoke"]["steps"]

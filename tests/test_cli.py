@@ -56,8 +56,6 @@ OPTION_SURFACE = {
         (("query",), "query", None, None, None, True, None),
         (("--n",), "n", 50, "int", None, False, None),
         (("--seed",), "seed", 0, "int", None, False, None),
-        (("--factored",), "factored", False, None, None, False,
-         "use the Id-decomposition encoding (Section 1.1)"),
     ],
     "catalog": [
     ],
@@ -266,15 +264,17 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "EJ disjuncts: 8" in out
-        code = main(
-            [
-                "reduce", "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])",
-                "--n", "10", "--factored",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "factored (Id)" in out
+        # the factored encoding is an ablation beside its benchmark, not
+        # a second product path: the flag that selected it is gone
+        with pytest.raises(SystemExit) as usage:
+            main(
+                [
+                    "reduce", "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])",
+                    "--n", "10", "--factored",
+                ]
+            )
+        assert usage.value.code == 2
+        assert "--factored" in capsys.readouterr().err
 
     def test_evaluate_batch_shares_one_reduction(self, capsys):
         code = main(

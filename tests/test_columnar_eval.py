@@ -90,7 +90,7 @@ def _witness_set(witnesses):
 def _assert_blocks(result):
     """Every relation of the artifact holds its block over the one
     shared codebook — whatever has looked at it since it was built."""
-    book = result.encoding_store.codebook
+    book = result.codebook
     for relation in result.database:
         assert relation.columnar is not None, relation.name
         assert relation.columnar.book is book, relation.name

@@ -5,8 +5,8 @@ Covers the whole stack, bottom-up:
 
 * the :class:`~repro.engine.relation.Database` mutation API and its
   bounded change log (:class:`~repro.engine.relation.Delta`);
-* :meth:`~repro.intervals.segment_tree.SegmentTree.locate` — placing a
-  *new* interval against an existing endpoint domain;
+* :meth:`~repro.intervals.segment_tree.SegmentTree.in_domain` — placing
+  a *new* interval against an existing endpoint domain;
 * :meth:`~repro.reduction.forward.ForwardReductionResult.apply_delta` —
   tuple-level patches of the transformed database, checked
   differentially against a fresh reduction;
@@ -54,15 +54,10 @@ from repro.core.cache_format import (
 )
 from repro.core.reduction_cache import FORMAT_VERSION, database_digests
 from repro.engine import Database, Delta, Relation
-from repro.intervals import Interval, OutOfDomainError, SegmentTree
+from repro.intervals import Interval, SegmentTree
 from repro.queries import parse_query
-from repro.reduction import (
-    DomainChanged,
-    forward_reduce,
-    forward_reduce_factored,
-)
+from repro.reduction import DomainChanged, forward_reduce
 from repro.reduction.columnar import CODE_DTYPE, ColumnarCounts
-from repro.reduction.forward import transform_tuple_codes
 from repro.workloads import random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -160,7 +155,7 @@ class TestSegmentTreeLocate:
 
     def test_endpoint_domain(self):
         tree = self.make()
-        assert tree.endpoints == frozenset({0, 4, 2, 6, 5, 9})
+        assert tree.endpoints == (0, 2, 4, 5, 6, 9)
         assert tree.in_domain(iv(2, 5))
         assert not tree.in_domain(iv(2, 7))
         assert not tree.in_domain(iv(-1, 4))
@@ -168,21 +163,40 @@ class TestSegmentTreeLocate:
     def test_locate_matches_the_build_time_paths(self):
         tree = self.make()
         x = iv(2, 9)  # new interval, both endpoints in the domain
-        location = tree.locate(x)
-        assert list(location.canonical) == tree.canonical_partition(x)
-        assert location.leaf == tree.leaf_of_interval(x)
+        assert tree.in_domain(x)
+        # exactly the tree a rebuild with x included would give
+        rebuilt = SegmentTree([iv(0, 4), iv(2, 6), iv(5, 9), x])
+        assert rebuilt.bitstrings() == tree.bitstrings()
+        canonical = tree.canonical_partition(x)
+        assert canonical == rebuilt.canonical_partition(x)
+        assert tree.leaf_of_interval(x) == rebuilt.leaf_of_interval(x)
         # the canonical partition tiles x exactly: every segment inside
-        segments = [tree.seg(b) for b in location.canonical]
-        assert all(s.within_interval(x) for s in segments)
+        segments = [tree.seg(b) for b in canonical]
+        assert all(x.left <= s.lo and s.hi <= x.right for s in segments)
         assert min(s.lo for s in segments) == x.left
         assert max(s.hi for s in segments) == x.right
 
     def test_out_of_domain_reports_cleanly(self):
+        """An endpoint outside the domain is a plain ``False`` from the
+        tree (its canonical partition would overshoot or fall short of
+        the interval) and a :class:`DomainChanged` naming the interval
+        from the artifact that was asked to absorb it."""
         tree = self.make()
-        with pytest.raises(OutOfDomainError) as error:
-            tree.locate(iv(2, 7))
+        x = iv(2, 7)
+        assert not tree.in_domain(x)
+        covered = [tree.seg(b) for b in tree.canonical_partition(x)]
+        assert max(s.hi for s in covered) == 6  # short of 7
+        q = parse_query("R([A]) ∧ S([A])")
+        db = Database(
+            [
+                Relation("R", ("A",), {(iv(0, 4),), (iv(2, 6),)}),
+                Relation("S", ("A",), {(iv(5, 9),)}),
+            ]
+        )
+        result = forward_reduce(q, db)
+        with pytest.raises(DomainChanged) as error:
+            result.apply_delta(Delta(1, "insert", "R", (x,)))
         assert "7" in str(error.value)
-        assert isinstance(error.value, ValueError)
 
 
 # ----------------------------------------------------------------------
@@ -361,15 +375,6 @@ class TestApplyDelta:
             for name in result.database.relation_names
         }
 
-    def test_factored_results_do_not_support_patching(self):
-        q = parse_query(TRIANGLE)
-        db = _random_db(q, random.Random(5))
-        result = forward_reduce_factored(q, db)
-        assert not result.supports_patching()
-        delta = db.insert("R", (iv(0, 1), iv(0, 1)))
-        with pytest.raises(DomainChanged):
-            result.apply_delta(delta)
-
 
 # ----------------------------------------------------------------------
 # the array-native patch path: columnar variants stay columnar
@@ -411,7 +416,7 @@ def _assert_columnar(result):
     for name, counts in result.variant_counts.items():
         block = result.database[name].columnar
         assert block is not None, name
-        assert block.book is result.encoding_store.codebook, name
+        assert block.book is result.codebook, name
         assert isinstance(counts, ColumnarCounts), name
         assert counts.block is block, name
         assert counts.array.shape == (block.row_count,), name
@@ -615,7 +620,7 @@ class TestArrayNativePatch:
         )
         columnar = forward_reduce(q, db)
         reference = naive_forward_reduce(q, db)
-        book = columnar.encoding_store.codebook
+        book = columnar.codebook
         size = len(book)
         assert book.lookup(99) is None
         for name in ("R", "S"):
@@ -633,9 +638,9 @@ class TestArrayNativePatch:
         """A delete looks codes up without interning: a value the book
         has never seen proves the row absent.  (Regression: the decode-
         and-mutate route re-interned every part of every deleted
-        tuple into the book all later puts re-serialize.)  The loaded
-        case starts with an empty encoding memo, so every code really
-        is looked up."""
+        tuple into the book all later puts re-serialize.)  Interval
+        parts are node ids and never touch the book either way; the
+        loaded case starts with empty tree memos."""
         q = parse_query("R([A], P) \u2227 S([A],[B]) \u2227 T([B], P)")
         rng = random.Random(17)
         db = Database()
@@ -657,7 +662,7 @@ class TestArrayNativePatch:
                 serialize_result(result, FORMAT_VERSION)
             )
         reference = naive_forward_reduce(q, db)
-        book = result.encoding_store.codebook
+        book = result.codebook
         size = len(book)
         for name in ("R", "S", "T", "S", "R"):
             victim = sorted(db[name].tuples, key=repr)[0]
@@ -671,17 +676,13 @@ class TestArrayNativePatch:
         # lookup (and are interned only when inserting)
         atom = result.original.atoms[0]
         spec = result.atom_variants[atom.label][0]
-        store = result.encoding_store
         ghost = (iv(0, 9), 77)
         assert book.lookup(77) is None
-        looked_up = transform_tuple_codes(
-            atom, spec, ghost, store, 0, intern=False
-        )
+        looked_up = result.tuple_rows(atom, spec, ghost, 0, intern=False)
         assert looked_up.shape[0] == 0 and len(book) == size
-        interned = transform_tuple_codes(
-            atom, spec, ghost, store, 0, intern=True
-        )
+        interned = result.tuple_rows(atom, spec, ghost, 0, intern=True)
         assert interned.shape[0] > 0 and book.lookup(77) is not None
+        assert all(type(v) is int for v in book.values)  # points only
 
     def test_patched_frame_is_no_larger_than_a_fresh_reductions(self):
         """(b): after an insert-only in-domain sequence the patched

@@ -1,8 +1,9 @@
-"""The encoding-memoized columnar forward reduction: the
-:class:`EncodingStore`, the interned ``split_tuples`` wrapper, the
-array variant builder's bit-identity with the naive per-tuple loop of
-``tests/oracles``, store reuse by the delta-patch path, and the
-session timing stats behind ``repro evaluate --profile``.
+"""The encoding-memoized columnar forward reduction: the integer split
+family ``𝔉(u, i)`` and its memoized cut plan, the one encoding memo on
+the segment tree, the array variant builder's bit-identity with the
+naive per-tuple bitstring loop of ``tests/oracles``, memo reuse by the
+delta-patch path, and the session timing stats behind ``repro evaluate
+--profile``.
 """
 
 import random
@@ -11,7 +12,6 @@ from oracles.reduction import (
     apply_delta_rows,
     interval_encodings,
     naive_forward_reduce,
-    naive_forward_reduce_factored,
 )
 
 from repro.core import QuerySession
@@ -19,13 +19,10 @@ from repro.core.reduction_cache import result_digest
 from repro.core.session import PROFILE_PHASES
 from repro.engine import Database, Relation
 from repro.engine.relation import Delta
-from repro.intervals import Interval, split_tuples, splits
+from repro.intervals import Interval, count_splits, splits
+from repro.intervals.bitstring import EMPTY, _cut_plan, bits, node_id, split_ids
 from repro.queries import parse_query
-from repro.reduction import (
-    ForwardReducer,
-    forward_reduce,
-    forward_reduce_factored,
-)
+from repro.reduction import ForwardReducer, forward_reduce
 from repro.workloads import random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -40,64 +37,82 @@ def _db(text, n=20, seed=3):
     )
 
 
+def _decoded(matrix):
+    """An encoding matrix of part ids in the oracle's vocabulary."""
+    return [tuple(bits(c) for c in row) for row in matrix.tolist()]
+
+
 # ----------------------------------------------------------------------
-# split_tuples: the LRU-safe pure wrapper
+# 𝔉(u, i) on node ids
 # ----------------------------------------------------------------------
 
 
 class TestSplitTuples:
     def test_matches_the_generator(self):
-        for u in ("", "0", "0110", "10101"):
-            for parts in (1, 2, 3, 4):
-                assert split_tuples(u, parts) == tuple(splits(u, parts))
+        """Integer 𝔉(u, i) ≡ ``splits(u, i)``, in order, of the size
+        Claim C.1 gives, for every bitstring up to length 6."""
+        for length in range(7):
+            for value in range(1 << length):
+                u = format(value, "b").zfill(length) if length else ""
+                for parts in (1, 2, 3, 4):
+                    matrix = split_ids(node_id(u), parts)
+                    assert _decoded(matrix) == list(splits(u, parts))
+                    assert matrix.shape == (count_splits(length, parts), parts)
+        assert bits(EMPTY) == "" and node_id("") == EMPTY
 
     def test_results_are_interned(self):
-        # the whole point of the wrapper: repeated lookups return the
-        # very same tuple objects, so encodings share storage
-        assert split_tuples("0110", 3) is split_tuples("0110", 3)
+        # one cut plan per (len(u), i) serves every node of that depth,
+        # and it cannot be written through
+        assert _cut_plan(4, 3) is _cut_plan(4, 3)
+        assert not any(plan.flags.writeable for plan in _cut_plan(4, 3))
 
 
 # ----------------------------------------------------------------------
-# the store
+# the one memo: (value, i, leaf?, nonempty_last) -> matrix, on the tree
 # ----------------------------------------------------------------------
 
 
 class TestEncodingStore:
     def test_memo_hits_and_identity(self):
         query, db = _db(TRIANGLE)
-        reducer = ForwardReducer(query, db)
-        store = reducer.store
-        assert store is not None
+        tree = ForwardReducer(query, db).trees["A"]
         value = next(iter(db["R"].tuples))[0]
-        first = store.interval_encodings("A", value, 1, False)
-        again = store.interval_encodings("A", value, 1, False)
+        first = tree.encodings(value, 1, False, False)
+        again = tree.encodings(value, 1, False, False)
         assert first is again  # served from the memo, not recomputed
-        assert store.hits == 1 and store.misses == 1
-        assert store.stats()["entries"] == 1
+        assert not first.flags.writeable  # shared, so read-only
+        assert len(tree._encodings) == 1
+        assert tree.encodings(value, 1, True, False) is not first
 
     def test_memoized_encodings_match_the_reference(self):
+        """... the Appendix G non-empty-last filter included."""
         query, db = _db(TRIANGLE)
         fast = ForwardReducer(query, db)
+        tree, k = fast.trees["A"], fast.k["A"]
+        filtered = 0
         for t in sorted(db["R"].tuples, key=repr):
             for i in (1, 2):
                 for flag in (False, True):
-                    assert tuple(
-                        interval_encodings(
-                            fast.trees["A"], fast.k["A"], t[0], i, flag
-                        )
-                    ) == fast.store.interval_encodings("A", t[0], i, flag)
+                    got = tree.encodings(t[0], i, i == k, flag)
+                    assert _decoded(got) == interval_encodings(
+                        tree, k, t[0], i, flag
+                    )
+                    filtered += len(tree.encodings(t[0], i, i == k, False)) - len(got)
+        assert filtered > 0
 
     def test_reduction_reuses_one_store_across_variants(self):
         query, db = _db(TRIANGLE)
         reducer = ForwardReducer(query, db)
         result = reducer.reduce()
-        assert result.encoding_store is reducer.store
-        stats = reducer.store.stats()
-        # k=2 per variable: each (value, i) pair is needed by several
-        # variants, so the memo must be hit across them
-        assert stats["hits"] > 0
-        # the store's trees are the result's trees (no duplication)
-        assert result.encoding_store.trees["A"] is result.segment_trees["A"]
+        # the result's trees are the reducer's (no duplication), memos
+        # included, and hold one entry per distinct (value, i, variant)
+        # however many relation variants asked for it
+        assert result.segment_trees["A"] is reducer.trees["A"]
+        values = {t[0] for t in db["R"].tuples} | {t[0] for t in db["T"].tuples}
+        memo = result.segment_trees["A"]._encodings
+        assert {key[0] for key in memo} == values
+        assert len(memo) <= 2 * len(values)  # i = 1 (CP) and i = 2 (leaf)
+        assert len(result.database.relation_names) == 12  # 4 variants/atom
 
 
 # ----------------------------------------------------------------------
@@ -135,35 +150,6 @@ class TestColumnarBitIdentity:
         fast = forward_reduce(query, db, True, True)
         assert result_digest(ref) == result_digest(fast)
 
-    def test_factored_encoding_shares_the_store(self):
-        # repeated interval values across tuples and atoms, so the
-        # factored relations genuinely share memoized encodings
-        query = parse_query(TRIANGLE)
-        pool = [Interval(0, 3), Interval(1, 5), Interval(2, 2), Interval(0, 5)]
-        rng = random.Random(4)
-        db = Database(
-            [
-                Relation(
-                    name,
-                    schema,
-                    {
-                        (rng.choice(pool), rng.choice(pool))
-                        for _ in range(10)
-                    },
-                )
-                for name, schema in (
-                    ("R", ("A", "B")),
-                    ("S", ("B", "C")),
-                    ("T", ("A", "C")),
-                )
-            ]
-        )
-        ref = naive_forward_reduce_factored(query, db, disjoint=True)
-        fast = forward_reduce_factored(query, db, disjoint=True)
-        assert result_digest(ref) == result_digest(fast)
-        assert fast.encoding_store is not None
-        assert fast.encoding_store.stats()["hits"] > 0
-
     def test_duplicate_heavy_grouping_is_exact(self):
         """Tuples sharing a whole interval projection (distinct only in
         point columns) exercise the one-expansion-per-group path; the
@@ -189,7 +175,7 @@ class TestColumnarBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# delta patching through the store
+# delta patching through the trees' memo
 # ----------------------------------------------------------------------
 
 
@@ -197,8 +183,8 @@ class TestPatchReusesStore:
     def test_apply_delta_goes_through_the_result_store(self):
         query, db = _db(TRIANGLE)
         result = forward_reduce(query, db)
-        store = result.encoding_store
-        hits_before = store.hits + store.misses
+        memo = result.segment_trees["A"]._encodings
+        entries_before = len(memo)
         points = sorted(result.segment_trees["A"].endpoints)
         rng = random.Random(1)
         lo, hi = sorted(rng.sample(points, 2))
@@ -208,7 +194,7 @@ class TestPatchReusesStore:
         if t in db["R"].tuples:  # pragma: no cover - seed-dependent
             return
         result.apply_delta(Delta(99, "insert", "R", t))
-        assert store.hits + store.misses > hits_before
+        assert len(memo) > entries_before and any(k[0] == t[0] for k in memo)
         # and the patched artifact matches the naive reduction patched
         # row by row with the same delta
         ref = naive_forward_reduce(query, db)

@@ -99,22 +99,6 @@ class TestCountFuzzing:
         assert checked >= 20
 
 
-class TestFactoredFuzzing:
-    def test_factored_encoding_agreement(self):
-        from repro.reduction.factored import evaluate_ij_factored
-
-        rng = random.Random(400)
-        corpus = [
-            q for q in query_corpus(seed=3, count=20)
-            if reduction_is_feasible(q)
-        ]
-        for query in corpus:
-            db = random_db(rng, query, rng.randint(1, 4))
-            assert evaluate_ij_factored(query, db) == naive_evaluate(
-                query, db
-            ), query
-
-
 class TestGeneratorProperties:
     def test_connectivity(self):
         import networkx as nx

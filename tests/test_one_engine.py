@@ -446,16 +446,28 @@ def test_wide_rows_adjust_in_array_space():
 
 def test_session_count_on_a_triangle_whose_keys_pass_62_bits(monkeypatch):
     """The end-to-end pin: with 100k values already in the artifact's
-    book (a large instance interns as many on its own) even the
-    triangle's four-column variants need 66-bit row keys; the bag join
-    handles them in place and the artifact keeps every block."""
+    book (a large instance interns as many on its own) three point
+    columns alone need 51 key bits, and with its part columns (node
+    ids, bounded by their tree — not by the book) every variant of the
+    triangle passes 62; the bag join handles them in place and the
+    artifact keeps every block."""
     monkeypatch.setattr(
         forward_module,
         "CodeBook",
         lambda: CodeBook(("pad", i) for i in range(100_000)),
     )
-    query = triangle_ij()
-    db = random_database(query, 12, seed=_seed(4), domain=36)
+    query = parse_query(
+        "R([A],[B],P,Q,U) ∧ S([B],[C],P,Q,U) ∧ T([A],[C],P,Q,U)"
+    )
+    plain = random_database(triangle_ij(), 12, seed=_seed(4), domain=36)
+    db = Database(
+        Relation(
+            r.name,
+            (*r.schema, "P", "Q", "U"),
+            {(*t, i % 2, 0, 1) for i, t in enumerate(sorted(r.tuples, key=repr))},
+        )
+        for r in plain
+    )
     session = QuerySession(db)
     assert session.count(query) == naive_count(query, db)
     assert session.evaluate(query, strategy="reduction") == naive_evaluate(

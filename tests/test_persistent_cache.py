@@ -26,7 +26,11 @@ from repro.core import (
     reduction_key,
     relation_digest,
 )
-from repro.core.reduction_cache import database_digests, encode_value
+from repro.core.reduction_cache import (
+    FORMAT_VERSION,
+    database_digests,
+    encode_value,
+)
 from repro.engine import Database, Relation
 from repro.intervals import Interval
 from repro.queries import parse_query
@@ -292,8 +296,40 @@ class TestFramedFormat:
         # pickle protocol-2+ preamble must never appear at its head
         _, key, _ = self._stored(tmp_path)
         raw = next(tmp_path.glob("*/*.red")).read_bytes()
-        assert raw[:8] == b"REPROV05"
+        assert raw[:8] == b"REPROV%02d" % FORMAT_VERSION
         assert not raw.startswith(b"\x80")
+
+    def test_a_v5_frame_is_a_counted_miss_and_v6_holds_no_bitstring(
+        self, tmp_path
+    ):
+        import hashlib
+        import json
+        import re
+        import struct
+
+        from repro.core.cache_format import _parse_frame
+
+        cache, key, _ = self._stored(tmp_path)
+        path = next(tmp_path.glob("*/*.red"))
+        raw = path.read_bytes()
+        meta, blob_base = _parse_frame(raw, FORMAT_VERSION)
+        # interval parts are node ids in the blobs: no string table, and
+        # nothing in the JSON half that looks like one
+        assert all(type(v) is int for v in meta["codebook"])
+        kinds = {k for entry in meta["relations"] for k in entry["kinds"]}
+        assert kinds == {"bits"}
+        strings = re.findall(r'"((?:[^"\\]|\\.)*)"', json.dumps(meta))
+        assert not [s for s in strings if len(s) > 1 and not s.strip("01")]
+        # what the previous writer left under the same name: its own
+        # magic, its own version number, a valid digest
+        meta["format_version"] = 5
+        meta_bytes = json.dumps(meta).encode()
+        body = struct.pack("<Q", len(meta_bytes)) + meta_bytes
+        body += b"\x00" * (-(48 + len(meta_bytes)) % 64) + raw[blob_base:]
+        path.write_bytes(b"REPROV05" + hashlib.sha256(body).digest() + body)
+        misses = cache.misses
+        assert cache.get(key) is None
+        assert cache.misses == misses + 1
 
     def test_stray_pkl_is_dead_bytes_counted_and_evicted_never_opened(
         self, tmp_path

@@ -219,6 +219,62 @@ def test_ej_methods_are_compared_in_the_ej_module_alone():
         assert ("ej_method" in source) == (relative == "sql/cost.py"), relative
 
 
+SPEAKS_BITSTRINGS = {"reduction/one_step.py", "reduction/backward.py"}
+
+
+def node_format_uses(source: str) -> list[str]:
+    """Everything in ``source`` that knows how a segment-tree node is
+    written: an import of the string split family, a binary rendering
+    (``format(v, "b")``, ``f"{v:b}"``, ``bin(v)``) or a prefix test
+    against a non-literal (``v.startswith(u)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        hit = False
+        if isinstance(node, ast.ImportFrom):
+            hit = any(alias.name == "splits" for alias in node.names)
+        elif isinstance(node, ast.FormattedValue):
+            spec = node.format_spec and ast.unparse(node.format_spec)
+            hit = bool(spec) and spec.rstrip("'\"").endswith("b")
+        elif isinstance(node, ast.Call):
+            callee, args = node.func, node.args
+            if isinstance(callee, ast.Name) and callee.id == "bin":
+                hit = True
+            elif isinstance(callee, ast.Name) and callee.id == "format":
+                hit = (
+                    len(args) == 2
+                    and isinstance(args[1], ast.Constant)
+                    and str(args[1].value).endswith("b")
+                )
+            elif isinstance(callee, ast.Attribute) and callee.attr == "startswith":
+                literal = ast.Constant, ast.Tuple
+                hit = bool(args) and not isinstance(args[0], literal)
+        if hit:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_node_id_format_is_known_to_the_intervals_package_alone():
+    """One tree, one node id, one encoding: between the tree and the
+    code matrix a node is an opaque integer.  Only ``repro.intervals``
+    converts it, and only the two paper-figure modules that reproduce
+    the bitstring constructions (Fig. 1's one-step walk-through, the
+    Theorem 5.2 backward reduction) speak strings beside it."""
+    assert node_format_uses("from ..intervals.bitstring import splits")
+    assert node_format_uses('b = format(v, "b")[1:]')
+    assert node_format_uses('b = format(v, "032b")')
+    assert node_format_uses('b = f"{v:b}"') and node_format_uses("bin(v)")
+    assert node_format_uses("if v.startswith(u):\n    pass")
+    assert node_format_uses('line.startswith("#") or f"{x:.1f}"') == []
+    root = Path(repro.__file__).resolve().parent
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative.startswith("intervals/") or relative in SPEAKS_BITSTRINGS:
+            continue
+        assert node_format_uses(path.read_text()) == [], relative
+    for gone in ("reduction/encoding_store.py", "reduction/factored.py"):
+        assert not (root / gone).exists()
+
+
 def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
     """All-overlapping triangle, ``n**3`` witnesses: ``COUNT(*)``
     decomposes — its provenance ids are variables a flat join would
