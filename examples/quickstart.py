@@ -22,11 +22,11 @@ Walks through the paper's running example, the triangle query
    with admission control, driven here by the bundled load generator.
    The same thing is available on the command line as ``repro serve``
    and ``repro loadgen``;
-8. profiling and the encoding store — the session's per-phase timing
-   stats (``repro evaluate --profile`` on the CLI) and the memoized
-   columnar cold reduction: encodings are computed once per
-   ``(variable, value, position)`` and shared across tuples, variants
-   and delta patches;
+8. profiling and the cold reduction — the session's per-phase timing
+   stats (``repro evaluate --profile`` on the CLI) and the whole-column
+   cold reduction: encodings are computed once per ``(relation, column,
+   position)`` for all of a column's values together and shared across
+   tuples and variants; a delta patch slices them or walks the tree;
 9. the sharded router tier — a consistent-hash ring of shard nodes
    serving two tenants whose pools share one namespaced cache
    (identical data costs the second tenant zero reductions), with one
@@ -261,7 +261,7 @@ def main() -> None:
     print()
 
     print("=" * 64)
-    print("8. Profiling and the memoized cold reduction")
+    print("8. Profiling and the whole-column cold reduction")
     print("=" * 64)
     # where does a session spend its time?  The per-phase timing stats
     # behind `repro evaluate --profile`:
@@ -275,24 +275,25 @@ def main() -> None:
             for name, seconds in phases.items()
         )
     )
-    # the cold reduction itself is encoding-memoized and columnar: a
-    # segment-tree node is an integer (its heap index — the bitstring
-    # of the paper is that index in binary), the split family of a node
-    # is an integer matrix from a cut plan per (depth, position) —
-    # Claim C.1 — and real workloads repeat interval values, so each
-    # tree computes a (value, position) encoding once and shares it
-    # across every tuple, variant and delta patch (tests/oracles keeps
-    # a naive per-tuple loop on bitstrings the builder is pinned to,
-    # bit for bit).  Only point values need a dictionary:
+    # the cold reduction itself is whole-column: a segment-tree node is
+    # an integer (its heap index — the bitstring of the paper is that
+    # index in binary), each tree encodes a whole column of distinct
+    # interval values in `height` array steps, the split family of a
+    # depth is one broadcast over a cut plan per (depth, position) —
+    # Claim C.1 — and the products of all tuples are laid out at once.
+    # A delta patch encodes its one tuple by the scalar walk, or slices
+    # the column result when the value was in it (tests/oracles keeps a
+    # naive per-tuple loop on bitstrings the builder is pinned to, bit
+    # for bit).  Only point values need a dictionary:
     start = time.perf_counter()
-    memoized = forward_reduce(query, db)
-    memoized_ms = (time.perf_counter() - start) * 1e3
-    tree = memoized.segment_trees["A"]
+    cold = forward_reduce(query, db)
+    cold_ms = (time.perf_counter() - start) * 1e3
+    tree = cold.segment_trees["A"]
     print(
-        f"cold reduction: {memoized_ms:.1f} ms "
+        f"cold reduction: {cold_ms:.1f} ms "
         f"([A]: {len(tree.endpoints)} endpoints, height {tree.height}, "
-        f"{len(tree._encodings)} memoized encodings; "
-        f"{len(memoized.codebook)} point values in the codebook)"
+        f"{sum(map(len, tree._columns.values()))} column encodings; "
+        f"{len(cold.codebook)} point values in the codebook)"
     )
     print()
 

@@ -20,11 +20,21 @@ heap layout of the complete tree (root ``1``, children ``2v`` and
 ``2v + 1`` — see :mod:`repro.intervals.bitstring`), its segment follows
 from ``v`` by index arithmetic, and :meth:`SegmentTree.cp_ids` /
 :meth:`SegmentTree.leaf_id` are a binary search plus an ``O(log n)``
-integer walk.  Endpoints are ordered by Python comparison only, so
-``2**53`` and ``2**53 + 1`` stay two leaves.  The methods that speak
-bitstrings (:meth:`~SegmentTree.canonical_partition`,
+integer walk.  The methods that speak bitstrings
+(:meth:`~SegmentTree.canonical_partition`,
 :meth:`~SegmentTree.leaf_of_point`, :meth:`~SegmentTree.seg`, ...) are
 the paper's vocabulary as views of the integer ones.
+
+:meth:`SegmentTree.column_encodings` does both for a whole column of
+distinct values at once: the bottom-up ``l, r`` walk over heap ids as
+``height`` array steps, each depth's nodes split by one broadcast.  A
+leaf of the level above the packed last one enters that walk as its two
+*phantom* children at level ``height``.  A range covers both or neither,
+so the walk takes their parent and never emits a phantom.  On both paths
+leaf ranks come from Python ``bisect`` on the endpoint tuple, never from
+a ``float64`` cast, so ``2**53`` and ``2**53 + 1`` stay two leaves.  The
+scalar walk serves one tuple (a delta patch) and is the test oracle of
+the column method, which serves a relation (the forward reduction).
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitstring import EMPTY, bits, is_prefix, node_id, split_ids
+from .bitstring import EMPTY, _cut_plan, bits, is_prefix, node_id, split_ids
 from .interval import Interval
 
 NEG_INF = -math.inf
@@ -141,6 +151,10 @@ class SegmentTree:
         self._canonical: dict[int, list[Any]] = {}
         # (value, parts, leaf variant?, nonempty_last) -> part-id matrix
         self._encodings: dict[tuple, np.ndarray] = {}
+        # (parts, leaf variant?, nonempty_last) -> the column encodings
+        # computed so far, each as (value -> position, matrix, starts,
+        # counts): where ``encodings`` looks before it walks
+        self._columns: dict[tuple, list[tuple]] = {}
 
     # ------------------------------------------------------------------
     # basic structure
@@ -274,22 +288,100 @@ class SegmentTree:
         splits of its canonical-partition nodes (CP variant) or, with
         ``leaf``, of the leaf of its left endpoint (Definition 4.9),
         without the splits whose last part is empty when the Appendix G
-        ordering constraint ``nonempty_last`` applies.  Memoized — real
-        interval workloads repeat values across tuples, atoms and
-        variants, and a delta patch asks again."""
+        ordering constraint ``nonempty_last`` applies.  Memoized — a
+        delta patch asks again — and a value some column of
+        :meth:`column_encodings` held is a row slice of that column's
+        matrix, not a walk."""
         key = (value, parts, leaf, nonempty_last)
         matrix = self._encodings.get(key)
         if matrix is None:
-            nodes = [self.leaf_id(value.left)] if leaf else self.cp_ids(value)
-            matrix = np.concatenate(
-                [split_ids(v, parts) for v in nodes]
-                or [np.empty((0, parts), dtype=np.uint32)]
-            )
-            if nonempty_last and parts > 1:
-                matrix = matrix[matrix[:, -1] != EMPTY]
-            matrix.setflags(write=False)
+            for where, rows, starts, counts in self._columns.get(key[1:], ()):
+                at = where.get(value)
+                if at is not None:
+                    matrix = rows[starts[at] : starts[at] + counts[at]]
+                    break
+            else:
+                nodes = [self.leaf_id(value.left)] if leaf else self.cp_ids(value)
+                matrix = np.concatenate(
+                    [split_ids(v, parts) for v in nodes]
+                    or [np.empty((0, parts), dtype=np.uint32)]
+                )
+                if nonempty_last and parts > 1:
+                    matrix = matrix[matrix[:, -1] != EMPTY]
+                matrix.setflags(write=False)
             self._encodings[key] = matrix
         return matrix
+
+    def column_encodings(
+        self,
+        values: Sequence[Interval],
+        parts: int,
+        leaf: bool,
+        nonempty_last: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`encodings` of all the distinct ``values`` in whole-column
+        array steps: one read-only ``(N, parts)`` ``uint32`` matrix plus,
+        per value, the ``start`` and ``count`` of its rows in it (a set:
+        their order within a value is unspecified).
+
+        The canonical partitions are the bottom-up walk over the heap
+        ids of the level-``height`` positions ``l .. r`` under each
+        value's leaf-rank range: take ``l`` where it is a right child
+        and ``r`` where it is a left child, then halve both.  A step
+        emits nodes of one depth, which one broadcast over that depth's
+        cut plan splits.
+        """
+        points, height, inner = self._points, self.height, self._inner
+        n = len(values)
+        owner = np.arange(n)
+        first = np.array([bisect_left(points, x.left) for x in values], np.int64)
+        # per depth: (position of the owning value, node id) arrays
+        groups: list[tuple[int, np.ndarray, np.ndarray]] = []
+        if leaf:
+            # the rank is odd iff the left endpoint is in the domain
+            rank = first + [bisect_right(points, x.left) for x in values]
+            deep = rank < self._bottom
+            ids = np.where(deep, rank, rank - inner - (1 << height >> 1)) + (1 << height)
+            groups = [
+                (height, owner[deep], ids[deep]),
+                (height - 1, owner[~deep], ids[~deep]),
+            ]
+        else:
+            last = np.array([bisect_right(points, x.right) for x in values], np.int64)
+            # row 0 is every value's ``l``, row 1 its ``r``; a leaf of the
+            # level above the last stands for its two phantom children
+            ends = np.stack((2 * first + 1, 2 * last - 1))
+            ends = np.where(ends < self._bottom, ends, 2 * (ends - inner) + [[0], [1]])
+            ends += 1 << height
+            for depth in range(height, -1, -1):
+                keep = ends[0] <= ends[1]
+                owner, ends = owner[keep], ends[:, keep]
+                if not owner.size:
+                    break
+                take = ends & 1 == [[1], [0]]
+                groups.append(
+                    (depth, np.broadcast_to(owner, ends.shape)[take], ends[take])
+                )
+                ends = (ends + [[1], [-1]]) >> 1
+        owners, blocks = [owner[:0]], [np.empty((0, parts), dtype=np.int64)]
+        for depth, whose, ids in groups:
+            if ids.size:
+                shifts, tops = _cut_plan(depth, parts)
+                block = (ids[:, None, None] >> shifts) & (tops - 1) | tops
+                blocks.append(block.reshape(-1, parts))
+                owners.append(np.repeat(whose, len(shifts)))
+        owner, matrix = np.concatenate(owners), np.concatenate(blocks)
+        if nonempty_last and parts > 1:
+            kept = matrix[:, -1] != EMPTY
+            owner, matrix = owner[kept], matrix[kept]
+        matrix = matrix.astype(np.uint32)[np.argsort(owner, kind="stable")]
+        matrix.setflags(write=False)
+        counts = np.bincount(owner, minlength=n)
+        starts = np.cumsum(counts) - counts
+        self._columns.setdefault((parts, leaf, nonempty_last), []).append(
+            (dict(zip(values, range(n))), matrix, starts, counts)
+        )
+        return matrix, starts, counts
 
     # ------------------------------------------------------------------
     # the paper's vocabulary: the same, on bitstrings

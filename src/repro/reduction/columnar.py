@@ -59,6 +59,7 @@ __all__ = [
     "ColumnarCounts",
     "KEY_LIMIT",
     "decode_cells",
+    "distinct_rows",
     "encode_rows",
     "pack_keys",
 ]
@@ -353,6 +354,22 @@ def encode_rows(
         else:
             codes[:, j] = column
     return ColumnBlock(codes, kinds, book)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a code matrix in lexicographic order — the
+    order a :class:`ColumnBlock` promises :meth:`ColumnarCounts.adjust`
+    — and each one's multiplicity as :data:`COUNT_DTYPE`.  Rows are
+    compared as the scalar keys of :func:`pack_keys`, whatever their
+    width."""
+    n, width = rows.shape
+    if n == 0 or width == 0:
+        # a zero-arity relation holds at most the one row ()
+        return rows[: min(n, 1)], np.full(min(n, 1), n, dtype=COUNT_DTYPE)
+    columns = [rows[:, j] for j in range(width)]
+    (keys,), _ = pack_keys([columns], [int(c.max()) + 1 for c in columns])
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return rows[first], counts.astype(COUNT_DTYPE, copy=False)
 
 
 def pack_keys(

@@ -17,19 +17,23 @@ depends only on its position per variable, so ``∏_X k_X`` variants per
 atom serve all ``∏_X k_X!`` EJ disjuncts (the Section 1.1 observation
 that relation schemas identify the transformed relations).
 
-The batch loop is **encoding-memoized and columnar**.  A node is an
-integer from the tree to the matrix (:mod:`repro.intervals.bitstring`):
-each variable's :class:`~repro.intervals.segment_tree.SegmentTree`
-serves the encodings of one ``(value, position)`` as a matrix of part
-ids, computed once (:meth:`~repro.intervals.segment_tree.SegmentTree.encodings`),
-and :meth:`ForwardReducer.variant_relation` groups a relation's tuples
-by their interval-column projection, running the cartesian expansion
-once per distinct projection group, on ``uint32`` arrays, instead of
-once per tuple.  Part ids are written into the matrix verbatim
-(``bits`` columns), point values through the artifact's one codebook,
-provenance ids verbatim.  That is the only builder; the differential
-digest tests pin its decoded output, bit for bit, to a naive per-tuple
-loop on bitstrings kept under ``tests/oracles``.
+The builder is **whole-column**.  A node is an integer from the tree to
+the matrix (:mod:`repro.intervals.bitstring`).  Given a *relation*,
+:meth:`ForwardReducer.variant_relation` reads each source column once,
+asks the variable's :class:`~repro.intervals.segment_tree.SegmentTree`
+for the encodings of the whole column of distinct values at once
+(:meth:`~repro.intervals.segment_tree.SegmentTree.column_encodings`,
+shared by the atom's variants), and lays out the cartesian products of
+all tuples together as index arithmetic on ``uint32`` arrays:
+interpreter work is per input tuple, not per interval value.  Given a
+*tuple* (a delta patch), :meth:`ForwardReductionResult.tuple_rows` takes
+the scalar walk (:meth:`~repro.intervals.segment_tree.SegmentTree.encodings`),
+a quarter of the cost of a one-value column.  What the code is handed
+selects the path; nothing else does.  Part ids are written into the
+matrix verbatim (``bits`` columns), point values through the artifact's
+one codebook, provenance ids verbatim.  The differential digest tests
+pin the decoded output, bit for bit, to a naive per-tuple loop on
+bitstrings kept under ``tests/oracles``.
 
 With ``disjoint=True`` the Appendix G refinement is applied: after the
 distinct-left-endpoint shift, every satisfying tuple combination is
@@ -54,10 +58,10 @@ from .columnar import (
     COL_BITS,
     COL_CODE,
     COL_ID,
-    COUNT_DTYPE,
     CodeBook,
     ColumnBlock,
     ColumnarCounts,
+    distinct_rows,
 )
 
 # variable name -> atom label -> 1-based permutation position
@@ -125,36 +129,6 @@ class EncodedQuery:
     positions: PositionMap
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)``, faster.
-
-    ``axis=0`` uniqueness argsorts a void view of the matrix — byte-wise
-    row comparisons dominate the whole vectorized build.  Our rows are
-    narrow matrices of small codes, so almost always each row packs
-    into one ``uint64`` under a mixed radix of per-column value ranges;
-    deduplicating the packed scalars sorts one machine word per row
-    instead.  Packing most-significant-column-first makes the scalar
-    order *equal* to the lexicographic row order, so the output is
-    bit-identical to the ``axis=0`` call (which remains the fallback
-    for the astronomically wide/deep case that overflows 64 bits).
-    """
-    n, n_cols = rows.shape
-    if n == 0 or n_cols == 0:
-        return np.unique(rows, axis=0, return_inverse=True)
-    radices = rows.max(axis=0).astype(np.uint64) + 1
-    capacity = 1
-    for r in radices:
-        capacity *= int(r)
-        if capacity > 0xFFFF_FFFF_FFFF_FFFF:
-            return np.unique(rows, axis=0, return_inverse=True)
-    keys = rows[:, 0].astype(np.uint64)
-    for j in range(1, n_cols):
-        keys *= radices[j]
-        keys += rows[:, j]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse
-
-
 @dataclass(frozen=True)
 class _VariantLayout:
     """Where each source column lands in a variant's code matrix
@@ -213,9 +187,10 @@ class _VariantLayout:
         )
 
     def template(self, values: Sequence) -> np.ndarray:
-        """The cartesian product of the part encodings of one tuple's
-        interval ``values`` (one per slot) as an ``(n_options, n_cols)``
-        matrix, in the order ``itertools.product`` enumerates it, laid
+        """The one-tuple path (a relation goes through
+        :meth:`ForwardReducer._vectorized_counts`): the cartesian product
+        of the part encodings of one tuple's interval ``values`` (one
+        per slot) as an ``(n_options, n_cols)`` matrix, in the order ``itertools.product`` enumerates it, laid
         out with mixed-radix ``np.repeat``/``np.tile`` index arrays.
         Point and provenance columns are left for the caller to fill.
         Empty when any slot has no option."""
@@ -265,6 +240,9 @@ class ForwardReductionResult:
     #: the one dictionary of point values every block of
     #: :attr:`database` is over (interval parts need none)
     codebook: CodeBook = field(default_factory=CodeBook)
+    #: variant spec -> its column layout, as the reducer built it; a
+    #: cache-loaded result fills this on its first patch
+    layouts: dict = field(default_factory=dict)
 
     @property
     def ej_queries(self) -> list[Query]:
@@ -377,9 +355,11 @@ class ForwardReductionResult:
         artifact, so there are no rows to report — which is what a
         delete wants, and keeps deletes from growing the book every
         later cache store re-serializes."""
-        layout = _VariantLayout.of(
-            atom, spec, self.segment_trees, atom_counts(self.original)
-        )
+        layout = self.layouts.get(spec)
+        if layout is None:
+            layout = self.layouts[spec] = _VariantLayout.of(
+                atom, spec, self.segment_trees, atom_counts(self.original)
+            )
         rows = layout.template([t[col] for *_, col in layout.slots])
         book = self.codebook
         for out_col, col in layout.point_cols:
@@ -435,10 +415,10 @@ class ForwardReductionResult:
 class ForwardReducer:
     """Shared-variant forward reduction for one (query, database) pair.
 
-    One builder: ``uint32`` code matrices expanded with
-    ``np.repeat``/``np.tile`` and ``int64`` refcount arrays
+    One builder: every variant is a ``uint32`` code matrix laid out by
+    whole-column index arithmetic with ``int64`` refcounts
     (:meth:`_vectorized_counts`), all over :attr:`trees` and the one
-    :attr:`codebook`.
+    :attr:`codebook`; each source column is read once (:meth:`_column`).
     """
 
     def __init__(
@@ -454,20 +434,26 @@ class ForwardReducer:
         self.provenance = provenance
         self.interval_vars = [v.name for v in query.interval_variables]
         self.k = atom_counts(query)
+        self._tuple_order: dict[str, list[tuple]] = {}
+        # (relation, column) -> (distinct values, each tuple's position)
+        self._columns: dict[tuple[str, int], tuple[list, np.ndarray]] = {}
+        self._point_codes: dict[tuple[str, int], np.ndarray] = {}
+        # (relation, column, tree, i, leaf?, nonempty_last) -> encodings
+        self._column_encodings: dict[tuple, tuple] = {}
+        self._layouts: dict[_VariantSpec, _VariantLayout] = {}
         self.trees: dict[str, SegmentTree] = {}
         for x in self.interval_vars:
             endpoints: set = set()
             for atom in query.atoms_containing(x):
                 idx = atom.variable_names.index(x)
-                for t in db[atom.relation].tuples:
-                    endpoints.add(t[idx].left)
-                    endpoints.add(t[idx].right)
+                values, _ = self._column(atom.relation, idx)
+                endpoints.update([v.left for v in values])
+                endpoints.update([v.right for v in values])
             self.trees[x] = SegmentTree.from_endpoints(endpoints)
         self.codebook = CodeBook()
         self._variants: dict[_VariantSpec, Relation] = {}
         self._variant_counts: dict[str, ColumnarCounts] = {}
         self._atom_variants: dict[str, dict[_VariantSpec, None]] = {}
-        self._tuple_order: dict[str, list[tuple]] = {}
 
     def relation_order(self, relation_name: str) -> list[tuple]:
         """The fixed enumeration of a relation's tuples that provenance
@@ -479,6 +465,33 @@ class ForwardReducer:
             order = sorted(self.db[relation_name].tuples, key=repr)
             self._tuple_order[relation_name] = order
         return order
+
+    def _column(self, relation: str, col: int) -> tuple[list, np.ndarray]:
+        """One source column, read once: its distinct values in order
+        of first appearance and, per tuple of :meth:`relation_order`,
+        the position of its value among them."""
+        column = self._columns.get((relation, col))
+        if column is None:
+            seen: dict = {}
+            index = np.array(
+                [
+                    seen.setdefault(t[col], len(seen))
+                    for t in self.relation_order(relation)
+                ],
+                dtype=np.intp,
+            )
+            column = self._columns[relation, col] = (list(seen), index)
+        return column
+
+    def _codes(self, relation: str, col: int) -> np.ndarray:
+        """One point column as codebook codes, per tuple of
+        :meth:`relation_order` — interned once per distinct value."""
+        codes = self._point_codes.get((relation, col))
+        if codes is None:
+            values, index = self._column(relation, col)
+            codes = self.codebook.encode_column(values)[index]
+            self._point_codes[relation, col] = codes
+        return codes
 
     # ------------------------------------------------------------------
     # query-level transformation
@@ -561,97 +574,68 @@ class ForwardReducer:
     def variant_relation(self, atom: Atom, spec: _VariantSpec) -> Relation:
         if spec in self._variants:
             return self._variants[spec]
-        block, count_array = self._vectorized_counts(
-            atom, spec, self.relation_order(atom.relation)
-        )
+        block, count_array = self._vectorized_counts(atom, spec)
         result = Relation.from_columns(spec.name(), spec.schema(atom), block)
         self._variants[spec] = result
         self._variant_counts[spec.name()] = ColumnarCounts(block, count_array)
         return result
 
     def _vectorized_counts(
-        self,
-        atom: Atom,
-        spec: _VariantSpec,
-        order: Sequence[tuple],
+        self, atom: Atom, spec: _VariantSpec
     ) -> tuple[ColumnBlock, np.ndarray]:
-        """The variant builder: group the relation's tuples by their
-        interval-column projection and expand the cartesian product of
-        part encodings **once per distinct projection group**, as array
-        ops on ``uint32`` codes.  Per group, the product is laid out
-        with mixed-radix ``np.repeat``/``np.tile`` index arrays, member
-        point columns and provenance ids are broadcast across the
-        templates, and the per-group matrices are deduplicated globally
-        with ``np.unique(axis=0)`` — whose inverse bin-counts are the
-        refcounts (two groups can derive equal rows when distinct
-        intervals share a canonical partition, so dedup must be
-        global).  A point-only atom is the degenerate case: one group,
-        one template row, the source tuples copied in code form.
+        """The variant builder, for a whole relation at once.  Per slot,
+        the column's encoding is computed once however many variants of
+        the atom ask, and one gather turns it into each tuple's option
+        count and first option row.  The cartesian products of *all*
+        tuples are laid out together: a derived row knows its source
+        tuple (``np.repeat``) and its position within that tuple's
+        product, whose mixed-radix digits (last slot fastest, the order
+        of ``itertools.product``) pick one option row per slot from the
+        column matrix.  Point codes and provenance ids are one gather
+        by source tuple each, and ``distinct_rows`` deduplicates
+        globally (distinct intervals can share a canonical partition)
+        with the multiplicities as refcounts.  A tuple with an empty
+        option list in a slot derives no row; a point-only atom is the
+        degenerate case of one row per tuple.
 
         Bit-identical to a naive per-tuple loop: distinct canonical-
         partition nodes and distinct splits never concatenate to the
-        same parts, so within one input tuple distinct template
-        combinations never collide and each (member, template) pair
-        contributes exactly one count to its row.
+        same parts, so each input tuple adds at most one count to a
+        row.  A single tuple (a delta patch) goes through
+        :meth:`ForwardReductionResult.tuple_rows` instead.
         """
-        book = self.codebook
         layout = _VariantLayout.of(atom, spec, self.trees, self.k)
-        point_cols, prov_col = layout.point_cols, layout.prov_col
-        interval_tuple_cols = [col for *_, col in layout.slots]
-        member_dep = bool(point_cols) or prov_col is not None
-        n_src = len(order)
-        pt_codes: dict[int, np.ndarray] = {
-            col: book.encode_column((t[col] for t in order), count=n_src)
-            for _, col in point_cols
-        }
-        groups: dict[tuple, list[int]] = {}
-        for tuple_id, t in enumerate(order):
-            key = tuple(t[c] for c in interval_tuple_cols)
-            groups.setdefault(key, []).append(tuple_id)
-        blocks: list[np.ndarray] = []
-        weight_scalars: list[int] = []
-        for projection, members in groups.items():
-            template = layout.template(projection)
-            total = template.shape[0]
-            if total == 0:
-                continue  # an empty option list empties the product
-            if member_dep:
-                m = len(members)
-                members_arr = np.asarray(members, dtype=np.int64)
-                rows_g = np.tile(template, (m, 1))
-                for out_col, col in point_cols:
-                    rows_g[:, out_col] = np.repeat(
-                        pt_codes[col][members_arr], total
-                    )
-                if prov_col is not None:
-                    rows_g[:, prov_col] = np.repeat(
-                        members_arr.astype(CODE_DTYPE), total
-                    )
-                blocks.append(rows_g)
-                weight_scalars.append(1)
-            else:
-                # interval-only, no provenance: every member derives the
-                # very same template rows — one weighted block per group
-                blocks.append(template)
-                weight_scalars.append(len(members))
-        if not blocks:
-            blocks.append(np.empty((0, layout.n_cols), dtype=CODE_DTYPE))
-            weight_scalars.append(0)
-        all_rows = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        weights = np.concatenate(
-            [
-                np.full(b.shape[0], w, dtype=COUNT_DTYPE)
-                for b, w in zip(blocks, weight_scalars)
-            ]
-        )
-        unique_rows, inverse = _unique_rows(all_rows)
-        # float64 bincount sums are exact here (counts stay far below
-        # 2**53); cast straight back to the integer refcount dtype
-        counts = np.bincount(
-            inverse.ravel(), weights=weights, minlength=unique_rows.shape[0]
-        ).astype(COUNT_DTYPE)
+        self._layouts[spec] = layout
+        relation = atom.relation
+        n_src = len(self.relation_order(relation))
+        options = []
+        total = np.ones(n_src, dtype=np.int64)
+        for first, i, tree, leaf, flag, col in layout.slots:
+            values, index = self._column(relation, col)
+            # the tree is part of the key: a self-join reads one column
+            # under two variables
+            key = (relation, col, tree, i, leaf, flag)
+            if key not in self._column_encodings:
+                self._column_encodings[key] = tree.column_encodings(
+                    values, i, leaf, flag
+                )
+            matrix, starts, counts = self._column_encodings[key]
+            options.append((first, i, matrix, starts[index], counts[index]))
+            total *= counts[index]
+        src = np.repeat(np.arange(n_src), total)
+        rows = np.empty((src.size, layout.n_cols), dtype=CODE_DTYPE)
+        within = np.arange(src.size) - np.repeat(np.cumsum(total) - total, total)
+        for first, i, matrix, starts, counts in reversed(options):
+            radix = counts[src]
+            rows[:, first : first + i] = matrix[starts[src] + within % radix]
+            within //= radix
+        for out_col, col in layout.point_cols:
+            rows[:, out_col] = self._codes(relation, col)[src]
+        if layout.prov_col is not None:
+            rows[:, layout.prov_col] = src
+        unique_rows, counts = distinct_rows(rows)
         return (
-            ColumnBlock(unique_rows, layout.kinds, book, layout.bounds),
+            ColumnBlock(unique_rows, layout.kinds, self.codebook, layout.bounds),
             counts,
         )
 
@@ -690,6 +674,7 @@ class ForwardReducer:
             atom_variants,
             self._variant_counts,
             self.codebook,
+            self._layouts,
         )
 
 

@@ -84,8 +84,9 @@ class TestWorkflow:
         assert "REPRO_FUZZ_SEED" in fuzz_steps[0].get("env", {})
         # the explicit file list: the cache fuzz, the array-native
         # delta-patch differentials, the columnar bag-kernel
-        # differentials and the point-only / wide-key / big-count
-        # regressions all ride the same matrix
+        # differentials, the point-only / wide-key / big-count
+        # regressions and the column-encoding differential all ride the
+        # same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -93,6 +94,7 @@ class TestWorkflow:
             "tests/test_delta_maintenance.py",
             "tests/test_columnar_bags.py",
             "tests/test_one_engine.py",
+            "tests/test_column_encodings.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

@@ -8,6 +8,7 @@ delta-patch path, and the session timing stats behind ``repro evaluate
 
 import random
 
+import numpy as np
 from oracles.reduction import (
     apply_delta_rows,
     interval_encodings,
@@ -102,17 +103,40 @@ class TestEncodingStore:
 
     def test_reduction_reuses_one_store_across_variants(self):
         query, db = _db(TRIANGLE)
-        reducer = ForwardReducer(query, db)
+        reducer = ForwardReducer(query, db, disjoint=True, provenance=True)
         result = reducer.reduce()
-        # the result's trees are the reducer's (no duplication), memos
-        # included, and hold one entry per distinct (value, i, variant)
-        # however many relation variants asked for it
+        # the result's trees are the reducer's (no duplication) ...
         assert result.segment_trees["A"] is reducer.trees["A"]
-        values = {t[0] for t in db["R"].tuples} | {t[0] for t in db["T"].tuples}
-        memo = result.segment_trees["A"]._encodings
-        assert {key[0] for key in memo} == values
-        assert len(memo) <= 2 * len(values)  # i = 1 (CP) and i = 2 (leaf)
         assert len(result.database.relation_names) == 12  # 4 variants/atom
+        # ... and a whole column is encoded once per (relation, column,
+        # i, variant) however many of the atom's 4 relation variants ask:
+        # i = 1 (CP) and i = 2 (leaf) for each of the 6 interval columns
+        keys = list(reducer._column_encodings)
+        assert sorted(
+            (relation, col, i, leaf) for relation, col, _, i, leaf, _ in keys
+        ) == sorted(
+            (relation, col, i, i == 2)
+            for relation in "RST"
+            for col in (0, 1)
+            for i in (1, 2)
+        )
+        # the batch path fills no per-value memo; the tree keeps the
+        # column results instead, and answers a value from them as a
+        # zero-copy, read-only slice
+        tree = result.segment_trees["A"]
+        assert not tree._encodings
+        assert sum(map(len, tree._columns.values())) == 4  # R.A, T.A x {CP, leaf}
+        value = next(iter(db["R"].tuples))[0]
+        (matrix,) = (
+            m
+            for (rel, col, t, i, leaf, _), (m, _, _) in reducer._column_encodings.items()
+            if (rel, col, t, i) == ("R", 0, tree, 1)
+        )
+        served = tree.encodings(value, 1, False, False)
+        assert np.shares_memory(served, matrix) and not served.flags.writeable
+        assert sorted(_decoded(served)) == sorted(
+            interval_encodings(tree, 2, value, 1, False)
+        )
 
 
 # ----------------------------------------------------------------------
