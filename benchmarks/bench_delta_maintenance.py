@@ -15,8 +15,8 @@ arrives.  Two worlds:
   artifact and the next evaluation re-runs Algorithm 1 from scratch.
 
 Both worlds are measured twice: with a purely in-memory session, and
-with a ``cache_dir`` — where a patch is followed by re-persisting the
-patched artifact and a rebuild by persisting the new one, which is what
+with a ``cache_dir`` — where a patch is followed by persisting it (a
+delta frame) and a rebuild by persisting the new artifact, which is what
 a serving session pays (``persisted_patch_ms`` / ``persisted_speedup``).
 
 The acceptance criterion is a ≥5× end-to-end advantage for the patch
@@ -70,8 +70,9 @@ def _patch_vs_rebuild(query, rng, cache_dir=None):
     """One warm session, then ``ROUNDS`` logged in-domain inserts (the
     patch world) and ``ROUNDS`` unlogged ones (the rebuild world), each
     followed by the read that must see it.  With a ``cache_dir`` every
-    patch also re-persists the artifact and every rebuild persists the
-    new one — the cost a serving session actually pays."""
+    patch is also persisted (as a delta frame, or whole at the chain
+    cap) and every rebuild persists the new artifact — the cost a
+    serving session actually pays."""
     db = _db(query, N_PER_RELATION)
     session = QuerySession(db, cache_dir=cache_dir)
     session.evaluate(query, strategy="reduction")

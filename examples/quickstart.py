@@ -175,8 +175,9 @@ def main() -> None:
     # sorted uint32 matrix by packed-key binary search, and the int64 refcounts
     # bumped (new rows spliced in, dead rows masked out), copy-on-write
     # so a memmap-loaded cache entry is never written.  The patched
-    # relations keep their column blocks: re-persisting them is a blob
-    # copy and the kernels of section 13 evaluate them as before.
+    # relations keep their column blocks, so the kernels of section 13
+    # evaluate them as before; a session with a cache_dir persists the
+    # patch as a delta frame (the change, not the artifact).
     rng = random.Random(0)
     endpoints_a = sorted(reduction.segment_trees["A"].endpoints)
     endpoints_b = sorted(reduction.segment_trees["B"].endpoints)
@@ -431,7 +432,7 @@ def main() -> None:
             f"stored frame {entry.name}: {len(raw) >> 10} KB, "
             f"magic {raw[:8]!r}"
         )
-        assert raw[:8] == b"REPROV06"
+        assert raw[:8] == b"REPROV07"
         # a warm load maps the frame (np.memmap) and wraps the array
         # sections zero-copy: columnar relations point straight into
         # the file's pages instead of re-materializing object graphs

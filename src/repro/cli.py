@@ -588,7 +588,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         print(
             f"persistent cache ({args.cache_dir}): "
-            f"{cache_stats['hits']} hits, {cache_stats['stores']} stores"
+            f"{cache_stats['hits']} hits, {cache_stats['stores']} stores "
+            f"({cache_stats['delta_stores']} delta / "
+            f"{cache_stats['stores'] - cache_stats['delta_stores']} full / "
+            f"{cache_stats['skipped_stores']} skipped)"
             f"{pruned}, {stats.reductions} reductions this run"
         )
     failed = False

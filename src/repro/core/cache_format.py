@@ -1,22 +1,23 @@
-"""The v6 on-disk reduction-cache layout: framed, safe, mmap-able.
+"""The v7 on-disk reduction-cache layout: framed, safe, mmap-able.
 
 A cache entry is a length-framed binary layout that contains **no
 executable serialization** at all (the pickled envelopes of versions
 ≤ 4 have no reader anywhere in the package)::
 
     offset  size       field
-    0       8          magic  b"REPROV06"
+    0       8          magic  b"REPROV07"
     8       32         SHA-256 of everything after this field
     40      8          meta length (uint64, little-endian)
     48      meta_len   UTF-8 JSON metadata
+    -- a delta frame ends here; a full frame goes on --
     ...     pad        zero padding to a 64-byte boundary
     ...                blob section: raw little-endian array bytes,
                        each blob padded to a 16-byte boundary
 
-The JSON metadata carries the structural half of a
+A **full frame**'s JSON metadata carries the structural half of a
 :class:`~repro.reduction.forward.ForwardReductionResult`::
 
-    format_version   6
+    format_version   7
     query            the original query
     encoded_queries  per disjunct: its EJ query and position map
     trees            per interval variable: its sorted endpoint list —
@@ -39,11 +40,40 @@ warm worker maps a cached reduction zero-copy, rebuilds nothing per
 tree node or per part, and decodes Python tuples only if a consumer
 actually demands them.
 
+A **delta frame** is the change, not the artifact: what a patched
+reduction is stored as, a few hundred bytes whatever ``|D~|`` is.  Its
+reader (``ReductionCache.get``) loads ``parent`` and replays ``deltas``
+through ``apply_delta``::
+
+    format_version   7
+    kind             "delta" (a full frame declares none)
+    parent           the entry key of the artifact the deltas apply to
+    depth            delta frames from here down to a full frame (>= 1)
+    deltas           [[relation, "insert" | "delete", tuple], ...] in
+                     application order, tuples in the wire codec
+
 Integrity: the digest is verified over the mapped bytes before any
 field is trusted, so truncated, bit-flipped or version-skewed frames
-(a v5 entry found in the directory included) degrade to cache misses,
+(a v6 entry found in the directory included) degrade to cache misses,
 never to errors.  Everything here is pure data; a hostile cache entry
-can at worst fail validation.
+can at worst fail validation.  A delta frame's reader holds three more
+invariants — the first here, the others where the link is followed:
+every field has its type and range (``depth`` an ``int >= 1``,
+``deltas`` non-empty ``[str, kind, tuple]`` through ``decode_value``);
+``parent`` matches the entry-key pattern *before* it is joined to a
+path; and the parent resolves to an artifact of depth exactly
+``depth - 1`` under the chain cap — depths strictly decrease, so a
+self-parent, a cycle or a lying depth is a miss after a bounded number
+of opens.
+
+Replay fails closed: an address commits to the contents of the
+relations its query reads, so *any* valid artifact found under
+``parent`` holds the same tuples, and replaying tuple-level deltas on
+it yields a valid artifact of the child's address (provenance order
+and endpoint domains, which a delete never shrinks, may differ from the
+writer's) or raises ``DomainChanged`` — an insert with endpoints the
+parent found on disk never had — which is a miss, never a wrong
+artifact.
 """
 
 from __future__ import annotations
@@ -51,11 +81,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Any
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from ..engine.relation import Database, Relation
+from ..engine.relation import Database, Delta, Relation
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, Variable
 from ..reduction.columnar import (
@@ -88,19 +118,23 @@ def _wire():
 __all__ = [
     "MAGIC",
     "CacheFormatError",
+    "DeltaFrame",
     "serialize_result",
+    "serialize_delta",
     "deserialize_result",
     "load_result",
     "validate_entry_bytes",
 ]
 
-MAGIC = b"REPROV06"
+MAGIC = b"REPROV07"
 _HEADER = struct.Struct("<8s32sQ")  # magic, sha256, meta length
 _META_ALIGN = 64
 _BLOB_ALIGN = 16
 
 #: Column kinds a frame may declare; anything else fails validation.
 _KINDS = (COL_BITS, COL_CODE, COL_ID)
+#: Delta kinds a delta frame may replay (the tuple-level ones).
+_DELTA_KINDS = ("insert", "delete")
 
 
 class CacheFormatError(ValueError):
@@ -110,8 +144,31 @@ class CacheFormatError(ValueError):
     store"; readers as a cache miss."""
 
 
+class DeltaFrame(NamedTuple):
+    """A decoded delta frame (fields as in the module docstring)."""
+
+    parent: str
+    depth: int
+    deltas: tuple[Delta, ...]
+
+
 def _pad(n: int, align: int) -> int:
     return (-n) % align
+
+
+def _frame(meta: dict, chunks: Sequence[bytes] | None) -> bytes:
+    """``meta`` and a blob section (``None``: the frame ends with its
+    metadata) behind the magic / SHA-256 / length header."""
+    meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+    # the digest covers everything after itself: meta length, meta, blobs
+    body = bytearray()
+    body += struct.pack("<Q", len(meta_bytes))
+    body += meta_bytes
+    if chunks is not None:
+        body += b"\x00" * _pad(_HEADER.size + len(meta_bytes), _META_ALIGN)
+        for chunk in chunks:
+            body += chunk
+    return MAGIC + hashlib.sha256(body).digest() + body
 
 
 # ----------------------------------------------------------------------
@@ -259,18 +316,31 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
             "relations": relations,
             "blobs": blobs.descriptors,
         }
-        meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     except wire.ProtocolError as exc:
         raise CacheFormatError(str(exc)) from exc
-    # the digest covers everything after itself: meta length, meta, blobs
-    body = bytearray()
-    body += struct.pack("<Q", len(meta_bytes))
-    body += meta_bytes
-    body += b"\x00" * _pad(_HEADER.size + len(meta_bytes), _META_ALIGN)
-    for chunk in blobs.chunks:
-        body += chunk
-    digest = hashlib.sha256(bytes(body)).digest()
-    return MAGIC + digest + bytes(body)
+    return _frame(meta, blobs.chunks)
+
+
+def serialize_delta(
+    parent: str, depth: int, deltas: Sequence[Delta], version: int
+) -> bytes:
+    """A delta frame: the entry is ``parent``'s artifact with ``deltas``
+    (tuple-level, in application order) replayed on it."""
+    wire = _wire()
+    try:
+        entries = [
+            [d.relation, d.kind, wire.encode_value(d.tuple)] for d in deltas
+        ]
+    except wire.ProtocolError as exc:
+        raise CacheFormatError(str(exc)) from exc
+    meta = {
+        "format_version": int(version),
+        "kind": "delta",
+        "parent": parent,
+        "depth": int(depth),
+        "deltas": entries,
+    }
+    return _frame(meta, None)
 
 
 # ----------------------------------------------------------------------
@@ -331,14 +401,41 @@ def _blob_view(
     return view.view(dtype).reshape(shape)
 
 
+def _decode_delta(meta: dict, wire) -> DeltaFrame:
+    """The delta frame ``meta`` describes, every field checked; raises
+    what :func:`deserialize_result` absorbs."""
+    parent, depth = meta["parent"], meta["depth"]
+    deltas = tuple(
+        Delta(0, kind, relation, wire.decode_value(payload))
+        for relation, kind, payload in meta["deltas"]
+    )
+    if (
+        type(parent) is not str
+        or type(depth) is not int  # not a bool, not a float
+        or depth < 1
+        or not deltas
+        or any(
+            type(d.relation) is not str
+            or d.kind not in _DELTA_KINDS
+            or not isinstance(d.tuple, tuple)
+            for d in deltas
+        )
+    ):
+        raise CacheFormatError("malformed delta frame")
+    return DeltaFrame(parent, depth, deltas)
+
+
 def deserialize_result(
     buffer, expected_version: int
-) -> ForwardReductionResult | None:
-    """Rebuild a reduction artifact from one validated frame.  Array
-    fields are *views* into ``buffer`` — pass an ``np.memmap`` to get
-    zero-copy cache loads, or bytes to materialize from a wire frame.
-    Returns ``None`` on any validation failure — a relation kind other
-    than ``columnar`` included — which callers treat as a cache miss."""
+) -> ForwardReductionResult | DeltaFrame | None:
+    """Rebuild what one validated frame holds: a reduction artifact
+    (full frame) or a :class:`DeltaFrame`, which its reader resolves
+    against the parent entry.  An artifact's array fields are *views*
+    into ``buffer`` — pass an ``np.memmap`` to get zero-copy cache
+    loads, or bytes to materialize from a wire frame.  Returns ``None``
+    on any validation failure — an unknown frame ``kind`` or a relation
+    kind other than ``columnar`` included — which callers treat as a
+    cache miss."""
     parsed = _parse_frame(buffer, expected_version)
     if parsed is None:
         return None
@@ -346,6 +443,11 @@ def deserialize_result(
     wire = _wire()
     decode_value = wire.decode_value
     try:
+        kind = meta.get("kind")
+        if kind is not None:  # full frames declare none
+            if kind != "delta":
+                raise CacheFormatError(f"unknown frame kind {kind!r}")
+            return _decode_delta(meta, wire)
         original = _decode_query(meta["query"])
         encoded = [
             EncodedQuery(
@@ -430,11 +532,14 @@ def deserialize_result(
         return None
 
 
-def load_result(path, expected_version: int) -> ForwardReductionResult | None:
+def load_result(
+    path, expected_version: int
+) -> ForwardReductionResult | DeltaFrame | None:
     """Map one cache entry and rebuild its artifact zero-copy: the
     file becomes a read-only ``np.memmap`` and every code matrix and
-    refcount array is a view into it.  Any failure — missing file,
-    torn write, digest mismatch, version skew — is ``None`` (a miss).
+    refcount array is a view into it (a delta entry comes back as its
+    :class:`DeltaFrame`).  Any failure — missing file, torn write,
+    digest mismatch, version skew — is ``None`` (a miss).
     """
     try:
         mapped = np.memmap(path, dtype=np.uint8, mode="r")

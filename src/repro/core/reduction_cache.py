@@ -34,22 +34,28 @@ like any other entry.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import re
 import tempfile
+import time
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
-from ..engine.relation import Database, Relation
+from ..engine.relation import Database, Delta, Relation
 from ..intervals.interval import Interval
 from ..queries.query import Query
-from ..reduction.forward import ForwardReductionResult
+from ..reduction.forward import DomainChanged, ForwardReductionResult
 from .cache_format import (
     CacheFormatError,
+    DeltaFrame,
     load_result,
+    serialize_delta,
     serialize_result,
     validate_entry_bytes,
 )
+
+_log = logging.getLogger("repro.cache")
 
 #: Bumped whenever the serialized payload layout or the semantics of the
 #: reduction change incompatibly; old entries are then simply misses.
@@ -64,8 +70,18 @@ from .cache_format import (
 #: Version 6: interval parts are segment-tree node ids stored verbatim
 #: (``bits`` columns with a declared bound); the codebook holds point
 #: values only and the frame no string table.
+#: Version 7: a second frame kind — a patched artifact is stored as
+#: the tuple-level deltas that turn its parent entry into it.
 #: Versions 2-4 were pickled ``.pkl`` envelopes; no reader remains.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
+
+#: The most delta frames between an entry and a full frame.  A link
+#: replays in a fraction of a full load, so the longest chain loads in
+#: 2-3x one; the patch after that stores whole — the compaction.
+MAX_DELTA_CHAIN = 8
+
+#: A ``*.tmp`` file this old has no live writer (one lives milliseconds).
+_STALE_TEMP_S = 60.0
 
 
 # ----------------------------------------------------------------------
@@ -128,12 +144,17 @@ def relation_digest(relation: Relation) -> str:
     return digest
 
 
-def database_digests(db: Database) -> dict[str, str]:
+def database_digests(
+    db: Database, names: Iterable[str] | None = None
+) -> dict[str, str]:
     """Per-relation content digests — what persistent-cache keys
     commit to: a mutation changes exactly the digests of the relations
     it touched (and only those are re-hashed, see
-    :func:`relation_digest`)."""
-    return {r.name: relation_digest(r) for r in db}
+    :func:`relation_digest`).  ``names`` restricts the pass to the
+    relations a key commits to: no other mutated relation is re-hashed."""
+    if names is None:
+        return {r.name: relation_digest(r) for r in db}
+    return {name: relation_digest(db[name]) for name in names}
 
 
 def database_fingerprint(db: Database) -> tuple:
@@ -232,15 +253,55 @@ def reduction_key(
 # ----------------------------------------------------------------------
 
 
+class _Miss(Exception):
+    """``(reason, detail)``: why an entry did not resolve.  ``reason``
+    names its ``miss_*`` counter — or is ``depth``, which the child
+    frame that stated the depth turns into its own ``invalid``."""
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """``data`` at ``path`` via a temp file beside it and a rename, so
+    no reader ever sees a torn entry."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ReductionCache:
     """A persistent, content-addressed store of forward reductions.
 
     Entries are immutable once written: the key commits to the query and
     to the contents of every relation it reads, so there is nothing to
-    invalidate — mutated databases simply address different entries.
+    invalidate — mutated databases simply address different entries,
+    and the patch path (``put(..., deltas=)``) never replaces one: an
+    entry already at the address is an equal artifact.
     Safe to share between concurrent workers (atomic writes; readers of
     a half-written temp file are impossible, readers of a corrupt or
     version-skewed entry get a miss).
+
+    A patched reduction is stored as a *delta frame*
+    (:mod:`repro.core.cache_format`): the deltas, chained to the entry
+    the artifact was last stored or loaded under, so the write costs
+    O(change).  Delta frames are ordinary ``.red`` files named by their
+    address, which is all the rest of this class needs to know:
+
+    * **prune** — a hit touches every link it resolved, so a hot child
+      keeps its chain young; a pruned parent leaves the child a
+      ``miss_orphan``, which the rebuild's full store replaces.
+    * **namespaces** — every link a :meth:`get` resolves is marked, so
+      :meth:`purge_namespace` removes a tenant's private chain whole
+      and keeps a parent another tenant has read.
+    * **shipping** — :meth:`entry_keys` / :meth:`export_entry` /
+      :meth:`import_entry` move delta frames like any frame; a child
+      that arrives before its parent is a miss until the chain is whole.
 
     ``max_bytes`` caps the directory for long-lived deployments: after
     every store the cache is pruned back under the cap, evicting least-
@@ -302,8 +363,10 @@ class ReductionCache:
         self.namespace = namespace
         self.max_bytes = max_bytes
         self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        self._misses = {"absent": 0, "invalid": 0, "orphan": 0, "replay": 0}
+        self.stores = 0        # files written
+        self.delta_stores = 0  # ... of which delta frames
+        self.skipped_stores = 0  # patches whose address held an entry
         self.pruned = 0
         #: stores skipped because the artifact cannot be expressed in
         #: the framed layout (exotic value types); the cache is
@@ -327,6 +390,10 @@ class ReductionCache:
             *self.directory.glob("*/*.pkl"),
         ]
 
+    def _temp_paths(self) -> "list[Path]":
+        """Writers' temp files: milliseconds old, unless one was killed."""
+        return list(self.directory.glob("*/*.tmp"))
+
     def _namespace_dir(self, namespace: str) -> Path:
         return self.directory / "_namespaces" / namespace
 
@@ -344,28 +411,102 @@ class ReductionCache:
             pass
 
     def get(self, key: str) -> ForwardReductionResult | None:
-        """The stored reduction for ``key``, or ``None``.  Any failure —
-        missing file, truncated write from a crashed worker, a frame
-        whose integrity digest does not match its bytes, a frame from
-        an incompatible version — is a plain miss, never an error.
+        """The stored reduction for ``key``, or ``None``.  Any failure
+        is a counted miss, never an error: no file (``miss_absent``); a
+        truncated, tampered, version-skewed or malformed frame
+        (``miss_invalid``, logged); a delta frame whose parent is gone
+        (``miss_orphan``) or whose deltas do not replay on the parent
+        found (``miss_replay``).  The file that could not be used is
+        unlinked, so the rebuild's store heals the address.
 
-        Current entries are loaded through ``np.memmap``: the returned
-        artifact's code matrices and refcount arrays are views into the
-        mapped file, so a warm load costs the metadata parse plus one
-        digest pass, never an array copy."""
-        result = load_result(self._path(key), FORMAT_VERSION)
-        if result is None:
-            self.misses += 1
-            return None
+        A full frame is loaded through ``np.memmap``: the artifact's
+        arrays are views into the mapped file, so a warm load costs the
+        metadata parse plus one digest pass, never an array copy.  A
+        delta frame loads its parent and replays its deltas through
+        ``apply_delta``, copy-on-write over the mapping."""
         try:
-            os.utime(self._path(key))  # refresh the LRU clock for prune()
-        except OSError:
-            pass
-        self._mark(key)
+            result, depth = self._load(key, None)
+        except _Miss as miss:
+            reason, detail = miss.args
+            self._misses[reason] += 1
+            if reason == "invalid":
+                _log.warning("cache entry %s removed: %s", key, detail)
+            return None
+        result.stored_as = (key, depth)
         self.hits += 1
         return result
 
-    def put(self, key: str, result: ForwardReductionResult) -> None:
+    def _load(
+        self, key: str, depth: int | None
+    ) -> tuple[ForwardReductionResult, int]:
+        """The artifact of entry ``key`` and its chain depth, which must
+        be ``depth`` when a child frame states one: depths strictly
+        decrease, so no chain takes over ``MAX_DELTA_CHAIN + 1`` opens.
+        Every link resolved is touched and marked."""
+        path = self._path(key)
+        loaded = load_result(path, FORMAT_VERSION)
+        if loaded is None and not path.exists():
+            raise _Miss("absent", "no such entry")
+        found = loaded.depth if isinstance(loaded, DeltaFrame) else 0
+        if loaded is not None and depth is not None and found != depth:
+            # the child's claim is what failed; this entry may be fine
+            raise _Miss("depth", f"parent {key} has depth {found}")
+        try:
+            if loaded is None:
+                raise _Miss("invalid", f"not a version-{FORMAT_VERSION} frame")
+            if found > MAX_DELTA_CHAIN:
+                raise _Miss("invalid", f"chain depth {found} is over the cap")
+            if found:
+                loaded = self._replayed(loaded)
+        except _Miss:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            raise
+        self._touch(path)
+        self._mark(key)
+        return loaded, found
+
+    def _replayed(self, frame: DeltaFrame) -> ForwardReductionResult:
+        """The parent entry's artifact with ``frame``'s deltas applied
+        (why that is safe on whatever valid artifact the parent address
+        holds: :mod:`repro.core.cache_format`)."""
+        if not self.ENTRY_KEY_PATTERN.match(frame.parent):
+            raise _Miss("invalid", "parent is not an entry key")
+        try:
+            result, _ = self._load(frame.parent, frame.depth - 1)
+        except _Miss as miss:
+            reason, detail = miss.args
+            if reason == "absent":
+                raise _Miss("orphan", f"parent {frame.parent} is gone")
+            if reason == "depth":
+                raise _Miss("invalid", f"{detail}, not {frame.depth - 1}")
+            raise
+        try:
+            for delta in frame.deltas:
+                if delta.relation not in result.source_relations:
+                    raise _Miss("replay", f"no atom over {delta.relation!r}")
+                result.apply_delta(delta)
+        except (DomainChanged, AttributeError) as exc:
+            # AttributeError: a point where the atom has an interval
+            raise _Miss("replay", str(exc)) from None
+        return result
+
+    @staticmethod
+    def _touch(path: Path) -> None:
+        """Refresh the LRU clock :meth:`prune` reads."""
+        try:
+            os.utime(path)
+        except OSError:  # pruned meanwhile
+            pass
+
+    def put(
+        self,
+        key: str,
+        result: ForwardReductionResult,
+        deltas: Sequence[Delta] | None = None,
+    ) -> None:
         """Store ``result`` under ``key`` atomically (write to a temp
         file in the same directory, then rename over the target).  The
         artifact is serialized to the framed layout — readers verify
@@ -373,45 +514,61 @@ class ReductionCache:
         layout cannot express (exotic value types) skip the store and
         bump :attr:`unserializable`; losing a race against a concurrent
         prune of the same directory is silently absorbed — the cache is
-        best-effort by contract."""
+        best-effort by contract.
+
+        ``deltas`` is the patch path: the tuple-level deltas applied to
+        ``result`` since this cache last stored or loaded it.  An entry
+        already at ``key`` is then kept (``skipped_stores``) — which is
+        why a chain cannot cycle: insert ``t``, delete ``t`` arrives
+        back at the frame it started from and leaves it alone.
+        Otherwise the entry is a delta frame chained to the one
+        ``result`` came from, if that is known and under
+        :data:`MAX_DELTA_CHAIN` links deep, else a full frame."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # where the artifact is stored is known again once this succeeds
+        origin, result.stored_as = result.stored_as, None
         try:
             replaced = path.stat().st_size
         except OSError:  # includes FileNotFoundError: pruned or fresh
             replaced = 0
+        if deltas is not None and replaced:
+            self._touch(path)
+            self._mark(key)
+            self.skipped_stores += 1
+            return
+        depth = 0
+        if (
+            deltas
+            and origin is not None
+            and origin[0] != key
+            and origin[1] < MAX_DELTA_CHAIN
+        ):
+            depth = origin[1] + 1
         try:
-            frame = serialize_result(result, FORMAT_VERSION)
+            if depth:
+                frame = serialize_delta(origin[0], depth, deltas, FORMAT_VERSION)
+            else:
+                frame = serialize_result(result, FORMAT_VERSION)
         except CacheFormatError:
             self.unserializable += 1
             return
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(frame)
-            written = os.stat(tmp).st_size
-            os.replace(tmp, path)
+            _write_atomic(path, frame)
         except FileNotFoundError:
             # the temp file (or the shard directory itself) vanished —
             # a concurrent pruner or cleaner won the race; drop the store
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.stores += 1
+        if depth:
+            self.delta_stores += 1
+        result.stored_as = (key, depth)
         self._mark(key)
         if self.max_bytes is not None:
             if self._tracked_bytes is None:
                 self._tracked_bytes = self.size_bytes()
             else:
-                self._tracked_bytes += written - replaced
+                self._tracked_bytes += len(frame) - replaced
             if self._tracked_bytes > self.max_bytes:
                 self.prune(self.max_bytes)
 
@@ -420,15 +577,23 @@ class ReductionCache:
         the clock) until the directory's payload totals at most
         ``max_bytes``.  Returns the number of entries removed.  Entries
         that vanish concurrently (another worker pruned them) are
-        skipped, never an error."""
+        skipped, never an error.  A killed writer's ``*.tmp`` counts
+        towards the total and goes first once it is a minute old."""
         entries: list[tuple[float, int, Path]] = []
-        for path in self._entry_paths():
+        total = 0
+        stale = time.time() - _STALE_TEMP_S
+        for path in (*self._entry_paths(), *self._temp_paths()):
             try:
                 stat = path.stat()
+                if path.suffix == ".tmp":  # a live writer's is left alone
+                    if stat.st_mtime < stale:
+                        path.unlink()
+                        continue
+                else:
+                    entries.append((stat.st_mtime, stat.st_size, path))
             except OSError:
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _, size, _ in entries)
+            total += stat.st_size
         removed = 0
         entries.sort()  # oldest mtime first = least recently used
         for _, size, path in entries:
@@ -489,16 +654,9 @@ class ReductionCache:
             self._mark(key)
             return True  # content-addressed: an existing entry is equal
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp, path)
+            _write_atomic(path, raw)
         except OSError:  # pragma: no cover - concurrent cleaner
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         self.stores += 1
         self._mark(key)
@@ -573,9 +731,9 @@ class ReductionCache:
 
     def size_bytes(self) -> int:
         """Total entry bytes currently on disk (stray ``.pkl`` files
-        included)."""
+        and writers' ``.tmp`` files included)."""
         total = 0
-        for path in self._entry_paths():
+        for path in (*self._entry_paths(), *self._temp_paths()):
             try:
                 total += path.stat().st_size
             except OSError:
@@ -587,11 +745,20 @@ class ReductionCache:
         files included)."""
         return len(self._entry_paths())
 
+    @property
+    def misses(self) -> int:
+        return sum(self._misses.values())
+
     def stats(self) -> dict[str, int]:
+        """Flat counters; ``misses`` is the sum of the ``miss_*``
+        reasons (see :meth:`get`)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
+            **{f"miss_{reason}": n for reason, n in self._misses.items()},
             "stores": self.stores,
+            "delta_stores": self.delta_stores,
+            "skipped_stores": self.skipped_stores,
             "pruned": self.pruned,
             "unserializable": self.unserializable,
         }

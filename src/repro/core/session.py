@@ -571,12 +571,13 @@ class QuerySession:
     ) -> dict[tuple, _Reduction]:
         """The delta-maintenance core: the cached plain reductions whose
         changed relations are all in ``patch``, brought up to date in
-        place and re-persisted under the post-delta digests, so a
-        restarted worker stays warm (a patched artifact is still
-        columnar, so the store is a blob copy, not a row re-encode).
-        Answers and plans of the patched queries still drop: patching
-        keeps the *reduction* warm, the (cheap) disjunct evaluation
-        re-runs."""
+        place and persisted under the post-delta digests as *the
+        change* — the cache chains a delta frame holding the deltas
+        just applied to the entry the artifact came from — so a
+        restarted worker stays warm at a write cost of O(change), not
+        O(|D~|).  Answers and plans of the patched queries still drop:
+        patching keeps the *reduction* warm, the (cheap) disjunct
+        evaluation re-runs."""
         patched: dict[tuple, _Reduction] = {}
         for key, entry in self._reductions.items():
             touched = entry.deps & changed
@@ -589,12 +590,13 @@ class QuerySession:
                 or entry.pipeline != _PLAIN
             ):
                 continue
+            deltas = sorted(
+                (d for name in touched for d in patch[name]),
+                key=lambda d: d.version,
+            )
             try:
                 with self._timed("reduce"):
-                    for delta in sorted(
-                        (d for name in touched for d in patch[name]),
-                        key=lambda d: d.version,
-                    ):
+                    for delta in deltas:
                         entry.result.apply_delta(delta)
                         self.stats.delta_patches += 1
             except DomainChanged:
@@ -602,11 +604,12 @@ class QuerySession:
             patched[key] = entry
             if self.cache is not None:
                 address = reduction_key(
-                    entry.result.original, database_digests(self.db),
+                    entry.result.original,
+                    database_digests(self.db, entry.deps),
                     entry.disjoint, entry.provenance, entry.pipeline,
                 )
                 with self._timed("cache_io"):
-                    self.cache.put(address, entry.result)
+                    self.cache.put(address, entry.result, deltas)
         return patched
 
     # ------------------------------------------------------------------
@@ -652,8 +655,8 @@ class QuerySession:
         result = None
         if self.cache is not None:
             address = reduction_key(
-                query, database_digests(self.db), disjoint, provenance,
-                pipeline,
+                query, database_digests(self.db, query.relations),
+                disjoint, provenance, pipeline,
             )
             with self._timed("cache_io"):
                 result = self.cache.get(address)

@@ -243,6 +243,13 @@ class ForwardReductionResult:
     #: variant spec -> its column layout, as the reducer built it; a
     #: cache-loaded result fills this on its first patch
     layouts: dict = field(default_factory=dict)
+    #: ``(address, delta-chain depth)`` of the persistent-cache entry
+    #: that holds exactly this object's current content, or ``None`` —
+    #: written by :class:`~repro.core.reduction_cache.ReductionCache`
+    #: only, after a successful load or store
+    stored_as: tuple[str, int] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ej_queries(self) -> list[Query]:
@@ -303,8 +310,8 @@ class ForwardReductionResult:
         is copy-on-write: arrays may be read-only views of a mapped
         cache file, so a patch swaps in new arrays and never stores
         into the old ones.  The relation keeps its column block, so the
-        patched artifact re-persists as raw blobs and evaluates as it
-        did before.
+        patched artifact evaluates as it did before (and, when a cache
+        re-persists it whole, stores as raw blobs).
         """
         if delta.relation not in self.source_relations:
             return

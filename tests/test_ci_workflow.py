@@ -85,8 +85,8 @@ class TestWorkflow:
         # the explicit file list: the cache fuzz, the array-native
         # delta-patch differentials, the columnar bag-kernel
         # differentials, the point-only / wide-key / big-count
-        # regressions and the column-encoding differential all ride the
-        # same matrix
+        # regressions, the column-encoding differential and the delta-
+        # frame chain ≡ live ≡ naive scripts all ride the same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -95,6 +95,7 @@ class TestWorkflow:
             "tests/test_columnar_bags.py",
             "tests/test_one_engine.py",
             "tests/test_column_encodings.py",
+            "tests/test_delta_frames.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

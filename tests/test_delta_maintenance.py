@@ -931,9 +931,12 @@ class TestSessionDeltaMaintenance:
         materialise their bags on the code arrays, so evaluation never
         decodes a variant and every patch stays in array space."""
         q, db, session = self.warm_session(cache_dir=tmp_path)
-        for step in range(4):
-            t = self.in_domain_tuple(session, q, random.Random(step))
-            for mutate in (db.insert, db.delete):
+        added = [
+            self.in_domain_tuple(session, q, random.Random(step))
+            for step in range(4)
+        ]
+        for mutate in (db.insert, db.delete):
+            for t in added:
                 assert mutate("R", t) is not None
                 assert session.evaluate(
                     q, strategy="reduction"
@@ -944,12 +947,23 @@ class TestSessionDeltaMaintenance:
         result = warm._reduction(warm._canonical(q), False, False)
         assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
         _assert_columnar(result)
-        # every patch re-persisted the artifact as blobs, not rows
-        entries = warm.cache._entry_paths()
-        assert len(entries) > 1
-        for entry in entries:
-            kinds = _frame_kinds(entry.read_bytes())
-            assert set(kinds.values()) == {"columnar"}, entry.name
+        # a patch is persisted as the change: seven delta frames chained
+        # to the one full frame (the last delete arrived back at that
+        # frame's address, which is kept), and it holds blobs, not rows
+        metas = [
+            _parse_frame(entry.read_bytes(), FORMAT_VERSION)[0]
+            for entry in warm.cache._entry_paths()
+        ]
+        full = [meta for meta in metas if "kind" not in meta]
+        assert {meta["kind"] for meta in metas if meta not in full} == {"delta"}
+        assert len(full) == 1 and len(metas) == 8
+        for meta in full:
+            assert {entry["kind"] for entry in meta["relations"]} == {
+                "columnar"
+            }
+        stats = session.cache.stats()
+        assert stats["delta_stores"] == len(metas) - len(full)
+        assert stats["skipped_stores"] == 1
 
     def test_many_interleaved_api_mutations_stay_correct(self):
         rng = random.Random(13)

@@ -182,6 +182,9 @@ class TestStore:
         assert cache.stats() == {
             "hits": 1, "misses": 1, "stores": 1, "pruned": 0,
             "unserializable": 0,
+            # the miss was a missing file; the store a full frame
+            "miss_absent": 1, "miss_invalid": 0, "miss_orphan": 0,
+            "miss_replay": 0, "delta_stores": 0, "skipped_stores": 0,
         }
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
@@ -322,14 +325,23 @@ class TestFramedFormat:
         assert not [s for s in strings if len(s) > 1 and not s.strip("01")]
         # what the previous writer left under the same name: its own
         # magic, its own version number, a valid digest
-        meta["format_version"] = 5
-        meta_bytes = json.dumps(meta).encode()
-        body = struct.pack("<Q", len(meta_bytes)) + meta_bytes
-        body += b"\x00" * (-(48 + len(meta_bytes)) % 64) + raw[blob_base:]
-        path.write_bytes(b"REPROV05" + hashlib.sha256(body).digest() + body)
-        misses = cache.misses
-        assert cache.get(key) is None
-        assert cache.misses == misses + 1
+        # ... and a v7 full frame is the v6 one but for magic and version
+        assert raw[:8] == b"REPROV07" and "kind" not in meta
+        for version in (5, 6):
+            meta["format_version"] = version
+            meta_bytes = json.dumps(meta).encode()
+            body = struct.pack("<Q", len(meta_bytes)) + meta_bytes
+            body += b"\x00" * (-(48 + len(meta_bytes)) % 64) + raw[blob_base:]
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(
+                b"REPROV%02d" % version + hashlib.sha256(body).digest() + body
+            )
+            before = cache.stats()
+            assert cache.get(key) is None
+            after = cache.stats()
+            assert after["misses"] == before["misses"] + 1
+            assert after["miss_invalid"] == before["miss_invalid"] + 1
+            assert not path.exists()  # healed: the rebuild's put finds no file
 
     def test_stray_pkl_is_dead_bytes_counted_and_evicted_never_opened(
         self, tmp_path
@@ -362,6 +374,33 @@ class TestFramedFormat:
         stray.write_bytes(b"junk")
         cache._mark(key)
         assert cache.purge_namespace() == 1 and not stray.exists()
+
+    def test_a_killed_writers_temp_file_is_counted_and_pruned_once_stale(
+        self, tmp_path
+    ):
+        """A worker SIGKILLed between ``mkstemp`` and ``os.replace``
+        leaves a ``*.tmp`` beside the entry.  It occupies bytes
+        ``max_bytes`` caps, so ``size_bytes`` counts it, and ``prune``
+        unlinks it first once no live writer can own it (60 s) — a
+        young one is a write in flight and is left alone."""
+        cache, key, _ = self._stored(tmp_path)
+        entry = cache._path(key)
+        stale = entry.parent / "tmpkilled.tmp"
+        young = entry.parent / "tmpwriting.tmp"
+        stale.write_bytes(b"x" * 1000)
+        young.write_bytes(b"y" * 10)
+        old = stale.stat().st_mtime - 61
+        os.utime(stale, (old, old))
+        size = entry.stat().st_size
+        assert cache.size_bytes() == size + 1010
+        assert len(cache) == 1 and cache.entry_keys() == [key]
+        # under the cap once the stale bytes go: no entry is evicted
+        assert cache.prune(size + 10) == 0
+        assert not stale.exists() and young.exists() and entry.exists()
+        assert cache.size_bytes() == size + 10
+        # a live writer's file is never the victim, only counted
+        assert cache.prune(0) == 1
+        assert young.exists() and not entry.exists()
 
     def test_retired_knobs_are_gone(self, capsys):
         """One reduction builder, one cache reader: nothing under

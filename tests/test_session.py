@@ -340,6 +340,54 @@ class TestIncrementalInvalidation:
         assert session.stats.reductions == 3
 
 
+class TestDigestsFollowTheQuery:
+    def test_a_read_digests_only_the_relations_its_query_mentions(
+        self, tmp_path, monkeypatch
+    ):
+        """ROADMAP 4(c): a mutation of ``T`` must not be re-hashed on
+        behalf of a query over ``R, S`` — its cache key never commits
+        to ``T``."""
+        from repro.core import reduction_cache
+
+        everything = parse_query(TRIANGLE)
+        db = small_db(everything, n=6)
+        session = QuerySession(db, cache_dir=tmp_path)
+        session.evaluate(parse_query("R([A],[B]) ∧ S([B],[C])"), strategy="reduction")
+        hashed = []
+        original = reduction_cache.relation_digest
+
+        def recording(relation):
+            memo = relation._digest
+            if memo is None or memo[0] != relation.version:
+                hashed.append(relation.name)
+            return original(relation)
+
+        monkeypatch.setattr(reduction_cache, "relation_digest", recording)
+        assert db.insert("T", (Interval(1, 2), Interval(1, 2))) is not None
+        # a query not reduced yet, so its address has to be computed
+        unseen = parse_query("R([A],[B]) ∧ S([A],[B])")
+        assert session.evaluate(unseen, strategy="reduction") == naive_evaluate(
+            unseen, db
+        )
+        assert session.stats.reductions == 2
+        assert hashed == []  # R and S are memoized, T was never asked for
+        assert db["T"]._digest is None
+        # ... and T's is computed exactly when a query reads T
+        session.evaluate(everything, strategy="reduction")
+        assert hashed == ["T"]
+
+    def test_database_digests_takes_a_restriction(self):
+        from repro.core import database_digests
+
+        db = small_db(parse_query(TRIANGLE), n=4)
+        assert set(database_digests(db)) == {"R", "S", "T"}
+        assert database_digests(db, ["S"]) == {
+            "S": database_digests(db)["S"]
+        }
+        with pytest.raises(KeyError):
+            database_digests(db, ["Z"])
+
+
 class TestInvalidation:
     def test_mutation_between_evaluates_is_seen(self):
         q = parse_query(TRIANGLE)
