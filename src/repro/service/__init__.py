@@ -48,8 +48,8 @@ the first consumer that turns that substrate into a *service*:
   shards are evicted and their in-flight work resubmitted to survivors
   on the original futures (exactly-once, the pool's crash contract
   across machine boundaries); a joining node's per-node cache is warmed
-  by shipping content-addressed entries over the wire; routing clients
-  learn the ring and dial shards directly.
+  by shipping content-addressed entries over the wire; the asyncio
+  client learns the ring and dials shards directly.
 
 ``repro serve``, ``repro route``, ``repro shard`` and ``repro loadgen``
 expose the server, the router tier, a standalone shard node and the

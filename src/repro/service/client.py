@@ -13,14 +13,14 @@ each client only says how a frame travels (``_call``).  The
 coordinator's :class:`~repro.service.remote.RemoteShardNode` gets its
 verbs the same way.
 
-Both clients can do **client-side routing** against a coordinator whose
-``ring`` verb advertises shard addresses (:meth:`learn_ring`): the
-owning shard of an ``evaluate``/``count`` request is computed locally
-from the same consistent-hash placement the coordinator uses, the shard
-is dialed directly (skipping the router hop), and any shard failure
-falls back to the router and re-learns the ring — correctness never
-depends on the client's ring view being current, because every shard
-serves every tenant.
+:class:`ServiceClient` talks to the one server it dialed; client-side
+routing belongs to :class:`AsyncServiceClient` (loadgen's ``--direct``).
+Against a coordinator whose ``ring`` verb advertises shard addresses
+(:meth:`~AsyncServiceClient.learn_ring`) it places ``evaluate``/``count``
+requests locally on the coordinator's consistent-hash ring, dials the
+owning shard directly, and on any shard failure falls back to the router
+and re-learns the ring — correctness never depends on the client's ring
+view being current, because every shard serves every tenant.
 """
 
 from __future__ import annotations
@@ -166,19 +166,8 @@ class ServiceClient(_VerbMethods):
         self._file = self._sock.makefile("rwb")
         self._ids = itertools.count(1)
         self._broken: str | None = None
-        # client-side routing state (populated by learn_ring)
-        self._ring = None
-        self._addresses: dict[str, tuple[str, int]] = {}
-        self._shard_clients: dict[str, "ServiceClient"] = {}
-        self._key_cache: dict[str, Any] = {}
 
     def close(self) -> None:
-        for client in self._shard_clients.values():
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - teardown best-effort
-                pass
-        self._shard_clients.clear()
         try:
             self._file.close()
         except OSError:  # a timed-out socket may fail its flush-on-close
@@ -227,82 +216,7 @@ class ServiceClient(_VerbMethods):
         return protocol.parse_line(line)
 
     def _call(self, verb: protocol.Verb, fields: dict) -> Any:
-        send = self._routed if verb.placement == protocol.ROUTED else self.request
-        return verb.cast(_unwrap(send(verb.name, **fields)))
-
-    # ------------------------------------------------------------------
-    # client-side routing
-    # ------------------------------------------------------------------
-
-    def learn_ring(self) -> dict:
-        """Fetch the coordinator's ring topology and — when it
-        advertises shard addresses — enable direct dialing: later
-        ``evaluate``/``count`` calls go straight to the owning shard,
-        falling back to the router on any shard failure."""
-        info = self.ring()
-        self._ring, self._addresses = _ring_view(info)
-        return info
-
-    def _direct_target(self, query: str) -> tuple[str, "ServiceClient"] | None:
-        if self._ring is None:
-            return None
-        key = _canonical_key(query, self._key_cache)
-        if key is None:
-            return None
-        shard = self._ring.node_for(key)
-        address = self._addresses.get(shard)
-        if address is None:
-            return None
-        client = self._shard_clients.get(shard)
-        if client is None:
-            try:
-                client = ServiceClient(
-                    address[0],
-                    address[1],
-                    timeout=self.timeout,
-                    tenant=self.tenant,
-                )
-            except OSError:
-                return None
-            self._shard_clients[shard] = client
-        return shard, client
-
-    def _drop_direct(self, shard: str) -> None:
-        client = self._shard_clients.pop(shard, None)
-        if client is not None:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - teardown best-effort
-                pass
-
-    def _relearn(self) -> None:
-        try:
-            self.learn_ring()
-        except (OSError, ServiceError):  # pragma: no cover - router gone too
-            self._ring = None
-            self._addresses = {}
-
-    def _routed(self, op: str, **fields: Any) -> dict:
-        """Issue ``op`` to the owning shard directly when the ring is
-        known, falling back to the router (and re-learning the ring) on
-        connection failure or a typed can't-serve response."""
-        query = fields.get("query")
-        if isinstance(query, str):
-            target = self._direct_target(query)
-            if target is not None:
-                shard, client = target
-                try:
-                    response = client.request(op, **fields)
-                except (ConnectionError, OSError):
-                    self._drop_direct(shard)
-                    self._relearn()
-                else:
-                    code = (response.get("error") or {}).get("code")
-                    if code not in _FALLBACK_CODES:
-                        return response
-                    self._drop_direct(shard)
-                    self._relearn()
-        return self.request(op, **fields)
+        return verb.cast(_unwrap(self.request(verb.name, **fields)))
 
 
 class AsyncServiceClient(_VerbMethods):
@@ -433,8 +347,9 @@ class AsyncServiceClient(_VerbMethods):
 
     async def learn_ring(self) -> dict:
         """Fetch the coordinator's ring topology and — when it
-        advertises shard addresses — enable direct dialing (see
-        :meth:`ServiceClient.learn_ring`)."""
+        advertises shard addresses — enable direct dialing: later
+        ``evaluate``/``count`` calls go straight to the owning shard,
+        falling back to the router on any shard failure."""
         info = await self.ring()
         self._ring, self._addresses = _ring_view(info)
         return info

@@ -27,9 +27,11 @@ Three pieces:
 
 * :class:`RemoteShardNode` — the coordinator-side handle for one shard
   process: that connection under the shard's ring name, plus one
-  blocking method per verb, generated from the verb table (tenant
-  attach/detach/reload, and the content-addressed cache-shipping verbs
-  that warm a joining node's per-node cache directory over the wire).
+  blocking method per verb, generated from the verb table.  It is the
+  remote kind of the router's shard seam: attach/swap/detach ship a
+  tenant's snapshot or purge it over the tenant verbs, and ``warm``
+  fills a joining node's per-node cache directory through the
+  content-addressed cache-shipping verbs.
 
 * :class:`RemoteShardPool` — the :class:`~repro.service.pool.Pool`
   contract over one (shard node, tenant) pair, so the router's routing,
@@ -63,7 +65,7 @@ from typing import Any, Callable, Sequence
 
 from ..queries.query import Query
 from . import protocol
-from .client import _VerbMethods, _unwrap
+from .client import ServiceError, _VerbMethods, _unwrap
 from .pool import Entry, PoolClosed, _resolve
 
 __all__ = [
@@ -290,13 +292,19 @@ class ShardConnection:
 
 
 class RemoteShardNode(ShardConnection, _VerbMethods):
-    """One remote shard process, as the coordinator sees it: its
-    pipelined connection under the shard's ring name (``on_down``
-    receives the node), plus one blocking method per verb, generated
-    from the verb table — the coordinator uses the tenant admin and
-    cache-shipping ones.  A database argument may be an already-encoded
-    snapshot: the coordinator encodes once and ships the same dict to
-    every node."""
+    """One remote shard process, as the coordinator sees it — the
+    remote kind of the router's shard seam (see
+    :mod:`repro.service.router`; ``_LocalShard`` is the in-process
+    kind).  It is its pipelined connection under the shard's ring name
+    (``on_down`` receives the node; :meth:`drain` is the registry of its
+    failure domain, :meth:`ping` the health probe), plus one blocking
+    method per verb, generated from the verb table.  The seam methods
+    are written over those verbs: :meth:`attach` ships a tenant's
+    snapshot, :meth:`swap` reloads it (the node swaps its own pools, so
+    the coordinator's pool serves on), :meth:`detach` purges the node's
+    own cache, :meth:`warm` fills it from donor nodes.  A snapshot
+    carries its wire encoding, computed once however many nodes receive
+    it."""
 
     #: generous: attach/reload ship whole database snapshots
     ADMIN_TIMEOUT = 300.0
@@ -316,6 +324,48 @@ class RemoteShardNode(ShardConnection, _VerbMethods):
         return verb.cast(
             self.request(verb.name, timeout=self.ADMIN_TIMEOUT, **fields)
         )
+
+    def attach(self, tenant: str, snapshot: Any) -> "RemoteShardPool":
+        self.attach_tenant(tenant, snapshot.encoded)
+        return RemoteShardPool(self, tenant)
+
+    def swap(
+        self, tenant: str, snapshot: Any, pool: "RemoteShardPool"
+    ) -> "RemoteShardPool":
+        self.reload(tenant, snapshot.encoded)
+        return pool
+
+    def detach(self, tenant: str, purge: bool = True) -> int:
+        """The node's ``purged`` count; a dead or dying node has
+        nothing left to purge."""
+        try:
+            return int(self.detach_tenant(tenant, purge=purge).get("purged") or 0)
+        except (ShardUnreachable, ServiceError):
+            return 0
+
+    def warm(self, donors: Sequence["RemoteShardNode"]) -> int:
+        """Ship every cache entry a donor holds and this node lacks,
+        content-addressed and integrity-verified (``cache_keys`` →
+        ``cache_fetch`` → ``cache_push``); returns how many.  Warming is
+        an optimisation, never a correctness requirement, so donor
+        failures just move on to the next donor."""
+        try:
+            have = set(self.cache_keys())
+        except (ShardUnreachable, ServiceError):
+            return 0  # this node has no cache directory: nothing to warm
+        shipped = 0
+        for donor in donors:
+            try:
+                for key in donor.cache_keys():
+                    if key in have:
+                        continue
+                    # fetched entries arrive verified (key, raw bytes)
+                    self.cache_push(*donor.cache_fetch(key))
+                    have.add(key)
+                    shipped += 1
+            except (ShardUnreachable, ServiceError):
+                continue  # this donor can't serve entries; try the next
+        return shipped
 
 
 # ----------------------------------------------------------------------

@@ -36,58 +36,68 @@ design extends the pool's single-node amortisation story to a fleet:
   the old pools are closed *gracefully* — their queues drain, so no
   in-flight request is dropped.
 
-* **Remote shards.**  With ``remote_shards`` the router becomes a
-  *coordinator*: each shard is a standalone ``repro shard --listen``
-  OS process (its own interpreter, workers and per-node cache
-  directory), dialed over the JSON-lines protocol through
-  :class:`~repro.service.remote.RemoteShardNode` instead of owning its
-  pools in-process.  The same verbs that clients speak *are* the
-  replication transport (``attach_tenant``/``reload`` ship snapshots,
-  ``mutate`` ships each logged change); a health-check thread pings
-  every node and evicts the unreachable; a joining node's cache is
-  warmed by shipping a donor's content-addressed entries over the wire,
-  so it performs zero forward reductions for already-reduced groups.
+* **The shard seam.**  Every admin path is written once against one
+  small interface — ``attach``/``swap`` a tenant snapshot (returning
+  the pool that serves it), ``detach``, ``warm`` from donors, ``drain``
+  the registry of unanswered work, ``ping``, ``close`` — with two kinds,
+  chosen in one place (:meth:`ShardRouter._dial`).  A
+  :class:`_LocalShard` builds in-process pools over the shared cache.
+  With ``remote_shards`` the router is a *coordinator* and each shard a
+  :class:`~repro.service.remote.RemoteShardNode`: a standalone ``repro
+  shard --listen`` OS process (own interpreter, workers and per-node
+  cache directory) whose replication transport is the verbs clients
+  speak (snapshots ship whole, ``mutate`` ships each logged change); a
+  joining node's cache is warmed with a donor's content-addressed
+  entries, so already-reduced groups cost it zero forward reductions.
 
 * **Failure model.**  One registry per failure domain, and whoever
   pops an entry owns its resolve.  What fails in remote mode is a
   node's *connection*, so the connection's pending map is the registry
-  for every tenant's work on that node.  Eviction — connection loss,
-  failed health check or decommission, all through :meth:`_shard_down`
-  — drops the node from the ring, drains that map and hands the entries
-  to :func:`~repro.service.pool.settle_lost`, the same function a
-  pool's worker-death path uses: routed work is submitted again *on the
+  for every tenant's work on that node.  Every way a shard leaves —
+  connection loss, failed health check or decommission — is one
+  eviction, :meth:`_shard_down`: it drops the shard from the ring,
+  drains its registry and hands the entries to
+  :func:`~repro.service.pool.settle_lost`, the same function a pool's
+  worker-death path uses: routed work is submitted again *on the
   original future* and recomputes its own placement over the surviving
   ring (exactly-once, the pool's crash-resubmission contract carried
   across machine boundaries), broadcast acks resolve benignly, and an
   entry nobody can take — its tenant was detached meanwhile, or no
-  shard survives — fails with the typed ``ShardUnreachable``.
+  shard survives — fails with the typed ``ShardUnreachable``.  A local
+  shard hands nothing over: its pools close gracefully and drain their
+  own queues.  Each eviction logs one record on ``repro.service``.
 
 Routing and pool mutation are enqueue-only and happen under one router
 lock; slow operations (process spawns in attach/reload/rescale, pool
 drains, wire round-trips) happen outside it, so admin operations never
-stall traffic.
+stall traffic.  The admin operations — attach, detach, reload, add and
+remove — are serialised by a second, admin lock, so none of them ever
+observes another half-done; traffic, eviction and :meth:`close` never
+take it.
 """
 
 from __future__ import annotations
 
 import inspect
+import logging
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from functools import partial
-from typing import Any, Iterable, Mapping, Sequence
+from functools import cached_property, partial
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.reduction_cache import ReductionCache
 from ..core.session import canonical_form
 from ..engine.relation import Database, Delta
 from ..queries.query import Query
 from . import protocol
-from .client import ServiceError
 from .pool import Entry, Pool, WorkerPool, _gather, settle_lost, submit_many, submit_sql
-from .remote import RemoteShardNode, RemoteShardPool, ShardUnreachable
+from .remote import RemoteShardNode, ShardUnreachable
 from .ring import HashRing
 
 __all__ = ["RouterClosed", "ShardRouter", "UnknownTenant"]
+
+_log = logging.getLogger("repro.service")
 
 
 class RouterClosed(RuntimeError):
@@ -112,6 +122,52 @@ class _Tenant:
         self.reloads = 0
 
 
+class _Snapshot:
+    """One tenant database as an admin operation hands it to shards:
+    cloned once by the router, encoded for the wire at most once, however
+    many remote nodes receive it."""
+
+    def __init__(self, db: Database):
+        self.db = db
+
+    @cached_property
+    def encoded(self) -> dict:
+        return protocol.encode_database(self.db)
+
+
+class _LocalShard:
+    """The in-process kind of the shard seam: one
+    :class:`~repro.service.pool.WorkerPool` per tenant over the router's
+    shared ``cache_dir``.  The shared cache leaves nothing to warm or
+    purge per shard, a closing pool drains its own queue so there is
+    nothing to hand over, and it always answers a ping."""
+
+    def __init__(self, name: str, build: Callable[[Database, str], WorkerPool]):
+        self.name = name
+        self._build = build
+
+    def attach(self, tenant: str, snapshot: _Snapshot) -> WorkerPool:
+        return self._build(snapshot.db.clone(), tenant)
+
+    def swap(self, tenant: str, snapshot: _Snapshot, pool: Pool) -> WorkerPool:
+        return self.attach(tenant, snapshot)  # the router closes ``pool``
+
+    def detach(self, tenant: str, purge: bool = True) -> int:
+        return 0
+
+    def warm(self, donors: Sequence[Any]) -> int:
+        return 0
+
+    def drain(self) -> list[Entry]:
+        return []
+
+    def ping(self, timeout: float = 5.0) -> bool:
+        return True
+
+    def close(self) -> None:
+        pass
+
+
 class ShardRouter:
     """Route tenant query traffic across a consistent-hash ring of
     worker-pool shard nodes.
@@ -127,7 +183,7 @@ class ShardRouter:
     shard node processes and ``shards``/``workers_per_shard`` no longer
     spawn anything locally (each node sizes its own workers).  In this
     mode ``cache_dir`` is the *coordinator's* directory (usually
-    ``None``: each node owns a per-node cache warmed over the wire) and
+    ``None``: each node owns a per-node cache warmed over the wire).
     ``health_interval`` enables a background ping loop that evicts
     unreachable nodes and fails their work over to survivors.
     """
@@ -143,8 +199,8 @@ class ShardRouter:
         connect_timeout: float = 10.0,
         **pool_options: Any,
     ):
-        self.remote = remote_shards is not None
-        if self.remote:
+        self._remote = remote_shards is not None
+        if self._remote:
             if not remote_shards:
                 raise ValueError("need at least one remote shard")
             shards = tuple(remote_shards)
@@ -154,6 +210,8 @@ class ShardRouter:
             raise ValueError(f"duplicate shard names in {shards!r}")
         if workers_per_shard < 1:
             raise ValueError("workers_per_shard must be at least 1")
+        if health_interval is not None and health_interval <= 0:
+            raise ValueError("health_interval must be positive")
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self.workers_per_shard = workers_per_shard
         # a misspelt (or retired) pool option is a TypeError here, not
@@ -161,26 +219,20 @@ class ShardRouter:
         inspect.signature(WorkerPool).bind_partial(**pool_options)
         self._pool_options = pool_options
         self._connect_timeout = connect_timeout
-        self._nodes: dict[str, RemoteShardNode] = {}
-        if self.remote:
-            assert remote_shards is not None
-            try:
-                for name, (host, port) in remote_shards.items():
-                    self._nodes[name] = RemoteShardNode(
-                        name,
-                        str(host),
-                        int(port),
-                        connect_timeout=connect_timeout,
-                        on_down=self._node_down,
-                    )
-            except Exception:
-                for node in self._nodes.values():
-                    node.close()
-                raise
         self._ring = HashRing(shards, replicas=replicas)
         self._tenants: dict[str, _Tenant] = {}
         self._lock = threading.RLock()
+        self._admin_lock = threading.Lock()
         self._closed = False
+        # (a node lost while later ones are dialed is evicted as usual)
+        self._shards: dict[str, _LocalShard | RemoteShardNode] = {}
+        try:
+            for name in shards:
+                self._shards[name] = self._dial(name, (remote_shards or {}).get(name))
+        except Exception:
+            for shard in self._shards.values():
+                shard.close()
+            raise
         # admin operations (attach/reload/rescale) spawn processes; one
         # serial executor keeps them ordered and off the event loop
         self._admin = ThreadPoolExecutor(
@@ -188,9 +240,7 @@ class ShardRouter:
         )
         self._health_stop = threading.Event()
         self._health_thread: threading.Thread | None = None
-        if self.remote and health_interval is not None:
-            if health_interval <= 0:
-                raise ValueError("health_interval must be positive")
+        if health_interval is not None:
             self._health_thread = threading.Thread(
                 target=self._health_loop,
                 args=(health_interval,),
@@ -198,6 +248,28 @@ class ShardRouter:
                 daemon=True,
             )
             self._health_thread.start()
+
+    def _dial(
+        self, name: str, address: tuple[str, int] | None
+    ) -> _LocalShard | RemoteShardNode:
+        """The one place a shard's kind is chosen: a coordinator dials
+        the standalone node at ``address``, a local router builds its
+        pools in process."""
+        if self._remote:
+            if address is None:
+                raise ValueError("a remote router needs the new shard's (host, port)")
+            host, port = address
+            return RemoteShardNode(
+                name,
+                str(host),
+                int(port),
+                connect_timeout=self._connect_timeout,
+                on_down=self._node_down,
+            )
+        if address is not None:
+            raise ValueError("local shards have no address")
+        # late-bound: _build_pool is the one place a local pool is built
+        return _LocalShard(name, lambda db, tenant: self._build_pool(db, tenant))
 
     # ------------------------------------------------------------------
     # introspection
@@ -228,11 +300,10 @@ class ShardRouter:
                 "tenants": sorted(self._tenants),
                 "workers_per_shard": self.workers_per_shard,
             }
-            if self.remote:
+            if self._remote:
                 info["addresses"] = {
                     name: [node.host, node.port]
-                    for name, node in self._nodes.items()
-                    if name in self._ring
+                    for name, node in self._shards.items()
                 }
             return info
 
@@ -285,60 +356,35 @@ class ShardRouter:
         routable once every shard can serve it."""
         if not ReductionCache.NAMESPACE_PATTERN.match(tenant):
             raise ValueError(f"invalid tenant name {tenant!r}")
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            if tenant in self._tenants:
-                raise ValueError(f"tenant {tenant!r} is already attached")
-            shard_names = list(self._ring.nodes)
-            nodes = dict(self._nodes)
-        state = _Tenant(tenant, db.clone())
-        if self.remote:
-            encoded = protocol.encode_database(state.master)
-            attached: list[RemoteShardNode] = []
+        with self._admin_lock:
+            with self._lock:
+                if self._closed:
+                    raise RouterClosed("router is closed")
+                if tenant in self._tenants:
+                    raise ValueError(f"tenant {tenant!r} is already attached")
+                shards = dict(self._shards)
+            state = _Tenant(tenant, db.clone())
+            snapshot = _Snapshot(state.master)
             try:
-                for name in shard_names:
-                    node = nodes[name]
-                    node.attach_tenant(tenant, encoded)
-                    attached.append(node)
-                    state.pools[name] = RemoteShardPool(node, tenant)
-            except Exception:
-                for node in attached:
-                    try:
-                        node.detach_tenant(tenant)
-                    except (ShardUnreachable, ServiceError):
-                        pass
-                raise
-        else:
-            try:
-                for name in shard_names:
-                    state.pools[name] = self._build_pool(
-                        state.master.clone(), tenant
-                    )
-            except Exception:
-                for pool in state.pools.values():
-                    pool.terminate()
-                raise
-        with self._lock:
-            closed, duplicate = self._closed, tenant in self._tenants
-            if not closed and not duplicate:
-                if self.remote:
+                for name, shard in shards.items():
+                    state.pools[name] = shard.attach(tenant, snapshot)
+                with self._lock:
+                    if self._closed:
+                        raise RouterClosed("router is closed")
                     # a shard evicted while we were attaching must not
-                    # keep a pool: its connection is settled, so every
+                    # keep a pool: its registry is settled, so every
                     # broadcast through it would fail
                     state.pools = {
                         name: pool
                         for name, pool in state.pools.items()
-                        if name in self._nodes
+                        if name in self._shards
                     }
-                self._tenants[tenant] = state
-        if closed or duplicate:
-            self._discard_pools(state, tenant)
-            raise (
-                ValueError(f"tenant {tenant!r} is already attached")
-                if duplicate
-                else RouterClosed("router is closed")
-            )
+                    self._tenants[tenant] = state
+            except Exception:
+                for name, pool in state.pools.items():
+                    pool.terminate()
+                    shards[name].detach(tenant)
+                raise
         return {
             "tenant": tenant,
             "shards": len(state.pools),
@@ -346,43 +392,26 @@ class ShardRouter:
             "size": state.master.size,
         }
 
-    def _discard_pools(self, state: _Tenant, tenant: str) -> None:
-        """Tear down pools that never became routable (failed attach)."""
-        for name, pool in state.pools.items():
-            pool.terminate()
-            if self.remote:
-                node = self._nodes.get(name)
-                if node is not None:
-                    try:
-                        node.detach_tenant(tenant)
-                    except (ShardUnreachable, ServiceError):
-                        pass
-
     def detach_tenant(self, tenant: str, purge: bool = True) -> dict:
         """Detach ``tenant``: close its pools on every shard (draining
         queued work) and — with ``purge`` — evict exactly the cached
         reductions no other tenant's namespace references (in remote
         mode, on every node's own cache directory)."""
-        with self._lock:
-            state = self._tenants.pop(tenant, None)
-            nodes = dict(self._nodes)
-        if state is None:
-            raise UnknownTenant(tenant)
-        purged = 0
-        for name, pool in state.pools.items():
-            pool.close()
-            if self.remote:
+        with self._admin_lock:
+            with self._lock:
+                state = self._tenants.pop(tenant, None)
+                shards = dict(self._shards)
+            if state is None:
+                raise UnknownTenant(tenant)
+            purged = 0
+            for name, pool in state.pools.items():
+                pool.close()
                 # work still in flight on a node that dies from here on
                 # finds no pool at eviction and fails typed
-                node = nodes.get(name)
-                if node is not None:
-                    try:
-                        report = node.detach_tenant(tenant, purge=purge)
-                        purged += int(report.get("purged", 0) or 0)
-                    except (ShardUnreachable, ServiceError):
-                        pass  # dead/dying node: nothing left to purge
-        if purge and self.cache_dir is not None:
-            purged += ReductionCache(self.cache_dir).purge_namespace(tenant)
+                if name in shards:
+                    purged += shards[name].detach(tenant, purge)
+            if purge and self.cache_dir is not None:
+                purged += ReductionCache(self.cache_dir).purge_namespace(tenant)
         return {"tenant": tenant, "shards": len(state.pools), "purged": purged}
 
     # ------------------------------------------------------------------
@@ -471,212 +500,114 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def add_shard(self, name: str, address: tuple[str, int] | None = None) -> dict:
-        """Grow the ring by one node.  The new shard's pools are built
-        from clones of each tenant's master (in remote mode, ``address``
-        names the already-running shard process to dial; its per-node
-        cache is first warmed by shipping a donor's content-addressed
+        """Grow the ring by one node.  The new shard serves a snapshot of
+        each tenant's master (in remote mode, ``address`` names the
+        already-running shard process to dial; its per-node cache is
+        first warmed by shipping the other nodes' content-addressed
         entries over the wire), caught up from the delta log (mutations
-        accepted during the build are replayed — replays are idempotent,
-        so overlap with the snapshot is harmless), and only then does
-        the node join the ring: a group is never routed to a shard that
+        accepted meanwhile are replayed — replays are idempotent, so
+        overlap with the snapshot is harmless), and only then does the
+        node join the ring: a group is never routed to a shard that
         cannot serve it.  Over the shared cache the new shard warms
         content-addressed and performs zero forward reductions for
         already-reduced groups."""
-        if self.remote:
-            if address is None:
-                raise ValueError(
-                    "a remote router needs the new shard's (host, port)"
-                )
-            return self._add_remote_shard(name, address)
-        if address is not None:
-            raise ValueError("local shards have no address")
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            if name in self._ring:
-                raise ValueError(f"shard {name!r} is already in the ring")
-            snapshots = {
-                tenant: (state, state.master.clone(), state.master.version)
-                for tenant, state in self._tenants.items()
-            }
-        built: dict[str, WorkerPool] = {}
-        try:
-            for tenant, (_state, snapshot, _v0) in snapshots.items():
-                built[tenant] = self._build_pool(snapshot, tenant)
-        except Exception:
-            for pool in built.values():
-                pool.terminate()
-            raise
-        with self._lock:
-            if self._closed or name in self._ring:
-                for pool in built.values():
-                    pool.terminate()
+        with self._admin_lock:
+            with self._lock:
                 if self._closed:
                     raise RouterClosed("router is closed")
-                raise ValueError(f"shard {name!r} is already in the ring")
-            for tenant, (state, _snapshot, v0) in snapshots.items():
-                pool = built.get(tenant)
-                if pool is None or tenant not in self._tenants:
-                    continue  # detached while we were building
-                for delta in self._replayable(state.master, v0):
-                    pool.mutate(delta.kind, delta.relation, delta.tuple)
-                state.pools[name] = pool
-            self._ring.add(name)
-            shards = len(self._ring)
-        for tenant, pool in built.items():
-            if tenant not in snapshots or snapshots[tenant][0].pools.get(name) is not pool:
-                pool.terminate()  # tenant detached mid-build
-        return {"shard": name, "shards": shards, "tenants": sorted(snapshots)}
-
-    def _add_remote_shard(self, name: str, address: tuple[str, int]) -> dict:
-        host, port = address
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            if name in self._ring or name in self._nodes:
-                raise ValueError(f"shard {name!r} is already in the ring")
-            donors = list(self._nodes.values())
-            snapshots = {
-                tenant: (
-                    state,
-                    protocol.encode_database(state.master),
-                    state.master.version,
-                )
-                for tenant, state in self._tenants.items()
-            }
-        node = RemoteShardNode(
-            name,
-            str(host),
-            int(port),
-            connect_timeout=self._connect_timeout,
-            on_down=self._node_down,
-        )
-        try:
-            # warm the newcomer's cache BEFORE attaching tenants: its
-            # pools then build their sessions over a directory that
-            # already holds every donor reduction, so already-reduced
-            # groups cost zero forward reductions from the first query
-            shipped = self._warm_node_cache(node, donors)
-            for tenant, (_state, encoded, _v0) in snapshots.items():
-                node.attach_tenant(tenant, encoded)
-        except Exception:
-            node.close()
-            raise
-        with self._lock:
-            closed = self._closed
-            taken = name in self._ring or name in self._nodes
-            if not closed and not taken:
-                for tenant, (state, _encoded, v0) in snapshots.items():
-                    if self._tenants.get(tenant) is not state:
-                        continue  # detached while we were attaching
-                    pool = RemoteShardPool(node, tenant)
-                    for delta in self._replayable(state.master, v0):
-                        pool.mutate(delta.kind, delta.relation, delta.tuple)
-                    state.pools[name] = pool
-                self._nodes[name] = node
-                self._ring.add(name)
-                return {
-                    "shard": name,
-                    "shards": len(self._ring),
-                    "tenants": sorted(snapshots),
-                    "cache_entries_shipped": shipped,
+                if name in self._ring:
+                    raise ValueError(f"shard {name!r} is already in the ring")
+                donors = list(self._shards.values())
+                snapshots = {
+                    tenant: (state, state.master.version, _Snapshot(state.master.clone()))
+                    for tenant, state in self._tenants.items()
                 }
-        node.close()
-        if closed:
-            raise RouterClosed("router is closed")
-        raise ValueError(f"shard {name!r} is already in the ring")
-
-    def _warm_node_cache(
-        self, node: RemoteShardNode, donors: Sequence[RemoteShardNode]
-    ) -> int:
-        """Ship every cache entry a donor holds and the newcomer lacks,
-        content-addressed and integrity-verified (``cache_keys`` →
-        ``cache_fetch`` → ``cache_push``).  Warming is an optimisation,
-        never a correctness requirement, so donor failures just move on
-        to the next donor."""
-        try:
-            have = set(node.cache_keys())
-        except (ShardUnreachable, ServiceError):
-            return 0  # node has no cache directory: nothing to warm
-        shipped = 0
-        for donor in donors:
+            shard = self._dial(name, address)
+            pools: dict[str, Pool] = {}
             try:
-                for key in donor.cache_keys():
-                    if key in have:
-                        continue
-                    # fetched entries arrive verified (key, raw bytes)
-                    node.cache_push(*donor.cache_fetch(key))
-                    have.add(key)
-                    shipped += 1
-            except (ShardUnreachable, ServiceError):
-                continue  # this donor can't serve entries; try the next
-        return shipped
+                # warm BEFORE attaching: the new pools then build their
+                # sessions over a cache that already holds every donor
+                # reduction, so those groups cost zero forward reductions
+                shipped = shard.warm(donors)
+                for tenant, (_state, _v0, snapshot) in snapshots.items():
+                    pools[tenant] = shard.attach(tenant, snapshot)
+                with self._lock:
+                    if self._closed:
+                        raise RouterClosed("router is closed")
+                    # every replay before any install: a trimmed change
+                    # log must leave no tenant half-added
+                    for tenant, (state, v0, _snapshot) in snapshots.items():
+                        self._replay(state.master, v0, [pools[tenant]])
+                    for tenant, (state, _v0, _snapshot) in snapshots.items():
+                        state.pools[name] = pools[tenant]
+                    self._shards[name] = shard
+                    self._ring.add(name)
+                    shards = len(self._ring)
+            except Exception:
+                for pool in pools.values():
+                    pool.terminate()
+                shard.close()
+                raise
+        report = {"shard": name, "shards": shards, "tenants": sorted(snapshots)}
+        if self._remote:
+            report["cache_entries_shipped"] = shipped
+        return report
 
     def remove_shard(self, name: str) -> dict:
-        """Shrink the ring by one node.  The node leaves the ring first
-        — its ~1/N of the groups remap to survivors, every other group
-        keeps its placement — then its pools are closed.  Locally the
-        close is *graceful* (queued tasks drain and answer); a remote
-        node is decommissioned through the same eviction path a failed
-        health check uses, so its in-flight work is resubmitted to
-        survivors and still answers."""
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            if name not in self._ring:
-                raise ValueError(f"shard {name!r} is not in the ring")
-            if len(self._ring) == 1:
-                raise ValueError("cannot remove the last shard")
-            if not self.remote:
-                self._ring.remove(name)
-                orphans = [
-                    state.pools.pop(name)
-                    for state in self._tenants.values()
-                    if name in state.pools
-                ]
-                shards = len(self._ring)
-        if self.remote:
-            report = self._shard_down(name)
-            return {
-                "shard": name,
-                "shards": report["shards"],
-                "tenants": report["tenants"],
-                "resubmitted": report["resubmitted"],
-            }
-        for pool in orphans:
-            pool.close()
-        return {"shard": name, "shards": shards, "tenants": len(orphans)}
+        """Shrink the ring by one node, through the same eviction a
+        failed health check uses: the node leaves the ring first — its
+        ~1/N of the groups remap to survivors, every other group keeps
+        its placement — then its pools are closed.  A local pool closes
+        *gracefully* (queued tasks drain and answer); a remote node's
+        in-flight work is resubmitted to survivors and still answers."""
+        with self._admin_lock:
+            with self._lock:
+                if self._closed:
+                    raise RouterClosed("router is closed")
+                if name not in self._ring:
+                    raise ValueError(f"shard {name!r} is not in the ring")
+                if len(self._ring) == 1:
+                    raise ValueError("cannot remove the last shard")
+            down = self._shard_down(name, "decommissioned")
+        report = {key: down[key] for key in ("shard", "shards", "tenants")}
+        if self._remote:
+            report["resubmitted"] = down["resubmitted"]
+        return report
 
     # ------------------------------------------------------------------
-    # remote failure handling
+    # eviction
     # ------------------------------------------------------------------
 
-    def _node_down(self, node: RemoteShardNode) -> None:
-        """Connection-loss callback, fired on the node's reader thread
-        while its unanswered entries are still pending — the eviction
-        drains and settles them."""
+    def _node_down(
+        self, shard: _LocalShard | RemoteShardNode, reason: str = "connection_lost"
+    ) -> None:
+        """Connection-loss callback (and the health loop's verdict),
+        fired while the node's unanswered entries are still pending —
+        the eviction drains and settles them."""
         try:
-            self._shard_down(node.name)
+            self._shard_down(shard.name, reason)
         except Exception:  # pragma: no cover - eviction must not raise
-            pass
+            _log.exception("evicting shard %s failed", shard.name)
 
-    def _shard_down(self, name: str) -> dict:
-        """Evict a dead (or decommissioned) remote shard: drop it from
-        the ring and every tenant's pool map, drain its connection's
-        registry and settle the entries (see the module docstring's
-        failure model).  Runs under the router lock, so no new work can
-        be routed to the node mid-eviction and a concurrent
-        :meth:`submit` sees either the full fleet or the survivors."""
+    def _shard_down(self, name: str, reason: str) -> dict:
+        """Take shard ``name`` out — the one eviction path, for every
+        ``reason`` (``connection_lost``, ``health_check`` or
+        ``decommissioned``).  Under the router lock it leaves the ring
+        and every tenant's pool map and its drained registry is settled
+        (see the module docstring's failure model), so no new work can
+        be routed to it mid-eviction and a concurrent :meth:`submit`
+        sees either the full fleet or the survivors.  Its pools close
+        outside the lock: a local pool's graceful drain must never stall
+        traffic."""
         with self._lock:
-            node = self._nodes.pop(name, None)
+            shard = self._shards.pop(name, None)
             if name in self._ring:
                 self._ring.remove(name)
-            tenants = 0
-            for state in self._tenants.values():
-                pool = state.pools.pop(name, None)
-                if pool is not None:
-                    pool.close()
-                    tenants += 1
+            pools = [
+                state.pools.pop(name)
+                for state in self._tenants.values()
+                if name in state.pools
+            ]
 
             def resubmit(entry: Entry) -> bool:
                 try:
@@ -695,7 +626,7 @@ class ShardRouter:
 
             # (an eviction that lost the race to another finds nothing)
             resubmitted, failed = settle_lost(
-                node.drain() if node is not None else (),
+                shard.drain() if shard is not None else (),
                 resubmit,
                 ShardUnreachable(
                     f"shard {name!r} died and no surviving shard can "
@@ -703,150 +634,134 @@ class ShardRouter:
                 ),
             )
             shards = len(self._ring)
-        if node is not None:
-            node.close()
-        return {
+        for pool in pools:
+            pool.close()
+        record = {
             "shard": name,
-            "shards": shards,
-            "tenants": tenants,
+            "reason": reason,
             "resubmitted": resubmitted,
             "failed": failed,
         }
+        if shard is not None:
+            shard.close()
+            _log.log(
+                logging.INFO if reason == "decommissioned" else logging.WARNING,
+                "shard %(shard)s down (%(reason)s): %(resubmitted)d "
+                "resubmitted, %(failed)d failed",
+                record,
+                extra=record,
+            )
+        return {**record, "shards": shards, "tenants": len(pools)}
 
     def _health_loop(self, interval: float) -> None:
-        """Ping every node each ``interval`` seconds (the cheap ``ring``
-        verb); evict the ones that are down or silent.  Eviction is how
-        a *hung* (not crashed) node's in-flight work fails over: the
+        """Ping every shard each ``interval`` seconds (a remote node
+        answers the cheap ``ring`` verb; a local shard always answers);
+        evict the ones that are down or silent.  Eviction is how a
+        *hung* (not crashed) node's in-flight work fails over: the
         eviction drains the connection's registry and resubmits, then
         closes the connection — a late reply finds nothing pending."""
         timeout = min(interval, 5.0)
         while not self._health_stop.wait(interval):
             with self._lock:
-                nodes = list(self._nodes.values())
-            for node in nodes:
+                shards = list(self._shards.values())
+            for shard in shards:
                 if self._health_stop.is_set():
                     return
-                if node.is_down or not node.ping(
-                    timeout=timeout
-                ):
-                    self._node_down(node)
+                if not shard.ping(timeout=timeout):
+                    self._node_down(shard, "health_check")
 
     # ------------------------------------------------------------------
     # hot-reload
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _replayable(master: Database, since: int):
+    def _replay(
+        master: Database,
+        since: int,
+        pools: Iterable[Pool],
+        onto: Database | None = None,
+    ) -> int:
+        """Replay ``master``'s tuple-level changes after version
+        ``since`` onto ``pools`` (and the database ``onto``): the
+        catch-up of an admin operation that snapshotted at ``since``.
+        Returns how many changes were replayed."""
         logged = master.changes_since(since)
         if logged is None:
             raise RuntimeError(
                 "change log trimmed during the operation; retry"
             )
-        return [d for d in logged if d.is_tuple_level]
+        replayed = [d for d in logged if d.is_tuple_level]
+        for delta in replayed:
+            if onto is not None:
+                onto.apply_delta(delta)
+            for pool in pools:
+                pool.mutate(delta.kind, delta.relation, delta.tuple)
+        return len(replayed)
 
     def reload(self, tenant: str, db: Database) -> dict:
         """Hot-swap ``tenant``'s served database for ``db`` under live
-        traffic: snapshot + delta replay.  New pools are built from the
-        snapshot while the old ones keep serving; mutations accepted
-        during the build are replayed from the old master's delta log
-        onto the new master and pools; the swap is atomic under the
-        router lock; the old pools close gracefully afterwards, so
-        requests in flight at swap time still answer (from the old
-        data — the same answer they'd have gotten a moment earlier).
-        In remote mode each node performs its own local swap and the
-        coordinator then replays its delta-log suffix to every pool —
-        replays are idempotent under set semantics, so the fleet
-        converges no matter how the swap interleaved with traffic."""
-        if self.remote:
-            return self._reload_remote(tenant, db)
-        state = self._tenant(tenant)
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            v0 = state.master.version
-            shard_names = list(state.pools)
-        new_master = db.clone()
-        new_pools: dict[str, WorkerPool] = {}
-        try:
-            for name in shard_names:
-                new_pools[name] = self._build_pool(new_master.clone(), tenant)
-        except Exception:
-            for pool in new_pools.values():
-                pool.terminate()
-            raise
-        with self._lock:
-            if self._closed or self._tenants.get(tenant) is not state:
-                for pool in new_pools.values():
-                    pool.terminate()
+        traffic: snapshot + delta replay.  Each shard swaps in the
+        snapshot while the old pools keep serving (a local shard builds
+        new pools; a remote node swaps its own and keeps its pool);
+        mutations accepted meanwhile are replayed from the old master's
+        delta log onto the new master and every resulting pool — replays
+        are idempotent under set semantics, so the fleet converges no
+        matter how the swap interleaved with traffic; the swap is atomic
+        under the router lock; replaced pools close gracefully
+        afterwards, so requests in flight at swap time still answer
+        (from the old data — the same answer they'd have gotten a moment
+        earlier)."""
+        with self._admin_lock:
+            state = self._tenant(tenant)
+            with self._lock:
                 if self._closed:
                     raise RouterClosed("router is closed")
-                raise UnknownTenant(tenant)
-            replayed = 0
-            for delta in self._replayable(state.master, v0):
-                new_master.apply_delta(delta)
-                for pool in new_pools.values():
-                    pool.mutate(delta.kind, delta.relation, delta.tuple)
-                replayed += 1
-            # a shard added while we were building gets the new data too
-            for name in list(state.pools):
-                if name not in new_pools:
-                    new_pools[name] = state.pools.pop(name)  # pragma: no cover
-            old_pools, state.pools = dict(state.pools), new_pools
-            state.master = new_master
-            state.reloads += 1
-        for pool in old_pools.values():
-            pool.close()
-        return {
-            "tenant": tenant,
-            "replayed": replayed,
-            "version": new_master.version,
-            "shards": len(new_pools),
-        }
-
-    def _reload_remote(self, tenant: str, db: Database) -> dict:
-        state = self._tenant(tenant)
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            self._check_tenant(tenant, state)
-            v0 = state.master.version
-            nodes = [
-                self._nodes[name]
-                for name in state.pools
-                if name in self._nodes
-            ]
-        new_master = db.clone()
-        encoded = protocol.encode_database(new_master)
-        reloaded = 0
-        for node in nodes:
-            # fan out OUTSIDE the lock: each node swaps locally while
-            # the coordinator keeps routing (to old data — the same
-            # answers a moment earlier would have given)
+                v0 = state.master.version
+                old = dict(state.pools)
+                shards = {name: self._shards[name] for name in old}
+            snapshot = _Snapshot(db.clone())
+            swapped: dict[str, Pool] = {}
             try:
-                node.reload(tenant, encoded)
-                reloaded += 1
-            except ShardUnreachable:
-                continue  # the health check will evict it
-        with self._lock:
-            if self._closed:
-                raise RouterClosed("router is closed")
-            self._check_tenant(tenant, state)
-            replayed = 0
-            for delta in self._replayable(state.master, v0):
-                new_master.apply_delta(delta)
-                for pool in state.pools.values():
-                    pool.mutate(delta.kind, delta.relation, delta.tuple)
-                replayed += 1
-            state.master = new_master
-            state.reloads += 1
-            shards = len(state.pools)
-        return {
+                for name, pool in old.items():
+                    # outside the lock: traffic keeps flowing to old data
+                    try:
+                        swapped[name] = shards[name].swap(tenant, snapshot, pool)
+                    except ShardUnreachable:
+                        continue  # its eviction hands the node's work over
+                with self._lock:
+                    if self._closed:
+                        raise RouterClosed("router is closed")
+                    # (a shard evicted meanwhile has left state.pools)
+                    pools = {
+                        name: swapped.get(name, pool)
+                        for name, pool in state.pools.items()
+                    }
+                    replayed = self._replay(
+                        state.master, v0, pools.values(), snapshot.db
+                    )
+                    replaced = [
+                        pool
+                        for name, pool in state.pools.items()
+                        if pools[name] is not pool
+                    ]
+                    state.pools, state.master = pools, snapshot.db
+                    state.reloads += 1
+            except Exception:
+                for name, pool in swapped.items():
+                    if pool is not old[name]:
+                        pool.terminate()
+                raise
+            for pool in replaced:
+                pool.close()
+        report = {
             "tenant": tenant,
             "replayed": replayed,
-            "version": new_master.version,
-            "shards": shards,
-            "reloaded": reloaded,
+            "version": snapshot.db.version,
+            "shards": len(pools),
         }
+        if self._remote:
+            report["reloaded"] = len(swapped)
+        return report
 
     # ------------------------------------------------------------------
     # stats and lifecycle
@@ -908,9 +823,10 @@ class ShardRouter:
         return {"key": key, "stored": self._cache().import_entry(key, raw)}
 
     def close(self) -> dict:
-        """Close every pool gracefully and stop the admin executor (in
-        remote mode: also the health thread and the node connections —
-        anything still in flight resolves, typed, rather than hanging)."""
+        """Close every pool gracefully and stop the admin executor, the
+        health thread and the shards (a remote node's connection: what
+        is still in flight on it resolves, typed, rather than
+        hanging)."""
         self._health_stop.set()
         if self._health_thread is not None:
             self._health_thread.join(timeout=10)
@@ -919,17 +835,17 @@ class ShardRouter:
                 return {"tenants": {}}
             self._closed = True
             tenants = dict(self._tenants)
-            nodes = list(self._nodes.values())
-            self._nodes = {}
+            shards = list(self._shards.values())
+            self._shards = {}
         reports = {
             tenant: {name: pool.close() for name, pool in state.pools.items()}
             for tenant, state in tenants.items()
         }
-        for node in nodes:
+        for shard in shards:
             settle_lost(
-                node.drain(), None, RouterClosed("router is closed")
+                shard.drain(), None, RouterClosed("router is closed")
             )
-            node.close()
+            shard.close()
         self._admin.shutdown(wait=True)
         return {"tenants": reports}
 

@@ -209,6 +209,27 @@ class TestWorkflow:
             "def test_no_dispatcher_compares_an_op_against_a_verb_literal"
             in (REPO / "tests" / "test_protocol.py").read_text()
         )
+        # local and remote shards share every admin path, so the matrix
+        # also runs test_remote.py's process-free remote-mode classes
+        (remote,) = [
+            step["run"]
+            for step in job["steps"]
+            if "tests/test_remote.py" in step.get("run", "")
+        ]
+        process_free = (
+            "TestRemoteRouterEdges",
+            "TestClientDirectRouting",
+            "TestShardConnection",
+            "TestRemoteShardPoolExactlyOnce",
+            "TestDetachRaceRegression",
+            "TestRemoteReload",
+        )
+        selected = remote.split(" -k ", 1)[1].strip().strip('"').split(" or ")
+        assert sorted(" ".join(selected).split()) == sorted(process_free)
+        source = (REPO / "tests" / "test_remote.py").read_text()
+        for name in process_free:
+            assert f"class {name}" in source
+        assert "TestDistributedSmoke" not in remote
         uploads = [
             step
             for step in job["steps"]

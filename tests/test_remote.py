@@ -21,9 +21,14 @@ Layers under test:
 * :class:`RemoteShardPool` over :class:`ShardConnection` — the
   pop-based exactly-once protocol between a reply and the failover's
   ``drain()``, pinned against scripted peers;
-* client-side routing — a client learns the ring, dials the owning
-  shard directly, and falls back to the router on connection loss or a
-  typed can't-serve response;
+* client-side routing — the :class:`AsyncServiceClient` learns the
+  ring, dials the owning shard directly, and falls back to the router
+  on connection loss or a typed can't-serve response;
+* the coordinator's admin paths over scripted nodes (:class:`FakeShard`)
+  — admin operations serialised (a detach cannot slip into a running
+  ``add_shard``), and the remote half of ``reload``: one ``reload``
+  frame per node, the delta-log suffix replayed afterwards, a node lost
+  mid-reload skipped, evicted and logged;
 * the CI ``distributed-smoke`` — two real shard OS processes with
   separate per-node cache directories behind an in-process
   coordinator: differential wire traffic, a mid-run SIGSTOP+SIGKILL of
@@ -37,11 +42,13 @@ Layers under test:
 import asyncio
 import contextlib
 import json
+import logging
 import os
 import signal
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import pytest
@@ -70,7 +77,7 @@ from repro.service import (
 from repro.service import protocol, remote
 from repro.service.loadgen import LoadReport
 from repro.service.pool import _resolve
-from repro.service.protocol import decode_tuple, query_text
+from repro.service.protocol import decode_database, decode_tuple, query_text
 from repro.workloads import isomorphic_variants, random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -857,6 +864,36 @@ def ring_info(shard_host, shard_port):
 
 
 class TestClientDirectRouting:
+    """Client-side routing is :class:`AsyncServiceClient`'s alone: the
+    blocking :class:`ServiceClient` talks to the one server it dialed."""
+
+    @staticmethod
+    def route(shard_respond, router_respond, scenario):
+        """Run ``await scenario(client, shard)`` with an async client on
+        a stub coordinator that advertises one stub shard: it answers
+        ``ring`` with the shard's address, anything else through
+        ``router_respond``."""
+        shard = StubServer(shard_respond)
+
+        def coordinator(request):
+            if request["op"] == "ring":
+                return protocol.ok_response(
+                    request["id"], ring_info(shard.host, shard.port)
+                )
+            return router_respond(request)
+
+        router = StubServer(coordinator)
+
+        async def run():
+            async with AsyncServiceClient(router.host, router.port) as client:
+                await asyncio.wait_for(scenario(client, shard), timeout=10)
+
+        try:
+            asyncio.run(run())
+        finally:
+            router.close()
+            shard.close()
+
     def test_direct_dial_then_fallback_on_connection_loss(self):
         shard_calls: list[str] = []
 
@@ -864,27 +901,19 @@ class TestClientDirectRouting:
             shard_calls.append(request["op"])
             return protocol.ok_response(request["id"], 7)
 
-        shard = StubServer(shard_respond)
+        async def scenario(client, shard):
+            info = await client.learn_ring()
+            assert info["addresses"] == {"s0": [shard.host, shard.port]}
+            assert await client.count(TRIANGLE) == 7  # the shard answered
+            assert shard_calls == ["count"]
+            shard.close()  # the shard dies under the client
+            assert await client.count(TRIANGLE) == 1  # fallback: the router
 
-        def router_respond(request):
-            if request["op"] == "ring":
-                return protocol.ok_response(
-                    request["id"], ring_info(shard.host, shard.port)
-                )
-            return protocol.ok_response(request["id"], 1)
-
-        router = StubServer(router_respond)
-        try:
-            with ServiceClient(router.host, router.port, timeout=5) as client:
-                info = client.learn_ring()
-                assert info["addresses"] == {"s0": [shard.host, shard.port]}
-                assert client.count(TRIANGLE) == 7  # the shard answered
-                assert shard_calls == ["count"]
-                shard.close()  # the shard dies under the client
-                assert client.count(TRIANGLE) == 1  # fallback: the router
-        finally:
-            router.close()
-            shard.close()
+        self.route(
+            shard_respond,
+            lambda request: protocol.ok_response(request["id"], 1),
+            scenario,
+        )
 
     def test_typed_cant_serve_response_falls_back(self):
         def shard_respond(request):
@@ -892,23 +921,15 @@ class TestClientDirectRouting:
                 request["id"], "shard_unreachable", "remapped elsewhere"
             )
 
-        shard = StubServer(shard_respond)
+        async def scenario(client, shard):
+            await client.learn_ring()
+            assert await client.count(TRIANGLE) == 3
 
-        def router_respond(request):
-            if request["op"] == "ring":
-                return protocol.ok_response(
-                    request["id"], ring_info(shard.host, shard.port)
-                )
-            return protocol.ok_response(request["id"], 3)
-
-        router = StubServer(router_respond)
-        try:
-            with ServiceClient(router.host, router.port, timeout=5) as client:
-                client.learn_ring()
-                assert client.count(TRIANGLE) == 3
-        finally:
-            router.close()
-            shard.close()
+        self.route(
+            shard_respond,
+            lambda request: protocol.ok_response(request["id"], 3),
+            scenario,
+        )
 
     def test_other_typed_errors_are_not_retried(self):
         def shard_respond(request):
@@ -916,25 +937,16 @@ class TestClientDirectRouting:
                 request["id"], "bad_request", "no such tenant"
             )
 
-        shard = StubServer(shard_respond)
-
         def router_respond(request):
-            if request["op"] == "ring":
-                return protocol.ok_response(
-                    request["id"], ring_info(shard.host, shard.port)
-                )
             raise AssertionError("must not fall back on a non-routing error")
 
-        router = StubServer(router_respond)
-        try:
-            with ServiceClient(router.host, router.port, timeout=5) as client:
-                client.learn_ring()
-                with pytest.raises(ServiceError) as excinfo:
-                    client.count(TRIANGLE)
-                assert excinfo.value.code == "bad_request"
-        finally:
-            router.close()
-            shard.close()
+        async def scenario(client, shard):
+            await client.learn_ring()
+            with pytest.raises(ServiceError) as excinfo:
+                await client.count(TRIANGLE)
+            assert excinfo.value.code == "bad_request"
+
+        self.route(shard_respond, router_respond, scenario)
 
     def test_async_direct_dial_then_fallback_on_connection_loss(self):
         async def scenario():
@@ -1109,14 +1121,19 @@ class TestDistributedSmoke:
                     assert len(set(ids)) == len(requests)  # one answer each
                 report.duration_s = time.perf_counter() - started
                 # client-side routing: learn the ring, dial shards direct
-                with ServiceClient(host, port, tenant="acme") as routed:
-                    info = routed.learn_ring()
-                    assert set(info["addresses"]) == {"sA", "sB"}
-                    for q in queries[:6]:
-                        assert routed.evaluate(
-                            query_text(q)
-                        ) == naive_evaluate(q, mirror)
-                    assert routed._shard_clients  # direct dials happened
+                async def routed_phase():
+                    async with AsyncServiceClient(
+                        host, port, tenant="acme"
+                    ) as routed:
+                        info = await routed.learn_ring()
+                        assert set(info["addresses"]) == {"sA", "sB"}
+                        for q in queries[:6]:
+                            assert await routed.evaluate(
+                                query_text(q)
+                            ) == naive_evaluate(q, mirror)
+                        assert routed._shard_clients  # direct dials happened
+
+                asyncio.run(routed_phase())
                 # the load harness's --direct path (async client)
                 load_report = asyncio.run(
                     run_load(
@@ -1257,6 +1274,63 @@ class TestDistributedSmoke:
 # ----------------------------------------------------------------------
 
 
+class FakeShard(StubServer):
+    """A scripted shard node: it keeps each tenant's database as the
+    frames it receives leave it, answers ``evaluate`` from the naive
+    oracle and logs every frame.  ``hold[op]`` (an event) parks that
+    verb's answer until it is set; a verb in ``drop`` severs the
+    connection instead of answering."""
+
+    def __init__(self, hold=None, drop=()):
+        self.frames: list[dict] = []
+        self.dbs: dict[str, Database] = {}
+        self.hold = hold or {}
+        self.drop = drop
+        super().__init__(self.answer)
+
+    def answer(self, request):
+        op, tenant = request["op"], request.get("tenant")
+        self.frames.append(request)
+        if op in self.drop:
+            return None
+        if op in self.hold:
+            self.hold[op].wait(10)
+        if op in ("attach_tenant", "reload"):
+            self.dbs[tenant] = decode_database(request["database"])
+            result = {"tenant": tenant, "shards": 1}
+        elif op == "detach_tenant":
+            self.dbs.pop(tenant, None)
+            result = {"tenant": tenant, "purged": 0}
+        elif op == "mutate":
+            db = self.dbs[tenant]
+            apply = db.insert if request["kind"] == "insert" else db.delete
+            changed = apply(request["relation"], decode_tuple(request["tuple"]))
+            result = {"applied": changed is not None}
+        elif op == "evaluate":
+            result = naive_evaluate(parse_query(request["query"]), self.dbs[tenant])
+        elif op == "cache_keys":
+            return protocol.error_response(
+                request["id"], "bad_request", "this node has no cache directory"
+            )
+        else:  # ring: the health probe
+            result = {}
+        return protocol.ok_response(request["id"], result)
+
+    def ops(self, op: str) -> list[int]:
+        """Positions of ``op``'s frames in arrival order."""
+        return [i for i, frame in enumerate(self.frames) if frame["op"] == op]
+
+
+def contents(db: Database) -> dict:
+    return {relation.name: set(relation.tuples) for relation in db}
+
+
+def remote_router(nodes: dict) -> ShardRouter:
+    return ShardRouter(
+        remote_shards={name: (node.host, node.port) for name, node in nodes.items()}
+    )
+
+
 class TestRemoteRouterEdges:
     def test_no_reachable_shard_is_a_typed_error(self):
         with pytest.raises(ShardUnreachable):
@@ -1272,3 +1346,102 @@ class TestRemoteRouterEdges:
         with ShardRouter(shards=("s0",), cache_dir=tmp_path) as router:
             with pytest.raises(ValueError):
                 router.add_shard("s1", ("127.0.0.1", 1))
+
+    def test_detach_during_add_shard_leaves_no_stray_tenant(self):
+        """Admin operations are serialised: a ``detach_tenant`` issued
+        while ``add_shard`` is attaching the tenant to the new node waits
+        for it, then detaches the tenant there too.  Before, the detach
+        finished first and the new node kept a tenant the router no
+        longer listed."""
+        gate = threading.Event()
+        s0, s1 = FakeShard(), FakeShard(hold={"attach_tenant": gate})
+        try:
+            with remote_router({"s0": s0}) as router:
+                router.attach_tenant("acme", small_db(4))
+                with ThreadPoolExecutor(2) as executor:
+                    adding = executor.submit(
+                        router.add_shard, "s1", (s1.host, s1.port)
+                    )
+                    wait_until(lambda: s1.ops("attach_tenant"))
+                    detaching = executor.submit(router.detach_tenant, "acme")
+                    wait([detaching], timeout=1)  # the old race ran here
+                    gate.set()
+                    assert adding.result(30)["shards"] == 2
+                    assert detaching.result(30)["shards"] == 2
+                assert router.tenants == ()
+                for node in (s0, s1):
+                    assert set(node.dbs) <= set(router.tenants)
+        finally:
+            s0.close()
+            s1.close()
+
+
+# ----------------------------------------------------------------------
+# the remote half of hot-reload (scripted nodes)
+# ----------------------------------------------------------------------
+
+
+class TestRemoteReload:
+    """Each node swaps its own pools (one ``reload`` frame carrying the
+    snapshot); the coordinator keeps its pools and replays what it
+    accepted meanwhile."""
+
+    def test_each_node_swaps_and_the_suffix_is_replayed(self):
+        old_db, new_db = small_db(8, seed=3), small_db(8, seed=47)
+        extra = (Interval(5000.0, 5001.0), Interval(5002.0, 5003.0))
+        want = new_db.clone()
+        want.insert("U", extra)
+        gate = threading.Event()
+        nodes = {"s0": FakeShard(hold={"reload": gate}), "s1": FakeShard()}
+        try:
+            with remote_router(nodes) as router:
+                router.attach_tenant("acme", old_db)
+                with ThreadPoolExecutor(1) as executor:
+                    reloading = executor.submit(router.reload, "acme", new_db)
+                    wait_until(lambda: nodes["s0"].ops("reload"))
+                    # accepted while the nodes are swapping
+                    ack = router.mutate("acme", "insert", "U", extra)
+                    gate.set()
+                    report = reloading.result(30)
+                assert ack.result(10)["shards"] == 2
+                assert report["reloaded"] == 2
+                assert (report["replayed"], report["shards"]) == (1, 2)
+                for node in nodes.values():
+                    # the broadcast, then the replay after the swap
+                    wait_until(lambda: len(node.ops("mutate")) == 2)
+                    (swap,) = node.ops("reload")
+                    snapshot = decode_database(node.frames[swap]["database"])
+                    assert contents(snapshot) == contents(new_db)
+                    assert node.ops("mutate")[-1] > swap
+                    assert contents(node.dbs["acme"]) == contents(want)
+                assert contents(router.database("acme")) == contents(want)
+                for q in isomorphic_variants(parse_query(PATH2), 4, seed=1):
+                    assert router.evaluate("acme", q).result(10) == (
+                        naive_evaluate(q, want)
+                    )
+        finally:
+            for node in nodes.values():
+                node.close()
+
+    def test_a_node_lost_mid_reload_is_skipped_and_evicted(self, caplog):
+        old_db, new_db = small_db(8, seed=3), small_db(8, seed=47)
+        nodes = {"s0": FakeShard(), "s1": FakeShard(drop=("reload",))}
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.service"):
+                with remote_router(nodes) as router:
+                    router.attach_tenant("acme", old_db)
+                    report = router.reload("acme", new_db)
+                    assert (report["reloaded"], report["shards"]) == (1, 1)
+                    assert router.shard_names == ("s0",)
+                    for q in isomorphic_variants(parse_query(TRIANGLE), 4, seed=1):
+                        assert router.evaluate("acme", q).result(10) == (
+                            naive_evaluate(q, new_db)
+                        )
+        finally:
+            for node in nodes.values():
+                node.close()
+        (record,) = [r for r in caplog.records if r.name == "repro.service"]
+        assert record.levelno == logging.WARNING
+        assert (record.shard, record.reason) == ("s1", "connection_lost")
+        # the reload frame itself was in flight: an admin verb fails typed
+        assert (record.resubmitted, record.failed) == (0, 1)

@@ -13,7 +13,10 @@ Layers under test:
   performs **zero** forward reductions), mutation convergence across
   every shard replica, namespace-accurate detach purging;
 * hot-reload — a served database is swapped via snapshot + delta
-  replay while requests are in flight, and none are dropped;
+  replay while requests are in flight, and none are dropped; admin
+  operations are serialised, so an ``add_shard`` racing a reload
+  builds from the reloaded master;
+* eviction — ``remove_shard`` is the one eviction path and logs why;
 * rescale-under-traffic — concurrent differential traffic stays
   correct across tenant attach, ring growth/shrink and a hot-reload;
 * the :class:`RouterServer` wire tier — tenant-scoped verbs, typed
@@ -29,8 +32,10 @@ also exercises cross-process content addressing for real.
 
 import asyncio
 import json
+import logging
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -349,6 +354,64 @@ class TestShardRouter:
             assert not failures, failures[:5]
             assert rounds[0] >= 3  # traffic genuinely overlapped the ops
             assert router.shard_names == ("s1", "s2")
+
+    def test_reload_and_add_shard_are_serialised(self, tmp_path, monkeypatch):
+        """Admin operations are mutually exclusive: an ``add_shard``
+        issued while a ``reload`` is building its pools waits for the
+        swap and builds the new shard from the reloaded master.  Before,
+        the reload adopted the new shard's pre-reload pool unreplayed,
+        so every group the ring placed there answered from the old
+        database."""
+        old_db, new_db = small_db(8, seed=11), small_db(8, seed=47)
+        with ShardRouter(
+            shards=("s0",), cache_dir=tmp_path, workers_per_shard=1
+        ) as router:
+            router.attach_tenant("acme", old_db)
+            build, built = router._build_pool, []
+            held, second = threading.Event(), threading.Event()
+            release = threading.Event()
+
+            def gated_build(db, tenant):
+                built.append(db)
+                if len(built) == 1:
+                    held.set()
+                    release.wait(30)  # the reload's build is held here
+                else:
+                    second.set()
+                return build(db, tenant)
+
+            monkeypatch.setattr(router, "_build_pool", gated_build)
+            with ThreadPoolExecutor(2) as executor:
+                reloading = executor.submit(router.reload, "acme", new_db)
+                assert held.wait(30)
+                adding = executor.submit(router.add_shard, "s1")
+                second.wait(2)  # the old race built s1's pool here
+                release.set()
+                reloading.result(60)
+                adding.result(60)
+            state = router._tenants["acme"]
+            assert set(state.pools) == {"s0", "s1"}
+            for pool in state.pools.values():
+                for relation in new_db:
+                    assert pool.db[relation.name].tuples == relation.tuples
+                    assert state.master[relation.name].tuples == relation.tuples
+
+    def test_remove_shard_is_the_one_eviction_and_says_why(self, caplog):
+        with ShardRouter(shards=("s0", "s1")) as router:
+            with caplog.at_level(logging.INFO, logger="repro.service"):
+                report = router.remove_shard("s0")
+        assert report == {"shard": "s0", "shards": 1, "tenants": 0}
+        (record,) = [r for r in caplog.records if r.name == "repro.service"]
+        assert record.levelno == logging.INFO
+        assert (record.shard, record.reason) == ("s0", "decommissioned")
+        assert (record.resubmitted, record.failed) == (0, 0)
+
+    def test_every_router_health_checks_its_shards(self):
+        with pytest.raises(ValueError):
+            ShardRouter(shards=("s0",), health_interval=0)
+        with ShardRouter(shards=("s0", "s1"), health_interval=0.05) as router:
+            time.sleep(0.3)  # a few rounds: a local shard always answers
+            assert router.shard_names == ("s0", "s1")
 
 
 # ----------------------------------------------------------------------
