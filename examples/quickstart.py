@@ -57,7 +57,7 @@ from pathlib import Path
 from repro import QuerySession, analyze_query, count_ij, evaluate_ij, parse_query
 from repro.core import naive_count, naive_evaluate, witnesses_ij
 from repro.intervals import Interval
-from repro.reduction import forward_reduce
+from repro.reduction import forward_reduce, shift_distinct_left
 from repro.workloads import isomorphic_variants, random_database
 
 
@@ -166,9 +166,11 @@ def main() -> None:
     reduction = session.reduction(query)
     print(f"warm session: {session.stats.reductions} reductions cached")
 
-    # an insert whose endpoints are already in the segment trees'
-    # endpoint domains (here: reuse endpoints of existing intervals)
-    # patches the cached reduction — no re-reduction.  The patch runs
+    # an insert whose endpoints are already in the artifact's endpoint
+    # domains patches the cached reduction — no re-reduction.  The
+    # artifact ranks endpoints in the G.1-shifted space (section 13),
+    # where a left endpoint sits apart from a right one, so reuse the
+    # left and the right endpoints of existing intervals.  The patch runs
     # on the arrays: the tuple's derived rows are encoded against the
     # artifact's own trees (interval parts are node ids, written
     # verbatim) and codebook (point values), found in each variant's
@@ -179,14 +181,13 @@ def main() -> None:
     # evaluate them as before; a session with a cache_dir persists the
     # patch as a delta frame (the change, not the artifact).
     rng = random.Random(0)
-    endpoints_a = sorted(reduction.segment_trees["A"].endpoints)
-    endpoints_b = sorted(reduction.segment_trees["B"].endpoints)
+    rows = sorted(db["R"].tuples, key=repr)
     delta = None
     while delta is None:  # skip tuples that happen to exist already
-        lo_a, hi_a = sorted(rng.sample(endpoints_a, 2))
-        lo_b, hi_b = sorted(rng.sample(endpoints_b, 2))
-        new_tuple = (Interval(lo_a, hi_a), Interval(lo_b, hi_b))
-        delta = db.insert("R", new_tuple)  # a Delta; None if present
+        ends = [(rng.choice(rows)[c].left, rng.choice(rows)[c].right) for c in (0, 1)]
+        if all(lo <= hi for lo, hi in ends):
+            new_tuple = tuple(Interval(lo, hi) for lo, hi in ends)
+            delta = db.insert("R", new_tuple)  # a Delta; None if present
     before = session.stats.reductions
     start = time.perf_counter()
     answer = session.evaluate(query, strategy="reduction")
@@ -432,7 +433,7 @@ def main() -> None:
             f"stored frame {entry.name}: {len(raw) >> 10} KB, "
             f"magic {raw[:8]!r}"
         )
-        assert raw[:8] == b"REPROV07"
+        assert raw[:8] == b"REPROV08"
         # a warm load maps the frame (np.memmap) and wraps the array
         # sections zero-copy: columnar relations point straight into
         # the file's pages instead of re-materializing object graphs
@@ -441,7 +442,10 @@ def main() -> None:
         assert warm.stats.reductions == 0
         loaded = warm.reduction(query)
         assert result_digest(loaded) == result_digest(
-            forward_reduce(query, db)
+            forward_reduce(
+                query, shift_distinct_left(query, db), disjoint=True,
+                provenance=True,
+            )
         )
         print("warm load is digest-identical to a fresh reduction")
         # tampering (or truncation, or a version skew) degrades to a
@@ -558,19 +562,24 @@ def main() -> None:
     # as one generic join; COUNT(*) enumerates every provenance id
     # (ρ* = 3) and a flat join would list each witness, so the same
     # disjuncts count through the bag kernel — which this exercises.
-    from repro.core.disjunct_eval import count_disjunction
-    from repro.reduction import shift_distinct_left
+    # Both heads read one artifact: a session keeps, per query, the
+    # Appendix G disjoint reduction with provenance ids over the
+    # G.1-shifted database, and answers EXISTS, COUNT and witnesses
+    # from it (and patches it, like any artifact, from the change log).
+    from repro.core.disjunct_eval import count_disjunction, evaluate_disjunction
 
-    shifted = shift_distinct_left(query, db)
-    artifact = forward_reduce(query, shifted, disjoint=True, provenance=True)
+    session = QuerySession(db)
+    artifact = session.reduction(query)
     start = time.perf_counter()
     count = count_disjunction(artifact)
     seconds = time.perf_counter() - start
     assert count == naive_count(query, db)
+    assert evaluate_disjunction(artifact) == naive_evaluate(query, db)
     assert all(r.columnar is not None for r in artifact.database)
     print(
         f"count over {len(artifact.ej_queries)} disjuncts: "
-        f"{count} in {seconds * 1e3:.1f}ms"
+        f"{count} in {seconds * 1e3:.1f}ms (the EXISTS artifact too: "
+        f"{session.stats.reductions} reduction)"
     )
     print()
 

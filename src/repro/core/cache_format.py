@@ -1,11 +1,11 @@
-"""The v7 on-disk reduction-cache layout: framed, safe, mmap-able.
+"""The v8 on-disk reduction-cache layout: framed, safe, mmap-able.
 
 A cache entry is a length-framed binary layout that contains **no
 executable serialization** at all (the pickled envelopes of versions
 ≤ 4 have no reader anywhere in the package)::
 
     offset  size       field
-    0       8          magic  b"REPROV07"
+    0       8          magic  b"REPROV08"
     8       32         SHA-256 of everything after this field
     40      8          meta length (uint64, little-endian)
     48      meta_len   UTF-8 JSON metadata
@@ -17,7 +17,7 @@ executable serialization** at all (the pickled envelopes of versions
 A **full frame**'s JSON metadata carries the structural half of a
 :class:`~repro.reduction.forward.ForwardReductionResult`::
 
-    format_version   7
+    format_version   8
     query            the original query
     encoded_queries  per disjunct: its EJ query and position map
     trees            per interval variable: its sorted endpoint list —
@@ -26,6 +26,7 @@ A **full frame**'s JSON metadata carries the structural half of a
     atom_variants    per atom label: its variant specs
     codebook         the point values, in code order (interval parts are
                      node ids in the matrices and need no table)
+    ranks            the G.1 rank table of a shifted artifact, or null
     relations        per relation: name, schema, per-column ``kinds``
                      (``bits`` | ``code`` | ``id``) and ``bounds``, blob
                      indices of its matrix and refcounts
@@ -45,7 +46,7 @@ reduction is stored as, a few hundred bytes whatever ``|D~|`` is.  Its
 reader (``ReductionCache.get``) loads ``parent`` and replays ``deltas``
 through ``apply_delta``::
 
-    format_version   7
+    format_version   8
     kind             "delta" (a full frame declares none)
     parent           the entry key of the artifact the deltas apply to
     depth            delta frames from here down to a full frame (>= 1)
@@ -54,7 +55,7 @@ through ``apply_delta``::
 
 Integrity: the digest is verified over the mapped bytes before any
 field is trusted, so truncated, bit-flipped or version-skewed frames
-(a v6 entry found in the directory included) degrade to cache misses,
+(a v7 entry found in the directory included) degrade to cache misses,
 never to errors.  Everything here is pure data; a hostile cache entry
 can at worst fail validation.  A delta frame's reader holds three more
 invariants — the first here, the others where the link is followed:
@@ -126,7 +127,7 @@ __all__ = [
     "validate_entry_bytes",
 ]
 
-MAGIC = b"REPROV07"
+MAGIC = b"REPROV08"
 _HEADER = struct.Struct("<8s32sQ")  # magic, sha256, meta length
 _META_ALIGN = 64
 _BLOB_ALIGN = 16
@@ -313,6 +314,9 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
                 for label, specs in result.atom_variants.items()
             },
             "codebook": [encode_value(v) for v in result.codebook.values],
+            "ranks": None
+            if result.ranks is None
+            else [encode_value(p) for p in result.ranks],
             "relations": relations,
             "blobs": blobs.descriptors,
         }
@@ -480,6 +484,11 @@ def deserialize_result(
             for label, specs in meta["atom_variants"].items()
         }
         book = CodeBook(decode_value(v) for v in meta["codebook"])
+        ranks = meta["ranks"]
+        if ranks is not None:
+            if type(ranks) is not list:
+                raise CacheFormatError("malformed rank table")
+            ranks = tuple(decode_value(p) for p in ranks)
         descriptors = meta["blobs"]
         database = Database()
         variant_counts: dict = {}
@@ -520,6 +529,7 @@ def deserialize_result(
             atom_variants,
             variant_counts,
             book,
+            ranks=ranks,
         )
     except (
         CacheFormatError,

@@ -24,7 +24,7 @@ from typing import Iterator
 from ..engine.ej import evaluate_ej_full
 from ..engine.relation import Database
 from ..queries.query import Query
-from ..reduction.disjoint import shift_distinct_left, shifted_rows
+from ..reduction.disjoint import shift_distinct_left
 from ..reduction.forward import ForwardReductionResult, forward_reduce
 from .disjunct_eval import count_disjunction, evaluate_disjunction
 
@@ -58,30 +58,22 @@ def witnesses_ij(
     of the *original* database), each exactly once."""
     shifted = shift_distinct_left(query, db)
     result = forward_reduce(query, shifted, disjoint=True, provenance=True)
-    return witnesses_from_reduction(query, db, result, limit)
+    return witnesses_from_reduction(result, limit)
 
 
 def witnesses_from_reduction(
-    query: Query,
-    db: Database,
-    result: ForwardReductionResult,
-    limit: int | None = None,
+    result: ForwardReductionResult, limit: int | None = None
 ) -> Iterator[dict[str, tuple]]:
-    """Enumerate witnesses given the (possibly cached) disjoint
-    provenance reduction ``result`` of ``query``, computed over
-    ``shift_distinct_left(query, db)``.
+    """Enumerate the witnesses of ``result.original`` given its (possibly
+    cached, possibly patched) disjoint provenance reduction over the
+    G.1-shifted database.
 
     Provenance ids index the reduction's own ``tuple_order`` (which
     holds the *shifted* tuples), so id alignment is exact by
-    construction; the G.1 shift is then inverted tuple-by-tuple to
-    reach the original database.
+    construction; the artifact's rank table then unshifts each tuple by
+    arithmetic (:meth:`ForwardReductionResult.source_tuple`).
     """
-    shifted_order = result.tuple_order
-    unshift = {
-        atom.label: {shifted: original for original, shifted in rows.items()}
-        for atom, rows in zip(query.atoms, shifted_rows(query, db))
-    }
-
+    query = result.original
     # Atoms with interval variables carry a provenance id; point-only
     # atoms are identified by their variable values directly (every
     # column of a point atom is a variable, so the projection of the
@@ -108,8 +100,7 @@ def witnesses_from_reduction(
                 column = f"__id_{atom.label}"
                 if column in assignments.schema:
                     tuple_id = row[assignments.schema.index(column)]
-                    shifted_tuple = shifted_order[atom.label][tuple_id]
-                    witness[atom.label] = unshift[atom.label][shifted_tuple]
+                    witness[atom.label] = result.source_tuple(atom, tuple_id)
                 else:
                     witness[atom.label] = tuple(
                         row[assignments.schema.index(name)]

@@ -72,8 +72,10 @@ _log = logging.getLogger("repro.cache")
 #: values only and the frame no string table.
 #: Version 7: a second frame kind — a patched artifact is stored as
 #: the tuple-level deltas that turn its parent entry into it.
+#: Version 8: a full frame carries the G.1 rank table of a shifted
+#: artifact, so its delta frames stay in source space.
 #: Versions 2-4 were pickled ``.pkl`` envelopes; no reader remains.
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 #: The most delta frames between an entry and a full frame.  A link
 #: replays in a fraction of a full load, so the longest chain loads in
@@ -169,8 +171,8 @@ def result_digest(result: ForwardReductionResult) -> str:
     reduction result: the encoded disjuncts and their position maps, the
     transformed database (schemas + derived rows), the provenance-id
     order (``tuple_order``, ``None`` sentinels included), the derived-
-    row refcounts (``variant_counts``) and the patch metadata
-    (``atom_variants``).
+    row refcounts (``variant_counts``), the patch metadata
+    (``atom_variants``) and the G.1 rank table (``ranks``).
 
     Two results digest equal exactly when they are bit-identical as
     reduction artifacts — the oracle behind the differential tests that
@@ -204,6 +206,7 @@ def result_digest(result: ForwardReductionResult) -> str:
     for label in sorted(result.atom_variants):
         feed(label)
         feed(repr(result.atom_variants[label]))
+    feed(encode_value(result.ranks))
     return h.hexdigest()
 
 
@@ -230,10 +233,9 @@ def reduction_key(
 ) -> str:
     """The content address of one forward reduction: the query's
     structural serialization, the digests of exactly the relations it
-    references, the reduction flags and the pipeline tag (``plain`` vs
-    the session's tag for the Appendix G counting pipeline, which
-    reduces over the shifted database — itself a pure function of the
-    original relations)."""
+    references, the reduction flags and the pipeline tag (``plain``, or
+    the session's tag for its one artifact per query, which reduces over
+    the G.1-shifted database — itself a pure function of the relations)."""
     referenced = sorted(query.relations)
     payload = repr(
         (

@@ -16,8 +16,9 @@ and makes the amortisation explicit:
   change log say what changed (see :class:`QuerySession`) — and a
   mutation invalidates only the cached artifacts whose query *touches a
   changed relation*: everything else stays warm;
-* ``forward_reduce`` results are **memoized** keyed by the query's
-  canonical form and the ``disjoint``/``provenance`` flags, and — when
+* each canonical form has **one** artifact that ``evaluate``,
+  ``count`` and ``witnesses`` all read (:meth:`QuerySession._reduce`),
+  **memoized**, **patched** from the change log and — when
   the session is given a ``cache_dir`` — **persisted** to a
   content-addressed on-disk :class:`~repro.core.reduction_cache.ReductionCache`
   shared across processes and workers;
@@ -46,12 +47,12 @@ from itertools import permutations, product
 from math import factorial
 from statistics import median
 from time import perf_counter
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, Sequence
 
 from ..engine.relation import Database, Delta, Relation
 from ..hypergraph.isomorphism import structure_hash
 from ..queries.query import Atom, Query, Variable
-from ..reduction.disjoint import shift_distinct_left
+from ..reduction.disjoint import require_self_join_free, shift_distinct_left
 from ..reduction.forward import (
     DomainChanged,
     ForwardReductionResult,
@@ -59,6 +60,7 @@ from ..reduction.forward import (
 )
 from .baselines import naive_count, naive_evaluate
 from .disjunct_eval import count_disjunction, evaluate_disjunction
+from .ij_engine import witnesses_from_reduction
 from .reduction_cache import (
     ReductionCache,
     database_digests,
@@ -376,25 +378,6 @@ class SessionStats:
         return dict(self.phase_seconds)
 
 
-#: Pipeline tags of :func:`~repro.core.reduction_cache.reduction_key`:
-#: the plain Theorem 4.15 reduction, and the Appendix G counting /
-#: witness pipeline (disjoint provenance reduction over the rank-shifted
-#: database).
-_PLAIN = "plain"
-_COUNTING = "disjoint-ranked"
-
-
-class _Reduction(NamedTuple):
-    """One memoized forward reduction with what invalidating and
-    re-persisting it needs."""
-
-    result: ForwardReductionResult
-    deps: frozenset[str]
-    disjoint: bool
-    provenance: bool
-    pipeline: str
-
-
 class QuerySession:
     """Cached query evaluation over one pinned database.
 
@@ -463,9 +446,8 @@ class QuerySession:
         self._seen = self._relation_versions()
         self._db_version = db.version
         # every store maps key -> (artifact, the relation names its
-        # query reads — the unit of invalidation, ...); reductions also
-        # carry what re-persisting them needs
-        self._reductions: dict[tuple, _Reduction] = {}
+        # query reads — the unit of invalidation)
+        self._reductions: dict[tuple, tuple] = {}
         self._plans: dict[tuple, tuple[object, frozenset[str]]] = {}
         self._answers: OrderedDict[tuple, tuple[object, frozenset[str]]] = (
             OrderedDict()
@@ -568,27 +550,21 @@ class QuerySession:
 
     def _patched(
         self, changed: set[str], patch: dict[str, list[Delta]]
-    ) -> dict[tuple, _Reduction]:
-        """The delta-maintenance core: the cached plain reductions whose
+    ) -> dict[tuple, tuple]:
+        """The delta-maintenance core: the cached artifacts whose
         changed relations are all in ``patch``, brought up to date in
         place and persisted under the post-delta digests as *the
         change* — the cache chains a delta frame holding the deltas
         just applied to the entry the artifact came from — so a
         restarted worker stays warm at a write cost of O(change), not
-        O(|D~|).  Answers and plans of the patched queries still drop:
-        patching keeps the *reduction* warm, the (cheap) disjunct
-        evaluation re-runs."""
-        patched: dict[tuple, _Reduction] = {}
-        for key, entry in self._reductions.items():
-            touched = entry.deps & changed
-            # the counting pipeline reduces over the G.1-shifted
-            # database, whose ranks depend on every endpoint — never
-            # patched, always rebuilt
-            if (
-                not touched
-                or not touched <= patch.keys()
-                or entry.pipeline != _PLAIN
-            ):
+        O(|D~|) — counted once its whole delta list applied, never for
+        one that raises :class:`DomainChanged` part-way and is rebuilt.
+        Answers and plans of the patched queries still drop: patching
+        keeps the *reduction* warm, the disjunct evaluation re-runs."""
+        patched = {}
+        for key, (result, deps) in self._reductions.items():
+            touched = deps & changed
+            if not touched or not touched <= patch.keys():
                 continue
             deltas = sorted(
                 (d for name in touched for d in patch[name]),
@@ -597,87 +573,70 @@ class QuerySession:
             try:
                 with self._timed("reduce"):
                     for delta in deltas:
-                        entry.result.apply_delta(delta)
-                        self.stats.delta_patches += 1
+                        result.apply_delta(delta)
             except DomainChanged:
                 continue
-            patched[key] = entry
+            self.stats.delta_patches += len(deltas)
+            patched[key] = (result, deps)
             if self.cache is not None:
-                address = reduction_key(
-                    entry.result.original,
-                    database_digests(self.db, entry.deps),
-                    entry.disjoint, entry.provenance, entry.pipeline,
-                )
+                address = self._address(result.original)
                 with self._timed("cache_io"):
-                    self.cache.put(address, entry.result, deltas)
+                    self.cache.put(address, result, deltas)
         return patched
 
     # ------------------------------------------------------------------
     # cached artifacts
     # ------------------------------------------------------------------
 
-    def reduction(
-        self, query: Query, disjoint: bool = False, provenance: bool = False
-    ) -> ForwardReductionResult:
-        """The (memoized) forward reduction of ``query`` over this
-        session's database, **as written**: atom labels, variable names
-        and transformed-relation names all come from ``query`` itself
-        (so ``tuple_order`` is keyed by the caller's labels).  Evaluation
-        paths share reductions across isomorphic queries internally; this
-        accessor trades that sharing for a faithful schema."""
+    def reduction(self, query: Query) -> ForwardReductionResult:
+        """The (memoized) artifact of ``query`` over this session's
+        database — the one every head reads — **as written**: atom
+        labels, variable names and transformed-relation names all come
+        from ``query`` itself (so ``tuple_order`` is keyed by the
+        caller's labels).  Evaluation paths share artifacts across
+        isomorphic queries internally; this accessor trades that sharing
+        for a faithful schema."""
         self._ensure_current()
-        key = ("exact", query_content_key(query), disjoint, provenance)
-        return self._reduce(key, query, disjoint, provenance, _PLAIN)
+        return self._reduce(("exact", query_content_key(query)), query)
 
-    def _reduction(
-        self,
-        form: CanonicalForm,
-        disjoint: bool,
-        provenance: bool,
-        pipeline: str = _PLAIN,
-    ) -> ForwardReductionResult:
-        key = (form.key, disjoint, provenance, pipeline)
-        return self._reduce(key, form.query, disjoint, provenance, pipeline)
+    def _reduction(self, form: CanonicalForm) -> ForwardReductionResult:
+        return self._reduce(form.key, form.query)
 
-    def _reduce(
-        self, key: tuple, query: Query, disjoint: bool, provenance: bool,
-        pipeline: str,
-    ) -> ForwardReductionResult:
-        """The reduction memoized under ``key`` — else loaded from the
-        persistent cache, else computed (and persisted).  The persistent
-        address is content-based — canonical query plus the digests of
-        exactly the relations it reads — so entries written by other
-        processes (or before a mutation of an unrelated relation) are
-        shared, and stale entries are unreachable."""
+    def _address(self, query: Query) -> str:
+        """``query``'s persistent address: the query plus the digests of
+        exactly the relations it reads, so entries are shared across
+        processes and stale ones are unreachable."""
+        digests = database_digests(self.db, query.relations)
+        return reduction_key(query, digests, True, True, "appendix-g")
+
+    def _reduce(self, key: tuple, query: Query) -> ForwardReductionResult:
+        """The artifact memoized under ``key``, else loaded, else
+        computed and persisted: the Appendix G disjoint provenance
+        reduction, over the G.1-shifted database unless ``query`` has a
+        self-join (:mod:`repro.reduction.disjoint`)."""
         entry = self._reductions.get(key)
         if entry is not None:
-            return entry.result
+            return entry[0]
         result = None
         if self.cache is not None:
-            address = reduction_key(
-                query, database_digests(self.db, query.relations),
-                disjoint, provenance, pipeline,
-            )
+            address = self._address(query)
             with self._timed("cache_io"):
                 result = self.cache.get(address)
         if result is not None:
             self.stats.persistent_hits += 1
         else:
             with self._timed("reduce"):
-                if pipeline == _COUNTING:
+                base = self.db
+                if query.is_self_join_free:
                     base = shift_distinct_left(query, self.db)
-                else:
-                    base = self.db
                 result = forward_reduce(
-                    query, base, disjoint=disjoint, provenance=provenance
+                    query, base, disjoint=True, provenance=True
                 )
             self.stats.reductions += 1
             if self.cache is not None:
                 with self._timed("cache_io"):
                     self.cache.put(address, result)
-        self._reductions[key] = _Reduction(
-            result, query.relations, disjoint, provenance, pipeline
-        )
+        self._reductions[key] = (result, query.relations)
         return result
 
     def plan(self, query: Query):
@@ -803,7 +762,8 @@ class QuerySession:
     ) -> int:
         """Exact witness count, cached by canonical form.
 
-        ``strategy='reduction'`` runs the Appendix G counting pipeline;
+        ``strategy='reduction'`` counts on the query's artifact (a
+        self-join query raises ``ValueError``: it has no G.1 shift);
         ``'naive'`` enumerates witnesses (what the SQL optimizer plans
         for small inputs).  As for :meth:`evaluate`, the answer cache is
         strategy-agnostic."""
@@ -844,26 +804,22 @@ class QuerySession:
                 with self._timed("evaluate"):
                     return sweep_evaluate_binary(query, self.db, shared)
         if counting:
-            result = self._reduction(form, True, True, _COUNTING)
-            with self._timed("evaluate"):
-                return count_disjunction(result)
-        result = self._reduction(form, False, False)
+            require_self_join_free(query)
+        result = self._reduction(form)
         with self._timed("evaluate"):
+            if counting:
+                return count_disjunction(result)
             return evaluate_disjunction(result)
 
     def witnesses(
         self, query: Query, limit: int | None = None
     ) -> Iterator[dict[str, tuple]]:
-        """Enumerate witnesses through the memoized counting-pipeline
-        reduction, relabeled back to the original query's atom labels."""
+        """Enumerate witnesses through the query's memoized artifact,
+        relabeled back to the original query's atom labels."""
         self._ensure_current()
         form = self._canonical(query)
-        result = self._reduction(form, True, True, _COUNTING)
-        from .ij_engine import witnesses_from_reduction
-
-        for witness in witnesses_from_reduction(
-            form.query, self.db, result, limit
-        ):
+        require_self_join_free(form.query)
+        for witness in witnesses_from_reduction(self._reduction(form), limit):
             yield form.relabel_witness(witness)
 
     # ------------------------------------------------------------------
@@ -880,7 +836,7 @@ class QuerySession:
         return self._many(queries, lambda q: self.evaluate(q, strategy))
 
     def count_many(self, queries: Sequence[Query]) -> list[int]:
-        """Count a batch, one disjoint reduction per canonical form."""
+        """Count a batch, one artifact per canonical form."""
         return self._many(queries, self.count)
 
     def _many(self, queries: Sequence[Query], compute) -> list:

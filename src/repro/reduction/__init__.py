@@ -12,7 +12,7 @@ from .backward import (
     backward_reduce,
     bitstring_encode_database,
 )
-from .disjoint import shift_distinct_left, verify_distinct_left
+from .disjoint import shift_distinct_left
 from .one_step import OneStepResult, iterate_one_step, one_step_forward
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "backward_reduce",
     "bitstring_encode_database",
     "shift_distinct_left",
-    "verify_distinct_left",
     "OneStepResult",
     "iterate_one_step",
     "one_step_forward",

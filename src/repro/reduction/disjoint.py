@@ -5,97 +5,100 @@ Two pieces:
 * :func:`shift_distinct_left` — the G.1 perturbation making intervals
   from different atoms have pairwise distinct left endpoints while
   preserving every intersection (hence the query answer), carried out
-  on endpoint ranks instead of with a float epsilon;
+  on endpoint ranks instead of with a float epsilon.  The
+  :class:`ShiftedDatabase` it returns carries its rank table, which a
+  reduction of it freezes into the artifact
+  (:attr:`~repro.reduction.forward.ForwardReductionResult.ranks`), so
+  the artifact takes its deltas and gives back its witnesses in source
+  space;
 * the ordered-tuple-set (OT) rewriting of Lemma G.2 is realised inside
   :mod:`repro.reduction.forward` via ``disjoint=True``: the part ``X_j``
   of the atom at permutation position ``j`` (``1 < j < k``) must be
   non-empty whenever the previous atom's label is larger, so each
   satisfying tuple combination is witnessed by exactly one disjunct.
+
+One such artifact answers every head: the shift keeps every satisfying
+combination, so ``EXISTS`` reads the disjoint disjunction as ``COUNT``
+does.  A self-join query has no shift (its atoms share a relation), but
+the unshifted disjoint reduction still answers ``EXISTS`` — a tie on
+the largest left endpoint only adds witnesses — though not ``COUNT``.
 """
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 from ..engine.relation import Database, Relation
-from ..intervals.endpoints import collect_endpoints
 from ..intervals.interval import Interval
 from ..queries.query import Query
 
 
-def shifted_rows(query: Query, db: Database) -> list[dict[tuple, tuple]]:
-    """Per atom of ``query`` (in order), the map *original tuple →
-    G.1-shifted tuple* — the one place the shift is computed;
-    :func:`shift_distinct_left` keeps the values, the witness
-    enumeration inverts the map.
-
-    The shift runs in **integer rank space**, so it is exact at any
-    endpoint magnitude (a float epsilon rounds away past ``2**52``):
-    with ``r(p)`` the rank of ``p`` among all distinct endpoints of the
-    query's interval columns, atom ``i`` of ``n`` (1-based) sends
-    ``[l, r]`` to ``[r(l)*(n+1) + i, r(r)*(n+1) + n]``.  Ranks preserve
-    endpoint order and ``i <= n < n+1``, so ``x.l <= y.r`` holds before
-    exactly when it holds after — every intersection is preserved — and
-    left endpoints are ``i`` modulo ``n+1``: distinct across atoms.
-    """
+def require_self_join_free(query: Query) -> None:
+    """Counting and witnesses need the shift, which differs per atom."""
     if not query.is_self_join_free:
         raise ValueError(
             "the distinct-left-endpoint shift needs a self-join-free query"
         )
-    interval_positions = [
+
+
+def shift_row(
+    row: tuple, positions: Sequence[int], slot: int, n: int, rank: Mapping
+) -> tuple:
+    """``row`` of the atom at 1-based position ``slot`` of ``n``, shifted:
+    each interval column ``[l, r]`` in ``positions`` becomes
+    ``[rank[l]*(n+1) + slot, rank[r]*(n+1) + n]``.  Ranks preserve
+    endpoint order and ``slot <= n < n+1``, so ``x.l <= y.r`` holds
+    before exactly when it holds after — every intersection is preserved
+    — and left endpoints are ``slot`` modulo ``n+1``: distinct across
+    atoms.  Integer ranks keep it exact at any magnitude (a float
+    epsilon rounds away past ``2**52``); ``ranks[s // (n+1)]`` undoes it.
+    """
+    out = list(row)
+    for idx in positions:
+        x = row[idx]
+        out[idx] = Interval(
+            rank[x.left] * (n + 1) + slot, rank[x.right] * (n + 1) + n
+        )
+    return tuple(out)
+
+
+class ShiftedDatabase(Database):
+    """A G.1-shifted database and its rank table: the sorted distinct
+    endpoints of the source's interval columns, which its own interval
+    endpoints index."""
+
+    def __init__(self, relations, ranks: tuple):
+        super().__init__(relations)
+        self.ranks = ranks
+
+
+def shift_distinct_left(query: Query, db: Database) -> ShiftedDatabase:
+    """``db`` with the interval columns of the ``i``-th atom of a
+    self-join-free ``query`` shifted per Appendix G.1 (:func:`shift_row`),
+    ranked among *all* distinct endpoints of the query's interval
+    columns.  Same Boolean answer, same satisfying tuple combinations."""
+    require_self_join_free(query)
+    columns = [
         [idx for idx, v in enumerate(atom.variables) if v.is_interval]
         for atom in query.atoms
     ]
-    endpoints = collect_endpoints(
-        t[idx]
-        for atom, positions in zip(query.atoms, interval_positions)
-        for t in db[atom.relation].tuples
-        for idx in positions
-    )
-    rank = {p: r for r, p in enumerate(sorted(set(endpoints)))}
+    relations = [db[atom.relation] for atom in query.atoms]
+    ranks = tuple(sorted({
+        p
+        for relation, positions in zip(relations, columns)
+        for t in relation.tuples
+        for p in (e for idx in positions for e in (t[idx].left, t[idx].right))
+    }))
+    rank = {p: r for r, p in enumerate(ranks)}
     n = len(query.atoms)
-    per_atom: list[dict[tuple, tuple]] = []
-    for i, (atom, positions) in enumerate(
-        zip(query.atoms, interval_positions), start=1
-    ):
-        rows: dict[tuple, tuple] = {}
-        for t in db[atom.relation].tuples:
-            row = list(t)
-            for idx in positions:
-                x = t[idx]
-                row[idx] = Interval(
-                    rank[x.left] * (n + 1) + i, rank[x.right] * (n + 1) + n
-                )
-            rows[t] = tuple(row)
-        per_atom.append(rows)
-    return per_atom
-
-
-def shift_distinct_left(query: Query, db: Database) -> Database:
-    """Return a database where the interval columns of the ``i``-th atom
-    are shifted per Appendix G.1 (see :func:`shifted_rows`).
-
-    Requires a self-join-free query (each atom owns its relation, as the
-    shift differs per atom).  The transformed database has the same
-    Boolean answer and the same set of satisfying tuple combinations.
-    """
-    shifted = Database()
-    for atom, rows in zip(query.atoms, shifted_rows(query, db)):
-        relation = db[atom.relation]
-        shifted.add(Relation(relation.name, relation.schema, rows.values()))
-    return shifted
-
-
-def verify_distinct_left(query: Query, db: Database) -> bool:
-    """Check the G.1 postcondition: left endpoints of interval values
-    are pairwise distinct across different atoms."""
-    seen: dict[float, int] = {}
-    for i, atom in enumerate(query.atoms):
-        relation = db[atom.relation]
-        for idx, v in enumerate(atom.variables):
-            if not v.is_interval:
-                continue
-            for t in relation.tuples:
-                left = t[idx].left
-                owner = seen.setdefault(left, i)
-                if owner != i:
-                    return False
-    return True
+    return ShiftedDatabase(
+        [
+            Relation(
+                r.name,
+                r.schema,
+                [shift_row(t, positions, slot, n, rank) for t in r.tuples],
+            )
+            for slot, (r, positions) in enumerate(zip(relations, columns), 1)
+        ],
+        ranks,
+    )

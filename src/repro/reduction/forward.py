@@ -43,6 +43,7 @@ counting.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterator, Mapping, Sequence
@@ -50,6 +51,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..engine.relation import Database, Delta, Relation
+from ..intervals.interval import Interval
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, Variable, pvar
 from ..hypergraph.transform import part_vertex
@@ -63,6 +65,7 @@ from .columnar import (
     ColumnarCounts,
     distinct_rows,
 )
+from .disjoint import ShiftedDatabase, shift_row
 
 # variable name -> atom label -> 1-based permutation position
 PositionMap = dict[str, dict[str, int]]
@@ -243,6 +246,9 @@ class ForwardReductionResult:
     #: variant spec -> its column layout, as the reducer built it; a
     #: cache-loaded result fills this on its first patch
     layouts: dict = field(default_factory=dict)
+    #: the G.1 rank table of a shifted reduced database (else ``None``):
+    #: deltas and witnesses stay in source space, shifted against it
+    ranks: tuple | None = None
     #: ``(address, delta-chain depth)`` of the persistent-cache entry
     #: that holds exactly this object's current content, or ``None`` —
     #: written by :class:`~repro.core.reduction_cache.ReductionCache`
@@ -276,11 +282,10 @@ class ForwardReductionResult:
         """Patch the transformed database in place for one tuple-level
         mutation of a source relation, instead of re-running Algorithm 1.
 
-        The delta must be expressed over the *same database* this
-        reduction was computed from (in particular, not over the G.1
-        shifted copy the counting pipeline reduces: a shifted endpoint
-        is a rank among *all* endpoints, so one new endpoint moves
-        every tuple, and those artifacts are rebuilt, not patched).  For an **insert** whose interval
+        The delta is over the *source* database; an artifact of the
+        G.1-shifted copy shifts it against its frozen :attr:`ranks` (an
+        endpoint absent from them would move every rank).  For an
+        **insert** whose interval
         endpoints already lie in the segment trees' endpoint domains,
         the trees a fresh reduction would build are *identical* to the
         stored ones, so appending the tuple's derived rows (per variant,
@@ -295,9 +300,9 @@ class ForwardReductionResult:
 
         Raises :class:`DomainChanged` when a full re-reduction is
         required: a whole-relation delta (``add``/``replace``/
-        ``remove``) or an insert with an endpoint outside a tree's
-        domain.  A delta whose relation is not referenced by the query
-        is a no-op.
+        ``remove``), an endpoint outside the rank table, or an insert
+        with an endpoint outside a tree's domain.  A delta whose
+        relation is not referenced by the query is a no-op.
 
         Every variant — point-only copies of a source relation
         included — is patched in array space: the tuple's derived rows
@@ -330,6 +335,9 @@ class ForwardReductionResult:
                     f"tuple {t} does not match the arity of atom "
                     f"{atom.label}"
                 )
+        if self.ranks is not None:
+            # a shifted artifact's query is self-join-free: one atom
+            t = self._shifted(atoms[0], t)
         if delta.kind == "insert":
             for atom in atoms:
                 for v, value in zip(atom.variables, t):
@@ -341,6 +349,31 @@ class ForwardReductionResult:
                             f"[{v.name}] segment tree's endpoint domain"
                         )
         self._patch(atoms, t, inserting=delta.kind == "insert")
+
+    def _shifted(self, atom: Atom, t: tuple) -> tuple:
+        """Source tuple ``t`` of ``atom`` where the G.1 shift put it."""
+        ranks, rank = self.ranks, {}
+        positions = [i for i, v in enumerate(atom.variables) if v.is_interval]
+        for p in (e for i in positions for e in (t[i].left, t[i].right)):
+            rank[p] = r = bisect_left(ranks, p)
+            if r == len(ranks) or ranks[r] != p:
+                raise DomainChanged(f"endpoint {p!r} is not in the rank table")
+        slot = self.original.atoms.index(atom) + 1
+        return shift_row(t, positions, slot, len(self.original.atoms), rank)
+
+    def source_tuple(self, atom: Atom, tuple_id: int) -> tuple:
+        """The input tuple provenance id ``tuple_id`` of ``atom`` names,
+        unshifted by arithmetic when the artifact is G.1-shifted."""
+        t = self.tuple_order[atom.label][tuple_id]
+        if self.ranks is None:
+            return t
+        m = len(self.original.atoms) + 1
+        return tuple(
+            Interval(self.ranks[x.left // m], self.ranks[x.right // m])
+            if v.is_interval
+            else x
+            for v, x in zip(atom.variables, t)
+        )
 
     def tuple_rows(
         self,
@@ -439,6 +472,7 @@ class ForwardReducer:
         self.db = db
         self.disjoint = disjoint
         self.provenance = provenance
+        self.ranks = db.ranks if isinstance(db, ShiftedDatabase) else None
         self.interval_vars = [v.name for v in query.interval_variables]
         self.k = atom_counts(query)
         self._tuple_order: dict[str, list[tuple]] = {}
@@ -682,6 +716,7 @@ class ForwardReducer:
             self._variant_counts,
             self.codebook,
             self._layouts,
+            self.ranks,
         )
 
 

@@ -85,8 +85,10 @@ class TestWorkflow:
         # the explicit file list: the cache fuzz, the array-native
         # delta-patch differentials, the columnar bag-kernel
         # differentials, the point-only / wide-key / big-count
-        # regressions, the column-encoding differential and the delta-
-        # frame chain ≡ live ≡ naive scripts all ride the same matrix
+        # regressions, the column-encoding differential, the delta-
+        # frame chain ≡ live ≡ naive scripts and the freshness machine
+        # (the one test that classifies every step as patch, rebuild or
+        # unchanged, for both heads) all ride the same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -96,6 +98,7 @@ class TestWorkflow:
             "tests/test_one_engine.py",
             "tests/test_column_encodings.py",
             "tests/test_delta_frames.py",
+            "tests/test_freshness.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

@@ -6,7 +6,8 @@ length header — that :meth:`ReductionCache.get` resolves by loading the
 parent and replaying the deltas through ``apply_delta``.  Pinned here:
 
 * (a) chain ≡ live ≡ naive on random mutation scripts (restarted
-  sessions answer from the chain with zero reductions);
+  sessions evaluate and count from the chain with zero reductions), and
+  ``EXISTS`` on self-join shapes, whose artifact has no G.1 shift;
 * (b) the shape on disk (1 full + k delta, the cap, frame sizes);
 * (c) never replace / no cycle on the patch path;
 * (d) hostile and torn frames: a counted miss with its reason, bounded
@@ -51,11 +52,11 @@ from repro.core.reduction_cache import (
     database_digests,
     result_digest,
 )
-from repro.engine import Delta
+from repro.engine import Database, Delta, Relation
 from repro.intervals import Interval
 from repro.queries import parse_query
 from repro.queries.catalog import figure9e_ij, path_ij, triangle_ij
-from repro.reduction import forward_reduce
+from repro.reduction import forward_reduce, shift_distinct_left
 from repro.workloads import random_database
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
@@ -108,10 +109,10 @@ def _fresh(rng, template, domain):
     )
 
 
-def _plain(session):
-    """The session's one memoized plain reduction."""
-    (entry,) = [e for e in session._reductions.values() if e.pipeline == "plain"]
-    return entry.result
+def _artifact(session):
+    """The session's one memoized artifact."""
+    ((result, _),) = session._reductions.values()
+    return result
 
 
 def _patch(query, db, session, rng):
@@ -179,12 +180,16 @@ def test_chain_equals_live_equals_naive(name, tmp_path):
         if not kept:
             # nothing was at the address before this step, so what the
             # chain rebuilds is the live artifact bit for bit
-            assert result_digest(_plain(restarted)) == result_digest(
-                _plain(live)
+            assert result_digest(_artifact(restarted)) == result_digest(
+                _artifact(live)
             ), context
         count = naive_count(query, db)
         assert live.count(query) == count, context
         assert restarted.count(query) == count, context
+        if patched:
+            # one artifact answers both heads: neither count reduces
+            assert live.stats.reductions == before[0], context
+            assert restarted.stats.reductions == 0, context
     assert patched_steps > 0, (name, seed)
     assert live.cache.delta_stores > 0, (name, seed)
     stats = live.cache.stats()
@@ -192,6 +197,80 @@ def test_chain_equals_live_equals_naive(name, tmp_path):
         stats[f"miss_{reason}"]
         for reason in ("absent", "invalid", "orphan", "replay")
     )
+
+
+#: Self-join shapes: no G.1 shift exists for them, so their artifact is
+#: the Appendix G reduction of the database as it is — complete for
+#: ``EXISTS`` (a tie on the largest left endpoint only adds witnesses),
+#: not exact for ``COUNT``.
+SELF_JOINS = {
+    "closed-path": parse_query("R([A],[B]) ∧ R([B],[C]) ∧ S([A],[C])"),
+    "two-cycle": parse_query("R([A],[B]) ∧ R([B],[A])"),
+}
+
+
+def _small_database(query, rng):
+    """One to five tuples per relation over the endpoints 0..6, about a
+    third of the intervals points: ties everywhere."""
+
+    def interval():
+        left = rng.randint(0, 6)
+        return Interval(left, left if rng.random() < 0.35 else rng.randint(left, 6))
+
+    arity = {atom.relation: len(atom.variables) for atom in query.atoms}
+    return Database(
+        Relation(
+            name,
+            ("X", "Y", "Z")[:k],
+            {tuple(interval() for _ in range(k)) for _ in range(rng.randint(1, 5))},
+        )
+        for name, k in sorted(arity.items())
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SELF_JOINS))
+def test_self_join_exists_on_fresh_patched_and_chain_loaded_artifacts(
+    name, tmp_path
+):
+    query = SELF_JOINS[name]
+    seed = FUZZ_SEED * 101 + 50 + sorted(SELF_JOINS).index(name)
+    rng = random.Random(seed)
+    answers: set[bool] = set()
+    patched_steps = 0
+    for trial in range(12):
+        db = _small_database(query, rng)
+        directory = tmp_path / str(trial)
+        live = QuerySession(db, cache_dir=directory)
+        truth = naive_evaluate(query, db)
+        assert live.evaluate(query, strategy="reduction") == truth, (seed, trial)
+        answers.add(truth)
+        # counting and witnesses need the shift, as they always did
+        with pytest.raises(ValueError, match="self-join-free"):
+            live.count(query)
+        with pytest.raises(ValueError, match="self-join-free"):
+            next(live.witnesses(query))
+        originals = {r.name: sorted(r.tuples, key=repr) for r in db}
+        for step in range(4):
+            relation = rng.choice(sorted(originals))
+            if rng.random() < 0.6:
+                t = _recombined(rng, originals[relation], db[relation].tuples)
+                delta = t and db.insert(relation, t)
+            else:
+                delta = db.delete(relation, rng.choice(originals[relation]))
+            if not delta:
+                continue
+            context = (name, seed, trial, step, delta)
+            before = live.stats.reductions
+            truth = naive_evaluate(query, db)
+            assert live.evaluate(query, strategy="reduction") == truth, context
+            answers.add(truth)
+            assert live.stats.reductions == before, context  # patched
+            patched_steps += 1
+            restarted = QuerySession(db, cache_dir=directory)
+            assert restarted.evaluate(query, strategy="reduction") == truth, context
+            assert restarted.stats.reductions == 0, context  # chain-loaded
+    assert answers == {True, False}, (name, seed)
+    assert patched_steps > 0, (name, seed)
 
 
 # ----------------------------------------------------------------------
@@ -224,11 +303,11 @@ class TestShapeOnDisk:
         self.patch(query, db, session, rng)
         metas = _metas(tmp_path)
         assert sum("kind" not in meta for meta in metas.values()) == 2
-        assert _plain(session).stored_as[1] == 0
+        assert _artifact(session).stored_as[1] == 0
         self.patch(query, db, session, rng)
         metas = _metas(tmp_path)
         assert max(_depth(metas, key) for key in metas) == MAX_DELTA_CHAIN
-        assert _plain(session).stored_as[1] == 1
+        assert _artifact(session).stored_as[1] == 1
         stats = session.cache.stats()
         assert stats["delta_stores"] == MAX_DELTA_CHAIN + 1
         assert stats["stores"] == MAX_DELTA_CHAIN + 3
@@ -294,7 +373,7 @@ class TestShapeOnDisk:
         # back at the address of the full frame it started from
         assert path.read_bytes() == before
         assert session.cache.skipped_stores == 1
-        assert _plain(session).stored_as is None
+        assert _artifact(session).stored_as is None
         metas = _metas(tmp_path)
         assert len(metas) == 2
         fresh = ReductionCache(tmp_path)
@@ -302,7 +381,7 @@ class TestShapeOnDisk:
         # the artifact's depth is unknown now: its next patch stores
         # whole, and still loads after a restart
         self.patch(query, db, session, random.Random(FUZZ_SEED + 1))
-        assert _plain(session).stored_as[1] == 0
+        assert _artifact(session).stored_as[1] == 0
         restarted = QuerySession(db, cache_dir=tmp_path)
         assert restarted.evaluate(query, strategy="reduction") == naive_evaluate(
             query, db
@@ -529,7 +608,8 @@ class TestHostileFrames:
         self, tmp_path, opens
     ):
         """The parent on disk is replaced by a fresh reduction of the
-        same contents whose trees lack the endpoints the delta inserts:
+        same contents whose rank table lacks the endpoints the delta
+        inserts:
         the replay raises, the child is a ``miss_replay``, and the
         rebuild's store heals the address."""
         query = parse_query("R([A],[B]) ∧ S([B],[C])")
@@ -538,25 +618,31 @@ class TestHostileFrames:
         session = QuerySession(db, cache_dir=tmp_path)
         db.insert("R", extra)
         session.evaluate(query, strategy="reduction")
-        artifact = _plain(session)
+        artifact = _artifact(session)
         db.delete("R", extra)
         artifact.apply_delta(Delta(0, "delete", "R", extra))
         # the addresses a session reads: those of the canonical query
         canonical = artifact.original
-        parent = reduction_key(canonical, database_digests(db))
+        parent = session._address(canonical)
         cache = ReductionCache(tmp_path)
-        cache.put(parent, artifact)  # [A]'s tree still holds 900.25, 901.5
+        cache.put(parent, artifact)  # its rank table still holds 900.25, 901.5
         t = (extra[0], sorted(db["R"].tuples, key=repr)[0][1])
         db.insert("R", t)
         delta = Delta(0, "insert", "R", t)
         artifact.apply_delta(delta)
-        child = reduction_key(canonical, database_digests(db))
+        child = session._address(canonical)
         cache.put(child, artifact, [delta])
         assert cache.stats()["delta_stores"] == 1
         assert ReductionCache(tmp_path).get(child) is not None
-        # the same address, rebuilt from the contents alone
+        # the same address, rebuilt from the contents alone: its rank
+        # table lacks the endpoints the delta inserts
         db.delete("R", t)
-        cache.put(parent, forward_reduce(canonical, db))
+        cache.put(
+            parent,
+            forward_reduce(
+                canonical, shift_distinct_left(canonical, db), True, True
+            ),
+        )
         db.insert("R", t)
         reader = ReductionCache(tmp_path)
         assert reader.get(child) is None
@@ -649,7 +735,7 @@ class TestHygiene:
         paths = [cache._path(key) for key in _metas(tmp_path)]
         for path in paths:
             os.utime(path, (1, 1))
-        top, depth = _plain(session).stored_as
+        top, depth = _artifact(session).stored_as
         assert depth == 3 and cache.get(top) is not None
         assert all(path.stat().st_mtime > 1 for path in paths)
 
@@ -666,7 +752,7 @@ class TestHygiene:
         assert globex.get(root) is not None
         # a reader of the chain's tip co-owns every link it resolved
         query, db, session, root = self.chain(tmp_path / "b", namespace="acme")
-        top, _ = _plain(session).stored_as
+        top, _ = _artifact(session).stored_as
         globex = ReductionCache(tmp_path / "b", namespace="globex")
         assert globex.get(top) is not None
         assert globex.namespace_keys() == set(_metas(tmp_path / "b"))

@@ -219,17 +219,24 @@ def _random_db(query, rng, n=20):
 
 
 def _in_domain_tuple(result, relation, rng):
-    """A new tuple for ``relation`` whose interval endpoints all lie in
-    the reduction's segment-tree domains.  Works off the reduction's
-    *own* query (which may be the canonical renaming), so it is usable
-    against session-cached artifacts too."""
-    atom = next(
-        a for a in result.original.atoms if a.relation == relation
-    )
+    """A new source tuple for ``relation`` whose interval endpoints all
+    lie in the reduction's segment-tree domains.  For a G.1-shifted
+    artifact that is a narrower set: its left endpoint must rank at the
+    atom's slot and its right one at slot ``n``.  Works off the
+    reduction's *own* query (which may be the canonical renaming), so it
+    is usable against session-cached artifacts too."""
+    atoms = result.original.atoms
+    atom = next(a for a in atoms if a.relation == relation)
+    n, slot = len(atoms), atoms.index(atom) + 1
     row = []
     for v in atom.variables:
         points = sorted(result.segment_trees[v.name].endpoints)
-        lo, hi = sorted(rng.sample(points, 2))
+        if result.ranks is None:
+            lo, hi = sorted(rng.sample(points, 2))
+        else:
+            ranked = [(p % (n + 1), result.ranks[p // (n + 1)]) for p in points]
+            lo = rng.choice([p for at, p in ranked if at == slot])
+            hi = rng.choice([p for at, p in ranked if at == n and p >= lo])
         row.append(iv(lo, hi))
     return tuple(row)
 
@@ -826,7 +833,8 @@ class TestSessionDeltaMaintenance:
             q, db
         )
         assert session.count(q) == naive_count(q, db)
-        assert session.stats.reductions == before + 1  # disjoint rebuild only
+        # the count reads the same patched artifact
+        assert session.stats.reductions == before
         assert session.stats.delta_patches > 0
 
     def test_out_of_domain_insert_falls_back_to_rebuild(self):
@@ -837,6 +845,21 @@ class TestSessionDeltaMaintenance:
             q, db
         )
         assert session.stats.reductions == before + 1
+
+    def test_a_step_that_fails_part_way_counts_no_patch(self):
+        """An in-domain insert and an out-of-domain one in one step: the
+        first applies, the second raises, and the artifact is dropped
+        and rebuilt — so the step patched nothing."""
+        q, db, session = self.warm_session()
+        before = session.stats.as_dict()
+        assert db.insert("R", self.in_domain_tuple(session, q)) is not None
+        assert db.insert("R", (iv(-9999.5, -9998.5), iv(-9999.5, -9998.5)))
+        assert session.evaluate(q, strategy="reduction") == naive_evaluate(
+            q, db
+        )
+        assert session.count(q) == naive_count(q, db)
+        assert session.stats.delta_patches == before["delta_patches"]
+        assert session.stats.reductions == before["reductions"] + 1
 
     def test_direct_mutation_bypassing_the_log_rebuilds(self):
         q, db, session = self.warm_session()
@@ -922,7 +945,7 @@ class TestSessionDeltaMaintenance:
         )
         assert session.stats.delta_patches > 0
         warm = QuerySession(db, cache_dir=tmp_path)
-        result = warm._reduction(warm._canonical(q), False, False)
+        result = warm._reduction(warm._canonical(q))
         assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
         _assert_columnar(result)
 
@@ -944,7 +967,7 @@ class TestSessionDeltaMaintenance:
         assert session.stats.delta_patches > 0
         assert session.stats.reductions == 1
         warm = QuerySession(db, cache_dir=tmp_path)
-        result = warm._reduction(warm._canonical(q), False, False)
+        result = warm._reduction(warm._canonical(q))
         assert warm.stats.persistent_hits == 1 and warm.stats.reductions == 0
         _assert_columnar(result)
         # a patch is persisted as the change: seven delta frames chained

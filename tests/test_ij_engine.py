@@ -17,11 +17,20 @@ from repro.core import (
 from repro.engine import Database, Relation
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
-from repro.reduction import (
-    forward_reduce,
-    shift_distinct_left,
-    verify_distinct_left,
-)
+from repro.reduction import forward_reduce, shift_distinct_left
+
+
+def verify_distinct_left(query, db) -> bool:
+    """The G.1 postcondition: left endpoints of interval values are
+    pairwise distinct across different atoms."""
+    seen: dict[float, int] = {}
+    for i, atom in enumerate(query.atoms):
+        for idx, v in enumerate(atom.variables):
+            if v.is_interval:
+                for t in db[atom.relation].tuples:
+                    if seen.setdefault(t[idx].left, i) != i:
+                        return False
+    return True
 
 
 def rand_interval(rng, dom=10, maxlen=4):

@@ -243,7 +243,9 @@ def test_adjacent_integers_past_2_53_stay_two_leaves(tmp_path):
     assert result_digest(loaded) == result_digest(fresh)
     assert result_digest(fresh) == result_digest(naive_forward_reduce(query, db))
 
-    row = (iv(1, 1), iv(3, 3))  # endpoints all in the domain
+    # endpoints all in the domain, G.1-shifted too: each left endpoint
+    # is already a left one of R's column, each right one a right one
+    row = (iv(0, 2), iv(2, 3))
     patched_before = session.stats.delta_patches
     reference = naive_forward_reduce(query, db)
     delta = db.insert("R", row)

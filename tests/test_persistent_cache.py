@@ -78,12 +78,12 @@ def run_worker(cache_dir, n: int = 10, hash_seed: str = "0") -> dict:
 class TestCrossProcess:
     def test_warm_worker_performs_zero_reductions(self, tmp_path):
         cold = run_worker(tmp_path, hash_seed="101")
-        assert cold["stats"]["reductions"] == 2  # plain + disjoint pipeline
+        assert cold["stats"]["reductions"] == 1  # one artifact, both heads
         assert cold["stats"]["persistent_hits"] == 0
 
         warm = run_worker(tmp_path, hash_seed="202")
         assert warm["stats"]["reductions"] == 0, warm["stats"]
-        assert warm["stats"]["persistent_hits"] == 2, warm["stats"]
+        assert warm["stats"]["persistent_hits"] == 1, warm["stats"]
         assert warm["answer"] == cold["answer"]
         assert warm["count"] == cold["count"]
 
@@ -96,7 +96,7 @@ class TestCrossProcess:
     def test_different_data_is_not_served_from_cache(self, tmp_path):
         run_worker(tmp_path, n=10)
         other = run_worker(tmp_path, n=11)  # different contents, same dir
-        assert other["stats"]["reductions"] == 2, other["stats"]
+        assert other["stats"]["reductions"] == 1, other["stats"]
         assert other["stats"]["persistent_hits"] == 0, other["stats"]
 
 
@@ -325,9 +325,12 @@ class TestFramedFormat:
         assert not [s for s in strings if len(s) > 1 and not s.strip("01")]
         # what the previous writer left under the same name: its own
         # magic, its own version number, a valid digest
-        # ... and a v7 full frame is the v6 one but for magic and version
-        assert raw[:8] == b"REPROV07" and "kind" not in meta
-        for version in (5, 6):
+        # ... and a v8 full frame is the v7 one but for magic, version
+        # and the rank table (none here: a plain reduction)
+        assert raw[:8] == b"REPROV08" and "kind" not in meta
+        assert meta["ranks"] is None
+        del meta["ranks"]
+        for version in (5, 6, 7):
             meta["format_version"] = version
             meta_bytes = json.dumps(meta).encode()
             body = struct.pack("<Q", len(meta_bytes)) + meta_bytes

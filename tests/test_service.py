@@ -68,20 +68,19 @@ def small_db(n: int = 20, seed: int = 11) -> Database:
 
 
 def in_domain_tuple(db: Database, relation: str, rng: random.Random) -> tuple:
-    """A fresh interval tuple whose endpoints already occur in the
-    relation's columns — patchable by construction (PR 3)."""
-    columns: list[list[float]] = []
-    for position in range(db[relation].arity):
-        points = sorted(
-            {e for t in db[relation].tuples for e in (t[position].left, t[position].right)}
-        )
-        columns.append(points)
+    """A fresh interval tuple whose every left endpoint already is a
+    left endpoint of its column, and every right one a right one —
+    patchable by construction, G.1-shifted artifacts included."""
+    rows = sorted(db[relation].tuples, key=repr)
     while True:
-        row = tuple(
-            Interval(*sorted(rng.sample(points, 2))) for points in columns
-        )
-        if row not in db[relation].tuples:
-            return row
+        ends = [
+            (rng.choice(rows)[col].left, rng.choice(rows)[col].right)
+            for col in range(db[relation].arity)
+        ]
+        if all(left <= right for left, right in ends):
+            row = tuple(Interval(*pair) for pair in ends)
+            if row not in db[relation].tuples:
+                return row
 
 
 # ----------------------------------------------------------------------
