@@ -9,7 +9,6 @@ from .ij_engine import (
     witnesses_ij,
 )
 from .session import (
-    AdmissionController,
     CanonicalForm,
     QuerySession,
     SessionStats,
@@ -60,7 +59,6 @@ __all__ = [
     "evaluate_ij",
     "witnesses_from_reduction",
     "witnesses_ij",
-    "AdmissionController",
     "CanonicalForm",
     "QuerySession",
     "SessionStats",

@@ -28,9 +28,9 @@ and makes the amortisation explicit:
 * optimizer plans (:func:`repro.sql.cost.plan_disjunct` — the one
   planner, which Query ASTs reach through
   :func:`repro.sql.rewrite.lower_query`) and Boolean / count answers are
-  memoized under the same keys (the answer cache is LRU-bounded), so a
-  batch whose members share a reduction also shares its short-circuit
-  outcome.
+  memoized under the same keys (the answer cache is an LRU of
+  :data:`ANSWER_CACHE_SIZE` entries), so a batch whose members share a
+  reduction also shares its short-circuit outcome.
 
 ``evaluate_many`` / ``count_many`` batch-execute a list of queries: the
 batch is grouped by canonical form, one reduction (and one answer) is
@@ -40,14 +40,13 @@ computed per group, and every member receives it.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import factorial
-from statistics import median
 from time import perf_counter
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 from ..engine.relation import Database, Delta, Relation
 from ..hypergraph.isomorphism import structure_hash
@@ -70,7 +69,6 @@ from .reduction_cache import (
 from .sweep import single_shared_interval_variable, sweep_evaluate_binary
 
 __all__ = [
-    "AdmissionController",
     "CanonicalForm",
     "QuerySession",
     "SessionStats",
@@ -82,9 +80,9 @@ __all__ = [
 
 Strategy = Literal["auto", "naive", "sweep", "reduction"]
 
-#: Brute-force budget: at or under this many candidate witnesses
-#: (∏ |R_i|) the optimizer plans naive backtracking.
-DEFAULT_NAIVE_BUDGET = 20_000.0
+#: Answer-cache bound: past this many entries the least recently used
+#: answer is evicted.
+ANSWER_CACHE_SIZE = 1024
 
 
 # ----------------------------------------------------------------------
@@ -220,112 +218,6 @@ def canonical_form(query: Query) -> CanonicalForm:
 
 
 # ----------------------------------------------------------------------
-# adaptive answer-cache admission
-# ----------------------------------------------------------------------
-
-
-class AdmissionController:
-    """Adaptive cost floor for the answer cache.
-
-    The *cost* of an answer is
-    the number of input tuples its reduction reads — the reduction runs
-    in ``O(N polylog N)`` of exactly this ``N``, so cost is a latency
-    proxy — and the pressure signal is eviction churn relative to cache
-    hits.  The controller maintains a floor below which answers are
-    denied slots:
-
-    * during the **warmup** (the first ``warmup`` admissions) everything
-      is admitted and only observed, so small workloads — unit tests,
-      one-shot CLI runs — never activate the policy at all;
-    * when a full observation window shows **churn** (more evictions
-      than hits: the cache is thrashing), the floor rises to the median
-      recently-admitted cost — the cheap half of the working set stops
-      competing for slots that expensive answers need;
-    * the floor **decays** again on every calm window, and immediately
-      on a *readmission* (a previously rejected answer is requested
-      again, i.e. the rejection caused a recomputation) — mistaken
-      strictness heals instead of ratcheting.
-    """
-
-    def __init__(
-        self,
-        warmup: int = 512,
-        window: int = 64,
-        decay: float = 0.5,
-        rejected_limit: int = 1024,
-    ):
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must be strictly between 0 and 1")
-        self.warmup = warmup
-        self.window = window
-        self.decay = decay
-        self.floor = 0.0
-        self.admitted = 0
-        self.raises = 0          # windows that tightened the floor
-        self.readmissions = 0    # rejected answers requested again
-        self._costs: deque[float] = deque(maxlen=window)
-        self._window_hits = 0
-        self._window_evictions = 0
-        self._window_events = 0
-        # rejected-key memory (LRU-bounded): how readmissions are seen
-        self._rejected: OrderedDict[tuple, bool] = OrderedDict()
-        self._rejected_limit = rejected_limit
-
-    def admit(self, cost: float) -> bool:
-        """Whether an answer of ``cost`` earns a cache slot now."""
-        if self.admitted >= self.warmup and cost < self.floor:
-            return False
-        self.admitted += 1
-        self._costs.append(float(cost))
-        return True
-
-    def note_hit(self) -> None:
-        self._window_hits += 1
-        self._tick()
-
-    def note_eviction(self) -> None:
-        self._window_evictions += 1
-        self._tick()
-
-    def note_rejected(self, key: tuple) -> None:
-        self._rejected[key] = True
-        while len(self._rejected) > self._rejected_limit:
-            self._rejected.popitem(last=False)
-
-    def note_miss(self, key: tuple) -> None:
-        """A cache miss: if this key was previously denied a slot, the
-        denial just cost a recomputation — relax the floor."""
-        if self._rejected.pop(key, None) is None:
-            return
-        self.readmissions += 1
-        self._relax()
-
-    def _relax(self) -> None:
-        self.floor *= self.decay
-        if self.floor < 1.0:
-            self.floor = 0.0
-
-    def _tick(self) -> None:
-        self._window_events += 1
-        if self._window_events < self.window:
-            return
-        if self._window_evictions > self._window_hits and self._costs:
-            raised = float(median(self._costs))
-            if raised > self.floor:
-                self.floor = raised
-                self.raises += 1
-        else:
-            self._relax()
-        self._window_events = 0
-        self._window_hits = 0
-        self._window_evictions = 0
-
-
-# ----------------------------------------------------------------------
 # the session
 # ----------------------------------------------------------------------
 
@@ -348,9 +240,6 @@ class SessionStats:
     persistent_hits: int = 0   # reductions loaded from the on-disk cache
     evictions: int = 0         # answer-cache entries dropped by the LRU bound
     delta_patches: int = 0     # deltas applied to cached reductions in place
-    admission_rejects: int = 0  # answers denied a cache slot (too cheap)
-    admission_raises: int = 0   # adaptive-floor tightenings (churn windows)
-    admission_readmissions: int = 0  # rejected answers requested again
     sql_plan_hits: int = 0     # optimizer plans served from the plan store
     #: accumulated wall seconds per phase — the built-in flame-sketch
     #: behind ``repro evaluate --profile``
@@ -367,9 +256,6 @@ class SessionStats:
             "persistent_hits": self.persistent_hits,
             "evictions": self.evictions,
             "delta_patches": self.delta_patches,
-            "admission_rejects": self.admission_rejects,
-            "admission_raises": self.admission_raises,
-            "admission_readmissions": self.admission_readmissions,
             "sql_plan_hits": self.sql_plan_hits,
         }
 
@@ -403,29 +289,22 @@ class QuerySession:
     digests behind those addresses are computed only when a cache key
     is needed; a session without a ``cache_dir`` never computes one.
 
-    The answer cache is LRU-bounded at ``answer_cache_size`` entries
-    (reductions and plans are far fewer — one per canonical form — and
-    stay unbounded), and admission is cost-aware: an
-    :class:`AdmissionController` (``admission=`` injects one) adapts
-    the cost floor to the observed hit/eviction balance, warmup-gated
-    so small workloads admit everything.
+    The answer cache is an LRU that admits every answer and holds at
+    most :data:`ANSWER_CACHE_SIZE` of them (reductions and plans are far
+    fewer — one per canonical form — and stay unbounded); an answer
+    pushed out counts in ``stats.evictions``.
     """
 
     def __init__(
         self,
         db: Database,
-        naive_budget: float = DEFAULT_NAIVE_BUDGET,
         cache_dir: str | os.PathLike | None = None,
-        answer_cache_size: int = 1024,
         cache_max_bytes: int | None = None,
         cache_namespace: str | None = None,
-        admission: AdmissionController | None = None,
     ):
-        if answer_cache_size < 1:
-            raise ValueError("answer_cache_size must be at least 1")
+        if cache_max_bytes is not None and cache_dir is None:
+            raise ValueError("cache_max_bytes requires cache_dir")
         self.db = db
-        self.naive_budget = naive_budget
-        self._admission = admission or AdmissionController()
         self.stats = SessionStats()
         # cache_namespace tags this session's persistent hits/stores as
         # belonging to one tenant (see ReductionCache namespaces); the
@@ -440,7 +319,6 @@ class QuerySession:
             if cache_dir is not None
             else None
         )
-        self.answer_cache_size = answer_cache_size
         # what the caches reflect: each relation as last seen, and the
         # change-log position it was seen at
         self._seen = self._relation_versions()
@@ -693,52 +571,11 @@ class QuerySession:
         if entry is None:
             from repro.sql.cost import plan_disjunct
 
-            plan = plan_disjunct(disjunct, self.db, self.naive_budget)
+            plan = plan_disjunct(disjunct, self.db)
             entry = self._plans[key] = (plan, disjunct.query.relations)
         else:
             self.stats.sql_plan_hits += 1
         return entry[0]
-
-    # ------------------------------------------------------------------
-    # the (LRU-bounded) answer cache
-    # ------------------------------------------------------------------
-
-    def _answer_get(self, key: tuple):
-        """The cached answer under ``key`` (refreshing its LRU slot), or
-        ``None``."""
-        ctrl = self._admission
-        entry = self._answers.get(key)
-        if entry is None:
-            ctrl.note_miss(key)  # readmission feedback
-            self.stats.admission_readmissions = ctrl.readmissions
-            return None
-        self._answers.move_to_end(key)
-        ctrl.note_hit()
-        return entry[0]
-
-    def _answer_put(self, key: tuple, value, deps: frozenset[str]) -> None:
-        """Cost-aware admission: an answer earns a cache slot only when
-        recomputing it is expensive enough for the
-        :class:`AdmissionController`'s floor (everything is admitted
-        until its warmup ends).  Cheap answers are recomputed on demand
-        instead of evicting expensive ones; rejections are counted in
-        ``stats.admission_rejects``.  The cost proxy is the input tuples
-        the answer's reduction reads (its ``O(N polylog N)`` ``N``)."""
-        ctrl = self._admission
-        cost = sum(len(self.db[name]) for name in deps if name in self.db)
-        if not ctrl.admit(cost):
-            ctrl.note_rejected(key)
-            self.stats.admission_rejects += 1
-            return
-        if key in self._answers:
-            self._answers.move_to_end(key)
-        else:
-            while len(self._answers) >= self.answer_cache_size:
-                self._answers.popitem(last=False)
-                self.stats.evictions += 1
-                ctrl.note_eviction()
-        self._answers[key] = (value, deps)
-        self.stats.admission_raises = ctrl.raises
 
     # ------------------------------------------------------------------
     # evaluation
@@ -772,16 +609,22 @@ class QuerySession:
     def _answer(self, kind: str, query: Query, strategy: str):
         """The cached read both heads share: ``kind`` is ``"eval"`` or
         ``"count"``."""
+        if strategy not in get_args(Strategy):
+            raise ValueError(f"unknown strategy {strategy!r}")
         self._ensure_current()
         form = self._canonical(query)
         key = (kind, form.key)
-        cached = self._answer_get(key)
-        if cached is not None:
+        entry = self._answers.get(key)
+        if entry is not None:
+            self._answers.move_to_end(key)
             self.stats.hits += 1
-            return cached
+            return entry[0]
         self.stats.misses += 1
         answer = self._run(form, kind == "count", strategy)
-        self._answer_put(key, answer, form.query.relations)
+        while len(self._answers) >= ANSWER_CACHE_SIZE:
+            self._answers.popitem(last=False)
+            self.stats.evictions += 1
+        self._answers[key] = (answer, form.query.relations)
         return answer
 
     def _run(self, form: CanonicalForm, counting: bool, strategy: str):

@@ -377,7 +377,6 @@ class WorkerPool:
         db: Database,
         workers: int = 4,
         cache_dir: str | os.PathLike | None = None,
-        answer_cache_size: int = 1024,
         cache_max_bytes: int | None = None,
         cache_namespace: str | None = None,
         max_respawns: int | None = None,
@@ -390,10 +389,11 @@ class WorkerPool:
         # a bad value would otherwise kill every spawned worker at
         # session construction and surface only as an opaque
         # WorkerCrash on the first request
-        if answer_cache_size < 1:
-            raise ValueError("answer_cache_size must be at least 1")
-        if cache_max_bytes is not None and cache_max_bytes < 0:
-            raise ValueError("cache_max_bytes must be non-negative")
+        if cache_max_bytes is not None:
+            if cache_dir is None:
+                raise ValueError("cache_max_bytes requires cache_dir")
+            if cache_max_bytes < 0:
+                raise ValueError("cache_max_bytes must be non-negative")
         if cache_namespace is not None and not ReductionCache.NAMESPACE_PATTERN.match(
             cache_namespace
         ):
@@ -402,7 +402,6 @@ class WorkerPool:
         # the keyword arguments of every worker's QuerySession
         self._options = {
             "cache_dir": os.fspath(cache_dir) if cache_dir is not None else None,
-            "answer_cache_size": answer_cache_size,
             "cache_max_bytes": cache_max_bytes,
             "cache_namespace": cache_namespace,
         }

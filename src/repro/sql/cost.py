@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from repro.core.session import DEFAULT_NAIVE_BUDGET, canonical_form
+from repro.core.session import canonical_form
 from repro.core.sweep import single_shared_interval_variable
 from repro.engine.ej import plan_ej
 from repro.engine.relation import Database
@@ -66,6 +66,10 @@ from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef
 #: segment-tree construction, variant expansion and per-disjunct EJ
 #: evaluation before its asymptotics win.
 REDUCTION_OVERHEAD = 24.0
+
+#: Brute-force budget: at or under this many candidate witnesses
+#: (∏ |R_i|) the optimizer plans naive backtracking.
+DEFAULT_NAIVE_BUDGET = 20_000.0
 
 #: Skip the exponential exact subw search above this variable count;
 #: the report then bounds subw by fhtw, which is still sound for costs.
@@ -148,7 +152,7 @@ class DisjunctPlan:
     head: str
     sweepable: bool
     brute: float
-    naive_budget: float
+    budget: float  # the naive budget it was planned under
     input_size: float
     estimated_rows: float
     filters: tuple[str, ...] = ()
@@ -196,7 +200,7 @@ class DisjunctPlan:
         if self.strategy == "naive":
             return (
                 f"brute-force product {self.brute:.0f} is the cheapest "
-                f"candidate (budget {self.naive_budget:.0f})"
+                f"candidate (budget {self.budget:.0f})"
             )
         if self.strategy == "sweep":
             return (
@@ -254,14 +258,14 @@ def _effective_sizes(
 def plan_disjunct(
     disjunct: CompiledDisjunct,
     db: Database,
-    naive_budget: float = DEFAULT_NAIVE_BUDGET,
     cache: Optional[StatsCache] = None,
 ) -> DisjunctPlan:
     """Pick the cheapest candidate strategy, from statistics alone.
 
     Residual predicates force ``filtered``; at or under the brute-force
-    budget ``naive`` wins outright; above it the asymptotically-aware
-    candidates compete — and no width can change the winner: whenever
+    budget (:data:`DEFAULT_NAIVE_BUDGET`, read per call) ``naive`` wins
+    outright; above it the asymptotically-aware candidates compete —
+    and no width can change the winner: whenever
     ``sweep`` is a candidate its ``N log N + N`` is below the
     reduction's ``24 · #EJ · N^max(1, ijw) · log² N``, and otherwise the
     reduction stands alone.
@@ -280,7 +284,7 @@ def plan_disjunct(
     )
     if disjunct.residuals:
         strategy = "filtered"
-    elif brute <= naive_budget:
+    elif brute <= DEFAULT_NAIVE_BUDGET:
         strategy = "naive"
     elif sweepable:
         strategy = "sweep"
@@ -292,7 +296,7 @@ def plan_disjunct(
         head=disjunct.select.head,
         sweepable=sweepable,
         brute=brute,
-        naive_budget=naive_budget,
+        budget=DEFAULT_NAIVE_BUDGET,
         input_size=sum(sizes.values()),
         estimated_rows=estimate_join_cardinality(query, db, cache, sizes),
         filters=_filter_texts(disjunct),

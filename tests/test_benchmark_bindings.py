@@ -55,3 +55,34 @@ def test_the_session_calls_through_the_names_rebound_in_its_module(e2e):
     for layer, name, owner, attribute, _ in tracing.PATCHES:
         if owner is session_module:
             assert attribute in called, (layer, name)
+
+
+#: The counters ``bench.py`` and ``workloads.py`` read out of a
+#: ``Counter`` — where a renamed or dropped key reads as 0, not as an
+#: error: the session's, and its cache's under ``cache.``.
+SESSION_COUNTERS = (
+    "hits",
+    "misses",
+    "reductions",
+    "persistent_hits",
+    "delta_patches",
+    "invalidations",
+    "sql_plan_hits",
+)
+CACHE_COUNTERS = ("hits", "misses")
+
+
+def test_every_counter_the_benchmark_reads_is_emitted(tmp_path):
+    from repro.core import ReductionCache, SessionStats
+
+    source = "".join(
+        (E2E / name).read_text() for name in ("bench.py", "workloads.py")
+    )
+    emitted = SessionStats().as_dict()
+    for name in SESSION_COUNTERS:
+        assert f'delta["{name}"]' in source, name
+        assert name in emitted, name
+    emitted = ReductionCache(tmp_path).stats()
+    for name in CACHE_COUNTERS:
+        assert f'delta["cache.{name}"]' in source, name
+        assert name in emitted, name

@@ -13,7 +13,7 @@ from repro.engine.io import (
 )
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
-from repro.sql import DisjunctPlan
+from repro.sql import DisjunctPlan, cost
 from repro.workloads import random_database
 
 
@@ -152,20 +152,21 @@ class TestPlanner:
         db = random_database(q, 500, seed=3)
         assert QuerySession(db).plan(q).strategy == "reduction"
 
-    def test_execute_agrees_with_naive(self):
+    def test_execute_agrees_with_naive(self, monkeypatch):
         rng = random.Random(4)
         shapes = [
             catalog.triangle_ij(),
             parse_query("R([T],[X]) ∧ S([T],[Y])"),
             parse_query("R([A]) ∧ S([A]) ∧ T([A])"),
         ]
+        monkeypatch.setattr(cost, "DEFAULT_NAIVE_BUDGET", 50)
         for q in shapes:
             for trial in range(6):
                 db = random_database(
                     q, rng.randint(2, 30), seed=trial, domain=60,
                     mean_length=10,
                 )
-                session = QuerySession(db, naive_budget=50)
+                session = QuerySession(db)
                 assert isinstance(session.plan(q), DisjunctPlan)
                 assert session.evaluate(q) == naive_evaluate(q, db), (
                     q.name, trial,

@@ -442,6 +442,7 @@ class TestFramedFormat:
             {"strategy": "reduction"},
             {"start_method": "spawn"},
             {"respawn": False},
+            {"answer_cache_size": 1},
         ):
             with pytest.raises(TypeError):
                 WorkerPool(db, workers=1, **retired)

@@ -48,7 +48,7 @@ def retired_rule(query, db, budget) -> str:
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_one_plan_serves_the_ast_and_its_sql_text(shape):
+def test_one_plan_serves_the_ast_and_its_sql_text(shape, monkeypatch):
     """9 shapes x 6 sizes x 3 budgets: the strategy is the retired
     ``plan_query``'s, it is the cheapest asymptotically-aware candidate
     whenever the budget is exceeded, and both front-ends answer like
@@ -66,7 +66,8 @@ def test_one_plan_serves_the_ast_and_its_sql_text(shape):
         text = lower_query(query, db).sql
         (disjunct,) = compile_sql(text, db).disjuncts
         for budget in BUDGETS:
-            session = QuerySession(db, naive_budget=budget)
+            monkeypatch.setattr(cost, "DEFAULT_NAIVE_BUDGET", budget)
+            session = QuerySession(db)
             plan = session.plan(query)
             assert plan.strategy == retired_rule(query, db, budget), (n, budget)
             assert session.sql_plan(disjunct).strategy == plan.strategy

@@ -349,16 +349,16 @@ class TestWorkerPool:
         for worker in warm_report["workers"]:
             assert worker["session"]["reductions"] == 0, worker
 
-    def test_admission_policy_is_plumbed_to_workers(self):
-        """Pool options reach the worker sessions: a one-slot answer
-        cache evicts as soon as a second answer arrives."""
+    def test_session_options_are_plumbed_to_workers(self, tmp_path):
+        """Pool options reach the worker sessions: a namespaced pool's
+        stores leave ownership markers under that namespace."""
         db = small_db(n=10)
         query = parse_query(TRIANGLE)
-        with WorkerPool(db, workers=1, answer_cache_size=1) as pool:
-            pool.evaluate_many([query])
+        with WorkerPool(
+            db, workers=1, cache_dir=tmp_path, cache_namespace="acme"
+        ) as pool:
             pool.count_many([query])
-            stats = pool.stats()
-        assert stats["aggregate"]["evictions"] >= 1, stats
+        assert list((tmp_path / "_namespaces" / "acme").iterdir())
 
 
 # ----------------------------------------------------------------------
@@ -542,16 +542,20 @@ class TestServer:
         # nothing reached the parent's copy, which respawns inherit
         assert set(db["R"].tuples) == before
 
-    def test_pool_rejects_invalid_options_at_construction(self):
+    def test_pool_rejects_invalid_options_at_construction(self, tmp_path):
         """Regression: a bad session option must raise in the parent,
         not kill every spawned worker and surface as a WorkerCrash."""
         db = small_db(n=5)
         with pytest.raises(ValueError):
-            WorkerPool(db, workers=1, answer_cache_size=0)
-        with pytest.raises(ValueError):
-            WorkerPool(db, workers=1, cache_max_bytes=-5)
+            WorkerPool(db, workers=1, cache_dir=tmp_path, cache_max_bytes=-5)
         with pytest.raises(ValueError):
             WorkerPool(db, workers=0)
+
+    def test_pool_refuses_cache_max_bytes_without_a_cache_dir(self):
+        """A byte cap with nothing to cap is refused in the parent, as
+        the CLI refuses ``--cache-max-bytes`` without ``--cache-dir``."""
+        with pytest.raises(ValueError, match="cache_dir"):
+            WorkerPool(small_db(n=5), workers=1, cache_max_bytes=1000)
 
     def test_oversized_request_line_is_a_typed_bad_request(self):
         """A line over ``max_line_bytes`` cannot be resynchronized, so

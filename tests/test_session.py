@@ -1,12 +1,12 @@
 """QuerySession: canonicalization, reduction caching, batching,
 invalidation — the amortized Theorem 4.15 pipeline."""
 
+import inspect
 import random
 
 import pytest
 
 from repro.core import (
-    AdmissionController,
     IntersectionJoinEngine,
     QuerySession,
     canonical_form,
@@ -20,6 +20,7 @@ from repro.engine import Database, Relation
 from repro.hypergraph import are_isomorphic
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
+from repro.sql import cost as sql_cost
 from repro.workloads import isomorphic_variants, random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -82,6 +83,22 @@ class TestAnswerCorrectness:
         expected = naive_evaluate(q, db)
         for strategy in ["auto", "naive", "reduction"]:
             assert QuerySession(db).evaluate(q, strategy=strategy) == expected
+
+    def test_an_unknown_strategy_raises_instead_of_running(self):
+        """A misspelt strategy is an error — never a reduction run and
+        cached under the strategy-agnostic key, nor served from it."""
+        q = parse_query(TRIANGLE)
+        db = small_db(q, n=6, seed=4)
+        session = QuerySession(db)
+        for head in (session.evaluate, session.count):
+            with pytest.raises(ValueError, match="bogus"):
+                head(q, strategy="bogus")
+        assert session.stats.misses == 0
+        assert session.evaluate(q) == naive_evaluate(q, db)
+        with pytest.raises(ValueError, match="bogus"):
+            session.evaluate(q, strategy="bogus")
+        # count keeps its documented fallback from sweep to the reduction
+        assert session.count(q, strategy="sweep") == naive_count(q, db)
 
     def test_witnesses_keep_original_labels(self):
         q = parse_query(TRIANGLE)
@@ -176,7 +193,12 @@ class TestReductionSharing:
 
 
 class TestAnswerCacheLRU:
-    """The answer cache is bounded and evicts least-recently-used."""
+    """The answer cache is bounded by ``ANSWER_CACHE_SIZE`` and evicts
+    least-recently-used."""
+
+    @pytest.fixture(autouse=True)
+    def two_slots(self, monkeypatch):
+        monkeypatch.setattr(session_module, "ANSWER_CACHE_SIZE", 2)
 
     def _db(self):
         return Database(
@@ -191,7 +213,7 @@ class TestAnswerCacheLRU:
 
     def test_capacity_bounds_the_cache(self):
         qr, qs, qt = self._queries()
-        session = QuerySession(self._db(), answer_cache_size=2)
+        session = QuerySession(self._db())
         for q in (qr, qs, qt):
             session.evaluate(q)
         assert len(session._answers) == 2
@@ -199,7 +221,7 @@ class TestAnswerCacheLRU:
 
     def test_eviction_order_is_lru_not_fifo(self):
         qr, qs, qt = self._queries()
-        session = QuerySession(self._db(), answer_cache_size=2)
+        session = QuerySession(self._db())
         session.evaluate(qr)  # miss
         session.evaluate(qs)  # miss
         session.evaluate(qr)  # hit -> R becomes most recent
@@ -210,23 +232,20 @@ class TestAnswerCacheLRU:
         session.evaluate(qs)
         assert session.stats.misses == 4  # S was the one evicted
 
-    def test_evicted_answers_are_recomputed_correctly(self):
+    def test_evicted_answers_are_recomputed_correctly(self, monkeypatch):
+        monkeypatch.setattr(session_module, "ANSWER_CACHE_SIZE", 1)
         qr, qs, qt = self._queries()
         db = self._db()
-        session = QuerySession(db, answer_cache_size=1)
+        session = QuerySession(db)
         for _ in range(2):
             for q in (qr, qs, qt):
                 assert session.evaluate(q) == naive_evaluate(q, db)
         assert session.stats.evictions >= 4
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            QuerySession(self._db(), answer_cache_size=0)
-
     def test_count_and_eval_share_the_bound(self):
         qr, qs, _ = self._queries()
         db = self._db()
-        session = QuerySession(db, answer_cache_size=2)
+        session = QuerySession(db)
         session.evaluate(qr)
         session.count(qr)
         session.evaluate(qs)  # evicts ("eval", R) — the oldest entry
@@ -437,12 +456,13 @@ class TestPlannerIntegration:
                     == QuerySession(db).plan(q).strategy
                 )
 
-    def test_execute_uses_the_session_budget_by_default(self):
+    def test_execute_uses_the_session_budget_by_default(self, monkeypatch):
         q = parse_query(TRIANGLE)
         db = small_db(q, n=4, seed=2)
-        session = QuerySession(db, naive_budget=0.0)
-        assert session.plan(q).strategy != "naive"
         assert QuerySession(db).plan(q).strategy == "naive"
+        monkeypatch.setattr(sql_cost, "DEFAULT_NAIVE_BUDGET", 0.0)
+        session = QuerySession(db)
+        assert session.plan(q).strategy != "naive"
         # SQL execution plans under the same budget
         text = "SELECT COUNT(*) FROM R, S WHERE R.B OVERLAPS S.B"
         assert session.sql(text) == naive_count(
@@ -458,130 +478,49 @@ class TestPlannerIntegration:
 
 
 class TestAnswerAdmission:
-    """Cost-aware answer-cache admission: only answers whose reduction
-    reads at least the controller's floor of input tuples earn a slot;
-    the rest are recomputed on demand."""
+    """The answer cache admits every answer, however few input tuples
+    its reduction reads."""
 
-    def _db(self, cheap_n=2, expensive_n=30):
+    def _db(self):
         q_cheap = parse_query("C([A],[B])")
-        q_costly = parse_query("R([A],[B]) ∧ S([B],[C])")
-        db = random_database(q_costly, expensive_n, seed=1)
-        for relation in random_database(q_cheap, cheap_n, seed=2):
-            db.add(relation)
-        return db, q_cheap, q_costly
-
-    def _session(self, db, floor=10.0):
-        ctrl = AdmissionController(warmup=0, decay=0.9)
-        ctrl.floor = floor
-        return QuerySession(db, admission=ctrl)
-
-    def test_cheap_answers_are_rejected_expensive_admitted(self):
-        db, q_cheap, q_costly = self._db()
-        session = self._session(db)
-        session.evaluate(q_cheap)   # reads 2 tuples < 10: rejected
-        session.evaluate(q_costly)  # reads 60 tuples: admitted
-        assert session.stats.admission_rejects == 1
-        session.evaluate(q_cheap)
-        session.evaluate(q_costly)
-        assert session.stats.hits == 1      # only the costly one cached
-        assert session.stats.misses == 3    # the cheap one recomputed
-        assert session.stats.admission_rejects == 2
-        assert session.evaluate(q_cheap) == naive_evaluate(q_cheap, db)
+        return random_database(q_cheap, 2, seed=2), q_cheap
 
     def test_counts_follow_the_same_policy(self):
-        db, q_cheap, _ = self._db()
-        session = self._session(db)
+        db, q_cheap = self._db()
+        session = QuerySession(db)
         for _ in range(2):
             assert session.count(q_cheap) == naive_count(q_cheap, db)
-        assert session.stats.hits == 0
-        assert session.stats.admission_rejects == 2
+        assert (session.stats.misses, session.stats.hits) == (1, 1)
 
     def test_default_admits_everything(self):
-        db, q_cheap, _ = self._db()
+        db, q_cheap = self._db()
         session = QuerySession(db)
         session.evaluate(q_cheap)
         session.evaluate(q_cheap)
         assert session.stats.hits == 1
-        assert session.stats.admission_rejects == 0
-        assert "admission_rejects" in session.stats.as_dict()
+        assert not any(
+            key.startswith("admission") for key in session.stats.as_dict()
+        )
 
 
-class TestAdaptiveAdmission:
-    """The zero-config admission policy: an
-    :class:`AdmissionController` learns a cost floor from eviction
-    churn and relaxes it when rejections cause recomputation."""
+class TestSessionOptions:
+    def test_the_session_takes_deployment_settings_only(self):
+        assert list(inspect.signature(QuerySession).parameters) == [
+            "db",
+            "cache_dir",
+            "cache_max_bytes",
+            "cache_namespace",
+        ]
 
-    def _db(self):
-        q_cheap = parse_query("C([A],[B])")
-        q_costly = parse_query("R([A],[B]) ∧ S([B],[C])")
-        db = random_database(q_costly, 30, seed=1)
-        for relation in random_database(q_cheap, 2, seed=2):
-            db.add(relation)
-        return db, q_cheap, q_costly
-
-    def test_warmup_admits_everything(self):
-        ctrl = AdmissionController(warmup=3, window=4)
-        ctrl.floor = 100.0  # even an absurd floor is dormant in warmup
-        assert all(ctrl.admit(1.0) for _ in range(3))
-        assert not ctrl.admit(1.0)  # warmup over, floor applies
-
-    def test_churn_raises_the_floor_and_readmission_relaxes_it(self):
-        ctrl = AdmissionController(warmup=0, window=2, decay=0.5)
-        ctrl.admit(10.0)
-        ctrl.admit(30.0)
-        ctrl.note_eviction()  # a full window of pure churn
-        ctrl.note_eviction()
-        assert ctrl.floor == 20.0  # the median admitted cost
-        assert ctrl.raises == 1
-        assert not ctrl.admit(5.0)
-        ctrl.note_rejected(("q",))
-        ctrl.note_miss(("q",))  # the rejection forced a recomputation
-        assert ctrl.readmissions == 1
-        assert ctrl.floor == 10.0  # decayed
-        ctrl.note_miss(("q",))  # no longer remembered: a no-op
-        assert ctrl.readmissions == 1
-
-    def test_calm_windows_decay_the_floor_to_zero(self):
-        ctrl = AdmissionController(warmup=0, window=2, decay=0.5)
-        ctrl.floor = 1.5
-        ctrl.note_hit()
-        ctrl.note_hit()  # hits >= evictions: calm
-        assert ctrl.floor == 0.0  # 0.75 snaps to fully open
-
-    def test_parameters_are_validated(self):
-        for kwargs in (
-            {"warmup": -1},
-            {"window": 0},
-            {"decay": 0.0},
-            {"decay": 1.0},
-        ):
-            with pytest.raises(ValueError):
-                AdmissionController(**kwargs)
-
-    def test_session_thrash_rejects_cheap_answers_then_heals(self):
-        db, q_cheap, q_costly = self._db()
-        ctrl = AdmissionController(warmup=0, window=2, decay=0.5)
-        session = QuerySession(db, answer_cache_size=1, admission=ctrl)
-        session.evaluate(q_costly)  # cost 60, admitted
-        session.evaluate(q_cheap)   # cost 2, admitted; evicts the costly
-        session.evaluate(q_costly)  # second eviction closes the window
-        assert session.stats.admission_raises == 1
-        assert ctrl.floor > 2
-        session.evaluate(q_cheap)   # now below the floor: denied a slot
-        assert session.stats.admission_rejects == 1
-        floor_before = ctrl.floor
-        session.evaluate(q_cheap)   # the denial cost this recomputation
-        assert session.stats.admission_readmissions == 1
-        assert ctrl.floor < floor_before
-        assert session.evaluate(q_cheap) == naive_evaluate(q_cheap, db)
-
-    def test_small_workloads_never_activate_the_policy(self):
-        db, q_cheap, _ = self._db()
-        session = QuerySession(db, answer_cache_size=1)
-        for _ in range(3):
-            session.evaluate(q_cheap)
-        assert session.stats.admission_rejects == 0  # inside warmup
-        assert session.stats.hits == 2
+    def test_cache_max_bytes_without_a_cache_dir_is_refused(self, tmp_path):
+        db = small_db(parse_query(TRIANGLE), n=4)
+        with pytest.raises(ValueError, match="cache_dir"):
+            QuerySession(db, cache_max_bytes=1000)
+        bounded = QuerySession(db, cache_dir=tmp_path, cache_max_bytes=1000)
+        assert bounded.cache.max_bytes == 1000
+        # a namespace alone stays legal: a router names its tenants
+        # whether or not it has a cache directory
+        assert QuerySession(db, cache_namespace="acme").cache is None
 
 
 class TestSharedRegistry:
