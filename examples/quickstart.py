@@ -557,11 +557,13 @@ def main() -> None:
     # widths per structure *and head* (engine/ej.py::plan_ej, the
     # default method='auto'): a flat generic join costs N^ρ*, the bags
     # N^fhtw, so decompose iff fhtw < ρ* — with ρ* taken over the
-    # variables the head enumerates.  EXISTS never branches on a column
-    # private to one atom, so the triangle's disjuncts (3/2 = 3/2) run
-    # as one generic join; COUNT(*) enumerates every provenance id
-    # (ρ* = 3) and a flat join would list each witness, so the same
-    # disjuncts count through the bag kernel — which this exercises.
+    # variables the head enumerates.  Neither EXISTS nor COUNT(*)
+    # branches on a column private to one atom: EXISTS needs any row,
+    # and COUNT(*) weights each assignment of the shared columns by how
+    # many rows of each atom extend it, so every provenance id is summed
+    # out, not listed.  The triangle's disjuncts (3/2 = 3/2) therefore
+    # count as one weighted generic join each — which this exercises.
+    # Only full evaluation lists the ids (ρ* = 3) and decomposes.
     # Both heads read one artifact: a session keeps, per query, the
     # Appendix G disjoint reduction with provenance ids over the
     # G.1-shifted database, and answers EXISTS, COUNT and witnesses

@@ -14,11 +14,11 @@ every caller at once.
 *How each disjunct is run* is not decided here: ``evaluate_ej`` /
 ``count_ej`` plan it per (edge structure, head) by the one rule of
 :func:`repro.engine.ej.plan_ej` — Yannakakis when α-acyclic, else one
-flat generic join iff ``fhtw >= ρ*`` of what the head enumerates.  The
-rule is per head because the two heads of one reduction enumerate
-different variables: a cyclic disjunct is typically a generic join here
-and a decomposition under ``count_disjunction``, whose provenance ids
-would make the flat join output-bound.
+flat generic join iff ``fhtw >= ρ*`` of the singleton-free core.  Both
+heads enumerate that core: a provenance id is private to its atom, so
+``evaluate_disjunction`` never branches on it and ``count_disjunction``
+sums it out of its atom, and a cyclic disjunct runs the same method
+under either.
 """
 
 from __future__ import annotations

@@ -36,7 +36,12 @@ tuple:
   by ``searchsorted``.  Counting and materialisation run the join one
   level at a time over the whole frontier of partial assignments
   (:func:`_levelwise_join`); the Boolean form walks the same state
-  depth-first and stops at the first witness.
+  depth-first and stops at the first witness.  Count and Boolean join
+  only the atoms' *shared* columns (variables of two or more atoms): a
+  private variable — every provenance id — is existential for the
+  Boolean form and summed out by the count, which weights each core
+  assignment by the run lengths its atoms' sorts found (how many rows
+  extend it); an atom with no shared column is the scalar ``|R|``.
 
 * :func:`columnar_materialise_bags` — phase 1 of the ``decomposition``
   strategy (Appendix A.2.1): every bag of a tree decomposition as the
@@ -74,6 +79,7 @@ kernels decline.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import networkx as nx
@@ -290,8 +296,6 @@ def columnar_yannakakis_count(
     the sort-based group-by, which is exact on them) once it is not.
     """
     blocks, *_ = _require_blocks(atoms)
-    if tree.number_of_nodes() == 0:
-        return 0
     if any(block.row_count == 0 for block in blocks):
         return 0
     counts = [np.ones(block.row_count, dtype=COUNT_DTYPE) for block in blocks]
@@ -377,13 +381,17 @@ class _Sorted(NamedTuple):
     parent's *position* in level ``d - 1``, so a key needs
     ``log2(rows) + log2(r)`` bits whatever the arity.
     ``advancing[level]`` lists the ``(atom, depth)`` pairs that bind
-    that level's variable.
+    that level's variable.  A counting join also has ``runs``:
+    ``runs[a][i]`` counts the atom's rows behind entry ``i`` of its
+    deepest level — for a projected atom, how many of its rows share
+    that projection (``None`` for an atom without columns).
     """
 
     radices: list[list[int]]
     prefixes: list[list[np.ndarray]]
     advancing: list[list[tuple[int, int]]]
     dense: list[bool]
+    runs: list[np.ndarray | None] | None
 
 
 def _shared_radices(
@@ -405,22 +413,32 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     cheaper than ``np.unique`` on the short arrays a bag join sorts)."""
     if keys.size < 2:
         return keys
+    return keys[_run_starts(keys)]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Marks the first entry of each run of equal entries of an
+    ascending array."""
     first = np.empty(keys.size, dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return first
 
 
 def _sort_parts(
-    parts: Sequence[_Part], order: Sequence[str], radix_of: dict[str, int]
+    parts: Sequence[_Part],
+    order: Sequence[str],
+    radix_of: dict[str, int],
+    counting: bool = False,
 ) -> _Sorted:
     """Build every part's trie levels.  Rows that pack into one key are
     packed, sorted and deduplicated once, and the shorter prefixes
     peeled off by floor division; wider rows are ranked one column at a
     time (each level's ``np.unique`` hands the next its parent
-    positions)."""
+    positions).  ``counting`` keeps what either dedup found about the
+    deepest level: the part's :attr:`_Sorted.runs`."""
     level_of = {v: i for i, v in enumerate(order)}
-    state = _Sorted([], [], [[] for _ in order], [])
+    state = _Sorted([], [], [[] for _ in order], [], [] if counting else None)
     for a, part in enumerate(parts):
         positions = sorted(
             range(len(part.variables)),
@@ -430,23 +448,31 @@ def _sort_parts(
         columns = [part.columns[j] for j in positions]
         dense = math.prod(radices) > KEY_LIMIT
         levels: list[np.ndarray] = []
+        runs = None
         if dense:
             parent = np.zeros(columns[0].size, dtype=np.int64)
             for column, radix in zip(columns, radices):
-                level, parent = np.unique(
-                    parent * radix + column, return_inverse=True
+                level, parent, runs = np.unique(
+                    parent * radix + column,
+                    return_inverse=True,
+                    return_counts=True,
                 )
                 levels.append(level)
         elif columns:
             (keys,), _ = pack_keys([columns], radices)
             keys.sort()
-            levels.append(_distinct_sorted(keys))
+            first = _run_starts(keys)
+            levels.append(keys[first])
+            if counting:
+                runs = np.diff(np.flatnonzero(first), append=keys.size)
             for radix in reversed(radices[1:]):
                 levels.append(_distinct_sorted(levels[-1] // radix))
             levels.reverse()
         state.radices.append(radices)
         state.prefixes.append(levels)
         state.dense.append(dense)
+        if counting:
+            state.runs.append(runs)
         for depth, j in enumerate(positions):
             state.advancing[level_of[part.variables[j]]].append((a, depth))
     return state
@@ -467,11 +493,14 @@ def _sorted_positions(
     return (idx < segment.size) & (segment[at] == values), at
 
 
-def _levelwise_join(state: _Sorted) -> np.ndarray:
+def _levelwise_join(state: _Sorted) -> tuple[np.ndarray, np.ndarray | None]:
     """Every satisfying assignment, as an ``int64`` matrix with one
     column per level — generic join run one level at a time over the
     whole frontier of partial assignments instead of one value at a
-    time.
+    time — and, for a counting state, each one's weight (else
+    ``None``): the product of the run lengths (:attr:`_Sorted.runs`) of
+    its atoms' deepest prefixes, read at the position the membership
+    search found them, exact at any magnitude (:func:`_fit`).
 
     Per level, each active atom's candidate range is found for every
     frontier row at once (``searchsorted`` on the level's prefix keys);
@@ -485,9 +514,11 @@ def _levelwise_join(state: _Sorted) -> np.ndarray:
     exceeds the AGM bound of the atoms seen so far — a fixed pivot atom
     (a pairwise join) can be quadratically larger on skew.
     """
-    radices, prefixes, advancing, dense = state
+    radices, prefixes, advancing, dense, runs = state
     rows = 1
     bound: list[np.ndarray] = []
+    weights = None if runs is None else np.ones(1, dtype=COUNT_DTYPE)
+    weight_bound = 1
     #: per atom, what names the prefix each frontier row has bound so
     #: far — its key, or for a dense atom its position, in the atom's
     #: previous trie level (``None`` before the atom's first level and
@@ -496,6 +527,7 @@ def _levelwise_join(state: _Sorted) -> np.ndarray:
     for active in advancing:
         tries = [prefixes[a][d] for a, d in active]
         steps = [radices[a][d] for a, d in active]
+        deepest = [d + 1 == len(prefixes[a]) for a, d in active]
         bases = [
             np.zeros(rows, dtype=np.int64)
             if prefix[a] is None
@@ -513,7 +545,7 @@ def _levelwise_join(state: _Sorted) -> np.ndarray:
             row_idx, positions = _expand_ranges(los[0], widths[0])
             keys = tries[0][positions]
             values = keys % steps[0]
-            carried = [positions if dense[active[0][0]] else keys]
+            carried = [positions if dense[active[0][0]] or deepest[0] else keys]
         else:
             stacked = np.stack(widths)
             pivot = stacked.argmin(axis=0)
@@ -527,26 +559,36 @@ def _levelwise_join(state: _Sorted) -> np.ndarray:
             values = pool[positions]
             keep = np.ones(values.size, dtype=bool)
             carried = []
-            for (a, _), t, base in zip(active, tries, bases):
+            for (a, _), t, base, last in zip(active, tries, bases, deepest):
                 keys = base[row_idx] + values
                 hit, where = _sorted_positions(t, keys)
                 keep &= hit
-                carried.append(where if dense[a] else keys)
+                carried.append(where if dense[a] or last else keys)
             if not keep.all():
                 row_idx = row_idx[keep]
                 values = values[keep]
                 carried = [names[keep] for names in carried]
         rows = int(values.size)
         if rows == 0:
-            return np.empty((0, len(advancing)), dtype=np.int64)
+            empty = np.empty((0, len(advancing)), dtype=np.int64)
+            return empty, None if weights is None else weights[:0]
         prefix = [p if p is None else p[row_idx] for p in prefix]
-        for (a, d), names in zip(active, carried):
-            prefix[a] = names if d + 1 < len(prefixes[a]) else None
+        if weights is not None:
+            weights = weights[row_idx]
+        for (a, _), names, last in zip(active, carried, deepest):
+            prefix[a] = None if last else names
+            if last and weights is not None:
+                weight_bound *= int(runs[a].max())
+                weights = _fit(weights, weight_bound) * _fit(
+                    runs[a][names], weight_bound
+                )
         bound = [column[row_idx] for column in bound]
         bound.append(values)
+    if weights is not None:
+        weights = _fit(weights, weight_bound * rows)
     if not bound:
-        return np.empty((1, 0), dtype=np.int64)
-    return np.stack(bound, axis=1)
+        return np.empty((1, 0), dtype=np.int64), weights
+    return np.stack(bound, axis=1), weights
 
 
 def _has_witness(state: _Sorted) -> bool:
@@ -555,7 +597,7 @@ def _has_witness(state: _Sorted) -> bool:
     other active atoms filter them in one vectorized membership test
     each, and the search descends into the survivors one at a time —
     stopping at the first full assignment."""
-    radices, prefixes, advancing, dense = state
+    radices, prefixes, advancing, dense, _ = state
     last = len(advancing) - 1
 
     def recurse(level: int, prefix: list[int]) -> bool:
@@ -609,10 +651,14 @@ def _has_witness(state: _Sorted) -> bool:
 def _generic_setup(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None,
-) -> tuple[_Sorted, list[str], dict[str, str], dict[str, int], CodeBook | None]:
-    """Sorted-prefix state for a flat generic join over ``atoms``, with
-    the variable order, column kinds, cell bounds and codebook it was
-    built from.  Zero-arity atoms bind no variable and take no part."""
+    shared: set[str] | None = None,
+) -> tuple[list[_Part], list[str], dict[str, str], dict[str, int], CodeBook | None]:
+    """The parts of a flat generic join over ``atoms``, with the
+    variable order, column kinds, cell bounds and codebook they are
+    over.  Given ``shared``, each atom is projected onto its variables
+    in it (:func:`_sort_parts` deduplicates the projection).  Zero-arity
+    atoms, and atoms projected to nothing, bind no variable and take no
+    part."""
     order = (
         list(variable_order)
         if variable_order
@@ -623,21 +669,44 @@ def _generic_setup(
     blocks, kind_of, book = _require_blocks(atoms)
     matrices = [np.asarray(block.codes) for block in blocks]
     radix_of = _shared_radices(atoms, matrices)
-    parts = [
-        _Part(atom.variables, list(matrix.T))
-        for atom, matrix in zip(atoms, matrices)
-    ]
-    return _sort_parts(parts, order, radix_of), order, kind_of, radix_of, book
+    if shared is not None:
+        order = [v for v in order if v in shared]
+    parts = []
+    for atom, matrix in zip(atoms, matrices):
+        kept = [
+            j for j, v in enumerate(atom.variables) if shared is None or v in shared
+        ]
+        parts.append(
+            _Part(tuple(atom.variables[j] for j in kept), [matrix[:, j] for j in kept])
+        )
+    return parts, order, kind_of, radix_of, book
+
+
+def _core_setup(
+    atoms: Sequence[JoinAtom],
+    variable_order: Sequence[str] | None,
+    counting: bool = False,
+) -> tuple[_Sorted, list[int]]:
+    """Sorted-prefix state of the singleton-free core (each atom on its
+    shared variables) and the row counts of atoms left without one."""
+    degree = Counter(v for atom in atoms for v in atom.variables)
+    shared = {v for v, n in degree.items() if n > 1}
+    parts, order, _, radix_of, _ = _generic_setup(atoms, variable_order, shared)
+    loose = [len(a.relation) for a in atoms if shared.isdisjoint(a.variables)]
+    return _sort_parts(parts, order, radix_of, counting), loose
 
 
 def generic_join_count(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> int:
-    """Number of satisfying assignments of the natural join, via the
-    level-wise array generic join."""
-    state, *_ = _generic_setup(atoms, variable_order)
-    return int(_levelwise_join(state).shape[0])
+    """Number of satisfying assignments of the natural join: the
+    level-wise array generic join over the singleton-free core, each
+    core assignment weighted by how many rows of each atom extend it
+    (private variables are summed out, never enumerated)."""
+    state, loose = _core_setup(atoms, variable_order, counting=True)
+    _, weights = _levelwise_join(state)
+    return math.prod(loose) * int(weights.sum())
 
 
 def generic_join_boolean(
@@ -645,9 +714,10 @@ def generic_join_boolean(
     variable_order: Sequence[str] | None = None,
 ) -> bool:
     """True iff the join is non-empty, via the depth-first array
-    generic join (stops at the first witness)."""
-    state, *_ = _generic_setup(atoms, variable_order)
-    return _has_witness(state)
+    generic join over the singleton-free core (any row of its atom
+    binds a private variable); stops at the first witness."""
+    state, loose = _core_setup(atoms, variable_order)
+    return all(loose) and _has_witness(state)
 
 
 def generic_join_relation(
@@ -660,12 +730,12 @@ def generic_join_relation(
     in first-occurrence order, when ``None``): the level-wise join's
     assignment matrix, projected and deduplicated in key space and
     decoded once."""
-    state, order, kind_of, radix_of, book = _generic_setup(
+    parts, order, kind_of, radix_of, book = _generic_setup(
         atoms, variable_order
     )
     if output is None:
         output = list(dict.fromkeys(v for atom in atoms for v in atom.variables))
-    joined = _levelwise_join(state)
+    joined, _ = _levelwise_join(_sort_parts(parts, order, radix_of))
     frame = _project_frame(
         _Frame(order, list(joined.T), int(joined.shape[0])),
         list(output),
@@ -710,7 +780,7 @@ def columnar_materialise_bags(
                 f"bag {bag_vars} contains vertices covered by no atom"
             )
         order = default_variable_order(parts)
-        joined = _levelwise_join(_sort_parts(parts, order, radix_of))
+        joined, _ = _levelwise_join(_sort_parts(parts, order, radix_of))
         codes = joined[:, [order.index(v) for v in bag_vars]]
         block = ColumnBlock(
             codes.astype(CODE_DTYPE),
@@ -882,7 +952,7 @@ def columnar_yannakakis_full(
                 all_vars.append(v)
     out_vars = list(output) if output is not None else all_vars
     if tree.number_of_nodes() == 0:
-        return Relation("result", out_vars, set())
+        return Relation("result", [], [()])  # no atoms: one empty assignment
     out_set = set(out_vars)
     alive = [np.ones(block.row_count, dtype=bool) for block in blocks]
     results: list[_Frame] = []

@@ -11,13 +11,16 @@ needs:
   fhtw-optimal bags, then Yannakakis) iff ``fhtw < ρ*``.
 
 ``ρ*`` covers *the variables the head must enumerate*, which is why the
-plan is per head.  The Boolean head enumerates the singleton-free core:
-a variable private to one atom is existential and the depth-first join
-never branches on it (triangle, 4-cycle, LW4: ``fhtw = ρ*`` -> one
-generic join; bow-tie: 3/2 < 5/2 -> decomposition).  ``count`` and
-``full`` enumerate every variable, every provenance id included, so a
-flat join would be output-bound where the bags count in ``N^fhtw``
-(triangle with one id per atom: 3/2 < 3 -> decomposition).
+plan is per head.  ``boolean`` and ``count`` enumerate the
+singleton-free core: a variable private to one atom is existential for
+the one and summed out of its atom for the other (the generic join
+weights each core assignment by how many rows of each atom extend it),
+so neither join branches on it (triangle, 4-cycle, LW4, with or without
+provenance ids: ``fhtw = ρ*`` -> one generic join; bow-tie: 3/2 < 5/2
+-> decomposition).  ``full`` enumerates every variable, every
+provenance id included, so a flat join would be output-bound where the
+bags materialise in ``N^fhtw`` (triangle with one id per atom: 3/2 < 3
+-> decomposition).
 
 ``method=`` forces a kernel — the tests run each as the others'
 reference; no caller outside this package sets it.  Each kernel runs on
@@ -70,9 +73,10 @@ class EJPlan(NamedTuple):
     td: TreeDecomposition | None = None
 
 
-#: Plans by (edge structure, edge order, head, requested method): the
-#: forward reduction asks for the same few shapes across its many
-#: disjuncts, every op.
+#: Plans by (edge structure, edge order, whether the head enumerates
+#: every variable, requested method): the forward reduction asks for the
+#: same few shapes across its many disjuncts, every op, and ``boolean``
+#: and ``count`` share one plan.
 _plans: dict[tuple, EJPlan] = {}
 
 
@@ -81,7 +85,7 @@ def plan_ej(
 ) -> EJPlan:
     """The memoized plan of hypergraph ``h`` for ``head`` (see the module
     docstring for the rule ``method='auto'`` applies)."""
-    key = (h.structure_key(), h.edge_labels, head, method)
+    key = (h.structure_key(), h.edge_labels, head == "full", method)
     plan = _plans.get(key)
     if plan is None:
         plan = _plans[key] = _decide(h, head, method)
@@ -101,7 +105,7 @@ def _decide(h: Hypergraph, head: Head, method: Method) -> EJPlan:
     core = h.drop_singleton_vertices()
     width, td = _decompose(h, core)
     if method == "auto":
-        enumerated = core if head == "boolean" else h
+        enumerated = h if head == "full" else core
         if width >= fractional_edge_cover_number(enumerated.edges) - 1e-6:
             return EJPlan("generic")
     return EJPlan("decomposition", td=td)

@@ -29,8 +29,9 @@ the width report — data-independent, memoized per query structure — is
 paid when a plan's prices are first read, not to decide.  No EJ method
 is chosen here either: a reduction's disjuncts are planned where they
 run, per structure and head, by :func:`repro.engine.ej.plan_ej`
-(Yannakakis when α-acyclic, else generic iff ``fhtw >= ρ*`` of what the
-head enumerates, else decomposition); EXPLAIN's ``ej_method`` only
+(Yannakakis when α-acyclic, else generic iff ``fhtw >= ρ*`` of the
+singleton-free core — what ``EXISTS`` and ``COUNT(*)`` both enumerate —
+else decomposition); EXPLAIN's ``ej_method`` only
 *reports* what that one rule gives the width report's class
 representatives.
 
@@ -59,7 +60,7 @@ from repro.hypergraph import Hypergraph
 from repro.queries import Query
 from repro.widths import ij_width_report
 
-from .ast import HEAD_COUNT, HEAD_EXISTS
+from .ast import HEAD_EXISTS
 from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef
 
 #: Constant factor charged to the reduction pipeline: it pays for
@@ -80,41 +81,23 @@ SUBW_VARIABLE_LIMIT = 8
 #: order — and the report is the expensive part of a plan (milliseconds
 #: for a triangle, seconds for a 4-clique), so it is computed once per
 #: structure per process and a re-plan after a mutation re-reads
-#: statistics only.  Beside the widths: per SQL head, the EJ methods of
-#: the report's class representatives.
-_width_cache: dict[tuple, tuple[dict[str, float], dict[str, str]]] = {}
+#: statistics only.  Beside the widths: the EJ methods of the report's
+#: class representatives.
+_width_cache: dict[tuple, tuple[dict[str, float], str]] = {}
 
 
-def _ej_methods(query: Query, representatives: list[Hypergraph], head: str) -> str:
+def _ej_methods(representatives: list[Hypergraph]) -> str:
     """The ``+``-joined methods :func:`plan_ej` gives the reduced
-    disjunct classes of ``query`` for ``head``.  The representatives are
-    singleton-free, which is all the Boolean head enumerates; a
-    ``COUNT(*)`` enumerates every column, so each atom regains the
-    private one it carries — its provenance id (any interval variable)
-    or an unshared point variable."""
-    private, ej_head = {}, "boolean"
-    if head == HEAD_COUNT:
-        ej_head = "count"
-        private = {
-            atom.label: {("private", atom.label)}
-            for atom in query.atoms
-            if any(
-                v.is_interval or len(query.atoms_containing(v.name)) == 1
-                for v in atom.variables
-            )
-        }
-    methods = set()
-    for h in representatives:
-        edges = h.edges
-        for label, column in private.items():
-            edges[label] = edges.get(label, frozenset()) | column
-        methods.add(plan_ej(Hypergraph(edges), ej_head).method)
-    return "+".join(sorted(methods))
+    disjunct classes.  The representatives are singleton-free, which is
+    all ``EXISTS`` and ``COUNT(*)`` enumerate (a private column is
+    existential for the one and summed out of its atom by the other),
+    so both heads run the same methods."""
+    return "+".join(sorted({plan_ej(h).method for h in representatives}))
 
 
-def query_widths(query: Query) -> tuple[dict[str, float], dict[str, str]]:
-    """The paper's width measures of ``query`` and, per SQL head, its
-    disjuncts' EJ methods (memoized, see :data:`_width_cache`)."""
+def query_widths(query: Query) -> tuple[dict[str, float], str]:
+    """The paper's width measures of ``query`` and its disjuncts' EJ
+    methods (memoized, see :data:`_width_cache`)."""
     key = canonical_form(query).key
     entry = _width_cache.get(key)
     if entry is None:
@@ -129,11 +112,9 @@ def query_widths(query: Query) -> tuple[dict[str, float], dict[str, str]]:
             "ej_disjuncts": float(report.num_ej_hypergraphs),
             "reduced": float(report.num_reduced),
         }
-        representatives = [c.representative for c in report.classes]
-        entry = _width_cache[key] = widths, {
-            head: _ej_methods(query, representatives, head)
-            for head in (HEAD_EXISTS, HEAD_COUNT)
-        }
+        entry = _width_cache[key] = widths, _ej_methods(
+            [c.representative for c in report.classes]
+        )
     return entry
 
 
@@ -167,7 +148,7 @@ class DisjunctPlan:
         """What a reduction of this disjunct runs its EJ disjuncts with,
         e.g. ``yannakakis`` or ``generic+yannakakis`` — a report, not an
         instruction (see :func:`_ej_methods`)."""
-        return query_widths(self.query)[1][self.head]
+        return query_widths(self.query)[1]
 
     @property
     def candidates(self) -> dict[str, float]:

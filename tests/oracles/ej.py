@@ -91,7 +91,7 @@ def yannakakis_full(
     out_vars = list(output) if output is not None else all_vars
 
     if tree.number_of_nodes() == 0:
-        return Relation("result", out_vars, set())
+        return Relation("result", [], [()])  # no atoms: one empty assignment
     components = list(nx.connected_components(tree))
     results: list[Relation] = []
     for component in components:
@@ -138,8 +138,6 @@ def yannakakis_count(atoms: Sequence[JoinAtom], tree: nx.Graph) -> int:
     private variables; messages multiply counts of children grouped by
     the shared attributes.
     """
-    if tree.number_of_nodes() == 0:
-        return 0
     relations = _atom_relations(atoms)
     counts: dict[int, dict[tuple, int]] = {
         i: {t: 1 for t in r.tuples} for i, r in relations.items()

@@ -8,6 +8,9 @@ tier leave ``src/``.
   patches and a persist/reload round trip.
 * **The door** — the public EJ entry points answer plain row relations,
   and every degenerate shape of them, exactly like ``tests/oracles``.
+* **The core join** — count and Boolean generic joins sum out the
+  variables private to one atom, and answer like the trie join and the
+  naive oracle, from fresh and cache-loaded artifacts.
 * **Wide keys** — rows that need more than 62 bits as one packed key are
   handled where keys are built, in every kernel and in
   ``ColumnarCounts.adjust``.
@@ -49,6 +52,7 @@ from repro.engine import (
     Database,
     JoinAtom,
     Relation,
+    columnar_eval,
     columnar_materialise_bags,
     columnar_yannakakis_boolean,
     columnar_yannakakis_count,
@@ -60,9 +64,10 @@ from repro.engine import (
     generic_join_count,
     generic_join_relation,
 )
+from repro.engine.ej import plan_ej
 from repro.intervals import Interval
-from repro.queries import parse_query
-from repro.queries.catalog import triangle_ij
+from repro.queries import Query, parse_query
+from repro.queries.catalog import cycle_ij, loomis_whitney4_ij, triangle_ij
 from repro.reduction import forward as forward_module
 from repro.reduction import forward_reduce, shift_distinct_left
 from repro.reduction.columnar import (
@@ -323,6 +328,133 @@ def test_the_kernels_raise_the_oracles_errors():
     for materialise in (columnar_materialise_bags, oracle.materialise_bags):
         with pytest.raises(ValueError, match="covered by no atom"):
             materialise(atoms, td)
+
+
+def test_an_atomless_ej_query_has_one_empty_assignment():
+    """The empty conjunction is true with exactly one witness, the empty
+    assignment — on every head, in the kernels and in the oracles."""
+    query, db = Query(()), Database()
+    assert naive_count(query, db) == 1 and naive_evaluate(query, db)
+    assert evaluate_ej(query, db) is oracle.evaluate_ej(query, db) is True
+    assert count_ej(query, db) == oracle.count_ej(query, db) == 1
+    for output in (None, [], ["A"]):
+        for full in (evaluate_ej_full, oracle.evaluate_ej_full):
+            got = full(query, db, output)
+            assert (got.schema, got.tuples) == ((), {()}), (full, output)
+    assert generic_join_count([]) == 1 and generic_join_boolean([]) is True
+
+
+# ----------------------------------------------------------------------
+# the core join: variables private to one atom are summed out
+# ----------------------------------------------------------------------
+
+#: singleton-free cores: every variable occurs in two or more atoms
+CORES = {
+    "path": ["AB", "BC"],
+    "triangle": ["AB", "BC", "AC"],
+    "four_cycle": ["AB", "BC", "CD", "AD"],
+    "lw4": ["ABC", "BCD", "ACD", "ABD"],
+}
+
+#: ``dense`` keys every part by prefix positions (as rows wider than 62
+#: bits are), ``python_int`` carries every weight as a Python int, and
+#: ``order`` passes a variable order that names the private variables
+CORE_CASES = ("plain", "one_key", "empty", "dense", "python_int", "order")
+
+
+def _private_join(rng, case):
+    """A core drawn from the seed, each atom widened by 0–2 private
+    columns, plus an atom of private columns only (a scalar factor).
+    ``one_key`` puts every row of the first atom on one core key and
+    ``empty`` empties a random atom."""
+    core = CORES[rng.choice(sorted(CORES))]
+    schemas = [
+        (*shared, *(f"P{i}{k}" for k in range(rng.randint(0, 2))))
+        for i, shared in enumerate(core)
+    ]
+    schemas.append(tuple(f"L{k}" for k in range(rng.randint(1, 2))))
+    if case == "one_key":
+        schemas[0] += ("P0x",)
+    rows = [
+        {tuple(rng.randint(0, 3) for _ in schema) for _ in range(rng.randint(3, 9))}
+        for schema in schemas
+    ]
+    if case == "one_key":
+        key = tuple(rng.randint(0, 3) for _ in core[0])
+        rows[0] = {key + row[len(key):] for row in rows[0]}
+    if case == "empty":
+        rows[rng.randrange(len(rows))] = set()
+    return [
+        JoinAtom(Relation(f"R{i}", schema, tuples))
+        for i, (schema, tuples) in enumerate(zip(schemas, rows))
+    ]
+
+
+@pytest.mark.parametrize("case", CORE_CASES)
+def test_the_core_join_matches_the_trie_join(case, monkeypatch):
+    """``generic_join_count`` / ``_boolean`` join the atoms' shared
+    columns only, weighting each core assignment by its atoms' run
+    lengths; the trie join enumerates every variable."""
+    if case == "dense":
+        monkeypatch.setattr(columnar_eval, "KEY_LIMIT", 1)
+    if case == "python_int":
+        monkeypatch.setattr(columnar_eval, "_INT64_SAFE", 1)
+    rng = random.Random(_seed(6 + CORE_CASES.index(case)))
+    for trial in range(10):
+        atoms = _private_join(rng, case)
+        variables = sorted({v for atom in atoms for v in atom.variables})
+        order = rng.sample(variables, len(variables)) if case == "order" else None
+        count = oracle.generic_join_count(atoms, order)
+        context = (case, trial, [atom.variables for atom in atoms])
+        assert generic_join_count(atoms, order) == count, context
+        assert (
+            generic_join_boolean(atoms, order)
+            is oracle.generic_join_boolean(atoms, order)
+            is (count > 0)
+        ), context
+        if case == "empty":
+            assert count == 0, context
+        if case == "order":
+            for join in (generic_join_count, generic_join_boolean):
+                with pytest.raises(ValueError, match="cover exactly"):
+                    join(atoms, order[1:])
+
+
+@pytest.mark.parametrize(
+    "query, n, factors",
+    [
+        (triangle_ij(), 12, (4, 8)),
+        (cycle_ij(4), 8, (4, 8)),
+        # 1296 disjuncts at any size: planning them costs ~40 s
+        pytest.param(loomis_whitney4_ij(), 2, (1,), marks=pytest.mark.slow),
+    ],
+    ids=lambda p: p.name if isinstance(p, Query) else None,
+)
+def test_cyclic_disjuncts_answer_like_the_oracle_fresh_and_loaded(
+    query, n, factors, tmp_path
+):
+    """Both heads plan each reduced disjunct alike — one generic join for
+    the cyclic ones — and the session answers like naive backtracking
+    from a fresh artifact and from one loaded from the cache."""
+    rng = random.Random(_seed(7))
+    for factor in factors:
+        db = random_database(query, n, seed=rng.randrange(1 << 20), domain=factor * n)
+        truth = naive_count(query, db), naive_evaluate(query, db)
+        cache = tmp_path / str(factor)
+        for loaded in (False, True):
+            session = QuerySession(db, cache_dir=cache)
+            assert (
+                session.count(query),
+                session.evaluate(query, strategy="reduction"),
+            ) == truth, (factor, loaded)
+            assert session.stats.persistent_hits == loaded
+            assert session.stats.reductions == (not loaded)
+        methods = set()
+        for ej in session.reduction(query).ej_queries:
+            h = ej.hypergraph()
+            assert plan_ej(h, "count").method == plan_ej(h, "boolean").method
+            methods.add(plan_ej(h, "count").method)
+        assert "generic" in methods
 
 
 # ----------------------------------------------------------------------

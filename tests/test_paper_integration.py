@@ -22,29 +22,26 @@ from repro.workloads import embed_ej_into_ij, point_database, random_database
 
 #: Hand-authored EJ hypergraphs with the method the one rule
 #: (``fhtw`` vs ``ρ*`` of what the head enumerates) gives each head:
-#: shape -> (query, Boolean head, count head).
+#: shape -> (query, Boolean head, count head, full head).
 RULE_TABLE = {
-    "path": ("R0(A,B) ∧ R1(B,C) ∧ R2(C,D)", "yannakakis", "yannakakis"),
-    "star": ("R0(A,B) ∧ R1(A,C) ∧ R2(A,D)", "yannakakis", "yannakakis"),
+    "path": ("R0(A,B) ∧ R1(B,C) ∧ R2(C,D)", *["yannakakis"] * 3),
+    "star": ("R0(A,B) ∧ R1(A,C) ∧ R2(A,D)", *["yannakakis"] * 3),
     # fhtw = ρ*: one bag is already optimal (3/2, 2, 4/3)
-    "triangle": ("R0(A,B) ∧ R1(B,C) ∧ R2(A,C)", "generic", "generic"),
-    "four_cycle": ("R0(A,B) ∧ R1(B,C) ∧ R2(C,D) ∧ R3(A,D)", "generic", "generic"),
-    "lw4": (
-        "R0(A,B,C) ∧ R1(B,C,D) ∧ R2(A,C,D) ∧ R3(A,B,D)",
-        "generic",
-        "generic",
-    ),
+    "triangle": ("R0(A,B) ∧ R1(B,C) ∧ R2(A,C)", *["generic"] * 3),
+    "four_cycle": ("R0(A,B) ∧ R1(B,C) ∧ R2(C,D) ∧ R3(A,D)", *["generic"] * 3),
+    "lw4": ("R0(A,B,C) ∧ R1(B,C,D) ∧ R2(A,C,D) ∧ R3(A,B,D)", *["generic"] * 3),
     # two triangles sharing A: fhtw 3/2 < ρ* 5/2
     "bow_tie": (
         "R0(A,B) ∧ R1(B,C) ∧ R2(A,C) ∧ R3(A,D) ∧ R4(D,E) ∧ R5(A,E)",
-        "decomposition",
-        "decomposition",
+        *["decomposition"] * 3,
     ),
     # one private column per atom (a reduction's provenance ids): the
-    # Boolean head never branches on them, the count head enumerates
-    # them — ρ* 3/2 vs 3
+    # Boolean head never branches on them and the count head sums them
+    # out of their atoms (ρ* 3/2 for both), the full head enumerates
+    # them — ρ* 3
     "triangle_with_ids": (
         "R0(A,B,I) ∧ R1(B,C,J) ∧ R2(A,C,K)",
+        "generic",
         "generic",
         "decomposition",
     ),
@@ -69,12 +66,12 @@ class TestTheorem413EndToEnd:
         # the rule itself, and every kernel against the tuple oracle
         # for both heads, on each hand-authored shape
         rng = random.Random(0)
-        for shape, (text, boolean, count) in RULE_TABLE.items():
+        for shape, (text, boolean, count, full) in RULE_TABLE.items():
             query = parse_query(text)
             h = query.hypergraph()
             assert plan_ej(h, "boolean").method == boolean, shape
             assert plan_ej(h, "count").method == count, shape
-            assert plan_ej(h, "full").method == count, shape
+            assert plan_ej(h, "full").method == full, shape
             methods = ["auto", "decomposition", "generic"]
             if boolean == "yannakakis":
                 methods.append("yannakakis")

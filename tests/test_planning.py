@@ -277,10 +277,10 @@ def test_the_node_id_format_is_known_to_the_intervals_package_alone():
 
 
 def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
-    """All-overlapping triangle, ``n**3`` witnesses: ``COUNT(*)``
-    decomposes — its provenance ids are variables a flat join would
-    enumerate one witness at a time — while ``EXISTS`` over the same
-    data runs each cyclic disjunct as one generic join."""
+    """All-overlapping triangle, ``n**3`` witnesses: ``COUNT(*)`` runs
+    each cyclic disjunct as one generic join over its singleton-free
+    core, like ``EXISTS`` over the same data — the provenance ids are
+    summed out of their atoms, so the join never lists a witness."""
     n = 40
     triangle = SHAPES["triangle"]
     db = Database(
@@ -295,9 +295,9 @@ def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
     real = columnar_eval._levelwise_join
 
     def measured(state):
-        joined = real(state)
+        joined, weights = real(state)
         widest[0] = max(widest[0], joined.shape[0])
-        return joined
+        return joined, weights
 
     monkeypatch.setattr(columnar_eval, "_levelwise_join", measured)
     session = QuerySession(db)
@@ -305,16 +305,15 @@ def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
     (count_plan,) = compile_sql(count_sql, db).disjuncts
     assert session.sql_plan(count_plan).strategy == "reduction"
     assert session.sql(count_sql) == n**3
-    assert 0 < widest[0] <= n**2  # bags, never the witnesses
+    assert 0 < widest[0] <= n**2  # core assignments, never the witnesses
     assert session.evaluate(triangle) is True
-    assert session.sql_plan(count_plan).ej_method == "decomposition"
+    assert session.sql_plan(count_plan).ej_method == "generic"
     assert session.plan(triangle).ej_method == "generic"
-    # one artifact, two heads: the provenance ids are variables only the
-    # count head enumerates, so only it decomposes
+    # one artifact, two heads, one method
     reduction = session.reduction(triangle)
-    for head, method in (("count", "decomposition"), ("boolean", "generic")):
+    for head in ("count", "boolean"):
         methods = {plan_ej(q.hypergraph(), head).method for q in reduction.ej_queries}
-        assert methods == {method}, head
+        assert methods == {"generic"}, head
 
 
 #: ``rank_disjuncts`` orders captured at the commit whose estimator
