@@ -12,12 +12,13 @@ import random
 from conftest import bench_n, bench_sizes, print_table
 
 from repro.intervals import Interval, SegmentTree
+from repro.intervals.bitstring import bits
 
 
 def test_fig3_example_tree(benchmark):
     tree = benchmark(lambda: SegmentTree([Interval(1, 4), Interval(3, 4)]))
-    cp_14 = tree.canonical_partition(Interval(1, 4))
-    cp_34 = tree.canonical_partition(Interval(3, 4))
+    cp_14 = [bits(v) for v in tree.cp_ids(Interval(1, 4))]
+    cp_34 = [bits(v) for v in tree.cp_ids(Interval(3, 4))]
     print_table(
         "Figure 3: segment tree on I = {[1,4], [3,4]}",
         ["interval", "canonical partition"],
@@ -47,7 +48,7 @@ def test_canonical_partition_logarithmic(benchmark):
     for n in bench_sizes([256, 1024, 4096]):
         intervals = _build_intervals(n, seed=n)
         tree = SegmentTree(intervals)
-        sizes = [len(tree.canonical_partition(x)) for x in intervals[:200]]
+        sizes = [len(tree.cp_ids(x)) for x in intervals[:200]]
         rows.append(
             (n, tree.height, f"{sum(sizes) / len(sizes):.1f}", max(sizes))
         )
@@ -61,5 +62,5 @@ def test_canonical_partition_logarithmic(benchmark):
     intervals = _build_intervals(bench_n(4096, 500), seed=1)
     tree = SegmentTree(intervals)
     benchmark(
-        lambda: [tree.canonical_partition(x) for x in intervals[:100]]
+        lambda: [tree.cp_ids(x) for x in intervals[:100]]
     )

@@ -279,14 +279,16 @@ def main() -> None:
     )
     # the cold reduction itself is whole-column: a segment-tree node is
     # an integer (its heap index — the bitstring of the paper is that
-    # index in binary), each tree encodes a whole column of distinct
-    # interval values in `height` array steps, the split family of a
-    # depth is one broadcast over a cut plan per (depth, position) —
-    # Claim C.1 — and the products of all tuples are laid out at once.
-    # A delta patch encodes its one tuple by the scalar walk, or slices
-    # the column result when the value was in it (tests/oracles keeps a
-    # naive per-tuple loop on bitstrings the builder is pinned to, bit
-    # for bit).  Only point values need a dictionary:
+    # index in binary, rendered only by `repro.intervals.bitstring.bits`),
+    # each tree encodes a whole column of distinct interval values in
+    # `height` array steps, the split family of a depth is one broadcast
+    # over a cut plan per (depth, position) — Claim C.1 — and the
+    # products of all tuples are laid out at once.  A delta patch
+    # encodes its one tuple by the scalar walk, or slices the column
+    # result when the value was in it (tests/oracles keeps a naive
+    # per-tuple loop over the literal tree of Section 3 the builder is
+    # pinned to, bit for bit; decoded rows hold the same node ids).
+    # Only point values need a dictionary:
     start = time.perf_counter()
     cold = forward_reduce(query, db)
     cold_ms = (time.perf_counter() - start) * 1e3

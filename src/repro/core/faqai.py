@@ -162,10 +162,10 @@ class IntervalPairIndex:
     def __init__(self, tuples: Sequence[tuple[Interval, Interval]]):
         self._tuples = list(tuples)
         self._tree = SegmentTree([a for a, _ in self._tuples])
-        self._node_lists: dict[str, tuple[list[float], list[float]]] = {}
-        per_node: dict[str, list[Interval]] = {}
+        self._node_lists: dict[int, tuple[list[float], list[float]]] = {}
+        per_node: dict[int, list[Interval]] = {}
         for a, c in self._tuples:
-            for node in self._tree.canonical_partition(a):
+            for node in self._tree.cp_ids(a):
                 per_node.setdefault(node, []).append(c)
         for node, cs in per_node.items():
             self._node_lists[node] = _lefts_and_prefix_max(cs)
@@ -175,9 +175,9 @@ class IntervalPairIndex:
 
     def exists(self, qa: Interval, qc: Interval) -> bool:
         # case (i): some tuple's a-interval contains qa.left
-        node = self._tree.leaf_of_point(qa.left)
-        for depth in range(len(node) + 1):
-            lists = self._node_lists.get(node[:depth])
+        leaf = self._tree.leaf_id(qa.left)
+        for up in range(leaf.bit_length()):
+            lists = self._node_lists.get(leaf >> up)
             if lists and _some_c_intersects(lists, qc):
                 return True
         # case (ii): some tuple with a.left in [qa.left, qa.right]

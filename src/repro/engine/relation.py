@@ -1,7 +1,7 @@
 """Relations and databases.
 
 A :class:`Relation` is a named set of tuples over a schema of variable
-names.  Values are arbitrary hashables — numbers or bitstrings for EJ
+names.  Values are arbitrary hashables — numbers or node ids for EJ
 relations, :class:`~repro.intervals.Interval` objects for IJ relations.
 """
 

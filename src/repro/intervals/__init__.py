@@ -1,8 +1,8 @@
-"""Interval algebra, segment trees and bitstring encodings.
+"""Interval algebra, segment trees and node-id encodings.
 
 This subpackage provides the geometric substrate of the paper: closed
 intervals, the segment tree with canonical partitions (Section 3), and
-the bitstring toolkit used by both reductions (Sections 4 and 5).
+the node-id toolkit used by both reductions (Sections 4 and 5).
 """
 
 from .interval import (
@@ -12,21 +12,13 @@ from .interval import (
     intersect_all,
     minimum_endpoint_gap,
 )
-from .segment_tree import (
-    Segment,
-    SegmentTree,
-    ancestors,
-    elementary_segments,
-    is_ancestor,
-    is_strict_ancestor,
-)
+from .segment_tree import Segment, SegmentTree, elementary_segments
 from .bitstring import (
     count_splits,
     dyadic_fraction,
     dyadic_interval,
     is_prefix,
     perfect_tree_segment,
-    splits,
 )
 from .interval_tree import IntervalTree, index_join
 from .endpoints import (
@@ -47,16 +39,12 @@ __all__ = [
     "minimum_endpoint_gap",
     "Segment",
     "SegmentTree",
-    "ancestors",
     "elementary_segments",
-    "is_ancestor",
-    "is_strict_ancestor",
     "count_splits",
     "dyadic_fraction",
     "dyadic_interval",
     "is_prefix",
     "perfect_tree_segment",
-    "splits",
     "collect_endpoints",
     "distinct_left_epsilon",
     "make_left_endpoints_distinct",

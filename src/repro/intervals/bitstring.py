@@ -5,19 +5,18 @@ A node of the paper's segment tree (Section 3) is named by a
 are ``b + '0'`` and ``b + '1'``.  That string is the binary expansion of
 the node's index in the heap layout of the complete tree (root ``1``,
 children ``2v`` and ``2v + 1``) with the leading ``1`` dropped, so the
-integer ``v = (1 << len(b)) | int(b, 2)`` *is* the node: :func:`node_id`
-and :func:`bits` convert, and everything between the tree and the code
-matrices of the forward reduction carries the integer.  The empty
-string — the root, and an empty split part — is :data:`EMPTY` ``= 1``.
+integer ``v = (1 << len(b)) | int(b, 2)`` *is* the node, and every
+module outside this one carries only the integer.  :func:`node_id` and
+:func:`bits` convert, for the tests and the figure benches that print
+or pin the paper's strings.  The empty string — the root, and an empty
+split part — is :data:`EMPTY` ``= 1``.
 
 The forward reduction splits a node into ``i`` ordered, possibly empty
 parts (the set ``𝔉(u, i)`` of Claim C.1): :func:`split_ids` gives that
 family as one integer matrix from a cut plan memoized per
-``(len(u), i)``; :func:`splits` is the same family on strings, in the
-same order, for the paper-figure walk-throughs and the test oracles.
-The backward reduction maps bitstrings to dyadic intervals via the
-function ``F`` of Example 5.1 and to the explicit perfect-tree segments
-of Appendix D (Figure 7).
+``(len(u), i)``.  The backward reduction maps a node to the explicit
+perfect-tree segment of Appendix D (Figure 7, :func:`perfect_tree_segment`);
+:func:`dyadic_interval` is the function ``F`` of Example 5.1 on strings.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -52,29 +50,13 @@ def is_prefix(u: str, v: str) -> bool:
     return v.startswith(u)
 
 
-def splits(u: str, parts: int) -> Iterator[tuple[str, ...]]:
-    """All tuples ``(x_1, ..., x_parts)`` with ``x_1 ∘ ... ∘ x_parts = u``.
-
-    Parts may be empty (the reduction relies on empty parts when two
-    intervals share a segment-tree node).  For a string of length ``L``
-    there are ``C(L + parts - 1, parts - 1)`` splits, which is
-    ``O(log^(parts-1) |I|)`` for segment-tree bitstrings (Claim C.1).
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    length = len(u)
-    for cuts in combinations_with_replacement(range(length + 1), parts - 1):
-        bounds = (0, *cuts, length)
-        yield tuple(u[bounds[i]:bounds[i + 1]] for i in range(parts))
-
-
 @lru_cache(maxsize=None)
 def _cut_plan(length: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
     """How to cut any node of depth ``length`` into ``parts`` parts: per
-    split (rows, in :func:`splits` order) and part (columns), the right
-    shift that drops what follows the part and the part's own leading
-    bit ``1 << len(part)``.  At most ``height * k`` plans exist per
-    process, so the memo is unbounded."""
+    split (rows, cuts in ``combinations_with_replacement`` order) and
+    part (columns), the right shift that drops what follows the part and
+    the part's own leading bit ``1 << len(part)``.  At most
+    ``height * k`` plans exist per process, so the memo is unbounded."""
     cuts = list(combinations_with_replacement(range(length + 1), parts - 1))
     bounds = np.empty((len(cuts), parts + 1), dtype=np.int64)
     bounds[:, 0] = 0
@@ -89,8 +71,10 @@ def _cut_plan(length: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
 
 def split_ids(v: int, parts: int) -> np.ndarray:
     """``𝔉(u, parts)`` for the node with id ``v`` as an
-    ``(n_splits, parts)`` matrix of part ids, rows in the order
-    :func:`splits` yields them.  Ids stay below ``2 << len(u)``."""
+    ``(n_splits, parts)`` matrix of part ids, one row per tuple
+    ``(x_1, ..., x_parts)`` with ``x_1 ∘ ... ∘ x_parts = u`` (parts may
+    be empty: the reduction relies on empty parts when two intervals
+    share a node).  Ids stay below ``2 << len(u)``."""
     shifts, tops = _cut_plan(v.bit_length() - 1, parts)
     return ((v >> shifts) & (tops - 1) | tops).astype(np.uint32)
 
@@ -133,19 +117,19 @@ def dyadic_interval(b: str, max_length: int) -> Interval:
     return Interval(left, right)
 
 
-def perfect_tree_segment(u: str, total_depth: int) -> Interval:
-    """``seg(u)`` in the modified perfect segment tree of Appendix D.
+def perfect_tree_segment(v: int, total_depth: int) -> Interval:
+    """``seg(u)`` in the modified perfect segment tree of Appendix D, for
+    the node with id ``v``.
 
     Following the proof of Theorem 5.2 (Figure 7): ``seg(u) = [x, y]``
     where ``brep(x) = '1' ∘ u ∘ '0'^ℓ`` and ``brep(y) = '1' ∘ u ∘ '1'^ℓ``
-    with ``ℓ = total_depth - |u|``.  Two such segments intersect iff one
-    bitstring is a prefix of the other.
+    with ``ℓ = total_depth - |u|`` — that is ``v`` shifted left by ``ℓ``,
+    the shifted-in bits all zero or all one.  Two such segments
+    intersect iff one node is an ancestor of the other.
     """
-    pad = total_depth - len(u)
+    pad = total_depth - (v.bit_length() - 1)
     if pad < 0:
         raise ValueError(
-            f"bitstring {u!r} longer than tree depth {total_depth}"
+            f"node {bits(v)!r} deeper than the tree depth {total_depth}"
         )
-    lo = int("1" + u + "0" * pad, 2)
-    hi = int("1" + u + "1" * pad, 2)
-    return Interval(lo, hi)
+    return Interval(v << pad, ((v + 1) << pad) - 1)

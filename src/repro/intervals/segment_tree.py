@@ -20,10 +20,10 @@ heap layout of the complete tree (root ``1``, children ``2v`` and
 ``2v + 1`` — see :mod:`repro.intervals.bitstring`), its segment follows
 from ``v`` by index arithmetic, and :meth:`SegmentTree.cp_ids` /
 :meth:`SegmentTree.leaf_id` are a binary search plus an ``O(log n)``
-integer walk.  The methods that speak bitstrings
-(:meth:`~SegmentTree.canonical_partition`,
-:meth:`~SegmentTree.leaf_of_point`, :meth:`~SegmentTree.seg`, ...) are
-the paper's vocabulary as views of the integer ones.
+integer walk.  The tree speaks ids only: :meth:`SegmentTree.segment`
+is ``seg(v)``, :meth:`SegmentTree.node_ids` the node set, and a caller
+that wants the paper's bitstring renders an id with
+:func:`repro.intervals.bitstring.bits`.
 
 :meth:`SegmentTree.column_encodings` does both for a whole column of
 distinct values at once: the bottom-up ``l, r`` walk over heap ids as
@@ -42,11 +42,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .bitstring import EMPTY, _cut_plan, bits, is_prefix, node_id, split_ids
+from .bitstring import EMPTY, _cut_plan, split_ids
 from .interval import Interval
 
 NEG_INF = -math.inf
@@ -78,13 +78,6 @@ class Segment:
         lo = "(" if self.lo_open else "["
         hi = ")" if self.hi_open else "]"
         return f"{lo}{self.lo}, {self.hi}{hi}"
-
-
-class Leaf(NamedTuple):
-    """One leaf as :meth:`SegmentTree.leaves` reports it."""
-
-    bitstring: str
-    seg: Segment
 
 
 def elementary_segments(endpoints: Sequence[float]) -> list[Segment]:
@@ -202,7 +195,9 @@ class SegmentTree:
             return (1 << self.height) + rank
         return (1 << (self.height - 1)) + rank - self._inner
 
-    def _segment(self, v: int) -> Segment:
+    def segment(self, v: int) -> Segment:
+        """``seg(v)``: the union of the elementary segments of the leaves
+        under node ``v``."""
         points = self._points
         first, last = self._span(v)
         if first % 2:
@@ -216,18 +211,10 @@ class SegmentTree:
             hi, hi_open = (points[at] if at < len(points) else POS_INF), True
         return Segment(lo, hi, lo_open, hi_open)
 
-    def _node_ids(self) -> range:
-        """Levels above the bottom are full; the bottom is packed left."""
+    def node_ids(self) -> range:
+        """Every node id.  Levels above the bottom are full; the bottom
+        is packed left."""
         return range(1, (1 << self.height) + self._bottom)
-
-    def __contains__(self, bitstring: str) -> bool:
-        if not isinstance(bitstring, str) or bitstring.strip("01"):
-            return False
-        depth = len(bitstring)
-        return depth < self.height or (
-            depth == self.height
-            and node_id(bitstring) - (1 << depth) < self._bottom
-        )
 
     # ------------------------------------------------------------------
     # canonical partitions and point location, on node ids
@@ -384,37 +371,6 @@ class SegmentTree:
         return matrix, starts, counts
 
     # ------------------------------------------------------------------
-    # the paper's vocabulary: the same, on bitstrings
-    # ------------------------------------------------------------------
-
-    def bitstrings(self) -> list[str]:
-        return [bits(v) for v in self._node_ids()]
-
-    def seg(self, bitstring: str) -> Segment:
-        """``seg(u)`` (raises ``KeyError`` for a string that is no node)."""
-        if bitstring not in self:
-            raise KeyError(bitstring)
-        return self._segment(node_id(bitstring))
-
-    def leaves(self) -> list[Leaf]:
-        """The leaves, left to right."""
-        ids = map(self._leaf_at, range(2 * len(self._points) + 1))
-        return [Leaf(bits(v), self._segment(v)) for v in ids]
-
-    def canonical_partition(self, x: Interval) -> list[str]:
-        """``CP_I(x)`` as bitstrings, in lexicographic order (which, for
-        an antichain, is left to right)."""
-        return [bits(v) for v in self.cp_ids(x)]
-
-    def leaf_of_point(self, p: float) -> str:
-        """Bitstring of the unique leaf whose segment contains ``p``."""
-        return bits(self.leaf_id(p))
-
-    def leaf_of_interval(self, x: Interval) -> str:
-        """``leaf(x)``: the leaf containing the left endpoint of ``x``."""
-        return bits(self.leaf_id(x.left))
-
-    # ------------------------------------------------------------------
     # classical insert / stab (Algorithms 2 and 3)
     # ------------------------------------------------------------------
 
@@ -434,19 +390,3 @@ class SegmentTree:
         for up in range(leaf.bit_length() - 1, -1, -1):
             result.extend(self._canonical.get(leaf >> up, ()))
         return result
-
-
-#: Property 3.2(1) in tree vocabulary: ``u`` is an ancestor of ``v``
-#: (inclusive) iff its bitstring is a prefix of ``v``'s.
-is_ancestor = is_prefix
-
-
-def is_strict_ancestor(u: str, v: str) -> bool:
-    """True iff ``u`` is a strict ancestor of ``v`` (Appendix G)."""
-    return u != v and is_prefix(u, v)
-
-
-def ancestors(v: str) -> list[str]:
-    """``anc(v)``: all ancestors of ``v`` including ``v`` itself, i.e. all
-    prefixes of its bitstring, from the root down."""
-    return [v[:i] for i in range(len(v) + 1)]

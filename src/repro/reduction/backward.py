@@ -3,15 +3,18 @@ Theorem 5.2, Appendix D).
 
 Given an EJ query ``Q̃`` whose hypergraph lies in ``τ(H)`` — i.e. one of
 the disjuncts the forward reduction would produce for the self-join-free
-IJ query ``Q`` — and *any* database ``D̃`` of bitstrings, it constructs
-an interval database ``D`` with ``|D| = |D̃|`` such that
+IJ query ``Q`` — and *any* database ``D̃`` over ``{0,1}^b``, it
+constructs an interval database ``D`` with ``|D| = |D̃|`` such that
 ``Q(D) ⟺ Q̃(D̃)`` (Claim D.3).  Hence any lower bound for any disjunct
 transfers to the IJ query: the forward reduction is optimal.
 
-The interval for an atom whose ``X``-columns are ``X1..Xi`` is the
-segment ``seg(x1 ∘ ... ∘ xi)`` of the modified perfect segment tree of
-Figure 7: ``seg(u) = [int('1'+u+'0'^ℓ, 2), int('1'+u+'1'^ℓ, 2)]``.  Two
-such segments intersect iff one bitstring is a prefix of the other.
+A ``b``-bit value is held as a node id (``(1 << b) | value``, see
+:mod:`repro.intervals.bitstring`), so the concatenation
+``x1 ∘ ... ∘ xi`` of an atom's ``X``-columns is a run of ``b``-bit left
+shifts, and the atom's interval is that node's segment in the modified
+perfect segment tree of Figure 7
+(:func:`~repro.intervals.bitstring.perfect_tree_segment`).  Two such
+segments intersect iff one node is an ancestor of the other.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import ceil, log2
 from typing import Mapping
 
 from ..engine.relation import Database, Relation
-from ..intervals.bitstring import perfect_tree_segment
+from ..intervals.bitstring import EMPTY, perfect_tree_segment
 from ..queries.query import Query
 
 # variable name -> atom label -> number of X-parts (permutation position)
@@ -28,12 +31,12 @@ PositionMap = Mapping[str, Mapping[str, int]]
 
 
 def bitstring_encode_database(db: Database, width: int | None = None) -> Database:
-    """Replace every value with a fixed-width bitstring.
+    """Replace every value with the id of a fixed-width bitstring.
 
     The proof of Theorem 5.2 assumes w.l.o.g. that the EJ database's
     domain is ``{0,1}^b``; this helper realises the w.l.o.g.: distinct
-    values map to distinct equal-length bitstrings, preserving every
-    equality join.
+    values, ranked in ``repr`` order, map to the ids ``(1 << b) | rank``
+    of distinct ``b``-bit strings, preserving every equality join.
     """
     values: set = set()
     for relation in db:
@@ -43,7 +46,7 @@ def bitstring_encode_database(db: Database, width: int | None = None) -> Databas
     b = width if width is not None else max(1, ceil(log2(max(len(ordered), 2))))
     if (1 << b) < len(ordered):
         raise ValueError(f"width {b} too small for {len(ordered)} values")
-    code = {v: format(i, f"0{b}b") for i, v in enumerate(ordered)}
+    code = {v: (1 << b) | i for i, v in enumerate(ordered)}
     out = Database()
     for relation in db:
         out.add(
@@ -67,7 +70,7 @@ def backward_database(
 
     ``positions`` fixes, per interval variable, each atom's permutation
     position — identifying which disjunct ``Q̃`` is being reduced from.
-    ``ej_db`` must hold fixed-width bitstrings (see
+    ``ej_db`` must hold the ids of fixed-width bitstrings (see
     :func:`bitstring_encode_database`); ``relation_names`` maps the IJ
     atom labels to the EJ relation names holding their tuples (defaults
     to the atom's own relation name).
@@ -75,7 +78,7 @@ def backward_database(
     if not ij_query.is_self_join_free:
         raise ValueError("the backward reduction assumes a self-join-free query")
     widths = {
-        len(x)
+        x.bit_length() - 1
         for relation in ej_db
         for t in relation.tuples
         for x in t
@@ -84,6 +87,7 @@ def backward_database(
         raise ValueError(f"mixed bitstring widths {widths}; encode first")
     b = widths.pop() if widths else 1
     total_depth = len(ij_query.atoms) * b
+    top = 1 << b
 
     out = Database()
     for atom in ij_query.atoms:
@@ -114,9 +118,11 @@ def backward_database(
                     row.append(t[cursor])
                     cursor += 1
                     continue
-                concat = "".join(t[cursor:cursor + parts])
+                node = EMPTY
+                for x in t[cursor:cursor + parts]:
+                    node = (node << b) | (x - top)
                 cursor += parts
-                row.append(perfect_tree_segment(concat, total_depth))
+                row.append(perfect_tree_segment(node, total_depth))
             rows.add(tuple(row))
         out.add(Relation(atom.relation, atom.variable_names, rows))
     return out
@@ -128,6 +134,6 @@ def backward_reduce(
     ej_db: Database,
     relation_names: Mapping[str, str] | None = None,
 ) -> Database:
-    """Encode values as bitstrings, then build the interval database."""
+    """Encode values as bitstring ids, then build the interval database."""
     encoded = bitstring_encode_database(ej_db)
     return backward_database(ij_query, positions, encoded, relation_names)

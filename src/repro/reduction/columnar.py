@@ -20,8 +20,8 @@ cardinality statistics, delta patches and the cache serializer all
 operate on the raw arrays — including arrays backed by an ``np.memmap``
 of a cache entry, which is how warm workers serve reductions zero-copy —
 and a consumer that asks for Python tuples gets a read-only decoded
-view (code columns through the book, bits columns as the paper's
-bitstrings) that leaves the arrays in place.
+view (code columns through the book, bits and id columns verbatim)
+that leaves the arrays in place.
 
 Delta maintenance stays in array space too:
 :meth:`ColumnarCounts.adjust` locates one input tuple's derived rows in
@@ -45,8 +45,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-from ..intervals.bitstring import bits
 
 __all__ = [
     "CODE_DTYPE",
@@ -74,11 +72,10 @@ CODE_DTYPE = np.dtype(np.uint32)
 #: exact well below 2**53 and are cast back immediately).
 COUNT_DTYPE = np.dtype(np.int64)
 
-#: Column kinds: ``bits`` cells are segment-tree node ids (decode to the
-#: node's bitstring), ``code`` cells are :class:`CodeBook` codes (decode
-#: via the book), ``id`` cells are small non-negative ints stored
-#: verbatim (provenance ids — already integers, interning them would be
-#: a pointless indirection).
+#: Column kinds: ``code`` cells are :class:`CodeBook` codes (decode via
+#: the book); ``bits`` cells are segment-tree node ids and ``id`` cells
+#: provenance ids, both already integers and stored and decoded
+#: verbatim (interning them would be a pointless indirection).
 COL_BITS = "bits"
 COL_CODE = "code"
 COL_ID = "id"
@@ -140,8 +137,6 @@ def decode_cells(kind: str, cells: list[int], book: CodeBook | None) -> list:
     if kind == COL_CODE:
         values = book.values
         return [values[c] for c in cells]
-    if kind == COL_BITS:
-        return [bits(c) for c in cells]
     return cells
 
 
@@ -344,8 +339,8 @@ def encode_rows(
 ) -> ColumnBlock:
     """Python rows as a :class:`ColumnBlock` over ``book``, in the
     given order: :data:`COL_CODE` columns are interned through the
-    book, :data:`COL_ID` columns (small non-negative ints) are stored
-    verbatim."""
+    book, :data:`COL_BITS` and :data:`COL_ID` columns (small
+    non-negative ints) are stored verbatim."""
     rows = list(rows)
     codes = np.empty((len(rows), len(kinds)), dtype=CODE_DTYPE)
     for j, (kind, column) in enumerate(zip(kinds, zip(*rows))):

@@ -32,8 +32,8 @@ a quarter of the cost of a one-value column.  What the code is handed
 selects the path; nothing else does.  Part ids are written into the
 matrix verbatim (``bits`` columns), point values through the artifact's
 one codebook, provenance ids verbatim.  The differential digest tests
-pin the decoded output, bit for bit, to a naive per-tuple loop on
-bitstrings kept under ``tests/oracles``.
+pin the decoded output, bit for bit, to a naive per-tuple loop over the
+literal tree of Section 3 kept under ``tests/oracles``.
 
 With ``disjoint=True`` the Appendix G refinement is applied: after the
 distinct-left-endpoint shift, every satisfying tuple combination is

@@ -9,7 +9,9 @@ Iterating this step over every interval variable is exactly
 Algorithm 1; :mod:`repro.reduction.forward` implements that full loop
 directly with shared variants, while this module exposes the individual
 steps — useful for inspection (Example 4.12) and for mixed strategies
-that resolve only the variables a downstream engine cannot handle.
+that resolve only the variables a downstream engine cannot handle.  Its
+relations hold the same cells as ``forward_reduce``'s: each part is a
+segment-tree node id (:mod:`repro.intervals.bitstring`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import permutations
 
 from ..engine.relation import Database, Relation
 from ..hypergraph.transform import part_vertex
-from ..intervals.bitstring import splits
+from ..intervals.bitstring import split_ids
 from ..intervals.interval import Interval
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, pvar
@@ -41,7 +43,7 @@ def one_step_forward(query: Query, db: Database, variable: str) -> OneStepResult
     """Resolve ``[variable]`` in ``query`` over ``db``.
 
     The transformed database holds, per atom containing the variable
-    and per position ``i``, the relation with ``X1..Xi`` bitstring
+    and per position ``i``, the relation with ``X1..Xi`` node-id
     columns in place of the interval column; atoms not containing the
     variable keep their original relations.
     """
@@ -130,12 +132,9 @@ def _variant(
     rows: set[tuple] = set()
     for t in relation.tuples:
         value = t[var_idx]
-        if i < k:
-            nodes = tree.canonical_partition(value)
-        else:
-            nodes = [tree.leaf_of_interval(value)]
+        nodes = tree.cp_ids(value) if i < k else [tree.leaf_id(value.left)]
         encodings = [
-            split for node in nodes for split in splits(node, i)
+            split for node in nodes for split in split_ids(node, i).tolist()
         ]
         for split in encodings:
             row: list = []

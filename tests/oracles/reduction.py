@@ -5,10 +5,14 @@
 The query-level half of Algorithm 1 (position maps, encoded atoms,
 variant specs) is shared with production; everything *database*-level is
 redone here the slow way and on the paper's own vocabulary — every
-tuple re-walks its segment trees and re-enumerates its splits as
-bitstrings (no encoding memo, no node ids), rows are Python tuples in
-sets, refcounts a ``dict`` — so a result from :func:`naive_forward_reduce`
-is row-backed throughout and digests
+tuple reads its canonical partition or leaf off the literal tree of
+Section 3 (:mod:`oracles.segment_tree`, built from the production
+tree's endpoint list and nothing else of it) and re-enumerates the
+splits of those bitstrings (:func:`splits`, no encoding memo); only the
+finished parts are written as node ids (``node_id``), the cells
+production's rows decode to.  Rows are Python tuples in sets, refcounts
+a ``dict`` — so a result from :func:`naive_forward_reduce` is
+row-backed throughout and digests
 (:func:`repro.core.reduction_cache.result_digest`) equal to the array
 builder's exactly when the two are bit-identical.  Deltas are applied
 to such a result by :func:`apply_delta_rows`.
@@ -16,11 +20,11 @@ to such a result by :func:`apply_delta_rows`.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Mapping, MutableMapping, Sequence
+from itertools import combinations_with_replacement, product
+from typing import Iterator, Mapping, MutableMapping, Sequence
 
 from repro.engine.relation import Database, Delta, Relation
-from repro.intervals.bitstring import splits
+from repro.intervals.bitstring import node_id
 from repro.intervals.interval import Interval
 from repro.intervals.segment_tree import SegmentTree
 from repro.queries.query import Atom, Query
@@ -31,25 +35,44 @@ from repro.reduction.forward import (
     _VariantSpec,
 )
 
+from .segment_tree import canonical_partition, leaf_of_point, literal_tree
+
+
+def splits(u: str, parts: int) -> Iterator[tuple[str, ...]]:
+    """All tuples ``(x_1, ..., x_parts)`` with ``x_1 ∘ ... ∘ x_parts = u``
+    — the set ``𝔉(u, parts)`` of Claim C.1.
+
+    Parts may be empty (the reduction relies on empty parts when two
+    intervals share a segment-tree node).  For a string of length ``L``
+    there are ``C(L + parts - 1, parts - 1)`` splits, which is
+    ``O(log^(parts-1) |I|)`` for segment-tree bitstrings.
+    """
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    length = len(u)
+    for cuts in combinations_with_replacement(range(length + 1), parts - 1):
+        bounds = (0, *cuts, length)
+        yield tuple(u[bounds[i]:bounds[i + 1]] for i in range(parts))
+
 
 def interval_encodings(
     tree: SegmentTree, k: int, value: Interval, i: int, nonempty_last: bool
-) -> list[tuple[str, ...]]:
-    """All ``(X1..Xi)`` bitstring tuples for one interval value against
-    one segment tree: CP-variant splits for ``i < k``, leaf-variant
-    splits for ``i = k`` (Definition 4.9), with the Appendix G
-    non-emptiness constraint applied when requested."""
+) -> list[tuple[int, ...]]:
+    """All ``(X1..Xi)`` part-id tuples for one interval value against
+    the literal tree over ``tree``'s endpoints: CP-variant splits for
+    ``i < k``, leaf-variant splits for ``i = k`` (Definition 4.9), with
+    the Appendix G non-emptiness constraint applied when requested."""
+    nodes = literal_tree(tree.endpoints)
     if i < k:
-        nodes = tree.canonical_partition(value)
+        cover = canonical_partition(nodes, value.left, value.right)
     else:
-        nodes = [tree.leaf_of_interval(value)]
-    out: list[tuple[str, ...]] = []
-    for node in nodes:
-        for split in splits(node, i):
-            if nonempty_last and i > 1 and split[-1] == "":
-                continue
-            out.append(split)
-    return out
+        cover = [leaf_of_point(nodes, value.left)]
+    return [
+        tuple(map(node_id, split))
+        for node in cover
+        for split in splits(node, i)
+        if not (nonempty_last and i > 1 and split[-1] == "")
+    ]
 
 
 def transform_tuple(
@@ -69,7 +92,7 @@ def transform_tuple(
     """
     parts = dict(spec.parts)
     nonempty = set(spec.nonempty_last)
-    encodings: list[Sequence[tuple[str, ...]]] = []
+    encodings: list[Sequence[tuple[int, ...]]] = []
     fixed: list = []
     order: list[tuple[str, int]] = []  # (kind, payload index)
     for v, value in zip(atom.variables, t):

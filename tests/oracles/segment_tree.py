@@ -2,8 +2,10 @@
 complete binary tree over the elementary segments, recursively, one
 object per node, bitstring ids by appending ``0`` / ``1`` — as the
 reference for the index arithmetic of
-:class:`repro.intervals.SegmentTree`."""
+:class:`repro.intervals.SegmentTree` and the source of the naive
+reduction oracle's canonical partitions and leaves."""
 
+from functools import lru_cache
 from math import ceil, log2
 
 from repro.intervals import elementary_segments
@@ -37,3 +39,26 @@ def canonical_partition(nodes: dict[str, tuple], left, right) -> list[str]:
     ``[left, right]`` while their parent's does not."""
     inside = {b for b, (lo, hi, *_) in nodes.items() if left <= lo and hi <= right}
     return sorted(b for b in inside if not b or b[:-1] not in inside)
+
+
+def contains(node: tuple, p) -> bool:
+    """Whether the segment of ``node`` (a :func:`complete_tree` value)
+    contains the point ``p``."""
+    lo, hi, lo_open, hi_open, _ = node
+    return (lo < p or (lo == p and not lo_open)) and (
+        p < hi or (p == hi and not hi_open)
+    )
+
+
+def leaf_of_point(nodes: dict[str, tuple], p) -> str:
+    """The one leaf whose segment contains ``p``."""
+    (leaf,) = (b for b, node in nodes.items() if node[-1] and contains(node, p))
+    return leaf
+
+
+@lru_cache(maxsize=64)
+def literal_tree(endpoints: tuple) -> dict[str, tuple]:
+    """:func:`complete_tree`, memoized per endpoint tuple (a reduction
+    oracle asks the same tree once per tuple; callers must not mutate
+    the result)."""
+    return complete_tree(endpoints)

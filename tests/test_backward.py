@@ -1,18 +1,31 @@
-"""Backward reduction tests (Section 5, Appendix D, Claim D.3)."""
+"""Backward reduction tests (Section 5, Appendix D, Claim D.3), and the
+backward differential: the EJ engine on a random instance of every
+disjunct against the IJ session on its backward image.
 
+CI runs this module across the ``REPRO_FUZZ_SEED`` matrix.
+"""
+
+import os
 import random
+from math import ceil, log2
 
 import pytest
 
+from repro.core import QuerySession
 from repro.core.baselines import naive_evaluate
-from repro.engine import Database, Relation
-from repro.intervals import perfect_tree_segment
-from repro.queries import catalog, parse_query
+from repro.engine import Database, Relation, evaluate_ej
+from repro.hypergraph import tau_with_positions
+from repro.hypergraph.transform import part_vertex
+from repro.intervals import Interval, perfect_tree_segment
+from repro.intervals.bitstring import node_id
+from repro.queries import Atom, Query, catalog, parse_query, pvar
 from repro.reduction import (
     backward_database,
     backward_reduce,
     bitstring_encode_database,
 )
+
+FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 
 
 class TestBitstringEncoding:
@@ -25,9 +38,9 @@ class TestBitstringEncoding:
         )
         encoded = bitstring_encode_database(db)
         widths = {
-            len(x) for rel in encoded for t in rel.tuples for x in t
+            x.bit_length() - 1 for rel in encoded for t in rel.tuples for x in t
         }
-        assert len(widths) == 1
+        assert widths == {3}  # five values: node ids of depth 3
 
     def test_preserves_equalities(self):
         db = Database(
@@ -60,8 +73,47 @@ class TestFigure7:
             "101": (26, 27),
         }
         for bits, (lo, hi) in cases.items():
-            seg = perfect_tree_segment(bits, 4)
+            seg = perfect_tree_segment(node_id(bits), 4)
             assert (seg.left, seg.right) == (lo, hi), bits
+
+    def test_backward_reduce_builds_the_string_construction(self):
+        """For any EJ database, the intervals are Theorem 5.2's proof
+        read on strings: values ranked in ``repr`` order to ``b``-bit
+        strings, an atom's parts concatenated, ``seg(u)`` from
+        ``'1' ∘ u ∘ '0'^ℓ`` and ``'1' ∘ u ∘ '1'^ℓ``."""
+        rng = random.Random(3)
+        q = catalog.triangle_ij()
+        positions = {
+            "A": {"R": 2, "T": 1},
+            "B": {"R": 1, "S": 2},
+            "C": {"S": 2, "T": 1},
+        }
+        schemas = {"R": ("A1", "A2", "B1"), "S": ("B1", "B2", "C1", "C2"), "T": ("A1", "C1")}
+        ej_db = Database(
+            Relation(name, cols, {tuple(rng.randrange(9) for _ in cols) for _ in range(12)})
+            for name, cols in schemas.items()
+        )
+        values = sorted({x for r in ej_db for t in r.tuples for x in t}, key=repr)
+        b = ceil(log2(len(values)))
+        text = {x: format(i, f"0{b}b") for i, x in enumerate(values)}
+        depth = 3 * b
+
+        def seg(u):
+            pad = depth - len(u)
+            return Interval(int("1" + u + "0" * pad, 2), int("1" + u + "1" * pad, 2))
+
+        ij_db = backward_reduce(q, positions, ej_db)
+        for atom in q.atoms:
+            expected = set()
+            for t in ej_db[atom.relation].tuples:
+                parts = iter(text[x] for x in t)
+                expected.add(
+                    tuple(
+                        seg("".join(next(parts) for _ in range(positions[v.name][atom.label])))
+                        for v in atom.variables
+                    )
+                )
+            assert ij_db[atom.relation].tuples == expected, atom.label
 
 
 class TestClaimD3:
@@ -193,7 +245,7 @@ class TestClaimD3:
 class TestValidation:
     def test_self_join_rejected(self):
         q = parse_query("R([A]) ∧ R([A])")
-        db = Database([Relation("R", ("A1",), [("0",)])])
+        db = Database([Relation("R", ("A1",), [(node_id("0"),)])])
         with pytest.raises(ValueError):
             backward_database(q, {"A": {"R": 1, "R#2": 2}}, db)
 
@@ -204,10 +256,11 @@ class TestValidation:
             "B": {"R": 2, "S": 1},
             "C": {"R": 1},
         }
+        zero, one = node_id("0"), node_id("1")
         db = Database(
             [
-                Relation("R", ("A1", "B1"), [("0", "1")]),
-                Relation("S", ("A1", "A2", "B1"), [("0", "1", "0")]),
+                Relation("R", ("A1", "B1"), [(zero, one)]),
+                Relation("S", ("A1", "A2", "B1"), [(zero, one, zero)]),
             ]
         )
         with pytest.raises(ValueError):
@@ -220,11 +273,77 @@ class TestValidation:
             "B": {"R": 2, "S": 1},
             "C": {"R": 1},
         }
+        zero, one, one_zero = node_id("0"), node_id("1"), node_id("10")
         db = Database(
             [
-                Relation("R", ("A1", "B1", "B2", "C1"), [("0", "1", "10", "1")]),
-                Relation("S", ("A1", "A2", "B1"), [("0", "1", "0")]),
+                Relation("R", ("A1", "B1", "B2", "C1"), [(zero, one, one_zero, one)]),
+                Relation("S", ("A1", "A2", "B1"), [(zero, one, zero)]),
             ]
         )
         with pytest.raises(ValueError):
             backward_database(q, positions, db)
+
+
+# ----------------------------------------------------------------------
+# the backward differential: EJ engine ≡ IJ session on the backward image
+# ----------------------------------------------------------------------
+
+DIFFERENTIAL_QUERIES = {
+    "triangle": catalog.triangle_ij,
+    "cycle4": lambda: catalog.cycle_ij(4),
+    "path3": lambda: catalog.path_ij(3),
+    "star3": lambda: catalog.star_ij(3),
+    "fig9e": catalog.figure9e_ij,
+    "fig9f": catalog.figure9f_ij,
+}
+
+
+def ej_disjunct(q: Query, positions) -> Query:
+    """``Q̃`` for one position map: each ``[X]`` at position ``i`` of an
+    atom becomes the point variables ``X1..Xi`` in place."""
+    atoms = []
+    for atom in q.atoms:
+        variables = []
+        for v in atom.variables:
+            if v.is_interval:
+                i = positions[v.name][atom.label]
+                variables.extend(pvar(part_vertex(v.name, j)) for j in range(1, i + 1))
+            else:
+                variables.append(v)
+        atoms.append(Atom(atom.label, atom.relation, tuple(variables)))
+    return Query(tuple(atoms), name=f"{q.name}~")
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_QUERIES))
+def test_backward_differential(name):
+    """Per disjunct of ``τ(H)``, a random EJ instance ``Ĩ`` of
+    ``n ∈ {40, 150}`` tuples per relation: ``Q̃(Ĩ)`` by the EJ engine,
+    with no interval anywhere, must be ``Q(D)`` by the session's forward
+    reduction on ``D = backward(Ĩ)``, and ``|D| = |Ĩ|``.  Domains cycle
+    dense / medium / sparse so that both answers occur for every query."""
+    q = DIFFERENTIAL_QUERIES[name]()
+    rng = random.Random(f"{FUZZ_SEED}:{name}")
+    answers = []
+    disjuncts = tau_with_positions(q.hypergraph(), q.interval_variable_names())
+    for _, positions in disjuncts:
+        ej_query = ej_disjunct(q, positions)
+        n = (40, 150)[len(answers) % 2]
+        domain = (max(2, n // 8), n, n * n)[len(answers) % 3]
+        ej_db = Database(
+            Relation(
+                atom.relation,
+                atom.variable_names,
+                {
+                    tuple(rng.randrange(domain) for _ in atom.variables)
+                    for _ in range(n)
+                },
+            )
+            for atom in ej_query.atoms
+        )
+        ij_db = backward_reduce(q, positions, ej_db)
+        assert ij_db.size == ej_db.size
+        expected = evaluate_ej(ej_query, ej_db)
+        got = QuerySession(ij_db).evaluate(q, strategy="reduction")
+        assert got == expected, (name, positions, n, domain)
+        answers.append(expected)
+    assert set(answers) == {True, False}, name

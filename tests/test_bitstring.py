@@ -1,9 +1,11 @@
-"""Bitstring toolkit tests: splits 𝔉(u,i), dyadic map F, Figure 7."""
+"""Bitstring toolkit tests: the oracle's string splits 𝔉(u,i), dyadic
+map F, Figure 7 on node ids."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles.reduction import splits
 
 from repro.intervals import (
     count_splits,
@@ -11,8 +13,8 @@ from repro.intervals import (
     dyadic_interval,
     is_prefix,
     perfect_tree_segment,
-    splits,
 )
+from repro.intervals.bitstring import node_id
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=8)
 
@@ -90,18 +92,18 @@ class TestPerfectTreeSegment:
     def test_figure7_values(self):
         """Figure 7 (n=2, b=2, depth 4): seg('') = [16,31],
         seg('0') = [16,23], seg('1010') = [26,26]."""
-        assert perfect_tree_segment("", 4).left == 16
-        assert perfect_tree_segment("", 4).right == 31
-        assert perfect_tree_segment("0", 4).left == 16
-        assert perfect_tree_segment("0", 4).right == 23
-        seg = perfect_tree_segment("1010", 4)
+        assert perfect_tree_segment(node_id(""), 4).left == 16
+        assert perfect_tree_segment(node_id(""), 4).right == 31
+        assert perfect_tree_segment(node_id("0"), 4).left == 16
+        assert perfect_tree_segment(node_id("0"), 4).right == 23
+        seg = perfect_tree_segment(node_id("1010"), 4)
         assert seg.left == seg.right == 26
 
     @given(bitstrings, bitstrings)
     def test_prefix_iff_intersect(self, u, v):
         depth = 8
-        su = perfect_tree_segment(u, depth)
-        sv = perfect_tree_segment(v, depth)
+        su = perfect_tree_segment(node_id(u), depth)
+        sv = perfect_tree_segment(node_id(v), depth)
         expected = is_prefix(u, v) or is_prefix(v, u)
         assert su.intersects(sv) == expected
 
@@ -109,10 +111,10 @@ class TestPerfectTreeSegment:
     def test_child_containment(self, u):
         if len(u) >= 8:
             return
-        parent = perfect_tree_segment(u, 8)
-        assert parent.contains(perfect_tree_segment(u + "0", 8))
-        assert parent.contains(perfect_tree_segment(u + "1", 8))
+        parent = perfect_tree_segment(node_id(u), 8)
+        assert parent.contains(perfect_tree_segment(node_id(u + "0"), 8))
+        assert parent.contains(perfect_tree_segment(node_id(u + "1"), 8))
 
     def test_too_deep_raises(self):
         with pytest.raises(ValueError):
-            perfect_tree_segment("0101", 3)
+            perfect_tree_segment(node_id("0101"), 3)

@@ -86,9 +86,11 @@ class TestWorkflow:
         # delta-patch differentials, the columnar bag-kernel
         # differentials, the point-only / wide-key / big-count
         # regressions, the column-encoding differential, the delta-
-        # frame chain ≡ live ≡ naive scripts and the freshness machine
+        # frame chain ≡ live ≡ naive scripts, the freshness machine
         # (the one test that classifies every step as patch, rebuild or
-        # unchanged, for both heads) all ride the same matrix
+        # unchanged, for both heads) and the backward differential (EJ
+        # engine ≡ IJ session on the backward image) all ride the same
+        # matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -99,6 +101,7 @@ class TestWorkflow:
             "tests/test_column_encodings.py",
             "tests/test_delta_frames.py",
             "tests/test_freshness.py",
+            "tests/test_backward.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

@@ -13,14 +13,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles.reduction import apply_delta_rows, naive_forward_reduce
-from oracles.segment_tree import canonical_partition, complete_tree
+from oracles.reduction import apply_delta_rows, naive_forward_reduce, splits
+from oracles.segment_tree import canonical_partition, complete_tree, leaf_of_point
 from test_delta_maintenance import _in_domain_tuple
 
 from repro.core.reduction_cache import result_digest
 from repro.engine import Database, Relation
-from repro.intervals import Interval, SegmentTree, bitstring, segment_tree, splits
-from repro.intervals.bitstring import bits
+from repro.intervals import Interval, SegmentTree, bitstring, segment_tree
+from repro.intervals.bitstring import node_id
 from repro.queries import catalog, parse_query
 from repro.reduction import ForwardReducer, forward_reduce
 from repro.reduction.columnar import distinct_rows
@@ -76,7 +76,6 @@ def test_column_encodings_are_the_scalar_ones_and_the_papers(m):
         pairs += [(low + 0.25, high - 0.25)] if low + 0.25 <= high - 0.25 else []
     values = [Interval(a, b) for a, b in dict.fromkeys(pairs)]
     reference = complete_tree(points)
-    leaves = [b for b, node in reference.items() if node[-1]]
     for parts, leaf, flag in VARIANTS:
         tree = SegmentTree.from_endpoints(points)
         matrix, starts, counts = tree.column_encodings(values, parts, leaf, flag)
@@ -86,32 +85,20 @@ def test_column_encodings_are_the_scalar_ones_and_the_papers(m):
         assert got == _scalar(points, values, parts, leaf, flag)
         for value, rows in zip(values, got):
             if leaf:
-                nodes = [
-                    b
-                    for b in leaves
-                    if _contains(reference[b], value.left)
-                ]
-                assert len(nodes) == 1
+                nodes = [leaf_of_point(reference, value.left)]
             else:
                 nodes = canonical_partition(reference, value.left, value.right)
             expected = sorted(
-                split
+                tuple(map(node_id, split))
                 for node in nodes
                 for split in splits(node, parts)
                 if not (flag and parts > 1 and split[-1] == "")
             )
-            assert sorted(tuple(bits(c) for c in row) for row in rows) == expected
+            assert rows == expected
             # and the scalar entry point now answers from the column
             served = tree.encodings(value, parts, leaf, flag)
             assert not served.flags.writeable
             assert len(served) == 0 or np.shares_memory(served, matrix)
-
-
-def _contains(node, p):
-    lo, hi, lo_open, hi_open, _ = node
-    return (lo < p or (lo == p and not lo_open)) and (
-        p < hi or (p == hi and not hi_open)
-    )
 
 
 # ----------------------------------------------------------------------

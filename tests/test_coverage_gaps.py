@@ -16,6 +16,7 @@ from repro.engine.generic_join import default_variable_order
 from repro.engine.io import parse_value
 from repro.hypergraph import Hypergraph
 from repro.intervals import Interval, SegmentTree
+from repro.intervals.bitstring import EMPTY
 from repro.queries import parse_query
 from repro.widths import modular_width_lower_bound, submodular_width
 
@@ -24,14 +25,14 @@ class TestSegmentTreeEdgeCases:
     def test_empty_interval_set(self):
         tree = SegmentTree([])
         assert tree.size == 1
-        assert tree.leaf_of_point(42.0) == ""
-        assert tree.canonical_partition(Interval(0, 1)) == []
+        assert tree.leaf_id(42.0) == EMPTY  # the root is the one leaf
+        assert tree.cp_ids(Interval(0, 1)) == []
 
     def test_single_point_interval(self):
         tree = SegmentTree([Interval.point(5)])
-        cp = tree.canonical_partition(Interval.point(5))
+        cp = tree.cp_ids(Interval.point(5))
         assert len(cp) == 1
-        seg = tree.seg(cp[0])
+        seg = tree.segment(cp[0])
         assert seg.lo == seg.hi == 5
 
     def test_intervals_property(self):
@@ -40,11 +41,12 @@ class TestSegmentTreeEdgeCases:
         assert tree.intervals == xs
 
     def test_contains_and_bitstrings(self):
+        # one point pair, five leaves: depth 3 holds the first two
         tree = SegmentTree([Interval(0, 1)])
-        assert "" in tree
-        assert "0" in tree
-        assert "definitely-not" not in tree
-        assert "" in tree.bitstrings()
+        nodes = tree.node_ids()
+        assert EMPTY in nodes and 0b10 in nodes and 0b1001 in nodes
+        assert 0 not in nodes and 0b1010 not in nodes
+        assert len(nodes) == tree.size == 9
 
 
 class TestGenericJoinInternals:

@@ -166,12 +166,12 @@ class TestSegmentTreeLocate:
         assert tree.in_domain(x)
         # exactly the tree a rebuild with x included would give
         rebuilt = SegmentTree([iv(0, 4), iv(2, 6), iv(5, 9), x])
-        assert rebuilt.bitstrings() == tree.bitstrings()
-        canonical = tree.canonical_partition(x)
-        assert canonical == rebuilt.canonical_partition(x)
-        assert tree.leaf_of_interval(x) == rebuilt.leaf_of_interval(x)
+        assert rebuilt.node_ids() == tree.node_ids()
+        canonical = tree.cp_ids(x)
+        assert canonical == rebuilt.cp_ids(x)
+        assert tree.leaf_id(x.left) == rebuilt.leaf_id(x.left)
         # the canonical partition tiles x exactly: every segment inside
-        segments = [tree.seg(b) for b in canonical]
+        segments = [tree.segment(v) for v in canonical]
         assert all(x.left <= s.lo and s.hi <= x.right for s in segments)
         assert min(s.lo for s in segments) == x.left
         assert max(s.hi for s in segments) == x.right
@@ -184,7 +184,7 @@ class TestSegmentTreeLocate:
         tree = self.make()
         x = iv(2, 7)
         assert not tree.in_domain(x)
-        covered = [tree.seg(b) for b in tree.canonical_partition(x)]
+        covered = [tree.segment(v) for v in tree.cp_ids(x)]
         assert max(s.hi for s in covered) == 6  # short of 7
         q = parse_query("R([A]) ∧ S([A])")
         db = Database(

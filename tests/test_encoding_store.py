@@ -1,7 +1,7 @@
 """The encoding-memoized columnar forward reduction: the integer split
 family ``𝔉(u, i)`` and its memoized cut plan, the one encoding memo on
 the segment tree, the array variant builder's bit-identity with the
-naive per-tuple bitstring loop of ``tests/oracles``, memo reuse by the
+naive per-tuple loop of ``tests/oracles``, memo reuse by the
 delta-patch path, and the session timing stats behind ``repro evaluate
 --profile``.
 """
@@ -13,6 +13,7 @@ from oracles.reduction import (
     apply_delta_rows,
     interval_encodings,
     naive_forward_reduce,
+    splits,
 )
 
 from repro.core import QuerySession
@@ -20,7 +21,7 @@ from repro.core.reduction_cache import result_digest
 from repro.core.session import PROFILE_PHASES
 from repro.engine import Database, Relation
 from repro.engine.relation import Delta
-from repro.intervals import Interval, count_splits, splits
+from repro.intervals import Interval, count_splits
 from repro.intervals.bitstring import EMPTY, _cut_plan, bits, node_id, split_ids
 from repro.queries import parse_query
 from repro.reduction import ForwardReducer, forward_reduce
@@ -38,9 +39,9 @@ def _db(text, n=20, seed=3):
     )
 
 
-def _decoded(matrix):
-    """An encoding matrix of part ids in the oracle's vocabulary."""
-    return [tuple(bits(c) for c in row) for row in matrix.tolist()]
+def _rows(matrix):
+    """An encoding matrix as the oracle's list of part-id tuples."""
+    return list(map(tuple, matrix.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +58,9 @@ class TestSplitTuples:
                 u = format(value, "b").zfill(length) if length else ""
                 for parts in (1, 2, 3, 4):
                     matrix = split_ids(node_id(u), parts)
-                    assert _decoded(matrix) == list(splits(u, parts))
+                    assert _rows(matrix) == [
+                        tuple(map(node_id, split)) for split in splits(u, parts)
+                    ]
                     assert matrix.shape == (count_splits(length, parts), parts)
         assert bits(EMPTY) == "" and node_id("") == EMPTY
 
@@ -95,7 +98,7 @@ class TestEncodingStore:
             for i in (1, 2):
                 for flag in (False, True):
                     got = tree.encodings(t[0], i, i == k, flag)
-                    assert _decoded(got) == interval_encodings(
+                    assert _rows(got) == interval_encodings(
                         tree, k, t[0], i, flag
                     )
                     filtered += len(tree.encodings(t[0], i, i == k, False)) - len(got)
@@ -134,7 +137,7 @@ class TestEncodingStore:
         )
         served = tree.encodings(value, 1, False, False)
         assert np.shares_memory(served, matrix) and not served.flags.writeable
-        assert sorted(_decoded(served)) == sorted(
+        assert sorted(_rows(served)) == sorted(
             interval_encodings(tree, 2, value, 1, False)
         )
 

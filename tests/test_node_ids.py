@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 from oracles.reduction import apply_delta_rows, naive_forward_reduce
-from oracles.segment_tree import canonical_partition, complete_tree
+from oracles.segment_tree import canonical_partition, complete_tree, leaf_of_point
 from test_delta_maintenance import _in_domain_tuple
 
 from repro.core import QuerySession, naive_count, naive_evaluate
@@ -19,6 +19,7 @@ from repro.core.disjunct_eval import count_disjunction, evaluate_disjunction
 from repro.core.reduction_cache import FORMAT_VERSION, result_digest
 from repro.engine import Database, Relation
 from repro.intervals import Interval, SegmentTree, bitstring, segment_tree
+from repro.intervals.bitstring import bits, node_id
 from repro.queries import catalog, parse_query
 from repro.reduction import forward_reduce, shift_distinct_left
 from repro.reduction.columnar import COL_BITS
@@ -36,35 +37,36 @@ def test_heap_index_tree_is_the_papers_complete_tree(m):
     points = sorted(rng.sample(range(-500, 500), m))
     reference = complete_tree(points)
     tree = SegmentTree.from_endpoints(points)
-    assert sorted(tree.bitstrings()) == sorted(reference)
+    assert sorted(tree.node_ids()) == sorted(map(node_id, reference))
     assert tree.size == len(reference)
     assert tree.height == max(map(len, reference))
     for b, (lo, hi, lo_open, hi_open, _) in reference.items():
-        seg = tree.seg(b)
+        seg = tree.segment(node_id(b))
         assert (seg.lo, seg.hi, seg.lo_open, seg.hi_open) == (
             lo, hi, lo_open, hi_open,
         ), b
+    # one probe per elementary segment, left to right: the leaves in order
+    gaps = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    probes = sorted(points + gaps + ([points[0] - 1, points[-1] + 1] if points else [0]))
     leaves = [b for b, node in sorted(reference.items()) if node[-1]]
-    assert [leaf.bitstring for leaf in tree.leaves()] == leaves
-    for p in points + [points[0] - 1, points[-1] + 1] if points else [0]:
-        leaf = tree.leaf_of_point(p)
-        assert leaf in leaves and tree.seg(leaf).contains_point(p)
+    assert [leaf_of_point(reference, p) for p in probes] == leaves
+    assert [bits(tree.leaf_id(p)) for p in probes] == leaves
     pairs = (
         [(a, b) for a in points for b in points if a <= b]
         if m <= 12
         else [tuple(sorted(rng.sample(points, 2))) for _ in range(20)]
     )
     for left, right in pairs:
-        assert tree.canonical_partition(
-            Interval(left, right)
-        ) == canonical_partition(reference, left, right)
+        assert list(map(bits, tree.cp_ids(Interval(left, right)))) == (
+            canonical_partition(reference, left, right)
+        )
     # off-domain intervals: the maximal nodes inside, however short
     for _ in range(10):
         left = rng.uniform(-510, 510)
         right = left + rng.uniform(0, 300)
-        assert tree.canonical_partition(
-            Interval(left, right)
-        ) == canonical_partition(reference, left, right)
+        assert list(map(bits, tree.cp_ids(Interval(left, right)))) == (
+            canonical_partition(reference, left, right)
+        )
 
 
 def test_figure_3_exactly():
@@ -74,7 +76,7 @@ def test_figure_3_exactly():
     ]
     assert canonical_partition(reference, 1, 4) == ["001", "01", "10"]
     tree = SegmentTree([Interval(1, 4), Interval(3, 4)])
-    assert sorted(tree.bitstrings()) == sorted(reference)
+    assert sorted(map(bits, tree.node_ids())) == sorted(reference)
     assert tree.cp_ids(Interval(1, 4)) == [0b1001, 0b101, 0b110]
     assert tree.leaf_id(3.5) == 0b1100 and tree.id_bound == 16
 
@@ -88,17 +90,12 @@ def _poison_the_string_vocabulary(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("the production path spoke bitstrings")
 
-    originals = {bitstring.splits, bitstring.bits, bitstring.node_id}
+    originals = {bitstring.bits, bitstring.node_id}
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("repro"):
             for name, value in list(vars(module).items()):
                 if callable(value) and value in originals:
                     monkeypatch.setattr(module, name, poisoned)
-    for view in (
-        "bitstrings", "seg", "leaves", "canonical_partition",
-        "leaf_of_point", "leaf_of_interval", "__contains__",
-    ):
-        monkeypatch.setattr(SegmentTree, view, poisoned)
 
 
 def test_no_strings_on_the_production_path(monkeypatch, tmp_path):
@@ -108,7 +105,7 @@ def test_no_strings_on_the_production_path(monkeypatch, tmp_path):
     expected_count = naive_count(query, db)
     _poison_the_string_vocabulary(monkeypatch)
     with pytest.raises(AssertionError):
-        SegmentTree([Interval(0, 1)]).canonical_partition(Interval(0, 1))
+        bitstring.bits(bitstring.EMPTY)
 
     result = forward_reduce(query, db)
     rng = random.Random(5)
@@ -134,7 +131,7 @@ def test_no_strings_on_the_production_path(monkeypatch, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (d) builder ≡ the string-speaking oracle on every catalog query
+# (d) builder ≡ the literal-tree oracle on every catalog query
 # ----------------------------------------------------------------------
 
 

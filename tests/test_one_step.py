@@ -66,6 +66,34 @@ class TestExample412Structure:
         assert {"R@A1", "R@A2", "T@A1", "T@A2", "S"} == names
 
 
+class TestSameCellsAsForward:
+    def test_one_variable_step_is_the_forward_reduction(self):
+        """With one interval variable, the one step *is* Algorithm 1:
+        the same relations as ``forward_reduce``'s, cell for cell (part
+        ids, point values verbatim)."""
+        from repro.reduction import forward_reduce
+
+        rng = random.Random(4)
+        q = parse_query("R([A], x) ∧ S([A]) ∧ T([A], y)")
+        db = Database()
+        for atom in q.atoms:
+            rows = {
+                tuple(
+                    rand_interval(rng) if v.is_interval else rng.randrange(3)
+                    for v in atom.variables
+                )
+                for _ in range(8)
+            }
+            db.add(Relation(atom.relation, atom.variable_names, rows))
+        step = one_step_forward(q, db, "A")
+        reduced = forward_reduce(q, db).database
+        assert len(step.database.relation_names) == len(reduced.relation_names) == 9
+        for name in step.database.relation_names:
+            twin = reduced[name.replace("@", "~")]
+            assert step.database[name].schema == twin.schema
+            assert step.database[name].tuples == twin.tuples, name
+
+
 class TestLemma411:
     """One-step equivalence: Q(D) iff some disjunct of Q̃_[X](D̃_[X])."""
 

@@ -14,7 +14,7 @@ from repro.core.sweep import single_shared_interval_variable
 from repro.engine import Database, Relation, columnar_eval
 from repro.engine.ej import plan_ej
 from repro.engine.statistics import rank_disjuncts
-from repro.intervals import Interval
+from repro.intervals import Interval, SegmentTree
 from repro.queries import catalog, parse_query
 from repro.reduction import forward_reduce
 from repro.sql import compile_sql, cost, lower_query
@@ -220,19 +220,32 @@ def test_ej_methods_are_compared_in_the_ej_module_alone():
         assert ("ej_method" in source) == (relative == "sql/cost.py"), relative
 
 
-SPEAKS_BITSTRINGS = {"reduction/one_step.py", "reduction/backward.py"}
+#: What ``repro.intervals.bitstring`` converts with: no other module of
+#: ``src/`` imports them.
+NODE_CONVERTERS = {"bits", "node_id", "splits"}
 
 
 def node_format_uses(source: str) -> list[str]:
     """Everything in ``source`` that knows how a segment-tree node is
-    written: an import of the string split family, a binary rendering
+    written: an import of the string split family, of the converters
+    from the bitstring module (or a call through it), a binary rendering
     (``format(v, "b")``, ``f"{v:b}"``, ``bin(v)``) or a prefix test
     against a non-literal (``v.startswith(u)``)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         hit = False
         if isinstance(node, ast.ImportFrom):
-            hit = any(alias.name == "splits" for alias in node.names)
+            names = {alias.name for alias in node.names}
+            hit = "splits" in names or (
+                (node.module or "").endswith("bitstring")
+                and bool(names & NODE_CONVERTERS)
+            )
+        elif isinstance(node, ast.Attribute):
+            hit = (
+                node.attr in NODE_CONVERTERS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "bitstring"
+            )
         elif isinstance(node, ast.FormattedValue):
             spec = node.format_spec and ast.unparse(node.format_spec)
             hit = bool(spec) and spec.rstrip("'\"").endswith("b")
@@ -255,12 +268,16 @@ def node_format_uses(source: str) -> list[str]:
 
 
 def test_the_node_id_format_is_known_to_the_intervals_package_alone():
-    """One tree, one node id, one encoding: between the tree and the
-    code matrix a node is an opaque integer.  Only ``repro.intervals``
-    converts it, and only the two paper-figure modules that reproduce
-    the bitstring constructions (Fig. 1's one-step walk-through, the
-    Theorem 5.2 backward reduction) speak strings beside it."""
+    """One tree, one node id, one encoding: everywhere in ``src/`` a
+    node is an opaque integer.  Only ``intervals/bitstring.py`` knows
+    how it is written — the backward reduction, the one-step walk, the
+    FAQ-AI index and decoded rows all hold ids, and a bitstring is only
+    rendered, by the tests and figure benches, through ``bits``."""
     assert node_format_uses("from ..intervals.bitstring import splits")
+    assert node_format_uses("from ..intervals.bitstring import EMPTY, bits")
+    assert node_format_uses("from repro.intervals.bitstring import node_id")
+    assert node_format_uses("from .bitstring import EMPTY, split_ids") == []
+    assert node_format_uses("b = bitstring.bits(v)")
     assert node_format_uses('b = format(v, "b")[1:]')
     assert node_format_uses('b = format(v, "032b")')
     assert node_format_uses('b = f"{v:b}"') and node_format_uses("bin(v)")
@@ -269,11 +286,18 @@ def test_the_node_id_format_is_known_to_the_intervals_package_alone():
     root = Path(repro.__file__).resolve().parent
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
-        if relative.startswith("intervals/") or relative in SPEAKS_BITSTRINGS:
-            continue
-        assert node_format_uses(path.read_text()) == [], relative
+        found = node_format_uses(path.read_text())
+        assert bool(found) == (relative == "intervals/bitstring.py"), (
+            relative, found,
+        )
     for gone in ("reduction/encoding_store.py", "reduction/factored.py"):
         assert not (root / gone).exists()
+    tree = vars(SegmentTree)
+    for view in (
+        "bitstrings", "seg", "leaves", "canonical_partition",
+        "leaf_of_point", "leaf_of_interval", "__contains__",
+    ):
+        assert view not in tree, view
 
 
 def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):

@@ -1,18 +1,26 @@
-"""Segment tree tests: Figure 3 exactness and Property 3.2 invariants."""
+"""Segment tree tests: Figure 3 exactness and Property 3.2 invariants,
+on node ids (Figure 3's bitstrings are rendered with ``bits``)."""
 
 import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.intervals import (
-    Interval,
-    SegmentTree,
-    ancestors,
-    elementary_segments,
-    is_ancestor,
-    is_strict_ancestor,
-)
+from repro.intervals import Interval, SegmentTree, elementary_segments, is_prefix
+from repro.intervals.bitstring import bits, node_id
+
+
+def is_ancestor(u: int, v: int) -> bool:
+    """Property 3.2(1) on ids: ``u`` is an ancestor of ``v`` (inclusive)
+    iff ``v`` shifted right by the depth difference is ``u``."""
+    shift = v.bit_length() - u.bit_length()
+    return shift >= 0 and v >> shift == u
+
+
+def leaves(tree: SegmentTree) -> list[int]:
+    """The ids of ``tree``'s leaves: the nodes without a left child."""
+    nodes = tree.node_ids()
+    return [v for v in nodes if 2 * v not in nodes]
 
 
 class TestElementarySegments:
@@ -47,44 +55,54 @@ class TestPaperFigure3:
     def setup_method(self):
         self.tree = SegmentTree([Interval(1, 4), Interval(3, 4)])
 
+    def cp(self, x):
+        return [bits(v) for v in self.tree.cp_ids(x)]
+
     def test_canonical_partitions(self):
-        assert self.tree.canonical_partition(Interval(1, 4)) == ["001", "01", "10"]
-        assert self.tree.canonical_partition(Interval(3, 4)) == ["011", "10"]
+        assert self.cp(Interval(1, 4)) == ["001", "01", "10"]
+        assert self.cp(Interval(3, 4)) == ["011", "10"]
+        assert self.tree.cp_ids(Interval(3, 4)) == [0b1011, 0b110]
 
     def test_node_segments(self):
-        seg = self.tree.seg("0")
+        seg = self.tree.segment(node_id("0"))
         assert seg.lo == -math.inf and seg.hi == 3 and not seg.hi_open
-        seg01 = self.tree.seg("01")
+        seg01 = self.tree.segment(node_id("01"))
         assert (seg01.lo, seg01.hi, seg01.lo_open, seg01.hi_open) == (1, 3, True, False)
-        seg101 = self.tree.seg("101")
+        seg101 = self.tree.segment(node_id("101"))
         assert seg101.lo == seg101.hi == 4
 
     def test_shape_is_complete(self):
         # 7 leaves: six at depth 3 packed left, one ('11') at depth 2
-        leaves = sorted(n.bitstring for n in self.tree.leaves())
-        assert leaves == ["000", "001", "010", "011", "100", "101", "11"]
-        assert self.tree.size == 13
+        rendered = sorted(map(bits, leaves(self.tree)))
+        assert rendered == ["000", "001", "010", "011", "100", "101", "11"]
+        assert self.tree.size == len(self.tree.node_ids()) == 13
 
     def test_leaf_of_points(self):
-        assert self.tree.leaf_of_point(1) == "001"
-        assert self.tree.leaf_of_point(3) == "011"
-        assert self.tree.leaf_of_point(3.5) == "100"
-        assert self.tree.leaf_of_point(99) == "11"
+        assert bits(self.tree.leaf_id(1)) == "001"
+        assert bits(self.tree.leaf_id(3)) == "011"
+        assert bits(self.tree.leaf_id(3.5)) == "100"
+        assert bits(self.tree.leaf_id(99)) == "11"
 
     def test_leaf_of_interval_is_left_endpoint_leaf(self):
-        assert self.tree.leaf_of_interval(Interval(3, 4)) == "011"
+        x = Interval(3, 4)
+        assert self.tree.leaf_id(x.left) == node_id("011")
 
 
 class TestBitstringStructure:
     def test_ancestor_iff_prefix(self):
-        assert is_ancestor("0", "01")
-        assert is_ancestor("01", "01")
-        assert not is_ancestor("01", "0")
-        assert not is_strict_ancestor("01", "01")
-        assert is_strict_ancestor("", "0")
+        assert is_ancestor(node_id("0"), node_id("01"))
+        assert is_ancestor(node_id("01"), node_id("01"))
+        assert not is_ancestor(node_id("01"), node_id("0"))
+        assert is_ancestor(node_id(""), node_id("0"))
+        strings = [format(i, "b")[1:] for i in range(1, 32)]  # depth <= 4
+        for u in strings:
+            for v in strings:
+                assert is_ancestor(node_id(u), node_id(v)) == is_prefix(u, v)
 
     def test_ancestors_list(self):
-        assert ancestors("010") == ["", "0", "01", "010"]
+        # anc(v) from the root down: the climb ``stab`` takes, by shifts
+        v = node_id("010")
+        assert [bits(v >> up) for up in range(3, -1, -1)] == ["", "0", "01", "010"]
 
 
 def random_intervals(rng, n, domain=50, max_len=10):
@@ -101,10 +119,10 @@ class TestProperty32:
     def test_prefix_iff_segment_containment(self):
         rng = random.Random(0)
         tree = SegmentTree(random_intervals(rng, 12))
-        nodes = tree.bitstrings()
+        nodes = tree.node_ids()
         for u in nodes:
             for v in nodes:
-                seg_u, seg_v = tree.seg(u), tree.seg(v)
+                seg_u, seg_v = tree.segment(u), tree.segment(v)
                 contains = (
                     seg_u.lo <= seg_v.lo
                     and seg_v.hi <= seg_u.hi
@@ -119,7 +137,7 @@ class TestProperty32:
         intervals = random_intervals(rng, 20)
         tree = SegmentTree(intervals)
         for x in intervals:
-            cp = tree.canonical_partition(x)
+            cp = tree.cp_ids(x)
             for u in cp:
                 for v in cp:
                     if u != v:
@@ -136,20 +154,19 @@ class TestProperty32:
             | {x.right + 0.25 for x in intervals}
         )
         for x in intervals:
-            cp = tree.canonical_partition(x)
+            cp = tree.cp_ids(x)
             for p in probe_points:
-                covered = any(tree.seg(u).contains_point(p) for u in cp)
+                covered = any(tree.segment(u).contains_point(p) for u in cp)
                 assert covered == x.contains_point(p), (x, p)
 
     def test_canonical_partition_disjoint_segments(self):
         rng = random.Random(3)
         intervals = random_intervals(rng, 15)
         tree = SegmentTree(intervals)
-        leaves = tree.leaves()
         for x in intervals:
-            cp = tree.canonical_partition(x)
-            for leaf in leaves:
-                owners = [u for u in cp if is_ancestor(u, leaf.bitstring)]
+            cp = tree.cp_ids(x)
+            for leaf in leaves(tree):
+                owners = [u for u in cp if is_ancestor(u, leaf)]
                 assert len(owners) <= 1
 
     def test_canonical_partition_logarithmic(self):
@@ -159,8 +176,9 @@ class TestProperty32:
         tree = SegmentTree(intervals)
         for x in intervals:
             per_depth = {}
-            for u in tree.canonical_partition(x):
-                per_depth[len(u)] = per_depth.get(len(u), 0) + 1
+            for u in tree.cp_ids(x):
+                depth = u.bit_length() - 1
+                per_depth[depth] = per_depth.get(depth, 0) + 1
             assert all(c <= 2 for c in per_depth.values()), x
 
 
@@ -218,11 +236,9 @@ def test_intersection_via_cp_and_leaf(raw):
     for x in intervals:
         for y in intervals:
             expected = x.intersects(y)
-            leaf_y = tree.leaf_of_interval(y)
-            leaf_x = tree.leaf_of_interval(x)
-            via_tree = any(
-                is_ancestor(u, leaf_y) for u in tree.canonical_partition(x)
-            ) or any(
-                is_ancestor(u, leaf_x) for u in tree.canonical_partition(y)
+            leaf_y = tree.leaf_id(y.left)
+            leaf_x = tree.leaf_id(x.left)
+            via_tree = any(is_ancestor(u, leaf_y) for u in tree.cp_ids(x)) or any(
+                is_ancestor(u, leaf_x) for u in tree.cp_ids(y)
             )
             assert via_tree == expected, (x, y)
