@@ -9,9 +9,10 @@ decomposition iff ``fhtw < ρ*``), short-circuiting on the first true
 disjunct.  Total time ``O(N^ijw(H) · polylog N)``.
 
 ``count_ij`` uses the Appendix G disjoint rewriting plus provenance
-columns so that satisfying tuple combinations are counted exactly once
-— the ids are variables the count head enumerates, so its cyclic
-disjuncts decompose where ``evaluate_ij`` runs them flat.
+columns so that satisfying tuple combinations are counted exactly once.
+Both heads plan the same singleton-free core (the ids are summed out),
+so a cyclic disjunct is one generic join for either; only the ``full``
+head, which enumerates the ids, decomposes.
 
 ``witnesses_ij`` enumerates satisfying original tuple combinations by
 mapping provenance ids back through the reduction.

@@ -585,10 +585,11 @@ class QuerySession:
         """Boolean answer, cached by canonical form.
 
         ``strategy='auto'`` runs the optimizer's plan (:meth:`plan`);
-        ``'reduction'`` forces the Theorem 4.15 pipeline (what
-        :func:`repro.core.evaluate_ij` does).  The answer cache is
-        strategy-agnostic — every correct strategy returns the same
-        Boolean.
+        ``'reduction'`` forces the Theorem 4.15 pipeline on the query's
+        one artifact, the Appendix G reduction :meth:`count` reads too
+        (:func:`repro.core.evaluate_ij` runs the plain one).  The answer
+        cache is strategy-agnostic — every correct strategy returns the
+        same Boolean.
         """
         return bool(self._answer("eval", query, strategy))
 

@@ -26,8 +26,10 @@ the first consumer that turns that substrate into a *service*:
   router with the request's tenant bound first).  Mutations go through
   the logged :class:`~repro.engine.relation.Database` delta API, so
   warm workers patch cached reductions instead of rebuilding them;
-* :mod:`repro.service.client` — blocking and asyncio clients whose verb
-  methods are generated from the table;
+* :mod:`repro.service.client` — the two wire clients, whose verb
+  methods are generated from the table: the blocking, pipelined
+  :class:`ServiceClient` (thread-safe; the coordinator dials shard
+  nodes with it) and the asyncio :class:`AsyncServiceClient`;
 * :mod:`repro.service.loadgen` — an open/closed-loop load harness that
   replays :mod:`repro.workloads`-generated request mixes against a
   server and reports throughput and latency percentiles;
@@ -42,7 +44,8 @@ the first consumer that turns that substrate into a *service*:
 * :mod:`repro.service.remote` — remote shard nodes (PR 7): each shard a
   standalone ``repro shard --listen`` OS process speaking the same
   protocol, dialed by a coordinator :class:`ShardRouter` through
-  :class:`RemoteShardNode`/:class:`RemoteShardPool`.  Outstanding work
+  :class:`RemoteShardNode` (a :class:`ServiceClient` under a ring
+  name) and :class:`RemoteShardPool`.  Outstanding work
   lives in one registry per failure domain — a worker's, a node
   connection's — and whoever pops an entry owns its resolve, so dead
   shards are evicted and their in-flight work resubmitted to survivors
@@ -61,7 +64,7 @@ from .client import (
     BadQuery,
     ServiceClient,
     ServiceError,
-    StaleConnection,
+    ShardUnreachable,
 )
 from .loadgen import LoadReport, generate_requests, run_load
 from .pool import Pool, PoolClosed, WorkerCrash, WorkerPool
@@ -86,9 +89,7 @@ from .protocol import (
 from .remote import (
     RemoteShardNode,
     RemoteShardPool,
-    ShardConnection,
     ShardProcess,
-    ShardUnreachable,
     spawn_shard_process,
 )
 from .ring import HashRing, stable_digest
@@ -100,7 +101,7 @@ __all__ = [
     "BadQuery",
     "ServiceClient",
     "ServiceError",
-    "StaleConnection",
+    "ShardUnreachable",
     "LoadReport",
     "generate_requests",
     "run_load",
@@ -126,9 +127,7 @@ __all__ = [
     "query_text",
     "RemoteShardNode",
     "RemoteShardPool",
-    "ShardConnection",
     "ShardProcess",
-    "ShardUnreachable",
     "spawn_shard_process",
     "HashRing",
     "stable_digest",

@@ -1,10 +1,12 @@
-"""Clients for the service wire protocol.
+"""The two clients of the service wire protocol.
 
-:class:`ServiceClient` is the blocking client — one socket, one request
-at a time — for scripts, tests and the CLI.  :class:`AsyncServiceClient`
-is the asyncio client the load generator uses; it pipelines: many
-requests may be in flight on one connection, matched back to their
-futures by request ``id``.
+:class:`ServiceClient` is the blocking client: one persistent,
+pipelined connection that any thread may use, its replies matched to
+requests by id by a reader thread.  Scripts and tests use it,
+and the coordinator dials each shard node with it
+(:class:`~repro.service.remote.RemoteShardNode` is a subclass).
+:class:`AsyncServiceClient` is the asyncio client the load generator
+uses, matching replies to futures the same way.
 
 Neither client spells a verb out: one method per entry of the verb
 table (:data:`~repro.service.protocol.VERBS`) is generated on
@@ -28,16 +30,19 @@ from __future__ import annotations
 import asyncio
 import itertools
 import socket
-from typing import Any
+import threading
+from concurrent.futures import Future, TimeoutError as FutureTimeout
+from typing import Any, Callable
 
 from . import protocol
+from .pool import Entry, _resolve
 
 __all__ = [
     "AsyncServiceClient",
     "BadQuery",
     "ServiceClient",
     "ServiceError",
-    "StaleConnection",
+    "ShardUnreachable",
 ]
 
 
@@ -57,14 +62,12 @@ class BadQuery(ServiceError):
     retryable; :attr:`message` carries the parser diagnostic."""
 
 
-class StaleConnection(ConnectionError):
-    """The blocking client's connection can no longer be trusted.
-
-    After a ``socket.timeout`` mid-``readline`` the server's (late)
-    response is still in flight: reusing the socket would read it as
-    the answer to the *next* request, silently desynchronizing the
-    framing.  The client therefore marks itself broken and raises this
-    typed error on any further use — open a new client instead."""
+class ShardUnreachable(ConnectionError):
+    """The server a :class:`ServiceClient` dialed cannot be reached:
+    dial failure, connection loss mid-request, or (for a shard node) a
+    failed health check.  The coordinator maps this to the typed
+    ``shard_unreachable`` wire error after failover has been
+    attempted."""
 
 
 #: Error codes that mean "this shard cannot serve you, the router can":
@@ -144,12 +147,25 @@ for _verb in protocol.VERBS.values():
 
 
 class ServiceClient(_VerbMethods):
-    """Blocking line-protocol client.
+    """Blocking client over one persistent, pipelined connection.
 
+    Thread-safe: any thread sends (:meth:`request`, a verb method, or
+    :meth:`request_async` for a future), and a daemon reader thread
+    matches replies to requests by id, so replies may come out of order
+    and a timed-out request's late reply never answers a later one.
+    ``timeout`` bounds the dial and each blocking wait; a wait that
+    runs out raises :class:`TimeoutError` and forgets its request.
     ``tenant`` — for router-tier servers — is stamped onto every
-    request that does not carry its own, so one client object speaks
-    for one tenant without repeating it per call.
-    """
+    request that does not carry its own.
+
+    The pending map is the registry of the connection's failure domain:
+    whoever pops an entry owns its resolve — the reader (a reply
+    arrived) or :meth:`drain` (the coordinator evicts the node and
+    settles the entries itself; a later reply is dropped).  On
+    connection loss other than a local :meth:`close`, ``on_down`` fires
+    exactly once, from the reader, while the unanswered entries are
+    still pending; whatever it leaves behind then fails with
+    :class:`ShardUnreachable`, as does every later request."""
 
     def __init__(
         self,
@@ -157,23 +173,35 @@ class ServiceClient(_VerbMethods):
         port: int,
         timeout: float | None = 60.0,
         tenant: str | None = None,
+        on_down: Callable[["ServiceClient"], None] | None = None,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.tenant = tenant
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        self._on_down = on_down
         self._ids = itertools.count(1)
-        self._broken: str | None = None
-
-    def close(self) -> None:
+        self._lock = threading.Lock()        # pending map + down state
+        self._write_lock = threading.Lock()  # one frame at a time
+        # id -> (entry, reshape): the registry of this failure domain
+        self._pending: dict[int, tuple[Entry, Callable[[dict], Any] | None]] = {}
+        self._down: BaseException | None = None
+        self._settled = False  # the loss has been handed over and failed
+        self._closing = False
         try:
-            self._file.close()
-        except OSError:  # a timed-out socket may fail its flush-on-close
-            pass
-        finally:
-            self._sock.close()
+            self._sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as error:
+            raise ShardUnreachable(
+                f"cannot dial {host}:{port}: {error}"
+            ) from error
+        self._sock.settimeout(None)
+        self._file = self._sock.makefile("rwb")
+        self._reader = threading.Thread(
+            target=self._read_loop,
+            name=f"repro-client-reader-{host}:{port}",
+            daemon=True,
+        )
+        self._reader.start()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -181,42 +209,172 @@ class ServiceClient(_VerbMethods):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
+    @property
+    def is_down(self) -> bool:
+        return self._down is not None
 
-    def request(self, op: str, **fields: Any) -> dict:
-        """Send one request, return the raw response dict.
-
-        A ``socket.timeout`` mid-read leaves the late response in
-        flight — the connection's framing can never be trusted again,
-        so the client marks itself broken and every later call raises
-        :class:`StaleConnection` instead of silently returning the
-        previous request's answer."""
-        if self._broken is not None:
-            raise StaleConnection(self._broken)
+    def request_async(
+        self,
+        op: str,
+        *,
+        entry: Entry | None = None,
+        reshape: Callable[[dict], Any] | None = None,
+        **fields: Any,
+    ) -> Future:
+        """Send one request; returns ``entry.future`` (a fresh entry is
+        minted when none is given), which the reader resolves with
+        ``reshape(response)`` — the raw response dict by default — or
+        with the exception ``reshape`` raises.  Never raises and never
+        blocks on a dead wire (enqueue-only callers hold the router
+        lock): a send failure, or a connection that is already down but
+        whose loss is still being handed over, leaves the entry pending
+        for whoever settles the loss; once the loss is settled the
+        future fails with :class:`ShardUnreachable` at once."""
         if self.tenant is not None:
             fields.setdefault("tenant", self.tenant)
-        message = {"id": next(self._ids), "op": op, **fields}
+        if entry is None:
+            entry = Entry(op, None, fields, Future())
+        request_id = next(self._ids)
+        # encoded before anything is registered: an unencodable field
+        # raises to the caller instead of stranding a pending entry
+        line = protocol.dump_line({"id": request_id, "op": op, **fields})
+        with self._lock:
+            if self._settled:
+                _resolve(
+                    entry.future,
+                    error=ShardUnreachable(
+                        f"{self.host}:{self.port} is down: {self._down}"
+                    ),
+                )
+                return entry.future
+            self._pending[request_id] = (entry, reshape)
+            down = self._down is not None
+        if not down:
+            try:
+                with self._write_lock:
+                    self._file.write(line)
+                    self._file.flush()
+            except (OSError, ValueError):  # ValueError: the file is closed
+                # wake the reader with an EOF and let *it* settle the
+                # loss: this thread may hold the router lock mid-fan-out,
+                # where an eviction must not run re-entrantly
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already disconnected: the loss is under way
+        return entry.future
+
+    def request(self, op: str, **fields: Any) -> dict:
+        """Send one request and wait ``timeout`` for its raw response
+        dict."""
+        return self._wait(self.request_async(op, **fields), self.timeout)
+
+    def _wait(self, future: Future, timeout: float | None) -> Any:
         try:
-            self._file.write(protocol.dump_line(message))
-            self._file.flush()
-            line = self._file.readline()
-        except TimeoutError:
-            self._broken = (
-                f"request {message['id']} timed out mid-response; the "
-                f"late reply would desynchronize the framing — open a "
-                f"new client"
-            )
-            raise
-        except OSError:
-            self._broken = "the connection failed mid-request"
-            raise
-        if not line:
-            self._broken = "server closed the connection"
-            raise ConnectionError("server closed the connection")
-        return protocol.parse_line(line)
+            return future.result(timeout)
+        except FutureTimeout:  # not the builtin TimeoutError before 3.11
+            with self._lock:
+                self._pending = {
+                    request_id: pending
+                    for request_id, pending in self._pending.items()
+                    if pending[0].future is not future
+                }
+            raise TimeoutError(
+                f"no reply from {self.host}:{self.port} within {timeout} s"
+            ) from None
 
     def _call(self, verb: protocol.Verb, fields: dict) -> Any:
         return verb.cast(_unwrap(self.request(verb.name, **fields)))
+
+    def ping(self, timeout: float = 5.0) -> bool:
+        """One cheap round-trip (the ``ring`` verb); ``False`` on any
+        failure, a typed error included — the health checker's probe."""
+        try:
+            _unwrap(self._wait(self.request_async("ring"), timeout))
+            return True
+        except Exception:
+            return False
+
+    def drain(self) -> list[Entry]:
+        """Pop every unanswered entry: the caller owns their resolve
+        from here on (a reply that still arrives is dropped)."""
+        with self._lock:
+            pending, self._pending = self._pending, {}
+        return [entry for entry, _reshape in pending.values()]
+
+    def _read_loop(self) -> None:
+        try:
+            while True:
+                line = self._file.readline()
+                if not line:
+                    raise ConnectionError("server closed the connection")
+                response = protocol.parse_line(line)
+                response_id = response.get("id")
+                if response_id is None:
+                    # an id-less typed error means the server could not
+                    # frame our request and will drop the connection;
+                    # nothing pending can be matched any more
+                    message = (response.get("error") or {}).get("message")
+                    raise ConnectionError(
+                        f"server answered with an id-less error: {message}"
+                    )
+                with self._lock:
+                    entry, reshape = self._pending.pop(response_id, (None, None))
+                if entry is None:
+                    continue  # drained or timed out: not ours to answer
+                try:
+                    value = response if reshape is None else reshape(response)
+                except Exception as error:
+                    _resolve(entry.future, error=error)
+                else:
+                    _resolve(entry.future, value)
+        except Exception as error:
+            self._lost(error)
+
+    def _lost(self, error: BaseException) -> None:
+        """Mark the connection down exactly once, let ``on_down`` claim
+        the unanswered entries (unless this is a local close), then fail
+        the ones nobody claimed."""
+        with self._lock:
+            if self._down is not None:
+                return
+            self._down = error
+            closing = self._closing
+        try:
+            # unblock a reader parked in readline() BEFORE touching the
+            # file object: its buffer lock is held for the whole blocking
+            # read, so file.close() would deadlock against it
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
+        try:
+            self._file.close()
+        except OSError:  # pragma: no cover - teardown best-effort
+            pass
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - teardown best-effort
+            pass
+        if not closing and self._on_down is not None:
+            try:
+                self._on_down(self)
+            except Exception:  # pragma: no cover - callback must not kill reader
+                pass
+        with self._lock:
+            self._settled = True
+            unclaimed, self._pending = self._pending, {}
+        unreachable = ShardUnreachable(
+            f"{self.host}:{self.port} connection lost: {error}"
+        )
+        for entry, _reshape in unclaimed.values():
+            _resolve(entry.future, error=unreachable)
+
+    def close(self) -> None:
+        with self._lock:
+            self._closing = True
+        self._lost(ConnectionError("connection closed locally"))
+        if threading.current_thread() is not self._reader:
+            self._reader.join(timeout=5)
 
 
 class AsyncServiceClient(_VerbMethods):
@@ -240,6 +398,7 @@ class AsyncServiceClient(_VerbMethods):
         self._writer: asyncio.StreamWriter | None = None
         self._pending: dict[Any, asyncio.Future] = {}
         self._read_task: asyncio.Task | None = None
+        self._loss: ConnectionError | None = None  # the read loop ended
         # client-side routing state (populated by learn_ring)
         self._ring = None
         self._addresses: dict[str, tuple[str, int]] = {}
@@ -269,7 +428,8 @@ class AsyncServiceClient(_VerbMethods):
                 await self._writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-        self._fail_pending(ConnectionError("client closed"))
+        self._loss = ConnectionError("client closed")
+        self._fail_pending(self._loss)
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return await self.connect()
@@ -308,15 +468,21 @@ class AsyncServiceClient(_VerbMethods):
         except asyncio.CancelledError:
             raise
         except Exception as error:  # pragma: no cover - connection teardown
+            self._loss = ConnectionError(f"connection lost: {error!r}")
             self._fail_pending(error)
             return
-        # EOF: fail whatever is still pending
-        self._fail_pending(ConnectionError("server closed the connection"))
+        # EOF: fail whatever is still pending, and every later request
+        self._loss = ConnectionError("server closed the connection")
+        self._fail_pending(self._loss)
 
     async def request(self, op: str, **fields: Any) -> dict:
         """Send one request; awaitable response dict (out-of-order
         safe)."""
         assert self._writer is not None, "call connect() first"
+        if self._loss is not None:
+            # nothing reads the socket any more: a future sent now
+            # would never resolve
+            raise ConnectionError(str(self._loss))
         if self.tenant is not None:
             fields.setdefault("tenant", self.tenant)
         request_id = next(self._ids)

@@ -92,7 +92,8 @@ from ..engine.relation import Database, Delta
 from ..queries.query import Query
 from . import protocol
 from .pool import Entry, Pool, WorkerPool, _gather, settle_lost, submit_many, submit_sql
-from .remote import RemoteShardNode, ShardUnreachable
+from .client import ShardUnreachable
+from .remote import RemoteShardNode
 from .ring import HashRing
 
 __all__ = ["RouterClosed", "ShardRouter", "UnknownTenant"]

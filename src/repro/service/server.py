@@ -32,9 +32,8 @@ from typing import Any, Callable
 
 from ..engine.relation import Database
 from ..intervals.interval import Interval
-from .client import ServiceError
+from .client import ServiceError, ShardUnreachable
 from .pool import PoolClosed, WorkerCrash, WorkerPool, _gather, submit_many, submit_sql
-from .remote import ShardUnreachable
 from .router import RouterClosed, ShardRouter, UnknownTenant
 from . import protocol
 from .protocol import (

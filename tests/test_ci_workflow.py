@@ -225,7 +225,7 @@ class TestWorkflow:
         process_free = (
             "TestRemoteRouterEdges",
             "TestClientDirectRouting",
-            "TestShardConnection",
+            "TestServiceClient",
             "TestRemoteShardPoolExactlyOnce",
             "TestDetachRaceRegression",
             "TestRemoteReload",

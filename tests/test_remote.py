@@ -5,20 +5,21 @@ Layers under test:
 
 * the :class:`AsyncServiceClient` pending-future regressions — an
   id-less error response must fail *every* pipelined caller (nothing
-  can ever be matched again), and a send failure must unregister the
-  future it minted (a leaked entry would hang its caller forever);
+  can ever be matched again), a send failure must unregister the
+  future it minted (a leaked entry would hang its caller forever), and
+  a request after the server closed must fail at once;
 * the blocking :class:`ServiceClient` timeout-desync regression — a
-  ``socket.timeout`` mid-readline leaves the late reply in the buffer,
-  so reusing the connection would return the *previous* request's
-  answer; the client must mark itself broken and raise the typed
-  :class:`StaleConnection` instead;
+  timed-out request's late reply must never be read as the answer to
+  a later request: replies are matched by id, so the late one finds
+  its request forgotten and the next call gets its own result;
 * the :class:`ShardRouter` detach race — tenant state fetched outside
   the lock must be re-validated under it, or a request races a
   concurrent detach into a zombie tenant's pools;
-* :class:`ShardConnection` — pipelined out-of-order matching, typed
-  :class:`ShardUnreachable` on dial failure / connection loss / id-less
-  errors, and the exactly-once ``on_down`` contract;
-* :class:`RemoteShardPool` over :class:`ShardConnection` — the
+* :class:`ServiceClient` — pipelined out-of-order matching (one client
+  shared by threads), typed :class:`ShardUnreachable` on dial failure /
+  connection loss / id-less errors, a builtin :class:`TimeoutError`
+  that forgets its request, and the exactly-once ``on_down`` contract;
+* :class:`RemoteShardPool` over :class:`RemoteShardNode` — the
   pop-based exactly-once protocol between a reply and the failover's
   ``drain()``, pinned against scripted peers;
 * client-side routing — the :class:`AsyncServiceClient` learns the
@@ -66,10 +67,8 @@ from repro.service import (
     RouterServer,
     ServiceClient,
     ServiceError,
-    ShardConnection,
     ShardRouter,
     ShardUnreachable,
-    StaleConnection,
     UnknownTenant,
     generate_requests,
     run_load,
@@ -351,6 +350,39 @@ class TestAsyncClientPendingRegressions:
 
         asyncio.run(scenario())
 
+    def test_request_after_server_close_fails_at_once(self):
+        """Once the read loop has seen EOF nothing resolves a new
+        future: before the fix the request was written into the
+        half-closed socket and awaited forever."""
+
+        async def scenario():
+            async def handle(reader, writer):
+                request = protocol.parse_line(await reader.readline())
+                writer.write(
+                    protocol.dump_line(protocol.ok_response(request["id"], "pong"))
+                )
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                async with AsyncServiceClient(host, port) as client:
+                    assert (await client.request("ring"))["result"] == "pong"
+                    await asyncio.wait({client._read_task}, timeout=10)
+                    assert client._read_task.done()
+                    for _ in range(2):
+                        with pytest.raises(ConnectionError):
+                            await asyncio.wait_for(
+                                client.request("ring"), timeout=3
+                            )
+                    assert client._pending == {}
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
 
 # ----------------------------------------------------------------------
 # satellite regression: blocking-client timeout desync
@@ -358,20 +390,20 @@ class TestAsyncClientPendingRegressions:
 
 
 class TestStaleConnectionRegression:
-    def test_timeout_mid_readline_breaks_the_client(self):
-        """After a timeout mid-response the late reply sits in the
-        socket buffer; before the fix the next request consumed it and
-        returned the *previous* request's answer.  Now every later call
-        raises the typed :class:`StaleConnection`."""
+    def test_a_late_reply_never_answers_a_later_request(self):
+        """After a timeout mid-response the late reply is still in
+        flight; before the id-matched client the next request read it
+        and returned the *previous* request's answer.  Now the late
+        reply finds its request forgotten, and every later call gets
+        its own result."""
         release = threading.Event()
 
         def handler(file):
-            request = protocol.parse_line(file.readline())
+            request = read(file)
             release.wait(10)  # answer only after the client gave up
-            file.write(
-                protocol.dump_line(protocol.ok_response(request["id"], "late"))
-            )
-            file.flush()
+            reply(file, request, "late")
+            reply(file, read(file), "ring")
+            reply(file, read(file), True)
             file.readline()  # hold the connection open
 
         with scripted_peer(handler) as (host, port):
@@ -379,11 +411,9 @@ class TestStaleConnectionRegression:
             with pytest.raises(TimeoutError):
                 client.request("stats")
             release.set()
-            time.sleep(0.2)  # let the late reply land in the buffer
-            with pytest.raises(StaleConnection):
-                client.request("ring")
-            with pytest.raises(StaleConnection):
-                client.evaluate("R([A],[B])")
+            time.sleep(0.2)  # let the late reply land first
+            assert client.request("ring")["result"] == "ring"
+            assert client.evaluate("R([A],[B])") is True
             client.close()
 
     def test_server_eof_breaks_the_client(self):
@@ -394,8 +424,10 @@ class TestStaleConnectionRegression:
             client = ServiceClient(host, port, timeout=5)
             with pytest.raises(ConnectionError):
                 client.request("stats")
-            with pytest.raises(StaleConnection):
+            with pytest.raises(ShardUnreachable):
                 client.request("stats")
+            with pytest.raises(ShardUnreachable):
+                client.evaluate("R([A],[B])")
             client.close()
 
 
@@ -480,11 +512,11 @@ class TestDetachRaceRegression:
 
 
 # ----------------------------------------------------------------------
-# the pipelined shard connection
+# the blocking client: one pipelined connection
 # ----------------------------------------------------------------------
 
 
-class TestShardConnection:
+class TestServiceClient:
     def test_pipelined_responses_match_out_of_order(self):
         def handler(file):
             first = protocol.parse_line(file.readline())
@@ -501,7 +533,7 @@ class TestShardConnection:
             file.readline()  # hold until the client closes
 
         with scripted_peer(handler) as (host, port):
-            conn = ShardConnection(host, port)
+            conn = ServiceClient(host, port)
             a = conn.request_async("stats")
             b = conn.request_async("stats")
             assert b.result(10)["result"] == "second"
@@ -515,7 +547,7 @@ class TestShardConnection:
 
         downs: list = []
         with scripted_peer(handler) as (host, port):
-            conn = ShardConnection(host, port, on_down=downs.append)
+            conn = ServiceClient(host, port, on_down=downs.append)
             future = conn.request_async("stats")
             with pytest.raises(ShardUnreachable):
                 future.result(10)
@@ -542,7 +574,7 @@ class TestShardConnection:
 
         downs: list = []
         with scripted_peer(handler) as (host, port):
-            conn = ShardConnection(host, port, on_down=downs.append)
+            conn = ServiceClient(host, port, on_down=downs.append)
             with pytest.raises(ShardUnreachable):
                 conn.request_async("stats").result(10)
             conn.close()
@@ -550,7 +582,7 @@ class TestShardConnection:
 
     def test_dial_failure_is_typed(self):
         with pytest.raises(ShardUnreachable):
-            ShardConnection("127.0.0.1", free_port(), connect_timeout=2)
+            ServiceClient("127.0.0.1", free_port(), timeout=2)
 
     def test_local_close_fires_no_on_down(self):
         def handler(file):
@@ -558,7 +590,7 @@ class TestShardConnection:
 
         downs: list = []
         with scripted_peer(handler) as (host, port):
-            conn = ShardConnection(host, port, on_down=downs.append)
+            conn = ServiceClient(host, port, on_down=downs.append)
             conn.close()
         assert downs == []
 
@@ -581,12 +613,56 @@ class TestShardConnection:
             file.readline()
 
         with scripted_peer(handler) as (host, port):
-            conn = ShardConnection(host, port)
+            conn = ServiceClient(host, port)
             with pytest.raises(ServiceError) as excinfo:
-                conn.request("stats")
+                conn.ring()
             assert excinfo.value.code == "deadline_exceeded"
-            assert conn.request("stats") == 5
+            assert conn.ring() == 5
             conn.close()
+
+    def test_threads_sharing_one_client_each_get_their_own_answer(self):
+        """The peer answers only once both requests are in, in reverse
+        order: a serial client would deadlock, the pipelined one hands
+        each thread the reply to its own request."""
+
+        def handler(file):
+            first, second = read(file), read(file)
+            for request in (second, first):
+                reply(file, request, request["query"])
+            file.readline()
+
+        queries = ["R([A],[B])", "S([B],[C])"]
+        with scripted_peer(handler) as (host, port):
+            with ServiceClient(host, port, timeout=10) as client:
+                with ThreadPoolExecutor(2) as threads:
+                    answers = list(
+                        threads.map(
+                            lambda q: client.request("evaluate", query=q)[
+                                "result"
+                            ],
+                            queries,
+                        )
+                    )
+        assert answers == queries
+
+    def test_timeout_is_builtin_and_forgets_its_request(self):
+        """A timed-out request raises the builtin :class:`TimeoutError`
+        (not Python 3.10's distinct ``concurrent.futures`` one), pops
+        its own entry, and leaves the client serving."""
+
+        def handler(file):
+            read(file)  # never answered
+            reply(file, read(file), "pong")
+            file.readline()
+
+        with scripted_peer(handler) as (host, port):
+            with ServiceClient(host, port, timeout=0.3) as client:
+                with pytest.raises(TimeoutError) as excinfo:
+                    client.request("stats")
+                assert type(excinfo.value) is TimeoutError
+                assert client._pending == {}
+                assert client.request("ring")["result"] == "pong"
+                assert client._pending == {}
 
 
 # ----------------------------------------------------------------------
@@ -729,7 +805,7 @@ class TestRemoteShardPoolExactlyOnce:
             release.set()
             # replies come back in order: once the ping is answered the
             # late reply has been read — and found nothing pending
-            assert pool.node.request("ring", timeout=10) == "pong"
+            assert pool.node.ring() == "pong"
             assert not outer.done()
             _resolve(entry.future, False)  # ...the drainer delivers, once
             assert outer.result(1) is False

@@ -26,6 +26,7 @@ import asyncio
 import os
 import random
 import signal
+import socket
 import sys
 import time
 
@@ -461,7 +462,8 @@ class TestServer:
         import json as json_module
 
         def body(host, port):
-            with ServiceClient(host, port) as client:
+            with socket.create_connection((host, port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
                 burst = b"".join(
                     json_module.dumps(
                         {"id": i, "op": "count", "query": TRIANGLE}
@@ -469,11 +471,11 @@ class TestServer:
                     + b"\n"
                     for i in range(20)
                 )
-                client._file.write(burst)  # one write, one segment
-                client._file.flush()
+                stream.write(burst)  # one write, one segment
+                stream.flush()
                 codes = []
                 for _ in range(20):
-                    response = json_module.loads(client._file.readline())
+                    response = json_module.loads(stream.readline())
                     codes.append(
                         None
                         if response["ok"]
@@ -565,12 +567,13 @@ class TestServer:
         import json as json_module
 
         def body(host, port):
-            with ServiceClient(host, port) as client:
+            with socket.create_connection((host, port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
                 huge = {"id": 1, "op": "evaluate", "query": "R" * 5000}
-                client._file.write(json_module.dumps(huge).encode() + b"\n")
-                client._file.flush()
-                response = json_module.loads(client._file.readline())
-                closed = client._file.readline() == b""
+                stream.write(json_module.dumps(huge).encode() + b"\n")
+                stream.flush()
+                response = json_module.loads(stream.readline())
+                closed = stream.readline() == b""
             return response, closed
 
         (response, closed), _ = run_with_server(
@@ -631,13 +634,20 @@ class TestServer:
                     client.request("mutate", kind="replace", relation="R",
                                    tuple=[])["error"]["code"]
                 )
-                # raw garbage line: the server answers with id null
-                client._file.write(b"{ not json\n")
-                client._file.flush()
-                import json
+            # raw garbage line: the server answers with id null (which
+            # the client would take for a lost connection), and the
+            # connection keeps serving
+            import json
 
-                codes.append(json.loads(client._file.readline())["error"]["code"])
-                answer = client.evaluate(TRIANGLE)  # still serving
+            with socket.create_connection((host, port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(b"{ not json\n")
+                stream.flush()
+                codes.append(json.loads(stream.readline())["error"]["code"])
+                request = {"id": 1, "op": "evaluate", "query": TRIANGLE}
+                stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                answer = json.loads(stream.readline())["result"]  # still serving
             return codes, answer
 
         (codes, answer), _ = run_with_server(db, body)
