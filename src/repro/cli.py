@@ -613,14 +613,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
-    from .sql import (
-        SqlError,
-        compile_sql,
-        explain_program,
-        naive_program,
-        render_explain,
-        run_program,
-    )
+    from .sql import SqlError, compile_sql, naive_program, render_explain, run_program
 
     try:
         # first pass is db-less: it infers each relation's schema and
@@ -646,12 +639,12 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 relation.name, probe.schemas[relation.name], relation.tuples
             )
         )
-    program = compile_sql(args.sql, db)
+    session = QuerySession.for_database(db)
+    program = session.program(args.sql)
     print(f"|D| = {db.size} tuples ({args.workload} workload)")
     if args.explain:
-        print(render_explain(explain_program(program, db)))
+        print(render_explain(session.explain_sql(args.sql)))
         return 0
-    session = QuerySession.for_database(db)
     start = time.perf_counter()
     answer = run_program(program, session)
     elapsed = time.perf_counter() - start

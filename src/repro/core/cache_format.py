@@ -37,9 +37,12 @@ Attribute values use the service wire codec
 without pickle.  The heavy half — each relation's ``uint32`` matrix and
 ``int64`` refcount array — lives in the blob section.  Loading opens
 the file as one ``np.memmap`` and hands out array *views* into it: a
-warm worker maps a cached reduction zero-copy, rebuilds nothing per
-tree node or per part, and decodes Python tuples only if a consumer
-actually demands them.
+warm worker maps a cached reduction zero-copy and rebuilds nothing per
+tree node or per part.  What a load does decode eagerly is the JSON
+half: the queries, each interval variable's endpoint list, the
+codebook, every ``tuple_order`` tuple of every atom and the whole rank
+table — Python values proportional to the *input* relations, not to
+``|D~|``.
 
 A **delta frame** is the change, not the artifact: what a patched
 reduction is stored as, a few hundred bytes whatever ``|D~|`` is.  Its

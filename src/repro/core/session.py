@@ -30,7 +30,11 @@ and makes the amortisation explicit:
   :func:`repro.sql.rewrite.lower_query`) and Boolean / count answers are
   memoized under the same keys (the answer cache is an LRU of
   :data:`ANSWER_CACHE_SIZE` entries), so a batch whose members share a
-  reduction also shares its short-circuit outcome.
+  reduction also shares its short-circuit outcome;
+* compiled SQL programs (:func:`repro.sql.compile_sql`) are memoized by
+  their text (an LRU of the same bound): a repeated text is compiled
+  once, and recompiled only after a relation it reads changes — its
+  schema and a sample tuple's kinds are what the compile read.
 
 ``evaluate_many`` / ``count_many`` batch-execute a list of queries: the
 batch is grouped by canonical form, one reduction (and one answer) is
@@ -81,8 +85,20 @@ __all__ = [
 Strategy = Literal["auto", "naive", "sweep", "reduction"]
 
 #: Answer-cache bound: past this many entries the least recently used
-#: answer is evicted.
+#: answer is evicted.  Compiled SQL programs are bounded by it too.
 ANSWER_CACHE_SIZE = 1024
+
+
+def _lru_put(store: OrderedDict, key, entry) -> int:
+    """Insert ``entry`` as ``store``'s most recent, first dropping its
+    least recently used entries down to :data:`ANSWER_CACHE_SIZE` (read
+    per insert); returns how many were dropped."""
+    dropped = 0
+    while len(store) >= ANSWER_CACHE_SIZE:
+        store.popitem(last=False)
+        dropped += 1
+    store[key] = entry
+    return dropped
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +257,7 @@ class SessionStats:
     evictions: int = 0         # answer-cache entries dropped by the LRU bound
     delta_patches: int = 0     # deltas applied to cached reductions in place
     sql_plan_hits: int = 0     # optimizer plans served from the plan store
+    sql_compile_hits: int = 0  # compiled SQL programs served from the memo
     #: accumulated wall seconds per phase — the built-in flame-sketch
     #: behind ``repro evaluate --profile``
     phase_seconds: dict[str, float] = field(
@@ -257,6 +274,7 @@ class SessionStats:
             "evictions": self.evictions,
             "delta_patches": self.delta_patches,
             "sql_plan_hits": self.sql_plan_hits,
+            "sql_compile_hits": self.sql_compile_hits,
         }
 
     def profile(self) -> dict[str, float]:
@@ -292,7 +310,12 @@ class QuerySession:
     The answer cache is an LRU that admits every answer and holds at
     most :data:`ANSWER_CACHE_SIZE` of them (reductions and plans are far
     fewer — one per canonical form — and stay unbounded); an answer
-    pushed out counts in ``stats.evictions``.
+    pushed out counts in ``stats.evictions``.  Compiled SQL programs are
+    an LRU of the same bound, keyed by text.
+
+    A session is not thread-safe: one thread drives it (a worker's
+    loop, or the serving tier's event loop for the shared session of
+    its database).
     """
 
     def __init__(
@@ -328,6 +351,9 @@ class QuerySession:
         self._reductions: dict[tuple, tuple] = {}
         self._plans: dict[tuple, tuple[object, frozenset[str]]] = {}
         self._answers: OrderedDict[tuple, tuple[object, frozenset[str]]] = (
+            OrderedDict()
+        )
+        self._programs: OrderedDict[str, tuple[object, frozenset[str]]] = (
             OrderedDict()
         )
 
@@ -382,7 +408,7 @@ class QuerySession:
         """Drop exactly the cached artifacts whose query references a
         relation in ``changed`` (``None``: any relation); everything
         else stays warm."""
-        for store in (self._reductions, self._plans, self._answers):
+        for store in (self._reductions, self._plans, self._answers, self._programs):
             stale = [
                 key
                 for key, entry in store.items()
@@ -529,8 +555,29 @@ class QuerySession:
     # the SQL front-end (repro.sql)
     # ------------------------------------------------------------------
 
+    def program(self, text: str):
+        """The (memoized) :class:`~repro.sql.CompiledProgram` of SQL
+        ``text`` over this database — the one compile every SQL entry
+        point goes through.  The entry depends on the relations the
+        program reads, so a change to one of them recompiles it; the
+        store is an LRU of :data:`ANSWER_CACHE_SIZE` texts.  Malformed
+        or unbindable text raises :class:`repro.sql.SqlError` on every
+        call (a failure is never memoized)."""
+        from repro.sql import compile_sql
+
+        self._ensure_current()
+        entry = self._programs.get(text)
+        if entry is not None:
+            self._programs.move_to_end(text)
+            self.stats.sql_compile_hits += 1
+            return entry[0]
+        program = compile_sql(text, self.db)
+        _lru_put(self._programs, text, (program, program.relations))
+        return program
+
     def sql(self, text: str):
-        """Compile and evaluate a SQL program against this database.
+        """Compile (:meth:`program`) and evaluate a SQL program against
+        this database.
 
         Returns a ``bool`` for ``EXISTS`` heads and an ``int`` for
         ``COUNT(*)`` heads.  Pure join disjuncts run through the
@@ -539,20 +586,18 @@ class QuerySession:
         relation like every other artifact.  Malformed or unbindable
         text raises :class:`repro.sql.SqlError`.
         """
-        from repro.sql import compile_sql, run_program
+        from repro.sql import run_program
 
-        self._ensure_current()
-        return run_program(compile_sql(text, self.db), self)
+        return run_program(self.program(text), self)
 
     def explain_sql(self, text: str) -> dict:
         """The optimizer's EXPLAIN payload for ``text`` (JSON-safe):
         per disjunct, the canonical SQL, the lowered query, the width
         report, candidate costs and the chosen strategy.  Render with
         :func:`repro.sql.render_explain`."""
-        from repro.sql import compile_sql, explain_program
+        from repro.sql import explain_program
 
-        self._ensure_current()
-        program = compile_sql(text, self.db)
+        program = self.program(text)
         plans = [self.sql_plan(d) for d in program.disjuncts]
         return explain_program(program, self.db, plans)
 
@@ -622,10 +667,9 @@ class QuerySession:
             return entry[0]
         self.stats.misses += 1
         answer = self._run(form, kind == "count", strategy)
-        while len(self._answers) >= ANSWER_CACHE_SIZE:
-            self._answers.popitem(last=False)
-            self.stats.evictions += 1
-        self._answers[key] = (answer, form.query.relations)
+        self.stats.evictions += _lru_put(
+            self._answers, key, (answer, form.query.relations)
+        )
         return answer
 
     def _run(self, form: CanonicalForm, counting: bool, strategy: str):

@@ -330,6 +330,14 @@ class Database:
         for r in relations:
             self.add(r)
 
+    def __getstate__(self) -> dict:
+        # the shared session QuerySession.for_database attaches is
+        # process-local and may be in use on another thread while a
+        # respawn pickles the database: a pickled copy starts without one
+        state = dict(self.__dict__)
+        state.pop("_query_session", None)
+        return state
+
     # ------------------------------------------------------------------
     # the change log
     # ------------------------------------------------------------------

@@ -55,7 +55,8 @@ def estimate_join_cardinality(
     Columns are resolved by position (``relation.schema[index]``): a
     reduced relation's schema is its atom's variable list, a SQL source
     table's is not.  ``sizes`` overrides ``|R|`` per atom label (the SQL
-    optimizer's filter-discounted scans)."""
+    optimizer's filter-discounted scans).  A join over an empty atom is
+    empty: the estimate is then 0.0."""
     if not query.atoms:
         return 0.0
     size_product = 1.0
@@ -63,6 +64,8 @@ def estimate_join_cardinality(
     for atom in query.atoms:
         relation = db[atom.relation]
         size = len(relation) if sizes is None else sizes[atom.label]
+        if size == 0:
+            return 0.0
         size_product *= max(size, 1)
         for index, v in enumerate(atom.variables):
             columns.setdefault(v.name, []).append((relation, index))

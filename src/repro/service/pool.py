@@ -229,17 +229,18 @@ def submit_many(
 
 
 def submit_sql(submit: Callable[..., Future], db: Database, text: str) -> Future:
-    """A SQL program over any ``submit``: compiled (and cost-based-
-    optimized) once, here, against ``db``; each disjunct is then routed
-    by the canonical form of its *lowered* query — so a disjunct
-    isomorphic to an already-hot conjunctive query lands on the same
-    shard and worker — carrying its single-disjunct SQL text, which the
-    worker recompiles against its own replica.  The answers combine per
-    the head (``EXISTS``: any, ``COUNT(*)``: sum).  Raises
+    """A SQL program over any ``submit``: compiled here against ``db``
+    through ``db``'s shared session, whose memo compiles a repeated
+    text once (:meth:`QuerySession.program`; that session is not
+    thread-safe, and the serving tier calls this from its event loop
+    only); each disjunct is then routed by the canonical form of its
+    *lowered* query — so a disjunct isomorphic to an already-hot
+    conjunctive query lands on the same shard and worker — carrying
+    its single-disjunct SQL text, which the worker's session compiles
+    against its own replica.  The answers combine per the head
+    (``EXISTS``: any, ``COUNT(*)``: sum).  Raises
     :class:`~repro.sql.SqlError` on malformed SQL."""
-    from ..sql import compile_sql
-
-    program = compile_sql(text, db)
+    program = QuerySession.for_database(db).program(text)
     return _gather(
         [submit("sql", d.query, sql=d.sql) for d in program.disjuncts],
         program.combine,
@@ -257,16 +258,6 @@ def _worker_mutate(session: QuerySession, db: Database, task: dict) -> dict:
     return {"applied": delta is not None, "version": db.version}
 
 
-def _worker_sql(session: QuerySession, db: Database, task: dict):
-    # one single-disjunct SQL text per task: recompile against the
-    # worker's own database (schemas may differ from the submitter's
-    # view only in statistics, never in shape) and run through the
-    # session so SQL plans and answers share its memoization.
-    from repro.sql import compile_sql, run_program
-
-    return run_program(compile_sql(task["sql"], db), session)
-
-
 def _worker_stats(session: QuerySession) -> dict:
     return {
         "pid": os.getpid(),
@@ -281,7 +272,10 @@ _WORKER_OPS: dict[str, Callable[[QuerySession, Database, dict], Any]] = {
         session.evaluate(task["query"], strategy="reduction")
     ),
     "count": lambda session, db, task: int(session.count(task["query"])),
-    "sql": _worker_sql,
+    # one single-disjunct SQL text per task, compiled against the
+    # worker's own replica (schemas may differ from the submitter's view
+    # only in statistics, never in shape) through the session's memo
+    "sql": lambda session, db, task: session.sql(task["sql"]),
     "mutate": _worker_mutate,
     "stats": lambda session, db, task: _worker_stats(session),
 }

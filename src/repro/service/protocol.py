@@ -97,8 +97,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
+from ..core.session import _CANON_CACHE_MAX
 from ..intervals.interval import Interval
 from ..queries.parser import parse_query
 from ..queries.query import Query
@@ -386,9 +388,12 @@ class Verb:
         return {"op": self.name, **self.encode(*args), **extra}
 
 
+@lru_cache(maxsize=_CANON_CACHE_MAX)
 def _parse_text(text: str) -> Query:
-    # parse failures are typed ``bad_query``, not ``bad_request``: the
-    # request framing was fine, the query was not
+    # memoized by text (a Query is frozen, so every request sending the
+    # text shares one); parse failures are not memoized and are typed
+    # ``bad_query``, not ``bad_request``: the request framing was fine,
+    # the query was not
     try:
         return parse_query(text)
     except (ValueError, KeyError, TypeError) as error:

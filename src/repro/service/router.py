@@ -467,9 +467,10 @@ class ShardRouter:
         return self.submit_many(queries, tenant).result()
 
     def sql(self, tenant: str, text: str) -> Future:
-        """Future answer for a SQL program, compiled once here against
-        the tenant's master database and routed disjunct by disjunct
-        (see :func:`~repro.service.pool.submit_sql`)."""
+        """Future answer for a SQL program, compiled here against the
+        tenant's master database and routed disjunct by disjunct (see
+        :func:`~repro.service.pool.submit_sql`, whose compile memo is
+        not thread-safe: call this from one thread)."""
         return submit_sql(partial(self.submit, tenant), self.database(tenant), text)
 
     def mutate(self, tenant: str, kind: str, relation: str, t: tuple) -> Future:

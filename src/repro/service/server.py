@@ -30,6 +30,7 @@ from concurrent.futures import Future
 from functools import partial
 from typing import Any, Callable
 
+from ..core.session import QuerySession
 from ..engine.relation import Database
 from ..intervals.interval import Interval
 from .client import ServiceError, ShardUnreachable
@@ -70,9 +71,9 @@ def _sql_guard(fn, *args: Any):
 
 
 def _explain(target, text: str) -> dict:
-    from ..sql import explain_data
-
-    return _sql_guard(explain_data, text, target.db)
+    # runs on the event loop, the one thread driving the database's
+    # shared session (see submit_sql)
+    return _sql_guard(QuerySession.for_database(target.db).explain_sql, text)
 
 
 def _mutate(target, kind: str, relation: str, values: tuple) -> Future:

@@ -30,7 +30,7 @@ speak queries as text instead of Python ASTs:
 from .ast import HEAD_COUNT, HEAD_EXISTS, Program, SelectStmt
 from .cost import DisjunctPlan, explain_program, lowered_text, plan_disjunct, render_explain
 from .errors import SqlError
-from .exec import explain_data, naive_program, run_disjunct, run_program, run_sql
+from .exec import naive_program, run_disjunct, run_program
 from .parser import parse_sql
 from .rewrite import CompiledDisjunct, CompiledProgram, Residual, compile_sql, lower_query
 from .tokenizer import Token, tokenize
@@ -46,11 +46,9 @@ __all__ = [
     "plan_disjunct",
     "render_explain",
     "SqlError",
-    "explain_data",
     "naive_program",
     "run_disjunct",
     "run_program",
-    "run_sql",
     "parse_sql",
     "CompiledDisjunct",
     "CompiledProgram",

@@ -21,8 +21,7 @@ from repro.core.session import QuerySession
 from repro.engine.relation import Database
 
 from .ast import HEAD_COUNT
-from .cost import explain_program
-from .rewrite import CompiledDisjunct, CompiledProgram, compile_sql
+from .rewrite import CompiledDisjunct, CompiledProgram
 
 Answer = Union[bool, int]
 
@@ -70,14 +69,3 @@ def naive_program(program: CompiledProgram, db: Database) -> Answer:
     differential baseline for the test suite and ``repro sql --check`` —
     it never consults the optimizer or the session caches."""
     return program.combine([_enumerate(d, db) for d in program.disjuncts])
-
-
-def run_sql(text: str, session: QuerySession) -> Answer:
-    """Compile ``text`` against the session's database and evaluate."""
-    return run_program(compile_sql(text, session.db), session)
-
-
-def explain_data(text: str, db: Database) -> dict:
-    """Compile and plan ``text`` sessionless, returning the EXPLAIN
-    payload."""
-    return explain_program(compile_sql(text, db), db)

@@ -124,9 +124,11 @@ class Residual:
         raise AssertionError(f"unknown residual op {self.op!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledDisjunct:
-    """One lowered disjunct: join skeleton + filters + canonical text."""
+    """One lowered disjunct: join skeleton + filters + canonical text.
+    Frozen, like its program: a session hands one compiled program to
+    every request that sends its text."""
 
     select: SelectStmt
     sql: str
@@ -166,12 +168,12 @@ class CompiledDisjunct:
         return Query(tuple(atoms), name=self.query.name), exec_db
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledProgram:
     """A bound SQL program: shared head + independently planned disjuncts."""
 
     head: str
-    disjuncts: list[CompiledDisjunct]
+    disjuncts: tuple[CompiledDisjunct, ...]
     sql: str
     #: relation → column names, positionally aligned with the lowered
     #: atoms.  Database-backed binds echo the real schemas; database-less
@@ -222,7 +224,7 @@ def lower_query(query: Query, db: Database) -> CompiledProgram:
         residuals=(),
         tables={a.label: (a.relation, len(a.variables)) for a in query.atoms},
     )
-    return CompiledProgram(HEAD_EXISTS, [disjunct], disjunct.sql)
+    return CompiledProgram(HEAD_EXISTS, (disjunct,), disjunct.sql)
 
 
 class _SchemaRegistry:
@@ -570,10 +572,10 @@ def compile_sql(text: str, db: Optional[Database] = None) -> CompiledProgram:
                 _bind_select(select, text, probe, "probe")
             except SqlError:
                 pass  # re-raised with full context in the real round
-    disjuncts = [
+    disjuncts = tuple(
         _bind_select(select, text, registry, f"D{i + 1}")
         for i, select in enumerate(selects)
-    ]
+    )
     head = selects[0].head
     schemas: dict[str, tuple[str, ...]] = {}
     for disjunct in disjuncts:

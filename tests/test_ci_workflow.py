@@ -67,6 +67,21 @@ class TestWorkflow:
         assert f'"SELECT COUNT(*) {triangle}" --n 40 --seed 3 --check' in smoke
         assert f'"SELECT EXISTS {triangle}" --n 40 --explain' in smoke
 
+    def test_sql_smoke_runs_a_filtered_union(self, workflow):
+        """The one smoke statement with a UNION and a residual filter
+        (``CONTAINS`` is not a join predicate, so its disjunct is
+        planned ``filtered``), its count checked against the naive
+        oracle."""
+        steps = workflow["jobs"]["tests"]["steps"]
+        (smoke,) = [s["run"] for s in steps if s.get("name", "").startswith("sql-smoke")]
+        smoke = " ".join(smoke.replace("\\\n", " ").split())
+        union = (
+            "SELECT COUNT(*) FROM R r, S s WHERE r.t OVERLAPS s.t "
+            "AND s.t CONTAINS r.t UNION "
+            "SELECT COUNT(*) FROM R r, T t WHERE r.t OVERLAPS t.t"
+        )
+        assert f'"{union}" --n 40 --seed 3 --check' in smoke
+
     def test_fuzz_job_covers_seed_matrix(self, workflow):
         """Acceptance criterion: 3 seeds x py3.10/3.12, steered through
         REPRO_FUZZ_SEED into the differential suite."""

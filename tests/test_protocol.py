@@ -236,6 +236,15 @@ class TestVerbsAndFraming:
                 == canonical_form(q).key
             )
 
+    def test_a_query_text_is_parsed_once(self):
+        text = "R([A],[B]) ∧ S([B],[C])"
+        query = protocol._parse_text(text)
+        assert protocol._parse_text(text) is query
+        assert query == parse_query(text)
+        for _ in range(3):
+            with pytest.raises(protocol.BadQueryError):
+                protocol._parse_text("R([A] ∧ ((")
+
     def test_frames_and_response_shapes(self):
         message = {"id": 5, "op": "stats"}
         assert parse_line(dump_line(message)) == message

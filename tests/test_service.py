@@ -434,6 +434,35 @@ class TestServer:
             "logged mutations must patch warm workers, not rebuild them"
         )
 
+    def test_a_repeated_sql_text_compiles_once_per_session(self):
+        """The server compiles a text once (to route its disjuncts)
+        and so does the worker that runs it: four of five sends hit
+        each memo.  A malformed text is never memoized and answers
+        ``bad_query`` on every send."""
+        from repro.core import QuerySession
+
+        db = small_db(n=12, seed=5)
+        text = "SELECT COUNT(*) FROM R r, S s WHERE r.B OVERLAPS s.B"
+        expected = QuerySession(db.clone()).sql(text)
+
+        def body(host, port):
+            with ServiceClient(host, port) as client:
+                answers = [client.sql(text) for _ in range(5)]
+                codes = []
+                for _ in range(3):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.sql("SELECT COUNT(* FROM R r")
+                    codes.append(excinfo.value.code)
+                return answers, codes, client.stats()
+
+        pool_db = db.clone()
+        (answers, codes, stats), _ = run_with_server(pool_db, body)
+        assert answers == [expected] * 5
+        assert codes == ["bad_query"] * 3
+        assert stats["server"]["bad_queries"] == 3
+        assert stats["aggregate"]["sql_compile_hits"] == 4
+        assert QuerySession.for_database(pool_db).stats.sql_compile_hits == 4
+
     def test_overload_returns_typed_backpressure(self):
         db = small_db(n=25)
         requests = generate_requests(

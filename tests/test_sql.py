@@ -27,7 +27,9 @@ every generated scenario into a fresh region of the seed space.
 """
 
 import asyncio
+import dataclasses
 import os
+import pickle
 import random
 
 import pytest
@@ -58,7 +60,6 @@ from repro.sql import (
     plan_disjunct,
     render_explain,
     run_program,
-    run_sql,
 )
 
 #: Selected by the CI fuzz matrix; each value shifts every scenario
@@ -491,7 +492,7 @@ class TestExecution:
             naive_program(compile_sql(part, db), db)
             for part in text.split(" UNION ALL ")
         ]
-        assert run_sql(text, session) == sum(per_disjunct)
+        assert session.sql(text) == sum(per_disjunct)
 
     def test_execute_sql_and_explain_sql_surfaces(self):
         db = meetings_db(n=18, seed=scenario_seed(6))
@@ -517,6 +518,99 @@ class TestExecution:
         db.insert("Meet", (2.0, interval(rng)))
         patched = session.sql(text)
         assert patched == naive_program(compile_sql(text, db), db)
+
+    def test_a_repeated_text_compiles_once(self):
+        db = meetings_db(n=12, seed=scenario_seed(20))
+        session = QuerySession(db)
+        text = "SELECT COUNT(*) FROM Meet m, Hold h WHERE m.room = h.room"
+        first = session.program(text)
+        answers = {session.sql(text) for _ in range(4)}
+        session.explain_sql(text)
+        assert session.stats.sql_compile_hits == 5
+        assert session.program(text) is first
+        assert session.stats.as_dict()["sql_compile_hits"] == 6
+        assert answers == {naive_program(first, db)}
+
+    def test_replacing_a_referenced_relation_recompiles(self):
+        db = meetings_db(n=12, seed=scenario_seed(21))
+        session = QuerySession(db)
+        text = "SELECT COUNT(*) FROM Meet m, Hold h WHERE m.room = h.room"
+        before = session.program(text)
+        rng = random.Random(scenario_seed(22))
+        db.replace(
+            Relation(
+                "Meet",
+                ("slot", "room"),
+                [(interval(rng), float(rng.randrange(6))) for _ in range(8)],
+            )
+        )
+        after = session.program(text)
+        assert session.stats.sql_compile_hits == 0
+        assert after is not before
+        # the new schema moved the room column: the lowering followed it
+        assert after.disjuncts[0].query.atoms[0].variables[1].name == "m_room"
+        assert session.sql(text) == naive_program(after, db)
+
+    def test_the_first_insert_into_an_empty_relation_recompiles(self):
+        """An empty relation has no sample tuple, so the compile took
+        its column kinds from the predicates; the first row decides
+        them instead — here, that ``r.t`` holds intervals, which ``=``
+        cannot join."""
+        db = Database(
+            [
+                Relation("R", ("k", "t"), []),
+                Relation("S", ("k", "t"), [(1.0, Interval(0.0, 2.0))]),
+            ]
+        )
+        session = QuerySession(db)
+        text = "SELECT COUNT(*) FROM R r, S s WHERE r.t = s.k"
+        assert session.sql(text) == 0
+        db.insert("R", (1.0, Interval(1.0, 3.0)))
+        with pytest.raises(SqlError, match="holds intervals"):
+            session.sql(text)
+        assert session.stats.sql_compile_hits == 0
+
+    def test_an_insert_into_an_unreferenced_relation_keeps_the_entry(self):
+        db = meetings_db(n=12, seed=scenario_seed(23))
+        db.add(Relation("Audit", ("who",), [("alice",)]))
+        session = QuerySession(db)
+        text = "SELECT EXISTS FROM Meet m, Hold h WHERE m.slot OVERLAPS h.slot"
+        program = session.program(text)
+        db.insert("Audit", ("bob",))
+        assert session.program(text) is program
+        assert session.stats.sql_compile_hits == 1
+        rng = random.Random(scenario_seed(24))
+        db.insert("Hold", (2.0, interval(rng)))
+        assert session.program(text) is not program
+        assert session.stats.sql_compile_hits == 1
+
+    def test_a_malformed_text_fails_on_every_call(self):
+        db = meetings_db(n=6, seed=scenario_seed(25))
+        session = QuerySession(db)
+        for text in (
+            "SELECT COUNT(* FROM Meet m",
+            "SELECT EXISTS FROM Meet m WHERE m.bogus = 1",
+        ):
+            for _ in range(3):
+                with pytest.raises(SqlError):
+                    session.sql(text)
+        assert session.stats.sql_compile_hits == 0
+
+    def test_a_pickled_database_leaves_its_shared_session_behind(self):
+        db = meetings_db(n=6, seed=scenario_seed(27))
+        QuerySession.for_database(db).program(UNION_SQL)
+        copy = pickle.loads(pickle.dumps(db))
+        assert not hasattr(copy, "_query_session")
+        assert QuerySession.for_database(copy).stats.sql_compile_hits == 0
+
+    def test_compiled_programs_are_frozen(self):
+        db = meetings_db(n=6, seed=scenario_seed(26))
+        program = QuerySession(db).program(UNION_SQL)
+        assert isinstance(program.disjuncts, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.head = "exists"  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.disjuncts[0].sql = ""  # type: ignore[misc]
 
     def test_a_naive_planned_count_is_answer_cached(self):
         """Regression: the pure-join ``COUNT(*)`` branch called

@@ -39,8 +39,20 @@ class TestEstimates:
     def test_empty_query(self):
         q = parse_query("R(A)")
         db = Database([Relation("R", ("A",), [])])
-        assert estimate_join_cardinality(q, db) == 0.0 or True
+        assert estimate_join_cardinality(q, db) == 0.0
         assert estimate_evaluation_cost(q, db) >= 0.0
+
+    def test_explain_estimates_no_rows_over_an_empty_relation(self):
+        from repro.core import explain_sql
+
+        db = Database(
+            [
+                Relation("R", ("A", "B"), []),
+                Relation("S", ("B", "C"), [(1, 2), (2, 3)]),
+            ]
+        )
+        text = "SELECT COUNT(*) FROM R r, S s WHERE r.B = s.B"
+        assert "est. rows: 0.0" in explain_sql(text, db)
 
     def test_acyclic_cheaper_than_cyclic(self):
         acyclic = parse_query("R(A,B) ∧ S(B,C)")
