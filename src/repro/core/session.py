@@ -256,6 +256,11 @@ class SessionStats:
     persistent_hits: int = 0   # reductions loaded from the on-disk cache
     evictions: int = 0         # answer-cache entries dropped by the LRU bound
     delta_patches: int = 0     # deltas applied to cached reductions in place
+    #: why a changed reduction was rebuilt instead of patched, one count
+    #: per reduction: a replayed delta raised ``DomainChanged``, or a
+    #: touched relation's change log did not cover its version gap
+    domain_changed: int = 0
+    unpatched: int = 0
     sql_plan_hits: int = 0     # optimizer plans served from the plan store
     sql_compile_hits: int = 0  # compiled SQL programs served from the memo
     #: accumulated wall seconds per phase — the built-in flame-sketch
@@ -273,6 +278,8 @@ class SessionStats:
             "persistent_hits": self.persistent_hits,
             "evictions": self.evictions,
             "delta_patches": self.delta_patches,
+            "domain_changed": self.domain_changed,
+            "unpatched": self.unpatched,
             "sql_plan_hits": self.sql_plan_hits,
             "sql_compile_hits": self.sql_compile_hits,
         }
@@ -468,7 +475,10 @@ class QuerySession:
         patched = {}
         for key, (result, deps) in self._reductions.items():
             touched = deps & changed
-            if not touched or not touched <= patch.keys():
+            if not touched:
+                continue
+            if not touched <= patch.keys():
+                self.stats.unpatched += 1
                 continue
             deltas = sorted(
                 (d for name in touched for d in patch[name]),
@@ -479,6 +489,7 @@ class QuerySession:
                     for delta in deltas:
                         result.apply_delta(delta)
             except DomainChanged:
+                self.stats.domain_changed += 1
                 continue
             self.stats.delta_patches += len(deltas)
             patched[key] = (result, deps)

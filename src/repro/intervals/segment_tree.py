@@ -145,9 +145,10 @@ class SegmentTree:
         # (value, parts, leaf variant?, nonempty_last) -> part-id matrix
         self._encodings: dict[tuple, np.ndarray] = {}
         # (parts, leaf variant?, nonempty_last) -> the column encodings
-        # computed so far, each as (value -> position, matrix, starts,
-        # counts): where ``encodings`` looks before it walks
-        self._columns: dict[tuple, list[tuple]] = {}
+        # computed so far, each as [value -> position (built by the
+        # first lookup), values, matrix, starts, counts]: where
+        # ``encodings`` looks before it walks
+        self._columns: dict[tuple, list[list]] = {}
 
     # ------------------------------------------------------------------
     # basic structure
@@ -278,13 +279,17 @@ class SegmentTree:
         ordering constraint ``nonempty_last`` applies.  Memoized — a
         delta patch asks again — and a value some column of
         :meth:`column_encodings` held is a row slice of that column's
-        matrix, not a walk."""
+        matrix, not a walk (the first such lookup indexes that column's
+        values; a reduction that is never patched never hashes them)."""
         key = (value, parts, leaf, nonempty_last)
         matrix = self._encodings.get(key)
         if matrix is None:
-            for where, rows, starts, counts in self._columns.get(key[1:], ()):
-                at = where.get(value)
+            for column in self._columns.get(key[1:], ()):
+                if column[0] is None:
+                    column[0] = dict(zip(column[1], range(len(column[1]))))
+                at = column[0].get(value)
                 if at is not None:
+                    _, _, rows, starts, counts = column
                     matrix = rows[starts[at] : starts[at] + counts[at]]
                     break
             else:
@@ -309,7 +314,9 @@ class SegmentTree:
         """:meth:`encodings` of all the distinct ``values`` in whole-column
         array steps: one read-only ``(N, parts)`` ``uint32`` matrix plus,
         per value, the ``start`` and ``count`` of its rows in it (a set:
-        their order within a value is unspecified).
+        their order within a value is unspecified).  The result is kept
+        for :meth:`encodings`, keyed by position only: the value → position
+        index is built by the first :meth:`encodings` call that looks.
 
         The canonical partitions are the bottom-up walk over the heap
         ids of the level-``height`` positions ``l .. r`` under each
@@ -366,7 +373,7 @@ class SegmentTree:
         counts = np.bincount(owner, minlength=n)
         starts = np.cumsum(counts) - counts
         self._columns.setdefault((parts, leaf, nonempty_last), []).append(
-            (dict(zip(values, range(n))), matrix, starts, counts)
+            [None, values, matrix, starts, counts]
         )
         return matrix, starts, counts
 

@@ -23,15 +23,18 @@ and a consumer that asks for Python tuples gets a read-only decoded
 view (code columns through the book, bits and id columns verbatim)
 that leaves the arrays in place.
 
-Delta maintenance stays in array space too:
-:meth:`ColumnarCounts.adjust` locates one input tuple's derived rows in
-the (lexicographically sorted) matrix with a packed-key
+A block's rows are distinct, in no promised order: the forward
+reduction emits a provenance variant in source-tuple order.  Delta
+maintenance stays in array space: :meth:`ColumnarCounts.adjust` packs
+the block's rows into keys, sorts the block once if they are not
+already in lexicographic order (the first patch of a freshly built or
+loaded block), locates one input tuple's derived rows with a
 ``searchsorted``, bumps the refcounts, splices in rows not yet present
-and masks out rows whose count reaches zero.  The rule is
-**copy-on-write**: a patch never stores into an existing array (it may
-be a read-only view of a mapped cache file, which must never be
-written) — it builds new arrays and swaps them in through
-:meth:`ColumnBlock.replace_rows`.
+and masks out rows whose count reaches zero — so a block it has patched
+stays sorted.  The rule is **copy-on-write**: a patch never stores into
+an existing array (it may be a read-only view of a mapped cache file,
+which must never be written) — it builds new arrays and swaps them in
+through :meth:`ColumnBlock.replace_rows`.
 
 Equality of cells is equality of values (the codebook and the node-id
 format are both injective, and a variable has one kind wherever it
@@ -154,10 +157,12 @@ class ColumnBlock:
     the one mutation, :meth:`replace_rows`, swaps in a whole new
     matrix.
 
-    Blocks built by the forward reduction hold *distinct* rows in
-    lexicographic order (what its packed-key dedup emits);
-    :meth:`ColumnarCounts.adjust` relies on that order to find rows by
-    binary search and preserves it.
+    Blocks built by the forward reduction hold *distinct* rows, in no
+    promised order (a provenance variant is in source-tuple order, a
+    plain one in the order its dedup emits).  A block
+    :meth:`ColumnarCounts.adjust` has replaced (``version > 0``) is
+    lexicographically sorted: it sorts on its first patch and keeps
+    that order.
     """
 
     __slots__ = ("codes", "kinds", "book", "bounds", "version", "_tuple_set")
@@ -259,11 +264,13 @@ class ColumnarCounts:
     :meth:`adjust`; :meth:`items` is the read-only decoded view
     (``result_digest`` and the tests iterate it)."""
 
-    __slots__ = ("block", "array")
+    __slots__ = ("block", "array", "_sorted_version")
 
     def __init__(self, block: ColumnBlock, array: np.ndarray):
         self.block = block
         self.array = array
+        # the block version :meth:`adjust` last left sorted
+        self._sorted_version = -1
 
     def adjust(self, rows: np.ndarray, step: int) -> None:
         """Add ``step`` to the refcount of every row of ``rows`` — the
@@ -272,12 +279,16 @@ class ColumnarCounts:
         spliced in at their sorted position (insert) or ignored
         (delete); rows whose count reaches zero are dropped.
 
-        The block's rows must be distinct and lexicographically sorted
-        (see :class:`ColumnBlock`); both properties are preserved.  Rows
-        are located by packing each row into one order-preserving
+        The block's rows must be distinct (see :class:`ColumnBlock`).
+        Rows are located by packing each row into one order-preserving
         ``int64`` key (:func:`pack_keys`) and binary-searching the
         block's keys — whole-array operations only, never a Python loop
-        over the block.
+        over the block.  The first patch of a block (or the first after
+        a :meth:`ColumnBlock.replace_rows` it did not make) checks the
+        packed keys: when they are not strictly increasing, one
+        ``argsort`` permutes the codes and refcounts into new arrays
+        first.  The result is sorted, and the block version it leaves is
+        remembered, so later patches skip both the check and the sort.
 
         Copy-on-write: the current arrays (possibly read-only views of
         a mapped cache entry) are never stored into; the block takes
@@ -304,10 +315,18 @@ class ColumnarCounts:
             # key is equal
             keys = np.zeros(codes.shape[0], dtype=np.int64)
             wanted = np.zeros(rows.shape[0], dtype=np.int64)
+        if (
+            self.block.version != self._sorted_version
+            and keys.size > 1
+            and not (keys[1:] > keys[:-1]).all()
+        ):
+            order = np.argsort(keys)
+            keys, codes, array = keys[order], codes[order], self.array[order]
+        else:
+            array = self.array.copy()
         at = np.searchsorted(keys, wanted)
         present = at < keys.size
         present[present] = keys[at[present]] == wanted[present]
-        array = self.array.copy()
         array[at[present]] += step
         if step > 0:
             absent = ~present
@@ -326,6 +345,7 @@ class ColumnarCounts:
                 array = array[alive]
         self.block.replace_rows(codes)
         self.array = array
+        self._sorted_version = self.block.version
 
     def items(self) -> Iterator[tuple[tuple, int]]:
         """``(decoded row, refcount)`` pairs, in matrix order."""
@@ -352,9 +372,9 @@ def encode_rows(
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a code matrix in lexicographic order — the
-    order a :class:`ColumnBlock` promises :meth:`ColumnarCounts.adjust`
-    — and each one's multiplicity as :data:`COUNT_DTYPE`.  Rows are
+    """The distinct rows of a code matrix in lexicographic order and
+    each one's multiplicity as :data:`COUNT_DTYPE` — how a variant whose
+    source tuples can derive the same row gets its refcounts.  Rows are
     compared as the scalar keys of :func:`pack_keys`, whatever their
     width."""
     n, width = rows.shape

@@ -31,9 +31,16 @@ the scalar walk (:meth:`~repro.intervals.segment_tree.SegmentTree.encodings`),
 a quarter of the cost of a one-value column.  What the code is handed
 selects the path; nothing else does.  Part ids are written into the
 matrix verbatim (``bits`` columns), point values through the artifact's
-one codebook, provenance ids verbatim.  The differential digest tests
-pin the decoded output, bit for bit, to a naive per-tuple loop over the
-literal tree of Section 3 kept under ``tests/oracles``.
+one codebook, provenance ids verbatim.  A variant with a provenance
+column is kept exactly as the arithmetic lays it out — rows in
+source-tuple order, each with refcount 1, no dedup or sort pass: the
+provenance id separates tuples and one tuple's product is injective, so
+its rows are distinct by construction.  Only a variant without one (the
+plain reduction) is deduplicated.  No block is promised an order; the
+one consumer that needs sorted rows, a delta patch, sorts the block it
+patches.  The differential digest tests pin the decoded output, bit for
+bit, to a naive per-tuple loop over the literal tree of Section 3 kept
+under ``tests/oracles``.
 
 With ``disjoint=True`` the Appendix G refinement is applied: after the
 distinct-left-endpoint shift, every satisfying tuple combination is
@@ -57,6 +64,7 @@ from ..queries.query import Atom, Query, Variable, pvar
 from ..hypergraph.transform import part_vertex
 from .columnar import (
     CODE_DTYPE,
+    COUNT_DTYPE,
     COL_BITS,
     COL_CODE,
     COL_ID,
@@ -633,16 +641,22 @@ class ForwardReducer:
         product, whose mixed-radix digits (last slot fastest, the order
         of ``itertools.product``) pick one option row per slot from the
         column matrix.  Point codes and provenance ids are one gather
-        by source tuple each, and ``distinct_rows`` deduplicates
-        globally (distinct intervals can share a canonical partition)
-        with the multiplicities as refcounts.  A tuple with an empty
-        option list in a slot derives no row; a point-only atom is the
-        degenerate case of one row per tuple.
+        by source tuple each.  A tuple with an empty option list in a
+        slot derives no row; a point-only atom is the degenerate case of
+        one row per tuple.
 
-        Bit-identical to a naive per-tuple loop: distinct canonical-
-        partition nodes and distinct splits never concatenate to the
-        same parts, so each input tuple adds at most one count to a
-        row.  A single tuple (a delta patch) goes through
+        One tuple's product is injective (distinct canonical-partition
+        nodes and distinct splits never concatenate to the same parts),
+        so a variant with a provenance column is emitted exactly as laid
+        out: its rows are distinct by construction, in source-tuple
+        order, each with refcount 1.  Without one, two tuples can derive
+        the same row (distinct intervals can share a canonical
+        partition), so ``distinct_rows`` deduplicates globally with the
+        multiplicities as refcounts.  Either way the rows and counts are
+        a naive per-tuple loop's; neither order is promised to
+        :meth:`~repro.reduction.columnar.ColumnarCounts.adjust`, which
+        sorts a block the first time it patches it.  A single tuple (a
+        delta patch) goes through
         :meth:`ForwardReductionResult.tuple_rows` instead.
         """
         layout = _VariantLayout.of(atom, spec, self.trees, self.k)
@@ -674,11 +688,10 @@ class ForwardReducer:
             rows[:, out_col] = self._codes(relation, col)[src]
         if layout.prov_col is not None:
             rows[:, layout.prov_col] = src
-        unique_rows, counts = distinct_rows(rows)
-        return (
-            ColumnBlock(unique_rows, layout.kinds, self.codebook, layout.bounds),
-            counts,
-        )
+            counts = np.ones(src.size, dtype=COUNT_DTYPE)
+        else:
+            rows, counts = distinct_rows(rows)
+        return ColumnBlock(rows, layout.kinds, self.codebook, layout.bounds), counts
 
     # ------------------------------------------------------------------
     # full reduction

@@ -82,6 +82,17 @@ class TestWorkflow:
         )
         assert f'"{union}" --n 40 --seed 3 --check' in smoke
 
+    def test_tests_job_runs_every_example(self, workflow):
+        """The examples are linted by ``ruff`` and also *run*: every
+        ``examples/*.py`` through one glob, any non-zero exit failing
+        the step."""
+        steps = workflow["jobs"]["tests"]["steps"]
+        (run,) = [s["run"] for s in steps if s.get("name", "").startswith("examples")]
+        assert "for f in examples/*.py; do" in run
+        assert 'python "$f"' in run
+        assert "|| status=1" in run and 'exit "$status"' in run
+        assert len(list((REPO / "examples").glob("*.py"))) >= 5
+
     def test_fuzz_job_covers_seed_matrix(self, workflow):
         """Acceptance criterion: 3 seeds x py3.10/3.12, steered through
         REPRO_FUZZ_SEED into the differential suite."""

@@ -1,7 +1,8 @@
 """Whole-column forward reduction: ``SegmentTree.column_encodings``
 against the scalar walk and the paper's recursive tree, the edges the
 array form makes reachable, which path serves a relation and which a
-tuple, and the wide-key dedup.
+tuple, the wide-key dedup, and provenance variants emitted as laid out
+(distinct, unit-counted, no dedup pass) on hostile endpoints.
 
 CI runs this module across the ``REPRO_FUZZ_SEED`` matrix.
 """
@@ -305,8 +306,10 @@ def test_wide_rows_deduplicate_through_the_one_packer(monkeypatch):
     assert 6 * 13 > 64 and got.dtype == rows.dtype
     assert np.array_equal(got, expected) and np.array_equal(counts, expected_counts)
 
-    # the same through the builder: eight part columns of a 2-way,
-    # 4-variable pair plus the provenance id pass 64 bits at n = 16
+    # the same through a patch, which packs a whole block's keys: eight
+    # part columns of a 2-way, 4-variable pair plus the provenance id
+    # pass 64 bits at n = 16 (the builder emits these variants as laid
+    # out; the plain reduction, which it deduplicates, rides along)
     query = parse_query("R([A],[B],[C],[D]) ∧ S([A],[B],[C],[D])")
     db = random_database(query, 16, seed=FUZZ_SEED, domain=160.0, mean_length=6.0)
     fast = forward_reduce(query, db, disjoint=True, provenance=True)
@@ -315,10 +318,88 @@ def test_wide_rows_deduplicate_through_the_one_packer(monkeypatch):
         for counts in fast.variant_counts.values()
     )
     assert widest > 2.0**64
+    plain, before = forward_reduce(query, db), db.clone()
+    delta = db.insert("R", _in_domain_tuple(fast, "R", random.Random(FUZZ_SEED)))
+    assert delta is not None
+    fast.apply_delta(delta)
     monkeypatch.undo()
-    reference = naive_forward_reduce(query, db, disjoint=True, provenance=True)
-    for relation in reference.database:
-        assert fast.database[relation.name].tuples == relation.tuples
-    assert reference.variant_counts == {
-        name: dict(counts.items()) for name, counts in fast.variant_counts.items()
-    }
+    reference = naive_forward_reduce(query, before, disjoint=True, provenance=True)
+    apply_delta_rows(reference, delta)
+    for result, expected in ((fast, reference), (plain, naive_forward_reduce(query, before))):
+        for relation in expected.database:
+            assert result.database[relation.name].tuples == relation.tuples
+        assert expected.variant_counts == {
+            name: dict(counts.items())
+            for name, counts in result.variant_counts.items()
+        }
+
+
+# ----------------------------------------------------------------------
+# (f) a provenance variant is emitted as laid out
+# ----------------------------------------------------------------------
+
+POINT_ONLY = "R([A],B) ∧ S([A]) ∧ T(B)"
+HOSTILE = sorted(catalog.PAPER_IJ_QUERIES) + [POINT_ONLY]
+
+
+def _hostile_database(query, rng, n, empty):
+    """Up to ``n`` tuples per atom over a small shared endpoint pool:
+    point intervals, a nested chain, the neighbours of ``2**53`` (which
+    and ``2**53 + 1`` are one ``float``) and, for the atom at index
+    ``empty``, no tuple at all."""
+    base = rng.randrange(-50, 50)
+    big = 2**53
+    pool = [base + d for d in range(5)] + [big - 1, big, big + 1]
+    chain = [Interval(base - k, base + 4 + k) for k in range(4)]
+
+    def interval():
+        pick = rng.randrange(4)
+        if pick == 0:
+            p = rng.choice(pool)
+            return Interval(p, p)
+        if pick == 1:
+            return rng.choice(chain)
+        return Interval(*sorted(rng.choices(pool, k=2)))
+
+    db = Database()
+    for index, atom in enumerate(query.atoms):
+        rows = {
+            tuple(
+                interval() if v.is_interval else rng.randrange(3)
+                for v in atom.variables
+            )
+            for _ in range(n * (index != empty))
+        }
+        db.add(Relation(atom.relation, atom.variable_names, rows))
+    return db
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_provenance_variants_are_distinct_unit_counted_and_the_oracles(name):
+    """Every provenance variant's rows are distinct with refcount 1 —
+    no dedup pass made them so — and every variant's refcounts are the
+    per-tuple loop's, on shared and degenerate endpoints, ``2**53``
+    neighbours and empty relations."""
+    query = (
+        parse_query(name) if name == POINT_ONLY else catalog.PAPER_IJ_QUERIES[name]()
+    )
+    n = {"lw4": 1, "fig9a": 2, "fig9b": 2}.get(name, 5)
+    rng = random.Random(f"{FUZZ_SEED}:{name}")
+    for empty in (None, rng.randrange(len(query.atoms))):
+        db = _hostile_database(query, rng, n, empty)
+        fast = forward_reduce(query, db, disjoint=True, provenance=True)
+        reference = naive_forward_reduce(query, db, disjoint=True, provenance=True)
+        provenance = 0
+        for relation in fast.database:
+            counts = fast.variant_counts[relation.name]
+            if not relation.schema[-1].startswith("__id_"):
+                continue
+            provenance += 1
+            codes = np.asarray(counts.block.codes)
+            assert len(np.unique(codes, axis=0)) == len(codes), relation.name
+            assert (counts.array == 1).all(), relation.name
+        assert provenance > 0
+        assert reference.variant_counts == {
+            variant: dict(counts.items())
+            for variant, counts in fast.variant_counts.items()
+        }

@@ -24,6 +24,7 @@ Covers the whole stack, bottom-up:
 
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,14 @@ from repro.engine import Database, Delta, Relation
 from repro.intervals import Interval, SegmentTree
 from repro.queries import parse_query
 from repro.reduction import DomainChanged, forward_reduce
-from repro.reduction.columnar import CODE_DTYPE, ColumnarCounts
+from repro.reduction.columnar import (
+    CODE_DTYPE,
+    COL_CODE,
+    COUNT_DTYPE,
+    CodeBook,
+    ColumnarCounts,
+    ColumnBlock,
+)
 from repro.workloads import random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -417,8 +425,9 @@ def _variant_view(result, by_source_tuple=False):
 def _assert_columnar(result):
     """Every relation still holds its block over the artifact's one
     codebook, its refcounts are still the array parallel to that very
-    block, and the rows are still distinct and sorted (the invariant
-    the next patch searches by)."""
+    block, every block's rows are distinct, and every block a patch has
+    replaced (``version > 0``) is lexicographically sorted: ``adjust``
+    sorts a block the first time it patches it and keeps it sorted."""
     assert set(result.variant_counts) == set(result.database.relation_names)
     for name, counts in result.variant_counts.items():
         block = result.database[name].columnar
@@ -429,9 +438,13 @@ def _assert_columnar(result):
         assert counts.array.shape == (block.row_count,), name
         assert (np.asarray(counts.array) > 0).all(), name
         codes = np.asarray(block.codes)
-        ordered = codes[np.lexsort(codes.T[::-1])]
-        assert (ordered == codes).all(), name
         assert len(np.unique(codes, axis=0)) == len(codes), name
+        assert block.version == 0 or _is_sorted(codes), name
+
+
+def _is_sorted(codes):
+    codes = np.asarray(codes)
+    return (codes[np.lexsort(codes.T[::-1])] == codes).all()
 
 
 def _frame_kinds(frame):
@@ -788,6 +801,96 @@ class TestArrayNativePatch:
         with pytest.raises(ValueError):
             block.replace_rows(np.zeros((1, block.width + 1), CODE_DTYPE))
 
+    def test_adjust_sorts_an_unsorted_read_only_block_into_new_arrays(self):
+        """``adjust`` on a block in no order, whose arrays are read-only:
+        every insert/delete matches a ``Counter`` of the rows, the
+        original arrays are never written, and the block ends sorted."""
+        rng = np.random.default_rng(3)
+        rows = np.unique(rng.integers(0, 6, (40, 3), dtype=CODE_DTYPE), axis=0)
+        rng.shuffle(rows)
+        assert not _is_sorted(rows)
+        codes, array = rows.copy(), np.ones(len(rows), COUNT_DTYPE)
+        codes.setflags(write=False)
+        array.setflags(write=False)
+        block = ColumnBlock(codes, (COL_CODE,) * 3, CodeBook(range(8)))
+        counts = ColumnarCounts(block, array)
+        reference = Counter(map(tuple, rows.tolist()))
+        for index, step in enumerate((-1, 1, 1, -1, -1, 1, 1)):
+            if index == 6:
+                # rows replaced behind adjust's back are checked again
+                shuffle = rng.permutation(block.row_count)
+                block.replace_rows(block.codes[shuffle])
+                counts.array = counts.array[shuffle]
+                assert not _is_sorted(block.codes)
+            # distinct rows, some in the block and some not
+            batch = np.unique(rng.integers(0, 8, (12, 3), dtype=CODE_DTYPE), axis=0)
+            batch = np.concatenate([batch, rows[rng.choice(len(rows), 5)]])
+            batch = np.unique(batch, axis=0)
+            rng.shuffle(batch)
+            counts.adjust(batch, step)
+            for row in map(tuple, batch.tolist()):
+                if step > 0 or row in reference:
+                    reference[row] += step
+            reference = +reference
+            got = dict(zip(map(tuple, block.codes.tolist()), counts.array.tolist()))
+            assert got == dict(reference)
+            assert _is_sorted(block.codes)
+        assert np.array_equal(codes, rows) and (array == 1).all()
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_adjust_sorts_provenance_blocks_on_their_first_patch(
+        self, loaded, tmp_path
+    ):
+        """A provenance variant is built in source-tuple order, not
+        sorted.  Patching a fresh artifact, or one loaded read-only and
+        memmapped through ``load_result``, matches the row patcher after
+        every insert and delete, leaves the mapped file's bytes as they
+        were, and leaves every touched block sorted."""
+        rng = random.Random(31)
+        q = parse_query(TRIANGLE)
+        db = _random_db(q, rng, n=15)
+        result = forward_reduce(q, db, True, True)
+        assert any(
+            not _is_sorted(counts.block.codes)
+            for counts in result.variant_counts.values()
+        )
+        path = tmp_path / "entry.red"
+        path.write_bytes(serialize_result(result, FORMAT_VERSION))
+        before = path.read_bytes()
+        if loaded:
+            result = load_result(path, FORMAT_VERSION)
+            for counts in result.variant_counts.values():
+                assert not counts.block.codes.flags.writeable
+                assert not counts.array.flags.writeable
+        reference = naive_forward_reduce(q, db, True, True)
+        touched, inserted = set(), []
+
+        def apply(delta):
+            apply_delta_rows(reference, delta)
+            result.apply_delta(delta)
+            atoms = [a for a in q.atoms if a.relation == delta.relation]
+            touched.update(
+                spec.name() for a in atoms for spec in result.atom_variants[a.label]
+            )
+            _assert_columnar(result)
+            assert _variant_view(result) == _variant_view(reference)
+
+        for name in ("R", "S", "T", "R", "S"):
+            t = _in_domain_tuple(result, name, rng)
+            delta = db.insert(name, t)
+            if delta is not None:
+                inserted.append((name, t))
+                apply(delta)
+        victims = inserted[:2] + [("T", sorted(db["T"].tuples, key=repr)[0])]
+        for name, t in victims:
+            apply(db.delete(name, t))
+        assert touched
+        for name in touched:
+            block = result.variant_counts[name].block
+            assert block.version > 0 and _is_sorted(block.codes), name
+        assert evaluate_disjunction(result) == naive_evaluate(q, db)
+        assert path.read_bytes() == before
+
 
 
 
@@ -871,6 +974,24 @@ class TestSessionDeltaMaintenance:
         )
         assert session.stats.reductions == before + 1
         assert session.stats.delta_patches == 0
+
+    def test_a_domain_change_is_counted_as_the_rebuild_reason(self):
+        q, db, session = self.warm_session()
+        assert db.insert("R", self.in_domain_tuple(session, q)) is not None
+        session.evaluate(q, strategy="reduction")  # patched: no reason
+        assert (session.stats.domain_changed, session.stats.unpatched) == (0, 0)
+        db.insert("R", (iv(-9999.5, -9998.5), iv(-9999.5, -9998.5)))
+        assert session.evaluate(q, strategy="reduction") == naive_evaluate(q, db)
+        stats = session.stats.as_dict()
+        assert (stats["domain_changed"], stats["unpatched"]) == (1, 0), stats
+
+    def test_an_uncovered_version_gap_is_counted_as_the_rebuild_reason(self):
+        q, db, session = self.warm_session()
+        db["R"].tuples.add(self.in_domain_tuple(session, q))  # no delta logged
+        assert session.evaluate(q, strategy="reduction") == naive_evaluate(q, db)
+        stats = session.stats.as_dict()
+        assert (stats["domain_changed"], stats["unpatched"]) == (0, 1), stats
+        assert stats["reductions"] == 2 and stats["delta_patches"] == 0
 
     def test_mixed_logged_and_direct_mutation_rebuilds(self):
         """The stamp algebra must catch a logged insert *plus* a direct
