@@ -27,6 +27,9 @@ A **full frame**'s JSON metadata carries the structural half of a
     codebook         the point values, in code order (interval parts are
                      node ids in the matrices and need no table)
     ranks            the G.1 rank table of a shifted artifact, or null
+    disjunct_order   optional: the permutation of ``encoded_queries``
+                     ``rank_order`` gives on the artifact as written
+                     (an entry without it ranks on its first EXISTS)
     relations        per relation: name, schema, per-column ``kinds``
                      (``bits`` | ``code`` | ``id``) and ``bounds``, blob
                      indices of its matrix and refcounts
@@ -38,11 +41,18 @@ without pickle.  The heavy half — each relation's ``uint32`` matrix and
 ``int64`` refcount array — lives in the blob section.  Loading opens
 the file as one ``np.memmap`` and hands out array *views* into it: a
 warm worker maps a cached reduction zero-copy and rebuilds nothing per
-tree node or per part.  What a load does decode eagerly is the JSON
-half: the queries, each interval variable's endpoint list, the
-codebook, every ``tuple_order`` tuple of every atom and the whole rank
-table — Python values proportional to the *input* relations, not to
-``|D~|``.
+tree node or per part.  A load decodes eagerly what every read needs:
+the queries, each interval variable's endpoint list, the codebook and
+the checked ``disjunct_order`` (a permutation of
+``range(len(encoded_queries))`` of plain ints, else the frame is
+invalid), so EXISTS runs its disjuncts in the stored order without
+ranking them.  Provenance — ``tuple_order`` and ``ranks``, Python
+values proportional to the *input* relations — is only shape-checked
+and kept as its payload
+(:class:`~repro.reduction.forward.Undecoded`) until a patch, a witness
+or a digest reads it; EXISTS and COUNT never do.  A payload that does
+not decode then raises ``DomainChanged`` (reason ``unknown_tuple`` or
+``rank_table``), which a session counts as a rebuild.
 
 A **delta frame** is the change, not the artifact: what a patched
 reduction is stored as, a few hundred bytes whatever ``|D~|`` is.  Its
@@ -84,6 +94,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Any, NamedTuple, Sequence
 
@@ -103,10 +114,13 @@ from ..reduction.columnar import (
     ColumnarCounts,
 )
 from ..reduction.forward import (
+    DomainChanged,
     EncodedQuery,
     ForwardReductionResult,
+    Undecoded,
     _VariantSpec,
 )
+from .disjunct_eval import evaluation_order
 
 
 def _wire():
@@ -275,6 +289,10 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
     encode_value = wire.encode_value
     blobs = _BlobWriter()
     try:
+        tuple_order, ranks = result.tuple_order, result.ranks
+    except DomainChanged as exc:  # a loaded payload that does not decode
+        raise CacheFormatError(str(exc)) from exc
+    try:
         relations = [
             _relation_entry(
                 relation,
@@ -302,7 +320,7 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
                 label: [
                     None if t is None else encode_value(t) for t in order
                 ]
-                for label, order in result.tuple_order.items()
+                for label, order in tuple_order.items()
             },
             "atom_variants": {
                 label: [
@@ -318,8 +336,9 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
             },
             "codebook": [encode_value(v) for v in result.codebook.values],
             "ranks": None
-            if result.ranks is None
-            else [encode_value(p) for p in result.ranks],
+            if ranks is None
+            else [encode_value(p) for p in ranks],
+            "disjunct_order": list(evaluation_order(result)),
             "relations": relations,
             "blobs": blobs.descriptors,
         }
@@ -401,7 +420,7 @@ def _blob_view(
     shape = tuple(int(s) for s in descriptor["shape"])
     offset = blob_base + int(descriptor["offset"])
     nbytes = int(descriptor["nbytes"])
-    expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+    expected = dtype.itemsize * math.prod(shape)
     if nbytes != expected or offset + nbytes > len(buffer):
         raise CacheFormatError("blob descriptor out of bounds")
     view = np.frombuffer(buffer, dtype=np.uint8, count=nbytes, offset=offset)
@@ -430,6 +449,38 @@ def _decode_delta(meta: dict, wire) -> DeltaFrame:
     ):
         raise CacheFormatError("malformed delta frame")
     return DeltaFrame(parent, depth, deltas)
+
+
+def _decode_order(orders: dict, arity: dict[str, int]) -> dict:
+    """A frame's ``tuple_order``, each entry ``None`` or a tuple of its
+    atom's ``arity`` — else ``DomainChanged`` (a ``ProtocolError`` is a
+    ``ValueError``)."""
+    decode = _wire().decode_value
+    try:
+        decoded = {
+            label: [None if t is None else decode(t) for t in rows]
+            for label, rows in orders.items()
+        }
+        if decoded.keys() == arity.keys() and all(
+            t is None or (type(t) is tuple and len(t) == arity[label])
+            for label, rows in decoded.items()
+            for t in rows
+        ):
+            return decoded
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise DomainChanged("unknown_tuple", "the provenance order does not decode")
+
+
+def _decode_ranks(payload: list) -> tuple:
+    """A frame's rank table: strictly increasing, else ``DomainChanged``."""
+    try:
+        ranks = tuple(map(_wire().decode_value, payload))
+        if all(a < b for a, b in zip(ranks, ranks[1:])):
+            return ranks
+    except (TypeError, ValueError):
+        pass
+    raise DomainChanged("rank_table", "the rank table does not decode")
 
 
 def deserialize_result(
@@ -470,10 +521,11 @@ def deserialize_result(
             name: SegmentTree.from_endpoints(endpoints)
             for name, endpoints in meta["trees"].items()
         }
-        tuple_order = {
-            label: [None if t is None else decode_value(t) for t in order]
-            for label, order in meta["tuple_order"].items()
-        }
+        orders = meta["tuple_order"]
+        if type(orders) is not dict or any(type(r) is not list for r in orders.values()):
+            raise CacheFormatError("malformed provenance order")
+        arity = {atom.label: len(atom.variables) for atom in original.atoms}
+        tuple_order = Undecoded(_decode_order, orders, arity)
         atom_variants = {
             label: tuple(
                 _VariantSpec(
@@ -491,7 +543,14 @@ def deserialize_result(
         if ranks is not None:
             if type(ranks) is not list:
                 raise CacheFormatError("malformed rank table")
-            ranks = tuple(decode_value(p) for p in ranks)
+            ranks = Undecoded(_decode_ranks, ranks)
+        order = meta.get("disjunct_order")
+        if order is not None and (
+            type(order) is not list
+            or any(type(i) is not int for i in order)  # no bools, no floats
+            or sorted(order) != list(range(len(encoded)))
+        ):
+            raise CacheFormatError("disjunct_order is not a permutation")
         descriptors = meta["blobs"]
         database = Database()
         variant_counts: dict = {}
@@ -533,6 +592,7 @@ def deserialize_result(
             variant_counts,
             book,
             ranks=ranks,
+            disjunct_order=None if order is None else tuple(order),
         )
     except (
         CacheFormatError,

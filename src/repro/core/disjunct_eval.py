@@ -24,15 +24,28 @@ under either.
 from __future__ import annotations
 
 from ..engine.ej import count_ej, evaluate_ej
-from ..engine.statistics import rank_disjuncts
+from ..engine.statistics import rank_order
 from ..queries.query import Query
 from ..reduction.forward import ForwardReductionResult
 
 
+def evaluation_order(result: ForwardReductionResult) -> tuple[int, ...]:
+    """The result's disjunct indices cheapest-first (per the
+    cardinality estimates of :mod:`repro.engine.statistics`), ranked
+    once per artifact: memoized as
+    :attr:`~repro.reduction.forward.ForwardReductionResult.disjunct_order`,
+    which a cache frame may already carry."""
+    if result.disjunct_order is None:
+        result.disjunct_order = tuple(
+            rank_order(result.ej_queries, result.database)
+        )
+    return result.disjunct_order
+
+
 def ranked_disjuncts(result: ForwardReductionResult) -> list[Query]:
-    """The result's EJ disjuncts in evaluation order (cheapest first,
-    per the cardinality estimates of :mod:`repro.engine.statistics`)."""
-    return rank_disjuncts(result.ej_queries, result.database)
+    """The result's EJ disjuncts in :func:`evaluation_order`."""
+    queries = result.ej_queries
+    return [queries[i] for i in evaluation_order(result)]
 
 
 def evaluate_disjunction(result: ForwardReductionResult) -> bool:

@@ -44,7 +44,7 @@ computed per group, and every member receives it.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import permutations, product
@@ -257,9 +257,11 @@ class SessionStats:
     evictions: int = 0         # answer-cache entries dropped by the LRU bound
     delta_patches: int = 0     # deltas applied to cached reductions in place
     #: why a changed reduction was rebuilt instead of patched, one count
-    #: per reduction: a replayed delta raised ``DomainChanged``, or a
-    #: touched relation's change log did not cover its version gap
+    #: per reduction: a replayed delta (or a witness read of a loaded
+    #: artifact) raised ``DomainChanged`` — also counted per its reason —,
+    #: or a touched relation's change log did not cover its version gap
     domain_changed: int = 0
+    domain_changed_by: Counter = field(default_factory=Counter)
     unpatched: int = 0
     sql_plan_hits: int = 0     # optimizer plans served from the plan store
     sql_compile_hits: int = 0  # compiled SQL programs served from the memo
@@ -279,10 +281,19 @@ class SessionStats:
             "evictions": self.evictions,
             "delta_patches": self.delta_patches,
             "domain_changed": self.domain_changed,
+            **{
+                f"domain_changed_{reason}": self.domain_changed_by[reason]
+                for reason in DomainChanged.REASONS
+            },
             "unpatched": self.unpatched,
             "sql_plan_hits": self.sql_plan_hits,
             "sql_compile_hits": self.sql_compile_hits,
         }
+
+    def rebuilt(self, exc: DomainChanged) -> None:
+        """Count one rebuild ``exc`` forced, with its reason."""
+        self.domain_changed += 1
+        self.domain_changed_by[exc.reason] += 1
 
     def profile(self) -> dict[str, float]:
         """Per-phase wall seconds accumulated so far (a copy)."""
@@ -488,8 +499,8 @@ class QuerySession:
                 with self._timed("reduce"):
                     for delta in deltas:
                         result.apply_delta(delta)
-            except DomainChanged:
-                self.stats.domain_changed += 1
+            except DomainChanged as exc:
+                self.stats.rebuilt(exc)
                 continue
             self.stats.delta_patches += len(deltas)
             patched[key] = (result, deps)
@@ -524,8 +535,9 @@ class QuerySession:
         digests = database_digests(self.db, query.relations)
         return reduction_key(query, digests, True, True, "appendix-g")
 
-    def _reduce(self, key: tuple, query: Query) -> ForwardReductionResult:
-        """The artifact memoized under ``key``, else loaded, else
+    def _reduce(self, key: tuple, query: Query, load=True) -> ForwardReductionResult:
+        """The artifact memoized under ``key``, else loaded (unless
+        ``load`` is false: the stored entry is what failed), else
         computed and persisted: the Appendix G disjoint provenance
         reduction, over the G.1-shifted database unless ``query`` has a
         self-join (:mod:`repro.reduction.disjoint`)."""
@@ -536,7 +548,7 @@ class QuerySession:
         if self.cache is not None:
             address = self._address(query)
             with self._timed("cache_io"):
-                result = self.cache.get(address)
+                result = self.cache.get(address) if load else None
         if result is not None:
             self.stats.persistent_hits += 1
         else:
@@ -718,7 +730,14 @@ class QuerySession:
         self._ensure_current()
         form = self._canonical(query)
         require_self_join_free(form.query)
-        for witness in witnesses_from_reduction(self._reduction(form), limit):
+        result = self._reduction(form)
+        try:
+            result.tuple_order, result.ranks  # a load decodes them here
+        except DomainChanged as exc:
+            self.stats.rebuilt(exc)
+            del self._reductions[form.key]
+            result = self._reduce(form.key, form.query, load=False)
+        for witness in witnesses_from_reduction(result, limit):
             yield form.relabel_witness(witness)
 
     # ------------------------------------------------------------------

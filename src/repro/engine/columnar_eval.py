@@ -30,10 +30,10 @@ tuple:
 
 * :func:`generic_join_count` / ``_boolean`` / ``_relation`` — the
   worst-case optimal join [27, 34] on sorted arrays.  Each atom's rows
-  are sorted **once** per call, in the global variable order; the
-  distinct prefixes of every length are the levels of a flattened trie
-  in which the children of a prefix are one contiguous key range, found
-  by ``searchsorted``.  Counting and materialisation run the join one
+  are sorted in the global variable order; the distinct prefixes of
+  every length are the levels of a flattened trie in which the children
+  of a prefix are one contiguous key range, found by ``searchsorted``;
+  the atom's block memoizes them per projection.  Counting and materialisation run the join one
   level at a time over the whole frontier of partial assignments
   (:func:`_levelwise_join`); the Boolean form walks the same state
   depth-first and stops at the first witness.  Count and Boolean join
@@ -358,11 +358,12 @@ def columnar_yannakakis_count(
 
 class _Part(NamedTuple):
     """One input of the array generic join: variable names and the
-    parallel ``uint32`` columns (a relation's, or a slice of them — the
-    sort below deduplicates, so a slice is a projection)."""
+    block columns holding them (all of a relation's, or some — the sort
+    below deduplicates, so a subset is a projection)."""
 
     variables: tuple[str, ...]
-    columns: list[np.ndarray]
+    block: ColumnBlock
+    columns: tuple[int, ...]
 
 
 class _Sorted(NamedTuple):
@@ -387,25 +388,11 @@ class _Sorted(NamedTuple):
     that projection (``None`` for an atom without columns).
     """
 
-    radices: list[list[int]]
+    radices: list[tuple[int, ...]]
     prefixes: list[list[np.ndarray]]
     advancing: list[list[tuple[int, int]]]
     dense: list[bool]
     runs: list[np.ndarray | None] | None
-
-
-def _shared_radices(
-    atoms: Sequence[JoinAtom], matrices: Sequence[np.ndarray]
-) -> dict[str, int]:
-    """Per variable, an exclusive bound on its cells across *all* atoms
-    (one max scan per matrix).  Shared, because a prefix key is extended
-    with values that another atom proposed."""
-    radix_of: dict[str, int] = {}
-    for atom, matrix in zip(atoms, matrices):
-        tops = matrix.max(axis=0, initial=0).tolist()
-        for v, top in zip(atom.variables, tops):
-            radix_of[v] = max(radix_of.get(v, 1), int(top) + 1)
-    return radix_of
 
 
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
@@ -425,55 +412,66 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _trie(codes: np.ndarray, positions, radices, counting: bool) -> tuple:
+    """The trie levels of ``codes`` projected onto ``positions`` (in
+    level order) under ``radices`` and, if ``counting``, the run length
+    behind each entry of the deepest.  Rows that pack into one key are
+    packed, sorted and deduplicated once, and the shorter prefixes
+    peeled off by floor division; wider rows are ranked one column at a
+    time (each level's ``np.unique`` hands the next its parents)."""
+    columns = [codes[:, j] for j in positions]
+    levels: list[np.ndarray] = []
+    runs = None
+    if math.prod(radices) > KEY_LIMIT:
+        parent = np.zeros(codes.shape[0], dtype=np.int64)
+        for column, radix in zip(columns, radices):
+            level, parent, runs = np.unique(
+                parent * radix + column, return_inverse=True, return_counts=True
+            )
+            levels.append(level)
+    elif columns:
+        (keys,), _ = pack_keys([columns], radices)
+        keys.sort()
+        first = _run_starts(keys)
+        levels.append(keys[first])
+        if counting:
+            runs = np.diff(np.flatnonzero(first), append=keys.size)
+        for radix in reversed(radices[1:]):
+            levels.append(_distinct_sorted(levels[-1] // radix))
+        levels.reverse()
+    return tuple(levels), runs
+
+
 def _sort_parts(
     parts: Sequence[_Part],
     order: Sequence[str],
     radix_of: dict[str, int],
     counting: bool = False,
 ) -> _Sorted:
-    """Build every part's trie levels.  Rows that pack into one key are
-    packed, sorted and deduplicated once, and the shorter prefixes
-    peeled off by floor division; wider rows are ranked one column at a
-    time (each level's ``np.unique`` hands the next its parent
-    positions).  ``counting`` keeps what either dedup found about the
-    deepest level: the part's :attr:`_Sorted.runs`."""
+    """Every part's trie levels (:func:`_trie`), memoized on its block
+    per (projection, ``counting``) under the radices: disjuncts sharing
+    a variant relation sort each projection once.  ``counting`` keeps
+    the deepest level's run lengths: the part's :attr:`_Sorted.runs`."""
     level_of = {v: i for i, v in enumerate(order)}
     state = _Sorted([], [], [[] for _ in order], [], [] if counting else None)
     for a, part in enumerate(parts):
-        positions = sorted(
+        depths = sorted(
             range(len(part.variables)),
             key=lambda j: level_of[part.variables[j]],
         )
-        radices = [radix_of[part.variables[j]] for j in positions]
-        columns = [part.columns[j] for j in positions]
-        dense = math.prod(radices) > KEY_LIMIT
-        levels: list[np.ndarray] = []
-        runs = None
-        if dense:
-            parent = np.zeros(columns[0].size, dtype=np.int64)
-            for column, radix in zip(columns, radices):
-                level, parent, runs = np.unique(
-                    parent * radix + column,
-                    return_inverse=True,
-                    return_counts=True,
-                )
-                levels.append(level)
-        elif columns:
-            (keys,), _ = pack_keys([columns], radices)
-            keys.sort()
-            first = _run_starts(keys)
-            levels.append(keys[first])
-            if counting:
-                runs = np.diff(np.flatnonzero(first), append=keys.size)
-            for radix in reversed(radices[1:]):
-                levels.append(_distinct_sorted(levels[-1] // radix))
-            levels.reverse()
+        positions = tuple(part.columns[j] for j in depths)
+        radices = tuple(radix_of[part.variables[j]] for j in depths)
+        levels, runs = part.block.derived(
+            ("trie", positions, counting),
+            lambda: _trie(part.block.codes, positions, radices, counting),
+            radices,
+        )
         state.radices.append(radices)
         state.prefixes.append(levels)
-        state.dense.append(dense)
+        state.dense.append(math.prod(radices) > KEY_LIMIT)
         if counting:
             state.runs.append(runs)
-        for depth, j in enumerate(positions):
+        for depth, j in enumerate(depths):
             state.advancing[level_of[part.variables[j]]].append((a, depth))
     return state
 
@@ -667,18 +665,20 @@ def _generic_setup(
     if set(order) != {v for atom in atoms for v in atom.variables}:
         raise ValueError("variable order must cover exactly the join variables")
     blocks, kind_of, book = _require_blocks(atoms)
-    matrices = [np.asarray(block.codes) for block in blocks]
-    radix_of = _shared_radices(atoms, matrices)
+    # per variable, an exclusive bound on its cells across *all* atoms:
+    # a prefix key is extended with values another atom proposed
+    radix_of: dict[str, int] = {}
+    for atom, block in zip(atoms, blocks):
+        for v, top in zip(atom.variables, block.column_maxima()):
+            radix_of[v] = max(radix_of.get(v, 1), top + 1)
     if shared is not None:
         order = [v for v in order if v in shared]
     parts = []
-    for atom, matrix in zip(atoms, matrices):
-        kept = [
+    for atom, block in zip(atoms, blocks):
+        kept = tuple(
             j for j, v in enumerate(atom.variables) if shared is None or v in shared
-        ]
-        parts.append(
-            _Part(tuple(atom.variables[j] for j in kept), [matrix[:, j] for j in kept])
         )
+        parts.append(_Part(tuple(atom.variables[j] for j in kept), block, kept))
     return parts, order, kind_of, radix_of, book
 
 
@@ -758,20 +758,19 @@ def columnar_materialise_bags(
     the Yannakakis kernels and no row is ever decoded.  Input matrices
     (possibly read-only maps of a cache entry) are only read.
     """
-    blocks, kind_of, book = _require_blocks(atoms)
-    matrices = [np.asarray(block.codes) for block in blocks]
-    radix_of = _shared_radices(atoms, matrices)
+    atom_parts, _, kind_of, radix_of, book = _generic_setup(atoms, None)
     bags: list[Relation] = []
     for i, bag in enumerate(td.bags):
         bag_vars = sorted(bag, key=str)
         parts: list[_Part] = []
-        for atom, matrix in zip(atoms, matrices):
-            shared = [j for j, v in enumerate(atom.variables) if v in bag]
+        for part in atom_parts:
+            shared = [j for j, v in enumerate(part.variables) if v in bag]
             if shared:
                 parts.append(
                     _Part(
-                        tuple(atom.variables[j] for j in shared),
-                        [matrix[:, j] for j in shared],
+                        tuple(part.variables[j] for j in shared),
+                        part.block,
+                        tuple(part.columns[j] for j in shared),
                     )
                 )
         covered = {v for part in parts for v in part.variables}

@@ -18,12 +18,9 @@ from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..queries.query import Query
 from .relation import Database, Relation
 
-#: memo type threaded through one ranking pass: ``(relation name,
-#: attribute) -> distinct count``.  The reduction's disjuncts share a
-#: handful of variant relations, so most lookups repeat across
-#: disjuncts — and each first lookup is itself array-cheap
-#: (``np.unique`` over a ``uint32`` code column) while the relation is
-#: columnar.
+#: memo type a caller threads through its estimates: ``(relation name,
+#: attribute) -> distinct count`` — for row-backed relations; a columnar
+#: one memoizes its counts on its block.
 StatsCache = dict[tuple[str, str], int]
 
 
@@ -98,22 +95,15 @@ def estimate_evaluation_cost(
     return input_size + math.sqrt(max(blowup, 0.0)) + 10.0 * input_size
 
 
-def rank_disjuncts(
-    queries: Sequence[Query], db: Database
-) -> list[Query]:
-    """Order disjuncts cheapest-first for short-circuit evaluation.
+def rank_order(queries: Sequence[Query], db: Database) -> list[int]:
+    """The indices of ``queries`` cheapest-first, for short-circuit
+    evaluation.
 
-    One ranking pass shares a distinct-count memo across disjuncts
-    (they draw from the same shared variant relations) and orders the
-    cost vector with a stable ``np.argsort`` — ties keep the disjunct
-    enumeration order, exactly like the ``sorted`` it replaces.
+    The disjuncts draw from the same shared variant relations, whose
+    blocks memoize their distinct counts; a stable ``np.argsort`` of the
+    costs keeps the disjunct enumeration order on ties.
     """
     if len(queries) < 2:
-        return list(queries)
-    cache: StatsCache = {}
-    costs = np.fromiter(
-        (estimate_evaluation_cost(q, db, cache) for q in queries),
-        dtype=np.float64,
-        count=len(queries),
-    )
-    return [queries[i] for i in np.argsort(costs, kind="stable")]
+        return list(range(len(queries)))
+    costs = [estimate_evaluation_cost(q, db) for q in queries]
+    return np.argsort(np.array(costs, dtype=np.float64), kind="stable").tolist()

@@ -45,7 +45,7 @@ their width.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,6 +157,13 @@ class ColumnBlock:
     the one mutation, :meth:`replace_rows`, swaps in a whole new
     matrix.
 
+    Beside it, :meth:`derived` memoizes what consumers derive from the
+    matrix: its column maxima, per column the distinct count (what
+    disjunct ranking reads) and the generic join's sorted trie levels
+    per projection, so disjuncts sharing a variant relation sort it
+    once.  :meth:`replace_rows` drops every memo with the matrix: a
+    patched block is never served pre-patch levels, maxima or counts.
+
     Blocks built by the forward reduction hold *distinct* rows, in no
     promised order (a provenance variant is in source-tuple order, a
     plain one in the order its dedup emits).  A block
@@ -165,7 +172,7 @@ class ColumnBlock:
     that order.
     """
 
-    __slots__ = ("codes", "kinds", "book", "bounds", "version", "_tuple_set")
+    __slots__ = ("codes", "kinds", "book", "bounds", "version", "_tuple_set", "_derived")
 
     def __init__(
         self,
@@ -182,12 +189,13 @@ class ColumnBlock:
         )
         self.version = 0  # what ``Relation.version`` serves for a block
         self._tuple_set: frozenset[tuple] | None = None
+        self._derived: dict = {}
 
     def replace_rows(self, codes: np.ndarray) -> None:
         """Swap in a new code matrix of the same width — the block's
         single mutation entry point.  Advances :attr:`version` and
-        drops the decoded-row memo, so no consumer is ever served the
-        previous matrix's rows."""
+        drops every memo, so no consumer is ever served the previous
+        matrix's rows."""
         if codes.ndim != 2 or codes.shape[1] != self.codes.shape[1]:
             raise ValueError(
                 f"replacement matrix of shape {codes.shape} does not "
@@ -196,6 +204,22 @@ class ColumnBlock:
         self.codes = codes
         self.version += 1
         self._tuple_set = None
+        self._derived = {}
+
+    def derived(
+        self, key: Hashable, build: Callable[[], Any], under: Hashable = None
+    ) -> Any:
+        """``build()`` on the current matrix under parameters ``under``,
+        memoized per ``key`` (other parameters rebuild and replace the
+        entry) until :meth:`replace_rows`.  The value is shared: read-only."""
+        entry = self._derived.get(key)
+        if entry is None or entry[0] != under:
+            entry = self._derived[key] = (under, build())
+        return entry[1]
+
+    def column_maxima(self) -> list[int]:
+        """Per column, its largest cell (0 for an empty block)."""
+        return self.derived("max", lambda: self.codes.max(axis=0, initial=0).tolist())
 
     @property
     def row_count(self) -> int:
@@ -213,19 +237,17 @@ class ColumnBlock:
         mixed radix :func:`pack_keys` needs.  Dictionary-encoded
         columns answer in O(1): every code is an index into the shared
         book, so the book's domain size bounds them all; so do columns
-        with a declared bound (node ids).  Verbatim id columns need one
-        max scan."""
+        with a declared bound (node ids).  Verbatim id columns read the
+        memoized maxima."""
         if self.kinds[j] == COL_CODE and self.book is not None:
             return len(self.book)
         if self.bounds[j] is not None:
             return self.bounds[j]
-        col = self.codes[:, j]
-        return int(col.max()) + 1 if col.size else 1
+        return self.column_maxima()[j] + 1
 
     def distinct_count(self, j: int) -> int:
-        if self.codes.shape[0] == 0:
-            return 0
-        return int(np.unique(self.codes[:, j]).size)
+        """Number of distinct cells in column ``j`` (memoized)."""
+        return self.derived(("distinct", j), lambda: np.unique(self.codes[:, j]).size)
 
     def row(self, i: int) -> tuple:
         """Decode the single row ``i`` — O(width), no memoization, and
@@ -302,8 +324,7 @@ class ColumnarCounts:
             radices = [
                 int(max(a, b)) + 1
                 for a, b in zip(
-                    codes.max(axis=0, initial=0).tolist(),
-                    rows.max(axis=0).tolist(),
+                    self.block.column_maxima(), rows.max(axis=0).tolist()
                 )
             ]
             (keys, wanted), _ = pack_keys(

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 from typing import Iterator, Mapping, Sequence
 
@@ -83,7 +84,25 @@ class DomainChanged(Exception):
     """A delta cannot be applied to an existing reduction — the segment
     trees' endpoint domains no longer describe the data (a new endpoint
     appeared) or the change is not tuple-level.  Callers must re-run the
-    full forward reduction."""
+    full forward reduction.  :attr:`reason` names the cause, one of
+    :attr:`REASONS` (raised where :meth:`ForwardReductionResult.apply_delta`
+    and :mod:`repro.core.cache_format` find it)."""
+
+    REASONS = (
+        "not_tuple_level", "arity", "new_endpoint", "rank_table",
+        "unknown_tuple", "no_refcounts",
+    )
+
+    def __init__(self, reason: str, message: str):
+        if reason not in self.REASONS:
+            raise ValueError(f"unknown DomainChanged reason {reason!r}")
+        super().__init__(message)
+        self.reason = reason
+
+
+class Undecoded(partial):
+    """A field of a cache-loaded artifact kept as its frame payload: a
+    call decodes it, or raises :class:`DomainChanged`."""
 
 
 def atom_counts(query: Query) -> dict[str, int]:
@@ -236,7 +255,8 @@ class ForwardReductionResult:
     #: atom label -> input tuples in provenance-id order: the tuple at
     #: index ``i`` is the one the reduction tagged ``__id_<label> = i``.
     #: Slots of tuples deleted by :meth:`apply_delta` hold ``None`` so
-    #: surviving provenance ids stay stable.
+    #: surviving provenance ids stay stable.  Given :class:`Undecoded`
+    #: (a cache load), decoded on first read — so are :attr:`ranks`.
     tuple_order: dict[str, list[tuple]] = field(default_factory=dict)
     #: atom label -> the transformed-relation variants built for it
     #: (every distinct :class:`_VariantSpec` across all disjuncts) —
@@ -257,6 +277,12 @@ class ForwardReductionResult:
     #: the G.1 rank table of a shifted reduced database (else ``None``):
     #: deltas and witnesses stay in source space, shifted against it
     ranks: tuple | None = None
+    #: :attr:`encoded_queries` indices cheapest-first, once ranked
+    #: (:func:`repro.core.disjunct_eval.evaluation_order`) or loaded;
+    #: :meth:`apply_delta` drops it
+    disjunct_order: tuple[int, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
     #: ``(address, delta-chain depth)`` of the persistent-cache entry
     #: that holds exactly this object's current content, or ``None`` —
     #: written by :class:`~repro.core.reduction_cache.ReductionCache`
@@ -328,10 +354,10 @@ class ForwardReductionResult:
         """
         if delta.relation not in self.source_relations:
             return
+        self.disjunct_order = None  # ranked on the pre-delta relations
         if not delta.is_tuple_level or delta.tuple is None:
             raise DomainChanged(
-                f"{delta.kind!r} delta on {delta.relation!r} is not a "
-                f"tuple-level change"
+                "not_tuple_level", f"a {delta.kind!r} delta on {delta.relation!r}"
             )
         atoms = [
             a for a in self.original.atoms if a.relation == delta.relation
@@ -339,10 +365,7 @@ class ForwardReductionResult:
         t = delta.tuple
         for atom in atoms:
             if len(t) != len(atom.variables):
-                raise DomainChanged(
-                    f"tuple {t} does not match the arity of atom "
-                    f"{atom.label}"
-                )
+                raise DomainChanged("arity", f"tuple {t} does not fit {atom.label}")
         if self.ranks is not None:
             # a shifted artifact's query is self-join-free: one atom
             t = self._shifted(atoms[0], t)
@@ -353,8 +376,7 @@ class ForwardReductionResult:
                         v.name
                     ].in_domain(value):
                         raise DomainChanged(
-                            f"endpoint of {value} falls outside the "
-                            f"[{v.name}] segment tree's endpoint domain"
+                            "new_endpoint", f"{value} is outside [{v.name}]'s domain"
                         )
         self._patch(atoms, t, inserting=delta.kind == "insert")
 
@@ -365,7 +387,9 @@ class ForwardReductionResult:
         for p in (e for i in positions for e in (t[i].left, t[i].right)):
             rank[p] = r = bisect_left(ranks, p)
             if r == len(ranks) or ranks[r] != p:
-                raise DomainChanged(f"endpoint {p!r} is not in the rank table")
+                raise DomainChanged(
+                    "rank_table", f"endpoint {p!r} is not in the rank table"
+                )
         slot = self.original.atoms.index(atom) + 1
         return shift_row(t, positions, slot, len(self.original.atoms), rank)
 
@@ -437,16 +461,13 @@ class ForwardReductionResult:
                     ids[atom.label] = order.index(t)
                 except ValueError:
                     raise DomainChanged(
-                        f"tuple {t} is unknown to this reduction's "
-                        f"provenance order for atom {atom.label}"
+                        "unknown_tuple", f"{atom.label} has no tuple {t}"
                     ) from None
         for atom in atoms:
             for spec in self.atom_variants[atom.label]:
                 counts = self.variant_counts.get(spec.name())
                 if counts is None:
-                    raise DomainChanged(
-                        f"variant {spec.name()} has no derived-row refcounts"
-                    )
+                    raise DomainChanged("no_refcounts", f"{spec.name()} has none")
                 counts.adjust(
                     self.tuple_rows(atom, spec, t, ids[atom.label], inserting),
                     1 if inserting else -1,
@@ -458,6 +479,25 @@ class ForwardReductionResult:
                 if id(order) not in cleared:
                     order[ids[atom.label]] = None
                     cleared.add(id(order))
+
+
+def _decoded_on_read(name: str) -> property:
+    """Field ``name``, held as ``_<name>``: an :class:`Undecoded` value
+    is decoded on its first read and kept.  Installed after the
+    dataclass is built, so its ``__init__`` / ``__eq__`` go through it."""
+    slot = f"_{name}"
+
+    def get(self):
+        value = self.__dict__[slot]
+        if isinstance(value, Undecoded):
+            value = self.__dict__[slot] = value()
+        return value
+
+    return property(get, lambda self, value: self.__dict__.__setitem__(slot, value))
+
+
+ForwardReductionResult.tuple_order = _decoded_on_read("tuple_order")
+ForwardReductionResult.ranks = _decoded_on_read("ranks")
 
 
 class ForwardReducer:

@@ -186,7 +186,9 @@ def apply_delta_rows(result: ForwardReductionResult, delta: Delta) -> None:
     if delta.relation not in result.source_relations:
         return
     if not delta.is_tuple_level or delta.tuple is None:
-        raise DomainChanged(f"{delta.kind!r} is not a tuple-level change")
+        raise DomainChanged(
+            "not_tuple_level", f"{delta.kind!r} is not a tuple-level change"
+        )
     atoms = [a for a in result.original.atoms if a.relation == delta.relation]
     t = delta.tuple
     inserting = delta.kind == "insert"
@@ -196,13 +198,17 @@ def apply_delta_rows(result: ForwardReductionResult, delta: Delta) -> None:
     }
     for atom in atoms:
         if len(t) != len(atom.variables):
-            raise DomainChanged(f"tuple {t} does not match atom {atom.label}")
+            raise DomainChanged(
+                "arity", f"tuple {t} does not match atom {atom.label}"
+            )
         if inserting:
             for v, value in zip(atom.variables, t):
                 if v.is_interval and not result.segment_trees[
                     v.name
                 ].in_domain(value):
-                    raise DomainChanged(f"{value} is outside [{v.name}]'s domain")
+                    raise DomainChanged(
+                        "new_endpoint", f"{value} is outside [{v.name}]'s domain"
+                    )
     # provenance ids: order lists are shared between self-join atoms of
     # one relation, so each underlying list changes exactly once
     orders = {
@@ -216,7 +222,9 @@ def apply_delta_rows(result: ForwardReductionResult, delta: Delta) -> None:
     for atom in atoms:
         order = result.tuple_order[atom.label]
         if t not in order:
-            raise DomainChanged(f"tuple {t} is unknown to atom {atom.label}")
+            raise DomainChanged(
+                "unknown_tuple", f"tuple {t} is unknown to atom {atom.label}"
+            )
         ids[atom.label] = len(order) - 1 if inserting else order.index(t)
     for atom in atoms:
         for spec in result.atom_variants[atom.label]:

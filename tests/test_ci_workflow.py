@@ -114,8 +114,10 @@ class TestWorkflow:
         # regressions, the column-encoding differential, the delta-
         # frame chain ≡ live ≡ naive scripts, the freshness machine
         # (the one test that classifies every step as patch, rebuild or
-        # unchanged, for both heads) and the backward differential (EJ
-        # engine ≡ IJ session on the backward image) all ride the same
+        # unchanged, for both heads), the backward differential (EJ
+        # engine ≡ IJ session on the backward image) and the warm-load
+        # suite (stored disjunct order, provenance decoded on demand,
+        # rebuild causes, block-memo differential) all ride the same
         # matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
@@ -128,6 +130,7 @@ class TestWorkflow:
             "tests/test_delta_frames.py",
             "tests/test_freshness.py",
             "tests/test_backward.py",
+            "tests/test_warm_load.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

@@ -13,7 +13,7 @@ from repro.core import QuerySession, naive_count, naive_evaluate
 from repro.core.sweep import single_shared_interval_variable
 from repro.engine import Database, Relation, columnar_eval
 from repro.engine.ej import plan_ej
-from repro.engine.statistics import rank_disjuncts
+from repro.engine.statistics import rank_order
 from repro.intervals import Interval, SegmentTree
 from repro.queries import catalog, parse_query
 from repro.reduction import forward_reduce
@@ -340,7 +340,7 @@ def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
         assert methods == {"generic"}, head
 
 
-#: ``rank_disjuncts`` orders captured at the commit whose estimator
+#: ``rank_order`` orders captured at the commit whose estimator
 #: resolved columns by variable name, on the ``warm_restart`` shapes.
 RANKED_AT_PARENT = {
     "triangle": (catalog.triangle_ij(), 20, [3, 4, 2, 0, 7, 6, 1, 5]),
@@ -363,5 +363,4 @@ def test_positional_estimator_ranks_disjuncts_as_before(shape):
             assert tuple(result.database[atom.relation].schema) == (
                 atom.variable_names
             )
-    ranked = rank_disjuncts(result.ej_queries, result.database)
-    assert [result.ej_queries.index(q) for q in ranked] == order
+    assert rank_order(result.ej_queries, result.database) == order
