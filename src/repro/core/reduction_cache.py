@@ -39,6 +39,7 @@ import os
 import re
 import tempfile
 import time
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -124,25 +125,38 @@ def encode_value(value) -> str:
     return f"r:{type(value).__name__}:{len(text)}:{text}"
 
 
+#: a tuple's encoding, in a memo entry ``(tuple, line)``
+_LINE = itemgetter(1)
+
+
 def relation_digest(relation: Relation) -> str:
     """SHA-256 digest of one relation's schema and tuple set, stable
     under tuple enumeration order and across processes.  Each encoded
     tuple is fed length-framed, so values containing the separator
     (e.g. strings with newlines) cannot make two different tuple sets
     collide.  Memoized on the relation per :attr:`Relation.version`, so
-    digesting an unchanged relation again reads no tuple."""
+    digesting an unchanged relation again reads no tuple; a changed one
+    re-encodes only the tuple objects it did not hold at its last
+    digest.  The encodings are remembered per tuple *object* (an equal
+    but distinct object — ``(1.0,)`` swapped in for ``(1,)`` — is
+    encoded afresh) and only while the tuple is live."""
     version = relation.version
     memo = relation._digest
     if memo is not None and memo[0] == version:
         return memo[1]
+    known = relation._encoded or {}
+    encoded = {}
+    for t in relation.tuples:
+        entry = known.get(id(t))
+        if entry is None:
+            entry = (t, encode_value(t).encode())
+        encoded[id(t)] = entry
     h = hashlib.sha256()
     h.update(repr(relation.schema).encode())
-    for line in sorted(encode_value(t) for t in relation.tuples):
-        encoded = line.encode()
-        h.update(b"%d:" % len(encoded))
-        h.update(encoded)
+    lines = sorted(map(_LINE, encoded.values()))
+    h.update(b"".join([b"%d:%s" % (len(line), line) for line in lines]))
     digest = h.hexdigest()
-    relation._digest = (version, digest)
+    relation._digest, relation._encoded = (version, digest), encoded
     return digest
 
 
@@ -151,8 +165,8 @@ def database_digests(
 ) -> dict[str, str]:
     """Per-relation content digests — what persistent-cache keys
     commit to: a mutation changes exactly the digests of the relations
-    it touched (and only those are re-hashed, see
-    :func:`relation_digest`).  ``names`` restricts the pass to the
+    it touched, and a delta of ``k`` tuples re-encodes ``k`` tuples
+    (see :func:`relation_digest`).  ``names`` restricts the pass to the
     relations a key commits to: no other mutated relation is re-hashed."""
     if names is None:
         return {r.name: relation_digest(r) for r in db}
@@ -263,8 +277,14 @@ class _Miss(Exception):
 
 def _write_atomic(path: Path, data: bytes) -> None:
     """``data`` at ``path`` via a temp file beside it and a rename, so
-    no reader ever sees a torn entry."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    no reader ever sees a torn entry.  The directory is made only when
+    the temp file finds it missing (a fresh shard, or a cleaner removed
+    it), and the temp file is then retried once."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -407,8 +427,11 @@ class ReductionCache:
             return
         marker = self._namespace_dir(self.namespace) / key
         try:
-            marker.parent.mkdir(parents=True, exist_ok=True)
-            marker.touch()
+            try:
+                marker.touch()
+            except FileNotFoundError:  # the namespace directory is new
+                marker.parent.mkdir(parents=True, exist_ok=True)
+                marker.touch()
         except OSError:  # pragma: no cover - marker loss degrades purge
             pass
 
@@ -527,7 +550,6 @@ class ReductionCache:
         ``result`` came from, if that is known and under
         :data:`MAX_DELTA_CHAIN` links deep, else a full frame."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # where the artifact is stored is known again once this succeeds
         origin, result.stored_as = result.stored_as, None
         try:
@@ -558,8 +580,9 @@ class ReductionCache:
         try:
             _write_atomic(path, frame)
         except FileNotFoundError:
-            # the temp file (or the shard directory itself) vanished —
-            # a concurrent pruner or cleaner won the race; drop the store
+            # the shard directory vanished again after being remade, or
+            # the temp file did — a concurrent pruner or cleaner won the
+            # race; drop the store
             return
         self.stores += 1
         if depth:
@@ -655,7 +678,6 @@ class ReductionCache:
         if path.exists():
             self._mark(key)
             return True  # content-addressed: an existing entry is equal
-        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             _write_atomic(path, raw)
         except OSError:  # pragma: no cover - concurrent cleaner

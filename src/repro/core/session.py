@@ -257,12 +257,14 @@ class SessionStats:
     evictions: int = 0         # answer-cache entries dropped by the LRU bound
     delta_patches: int = 0     # deltas applied to cached reductions in place
     #: why a changed reduction was rebuilt instead of patched, one count
-    #: per reduction: a replayed delta (or a witness read of a loaded
-    #: artifact) raised ``DomainChanged`` — also counted per its reason —,
+    #: per reduction, each also counted per its reason: a replayed delta
+    #: (or a witness read of a loaded artifact) raised ``DomainChanged``,
     #: or a touched relation's change log did not cover its version gap
+    #: — the gap test that failed is one of :attr:`UNPATCHED_REASONS`
     domain_changed: int = 0
     domain_changed_by: Counter = field(default_factory=Counter)
     unpatched: int = 0
+    unpatched_by: Counter = field(default_factory=Counter)
     sql_plan_hits: int = 0     # optimizer plans served from the plan store
     sql_compile_hits: int = 0  # compiled SQL programs served from the memo
     #: accumulated wall seconds per phase — the built-in flame-sketch
@@ -270,6 +272,11 @@ class SessionStats:
     phase_seconds: dict[str, float] = field(
         default_factory=lambda: {phase: 0.0 for phase in PROFILE_PHASES}
     )
+
+    #: the log was trimmed past the session's version; the relation
+    #: object changed (replaced, added or removed); a whole-relation
+    #: delta; a change the log never saw (``relation.tuples`` mutated)
+    UNPATCHED_REASONS = ("log_trimmed", "replaced", "whole_relation", "unlogged")
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -286,6 +293,10 @@ class SessionStats:
                 for reason in DomainChanged.REASONS
             },
             "unpatched": self.unpatched,
+            **{
+                f"unpatched_{reason}": self.unpatched_by[reason]
+                for reason in self.UNPATCHED_REASONS
+            },
             "sql_plan_hits": self.sql_plan_hits,
             "sql_compile_hits": self.sql_compile_hits,
         }
@@ -446,32 +457,39 @@ class QuerySession:
         self._seen, self._db_version = current, self.db.version
         if current == seen:
             return
+        logged = self.db.changes_since(since)
         deltas: dict[str, list[Delta]] = {}
-        for delta in self.db.changes_since(since) or ():
+        for delta in logged or ():
             deltas.setdefault(delta.relation, []).append(delta)
-        changed: set[str] = set()
         patch: dict[str, list[Delta]] = {}
+        unpatchable: dict[str, str] = {}  # name -> the gap test it failed
         for name in current.keys() | seen.keys():
-            old, new, log = seen.get(name), current.get(name), deltas.get(name)
+            old, new, log = seen.get(name), current.get(name), deltas.get(name, ())
             if old == new:
                 continue
-            changed.add(name)
             # patchable: still the same relation object, and the log's
             # tuple-level deltas are its whole version gap — one advance
             # each, so anything else that touched it leaves a remainder
-            if (
-                old and new and log
-                and new[0] is old[0]
-                and all(d.is_tuple_level for d in log)
-                and len(log) == new[1] - old[1]
-            ):
+            if not (old and new and new[0] is old[0]):
+                unpatchable[name] = "replaced"
+            elif logged is None:
+                unpatchable[name] = "log_trimmed"
+            elif not all(d.is_tuple_level for d in log):
+                unpatchable[name] = "whole_relation"
+            elif len(log) != new[1] - old[1]:
+                unpatchable[name] = "unlogged"
+            else:
                 patch[name] = log
-        patched = self._patched(changed, patch)
+        changed = patch.keys() | unpatchable.keys()
+        patched = self._patched(changed, patch, unpatchable)
         self.invalidate_relations(changed)
         self._reductions.update(patched)
 
     def _patched(
-        self, changed: set[str], patch: dict[str, list[Delta]]
+        self,
+        changed: set[str],
+        patch: dict[str, list[Delta]],
+        unpatchable: dict[str, str],
     ) -> dict[tuple, tuple]:
         """The delta-maintenance core: the cached artifacts whose
         changed relations are all in ``patch``, brought up to date in
@@ -490,6 +508,7 @@ class QuerySession:
                 continue
             if not touched <= patch.keys():
                 self.stats.unpatched += 1
+                self.stats.unpatched_by[unpatchable[min(touched - patch.keys())]] += 1
                 continue
             deltas = sorted(
                 (d for name in touched for d in patch[name]),

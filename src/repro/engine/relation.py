@@ -102,8 +102,11 @@ class Relation:
     """
 
     #: ``(version, sha)`` memo of
-    #: :func:`repro.core.reduction_cache.relation_digest`
+    #: :func:`repro.core.reduction_cache.relation_digest`, and its
+    #: per-tuple encodings: ``id(t) -> (t, line)`` over the tuples live
+    #: at that digest (holding ``t`` keeps its id unique)
     _digest: tuple[int, str] | None = None
+    _encoded: dict[int, tuple[tuple, bytes]] | None = None
 
     def __init__(
         self,
@@ -351,12 +354,14 @@ class Database:
         """The deltas applied after ``version``, oldest first — or
         ``None`` when the log has been trimmed past ``version`` and can
         no longer account for every change (callers must then rebuild
-        whatever they derived from a changed relation)."""
+        whatever they derived from a changed relation).  The retained
+        log holds versions ``floor + 1 .. version`` consecutively, so
+        the answer is one slice: O(answer), not O(log)."""
         if version >= self._version:
             return []
         if version < self._log_floor:
             return None
-        return [d for d in self._log if d.version > version]
+        return self._log[version - self._log_floor :]
 
     def _record(self, kind: str, relation: str, t: tuple | None = None) -> Delta:
         self._version += 1

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..queries.query import Query
 from .relation import Database, Relation
 
@@ -89,7 +88,7 @@ def estimate_evaluation_cost(
     only for *ordering* — answers never depend on it.
     """
     input_size = sum(len(db[a.relation]) for a in query.atoms)
-    if is_alpha_acyclic(query.hypergraph()):
+    if query.is_alpha_acyclic:
         return float(input_size)
     blowup = estimate_join_cardinality(query, db, cache)
     return input_size + math.sqrt(max(blowup, 0.0)) + 10.0 * input_size

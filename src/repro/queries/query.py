@@ -11,8 +11,10 @@ both an **EIJ** query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
+from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..hypergraph.hypergraph import Hypergraph
 
 
@@ -153,6 +155,13 @@ class Query:
         return Hypergraph(
             {a.label: a.variable_names for a in self.atoms},
         )
+
+    @cached_property
+    def is_alpha_acyclic(self) -> bool:
+        """Whether :meth:`hypergraph` is α-acyclic (GYO), computed once
+        per query object: a reduced disjunct's structure never changes,
+        so re-ranking it after a delta reads cardinalities only."""
+        return is_alpha_acyclic(self.hypergraph())
 
     def interval_variable_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.interval_variables)

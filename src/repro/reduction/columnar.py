@@ -31,10 +31,11 @@ already in lexicographic order (the first patch of a freshly built or
 loaded block), locates one input tuple's derived rows with a
 ``searchsorted``, bumps the refcounts, splices in rows not yet present
 and masks out rows whose count reaches zero — so a block it has patched
-stays sorted.  The rule is **copy-on-write**: a patch never stores into
-an existing array (it may be a read-only view of a mapped cache file,
-which must never be written) — it builds new arrays and swaps them in
-through :meth:`ColumnBlock.replace_rows`.
+stays sorted, and it keeps that block's keys, so the next patch packs
+only the tuple's own rows.  The rule is **copy-on-write**: a patch
+never stores into an existing array (it may be a read-only view of a
+mapped cache file, which must never be written) — it builds new arrays
+and swaps them in through :meth:`ColumnBlock.replace_rows`.
 
 Equality of cells is equality of values (the codebook and the node-id
 format are both injective, and a variable has one kind wherever it
@@ -45,6 +46,7 @@ their width.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -284,15 +286,29 @@ class ColumnarCounts:
     each row, which is what lets a delete remove a derived row only
     with its last deriving tuple.  Delta patches go through
     :meth:`adjust`; :meth:`items` is the read-only decoded view
-    (``result_digest`` and the tests iterate it)."""
+    (``result_digest`` and the tests iterate it).
 
-    __slots__ = ("block", "array", "_sorted_version")
+    Beside the block it keeps a **key memo**: the packed keys
+    (:func:`pack_keys`) of the block version :meth:`adjust` last left
+    sorted, under per-column radices with headroom (a column's declared
+    bound, else twice the smallest power of two above its largest cell).
+    While the memo holds, a patch packs only its own rows.  It is
+    rebuilt from the block when a row has a cell at or above its radix,
+    and not kept when the radices multiply past :data:`KEY_LIMIT` (the
+    keys would be ranks, meaningful within one call only); anyone
+    else's :meth:`ColumnBlock.replace_rows` advances the version, which
+    drops it."""
+
+    __slots__ = ("block", "array", "_sorted_version", "_radices", "_keys")
 
     def __init__(self, block: ColumnBlock, array: np.ndarray):
         self.block = block
         self.array = array
-        # the block version :meth:`adjust` last left sorted
+        # the block version :meth:`adjust` last left sorted, and the key
+        # memo of that version: its radices and keys
         self._sorted_version = -1
+        self._radices: list[int] | None = None
+        self._keys: np.ndarray | None = None
 
     def adjust(self, rows: np.ndarray, step: int) -> None:
         """Add ``step`` to the refcount of every row of ``rows`` — the
@@ -303,12 +319,14 @@ class ColumnarCounts:
 
         The block's rows must be distinct (see :class:`ColumnBlock`).
         Rows are located by packing each row into one order-preserving
-        ``int64`` key (:func:`pack_keys`) and binary-searching the
-        block's keys — whole-array operations only, never a Python loop
-        over the block.  The first patch of a block (or the first after
-        a :meth:`ColumnBlock.replace_rows` it did not make) checks the
-        packed keys: when they are not strictly increasing, one
-        ``argsort`` permutes the codes and refcounts into new arrays
+        ``int64`` key and binary-searching the block's keys — whole-array
+        operations only, never a Python loop over the block.  With the
+        key memo current (see the class) only ``rows`` are packed, and
+        keys, codes and refcounts are spliced together.  Otherwise the
+        block's keys are packed afresh, and on the first patch of a
+        block (or the first after a :meth:`ColumnBlock.replace_rows` it
+        did not make) checked: when they are not strictly increasing,
+        one ``argsort`` permutes the codes and refcounts into new arrays
         first.  The result is sorted, and the block version it leaves is
         remembered, so later patches skip both the check and the sort.
 
@@ -318,33 +336,37 @@ class ColumnarCounts:
         """
         if rows.shape[0] == 0:
             return
-        codes = self.block.codes
-        columns = range(codes.shape[1])
-        if columns:
-            radices = [
-                int(max(a, b)) + 1
-                for a, b in zip(
-                    self.block.column_maxima(), rows.max(axis=0).tolist()
-                )
-            ]
-            (keys, wanted), _ = pack_keys(
-                [[codes[:, j] for j in columns], [rows[:, j] for j in columns]],
-                radices,
-            )
-        else:
-            # a zero-arity variant holds at most the one row (): every
-            # key is equal
-            keys = np.zeros(codes.shape[0], dtype=np.int64)
-            wanted = np.zeros(rows.shape[0], dtype=np.int64)
+        block = self.block
+        codes = block.codes
+        tops = rows.max(axis=0).tolist()
+        radices = self._radices
         if (
-            self.block.version != self._sorted_version
-            and keys.size > 1
-            and not (keys[1:] > keys[:-1]).all()
+            block.version == self._sorted_version
+            and radices is not None
+            and all(top < radix for top, radix in zip(tops, radices))
         ):
-            order = np.argsort(keys)
-            keys, codes, array = keys[order], codes[order], self.array[order]
-        else:
+            keys = self._keys
+            (wanted,) = _row_keys([rows], radices)
             array = self.array.copy()
+        else:
+            radices = [
+                bound
+                if bound is not None
+                else 2 << max(top, int(codes[:, j].max(initial=0))).bit_length()
+                for j, (top, bound) in enumerate(zip(tops, block.bounds))
+            ]
+            keys, wanted = _row_keys([codes, rows], radices)
+            if math.prod(radices) > KEY_LIMIT:
+                radices = None  # the keys are ranks: keep no memo
+            if (
+                block.version != self._sorted_version
+                and keys.size > 1
+                and not (keys[1:] > keys[:-1]).all()
+            ):
+                order = np.argsort(keys)
+                keys, codes, array = keys[order], codes[order], self.array[order]
+            else:
+                array = self.array.copy()
         at = np.searchsorted(keys, wanted)
         present = at < keys.size
         present[present] = keys[at[present]] == wanted[present]
@@ -352,25 +374,50 @@ class ColumnarCounts:
         if step > 0:
             absent = ~present
             if absent.any():
-                # np.insert places equal positions in the given order,
-                # so feed it the new rows sorted among themselves
-                order = np.argsort(wanted[absent], kind="stable")
-                positions = at[absent][order]
-                fresh = rows[absent][order]
-                codes = np.insert(codes, positions, fresh, axis=0)
-                array = np.insert(array, positions, step)
+                # new rows land in key order, each before the old row
+                # its search stopped at
+                order = np.argsort(wanted[absent])
+                index = at[absent][order]
+                index += np.arange(index.size)
+                keep = np.ones(keys.size + index.size, dtype=bool)
+                keep[index] = False
+                codes = _spliced(codes, keep, index, rows[absent][order])
+                array = _spliced(array, keep, index, step)
+                keys = _spliced(keys, keep, index, wanted[absent][order])
         else:
             alive = array > 0
             if not alive.all():
-                codes = codes[alive]
-                array = array[alive]
-        self.block.replace_rows(codes)
+                codes, array, keys = codes[alive], array[alive], keys[alive]
+        block.replace_rows(codes)
         self.array = array
-        self._sorted_version = self.block.version
+        self._sorted_version = block.version
+        self._radices = radices
+        self._keys = None if radices is None else keys
 
     def items(self) -> Iterator[tuple[tuple, int]]:
         """``(decoded row, refcount)`` pairs, in matrix order."""
         return zip(self.block.rows(), self.array.tolist())
+
+
+def _row_keys(
+    matrices: Sequence[np.ndarray], radices: Sequence[int]
+) -> list[np.ndarray]:
+    """:func:`pack_keys` of whole row matrices.  A zero-arity block
+    holds at most the one row ``()``: every key is ``0``."""
+    if not radices:
+        return [np.zeros(m.shape[0], dtype=np.int64) for m in matrices]
+    columns = range(len(radices))
+    keys, _ = pack_keys([[m[:, j] for j in columns] for m in matrices], radices)
+    return keys
+
+
+def _spliced(old: np.ndarray, keep: np.ndarray, index: np.ndarray, new) -> np.ndarray:
+    """A new array: ``old``'s rows where ``keep`` is true, ``new`` at
+    ``index``."""
+    out = np.empty((keep.size, *old.shape[1:]), dtype=old.dtype)
+    out[keep] = old
+    out[index] = new
+    return out
 
 
 def encode_rows(

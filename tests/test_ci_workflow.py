@@ -115,10 +115,12 @@ class TestWorkflow:
         # frame chain ≡ live ≡ naive scripts, the freshness machine
         # (the one test that classifies every step as patch, rebuild or
         # unchanged, for both heads), the backward differential (EJ
-        # engine ≡ IJ session on the backward image) and the warm-load
+        # engine ≡ IJ session on the backward image), the warm-load
         # suite (stored disjunct order, provenance decoded on demand,
-        # rebuild causes, block-memo differential) all ride the same
-        # matrix
+        # rebuild causes, block-memo differential) and the patch-by-delta
+        # suite (digests by delta, the change log by slice, the key-memo
+        # differential and its forced fallbacks, unpatched causes) all
+        # ride the same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -131,6 +133,7 @@ class TestWorkflow:
             "tests/test_freshness.py",
             "tests/test_backward.py",
             "tests/test_warm_load.py",
+            "tests/test_patch_by_delta.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):
