@@ -27,10 +27,11 @@ class Interval:
     right: float
 
     def __post_init__(self) -> None:
-        if self.left > self.right:
+        # ``not <=`` rather than ``>``: a NaN endpoint compares false
+        if not self.left <= self.right:
             raise ValueError(
-                f"interval left endpoint {self.left} exceeds right endpoint "
-                f"{self.right}"
+                f"interval endpoints {self.left}, {self.right} are not "
+                f"ordered: the left one exceeds the right one, or one is NaN"
             )
 
     @staticmethod

@@ -25,16 +25,21 @@ is ``seg(v)``, :meth:`SegmentTree.node_ids` the node set, and a caller
 that wants the paper's bitstring renders an id with
 :func:`repro.intervals.bitstring.bits`.
 
-:meth:`SegmentTree.column_encodings` does both for a whole column of
-distinct values at once: the bottom-up ``l, r`` walk over heap ids as
-``height`` array steps, each depth's nodes split by one broadcast.  A
-leaf of the level above the packed last one enters that walk as its two
-*phantom* children at level ``height``.  A range covers both or neither,
-so the walk takes their parent and never emits a phantom.  On both paths
-leaf ranks come from Python ``bisect`` on the endpoint tuple, never from
-a ``float64`` cast, so ``2**53`` and ``2**53 + 1`` stay two leaves.  The
-scalar walk serves one tuple (a delta patch) and is the test oracle of
-the column method, which serves a relation (the forward reduction).
+:meth:`SegmentTree.column_encodings` does both for a batch of values
+at once — a forward reduction passes every column under one variable's
+tree as one batch — in two stages.  The *walk* depends on the values and
+``leaf`` only: the bottom-up ``l, r`` walk over heap ids as ``height``
+unfiltered array steps, each depth's nodes read off by one mask.  It
+runs once per tree and variant kind; the *cut*, which splits each
+depth's nodes by one broadcast, runs over it once per part count and
+ordering flag.  A leaf of the level above the packed last one enters
+the walk as its two *phantom* children at level ``height``.  A range
+covers both or neither, so the walk takes their parent and never emits
+a phantom.  On both paths leaf ranks come from Python ``bisect`` on the
+endpoint tuple, never from a ``float64`` cast, so ``2**53`` and
+``2**53 + 1`` stay two leaves.  The scalar walk serves one tuple (a
+delta patch) and is the test oracle of the batch method, which serves a
+relation (the forward reduction).
 """
 
 from __future__ import annotations
@@ -98,6 +103,28 @@ def elementary_segments(endpoints: Sequence[float]) -> list[Segment]:
     return segments
 
 
+def _cut(walk: list, n: int, parts: int, nonempty_last: bool) -> tuple:
+    """Split every node of a :meth:`SegmentTree._walk` over ``n``
+    values into ``parts`` parts: the matrix grouped by value, and each
+    value's ``start`` and ``count``."""
+    owners, blocks = [np.empty(0, np.intp)], [np.empty((0, parts), np.int64)]
+    for depth, whose, ids in walk:
+        if ids.size:
+            shifts, tops = _cut_plan(depth, parts)
+            block = (ids[:, None, None] >> shifts) & (tops - 1) | tops
+            blocks.append(block.reshape(-1, parts))
+            owners.append(np.repeat(whose, len(shifts)))
+    owner, matrix = np.concatenate(owners), np.concatenate(blocks)
+    if nonempty_last and parts > 1:
+        kept = matrix[:, -1] != EMPTY
+        owner, matrix = np.compress(kept, owner), np.compress(kept, matrix, axis=0)
+    order = np.argsort(owner, kind="stable")
+    matrix = np.take(matrix.astype(np.uint32), order, axis=0)
+    matrix.setflags(write=False)
+    counts = np.bincount(owner, minlength=n)
+    return matrix, np.cumsum(counts) - counts, counts
+
+
 class SegmentTree:
     """Segment tree for a set of intervals (Section 3, Appendix B.1).
 
@@ -144,11 +171,11 @@ class SegmentTree:
         self._canonical: dict[int, list[Any]] = {}
         # (value, parts, leaf variant?, nonempty_last) -> part-id matrix
         self._encodings: dict[tuple, np.ndarray] = {}
-        # (parts, leaf variant?, nonempty_last) -> the column encodings
-        # computed so far, each as [value -> position (built by the
-        # first lookup), values, matrix, starts, counts]: where
-        # ``encodings`` looks before it walks
-        self._columns: dict[tuple, list[list]] = {}
+        # one entry per batch of :meth:`column_encodings`: [value ->
+        # position (built by the first lookup), values, each value's
+        # bisect_left, {leaf?: walk}, {(parts, leaf?, nonempty_last):
+        # (matrix, starts, counts)}] — where ``encodings`` looks first
+        self._columns: list[list] = []
 
     # ------------------------------------------------------------------
     # basic structure
@@ -277,19 +304,23 @@ class SegmentTree:
         ``leaf``, of the leaf of its left endpoint (Definition 4.9),
         without the splits whose last part is empty when the Appendix G
         ordering constraint ``nonempty_last`` applies.  Memoized — a
-        delta patch asks again — and a value some column of
-        :meth:`column_encodings` held is a row slice of that column's
-        matrix, not a walk (the first such lookup indexes that column's
-        values; a reduction that is never patched never hashes them)."""
+        delta patch asks again — and a value some batch of
+        :meth:`column_encodings` cut for this variant is a row slice of
+        that batch's matrix, not a walk (the first such lookup indexes
+        the batch's values; a reduction that is never patched never
+        hashes them)."""
         key = (value, parts, leaf, nonempty_last)
         matrix = self._encodings.get(key)
         if matrix is None:
-            for column in self._columns.get(key[1:], ()):
-                if column[0] is None:
-                    column[0] = dict(zip(column[1], range(len(column[1]))))
-                at = column[0].get(value)
+            for batch in self._columns:
+                cut = batch[4].get(key[1:])
+                if cut is None:
+                    continue
+                if batch[0] is None:
+                    batch[0] = dict(zip(batch[1], range(len(batch[1]))))
+                at = batch[0].get(value)
                 if at is not None:
-                    _, _, rows, starts, counts = column
+                    rows, starts, counts = cut
                     matrix = rows[starts[at] : starts[at] + counts[at]]
                     break
             else:
@@ -311,71 +342,72 @@ class SegmentTree:
         leaf: bool,
         nonempty_last: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`encodings` of all the distinct ``values`` in whole-column
-        array steps: one read-only ``(N, parts)`` ``uint32`` matrix plus,
-        per value, the ``start`` and ``count`` of its rows in it (a set:
-        their order within a value is unspecified).  The result is kept
-        for :meth:`encodings`, keyed by position only: the value → position
-        index is built by the first :meth:`encodings` call that looks.
+        """:meth:`encodings` of all the ``values`` in whole-column array
+        steps: one read-only ``(N, parts)`` ``uint32`` matrix plus, per
+        value, the ``start`` and ``count`` of its rows in it (a set:
+        their order within a value is unspecified).
+
+        ``values`` is a *batch* (a forward reduction passes every column
+        under this tree end to end) kept on the tree with each value's
+        ``bisect_left``, the walk per ``leaf`` and the cut per ``(parts,
+        leaf, nonempty_last)``: a later call with the same list object
+        only computes what it lacks.  :meth:`encodings` answers a value
+        from the batch; its value → position index is built by the
+        first lookup.
 
         The canonical partitions are the bottom-up walk over the heap
         ids of the level-``height`` positions ``l .. r`` under each
         value's leaf-rank range: take ``l`` where it is a right child
-        and ``r`` where it is a left child, then halve both.  A step
-        emits nodes of one depth, which one broadcast over that depth's
-        cut plan splits.
+        and ``r`` where it is a left child, then halve both.  It runs
+        unfiltered — once ``l > r`` it stays so — into one
+        ``(height + 1, 2, n)`` level array, and one mask and
+        ``np.nonzero`` read every depth's nodes off it.  The cut splits
+        each depth's nodes with one broadcast over its cut plan.
         """
+        for batch in self._columns:
+            if batch[1] is values:
+                break
+        else:
+            first = [bisect_left(self._points, x.left) for x in values]
+            batch = [None, values, np.array(first, np.int64), {}, {}]
+            self._columns.append(batch)
+        _, _, first, walks, cuts = batch
+        key = (parts, leaf, nonempty_last)
+        if key not in cuts:
+            if leaf not in walks:
+                walks[leaf] = self._walk(values, first, leaf)
+            cuts[key] = _cut(walks[leaf], len(values), parts, nonempty_last)
+        return cuts[key]
+
+    def _walk(self, values: Sequence[Interval], first: np.ndarray, leaf: bool) -> list:
+        """Per depth, bottom-up, the (value position, node id) arrays of
+        the values' canonical partitions or, with ``leaf``, of the leaves
+        of their left endpoints; within a depth the ``l`` side, then the
+        ``r`` side, each by value."""
         points, height, inner = self._points, self.height, self._inner
-        n = len(values)
-        owner = np.arange(n)
-        first = np.array([bisect_left(points, x.left) for x in values], np.int64)
-        # per depth: (position of the owning value, node id) arrays
-        groups: list[tuple[int, np.ndarray, np.ndarray]] = []
         if leaf:
             # the rank is odd iff the left endpoint is in the domain
             rank = first + [bisect_right(points, x.left) for x in values]
             deep = rank < self._bottom
             ids = np.where(deep, rank, rank - inner - (1 << height >> 1)) + (1 << height)
-            groups = [
-                (height, owner[deep], ids[deep]),
-                (height - 1, owner[~deep], ids[~deep]),
-            ]
-        else:
-            last = np.array([bisect_right(points, x.right) for x in values], np.int64)
-            # row 0 is every value's ``l``, row 1 its ``r``; a leaf of the
-            # level above the last stands for its two phantom children
-            ends = np.stack((2 * first + 1, 2 * last - 1))
-            ends = np.where(ends < self._bottom, ends, 2 * (ends - inner) + [[0], [1]])
-            ends += 1 << height
-            for depth in range(height, -1, -1):
-                keep = ends[0] <= ends[1]
-                owner, ends = owner[keep], ends[:, keep]
-                if not owner.size:
-                    break
-                take = ends & 1 == [[1], [0]]
-                groups.append(
-                    (depth, np.broadcast_to(owner, ends.shape)[take], ends[take])
-                )
-                ends = (ends + [[1], [-1]]) >> 1
-        owners, blocks = [owner[:0]], [np.empty((0, parts), dtype=np.int64)]
-        for depth, whose, ids in groups:
-            if ids.size:
-                shifts, tops = _cut_plan(depth, parts)
-                block = (ids[:, None, None] >> shifts) & (tops - 1) | tops
-                blocks.append(block.reshape(-1, parts))
-                owners.append(np.repeat(whose, len(shifts)))
-        owner, matrix = np.concatenate(owners), np.concatenate(blocks)
-        if nonempty_last and parts > 1:
-            kept = matrix[:, -1] != EMPTY
-            owner, matrix = owner[kept], matrix[kept]
-        matrix = matrix.astype(np.uint32)[np.argsort(owner, kind="stable")]
-        matrix.setflags(write=False)
-        counts = np.bincount(owner, minlength=n)
-        starts = np.cumsum(counts) - counts
-        self._columns.setdefault((parts, leaf, nonempty_last), []).append(
-            [None, values, matrix, starts, counts]
-        )
-        return matrix, starts, counts
+            (low,), (high,) = np.nonzero(deep), np.nonzero(~deep)
+            return [(height, low, ids[low]), (height - 1, high, ids[high])]
+        last = np.array([bisect_right(points, x.right) for x in values], np.int64)
+        # row 0 is every value's ``l``, row 1 its ``r``; a leaf of the
+        # level above the last stands for its two phantom children
+        ends = np.stack((2 * first + 1, 2 * last - 1))
+        ends = np.where(ends < self._bottom, ends, 2 * (ends - inner) + [[0], [1]])
+        levels = np.empty((height + 1, *ends.shape), np.int64)
+        levels[0] = ends + (1 << height)
+        for step in range(height):
+            np.right_shift(levels[step] + [[1], [-1]], 1, out=levels[step + 1])
+        taken = (levels & 1 == [[1], [0]]) & (levels[:, :1] <= levels[:, 1:])
+        step, _, owner = np.nonzero(taken)
+        ids, bounds = levels[taken], np.searchsorted(step, range(height + 2))
+        return [
+            (height - s, owner[a:b], ids[a:b])
+            for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
 
     # ------------------------------------------------------------------
     # classical insert / stab (Algorithms 2 and 3)

@@ -21,10 +21,11 @@ The builder is **whole-column**.  A node is an integer from the tree to
 the matrix (:mod:`repro.intervals.bitstring`).  Given a *relation*,
 :meth:`ForwardReducer.variant_relation` reads each source column once,
 asks the variable's :class:`~repro.intervals.segment_tree.SegmentTree`
-for the encodings of the whole column of distinct values at once
+for the encodings of every column under that variable at once, one
+batch per tree
 (:meth:`~repro.intervals.segment_tree.SegmentTree.column_encodings`,
-shared by the atom's variants), and lays out the cartesian products of
-all tuples together as index arithmetic on ``uint32`` arrays:
+shared by every variant of every atom), and lays out the cartesian
+products of all tuples together as index arithmetic on ``uint32`` arrays:
 interpreter work is per input tuple, not per interval value.  Given a
 *tuple* (a delta patch), :meth:`ForwardReductionResult.tuple_rows` takes
 the scalar walk (:meth:`~repro.intervals.segment_tree.SegmentTree.encodings`),
@@ -78,6 +79,14 @@ from .disjoint import ShiftedDatabase, shift_row
 
 # variable name -> atom label -> 1-based permutation position
 PositionMap = dict[str, dict[str, int]]
+
+
+def digit_dtype(rows: int) -> np.dtype:
+    """The integer type of a variant layout's mixed-radix digits, a pure
+    function of its row count: ``int32`` while every row index fits,
+    which makes ``np.divmod`` cheaper.  Index arrays stay ``intp``, which
+    ``np.take`` would otherwise cast on every call."""
+    return np.dtype(np.int32 if rows < 1 << 31 else np.int64)
 
 
 class DomainChanged(Exception):
@@ -239,7 +248,7 @@ class _VariantLayout:
             s = arr.shape[0]
             repeat //= s
             idx = np.tile(np.repeat(np.arange(s), repeat), tile)
-            template[:, first : first + i] = arr[idx]
+            template[:, first : first + i] = np.take(arr, idx, axis=0)
             tile *= s
         return template
 
@@ -527,18 +536,25 @@ class ForwardReducer:
         # (relation, column) -> (distinct values, each tuple's position)
         self._columns: dict[tuple[str, int], tuple[list, np.ndarray]] = {}
         self._point_codes: dict[tuple[str, int], np.ndarray] = {}
-        # (relation, column, tree, i, leaf?, nonempty_last) -> encodings
-        self._column_encodings: dict[tuple, tuple] = {}
+        # variable -> its encoding batch: the distinct values of every
+        # column under it end to end, and each (relation, column)'s
+        # offset among them; read by name when a variant is built, so
+        # the tree is whatever ``trees`` then holds
+        self._batches: dict[str, tuple[list, dict[tuple[str, int], int]]] = {}
         self._layouts: dict[_VariantSpec, _VariantLayout] = {}
         self.trees: dict[str, SegmentTree] = {}
         for x in self.interval_vars:
-            endpoints: set = set()
+            values: list = []
+            offsets: dict[tuple[str, int], int] = {}
             for atom in query.atoms_containing(x):
-                idx = atom.variable_names.index(x)
-                values, _ = self._column(atom.relation, idx)
-                endpoints.update([v.left for v in values])
-                endpoints.update([v.right for v in values])
-            self.trees[x] = SegmentTree.from_endpoints(endpoints)
+                key = (atom.relation, atom.variable_names.index(x))
+                if key not in offsets:
+                    offsets[key] = len(values)
+                    values += self._column(*key)[0]
+            self._batches[x] = (values, offsets)
+            self.trees[x] = SegmentTree.from_endpoints(
+                [v.left for v in values] + [v.right for v in values]
+            )
         self.codebook = CodeBook()
         self._variants: dict[_VariantSpec, Relation] = {}
         self._variant_counts: dict[str, ColumnarCounts] = {}
@@ -672,16 +688,20 @@ class ForwardReducer:
     def _vectorized_counts(
         self, atom: Atom, spec: _VariantSpec
     ) -> tuple[ColumnBlock, np.ndarray]:
-        """The variant builder, for a whole relation at once.  Per slot,
-        the column's encoding is computed once however many variants of
-        the atom ask, and one gather turns it into each tuple's option
-        count and first option row.  The cartesian products of *all*
-        tuples are laid out together: a derived row knows its source
-        tuple (``np.repeat``) and its position within that tuple's
-        product, whose mixed-radix digits (last slot fastest, the order
-        of ``itertools.product``) pick one option row per slot from the
-        column matrix.  Point codes and provenance ids are one gather
-        by source tuple each.  A tuple with an empty option list in a
+        """The variant builder, for a whole relation at once.  Encodings
+        are batched per tree: every column under a slot's variable is
+        one batch, walked once per kind and cut once per
+        part count however many variants of however many atoms ask, and
+        one gather at the column's offset turns it into each tuple's
+        option count and first option row.  The cartesian products of
+        *all* tuples are laid out together: a derived row knows its
+        source tuple (``np.repeat``) and its position within that
+        tuple's product, whose mixed-radix digits (last slot fastest,
+        the order of ``itertools.product``; one ``np.divmod`` per slot,
+        in :func:`digit_dtype`) pick one option row per slot from the
+        batch matrix.  Every gather of rows, counts, starts and point
+        codes is an ``np.take``, which moves rows several times faster
+        than fancy indexing.  A tuple with an empty option list in a
         slot derives no row; a point-only atom is the degenerate case of
         one row per tuple.
 
@@ -706,26 +726,25 @@ class ForwardReducer:
         options = []
         total = np.ones(n_src, dtype=np.int64)
         for first, i, tree, leaf, flag, col in layout.slots:
-            values, index = self._column(relation, col)
-            # the tree is part of the key: a self-join reads one column
-            # under two variables
-            key = (relation, col, tree, i, leaf, flag)
-            if key not in self._column_encodings:
-                self._column_encodings[key] = tree.column_encodings(
-                    values, i, leaf, flag
-                )
-            matrix, starts, counts = self._column_encodings[key]
-            options.append((first, i, matrix, starts[index], counts[index]))
-            total *= counts[index]
+            # a self-join reads one column under two variables: the
+            # variable picks the batch
+            values, offsets = self._batches[atom.variables[col].name]
+            matrix, starts, counts = tree.column_encodings(values, i, leaf, flag)
+            index = self._column(relation, col)[1] + offsets[relation, col]
+            counts = np.take(counts, index)
+            options.append((first, i, matrix, np.take(starts, index), counts))
+            total *= counts
+        dtype = digit_dtype(int(total.sum()))
         src = np.repeat(np.arange(n_src), total)
         rows = np.empty((src.size, layout.n_cols), dtype=CODE_DTYPE)
-        within = np.arange(src.size) - np.repeat(np.cumsum(total) - total, total)
+        within = np.arange(src.size, dtype=dtype)
+        within -= np.repeat((np.cumsum(total) - total).astype(dtype), total)
         for first, i, matrix, starts, counts in reversed(options):
-            radix = counts[src]
-            rows[:, first : first + i] = matrix[starts[src] + within % radix]
-            within //= radix
+            within, digit = np.divmod(within, np.take(counts.astype(dtype), src))
+            at = np.take(starts, src) + digit
+            rows[:, first : first + i] = np.take(matrix, at, axis=0)
         for out_col, col in layout.point_cols:
-            rows[:, out_col] = self._codes(relation, col)[src]
+            rows[:, out_col] = np.take(self._codes(relation, col), src)
         if layout.prov_col is not None:
             rows[:, layout.prov_col] = src
             counts = np.ones(src.size, dtype=COUNT_DTYPE)

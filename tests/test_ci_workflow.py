@@ -1,7 +1,7 @@
 """CI pipeline sanity: the workflow file must stay parseable and keep
-its jobs (tests / fuzz / lint / bench smoke / service smoke / router
-smoke / distributed smoke / coverage gate / e2e smoke), and the
-packaging metadata must stay consistent with it."""
+its jobs (tests / fuzz / numpy floor / lint / bench smoke / service
+smoke / router smoke / distributed smoke / coverage gate / e2e smoke),
+and the packaging metadata must stay consistent with it."""
 
 import json
 import re
@@ -37,6 +37,7 @@ class TestWorkflow:
         assert {
             "tests", "fuzz", "lint", "bench-smoke", "service-smoke",
             "e2e-smoke", "router-smoke", "distributed-smoke", "coverage",
+            "numpy-floor",
         } <= set(jobs)
 
     def test_tests_job_matrix_covers_310_to_313(self, workflow):
@@ -134,6 +135,22 @@ class TestWorkflow:
             "tests/test_backward.py",
             "tests/test_warm_load.py",
             "tests/test_patch_by_delta.py",
+        ]
+
+    def test_numpy_floor_job_runs_the_encoding_suites_on_numpy_124(self, workflow):
+        """pyproject declares ``numpy>=1.24``; the layout's int32 digit
+        arithmetic predates and postdates NEP 50's promotion change, so
+        one py3.10 leg installs the floor and runs the two suites that
+        exercise it."""
+        job = workflow["jobs"]["numpy-floor"]
+        (setup,) = [s for s in job["steps"] if "setup-python" in s.get("uses", "")]
+        assert setup["with"]["python-version"] == "3.10"
+        runs = [s["run"] for s in job["steps"] if "run" in s]
+        assert any('"numpy==1.24.*"' in run and "pip install" in run for run in runs)
+        (suite,) = [run for run in runs if "pytest" in run]
+        assert [word for word in suite.split() if word.startswith("tests/")] == [
+            "tests/test_column_encodings.py",
+            "tests/test_forward.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

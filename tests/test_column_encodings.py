@@ -2,11 +2,14 @@
 against the scalar walk and the paper's recursive tree, the edges the
 array form makes reachable, which path serves a relation and which a
 tuple, the wide-key dedup, and provenance variants emitted as laid out
-(distinct, unit-counted, no dedup pass) on hostile endpoints.
+(distinct, unit-counted, no dedup pass) on hostile endpoints, and a
+tree-wide encoding batch against its columns, the scalar walk, the
+paper and the filtering walk it replaced.
 
 CI runs this module across the ``REPRO_FUZZ_SEED`` matrix.
 """
 
+import math
 import os
 import random
 import sys
@@ -14,10 +17,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles.reduction import apply_delta_rows, naive_forward_reduce, splits
-from oracles.segment_tree import canonical_partition, complete_tree, leaf_of_point
+from oracles.reduction import (
+    apply_delta_rows,
+    interval_encodings,
+    naive_forward_reduce,
+    splits,
+)
+from oracles.segment_tree import (
+    canonical_partition,
+    complete_tree,
+    filtering_walk,
+    leaf_of_point,
+)
 from test_delta_maintenance import _in_domain_tuple
 
+from repro.core import QuerySession
+from repro.core.baselines import naive_count, naive_evaluate
 from repro.core.reduction_cache import result_digest
 from repro.engine import Database, Relation
 from repro.intervals import Interval, SegmentTree, bitstring, segment_tree
@@ -25,7 +40,7 @@ from repro.intervals.bitstring import node_id
 from repro.queries import catalog, parse_query
 from repro.reduction import ForwardReducer, forward_reduce
 from repro.reduction.columnar import distinct_rows
-from repro.reduction.forward import _VariantLayout
+from repro.reduction.forward import _VariantLayout, digit_dtype
 from repro.workloads import random_database
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
@@ -403,3 +418,137 @@ def test_provenance_variants_are_distinct_unit_counted_and_the_oracles(name):
             variant: dict(counts.items())
             for variant, counts in fast.variant_counts.items()
         }
+
+
+# ----------------------------------------------------------------------
+# (g) one batch per tree ≡ per column ≡ scalar ≡ the paper
+# ----------------------------------------------------------------------
+
+BIG = 2**53
+INF = float("inf")
+#: (tree endpoints, columns of one batch): every column's values are
+#: distinct, as a reduction hands them over
+ADVERSARIAL = {
+    "shared endpoints": (
+        (0, 2, 4, 6, 8),
+        [
+            [Interval(0, 4), Interval(2, 6), Interval(4, 8)],
+            [Interval(2, 6), Interval(0, 8), Interval(6, 8)],
+        ],
+    ),
+    "point intervals": (
+        (1, 3, 5),
+        [[Interval.point(1), Interval.point(5)], [Interval.point(3), Interval(1, 3)]],
+    ),
+    "past 2**53": (
+        (BIG - 1, BIG, BIG + 1),
+        [
+            [Interval.point(BIG), Interval.point(BIG + 1)],
+            [Interval(BIG, BIG + 1), Interval(BIG - 1, BIG)],
+        ],
+    ),
+    "infinite": (
+        (-INF, 0, INF),
+        [[Interval(-INF, INF), Interval(-INF, 0)], [Interval(0, INF), Interval.point(0)]],
+    ),
+    "endpoints off the tree": (
+        (0, 10, 20),
+        [
+            [Interval(1, 9), Interval(11, 12), Interval(0, 20)],
+            [Interval(-5, 5), Interval(15, 25), Interval(12, 18)],
+        ],
+    ),
+    "an empty column": ((0, 5), [[], [Interval(0, 5), Interval.point(5)], []]),
+    "one endpoint": ((7,), [[Interval.point(7)], [Interval(6, 8), Interval.point(7)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_a_batch_reads_as_its_columns_the_scalar_walk_and_the_paper(name):
+    points, columns = ADVERSARIAL[name]
+    batch = [value for column in columns for value in column]
+    offsets = np.cumsum([0] + [len(column) for column in columns]).tolist()
+    for parts, leaf, flag in VARIANTS:
+        tree = SegmentTree.from_endpoints(points)
+        got = _row_sets(*tree.column_encodings(batch, parts, leaf, flag))
+        (entry,) = tree._columns
+        # the walk keeps the order of the filtering one: by depth, then
+        # side, then value
+        assert [
+            (depth, owner.tolist(), ids.tolist())
+            for depth, owner, ids in entry[3][leaf]
+            if ids.size
+        ] == [
+            (depth, owner.tolist(), ids.tolist())
+            for depth, owner, ids in filtering_walk(tree, batch, leaf)
+            if ids.size
+        ]
+        k = parts if leaf else parts + 1  # position k takes the leaf variant
+        for column, at in zip(columns, offsets):
+            alone = SegmentTree.from_endpoints(points)
+            rows = _row_sets(*alone.column_encodings(column, parts, leaf, flag))
+            assert got[at : at + len(column)] == rows
+            assert rows == _scalar(points, column, parts, leaf, flag)
+            # Definition 3.1 read literally also takes the empty gap
+            # segments (-inf, -inf) and (inf, inf) into the partition of
+            # a value reaching them; the tree leaves them out (the same
+            # points either way), so such a value meets the paper only
+            # through its leaf
+            assert [
+                rows
+                for rows, value in zip(rows, column)
+                if leaf or math.isfinite(value.left + value.right)
+            ] == [
+                sorted(interval_encodings(tree, k, value, parts, flag))
+                for value in column
+                if leaf or math.isfinite(value.left + value.right)
+            ]
+            for value, expected in zip(column, rows):
+                served = tree.encodings(value, parts, leaf, flag)
+                assert sorted(map(tuple, served.tolist())) == expected
+                assert not served.size or np.shares_memory(
+                    served, entry[4][parts, leaf, flag][0]
+                )
+
+
+def test_one_column_read_under_two_variables_is_in_both_batches():
+    """A self-join reads ``R``'s first column under ``A`` and under
+    ``B``: one batch per variable, each encoding it against its own
+    tree."""
+    query = parse_query("R([A],[B]) ∧ R([B],[C])")
+    base = parse_query("R([A],[B])")
+    db = random_database(base, 12, seed=FUZZ_SEED, domain=40.0, mean_length=6.0)
+    reducer = ForwardReducer(query, db, disjoint=True, provenance=True)
+    assert reducer._batches["A"][1] == {("R", 0): 0}
+    assert reducer._batches["B"][1] == {("R", 1): 0, ("R", 0): len(db["R"].tuples)}
+    fast = reducer.reduce()
+    reference = naive_forward_reduce(query, db, True, True)
+    assert result_digest(fast) == result_digest(reference)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["triangle", "star3", "path3", "fig9e", "fig9f", POINT_ONLY],
+)
+def test_a_fresh_session_is_naive(text):
+    query = {
+        "triangle": catalog.triangle_ij,
+        "star3": lambda: catalog.star_ij(3),
+        "path3": lambda: catalog.path_ij(3),
+        "fig9e": catalog.figure9e_ij,
+        "fig9f": catalog.figure9f_ij,
+    }.get(text, lambda: parse_query(text))()
+    for factor in (2, 12):
+        db = random_database(
+            query, 10, seed=FUZZ_SEED + factor, domain=10.0 * factor,
+            point_probability=0.3,
+        )
+        assert QuerySession(db).evaluate(query) == naive_evaluate(query, db)
+        assert QuerySession(db).count(query) == naive_count(query, db)
+
+
+def test_the_digit_dtype_is_a_function_of_the_row_count():
+    """int32 while every row index fits, int64 from ``2**31`` rows —
+    decided from the count alone, so the boundary costs no allocation."""
+    assert digit_dtype(0) == digit_dtype(2**31 - 1) == np.int32
+    assert digit_dtype(2**31) == digit_dtype(2**40) == np.int64

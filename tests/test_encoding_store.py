@@ -7,6 +7,7 @@ delta-patch path, and the session timing stats behind ``repro evaluate
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 from oracles.reduction import (
@@ -21,7 +22,7 @@ from repro.core.reduction_cache import result_digest
 from repro.core.session import PROFILE_PHASES
 from repro.engine import Database, Relation
 from repro.engine.relation import Delta
-from repro.intervals import Interval, count_splits
+from repro.intervals import Interval, SegmentTree, count_splits, segment_tree
 from repro.intervals.bitstring import EMPTY, _cut_plan, bits, node_id, split_ids
 from repro.queries import parse_query
 from repro.reduction import ForwardReducer, forward_reduce
@@ -104,37 +105,53 @@ class TestEncodingStore:
                     filtered += len(tree.encodings(t[0], i, i == k, False)) - len(got)
         assert filtered > 0
 
-    def test_reduction_reuses_one_store_across_variants(self):
+    def test_reduction_reuses_one_store_across_variants(self, monkeypatch):
+        """An interval variable's columns are one encoding batch: its
+        tree walks the batch once per kind (CP, leaf) and cuts it once
+        per (i, leaf?, nonempty_last), however many of the 12 relation
+        variants ask, and a value's scalar lookup is a slice of that
+        batch."""
+        walks, cuts = Counter(), []
+        walk, cut = SegmentTree._walk, segment_tree._cut
+
+        def counted_walk(tree, values, first, leaf):
+            walks[id(tree), leaf] += 1
+            return walk(tree, values, first, leaf)
+
+        def counted_cut(*args):
+            cuts.append(args[2:])
+            return cut(*args)
+
+        monkeypatch.setattr(SegmentTree, "_walk", counted_walk)
+        monkeypatch.setattr(segment_tree, "_cut", counted_cut)
         query, db = _db(TRIANGLE)
         reducer = ForwardReducer(query, db, disjoint=True, provenance=True)
         result = reducer.reduce()
         # the result's trees are the reducer's (no duplication) ...
-        assert result.segment_trees["A"] is reducer.trees["A"]
+        trees = result.segment_trees
+        assert trees["A"] is reducer.trees["A"]
         assert len(result.database.relation_names) == 12  # 4 variants/atom
-        # ... and a whole column is encoded once per (relation, column,
-        # i, variant) however many of the atom's 4 relation variants ask:
-        # i = 1 (CP) and i = 2 (leaf) for each of the 6 interval columns
-        keys = list(reducer._column_encodings)
-        assert sorted(
-            (relation, col, i, leaf) for relation, col, _, i, leaf, _ in keys
-        ) == sorted(
-            (relation, col, i, i == 2)
-            for relation in "RST"
-            for col in (0, 1)
-            for i in (1, 2)
-        )
-        # the batch path fills no per-value memo; the tree keeps the
-        # column results instead, and answers a value from them as a
-        # zero-copy, read-only slice
-        tree = result.segment_trees["A"]
+        # ... walked exactly 3 trees x {CP, leaf} times ...
+        assert walks == {(id(trees[x]), leaf): 1 for x in "ABC" for leaf in (False, True)}
+        # ... and cut once per (tree, i, leaf?, nonempty_last): k = 2
+        # everywhere, so i = 1 is the CP variant, i = 2 the leaf one and
+        # no position carries the ordering constraint
+        assert sorted(cuts) == sorted([(1, False), (2, False)] * 3)
+        for x, tree in trees.items():
+            (batch,) = tree._columns  # both columns under x, end to end
+            values, offsets = reducer._batches[x]
+            assert batch[1] is values and sorted(offsets) == sorted(
+                (a.relation, a.variable_names.index(x))
+                for a in query.atoms_containing(x)
+            )
+            assert set(batch[3]) == {False, True}
+            assert set(batch[4]) == {(1, False, False), (2, True, False)}
+        # the batch path fills no per-value memo; the tree answers a
+        # value from the batch as a zero-copy, read-only slice
+        tree = trees["A"]
         assert not tree._encodings
-        assert sum(map(len, tree._columns.values())) == 4  # R.A, T.A x {CP, leaf}
         value = next(iter(db["R"].tuples))[0]
-        (matrix,) = (
-            m
-            for (rel, col, t, i, leaf, _), (m, _, _) in reducer._column_encodings.items()
-            if (rel, col, t, i) == ("R", 0, tree, 1)
-        )
+        matrix = tree._columns[0][4][1, False, False][0]
         served = tree.encodings(value, 1, False, False)
         assert np.shares_memory(served, matrix) and not served.flags.writeable
         assert sorted(_rows(served)) == sorted(

@@ -29,6 +29,20 @@ class TestIntervalBasics:
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "left,right", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_a_nan_endpoint_is_refused(self, left, right):
+        # NaN compares false both ways: ``left > right`` let it through
+        with pytest.raises(ValueError, match="NaN"):
+            Interval(left, right)
+        with pytest.raises(ValueError, match="NaN"):
+            Interval.point(math.nan)
+
+    def test_infinite_endpoints_are_kept(self):
+        assert Interval(-math.inf, math.inf).contains_point(0.0)
+        assert Interval.point(math.inf).is_point
+
     def test_contains_point(self):
         x = ivl(1, 4)
         assert x.contains_point(1)

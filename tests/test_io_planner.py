@@ -1,12 +1,14 @@
 """Tests for database I/O, validation, and the adaptive planner."""
 
+import math
 import random
 
-from repro.core import QuerySession, explain, naive_evaluate
+from repro.core import QuerySession, explain, naive_count, naive_evaluate
 from repro.engine import Database, Relation
 from repro.engine.io import (
     load_database_json,
     load_relation_csv,
+    parse_value,
     save_database_json,
     save_relation_csv,
     validate_database,
@@ -54,6 +56,19 @@ class TestCsv:
         assert (Interval(1, 2), "hello") in loaded
 
 
+    def test_nan_endpoint_rejected(self, tmp_path):
+        import pytest
+
+        assert parse_value("-inf..inf", True) == Interval(-math.inf, math.inf)
+        for text in ("nan", "nan..1", "0..nan"):
+            with pytest.raises(ValueError, match="NaN"):
+                parse_value(text, True)
+        path = tmp_path / "r.csv"
+        path.write_text("A\n1..2\nnan..3\n")
+        with pytest.raises(ValueError, match="NaN"):
+            load_relation_csv(path, "R", interval_columns=["A"])
+
+
 class TestJson:
     def test_roundtrip_with_query(self, tmp_path):
         q = catalog.triangle_ij()
@@ -87,6 +102,23 @@ class TestJson:
         q = parse_query("R([A])")
         with pytest.raises(ValueError, match="expected"):
             load_database_json(path, q)
+
+    def test_nan_endpoint_rejected(self, tmp_path):
+        import pytest
+
+        path = tmp_path / "db.json"
+        # ``json`` reads the non-standard ``NaN`` literal as a float
+        path.write_text('{"R": {"schema": ["A"], "tuples": [[[NaN, 1.0]]]}}')
+        with pytest.raises(ValueError, match="NaN"):
+            load_database_json(path, parse_query("R([A])"))
+
+    def test_infinite_endpoints_agree_with_naive(self):
+        q = catalog.triangle_ij()
+        db = random_database(q, 6, seed=5, domain=30.0)
+        db["S"].tuples.add((Interval(-math.inf, math.inf), Interval(-math.inf, 4.0)))
+        session = QuerySession(db)
+        assert session.evaluate(q) == naive_evaluate(q, db)
+        assert session.count(q) == naive_count(q, db)
 
     def test_semantics_preserved(self, tmp_path):
         q = catalog.triangle_ij()
