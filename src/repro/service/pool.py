@@ -20,9 +20,11 @@ insert/delete is a no-op), which is what makes crash-resubmission safe.
 Failure model — one registry per failure domain, and whoever pops an
 entry owns its resolve.  A worker's failure domain is its process, so
 its ``outstanding`` map is the one registry: an :class:`Entry`
-``(op, query, payload, future)`` goes in when the task is queued and is
-popped either by the collector matching the worker's answer or, on pipe
-EOF (crash, OOM-kill), by the death handler, which hands the popped
+``(op, query, payload, future)`` goes in when the task is queued (the
+submitting thread sends it down the worker's pipe, see
+:meth:`WorkerPool._flush`) and is popped either by the collector, the
+one helper thread, matching the worker's answer or, on pipe EOF
+(crash, OOM-kill), by the death handler, which hands the popped
 entries to :func:`settle_lost` — the one function, shared with the
 router tier, that reads the verb table's lost-ack column: routed work
 is placed again on the *same* future (every future resolves exactly
@@ -53,9 +55,11 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from ..core.reduction_cache import ReductionCache
@@ -131,8 +135,8 @@ class Entry:
 
 def _resolve(future: Future, value=None, error: BaseException | None = None) -> None:
     """Resolve a future exactly once, tolerating a concurrent
-    cancellation (a deadline miss cancels through ``wrap_future`` from
-    the event-loop thread while the collector resolves from its own) —
+    cancellation (a missed deadline cancels the pool future from the
+    event-loop thread while the collector resolves from its own) —
     the late result is simply dropped, and the collector must never die
     to an ``InvalidStateError``."""
     if future.done():
@@ -283,9 +287,9 @@ _WORKER_OPS: dict[str, Callable[[QuerySession, Database, dict], Any]] = {
 
 def _exit_with_parent() -> None:
     """A worker must not outlive the process that spawned it, however
-    that process ends (SIGKILL included): the worker itself holds a
-    write end of its task queue, so ``tasks.get()`` never sees EOF and
-    the loop alone would wait forever, re-parented to init."""
+    that process ends (SIGKILL included).  The parent's death closes the
+    task pipe, but the loop sees that EOF only at its next ``recv()``;
+    a worker in the middle of a long task is ended here, at once."""
     connection_wait([multiprocessing.parent_process().sentinel])
     os._exit(1)
 
@@ -297,14 +301,18 @@ def _worker_main(
     tasks,
     results: Connection,
 ) -> None:
-    """One worker: a session-owning loop over the task queue.  ``None``
-    is the graceful-shutdown sentinel; the final message on the result
-    pipe is ``("exit", ...)`` carrying the session's lifetime stats."""
+    """One worker: a session-owning loop over the task pipe (EOF: the
+    parent is gone).  ``None`` is the graceful-shutdown sentinel; the
+    final message on the result pipe is ``("exit", ...)`` carrying the
+    session's lifetime stats."""
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     session = QuerySession(db, **options)
     try:
         while True:
-            task = tasks.get()
+            try:
+                task = tasks.recv()
+            except EOFError:
+                return
             if task is None:
                 results.send(("exit", worker_id, None, _worker_stats(session)))
                 return
@@ -334,10 +342,12 @@ def _worker_main(
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
-    def __init__(self, index: int, process, tasks, conn: Connection):
+    def __init__(self, index: int, process, tasks: Connection, conn: Connection):
         self.index = index
         self.process = process
-        self.tasks = tasks
+        self.tasks = tasks           # write end of the worker's task pipe
+        self.outbox: deque = deque()  # pickled tasks, registered, not yet sent
+        self.send_lock = threading.Lock()  # held by whoever sends the outbox
         self.conn = conn
         self.alive = True
         self.exited = False          # sent its graceful "exit" message
@@ -419,6 +429,7 @@ class WorkerPool:
         # respawn resolves
         self._parked: list[Entry] = []
         self.respawns = 0          # replacements actually performed
+        self.lost = dict.fromkeys(("resubmitted", "parked", "failed", "dropped"), 0)
         self._closed = False
         self._all_exited = threading.Event()
         self._workers: list[_Worker] = []
@@ -434,18 +445,19 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def _spawn(self, index: int) -> _Worker:
-        tasks = self._ctx.Queue()
+        task_reader, tasks = self._ctx.Pipe(duplex=False)
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.db, self._options, tasks, child_conn),
+            args=(index, self.db, self._options, task_reader, child_conn),
             name=f"repro-worker-{index}",
             daemon=True,
         )
         process.start()
-        # parent must not hold the send end, or a dead worker would
-        # never EOF its pipe and crashes would go undetected
+        # the parent holds neither child end: a dead worker must EOF its
+        # result pipe, and a write to its task pipe must fail, not block
         child_conn.close()
+        task_reader.close()
         return _Worker(index, process, tasks, parent_conn)
 
     def wait_ready(self, timeout: float = 120.0) -> "WorkerPool":
@@ -468,28 +480,29 @@ class WorkerPool:
             return [w.index for w in self._workers if w.alive]
 
     def close(self, timeout: float = 60.0) -> dict:
-        """Graceful shutdown: drain every queued task (the sentinel is
-        FIFO behind them), collect each worker's lifetime stats, join
-        the processes.  Returns ``{"workers": [...], "aggregate":
-        {...}}`` — the summed session counters across workers."""
+        """Graceful shutdown: answer every registered task (the sentinel
+        is queued behind them), collect each worker's lifetime stats, join
+        the processes.  Returns ``{"workers": [...], "aggregate": {...}}``
+        (the summed session counters), ``respawns`` and ``lost_*``."""
         with self._lock:
             if not self._closed:
                 self._closed = True
                 for worker in self._workers:
                     if worker.alive:
-                        worker.tasks.put(None)
+                        worker.outbox.append(ForkingPickler.dumps(None))
+        self._flush()
         self._all_exited.wait(timeout)
         for worker in self._workers:
             worker.process.join(timeout=timeout)
             worker.tasks.close()
-            worker.tasks.cancel_join_thread()
         self._collector.join(timeout=timeout)
         with self._lock:
-            return self._report(
+            report = self._report(
                 {"worker": w.index, **w.final_stats}
                 for w in self._workers
                 if w.final_stats is not None
             )
+            return {**report, **{f"lost_{k}": n for k, n in self.lost.items()}}
 
     def terminate(self) -> None:
         """Hard stop: kill every worker.  Outstanding futures fail."""
@@ -528,14 +541,35 @@ class WorkerPool:
         return stable_digest(canonical_form(query).key)
 
     def _submit_to(self, worker: _Worker, entry: Entry) -> Future:
-        """Caller holds the lock."""
+        """Queue a task, pickled, on the worker's outbox (or fail its
+        future).  Caller holds the lock, and then calls :meth:`_flush`."""
         task_id = next(self._task_ids)
-        worker.outstanding[task_id] = entry
         payload = entry.payload
         if entry.query is not None:
             payload = {"query": entry.query, **payload}
-        worker.tasks.put((task_id, entry.op, payload))
+        try:
+            task = ForkingPickler.dumps((task_id, entry.op, payload))
+        except Exception as error:
+            message = f"task payload cannot be pickled: {error}"
+            _resolve(entry.future, error=TypeError(message))
+        else:
+            worker.outstanding[task_id] = entry
+            worker.outbox.append(task)
         return entry.future
+
+    def _flush(self) -> None:
+        """Send each outbox, oldest first, never under the lock (a full
+        pipe waits on a worker whose results the collector must drain);
+        the send lock's holder sends all, so the order is registration's."""
+        for worker in list(self._workers):
+            while worker.outbox and worker.send_lock.acquire(blocking=False):
+                try:
+                    while worker.outbox:
+                        worker.tasks.send_bytes(worker.outbox.popleft())
+                except OSError:
+                    pass  # the worker died: its death handler settles it
+                finally:
+                    worker.send_lock.release()
 
     def _place(
         self, entry: Entry, alive: Sequence[_Worker], slot: int | None = None
@@ -568,6 +602,7 @@ class WorkerPool:
                 self._parked.append(entry)
             else:
                 raise WorkerCrash("no alive workers")
+        self._flush()
         return entry.future
 
     def evaluate(self, query: Query) -> Future:
@@ -622,6 +657,7 @@ class WorkerPool:
             # delivers it — the ack list is simply empty
             self.db.apply_delta(Delta(self.db.version, **payload))
             futures = self._broadcast("mutate", payload, alive)
+        self._flush()
         return _gather(futures, lambda acks: [a for a in acks if a is not None])
 
     def stats(self) -> dict:
@@ -639,6 +675,7 @@ class WorkerPool:
             if not alive:
                 raise WorkerCrash("no alive workers")
             futures = self._broadcast("stats", {}, alive)
+        self._flush()
         return _gather(
             futures,
             lambda values: self._report(
@@ -709,10 +746,10 @@ class WorkerPool:
         through replacements forever) or parked for the replacement,
         broadcast acks resolve benignly (the dead worker's database copy
         died with it; nothing to apply or report), and futures fail only
-        when no worker can ever take them.  The respawn is launched on a
-        helper thread (``Process.start`` pickles the whole database; the
-        collector must keep draining every other worker's results
-        meanwhile)."""
+        when no worker can ever take them.  Resubmits are sent and the
+        respawn launched on a helper thread (the collector sends no task,
+        and ``Process.start`` pickles the whole database; the collector
+        must keep draining every other worker's results meanwhile)."""
         with self._lock:
             worker.alive = False
             lost = list(worker.outstanding.values())
@@ -724,10 +761,10 @@ class WorkerPool:
             # the replay floor: every broadcast mutation logged after
             # this version is re-sent to the replacement, so nothing is
             # lost in the registration window (replays are idempotent)
-            version_before = self.db.version
+            version_before = self.db.version if should_respawn else None
             alive = [w for w in self._workers if w.alive]
             # once close() has queued the shutdown sentinels, a
-            # survivor's queue ends in a sentinel it will exit at —
+            # survivor's outbox ends in a sentinel it will exit at —
             # resubmitted tasks queued behind it would never run and
             # their futures would hang forever; fail them instead
             can_resubmit = bool(alive) and not self._closed
@@ -735,6 +772,7 @@ class WorkerPool:
             def resubmit(entry: Entry) -> bool:
                 entry.crashes += 1
                 if entry.crashes > self.MAX_TASK_CRASHES:
+                    self.lost["failed"] += 1
                     _resolve(
                         entry.future,
                         error=WorkerCrash(
@@ -743,16 +781,18 @@ class WorkerPool:
                         ),
                     )
                 elif can_resubmit:
+                    self.lost["resubmitted"] += 1
                     self._place(entry, alive)
                 elif should_respawn:
                     # no survivor today, but a replacement is coming:
                     # park the task until the respawn resolves it
+                    self.lost["parked"] += 1
                     self._parked.append(entry)
                 else:
                     return False
                 return True
 
-            settle_lost(
+            taken, failed = settle_lost(
                 lost,
                 resubmit,
                 WorkerCrash(
@@ -761,8 +801,10 @@ class WorkerPool:
                     f"({'pool is closing' if self._closed else 'none survive'})"
                 ),
             )
+            self.lost["failed"] += failed
+            self.lost["dropped"] += len(lost) - taken - failed
         worker.process.join(timeout=5)
-        if should_respawn:
+        if should_respawn or can_resubmit:
             try:
                 threading.Thread(
                     target=self._respawn_worker,
@@ -773,10 +815,11 @@ class WorkerPool:
             except RuntimeError:  # pragma: no cover - thread exhaustion
                 self._respawn_worker(worker.index, version_before)
 
-    def _respawn_worker(self, index: int, version_before: int) -> None:
-        """Build and register a replacement worker off the collector
-        thread.  The spawn pickles the parent's live database; a
-        broadcast mutation racing that pickle can make it raise (or
+    def _respawn_worker(self, index: int, version_before: int | None) -> None:
+        """Write the survivors' resubmits, then (unless ``version_before``
+        is ``None``) build and register a replacement worker — off the
+        collector thread.  The spawn pickles the parent's live database;
+        a broadcast mutation racing that pickle can make it raise (or
         leave a delta out of the snapshot), so the spawn is retried
         once and — after registration — every tuple-level delta logged
         since ``version_before`` is re-sent to the replacement.
@@ -786,6 +829,9 @@ class WorkerPool:
         log trimmed past the replay floor) degrades to the shrunk-pool
         behaviour: parked tasks fail only if no other worker survives
         and no other respawn is in flight."""
+        self._flush()
+        if version_before is None:
+            return
         replacement = None
         for attempt in range(2):
             try:
@@ -827,7 +873,7 @@ class WorkerPool:
                     # the pool began closing while we were spawning and
                     # its sentinel sweep could not see the replacement —
                     # queue one now so close() still joins cleanly
-                    replacement.tasks.put(None)
+                    replacement.outbox.append(ForkingPickler.dumps(None))
             alive = [w for w in self._workers if w.alive]
             can_resubmit = bool(alive) and not self._closed
             parked, self._parked = self._parked, []
@@ -846,3 +892,4 @@ class WorkerPool:
                             f"could take its outstanding task"
                         ),
                     )
+        self._flush()

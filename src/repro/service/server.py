@@ -2,9 +2,9 @@
 control, per-request deadlines.
 
 The server owns a :class:`~repro.service.pool.WorkerPool` and bridges
-its ``concurrent.futures`` world into asyncio — each admitted request
-becomes a task awaiting a wrapped pool future, so one event loop
-multiplexes every connection while the workers burn CPU in parallel.
+its ``concurrent.futures`` world into asyncio — each admitted request's
+pool future calls back onto the event loop to write its reply, so one
+loop multiplexes every connection while the workers burn CPU.
 
 Overload is handled by *typed backpressure*, not queueing: the server
 admits at most ``max_inflight`` requests at a time and answers the rest
@@ -153,6 +153,15 @@ class _TenantTarget:
         self.mutate = partial(router.mutate, tenant)
 
 
+class _Connection:
+    """A client connection's writer and the replies it still owes;
+    ``idle`` resolves when the last is written after the reads ended."""
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer, self.owed = writer, 0
+        self.idle: asyncio.Future | None = None
+
+
 class ServiceServer:
     """Serve a :class:`~repro.service.pool.WorkerPool` over TCP.
 
@@ -251,10 +260,13 @@ class ServiceServer:
         me = asyncio.current_task()
         if me is not None:
             self._connections.add(me)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
+        connection = _Connection(writer)
+        transport = writer.transport
+        high_water = transport.get_write_buffer_limits()[1]
         try:
             while True:
+                if transport.get_write_buffer_size() > high_water:
+                    await writer.drain()  # unread replies pause the reads
                 try:
                     line = await reader.readline()
                 except ValueError:
@@ -263,16 +275,12 @@ class ServiceServer:
                     # the connection
                     self.counters["requests"] += 1
                     self.counters["bad_requests"] += 1
-                    await self._write(
-                        writer,
-                        write_lock,
-                        error_response(
-                            None,
-                            ERROR_BAD_REQUEST,
-                            f"request line exceeds {self.max_line_bytes} "
-                            f"bytes",
-                        ),
+                    response = error_response(
+                        None,
+                        ERROR_BAD_REQUEST,
+                        f"request line exceeds {self.max_line_bytes} bytes",
                     )
+                    writer.write(protocol.dump_line(response))
                     break
                 if not line:
                     break
@@ -280,13 +288,9 @@ class ServiceServer:
                     continue
                 request, rejection = self._admit(line)
                 if rejection is not None:
-                    await self._write(writer, write_lock, rejection)
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_request(request, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                    writer.write(protocol.dump_line(rejection))
+                else:
+                    self._route(request, connection)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -296,9 +300,12 @@ class ServiceServer:
         finally:
             if me is not None:
                 self._connections.discard(me)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
+            try:
+                if connection.owed:
+                    connection.idle = asyncio.get_running_loop().create_future()
+                    await connection.idle
+            finally:
+                writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -346,40 +353,53 @@ class ServiceServer:
         self._inflight += 1
         return request, None
 
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        response: dict,
-    ) -> None:
-        async with lock:
-            writer.write(protocol.dump_line(response))
-            await writer.drain()
-
     # ------------------------------------------------------------------
     # request execution
     # ------------------------------------------------------------------
 
-    async def _serve_request(
-        self,
-        request: dict,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        # the in-flight slot was claimed synchronously by _admit
+    def _route(self, request: dict, connection: _Connection) -> None:
+        """Dispatch one admitted request.  The pool future's done-callback
+        hops onto the loop once to write the reply; a deadline is one
+        ``call_later`` that cancels the future.  The first one answers."""
         request_id = request.get("id")
-        try:
-            response = await self._execute(request_id, request)
-        finally:
-            self._inflight -= 1
-        if response.get("ok"):
-            self.counters["served"] += 1
-        else:
-            self.counters["errors"] += 1
-        try:
-            await self._write(writer, lock, response)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        future = self._execute(request_id, request)
+        if isinstance(future, dict):  # failed before any work was placed
+            self._reply(connection, future)
+            return
+        loop, deadline = asyncio.get_running_loop(), self._deadline(request)
+
+        def finish(timed_out: bool = False) -> None:
+            nonlocal future
+            if future is None:
+                return  # already answered
+            done, future = future, None
+            if timed_out:
+                done.cancel()
+            elif timer is not None:
+                timer.cancel()
+            connection.owed -= 1
+            if not connection.owed and connection.idle and not connection.idle.done():
+                connection.idle.set_result(None)
+            self._reply(
+                connection, self._outcome(request_id, None if timed_out else done)
+            )
+
+        def hop(_: Future) -> None:
+            try:
+                loop.call_soon_threadsafe(finish)
+            except RuntimeError:
+                pass  # the loop has closed: nobody is left to answer
+
+        connection.owed += 1
+        future.add_done_callback(hop)
+        timer = None if deadline is None else loop.call_later(deadline, finish, True)
+
+    def _reply(self, connection: _Connection, response: dict) -> None:
+        """Answer an admitted request: the one place its in-flight slot
+        (claimed by :meth:`_admit`) is released and its outcome counted."""
+        self._inflight -= 1
+        self.counters["served" if response["ok"] else "errors"] += 1
+        connection.writer.write(protocol.dump_line(response))
 
     def _deadline(self, request: dict) -> float | None:
         deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
@@ -391,10 +411,11 @@ class ServiceServer:
             )
         return max(float(deadline_ms), 0.0) / 1e3
 
-    async def _execute(self, request_id: Any, request: dict) -> dict:
+    def _execute(self, request_id: Any, request: dict) -> Future | dict:
+        """The dispatch phase: the request's future, or its error reply."""
         verb = protocol.VERBS[request["op"]]
         try:
-            future = self._dispatch(verb, request)
+            return self._dispatch(verb, request)
         except ShardUnreachable as error:
             return error_response(request_id, ERROR_SHARD_UNREACHABLE, str(error))
         except BadQueryError as error:
@@ -414,10 +435,17 @@ class ServiceServer:
             )
         except WorkerCrash as error:
             return error_response(request_id, ERROR_INTERNAL, str(error))
-        try:
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(future), self._deadline(request)
+        except Exception as error:  # still answered: a silent request hangs
+            return error_response(
+                request_id, ERROR_INTERNAL, f"{type(error).__name__}: {error}"
             )
+
+    def _outcome(self, request_id: Any, future: Future | None) -> dict:
+        """The completion phase: ``future``'s reply (``None``: a missed deadline)."""
+        try:
+            if future is None:
+                raise asyncio.TimeoutError
+            result = future.result()
         except asyncio.TimeoutError:
             self.counters["deadline_exceeded"] += 1
             return error_response(

@@ -178,20 +178,21 @@ class DisjunctPlan:
                 f"residual predicates ({', '.join(self.residuals)}) force "
                 "witness enumeration with post-join filters"
             )
+        brute = f"brute-force product {self.brute:.0f}"
         if self.strategy == "naive":
-            return (
-                f"brute-force product {self.brute:.0f} is the cheapest "
-                f"candidate (budget {self.budget:.0f})"
-            )
+            if self.brute <= min(self.candidates.values()):
+                return f"{brute} is the cheapest candidate (budget {self.budget:.0f})"
+            return f"{brute} is within the naive budget {self.budget:.0f}"
+        over = f"{brute} exceeds the naive budget {self.budget:.0f}"
         if self.strategy == "sweep":
             return (
-                "binary join on a single shared interval variable: plane sweep "
-                f"is O(N log N), N={self.input_size:.0f}"
+                f"{over} and the join is binary on a single shared interval "
+                f"variable: plane sweep is O(N log N), N={self.input_size:.0f}"
             )
         widths = self.widths
         return (
-            f"forward reduction at O(N^ijw polylog N) with ijw="
-            f"{widths['ijw']:.1f} beats the {self.brute:.0f}-row brute force; "
+            f"{over} and no plane sweep applies: forward reduction at "
+            f"O(N^ijw polylog N) with ijw={widths['ijw']:.1f}; "
             f"{int(widths['ej_disjuncts'])} EJ disjunct(s) via {self.ej_method} "
             f"(max fhtw {widths['max_fhtw']:.1f})"
         )
@@ -241,15 +242,16 @@ def plan_disjunct(
     db: Database,
     cache: Optional[StatsCache] = None,
 ) -> DisjunctPlan:
-    """Pick the cheapest candidate strategy, from statistics alone.
+    """Pick a strategy from statistics alone, by a fixed ladder.
 
-    Residual predicates force ``filtered``; at or under the brute-force
-    budget (:data:`DEFAULT_NAIVE_BUDGET`, read per call) ``naive`` wins
-    outright; above it the asymptotically-aware candidates compete —
-    and no width can change the winner: whenever
-    ``sweep`` is a candidate its ``N log N + N`` is below the
-    reduction's ``24 · #EJ · N^max(1, ijw) · log² N``, and otherwise the
-    reduction stands alone.
+    Residual predicates force ``filtered``; a brute-force product at or
+    under the budget (:data:`DEFAULT_NAIVE_BUDGET`, read per call) runs
+    ``naive``; above it a Boolean binary join on a single shared
+    interval variable runs ``sweep``, and anything else the
+    ``reduction``.  The candidate costs are reported, never compared:
+    ``naive`` is not always the cheapest under the budget, and the
+    reduction is chosen above it whatever its estimate.  No width can
+    change the choice.
     """
     cache = {} if cache is None else cache
     query = disjunct.query

@@ -296,6 +296,23 @@ class TestWorkflow:
             in uploads[0]["with"]["path"]
         )
 
+    @pytest.mark.parametrize("job", ["service-smoke", "router-smoke"])
+    def test_serving_smokes_fail_on_a_background_thread_exception(
+        self, workflow, job
+    ):
+        """The serving tier's answers travel through the pool's
+        collector and helper threads; an exception that kills one of
+        them is only a warning to pytest, so every pytest step of the
+        two serving smokes turns that warning into a failure."""
+        runs = [
+            " ".join(step["run"].split())
+            for step in workflow["jobs"][job]["steps"]
+            if "pytest" in step.get("run", "")
+        ]
+        assert runs
+        for run in runs:
+            assert "-W error::pytest.PytestUnhandledThreadExceptionWarning" in run
+
     def test_distributed_smoke_runs_remote_suite_and_uploads_report(
         self, workflow
     ):

@@ -203,6 +203,37 @@ def test_strategies_are_compared_where_they_are_decided_and_run():
     assert not (root / "core" / "planner.py").exists()
 
 
+def test_the_reason_states_the_rule_the_ladder_applied():
+    """EXPLAIN's ``reason`` names the budget test that chose the
+    strategy, not a comparison of candidate costs the ladder never
+    makes: the triangle at 30 tuples per relation goes to the reduction
+    although its own estimate is far above the brute force, and a
+    binary join under the budget runs naive although the sweep prices
+    lower.  Where naive *is* the cheapest candidate the old wording
+    stands (the wire golden's EXPLAIN frame)."""
+    triangle = SHAPES["triangle"]
+    plan = QuerySession(random_database(triangle, 30, seed=1)).plan(triangle)
+    assert plan.strategy == "reduction" and plan.brute == 27_000
+    assert plan.candidates["reduction"] > plan.brute
+    assert plan.reason.startswith(
+        "brute-force product 27000 exceeds the naive budget 20000 and no "
+        "plane sweep applies: forward reduction"
+    )
+    binary = SHAPES["binary-one-interval"]
+    plan = QuerySession(random_database(binary, 100, seed=1)).plan(binary)
+    assert plan.strategy == "naive" and plan.candidates["sweep"] < plan.brute
+    assert plan.reason == "brute-force product 10000 is within the naive budget 20000"
+    plan = QuerySession(random_database(binary, 300, seed=1)).plan(binary)
+    assert plan.strategy == "sweep"
+    assert plan.reason.startswith(
+        "brute-force product 90000 exceeds the naive budget 20000 and the "
+        "join is binary on a single shared interval variable"
+    )
+    plan = QuerySession(random_database(binary, 5, seed=1)).plan(binary)
+    assert plan.strategy == "naive" and plan.brute == min(plan.candidates.values())
+    assert plan.reason == "brute-force product 25 is the cheapest candidate (budget 20000)"
+
+
 EJ_METHOD_LITERALS = {"yannakakis", "decomposition", "generic"}
 
 

@@ -23,12 +23,18 @@ shared — only the cache directory).
 """
 
 import asyncio
+import json
+import logging
 import os
 import random
 import signal
 import socket
 import sys
+import threading
 import time
+from concurrent.futures import Future
+from functools import partial
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -38,6 +44,7 @@ from repro.intervals import Interval
 from repro.queries import parse_query
 from repro.service import (
     PoolClosed,
+    RouterServer,
     ServiceClient,
     ServiceError,
     ServiceServer,
@@ -46,7 +53,10 @@ from repro.service import (
     query_text,
     run_load,
 )
+from repro.service.client import ShardUnreachable
+from repro.service.pool import WorkerCrash
 from repro.service.protocol import (
+    BadQueryError,
     ProtocolError,
     decode_tuple,
     decode_value,
@@ -54,6 +64,7 @@ from repro.service.protocol import (
     encode_value,
 )
 from repro.core.session import canonical_form
+from repro.service.router import RouterClosed, UnknownTenant
 from repro.workloads import isomorphic_variants, random_database
 
 TRIANGLE = "R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])"
@@ -360,6 +371,203 @@ class TestWorkerPool:
         ) as pool:
             pool.count_many([query])
         assert list((tmp_path / "_namespaces" / "acme").iterdir())
+
+
+#: padding that makes each pickled task ~4 KiB, so a burst overruns a
+#: pipe's 64 KiB buffer many times over (the worker ops ignore it)
+PAD = "x" * 4096
+
+
+def _covering_tuple(db: Database, relation: str) -> tuple:
+    """An in-domain tuple that overlaps every tuple of ``relation``."""
+    rows = db[relation].tuples
+    return tuple(
+        Interval(min(t[c].left for t in rows), max(t[c].right for t in rows))
+        for c in range(db[relation].arity)
+    )
+
+
+class TestTaskChannel:
+    """The submitting thread writes each task to its worker's pipe:
+    registration order is delivery order, a full pipe never blocks a
+    holder of the pool lock, the collector never writes a task, and a
+    payload that cannot be pickled fails alone."""
+
+    def test_a_running_pool_has_one_parent_side_helper_thread(self):
+        before = set(threading.enumerate())
+        db = small_db(n=10)
+        with WorkerPool(db, workers=2) as pool:
+            pool.evaluate_many([parse_query(TRIANGLE), parse_query(PATH2)])
+            pool.mutate("insert", "R", _covering_tuple(db, "R")).result(timeout=60)
+            pool.stats()
+            names = [t.name for t in threading.enumerate() if t not in before]
+        assert names == ["repro-pool-collector"]
+        assert not any("Feeder" in t.name for t in threading.enumerate())
+
+    def test_concurrent_bursts_keep_registration_order(self):
+        """Three threads submit ~800 KiB of pickled tasks at once, and
+        ~2.5 MB of answers come back; a mutation broadcast mid-burst is
+        seen by every read registered after it, and by none before."""
+        db = small_db(n=12)
+        triangle, path = parse_query(TRIANGLE), parse_query(PATH2)
+        wide = _covering_tuple(db, "R")
+        old = naive_count(triangle, db)
+        mirror = small_db(n=12)
+        mirror.insert("R", wide)
+        new = naive_count(triangle, mirror)
+        assert new != old
+        reads: dict[str, list] = {"before": [], "after": [], "other": []}
+        pool = WorkerPool(db, workers=2)
+
+        def mutator():
+            for _ in range(40):
+                reads["before"].append(pool.submit("count", triangle, pad=PAD))
+            reads["ack"] = pool.mutate("insert", "R", wide)
+            for _ in range(40):
+                reads["after"].append(pool.submit("count", triangle, pad=PAD))
+
+        def other():
+            # stats answers are large: while a task pipe is full, a
+            # collector kept from the pool lock lets the result pipe
+            # fill too, and the pool deadlocks
+            for _ in range(60):
+                reads["other"].append(pool.submit("count", path, pad=PAD))
+                for _ in range(20):
+                    reads["other"].append(pool.stats_async())
+
+        threads = [threading.Thread(target=f) for f in (mutator, other, other)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [f.result(timeout=60) for f in reads["before"]] == [old] * 40
+            assert [f.result(timeout=60) for f in reads["after"]] == [new] * 40
+            assert len(reads["ack"].result(timeout=60)) == 2
+            for future in reads["other"]:
+                future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if any(thread.is_alive() for thread in threads):
+                for worker in pool._workers:  # unblock a deadlocked writer
+                    worker.process.kill()
+            pool.close()
+
+    def test_close_right_after_a_burst_answers_every_future(self):
+        db = small_db(n=12)
+        queries = [parse_query(TRIANGLE), parse_query(PATH2)]
+        pool = WorkerPool(db, workers=2)
+        futures = [pool.submit("evaluate", q, pad=PAD) for q in queries * 40]
+        pool.close()
+        expected = [naive_evaluate(q, db) for q in queries]
+        assert [f.result(timeout=5) for f in futures] == expected * 40
+
+    def test_an_unpicklable_payload_fails_its_own_future_only(self):
+        db = small_db(n=10)
+        query = parse_query(TRIANGLE)
+        with WorkerPool(db, workers=1) as pool:
+            bad = pool.submit("evaluate", query, bogus=lambda: 0)
+            assert bad.done()  # failed in submit(), before any pipe write
+            with pytest.raises(TypeError, match="cannot be pickled"):
+                bad.result()
+            assert pool._workers[0].outstanding == {}
+            assert pool.evaluate(query).result(timeout=60) == naive_evaluate(
+                query, db
+            )
+
+    def test_the_worker_exits_on_task_pipe_eof(self):
+        with WorkerPool(small_db(n=5), workers=1, max_respawns=0) as pool:
+            pool.wait_ready()
+            worker = pool._workers[0]
+            worker.tasks.close()  # what the parent's death does
+            # polled, not joined: the collector's death handler joins
+            # (and reaps) the worker too
+            TestWorkerPool._wait_for(lambda: worker.process.exitcode is not None)
+            assert worker.process.exitcode == 0  # returned, not killed
+            TestWorkerPool._wait_for(lambda: pool.alive_workers == [])
+
+    @staticmethod
+    def _stop_and_load(pool, queries, mutate=None):
+        """SIGSTOP worker 0, then register work for it: the work reaches
+        its pipe but is never answered, so all of it is lost when the
+        caller SIGKILLs the returned pid."""
+        pool.wait_ready()
+        pid = pool._workers[0].process.pid
+        os.kill(pid, signal.SIGSTOP)
+        futures = [pool.evaluate(q) for q in queries]
+        ack = None if mutate is None else pool.mutate(*mutate)
+        return pid, futures, ack
+
+    def test_a_workers_death_resubmits_off_the_collector_and_counts(
+        self, monkeypatch
+    ):
+        bases = TestWorkerPool._crash_bases()
+        db = TestWorkerPool._crash_db(bases, n=15)
+        writers: list[tuple[str, Connection]] = []
+        send_bytes = Connection.send_bytes
+
+        def recording_send_bytes(conn, *args):
+            writers.append((threading.current_thread().name, conn))
+            return send_bytes(conn, *args)
+
+        monkeypatch.setattr(Connection, "send_bytes", recording_send_bytes)
+        pool = WorkerPool(db, workers=2)
+        try:
+            mine = [q for q in bases if WorkerPool._slot(q) % 2 == 0]
+            assert mine
+            rng = random.Random(4)
+            mutation = ("insert", "A0", in_domain_tuple(db, "A0", rng))
+            pid, futures, ack = self._stop_and_load(pool, mine, mutation)
+            survivor = pool._workers[1].tasks
+            writers.clear()
+            os.kill(pid, signal.SIGKILL)
+            assert [f.result(timeout=120) for f in futures] == [
+                naive_evaluate(q, db) for q in mine
+            ]
+            assert len(ack.result(timeout=120)) == 1  # the survivor's
+            TestWorkerPool._wait_for(lambda: pool.respawns == 1)
+            resubmits = [name for name, conn in writers if conn is survivor]
+            assert len(resubmits) >= len(mine)
+            assert "repro-pool-collector" not in {name for name, _ in writers}
+            assert "repro-pool-respawn-0" in resubmits
+            assert pool.lost == {
+                "resubmitted": len(mine),
+                "parked": 0,
+                "failed": 0,
+                "dropped": 1,  # the dead worker's mutation ack
+            }
+        finally:
+            report = pool.close()
+        assert report["lost_resubmitted"] == len(mine)
+        assert report["lost_dropped"] == 1
+
+    @pytest.mark.parametrize("respawn", [True, False])
+    def test_a_lone_workers_death_parks_or_fails_and_counts(self, respawn):
+        db = small_db(n=10)
+        queries = [parse_query(TRIANGLE), parse_query(PATH2)]
+        pool = WorkerPool(db, workers=1, max_respawns=None if respawn else 0)
+        try:
+            pid, futures, _ = self._stop_and_load(pool, queries)
+            os.kill(pid, signal.SIGKILL)
+            if respawn:
+                assert [f.result(timeout=120) for f in futures] == [
+                    naive_evaluate(q, db) for q in queries
+                ]
+            else:
+                for future in futures:
+                    with pytest.raises(WorkerCrash):
+                        future.result(timeout=120)
+        finally:
+            report = pool.close()
+        verdict = "parked" if respawn else "failed"
+        expected = dict.fromkeys(("resubmitted", "parked", "failed", "dropped"), 0)
+        expected[verdict] = len(queries)
+        assert pool.lost == expected
+        assert report[f"lost_{verdict}"] == len(queries)
 
 
 # ----------------------------------------------------------------------
@@ -684,6 +892,276 @@ class TestServer:
         # framing-level garbage stays bad_request
         assert codes == ["bad_request", "bad_query", "bad_request", "bad_request"]
         assert answer == naive_evaluate(parse_query(TRIANGLE), small_db(n=10))
+
+
+class _ScriptedTarget:
+    """A pool (and router) stand-in whose ``submit`` raises a scripted
+    exception (the dispatch phase) or returns a future that another
+    thread fails with it (the completion phase)."""
+
+    def __init__(self, error: BaseException | None, phase: str, delay=0.01):
+        self.db = small_db(n=5)
+        self.error, self.phase, self.delay = error, phase, delay
+        self.futures: list[Future] = []
+
+    def database(self, tenant):
+        return self.db
+
+    def stats_async(self):
+        future = Future()
+        future.set_result({})
+        return future
+
+    def submit(self, *args, **payload):
+        if self.phase == "dispatch":
+            raise self.error
+        future = Future()
+        self.futures.append(future)
+        if self.phase == "hang":
+            return future
+        if self.error is None:
+            resolve = partial(future.set_result, True)
+        else:
+            resolve = partial(future.set_exception, self.error)
+        threading.Timer(self.delay, resolve).start()
+        return future
+
+    mutate = submit
+
+
+def serve_scripted(target, body, tier: str = "pool"):
+    """Run blocking ``body(host, port, server)`` against a server over
+    ``target`` (no worker processes)."""
+    if tier == "pool":
+        server = ServiceServer(target)
+    else:
+        server = RouterServer(target)
+
+    async def driver():
+        host, port = await server.start()
+        try:
+            return await asyncio.to_thread(body, host, port, server)
+        finally:
+            await server.stop()
+
+    return asyncio.run(driver())
+
+
+#: ``(phase, exception, wire code, message, counter)``: what each
+#: exception answers when dispatch raises it and when the pool future
+#: fails with it — the contract both server tiers keep.
+ERROR_TABLE = [
+    ("dispatch", ShardUnreachable("gone"), "shard_unreachable", "gone", None),
+    ("dispatch", BadQueryError("bad text"), "bad_query", "bad text", "bad_queries"),
+    ("dispatch", ProtocolError("bad frame"), "bad_request", "bad frame", "bad_requests"),
+    ("dispatch", ValueError("v"), "bad_request", "v", "bad_requests"),
+    ("dispatch", KeyError("k"), "bad_request", "'k'", "bad_requests"),
+    ("dispatch", TypeError("t"), "bad_request", "t", "bad_requests"),
+    ("dispatch", UnknownTenant("acme"), "bad_request", "'acme'", "bad_requests"),
+    ("dispatch", PoolClosed("p"), "shutting_down", "the serving tier is closed", None),
+    ("dispatch", RouterClosed("r"), "shutting_down", "the serving tier is closed", None),
+    ("dispatch", WorkerCrash("w"), "internal", "w", None),
+    (
+        "complete",
+        asyncio.TimeoutError(),
+        "deadline_exceeded",
+        "deadline elapsed before a worker answered",
+        "deadline_exceeded",
+    ),
+    ("complete", ShardUnreachable("gone"), "shard_unreachable", "gone", None),
+    (
+        "complete",
+        ServiceError({"code": "overloaded", "message": "full"}),
+        "overloaded",
+        "full",
+        None,
+    ),
+    ("complete", ServiceError({}), "internal", "None: None", None),
+    (
+        "complete",
+        UnknownTenant("acme"),
+        "bad_request",
+        "UnknownTenant: 'acme'",
+        "bad_requests",
+    ),
+    ("complete", ValueError("v"), "bad_request", "ValueError: v", "bad_requests"),
+    (
+        "complete",
+        BadQueryError("b"),
+        "bad_request",
+        "BadQueryError: b",
+        "bad_requests",
+    ),
+    ("complete", KeyError("k"), "internal", "KeyError: 'k'", None),
+    ("complete", TypeError("t"), "internal", "TypeError: t", None),
+    ("complete", WorkerCrash("w"), "internal", "w", None),
+    ("complete", PoolClosed("p"), "internal", "p", None),
+    ("complete", RouterClosed("r"), "internal", "r", None),
+    ("complete", RuntimeError("boom"), "internal", "RuntimeError: boom", None),
+]
+
+
+class TestReplyPath:
+    @pytest.mark.parametrize("tier", ["pool", "router"])
+    @pytest.mark.parametrize(
+        "phase, error, code, message, counter",
+        ERROR_TABLE,
+        ids=[f"{row[0]}-{type(row[1]).__name__}" for row in ERROR_TABLE],
+    )
+    def test_each_exception_keeps_its_wire_code(
+        self, tier, phase, error, code, message, counter
+    ):
+        target = _ScriptedTarget(error, phase)
+
+        def body(host, port, server):
+            with ServiceClient(host, port, timeout=10, tenant="acme") as client:
+                before = dict(server.counters)
+                response = client.request("evaluate", query=TRIANGLE)
+                after, inflight = dict(server.counters), server._inflight
+                target.error, target.phase = None, "complete"  # still serving
+                ok = client.request("evaluate", query=TRIANGLE)
+            return response, before, after, inflight, ok
+
+        response, before, after, inflight, ok = serve_scripted(target, body, tier)
+        assert response["error"] == {"code": code, "message": message}, response
+        delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+        expected = {"requests": 1, "errors": 1}
+        if counter is not None:
+            expected[counter] = 1
+        assert delta == expected
+        assert inflight == 0
+        assert ok["result"] is True, ok
+
+    def test_a_missed_deadline_answers_and_cancels_the_pool_future(self):
+        target = _ScriptedTarget(None, "hang")
+
+        def body(host, port, server):
+            with ServiceClient(host, port, timeout=10) as client:
+                response = client.request("count", query=TRIANGLE, deadline_ms=50)
+                return response, dict(server.counters), server._inflight
+
+        response, counters, inflight = serve_scripted(target, body)
+        assert response["error"]["code"] == "deadline_exceeded"
+        assert counters["deadline_exceeded"] == counters["errors"] == 1
+        assert inflight == 0
+        assert target.futures[0].cancelled()
+
+    def test_a_pipelined_burst_is_answered_by_id(self):
+        """64 requests in one write, two workers answering out of
+        order: every reply carries its request's id and answer."""
+        db = small_db(n=12)
+        texts = [TRIANGLE, PATH2]
+        expected = [naive_count(parse_query(text), db) for text in texts]
+
+        def body(host, port):
+            with socket.create_connection((host, port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(
+                    b"".join(
+                        json.dumps(
+                            {"id": i, "op": "count", "query": texts[i % 2]}
+                        ).encode()
+                        + b"\n"
+                        for i in range(64)
+                    )
+                )
+                stream.flush()
+                return [json.loads(stream.readline()) for _ in range(64)]
+
+        responses, _ = run_with_server(db, body)
+        assert sorted(r["id"] for r in responses) == list(range(64))
+        for response in responses:
+            assert response["result"] == expected[response["id"] % 2], response
+
+    def test_a_closed_connection_still_settles_its_requests(self):
+        target = _ScriptedTarget(None, "complete", delay=0.3)
+
+        def body(host, port, server):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    b"".join(
+                        json.dumps({"id": i, "op": "evaluate", "query": TRIANGLE})
+                        .encode() + b"\n"
+                        for i in range(5)
+                    )
+                )
+                TestWorkerPool._wait_for(lambda: server._inflight == 5, 10)
+            # closed with five replies owed
+            TestWorkerPool._wait_for(lambda: server._inflight == 0, 10)
+            counters = dict(server.counters)
+            with ServiceClient(host, port, timeout=10) as client:
+                answer = client.evaluate(TRIANGLE)
+            return counters, answer
+
+        counters, answer = serve_scripted(target, body)
+        assert counters["requests"] == counters["served"] == 5
+        assert answer is True
+
+    def test_stop_writes_what_a_connection_owes_before_closing_it(self):
+        target = _ScriptedTarget(None, "complete", delay=0.3)
+
+        def body(host, port, server):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                for i in range(3):
+                    request = {"id": i, "op": "evaluate", "query": TRIANGLE}
+                    stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                TestWorkerPool._wait_for(lambda: server._inflight == 3, 10)
+                loop = server._server.get_loop()
+                asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
+                replies = [json.loads(stream.readline()) for _ in range(3)]
+                return replies, stream.readline()
+
+        replies, after = serve_scripted(target, body)
+        assert sorted((r["id"], r["result"]) for r in replies) == [
+            (0, True),
+            (1, True),
+            (2, True),
+        ]
+        assert after == b""  # then the connection closed
+
+    def test_a_reply_after_stop_leaves_the_pool_serving(self, caplog):
+        """The worker answers after the server stopped and its loop
+        closed: the reply is dropped, and the collector neither dies nor
+        logs a failed callback."""
+        db = small_db(n=10)
+        query = parse_query(TRIANGLE)
+        pool = WorkerPool(db, workers=1)
+        server = ServiceServer(pool)
+        loop = asyncio.new_event_loop()
+        try:
+            pool.wait_ready()
+            host, port = loop.run_until_complete(server.start())
+            pid = pool._workers[0].process.pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                sock = socket.create_connection((host, port), timeout=10)
+                request = {"id": 1, "op": "count", "query": TRIANGLE}
+                sock.sendall(json.dumps(request).encode() + b"\n")
+
+                async def admitted():
+                    while server._inflight == 0:
+                        await asyncio.sleep(0.01)
+
+                loop.run_until_complete(asyncio.wait_for(admitted(), 30))
+                with pytest.raises(asyncio.TimeoutError):
+                    loop.run_until_complete(asyncio.wait_for(server.stop(), 0.2))
+                loop.close()
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            sock.close()
+            with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+                # FIFO: the count's late reply is handled before this one
+                assert pool.evaluate(query).result(timeout=60) == naive_evaluate(
+                    query, db
+                )
+            failed = [r for r in caplog.records if r.name == "concurrent.futures"]
+            assert not failed, failed
+            assert pool._collector.is_alive()
+        finally:
+            loop.close()
+            pool.close()
 
 
 # ----------------------------------------------------------------------
