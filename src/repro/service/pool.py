@@ -20,11 +20,9 @@ insert/delete is a no-op), which is what makes crash-resubmission safe.
 Failure model — one registry per failure domain, and whoever pops an
 entry owns its resolve.  A worker's failure domain is its process, so
 its ``outstanding`` map is the one registry: an :class:`Entry`
-``(op, query, payload, future)`` goes in when the task is queued (the
-submitting thread sends it down the worker's pipe, see
-:meth:`WorkerPool._flush`) and is popped either by the collector, the
-one helper thread, matching the worker's answer or, on pipe EOF
-(crash, OOM-kill), by the death handler, which hands the popped
+``(op, query, payload, future)`` goes in when the task is queued for its
+pipe and is popped either by the collector matching the worker's answer
+or, on pipe EOF (crash, OOM-kill), by the death handler, which hands the popped
 entries to :func:`settle_lost` — the one function, shared with the
 router tier, that reads the verb table's lost-ack column: routed work
 is placed again on the *same* future (every future resolves exactly
@@ -55,7 +53,7 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -148,6 +146,22 @@ def _resolve(future: Future, value=None, error: BaseException | None = None) -> 
             future.set_result(value)
     except InvalidStateError:
         pass
+
+
+def _frame(task) -> bytes:
+    """``task`` as one ``Connection.recv`` message, or ``TypeError``."""
+    try:
+        data = ForkingPickler.dumps(task)
+        return len(data).to_bytes(4, "big", signed=True) + data
+    except Exception as error:
+        raise TypeError(f"task payload cannot be pickled: {error}") from error
+
+
+def _in_thread(name: str, target: Callable, *args) -> None:
+    try:
+        threading.Thread(target=target, args=args, name=name, daemon=True).start()
+    except RuntimeError:  # pragma: no cover - thread exhaustion
+        target(*args)
 
 
 def settle_lost(
@@ -301,18 +315,14 @@ def _worker_main(
     tasks,
     results: Connection,
 ) -> None:
-    """One worker: a session-owning loop over the task pipe (EOF: the
-    parent is gone).  ``None`` is the graceful-shutdown sentinel; the
-    final message on the result pipe is ``("exit", ...)`` carrying the
-    session's lifetime stats."""
+    """One worker: a session-owning loop over the task pipe.  ``None``
+    (or EOF) is the shutdown sentinel; the final message on the result
+    pipe is ``("exit", ...)`` carrying the session's lifetime stats."""
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     session = QuerySession(db, **options)
     try:
         while True:
-            try:
-                task = tasks.recv()
-            except EOFError:
-                return
+            task = tasks.recv()
             if task is None:
                 results.send(("exit", worker_id, None, _worker_stats(session)))
                 return
@@ -320,16 +330,12 @@ def _worker_main(
             try:
                 value = _WORKER_OPS[op](session, db, payload)
             except Exception as error:
-                results.send(
-                    (
-                        "error",
-                        worker_id,
-                        task_id,
-                        f"{type(error).__name__}: {error}",
-                    )
-                )
+                message = f"{type(error).__name__}: {error}"
+                results.send(("error", worker_id, task_id, message))
             else:
                 results.send(("ok", worker_id, task_id, value))
+    except EOFError:
+        pass  # the parent is gone
     finally:
         results.close()
 
@@ -345,12 +351,11 @@ class _Worker:
     def __init__(self, index: int, process, tasks: Connection, conn: Connection):
         self.index = index
         self.process = process
-        self.tasks = tasks           # write end of the worker's task pipe
-        self.outbox: deque = deque()  # pickled tasks, registered, not yet sent
-        self.send_lock = threading.Lock()  # held by whoever sends the outbox
+        self.tasks = tasks           # non-blocking write end of its task pipe
+        self.outbox: deque = deque()  # framed tasks, registered, not yet sent
+        self.send_lock = threading.Lock()  # held by whoever writes the outbox
         self.conn = conn
         self.alive = True
-        self.exited = False          # sent its graceful "exit" message
         self.respawned = False       # a crash replacement, not yet heard from
         self.outstanding: dict[int, Entry] = {}  # the worker's one registry
         self.final_stats: dict | None = None
@@ -429,7 +434,7 @@ class WorkerPool:
         # respawn resolves
         self._parked: list[Entry] = []
         self.respawns = 0          # replacements actually performed
-        self.lost = dict.fromkeys(("resubmitted", "parked", "failed", "dropped"), 0)
+        self.lost = Counter(resubmitted=0, parked=0, failed=0, dropped=0)
         self._closed = False
         self._all_exited = threading.Event()
         self._workers: list[_Worker] = []
@@ -458,6 +463,7 @@ class WorkerPool:
         # result pipe, and a write to its task pipe must fail, not block
         child_conn.close()
         task_reader.close()
+        os.set_blocking(tasks.fileno(), False)
         return _Worker(index, process, tasks, parent_conn)
 
     def wait_ready(self, timeout: float = 120.0) -> "WorkerPool":
@@ -489,12 +495,13 @@ class WorkerPool:
                 self._closed = True
                 for worker in self._workers:
                     if worker.alive:
-                        worker.outbox.append(ForkingPickler.dumps(None))
+                        worker.outbox.append(_frame(None))
         self._flush()
         self._all_exited.wait(timeout)
         for worker in self._workers:
             worker.process.join(timeout=timeout)
-            worker.tasks.close()
+            if worker.send_lock.acquire(timeout=1):  # no sender thread left
+                worker.tasks.close()
         self._collector.join(timeout=timeout)
         with self._lock:
             report = self._report(
@@ -541,35 +548,52 @@ class WorkerPool:
         return stable_digest(canonical_form(query).key)
 
     def _submit_to(self, worker: _Worker, entry: Entry) -> Future:
-        """Queue a task, pickled, on the worker's outbox (or fail its
-        future).  Caller holds the lock, and then calls :meth:`_flush`."""
+        """Register a task on the worker's outbox (or fail its future).
+        Caller holds the lock, then :meth:`_flush`-es."""
         task_id = next(self._task_ids)
         payload = entry.payload
         if entry.query is not None:
             payload = {"query": entry.query, **payload}
         try:
-            task = ForkingPickler.dumps((task_id, entry.op, payload))
-        except Exception as error:
-            message = f"task payload cannot be pickled: {error}"
-            _resolve(entry.future, error=TypeError(message))
+            worker.outbox.append(_frame((task_id, entry.op, payload)))
+        except TypeError as error:
+            _resolve(entry.future, error=error)
         else:
             worker.outstanding[task_id] = entry
-            worker.outbox.append(task)
         return entry.future
 
     def _flush(self) -> None:
-        """Send each outbox, oldest first, never under the lock (a full
-        pipe waits on a worker whose results the collector must drain);
-        the send lock's holder sends all, so the order is registration's."""
+        """Write each outbox, oldest first, never under the lock and never
+        blocking: an outbox whose pipe is full passes, send lock and all,
+        to a sender thread.  The send lock's holder writes all, in order."""
         for worker in list(self._workers):
             while worker.outbox and worker.send_lock.acquire(blocking=False):
-                try:
-                    while worker.outbox:
-                        worker.tasks.send_bytes(worker.outbox.popleft())
-                except OSError:
-                    pass  # the worker died: its death handler settles it
-                finally:
-                    worker.send_lock.release()
+                if not self._write(worker):
+                    _in_thread(f"repro-pool-sender-{worker.index}", self._send, worker)
+                    break
+                worker.send_lock.release()
+
+    def _send(self, worker: _Worker) -> None:
+        os.set_blocking(worker.tasks.fileno(), True)  # waits for the worker to read
+        self._write(worker)
+        os.set_blocking(worker.tasks.fileno(), False)
+        worker.send_lock.release()
+        self._flush()
+
+    @staticmethod
+    def _write(worker: _Worker) -> bool:
+        """Write the outbox, send lock held; ``False``: the pipe is full."""
+        try:
+            while worker.outbox:
+                sent = os.write(worker.tasks.fileno(), worker.outbox[0])
+                worker.outbox[0] = worker.outbox[0][sent:]
+                if not worker.outbox[0]:
+                    worker.outbox.popleft()
+        except BlockingIOError:
+            return False
+        except OSError:
+            worker.outbox.clear()  # the worker died: its death handler settles it
+        return True
 
     def _place(
         self, entry: Entry, alive: Sequence[_Worker], slot: int | None = None
@@ -643,8 +667,10 @@ class WorkerPool:
         the logged delta API (warm workers patch their cached reductions
         instead of rebuilding).  The parent's copy is mutated first, so
         the pool's view stays the served view.  Resolves to the list of
-        per-worker acks once all alive workers applied it."""
+        per-worker acks once all alive workers applied it.  A tuple that
+        cannot be pickled raises ``TypeError`` and mutates nothing."""
         payload = {"kind": kind, "relation": relation, "tuple": tuple(t)}
+        _frame(payload)
         with self._lock:
             if self._closed:
                 raise PoolClosed("pool is closed")
@@ -718,7 +744,6 @@ class WorkerPool:
         if kind == "exit":
             with self._lock:
                 worker.alive = False
-                worker.exited = True
                 worker.final_stats = value
             return
         with self._lock:
@@ -761,7 +786,7 @@ class WorkerPool:
             # the replay floor: every broadcast mutation logged after
             # this version is re-sent to the replacement, so nothing is
             # lost in the registration window (replays are idempotent)
-            version_before = self.db.version if should_respawn else None
+            version_before = self.db.version
             alive = [w for w in self._workers if w.alive]
             # once close() has queued the shutdown sentinels, a
             # survivor's outbox ends in a sentinel it will exit at —
@@ -772,7 +797,6 @@ class WorkerPool:
             def resubmit(entry: Entry) -> bool:
                 entry.crashes += 1
                 if entry.crashes > self.MAX_TASK_CRASHES:
-                    self.lost["failed"] += 1
                     _resolve(
                         entry.future,
                         error=WorkerCrash(
@@ -781,17 +805,16 @@ class WorkerPool:
                         ),
                     )
                 elif can_resubmit:
-                    self.lost["resubmitted"] += 1
                     self._place(entry, alive)
+                    return True
                 elif should_respawn:
                     # no survivor today, but a replacement is coming:
                     # park the task until the respawn resolves it
-                    self.lost["parked"] += 1
                     self._parked.append(entry)
-                else:
-                    return False
-                return True
+                    return True
+                return False
 
+            parked = len(self._parked)
             taken, failed = settle_lost(
                 lost,
                 resubmit,
@@ -801,25 +824,20 @@ class WorkerPool:
                     f"({'pool is closing' if self._closed else 'none survive'})"
                 ),
             )
-            self.lost["failed"] += failed
+            parked = len(self._parked) - parked
+            self.lost.update(resubmitted=taken - parked, parked=parked, failed=failed)
             self.lost["dropped"] += len(lost) - taken - failed
         worker.process.join(timeout=5)
-        if should_respawn or can_resubmit:
-            try:
-                threading.Thread(
-                    target=self._respawn_worker,
-                    args=(worker.index, version_before),
-                    name=f"repro-pool-respawn-{worker.index}",
-                    daemon=True,
-                ).start()
-            except RuntimeError:  # pragma: no cover - thread exhaustion
-                self._respawn_worker(worker.index, version_before)
+        if can_resubmit:
+            _in_thread(f"repro-pool-flush-{worker.index}", self._flush)
+        if should_respawn:
+            name = f"repro-pool-respawn-{worker.index}"
+            _in_thread(name, self._respawn_worker, worker.index, version_before)
 
-    def _respawn_worker(self, index: int, version_before: int | None) -> None:
-        """Write the survivors' resubmits, then (unless ``version_before``
-        is ``None``) build and register a replacement worker — off the
-        collector thread.  The spawn pickles the parent's live database;
-        a broadcast mutation racing that pickle can make it raise (or
+    def _respawn_worker(self, index: int, version_before: int) -> None:
+        """Build and register a replacement worker off the collector
+        thread.  The spawn pickles the parent's live database; a
+        broadcast mutation racing that pickle can make it raise (or
         leave a delta out of the snapshot), so the spawn is retried
         once and — after registration — every tuple-level delta logged
         since ``version_before`` is re-sent to the replacement.
@@ -829,9 +847,6 @@ class WorkerPool:
         log trimmed past the replay floor) degrades to the shrunk-pool
         behaviour: parked tasks fail only if no other worker survives
         and no other respawn is in flight."""
-        self._flush()
-        if version_before is None:
-            return
         replacement = None
         for attempt in range(2):
             try:
@@ -873,7 +888,7 @@ class WorkerPool:
                     # the pool began closing while we were spawning and
                     # its sentinel sweep could not see the replacement —
                     # queue one now so close() still joins cleanly
-                    replacement.outbox.append(ForkingPickler.dumps(None))
+                    replacement.outbox.append(_frame(None))
             alive = [w for w in self._workers if w.alive]
             can_resubmit = bool(alive) and not self._closed
             parked, self._parked = self._parked, []

@@ -153,15 +153,6 @@ class _TenantTarget:
         self.mutate = partial(router.mutate, tenant)
 
 
-class _Connection:
-    """A client connection's writer and the replies it still owes;
-    ``idle`` resolves when the last is written after the reads ended."""
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer, self.owed = writer, 0
-        self.idle: asyncio.Future | None = None
-
-
 class ServiceServer:
     """Serve a :class:`~repro.service.pool.WorkerPool` over TCP.
 
@@ -260,7 +251,7 @@ class ServiceServer:
         me = asyncio.current_task()
         if me is not None:
             self._connections.add(me)
-        connection = _Connection(writer)
+        owed: dict[Callable, Future] = {}  # reply writer -> its pool future
         transport = writer.transport
         high_water = transport.get_write_buffer_limits()[1]
         try:
@@ -275,12 +266,8 @@ class ServiceServer:
                     # the connection
                     self.counters["requests"] += 1
                     self.counters["bad_requests"] += 1
-                    response = error_response(
-                        None,
-                        ERROR_BAD_REQUEST,
-                        f"request line exceeds {self.max_line_bytes} bytes",
-                    )
-                    writer.write(protocol.dump_line(response))
+                    message = f"request line exceeds {self.max_line_bytes} bytes"
+                    writer.write(protocol.dump_line(error_response(None, ERROR_BAD_REQUEST, message)))
                     break
                 if not line:
                     break
@@ -290,7 +277,7 @@ class ServiceServer:
                 if rejection is not None:
                     writer.write(protocol.dump_line(rejection))
                 else:
-                    self._route(request, connection)
+                    self._route(request, writer, owed)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -301,9 +288,8 @@ class ServiceServer:
             if me is not None:
                 self._connections.discard(me)
             try:
-                if connection.owed:
-                    connection.idle = asyncio.get_running_loop().create_future()
-                    await connection.idle
+                while owed:  # each reply is written before its future's waiter wakes
+                    await asyncio.wait([asyncio.wrap_future(f) for f in owed.values()])
             finally:
                 writer.close()
             try:
@@ -357,32 +343,24 @@ class ServiceServer:
     # request execution
     # ------------------------------------------------------------------
 
-    def _route(self, request: dict, connection: _Connection) -> None:
+    def _route(self, request: dict, writer: asyncio.StreamWriter, owed: dict) -> None:
         """Dispatch one admitted request.  The pool future's done-callback
         hops onto the loop once to write the reply; a deadline is one
         ``call_later`` that cancels the future.  The first one answers."""
         request_id = request.get("id")
         future = self._execute(request_id, request)
         if isinstance(future, dict):  # failed before any work was placed
-            self._reply(connection, future)
-            return
+            return self._reply(writer, future)
         loop, deadline = asyncio.get_running_loop(), self._deadline(request)
 
         def finish(timed_out: bool = False) -> None:
-            nonlocal future
-            if future is None:
+            if owed.pop(finish, None) is None:
                 return  # already answered
-            done, future = future, None
             if timed_out:
-                done.cancel()
+                future.cancel()
             elif timer is not None:
                 timer.cancel()
-            connection.owed -= 1
-            if not connection.owed and connection.idle and not connection.idle.done():
-                connection.idle.set_result(None)
-            self._reply(
-                connection, self._outcome(request_id, None if timed_out else done)
-            )
+            self._reply(writer, self._outcome(request_id, None if timed_out else future))
 
         def hop(_: Future) -> None:
             try:
@@ -390,16 +368,16 @@ class ServiceServer:
             except RuntimeError:
                 pass  # the loop has closed: nobody is left to answer
 
-        connection.owed += 1
+        owed[finish] = future
         future.add_done_callback(hop)
         timer = None if deadline is None else loop.call_later(deadline, finish, True)
 
-    def _reply(self, connection: _Connection, response: dict) -> None:
+    def _reply(self, writer: asyncio.StreamWriter, response: dict) -> None:
         """Answer an admitted request: the one place its in-flight slot
         (claimed by :meth:`_admit`) is released and its outcome counted."""
         self._inflight -= 1
         self.counters["served" if response["ok"] else "errors"] += 1
-        connection.writer.write(protocol.dump_line(response))
+        writer.write(protocol.dump_line(response))
 
     def _deadline(self, request: dict) -> float | None:
         deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
@@ -436,9 +414,7 @@ class ServiceServer:
         except WorkerCrash as error:
             return error_response(request_id, ERROR_INTERNAL, str(error))
         except Exception as error:  # still answered: a silent request hangs
-            return error_response(
-                request_id, ERROR_INTERNAL, f"{type(error).__name__}: {error}"
-            )
+            return error_response(request_id, ERROR_INTERNAL, f"{type(error).__name__}: {error}")
 
     def _outcome(self, request_id: Any, future: Future | None) -> dict:
         """The completion phase: ``future``'s reply (``None``: a missed deadline)."""

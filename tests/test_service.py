@@ -34,7 +34,6 @@ import threading
 import time
 from concurrent.futures import Future
 from functools import partial
-from multiprocessing.connection import Connection
 
 import pytest
 
@@ -389,9 +388,10 @@ def _covering_tuple(db: Database, relation: str) -> tuple:
 
 class TestTaskChannel:
     """The submitting thread writes each task to its worker's pipe:
-    registration order is delivery order, a full pipe never blocks a
-    holder of the pool lock, the collector never writes a task, and a
-    payload that cannot be pickled fails alone."""
+    registration order is delivery order, a full pipe blocks no
+    submitter (a sender thread waits for the worker instead), the
+    collector never writes a task, and a payload that cannot be pickled
+    fails alone."""
 
     def test_a_running_pool_has_one_parent_side_helper_thread(self):
         before = set(threading.enumerate())
@@ -479,6 +479,73 @@ class TestTaskChannel:
                 query, db
             )
 
+    def test_an_unpicklable_mutation_raises_and_mutates_nothing(self):
+        db = small_db(n=10)
+        query = parse_query(TRIANGLE)
+        with WorkerPool(db, workers=1) as pool:
+            version, rows = db.version, set(db["R"].tuples)
+            with pytest.raises(TypeError, match="cannot be pickled"):
+                pool.mutate("insert", "R", (lambda: 0, Interval(0, 1)))
+            assert db.version == version
+            assert set(db["R"].tuples) == rows
+            assert pool.evaluate(query).result(timeout=60) == naive_evaluate(
+                query, db
+            )
+
+    def test_a_full_pipe_never_stalls_the_event_loop(self):
+        """A stopped worker and an ``evaluate_many`` whose three ~40 KB
+        tasks overrun its 64 KiB pipe: the rest waits on a sender thread,
+        and a deadline on a second connection is still answered on time."""
+        db = small_db(n=10)
+        x, y = "X" * 20_000, "Y" * 20_000
+        texts = [f"{r}([{x}],[{y}])" for r in "RST"]
+        expected = [naive_evaluate(parse_query(text), db) for text in texts]
+        pool = WorkerPool(db, workers=1)
+        server = ServiceServer(pool)
+
+        def body(host, port):
+            pid = pool._workers[0].process.pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                with socket.create_connection((host, port), timeout=60) as sock:
+                    stream = sock.makefile("rwb")
+                    request = {"id": 1, "op": "evaluate_many", "queries": texts}
+                    stream.write(json.dumps(request).encode() + b"\n")
+                    stream.flush()
+                    TestWorkerPool._wait_for(
+                        lambda: any(
+                            t.name == "repro-pool-sender-0"
+                            for t in threading.enumerate()
+                        ),
+                        10,
+                    )
+                    with ServiceClient(host, port, timeout=5) as probe:
+                        started = time.monotonic()
+                        response = probe.request(
+                            "count", query=TRIANGLE, deadline_ms=50
+                        )
+                        elapsed = time.monotonic() - started
+                    os.kill(pid, signal.SIGCONT)
+                    return response, elapsed, json.loads(stream.readline())
+            finally:
+                os.kill(pid, signal.SIGCONT)
+
+        async def driver():
+            host, port = await server.start()
+            try:
+                return await asyncio.to_thread(body, host, port)
+            finally:
+                await server.stop()
+
+        pool.wait_ready()
+        try:
+            response, elapsed, bulk = asyncio.run(driver())
+        finally:
+            pool.close()
+        assert response["error"]["code"] == "deadline_exceeded", response
+        assert elapsed < 2.0
+        assert bulk["result"] == expected, bulk
+
     def test_the_worker_exits_on_task_pipe_eof(self):
         with WorkerPool(small_db(n=5), workers=1, max_respawns=0) as pool:
             pool.wait_ready()
@@ -507,14 +574,15 @@ class TestTaskChannel:
     ):
         bases = TestWorkerPool._crash_bases()
         db = TestWorkerPool._crash_db(bases, n=15)
-        writers: list[tuple[str, Connection]] = []
-        send_bytes = Connection.send_bytes
+        writers: list[tuple[str, object, int]] = []  # thread, pipe, tasks
+        write = WorkerPool._write
 
-        def recording_send_bytes(conn, *args):
-            writers.append((threading.current_thread().name, conn))
-            return send_bytes(conn, *args)
+        def recording_write(worker):
+            name = threading.current_thread().name
+            writers.append((name, worker.tasks, len(worker.outbox)))
+            return write(worker)
 
-        monkeypatch.setattr(Connection, "send_bytes", recording_send_bytes)
+        monkeypatch.setattr(WorkerPool, "_write", staticmethod(recording_write))
         pool = WorkerPool(db, workers=2)
         try:
             mine = [q for q in bases if WorkerPool._slot(q) % 2 == 0]
@@ -530,10 +598,10 @@ class TestTaskChannel:
             ]
             assert len(ack.result(timeout=120)) == 1  # the survivor's
             TestWorkerPool._wait_for(lambda: pool.respawns == 1)
-            resubmits = [name for name, conn in writers if conn is survivor]
-            assert len(resubmits) >= len(mine)
-            assert "repro-pool-collector" not in {name for name, _ in writers}
-            assert "repro-pool-respawn-0" in resubmits
+            resubmits = [(name, n) for name, pipe, n in writers if pipe is survivor]
+            assert sum(n for _, n in resubmits) >= len(mine)
+            assert "repro-pool-collector" not in {name for name, _, _ in writers}
+            assert "repro-pool-flush-0" in {name for name, _ in resubmits}
             assert pool.lost == {
                 "resubmitted": len(mine),
                 "parked": 0,
