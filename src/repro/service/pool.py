@@ -574,7 +574,9 @@ class WorkerPool:
                 worker.send_lock.release()
 
     def _send(self, worker: _Worker) -> None:
-        os.set_blocking(worker.tasks.fileno(), True)  # waits for the worker to read
+        """A sender thread: holding the send lock, write the rest of the
+        outbox as the worker reads it, then let go."""
+        os.set_blocking(worker.tasks.fileno(), True)
         self._write(worker)
         os.set_blocking(worker.tasks.fileno(), False)
         worker.send_lock.release()

@@ -267,7 +267,8 @@ class ServiceServer:
                     self.counters["requests"] += 1
                     self.counters["bad_requests"] += 1
                     message = f"request line exceeds {self.max_line_bytes} bytes"
-                    writer.write(protocol.dump_line(error_response(None, ERROR_BAD_REQUEST, message)))
+                    response = error_response(None, ERROR_BAD_REQUEST, message)
+                    writer.write(protocol.dump_line(response))
                     break
                 if not line:
                     break
