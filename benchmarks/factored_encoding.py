@@ -48,6 +48,8 @@ from repro.reduction.forward import (
     ForwardReducer,
     ForwardReductionResult,
     PositionMap,
+    position_maps,
+    requires_nonempty,
 )
 
 
@@ -116,7 +118,7 @@ class FactoredForwardReducer(ForwardReducer):
             )
             for v in interval_vars:
                 i = positions[v.name][atom.label]
-                nonempty = self.disjoint and self._requires_nonempty(
+                nonempty = self.disjoint and requires_nonempty(
                     atom, v.name, positions
                 )
                 spec = _FactorSpec(atom.label, v.name, i, nonempty)
@@ -214,7 +216,7 @@ class FactoredForwardReducer(ForwardReducer):
         encoded: list[EncodedQuery] = []
         database = Database()
         seen: set[str] = set()
-        for index, positions in enumerate(self.position_maps()):
+        for index, positions in enumerate(position_maps(self.query)):
             eq = self.encode_query_factored(positions, index)
             encoded.append(eq)
             for atom in self.query.atoms:
@@ -240,7 +242,7 @@ class FactoredForwardReducer(ForwardReducer):
                     database.add(base)
                 for v in interval_vars:
                     i = positions[v.name][atom.label]
-                    nonempty = self.disjoint and self._requires_nonempty(
+                    nonempty = self.disjoint and requires_nonempty(
                         atom, v.name, positions
                     )
                     spec = _FactorSpec(atom.label, v.name, i, nonempty)

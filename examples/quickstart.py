@@ -296,7 +296,7 @@ def main() -> None:
     print(
         f"cold reduction: {cold_ms:.1f} ms "
         f"([A]: {len(tree.endpoints)} endpoints, height {tree.height}, "
-        f"{sum(map(len, tree._columns.values()))} column encodings; "
+        f"{sum(len(batch[-1]) for batch in tree._columns)} column encodings; "
         f"{len(cold.codebook)} point values in the codebook)"
     )
     print()
@@ -435,7 +435,7 @@ def main() -> None:
             f"stored frame {entry.name}: {len(raw) >> 10} KB, "
             f"magic {raw[:8]!r}"
         )
-        assert raw[:8] == b"REPROV08"
+        assert raw[:8] == b"REPROV09"
         # a warm load maps the frame (np.memmap) and wraps the array
         # sections zero-copy: columnar relations point straight into
         # the file's pages instead of re-materializing object graphs

@@ -1,11 +1,11 @@
-"""The v8 on-disk reduction-cache layout: framed, safe, mmap-able.
+"""The v9 on-disk reduction-cache layout: framed, safe, mmap-able.
 
 A cache entry is a length-framed binary layout that contains **no
 executable serialization** at all (the pickled envelopes of versions
 ≤ 4 have no reader anywhere in the package)::
 
     offset  size       field
-    0       8          magic  b"REPROV08"
+    0       8          magic  b"REPROV09"
     8       32         SHA-256 of everything after this field
     40      8          meta length (uint64, little-endian)
     48      meta_len   UTF-8 JSON metadata
@@ -14,26 +14,37 @@ executable serialization** at all (the pickled envelopes of versions
     ...                blob section: raw little-endian array bytes,
                        each blob padded to a 16-byte boundary
 
-A **full frame**'s JSON metadata carries the structural half of a
-:class:`~repro.reduction.forward.ForwardReductionResult`::
+A **full frame** stores the data of a
+:class:`~repro.reduction.forward.ForwardReductionResult`, not its
+structure.  Its JSON metadata::
 
-    format_version   8
-    query            the original query
-    encoded_queries  per disjunct: its EJ query and position map
+    format_version   9
+    query            the original query: its name and its
+                     ``query_content_key``
+    disjoint         the reduction flags, both booleans
+    provenance
     trees            per interval variable: its sorted endpoint list —
                      all there is to a segment tree
     tuple_order      per atom label: the input tuples in provenance order
-    atom_variants    per atom label: its variant specs
     codebook         the point values, in code order (interval parts are
                      node ids in the matrices and need no table)
     ranks            the G.1 rank table of a shifted artifact, or null
-    disjunct_order   optional: the permutation of ``encoded_queries``
+    disjunct_order   optional: the permutation of the disjuncts
                      ``rank_order`` gives on the artifact as written
                      (an entry without it ranks on its first EXISTS)
-    relations        per relation: name, schema, per-column ``kinds``
-                     (``bits`` | ``code`` | ``id``) and ``bounds``, blob
-                     indices of its matrix and refcounts
+    relations        per variant relation, in the derived order: name,
+                     blob indices of its matrix and refcounts
     blobs            per blob: dtype, shape, offset, nbytes
+
+**Derived, not stored**: the EJ disjuncts and their position maps, each
+atom's variant specs, and each variant's schema and column kinds are a
+pure function of ``query`` and the two flags (a part column's bound is
+its variable's ``trees`` entry's ``id_bound``) —
+:func:`~repro.reduction.forward.disjunction`, which the reducer calls
+too and which is memoized per process, so every load of one query shape
+shares one set of disjunct objects and decodes none.  **Checked**: the
+relations must be the derived variants by name and in order, each
+matrix as wide as its derived schema, else the frame is invalid.
 
 Attribute values use the service wire codec
 (:mod:`repro.service.protocol`), so intervals and nested tuples survive
@@ -42,13 +53,12 @@ without pickle.  The heavy half — each relation's ``uint32`` matrix and
 the file as one ``np.memmap`` and hands out array *views* into it: a
 warm worker maps a cached reduction zero-copy and rebuilds nothing per
 tree node or per part.  A load decodes eagerly what every read needs:
-the queries, each interval variable's endpoint list, the codebook and
-the checked ``disjunct_order`` (a permutation of
-``range(len(encoded_queries))`` of plain ints, else the frame is
-invalid), so EXISTS runs its disjuncts in the stored order without
-ranking them.  Provenance — ``tuple_order`` and ``ranks``, Python
-values proportional to the *input* relations — is only shape-checked
-and kept as its payload
+the query, each interval variable's endpoint list, the codebook and
+the checked ``disjunct_order`` (a permutation of the derived disjuncts'
+indices of plain ints, else the frame is invalid), so EXISTS runs its
+disjuncts in the stored order without ranking them.  Provenance —
+``tuple_order`` and ``ranks``, Python values proportional to the
+*input* relations — is only shape-checked and kept as its payload
 (:class:`~repro.reduction.forward.Undecoded`) until a patch, a witness
 or a digest reads it; EXISTS and COUNT never do.  A payload that does
 not decode then raises ``DomainChanged`` (reason ``unknown_tuple`` or
@@ -59,7 +69,7 @@ reduction is stored as, a few hundred bytes whatever ``|D~|`` is.  Its
 reader (``ReductionCache.get``) loads ``parent`` and replays ``deltas``
 through ``apply_delta``::
 
-    format_version   8
+    format_version   9
     kind             "delta" (a full frame declares none)
     parent           the entry key of the artifact the deltas apply to
     depth            delta frames from here down to a full frame (>= 1)
@@ -68,7 +78,7 @@ through ``apply_delta``::
 
 Integrity: the digest is verified over the mapped bytes before any
 field is trusted, so truncated, bit-flipped or version-skewed frames
-(a v7 entry found in the directory included) degrade to cache misses,
+(a v8 entry found in the directory included) degrade to cache misses,
 never to errors.  Everything here is pure data; a hostile cache entry
 can at worst fail validation.  A delta frame's reader holds three more
 invariants — the first here, the others where the link is followed:
@@ -96,18 +106,14 @@ import hashlib
 import json
 import math
 import struct
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..engine.relation import Database, Delta, Relation
 from ..intervals.segment_tree import SegmentTree
-from ..queries.query import Atom, Query, Variable
 from ..reduction.columnar import (
     CODE_DTYPE,
-    COL_BITS,
-    COL_CODE,
-    COL_ID,
     COUNT_DTYPE,
     CodeBook,
     ColumnBlock,
@@ -115,10 +121,10 @@ from ..reduction.columnar import (
 )
 from ..reduction.forward import (
     DomainChanged,
-    EncodedQuery,
     ForwardReductionResult,
     Undecoded,
-    _VariantSpec,
+    disjunction,
+    query_content_key,
 )
 from .disjunct_eval import evaluation_order
 
@@ -144,13 +150,11 @@ __all__ = [
     "validate_entry_bytes",
 ]
 
-MAGIC = b"REPROV08"
+MAGIC = b"REPROV09"
 _HEADER = struct.Struct("<8s32sQ")  # magic, sha256, meta length
 _META_ALIGN = 64
 _BLOB_ALIGN = 16
 
-#: Column kinds a frame may declare; anything else fails validation.
-_KINDS = (COL_BITS, COL_CODE, COL_ID)
 #: Delta kinds a delta frame may replay (the tuple-level ones).
 _DELTA_KINDS = ("insert", "delete")
 
@@ -192,32 +196,6 @@ def _frame(meta: dict, chunks: Sequence[bytes] | None) -> bytes:
 # ----------------------------------------------------------------------
 # writing
 # ----------------------------------------------------------------------
-
-
-def _encode_query(query: Query) -> dict:
-    return {
-        "name": query.name,
-        "atoms": [
-            [
-                atom.label,
-                atom.relation,
-                [[v.name, v.is_interval] for v in atom.variables],
-            ]
-            for atom in query.atoms
-        ],
-    }
-
-
-def _decode_query(payload: Any) -> Query:
-    atoms = tuple(
-        Atom(
-            label,
-            relation,
-            tuple(Variable(name, bool(is_iv)) for name, is_iv in variables),
-        )
-        for label, relation, variables in payload["atoms"]
-    )
-    return Query(atoms, name=payload["name"])
 
 
 class _BlobWriter:
@@ -271,10 +249,6 @@ def _relation_entry(
         )
     return {
         "name": relation.name,
-        "schema": list(relation.schema),
-        "kind": "columnar",
-        "kinds": list(block.kinds),
-        "bounds": list(block.bounds),
         "codes": blobs.add(block.codes),
         "counts": None if counts is None else blobs.add(counts.array),
     }
@@ -304,14 +278,9 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
         ]
         meta = {
             "format_version": int(version),
-            "query": _encode_query(result.original),
-            "encoded_queries": [
-                {
-                    "query": _encode_query(eq.query),
-                    "positions": eq.positions,
-                }
-                for eq in result.encoded_queries
-            ],
+            "query": [result.original.name, query_content_key(result.original)],
+            "disjoint": bool(result.disjoint),
+            "provenance": bool(result.provenance),
             "trees": {
                 name: list(tree.endpoints)
                 for name, tree in result.segment_trees.items()
@@ -321,18 +290,6 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
                     None if t is None else encode_value(t) for t in order
                 ]
                 for label, order in tuple_order.items()
-            },
-            "atom_variants": {
-                label: [
-                    [
-                        spec.atom_label,
-                        [list(p) for p in spec.parts],
-                        list(spec.nonempty_last),
-                        spec.provenance,
-                    ]
-                    for spec in specs
-                ]
-                for label, specs in result.atom_variants.items()
             },
             "codebook": [encode_value(v) for v in result.codebook.values],
             "ranks": None
@@ -490,10 +447,12 @@ def deserialize_result(
     (full frame) or a :class:`DeltaFrame`, which its reader resolves
     against the parent entry.  An artifact's array fields are *views*
     into ``buffer`` — pass an ``np.memmap`` to get zero-copy cache
-    loads, or bytes to materialize from a wire frame.  Returns ``None``
-    on any validation failure — an unknown frame ``kind`` or a relation
-    kind other than ``columnar`` included — which callers treat as a
-    cache miss."""
+    loads, or bytes to materialize from a wire frame.  The disjuncts,
+    variant specs and schemas are derived from the stored query and
+    flags (:func:`~repro.reduction.forward.disjunction`, memoized).
+    Returns ``None`` on any validation failure — an unknown frame
+    ``kind``, or relations other than the derived variants, included —
+    which callers treat as a cache miss."""
     parsed = _parse_frame(buffer, expected_version)
     if parsed is None:
         return None
@@ -506,17 +465,12 @@ def deserialize_result(
             if kind != "delta":
                 raise CacheFormatError(f"unknown frame kind {kind!r}")
             return _decode_delta(meta, wire)
-        original = _decode_query(meta["query"])
-        encoded = [
-            EncodedQuery(
-                _decode_query(eq["query"]),
-                {
-                    x: {label: int(i) for label, i in positions.items()}
-                    for x, positions in eq["positions"].items()
-                },
-            )
-            for eq in meta["encoded_queries"]
-        ]
+        (name, atoms), flags = meta["query"], (meta["disjoint"], meta["provenance"])
+        if type(name) is not str or {type(flag) for flag in flags} != {bool}:
+            raise CacheFormatError("malformed query or flags")
+        key = tuple((a, r, tuple(map(tuple, vs))) for a, r, vs in atoms)
+        derived = disjunction(key, name, *flags)
+        original = derived.query
         trees = {
             name: SegmentTree.from_endpoints(endpoints)
             for name, endpoints in meta["trees"].items()
@@ -526,18 +480,6 @@ def deserialize_result(
             raise CacheFormatError("malformed provenance order")
         arity = {atom.label: len(atom.variables) for atom in original.atoms}
         tuple_order = Undecoded(_decode_order, orders, arity)
-        atom_variants = {
-            label: tuple(
-                _VariantSpec(
-                    atom_label,
-                    tuple((str(x), int(i)) for x, i in parts),
-                    tuple(str(x) for x in nonempty),
-                    bool(provenance),
-                )
-                for atom_label, parts, nonempty, provenance in specs
-            )
-            for label, specs in meta["atom_variants"].items()
-        }
         book = CodeBook(decode_value(v) for v in meta["codebook"])
         ranks = meta["ranks"]
         if ranks is not None:
@@ -548,30 +490,24 @@ def deserialize_result(
         if order is not None and (
             type(order) is not list
             or any(type(i) is not int for i in order)  # no bools, no floats
-            or sorted(order) != list(range(len(encoded)))
+            or sorted(order) != list(range(len(derived.encoded_queries)))
         ):
             raise CacheFormatError("disjunct_order is not a permutation")
-        descriptors = meta["blobs"]
+        descriptors, entries = meta["blobs"], meta["relations"]
+        if [entry["name"] for entry in entries] != [
+            variant.name for variant in derived.variants
+        ]:
+            raise CacheFormatError("the relations are not the derived variants")
         database = Database()
         variant_counts: dict = {}
-        for entry in meta["relations"]:
-            name = entry["name"]
-            schema = [str(a) for a in entry["schema"]]
-            if entry["kind"] != "columnar":
-                raise CacheFormatError(f"unknown relation kind {entry['kind']!r}")
-            kinds = [str(k) for k in entry["kinds"]]
-            if any(k not in _KINDS for k in kinds):
-                raise CacheFormatError("unknown column kind")
-            bounds = entry["bounds"]
-            if len(bounds) != len(kinds) or any(
-                b is not None and type(b) is not int for b in bounds
-            ):
-                raise CacheFormatError("malformed column bounds")
+        for entry, variant in zip(entries, derived.variants):
+            bounds = [None if x is None else trees[x].id_bound for x in variant.parts]
             codes = _blob_view(buffer, blob_base, descriptors, entry["codes"])
             if codes.dtype != CODE_DTYPE or codes.ndim != 2:
                 raise CacheFormatError("code matrix has the wrong dtype")
-            block = ColumnBlock(codes, kinds, book, bounds)
-            relation = Relation.from_columns(name, schema, block)
+            block = ColumnBlock(codes, variant.kinds, book, bounds)
+            # a matrix of another width than the schema raises ValueError
+            relation = Relation.from_columns(variant.name, variant.schema, block)
             if entry["counts"] is not None:
                 counts = _blob_view(
                     buffer, blob_base, descriptors, entry["counts"]
@@ -580,19 +516,21 @@ def deserialize_result(
                     codes.shape[0],
                 ):
                     raise CacheFormatError("refcount array mismatch")
-                variant_counts[name] = ColumnarCounts(block, counts)
+                variant_counts[variant.name] = ColumnarCounts(block, counts)
             database.add(relation)
         return ForwardReductionResult(
             original,
-            encoded,
+            derived.encoded_queries,
             database,
             trees,
             tuple_order,
-            atom_variants,
+            derived.atom_variants,
             variant_counts,
             book,
             ranks=ranks,
             disjunct_order=None if order is None else tuple(order),
+            disjoint=flags[0],
+            provenance=flags[1],
         )
     except (
         CacheFormatError,

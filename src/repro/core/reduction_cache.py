@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 from ..engine.relation import Database, Delta, Relation
 from ..intervals.interval import Interval
 from ..queries.query import Query
-from ..reduction.forward import DomainChanged, ForwardReductionResult
+from ..reduction.forward import DomainChanged, ForwardReductionResult, query_content_key
 from .cache_format import (
     CacheFormatError,
     DeltaFrame,
@@ -75,8 +75,10 @@ _log = logging.getLogger("repro.cache")
 #: the tuple-level deltas that turn its parent entry into it.
 #: Version 8: a full frame carries the G.1 rank table of a shifted
 #: artifact, so its delta frames stay in source space.
+#: Version 9: a full frame stores the reduction flags instead of the
+#: disjuncts, variant specs and schemas, which a load derives.
 #: Versions 2-4 were pickled ``.pkl`` envelopes; no reader remains.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: The most delta frames between an entry and a full frame.  A link
 #: replays in a fraction of a full load, so the longest chain loads in
@@ -222,20 +224,6 @@ def result_digest(result: ForwardReductionResult) -> str:
         feed(repr(result.atom_variants[label]))
     feed(encode_value(result.ranks))
     return h.hexdigest()
-
-
-def query_content_key(query: Query) -> tuple:
-    """A deterministic structural serialization of a query: atom labels,
-    relation names, and per-variable (name, kind) pairs.  Equal exactly
-    for syntactically identical queries, and process-independent."""
-    return tuple(
-        (
-            atom.label,
-            atom.relation,
-            tuple((v.name, v.is_interval) for v in atom.variables),
-        )
-        for atom in query.atoms
-    )
 
 
 def reduction_key(

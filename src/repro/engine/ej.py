@@ -92,6 +92,21 @@ def plan_ej(
     return plan
 
 
+#: Plans by query object (held, so its ``id`` stays its own): each shared
+#: disjunct of :func:`repro.reduction.forward.disjunction` is planned once.
+_query_plans: dict[tuple, tuple[Query, EJPlan]] = {}
+
+
+def _query_plan(query: Query, head: Head, method: Method) -> EJPlan:
+    key = (id(query), head, method)
+    entry = _query_plans.get(key)
+    if entry is None or entry[0] is not query:
+        if len(_query_plans) >= 4096:
+            _query_plans.clear()
+        entry = _query_plans[key] = (query, plan_ej(query.hypergraph(), head, method))
+    return entry[1]
+
+
 def _decide(h: Hypergraph, head: Head, method: Method) -> EJPlan:
     if method in ("auto", "yannakakis"):
         tree = join_tree(h)
@@ -165,7 +180,7 @@ def _run(head: Head, query: Query, db: Database, method: Method, **output):
     # short-circuit before any join machinery runs
     if query.atoms and any(len(a.relation) == 0 for a in atoms):
         return empty(query, **output)
-    plan = plan_ej(query.hypergraph(), head, method)
+    plan = _query_plan(query, head, method)
     if plan.method == "generic":
         return generic(atoms, **output)
     if plan.method == "yannakakis":

@@ -53,9 +53,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations, product
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,35 +145,167 @@ class _VariantSpec:
             extras += "p"
         return f"{self.atom_label}~{suffix}{extras or ''}"
 
-    def schema(self, atom: Atom) -> list[str]:
-        """The variant's columns: per interval variable its ``i`` part
-        vertices, point variables in place, the provenance id last."""
+    def columns(self, atom: Atom) -> list[tuple[str, str, str | None]]:
+        """The variant's columns as ``(name, kind, interval variable)``:
+        per interval variable its ``i`` part vertices (``bits``), point
+        variables in place (``code``), the provenance id last (``id``)."""
         parts = dict(self.parts)
-        schema: list[str] = []
+        columns: list[tuple[str, str, str | None]] = []
         for v in atom.variables:
             if v.is_interval:
                 for j in range(1, parts[v.name] + 1):
-                    schema.append(part_vertex(v.name, j))
+                    columns.append((part_vertex(v.name, j), COL_BITS, v.name))
             else:
-                schema.append(v.name)
+                columns.append((v.name, COL_CODE, None))
         if self.provenance and parts:
-            schema.append(f"__id_{atom.label}")
-        return schema
+            columns.append((f"__id_{atom.label}", COL_ID, None))
+        return columns
+
+    def schema(self, atom: Atom) -> list[str]:
+        return [name for name, *_ in self.columns(atom)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedQuery:
-    """One EJ disjunct with the position map that generated it."""
+    """One EJ disjunct with the position map that generated it (read-only if derived)."""
 
     query: Query
-    positions: PositionMap
+    positions: Mapping[str, Mapping[str, int]]
+
+
+class Variant(NamedTuple):
+    """One transformed relation of a derived disjunction."""
+
+    name: str
+    atom: Atom  # the source atom
+    spec: _VariantSpec
+    schema: tuple[str, ...]
+    kinds: tuple[str, ...]
+    parts: tuple[str | None, ...]  # per column, whose tree bounds its ids
+
+
+class Disjunction(NamedTuple):
+    """What Theorem 4.15 reduces a query to, data aside: the query, its EJ
+    disjuncts, per atom label its variant specs, the variants in first use."""
+
+    query: Query
+    encoded_queries: tuple[EncodedQuery, ...]
+    atom_variants: Mapping[str, tuple[_VariantSpec, ...]]
+    variants: tuple[Variant, ...]
+
+
+def query_content_key(query: Query) -> tuple:
+    """A deterministic structural serialization of a query: atom labels,
+    relation names, and per-variable (name, kind) pairs.  Equal exactly
+    for syntactically identical queries, and process-independent."""
+    return tuple(
+        (
+            atom.label,
+            atom.relation,
+            tuple((v.name, v.is_interval) for v in atom.variables),
+        )
+        for atom in query.atoms
+    )
+
+
+def position_maps(query: Query) -> Iterator[PositionMap]:
+    """All combinations of per-variable atom permutations."""
+    per_variable: list[list[tuple[str, dict[str, int]]]] = []
+    for v in query.interval_variables:
+        labels = [a.label for a in query.atoms_containing(v.name)]
+        options = [
+            (v.name, {label: i + 1 for i, label in enumerate(sigma)})
+            for sigma in permutations(labels)
+        ]
+        per_variable.append(options)
+    for combo in product(*per_variable):
+        yield {x: positions for x, positions in combo}
+
+
+def requires_nonempty(atom: Atom, x: str, positions: PositionMap) -> bool:
+    """Appendix G (Definition G.1): at position ``j`` with
+    ``1 < j < k``, the part ``X_j`` must be non-empty when the label
+    at position ``j-1`` exceeds this atom's label."""
+    pos = positions[x]
+    j = pos[atom.label]
+    if j <= 1 or j >= len(pos):
+        return False
+    previous = next(
+        label for label, position in pos.items() if position == j - 1
+    )
+    return previous > atom.label
+
+
+def _encoded_atom(
+    atom: Atom, positions: PositionMap, disjoint: bool, provenance: bool
+) -> tuple[tuple[Variable, ...], _VariantSpec]:
+    """The EJ schema of ``atom`` under ``positions`` and the spec of
+    its transformed relation."""
+    new_vars: list[Variable] = []
+    parts: list[tuple[str, int]] = []
+    nonempty: list[str] = []
+    for v in atom.variables:
+        if not v.is_interval:
+            new_vars.append(v)
+            continue
+        i = positions[v.name][atom.label]
+        parts.append((v.name, i))
+        for j in range(1, i + 1):
+            new_vars.append(pvar(part_vertex(v.name, j)))
+        if disjoint and requires_nonempty(atom, v.name, positions):
+            nonempty.append(v.name)
+    spec = _VariantSpec(
+        atom.label, tuple(sorted(parts)), tuple(sorted(nonempty)), provenance
+    )
+    if provenance and parts:
+        new_vars.append(pvar(f"__id_{atom.label}"))
+    return tuple(new_vars), spec
+
+
+#: How many derivations :func:`disjunction` keeps (LRU).
+DISJUNCTION_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=DISJUNCTION_MEMO_SIZE)
+def disjunction(
+    key: tuple, name: str, disjoint: bool = False, provenance: bool = False
+) -> Disjunction:
+    """The disjunction the query ``key`` (:func:`query_content_key`)
+    named ``name`` (the disjuncts' names carry it) reduces to under the
+    flags, memoized per process: every artifact of one query shape,
+    reduced or loaded, shares its disjunct objects."""
+    query = Query(
+        tuple(Atom(a, r, tuple(Variable(*v) for v in vs)) for a, r, vs in key),
+        name=name,
+    )
+    encoded: list[EncodedQuery] = []
+    atom_variants: dict[str, dict[_VariantSpec, None]] = {}
+    variants: dict[str, Variant] = {}
+    for index, positions in enumerate(position_maps(query)):
+        atoms: list[Atom] = []
+        for atom in query.atoms:
+            new_vars, spec = _encoded_atom(atom, positions, disjoint, provenance)
+            atom_variants.setdefault(atom.label, {}).setdefault(spec)
+            if (relation := spec.name()) not in variants:
+                columns = tuple(zip(*spec.columns(atom))) or ((), (), ())
+                variants[relation] = Variant(relation, atom, spec, *columns)
+            atoms.append(Atom(atom.label, relation, new_vars))
+        frozen = {x: MappingProxyType(p) for x, p in positions.items()}
+        disjunct = Query(tuple(atoms), name=f"{name}~{index}")
+        encoded.append(EncodedQuery(disjunct, MappingProxyType(frozen)))
+    return Disjunction(
+        query,
+        tuple(encoded),
+        MappingProxyType({label: tuple(s) for label, s in atom_variants.items()}),
+        tuple(variants.values()),
+    )
 
 
 @dataclass(frozen=True)
 class _VariantLayout:
     """Where each source column lands in a variant's code matrix
-    (mirrors :meth:`_VariantSpec.schema`): per interval variable its
-    ``i`` part columns, point columns in place, provenance id last."""
+    (:meth:`_VariantSpec.columns`): per interval variable its ``i`` part
+    columns, point columns in place, provenance id last."""
 
     n_cols: int
     kinds: tuple[str, ...]
@@ -195,34 +328,28 @@ class _VariantLayout:
     ) -> "_VariantLayout":
         parts = dict(spec.parts)
         nonempty = set(spec.nonempty_last)
-        kinds: list[str] = []
-        bounds: list[int | None] = []
+        columns = spec.columns(atom)
+        kinds = tuple(kind for _, kind, _ in columns)
         slots = []
         point_cols = []
+        first = 0  # the variable's first output column
         for col, v in enumerate(atom.variables):
             if v.is_interval:
-                i, tree = parts[v.name], trees[v.name]
+                i = parts[v.name]
                 slots.append(
-                    (len(kinds), i, tree, i == k[v.name], v.name in nonempty, col)
+                    (first, i, trees[v.name], i == k[v.name], v.name in nonempty, col)
                 )
-                kinds.extend([COL_BITS] * i)
-                bounds.extend([tree.id_bound] * i)
+                first += i
             else:
-                point_cols.append((len(kinds), col))
-                kinds.append(COL_CODE)
-                bounds.append(None)
-        prov_col = None
-        if spec.provenance and parts:
-            prov_col = len(kinds)
-            kinds.append(COL_ID)
-            bounds.append(None)
+                point_cols.append((first, col))
+                first += 1
         return cls(
             len(kinds),
-            tuple(kinds),
-            tuple(bounds),
+            kinds,
+            tuple(None if x is None else trees[x].id_bound for *_, x in columns),
             tuple(slots),
             tuple(point_cols),
-            prov_col,
+            kinds.index(COL_ID) if COL_ID in kinds else None,
         )
 
     def template(self, values: Sequence) -> np.ndarray:
@@ -258,7 +385,7 @@ class ForwardReductionResult:
     """Output of the full forward reduction (Theorem 4.13)."""
 
     original: Query
-    encoded_queries: list[EncodedQuery]
+    encoded_queries: Sequence[EncodedQuery]
     database: Database
     segment_trees: dict[str, SegmentTree] = field(default_factory=dict)
     #: atom label -> input tuples in provenance-id order: the tuple at
@@ -270,7 +397,7 @@ class ForwardReductionResult:
     #: atom label -> the transformed-relation variants built for it
     #: (every distinct :class:`_VariantSpec` across all disjuncts) —
     #: the patch metadata :meth:`apply_delta` walks.
-    atom_variants: dict[str, tuple] = field(default_factory=dict)
+    atom_variants: Mapping[str, tuple] = field(default_factory=dict)
     #: variant relation name -> per derived row (parallel to the
     #: relation's code matrix), the number of distinct input tuples
     #: deriving it.  Needed to delete safely under set semantics: a
@@ -299,6 +426,8 @@ class ForwardReductionResult:
     stored_as: tuple[str, int] | None = field(
         default=None, compare=False, repr=False
     )
+    disjoint: bool = False  # the flags of the :func:`disjunction`
+    provenance: bool = False
 
     @property
     def ej_queries(self) -> list[Query]:
@@ -530,7 +659,6 @@ class ForwardReducer:
         self.disjoint = disjoint
         self.provenance = provenance
         self.ranks = db.ranks if isinstance(db, ShiftedDatabase) else None
-        self.interval_vars = [v.name for v in query.interval_variables]
         self.k = atom_counts(query)
         self._tuple_order: dict[str, list[tuple]] = {}
         # (relation, column) -> (distinct values, each tuple's position)
@@ -543,7 +671,7 @@ class ForwardReducer:
         self._batches: dict[str, tuple[list, dict[tuple[str, int], int]]] = {}
         self._layouts: dict[_VariantSpec, _VariantLayout] = {}
         self.trees: dict[str, SegmentTree] = {}
-        for x in self.interval_vars:
+        for x in query.interval_variable_names():
             values: list = []
             offsets: dict[tuple[str, int], int] = {}
             for atom in query.atoms_containing(x):
@@ -556,9 +684,7 @@ class ForwardReducer:
                 [v.left for v in values] + [v.right for v in values]
             )
         self.codebook = CodeBook()
-        self._variants: dict[_VariantSpec, Relation] = {}
         self._variant_counts: dict[str, ColumnarCounts] = {}
-        self._atom_variants: dict[str, dict[_VariantSpec, None]] = {}
 
     def relation_order(self, relation_name: str) -> list[tuple]:
         """The fixed enumeration of a relation's tuples that provenance
@@ -599,91 +725,13 @@ class ForwardReducer:
         return codes
 
     # ------------------------------------------------------------------
-    # query-level transformation
-    # ------------------------------------------------------------------
-
-    def position_maps(self) -> Iterator[PositionMap]:
-        """All combinations of per-variable atom permutations."""
-        per_variable: list[list[tuple[str, dict[str, int]]]] = []
-        for x in self.interval_vars:
-            labels = [a.label for a in self.query.atoms_containing(x)]
-            options = [
-                (x, {label: i + 1 for i, label in enumerate(sigma)})
-                for sigma in permutations(labels)
-            ]
-            per_variable.append(options)
-        for combo in product(*per_variable):
-            yield {x: positions for x, positions in combo}
-
-    def encoded_atom(
-        self, atom: Atom, positions: PositionMap
-    ) -> tuple[tuple[Variable, ...], _VariantSpec]:
-        """The EJ schema of ``atom`` under ``positions`` plus the variant
-        spec identifying its transformed relation."""
-        new_vars: list[Variable] = []
-        parts: list[tuple[str, int]] = []
-        nonempty: list[str] = []
-        for v in atom.variables:
-            if not v.is_interval:
-                new_vars.append(v)
-                continue
-            i = positions[v.name][atom.label]
-            parts.append((v.name, i))
-            for j in range(1, i + 1):
-                new_vars.append(pvar(part_vertex(v.name, j)))
-            if self.disjoint and self._requires_nonempty(atom, v.name, positions):
-                nonempty.append(v.name)
-        spec = _VariantSpec(
-            atom.label,
-            tuple(sorted(parts)),
-            tuple(sorted(nonempty)),
-            self.provenance,
-        )
-        # remember every variant an atom is encoded with across all
-        # disjuncts: the patch metadata apply_delta later walks
-        self._atom_variants.setdefault(atom.label, {}).setdefault(spec)
-        if self.provenance and parts:
-            new_vars.append(pvar(f"__id_{atom.label}"))
-        return tuple(new_vars), spec
-
-    def _requires_nonempty(
-        self, atom: Atom, x: str, positions: PositionMap
-    ) -> bool:
-        """Appendix G (Definition G.1): at position ``j`` with
-        ``1 < j < k``, the part ``X_j`` must be non-empty when the label
-        at position ``j-1`` exceeds this atom's label."""
-        pos = positions[x]
-        j = pos[atom.label]
-        k = self.k[x]
-        if j <= 1 or j >= k:
-            return False
-        previous = next(
-            label for label, position in pos.items() if position == j - 1
-        )
-        return previous > atom.label
-
-    def encode_query(self, positions: PositionMap, index: int) -> EncodedQuery:
-        atoms: list[Atom] = []
-        for atom in self.query.atoms:
-            new_vars, spec = self.encoded_atom(atom, positions)
-            atoms.append(Atom(atom.label, spec.name(), new_vars))
-        query = Query(
-            tuple(atoms), name=f"{self.query.name}~{index}"
-        )
-        return EncodedQuery(query, positions)
-
-    # ------------------------------------------------------------------
     # database-level transformation (Definition 4.9)
     # ------------------------------------------------------------------
 
     def variant_relation(self, atom: Atom, spec: _VariantSpec) -> Relation:
-        if spec in self._variants:
-            return self._variants[spec]
         block, count_array = self._vectorized_counts(atom, spec)
-        result = Relation.from_columns(spec.name(), spec.schema(atom), block)
-        self._variants[spec] = result
         self._variant_counts[spec.name()] = ColumnarCounts(block, count_array)
-        return result
+        return Relation.from_columns(spec.name(), spec.schema(atom), block)
 
     def _vectorized_counts(
         self, atom: Atom, spec: _VariantSpec
@@ -757,38 +805,30 @@ class ForwardReducer:
     # ------------------------------------------------------------------
 
     def reduce(self) -> ForwardReductionResult:
-        """Run Algorithm 1: all EJ disjuncts plus the shared database."""
-        encoded: list[EncodedQuery] = []
+        """Run Algorithm 1: the query's (memoized) disjuncts plus the
+        shared database."""
+        key = query_content_key(self.query)
+        derived = disjunction(key, self.query.name, self.disjoint, self.provenance)
         database = Database()
-        seen: set[str] = set()
-        for index, positions in enumerate(self.position_maps()):
-            eq = self.encode_query(positions, index)
-            encoded.append(eq)
-            for atom, original in zip(eq.query.atoms, self.query.atoms):
-                if atom.relation in seen:
-                    continue
-                seen.add(atom.relation)
-                _, spec = self.encoded_atom(original, positions)
-                database.add(self.variant_relation(original, spec))
+        for variant in derived.variants:
+            database.add(self.variant_relation(variant.atom, variant.spec))
         tuple_order = {
             atom.label: self.relation_order(atom.relation)
             for atom in self.query.atoms
         }
-        atom_variants = {
-            label: tuple(specs)
-            for label, specs in self._atom_variants.items()
-        }
         return ForwardReductionResult(
             self.query,
-            encoded,
+            derived.encoded_queries,
             database,
             dict(self.trees),
             tuple_order,
-            atom_variants,
+            derived.atom_variants,
             self._variant_counts,
             self.codebook,
             self._layouts,
             self.ranks,
+            disjoint=self.disjoint,
+            provenance=self.provenance,
         )
 
 

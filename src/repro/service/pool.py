@@ -64,6 +64,7 @@ from ..core.reduction_cache import ReductionCache
 from ..core.session import QuerySession, canonical_form
 from ..engine.relation import Database, Delta
 from ..queries.query import Query
+from ..sql.ast import HEAD_COUNT
 from .protocol import DROP, FAIL, RESUBMIT, VERBS
 from .ring import stable_digest
 
@@ -257,8 +258,13 @@ def submit_sql(submit: Callable[..., Future], db: Database, text: str) -> Future
     its single-disjunct SQL text, which the worker's session compiles
     against its own replica.  The answers combine per the head
     (``EXISTS``: any, ``COUNT(*)``: sum).  Raises
-    :class:`~repro.sql.SqlError` on malformed SQL."""
-    program = QuerySession.for_database(db).program(text)
+    :class:`~repro.sql.SqlError` on malformed SQL, or a ``COUNT(*)`` no
+    plan can run (planned here, before any worker starts)."""
+    session = QuerySession.for_database(db)
+    program = session.program(text)
+    if program.head == HEAD_COUNT:
+        for disjunct in program.disjuncts:
+            session.sql_plan(disjunct)
     return _gather(
         [submit("sql", d.query, sql=d.sql) for d in program.disjuncts],
         program.combine,
@@ -438,6 +444,7 @@ class WorkerPool:
         self._closed = False
         self._all_exited = threading.Event()
         self._workers: list[_Worker] = []
+        self._replaced: list[_Worker] = []  # dead, unjoined until close
         for index in range(workers):
             self._workers.append(self._spawn(index))
         self._collector = threading.Thread(
@@ -498,7 +505,7 @@ class WorkerPool:
                         worker.outbox.append(_frame(None))
         self._flush()
         self._all_exited.wait(timeout)
-        for worker in self._workers:
+        for worker in self._replaced + self._workers:
             worker.process.join(timeout=timeout)
             if worker.send_lock.acquire(timeout=1):  # no sender thread left
                 worker.tasks.close()
@@ -515,7 +522,7 @@ class WorkerPool:
         """Hard stop: kill every worker.  Outstanding futures fail."""
         with self._lock:
             self._closed = True
-            workers = list(self._workers)
+            workers = self._replaced + self._workers
         for worker in workers:
             if worker.process.is_alive():
                 worker.process.terminate()
@@ -776,7 +783,8 @@ class WorkerPool:
         when no worker can ever take them.  Resubmits are sent and the
         respawn launched on a helper thread (the collector sends no task,
         and ``Process.start`` pickles the whole database; the collector
-        must keep draining every other worker's results meanwhile)."""
+        must keep draining every other worker's results meanwhile), and
+        only ``close()`` / ``terminate()`` join the dead process."""
         with self._lock:
             worker.alive = False
             lost = list(worker.outstanding.values())
@@ -829,7 +837,6 @@ class WorkerPool:
             parked = len(self._parked) - parked
             self.lost.update(resubmitted=taken - parked, parked=parked, failed=failed)
             self.lost["dropped"] += len(lost) - taken - failed
-        worker.process.join(timeout=5)
         if can_resubmit:
             _in_thread(f"repro-pool-flush-{worker.index}", self._flush)
         if should_respawn:
@@ -874,6 +881,7 @@ class WorkerPool:
             if replacement is not None:
                 self.respawns += 1
                 replacement.respawned = True
+                self._replaced.append(self._workers[index])
                 self._workers[index] = replacement
                 for delta in logged or ():
                     if delta.is_tuple_level:

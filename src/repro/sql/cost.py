@@ -60,7 +60,8 @@ from repro.hypergraph import Hypergraph
 from repro.queries import Query
 from repro.widths import ij_width_report
 
-from .ast import HEAD_EXISTS
+from .ast import HEAD_COUNT, HEAD_EXISTS
+from .errors import SqlError
 from .rewrite import OP_EQ, CompiledDisjunct, CompiledProgram, ConstRef
 
 #: Constant factor charged to the reduction pipeline: it pays for
@@ -71,6 +72,13 @@ REDUCTION_OVERHEAD = 24.0
 #: Brute-force budget: at or under this many candidate witnesses
 #: (∏ |R_i|) the optimizer plans naive backtracking.
 DEFAULT_NAIVE_BUDGET = 20_000.0
+
+#: Why a ``COUNT(*)`` over a self-join is planned ``naive`` or refused
+#: (a scan filter gives each alias a relation of its own, so not then).
+SELF_JOIN_COUNT = (
+    "COUNT(*) over a self-join runs only naive (the counting reduction "
+    "needs a self-join-free query)"
+)
 
 #: Skip the exponential exact subw search above this variable count;
 #: the report then bounds subw by fhtw, which is still sound for costs.
@@ -138,6 +146,7 @@ class DisjunctPlan:
     estimated_rows: float
     filters: tuple[str, ...] = ()
     residuals: tuple[str, ...] = ()
+    self_join_count: bool = False  # a COUNT(*) naive alone can run
 
     @cached_property
     def widths(self) -> dict[str, float]:
@@ -180,6 +189,8 @@ class DisjunctPlan:
             )
         brute = f"brute-force product {self.brute:.0f}"
         if self.strategy == "naive":
+            if self.self_join_count:
+                return f"{brute} is within the naive budget: {SELF_JOIN_COUNT}"
             if self.brute <= min(self.candidates.values()):
                 return f"{brute} is the cheapest candidate (budget {self.budget:.0f})"
             return f"{brute} is within the naive budget {self.budget:.0f}"
@@ -247,11 +258,12 @@ def plan_disjunct(
     Residual predicates force ``filtered``; a brute-force product at or
     under the budget (:data:`DEFAULT_NAIVE_BUDGET`, read per call) runs
     ``naive``; above it a Boolean binary join on a single shared
-    interval variable runs ``sweep``, and anything else the
-    ``reduction``.  The candidate costs are reported, never compared:
-    ``naive`` is not always the cheapest under the budget, and the
-    reduction is chosen above it whatever its estimate.  No width can
-    change the choice.
+    interval variable runs ``sweep``, a ``COUNT(*)`` over a self-join
+    raises :class:`~repro.sql.SqlError` (it has no counting
+    reduction), and anything else runs the ``reduction``.  The
+    candidate costs are reported, never compared: ``naive`` is not
+    always the cheapest under the budget, and the reduction is chosen
+    above it whatever its estimate.  No width can change the choice.
     """
     cache = {} if cache is None else cache
     query = disjunct.query
@@ -265,12 +277,18 @@ def plan_disjunct(
         disjunct.select.head == HEAD_EXISTS
         and single_shared_interval_variable(query) is not None
     )
+    self_join_count = disjunct.select.head == HEAD_COUNT and not (
+        disjunct.filtered or query.is_self_join_free
+    )
     if disjunct.residuals:
         strategy = "filtered"
     elif brute <= DEFAULT_NAIVE_BUDGET:
         strategy = "naive"
     elif sweepable:
         strategy = "sweep"
+    elif self_join_count:
+        over = f"{brute:.0f} exceeds the naive budget {DEFAULT_NAIVE_BUDGET:.0f}"
+        raise SqlError(f"{SELF_JOIN_COUNT}: brute-force product {over}", disjunct.sql)
     else:
         strategy = "reduction"
     return DisjunctPlan(
@@ -284,6 +302,7 @@ def plan_disjunct(
         estimated_rows=estimate_join_cardinality(query, db, cache, sizes),
         filters=_filter_texts(disjunct),
         residuals=tuple(r.unparse() for r in disjunct.residuals),
+        self_join_count=self_join_count,
     )
 
 

@@ -42,11 +42,13 @@ def _enumerate(disjunct: CompiledDisjunct, db: Database) -> Answer:
     return next(iter(survivors), None) is not None
 
 
-def run_disjunct(disjunct: CompiledDisjunct, session: QuerySession) -> Answer:
-    """Evaluate one disjunct as the session's optimizer plans it."""
+def run_disjunct(
+    disjunct: CompiledDisjunct, session: QuerySession, plan=None
+) -> Answer:
+    """Evaluate one disjunct as the session's optimizer (or ``plan``) plans it."""
     if disjunct.residuals:
         return _enumerate(disjunct, session.db)
-    strategy = session.sql_plan(disjunct).strategy
+    strategy = (plan or session.sql_plan(disjunct)).strategy
     query = disjunct.query
     if disjunct.scan_filters:
         # Scan-filtered: the plan runs on an ad-hoc filtered database,
@@ -59,8 +61,12 @@ def run_disjunct(disjunct: CompiledDisjunct, session: QuerySession) -> Answer:
 
 
 def run_program(program: CompiledProgram, session: QuerySession) -> Answer:
-    """Evaluate a compiled program through a session."""
-    return program.combine([run_disjunct(d, session) for d in program.disjuncts])
+    """Evaluate a compiled program through a session, every disjunct
+    planned before any runs (a plan can raise ``SqlError``)."""
+    plans = [None if d.residuals else session.sql_plan(d) for d in program.disjuncts]
+    return program.combine(
+        [run_disjunct(d, session, p) for d, p in zip(program.disjuncts, plans)]
+    )
 
 
 def naive_program(program: CompiledProgram, db: Database) -> Answer:

@@ -129,8 +129,6 @@ class NaiveForwardReducer(ForwardReducer):
     per-tuple loop: row-backed relations, ``dict`` refcounts."""
 
     def variant_relation(self, atom: Atom, spec: _VariantSpec) -> Relation:
-        if spec in self._variants:
-            return self._variants[spec]
         counts: dict[tuple, int] = {}
         for tuple_id, t in enumerate(self.relation_order(atom.relation)):
             for row in transform_tuple(
@@ -138,7 +136,6 @@ class NaiveForwardReducer(ForwardReducer):
             ):
                 counts[row] = counts.get(row, 0) + 1
         result = Relation(spec.name(), spec.schema(atom), set(counts))
-        self._variants[spec] = result
         self._variant_counts[spec.name()] = counts
         return result
 

@@ -141,7 +141,9 @@ class TestWorkflow:
         """pyproject declares ``numpy>=1.24``; the layout's int32 digit
         arithmetic predates and postdates NEP 50's promotion change, so
         one py3.10 leg installs the floor and runs the two suites that
-        exercise it."""
+        exercise it, plus the warm-load and golden-digest suites: a v9
+        load builds every array as a view into the mapped file, laid out
+        by the derived variants."""
         job = workflow["jobs"]["numpy-floor"]
         (setup,) = [s for s in job["steps"] if "setup-python" in s.get("uses", "")]
         assert setup["with"]["python-version"] == "3.10"
@@ -151,6 +153,8 @@ class TestWorkflow:
         assert [word for word in suite.split() if word.startswith("tests/")] == [
             "tests/test_column_encodings.py",
             "tests/test_forward.py",
+            "tests/test_warm_load.py",
+            "tests/test_golden_digests.py",
         ]
 
     def test_lint_job_runs_ruff(self, workflow):

@@ -448,8 +448,12 @@ def _is_sorted(codes):
 
 
 def _frame_kinds(frame):
+    """Per stored relation, what holds its rows: a code-matrix blob."""
     meta, _ = _parse_frame(frame, FORMAT_VERSION)
-    return {entry["name"]: entry["kind"] for entry in meta["relations"]}
+    return {
+        entry["name"]: "columnar" if type(entry["codes"]) is int else "rows"
+        for entry in meta["relations"]
+    }
 
 
 def _same_domains(a, b):
@@ -1102,9 +1106,7 @@ class TestSessionDeltaMaintenance:
         assert {meta["kind"] for meta in metas if meta not in full} == {"delta"}
         assert len(full) == 1 and len(metas) == 8
         for meta in full:
-            assert {entry["kind"] for entry in meta["relations"]} == {
-                "columnar"
-            }
+            assert {type(entry["codes"]) for entry in meta["relations"]} == {int}
         stats = session.cache.stats()
         assert stats["delta_stores"] == len(metas) - len(full)
         assert stats["skipped_stores"] == 1

@@ -157,7 +157,7 @@ def test_point_only_atoms_are_blocks_and_stay_blocks(disjoint, tmp_path):
 
     frame = serialize_result(result, FORMAT_VERSION)
     meta, _ = _parse_frame(frame, FORMAT_VERSION)
-    assert {entry["kind"] for entry in meta["relations"]} == {"columnar"}
+    assert {type(entry["codes"]) for entry in meta["relations"]} == {int}
     path = tmp_path / "entry.red"
     path.write_bytes(frame)
     loaded = load_result(path, FORMAT_VERSION)

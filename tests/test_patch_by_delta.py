@@ -53,7 +53,7 @@ from repro.hypergraph.acyclicity import is_alpha_acyclic
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
 from repro.queries import query as query_module
-from repro.reduction import forward_reduce, shift_distinct_left
+from repro.reduction import forward, forward_reduce, shift_distinct_left
 from repro.reduction.columnar import (
     CODE_DTYPE,
     COL_BITS,
@@ -482,6 +482,8 @@ def test_acyclicity_is_computed_once_per_disjunct(monkeypatch):
     rng = random.Random(seed)
     for query in (TRIANGLE, catalog.cycle_ij(4), catalog.path_ij(3)):
         db = random_database(query, 10, seed=seed, domain=40.0, mean_length=8.0)
+        # disjunct objects of their own, not ones an earlier test ranked
+        forward.disjunction.cache_clear()
         result = _disjoint(query, db)
         calls = []
         monkeypatch.setattr(

@@ -310,7 +310,7 @@ class TestFramedFormat:
         import re
         import struct
 
-        from repro.core.cache_format import _parse_frame
+        from repro.core.cache_format import _parse_frame, deserialize_result
 
         cache, key, _ = self._stored(tmp_path)
         path = next(tmp_path.glob("*/*.red"))
@@ -319,18 +319,19 @@ class TestFramedFormat:
         # interval parts are node ids in the blobs: no string table, and
         # nothing in the JSON half that looks like one
         assert all(type(v) is int for v in meta["codebook"])
-        kinds = {k for entry in meta["relations"] for k in entry["kinds"]}
-        assert kinds == {"bits"}
+        loaded = deserialize_result(raw, FORMAT_VERSION)
+        assert {k for r in loaded.database for k in r.columnar.kinds} == {"bits"}
         strings = re.findall(r'"((?:[^"\\]|\\.)*)"', json.dumps(meta))
         assert not [s for s in strings if len(s) > 1 and not s.strip("01")]
         # what the previous writer left under the same name: its own
         # magic, its own version number, a valid digest
-        # ... and a v8 full frame is the v7 one but for magic, version
-        # and the rank table (none here: a plain reduction)
-        assert raw[:8] == b"REPROV08" and "kind" not in meta
-        assert meta["ranks"] is None
-        del meta["ranks"]
-        for version in (5, 6, 7):
+        # ... and a v9 full frame is the v8 one but for magic, version,
+        # the reduction flags and the derived structure it leaves out
+        assert raw[:8] == b"REPROV09" and "kind" not in meta
+        assert (meta["disjoint"], meta["provenance"]) == (False, False)
+        assert not {"encoded_queries", "atom_variants"} & meta.keys()
+        assert not {"schema", "kinds"} & meta["relations"][0].keys()
+        for version in (5, 6, 7, 8):
             meta["format_version"] = version
             meta_bytes = json.dumps(meta).encode()
             body = struct.pack("<Q", len(meta_bytes)) + meta_bytes

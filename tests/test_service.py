@@ -329,6 +329,43 @@ class TestWorkerPool:
         finally:
             pool.close()
 
+    def test_a_dead_worker_is_joined_off_the_collector(self, monkeypatch):
+        """The collector never waits on a process: a SIGKILLed worker is
+        joined by ``close()`` (the one joiner, so its ``waitpid`` wins),
+        and after ``close()`` every process the pool spawned has its
+        exit code."""
+        from multiprocessing.process import BaseProcess
+
+        joiners, spawned = [], []
+        join, spawn = BaseProcess.join, WorkerPool._spawn
+
+        def recorded_join(process, timeout=None):
+            joiners.append(threading.current_thread().name)
+            return join(process, timeout)
+
+        def recorded_spawn(pool, index):
+            spawned.append(spawn(pool, index))
+            return spawned[-1]
+
+        monkeypatch.setattr(BaseProcess, "join", recorded_join)
+        monkeypatch.setattr(WorkerPool, "_spawn", recorded_spawn)
+        db = small_db(n=10)
+        query = parse_query(TRIANGLE)
+        pool = WorkerPool(db, workers=2)
+        try:
+            assert pool.evaluate_many([query]) == [naive_evaluate(query, db)]
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            self._wait_for(
+                lambda: pool.respawns == 1 and pool.alive_workers == [0, 1]
+            )
+            assert pool.evaluate_many([query]) == [naive_evaluate(query, db)]
+        finally:
+            pool.close()
+        assert joiners and "repro-pool-collector" not in joiners
+        assert len(spawned) == 3
+        assert spawned[0].process.exitcode == -signal.SIGKILL
+        assert [w.process.exitcode for w in spawned[1:]] == [0, 0]
+
     def test_warm_pool_restart_performs_zero_reductions(self, tmp_path):
         """The PR's acceptance criterion: a restarted pool over the
         shared content-addressed cache loads every reduction from disk

@@ -283,14 +283,61 @@ def cost_split_db(n: int = 80, seed: int = 5) -> Database:
     return db
 
 
+#: EXISTS heads: a ``COUNT(*)`` over the ``Span`` self-join triangle is
+#: over the naive budget and has no counting reduction, so no plan can
+#: run it (``test_a_self_join_count_runs_naive_or_fails_before_any_work``);
+#: every price below is the same under either head.
 COST_SPLIT_SQL = (
-    "SELECT COUNT(*) FROM Small a, Small b WHERE a.k = b.k "
-    "UNION ALL SELECT COUNT(*) FROM Span x, Span y, Span z "
+    "SELECT EXISTS FROM Small a, Small b WHERE a.k = b.k "
+    "UNION ALL SELECT EXISTS FROM Span x, Span y, Span z "
     "WHERE x.t OVERLAPS y.t AND y.t OVERLAPS z.t AND x.t OVERLAPS z.t"
 )
 
 
+def self_join_db(small: int = 100, big: int = 400) -> Database:
+    """``Meet`` small enough for the naive budget squared, ``Big`` not."""
+    db = meetings_db(n=small, seed=scenario_seed(14))
+    rng = random.Random(scenario_seed(15))
+    rows = [(float(rng.randrange(6)), interval(rng)) for _ in range(big)]
+    db.add(Relation("Big", ("room", "slot"), rows))
+    return db
+
+
+def self_join_count(relation: str) -> str:
+    return (
+        f"SELECT COUNT(*) FROM {relation} a, {relation} b "
+        "WHERE a.slot OVERLAPS b.slot AND a.room = b.room"
+    )
+
+
 class TestOptimizer:
+    def test_a_self_join_count_runs_naive_or_fails_before_any_work(self):
+        """A ``COUNT(*)`` over a self-join has no counting reduction:
+        under the naive budget it runs naive, over it the plan raises a
+        ``SqlError`` that says why, and nothing runs."""
+        db = self_join_db()
+        session = QuerySession(db)
+        small = self_join_count("Meet")
+        assert session.sql(small) == naive_program(compile_sql(small, db), db)
+        (entry,) = session.explain_sql(small)["disjuncts"]
+        assert entry["strategy"] == "naive" and "self-join" in entry["reason"]
+        big = self_join_count("Big")
+        for call in (session.sql, session.explain_sql):
+            with pytest.raises(SqlError, match="self-join") as info:
+                call(big)
+            assert "exceeds the naive budget" in str(info.value)
+        assert session.stats.reductions == 0
+        # a filter gives each alias its own relation: that one reduces
+        filtered = big + " AND a.slot OVERLAPS [0, 1000]"
+        (plan,) = [plan_disjunct(d, db) for d in compile_sql(filtered, db).disjuncts]
+        assert plan.strategy == "reduction"
+        assert session.sql(filtered) == naive_program(compile_sql(filtered, db), db)
+        # EXISTS over the same self-join still reduces
+        exists = big.replace("COUNT(*)", "EXISTS")
+        (plan,) = [plan_disjunct(d, db) for d in compile_sql(exists, db).disjuncts]
+        assert plan.strategy == "reduction"
+        assert session.sql(exists) == naive_program(compile_sql(exists, db), db)
+
     def test_union_disjuncts_pick_different_strategies(self):
         """The acceptance workload: one EXPLAIN, two disjuncts, two
         different chosen strategies."""
@@ -741,6 +788,24 @@ class TestService:
         assert [d["sql"] for d in data["disjuncts"]] == [
             d.sql for d in compile_sql(UNION_SQL, db).disjuncts
         ]
+
+    def test_a_self_join_count_over_the_budget_is_a_bad_query(self):
+        db = self_join_db()
+        small, big = self_join_count("Meet"), self_join_count("Big")
+        expected = naive_program(compile_sql(small, db), db)
+
+        def body(host, port):
+            with ServiceClient(host, port) as client:
+                answer = client.sql(small)
+                with pytest.raises(BadQuery) as info:
+                    client.sql(big)
+                return answer, info.value, client.stats()
+
+        answer, error, stats = run_with_server(db.clone(), body)
+        assert answer == expected
+        assert error.code == "bad_query" and "self-join" in str(error)
+        assert stats["server"]["bad_queries"] == 1
+        assert stats["aggregate"]["reductions"] == 0
 
     def test_bad_query_is_typed_on_every_surface(self):
         db = meetings_db(n=12, seed=scenario_seed(12))

@@ -15,11 +15,18 @@
   ``tests/oracles/ej.py`` and like the naive oracle on fresh, patched
   and chain-loaded artifacts and on self-joins, and ``replace_rows``
   never serves what was derived from the previous matrix.
+* **The disjunction derived, not stored** — a v9 frame holds the query
+  and its flags; a load derives the disjuncts, variants and schemas
+  through the reducer's own memoized derivation, shares its objects,
+  digests like the live artifact, plans each shared disjunct once, and
+  treats relations that are not the derived variants as a counted
+  ``miss_invalid``.
 
 CI runs this module across the ``REPRO_FUZZ_SEED`` matrix.
 """
 
 import os
+import pickle
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,14 +47,14 @@ from repro.core.cache_format import (
 from repro.core.disjunct_eval import count_disjunction, ranked_disjuncts
 from repro.core.reduction_cache import FORMAT_VERSION, result_digest
 from repro.core.session import SessionStats
-from repro.engine import JoinAtom, Relation
+from repro.engine import JoinAtom, Relation, ej
 from repro.engine.columnar_eval import generic_join_boolean, generic_join_count
 from repro.engine.ej import count_ej, evaluate_ej
 from repro.engine.relation import Delta
 from repro.engine.statistics import rank_order
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
-from repro.reduction import DomainChanged, forward_reduce, shift_distinct_left
+from repro.reduction import DomainChanged, forward, forward_reduce, shift_distinct_left
 from repro.reduction.columnar import CODE_DTYPE, COL_CODE, CodeBook, ColumnBlock
 from repro.reduction.forward import ForwardReductionResult, Undecoded
 from repro.service.pool import WorkerPool
@@ -207,7 +214,7 @@ def test_a_forged_order_is_an_invalid_miss_that_heals(case, tmp_path):
     QuerySession(db, cache_dir=tmp_path).evaluate(TRIANGLE, strategy="reduction")
 
     def forge(meta):
-        meta["disjunct_order"] = BAD_ORDERS[case](len(meta["encoded_queries"]))
+        meta["disjunct_order"] = BAD_ORDERS[case](len(meta["disjunct_order"]))
 
     _reframe(_entry(tmp_path), forge)
     cold = QuerySession(db, cache_dir=tmp_path)
@@ -622,3 +629,220 @@ def test_a_patched_variant_block_forgets_its_memos():
         naive_evaluate(TRIANGLE, db),
         naive_count(TRIANGLE, db),
     )
+
+
+# ----------------------------------------------------------------------
+# (e) the disjunction is derived, not stored
+# ----------------------------------------------------------------------
+
+FLAGS = [(False, False), (True, True)]
+
+
+def _flagged(query, db, disjoint, provenance):
+    if disjoint:
+        db = shift_distinct_left(query, db)
+    return forward_reduce(query, db, disjoint=disjoint, provenance=provenance)
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["plain", "appendix-g"])
+@pytest.mark.parametrize("name", sorted(catalog.PAPER_IJ_QUERIES))
+def test_the_derived_disjunction_is_what_a_reducer_encodes(name, flags):
+    query = catalog.PAPER_IJ_QUERIES[name]()
+    n = {"lw4": 1, "fig9a": 2, "fig9b": 2}.get(name, 5)
+    db = random_database(query, n, seed=3 + FUZZ_SEED, domain=12.0, mean_length=4.0)
+    key = forward.query_content_key(query)
+    derived = forward.disjunction(key, query.name, *flags)
+    fresh = forward.disjunction.__wrapped__(key, query.name, *flags)  # no memo
+    assert derived is not fresh and derived.query == query
+    assert [repr(e.query) for e in derived.encoded_queries] == [
+        repr(e.query) for e in fresh.encoded_queries
+    ]
+    assert [e.query.name for e in derived.encoded_queries] == [
+        f"{query.name}~{i}" for i in range(len(fresh.encoded_queries))
+    ]
+    assert [e.positions for e in derived.encoded_queries] == [
+        e.positions for e in fresh.encoded_queries
+    ]
+    assert dict(derived.atom_variants) == dict(fresh.atom_variants)
+    assert derived.variants == fresh.variants
+    result = _flagged(query, db, *flags)
+    assert result.encoded_queries is derived.encoded_queries
+    assert result.atom_variants is derived.atom_variants
+    assert (result.disjoint, result.provenance) == flags
+    assert [
+        (r.name, r.schema, r.columnar.kinds) for r in result.database
+    ] == [(v.name, v.schema, v.kinds) for v in derived.variants]
+    assert [v.spec.name() for v in derived.variants] == [
+        v.name for v in derived.variants
+    ]
+    # the shared disjuncts are immutable
+    eq = derived.encoded_queries[0]
+    with pytest.raises(AttributeError):
+        eq.positions = {}
+    with pytest.raises(TypeError):
+        eq.positions[next(iter(eq.positions))]["x"] = 1
+    # and a load hands out the very same objects
+    loaded = deserialize_result(serialize_result(result, FORMAT_VERSION), FORMAT_VERSION)
+    assert loaded.encoded_queries is derived.encoded_queries
+    assert result_digest(loaded) == result_digest(result)
+
+
+def _drop_last(meta):
+    meta["relations"].pop()
+
+
+def _rename_first(meta):
+    meta["relations"][0]["name"] += "x"
+
+
+def _reverse(meta):
+    meta["relations"].reverse()
+
+
+def _one_column_wider(meta):
+    blob = meta["blobs"][meta["relations"][0]["codes"]]
+    rows, cols = blob["shape"]
+    blob["shape"] = [rows * cols // (cols + 1), cols + 1]
+    blob["nbytes"] = 4 * blob["shape"][0] * blob["shape"][1]
+
+
+def _flags_flipped(meta):
+    meta["provenance"] = not meta["provenance"]
+
+
+def _flag_not_a_bool(meta):
+    meta["disjoint"] = 1
+
+
+BAD_RELATIONS = {
+    "a relation missing": _drop_last,
+    "a relation renamed": _rename_first,
+    "the relations reordered": _reverse,
+    "a matrix one column wider": _one_column_wider,
+    "the flags flipped": _flags_flipped,
+    "a flag that is no bool": _flag_not_a_bool,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RELATIONS))
+def test_relations_that_are_not_the_derived_variants_are_an_invalid_miss(
+    case, tmp_path
+):
+    db = _database(TRIANGLE, 41 + FUZZ_SEED)
+    QuerySession(db, cache_dir=tmp_path).evaluate(TRIANGLE, strategy="reduction")
+    path = _entry(tmp_path)
+    _reframe(path, BAD_RELATIONS[case])
+    cache = QuerySession(db, cache_dir=tmp_path).cache
+    assert cache.get(path.stem) is None
+    assert cache.stats()["miss_invalid"] == 1
+    assert not path.exists()  # unlinked
+    cold = QuerySession(db, cache_dir=tmp_path)
+    _answers_like_naive(cold, TRIANGLE, db)
+    assert cold.stats.reductions == 1
+    healed = QuerySession(db, cache_dir=tmp_path)
+    _answers_like_naive(healed, TRIANGLE, db)
+    assert (healed.stats.reductions, healed.stats.persistent_hits) == (0, 1)
+
+
+def test_a_v8_entry_is_a_miss(tmp_path):
+    import hashlib
+
+    db = _database(TRIANGLE, 43 + FUZZ_SEED)
+    QuerySession(db, cache_dir=tmp_path).evaluate(TRIANGLE, strategy="reduction")
+    path = _entry(tmp_path)
+    raw = path.read_bytes()
+    meta, blob_base = _parse_frame(raw, FORMAT_VERSION)
+    meta["format_version"] = 8
+    body = _frame(meta, [raw[blob_base:]])[40:]
+    path.write_bytes(b"REPROV08" + hashlib.sha256(body).digest() + body)
+    warm = QuerySession(db, cache_dir=tmp_path)
+    _answers_like_naive(warm, TRIANGLE, db)
+    assert warm.cache.stats()["miss_invalid"] == 1
+    assert warm.stats.reductions == 1
+
+
+def test_loaded_artifacts_digest_like_the_live_ones(tmp_path):
+    rng = random.Random(47 + FUZZ_SEED)
+    db = _database(TRIANGLE, 47 + FUZZ_SEED)
+    # plain: a frame of a fresh reduction
+    plain = forward_reduce(TRIANGLE, db)
+    loaded = deserialize_result(serialize_result(plain, FORMAT_VERSION), FORMAT_VERSION)
+    assert result_digest(loaded) == result_digest(plain)
+    # session: the artifact a warm session loads
+    writer = QuerySession(db, cache_dir=tmp_path)
+    _answers_like_naive(writer, TRIANGLE, db)
+    (live, _), = writer._reductions.values()
+    warm = QuerySession(db, cache_dir=tmp_path)
+    _answers_like_naive(warm, TRIANGLE, db)
+    (loaded, _), = warm._reductions.values()
+    assert loaded.stored_as[1] == 0 and warm.stats.reductions == 0
+    assert result_digest(loaded) == result_digest(live)
+    assert result_digest(loaded) == result_digest(_disjoint(live.original, db))
+    # chain-loaded: the writer patches and stores a delta frame
+    db.insert("R", _recombined(db, "R", rng))
+    _answers_like_naive(writer, TRIANGLE, db)
+    assert writer.stats.delta_patches == 1
+    chained = QuerySession(db, cache_dir=tmp_path)
+    _answers_like_naive(chained, TRIANGLE, db)
+    (loaded, _), = chained._reductions.values()
+    assert loaded.stored_as[1] == 1 and chained.stats.reductions == 0
+    assert result_digest(loaded) == result_digest(live)
+
+
+def test_the_memo_is_bounded_and_keyed_by_the_name():
+    bound = forward.DISJUNCTION_MEMO_SIZE
+    key = forward.query_content_key(TRIANGLE)
+    named = [type(TRIANGLE)(TRIANGLE.atoms, name=f"q{i}") for i in range(bound + 8)]
+    derived = [forward.disjunction(key, q.name) for q in named]
+    memo = forward.disjunction.cache_info()
+    assert memo.maxsize == bound and memo.currsize == bound
+    assert forward.disjunction(key, named[-1].name) is derived[-1]  # still held
+    assert forward.disjunction(key, named[0].name) is not derived[0]  # evicted
+    # equal atoms, other names: other disjuncts, other digests
+    db = _database(TRIANGLE, 59 + FUZZ_SEED)
+    a, b = (forward_reduce(q, db) for q in named[:2])
+    assert a.encoded_queries[0].query.name == "q0~0"
+    assert b.encoded_queries[0].query.name == "q1~0"
+    assert result_digest(a) != result_digest(b)
+    for result in (a, b):
+        loaded = deserialize_result(
+            serialize_result(result, FORMAT_VERSION), FORMAT_VERSION
+        )
+        assert result_digest(loaded) == result_digest(result)
+
+
+def test_each_shared_disjunct_is_planned_once(monkeypatch):
+    forward.disjunction.cache_clear()
+    monkeypatch.setattr(ej, "_query_plans", type(ej._query_plans)())
+    db = _database(catalog.cycle_ij(4), 61 + FUZZ_SEED)
+    frame = serialize_result(_disjoint(catalog.cycle_ij(4), db), FORMAT_VERSION)
+    planned = []
+    real = ej.plan_ej
+    monkeypatch.setattr(ej, "plan_ej", lambda h, *a: planned.append(h) or real(h, *a))
+    rounds = []
+    for _ in range(3):
+        loaded = deserialize_result(frame, FORMAT_VERSION)
+        count_disjunction(loaded)
+        rounds.append(len(planned))
+    # a disjunct over an empty variant is answered before its plan
+    assert 0 < rounds[0] <= len(loaded.encoded_queries)
+    assert rounds == [rounds[0]] * 3  # the later loads plan nothing
+
+
+def test_evaluating_a_query_leaves_its_pickle_as_it_was():
+    query = parse_query("R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])")
+    db = random_database(query, 8, seed=67 + FUZZ_SEED, domain=30.0)
+    before = pickle.dumps(query)
+    session = QuerySession(db)
+    session.evaluate(query, strategy="reduction")
+    session.count(query)
+    list(session.witnesses(query, limit=2))
+    session.sql(
+        "SELECT COUNT(*) FROM R r, S s, T t "
+        "WHERE r.B OVERLAPS s.B AND s.C OVERLAPS t.C AND r.A OVERLAPS t.A"
+    )
+    assert pickle.dumps(query) == before
+    with WorkerPool(db, workers=1) as pool:
+        assert pool.evaluate(query).result(timeout=120) == naive_evaluate(query, db)
+        assert pool.count(query).result(timeout=120) == naive_count(query, db)
+    assert pickle.dumps(query) == before
