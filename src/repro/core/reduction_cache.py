@@ -76,7 +76,8 @@ _log = logging.getLogger("repro.cache")
 #: Version 8: a full frame carries the G.1 rank table of a shifted
 #: artifact, so its delta frames stay in source space.
 #: Version 9: a full frame stores the reduction flags instead of the
-#: disjuncts, variant specs and schemas, which a load derives.
+#: disjuncts, variant specs, schemas, kinds and bounds, which a load
+#: derives.
 #: Versions 2-4 were pickled ``.pkl`` envelopes; no reader remains.
 FORMAT_VERSION = 9
 
