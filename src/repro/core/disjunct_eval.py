@@ -12,7 +12,7 @@ through) route through these functions, so a smarter cost model changes
 every caller at once.
 
 *How each disjunct is run* is not decided here: ``evaluate_ej`` /
-``count_ej`` plan it per (edge structure, head) by the one rule of
+``count_ej`` plan it per (isomorphism class, head) by the one rule of
 :func:`repro.engine.ej.plan_ej` — Yannakakis when α-acyclic, else one
 flat generic join iff ``fhtw >= ρ*`` of the singleton-free core.  Both
 heads enumerate that core: a provenance id is private to its atom, so

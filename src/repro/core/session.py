@@ -23,8 +23,9 @@ and makes the amortisation explicit:
   content-addressed on-disk :class:`~repro.core.reduction_cache.ReductionCache`
   shared across processes and workers;
 * queries are **canonicalized** (variable renaming + atom reordering,
-  cross-checked against :mod:`repro.hypergraph.isomorphism`), so
-  isomorphic queries share one reduction;
+  by the one canonical labelling of
+  :mod:`repro.hypergraph.isomorphism`), so isomorphic queries share one
+  reduction;
 * optimizer plans (:func:`repro.sql.cost.plan_disjunct` — the one
   planner, which Query ASTs reach through
   :func:`repro.sql.rewrite.lower_query`) and Boolean / count answers are
@@ -47,13 +48,12 @@ import os
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from math import factorial
+from functools import lru_cache
 from time import perf_counter
 from typing import Iterator, Literal, Sequence, get_args
 
 from ..engine.relation import Database, Delta, Relation
-from ..hypergraph.isomorphism import structure_hash
+from ..hypergraph.isomorphism import SHAPE_MEMO_SIZE, canonical_labelling
 from ..queries.query import Atom, Query, Variable
 from ..reduction.disjoint import require_self_join_free, shift_distinct_left
 from ..reduction.forward import (
@@ -112,7 +112,7 @@ class CanonicalForm:
 
     ``key`` is equal for two queries exactly when one maps onto the
     other by renaming variables and reordering atoms while preserving
-    each atom's relation and argument positions — the condition under
+    each atom's relation, argument positions and kinds — the condition under
     which they share a forward reduction *and* an answer.  ``query`` is
     the canonical representative actually evaluated; ``label_map``
     sends its canonical atom labels back to the original query's labels
@@ -128,109 +128,31 @@ class CanonicalForm:
         return {back[label]: value for label, value in witness.items()}
 
 
-#: Above this many candidate atom orders the exact minimisation is
-#: abandoned and the query becomes its own (unshared) canonical form.
-_MAX_CANDIDATES = 40_320
-
-#: Canonicalization memo.  LRU-bounded: recomputation is pure and cheap
-#: relative to a reduction, but a hot serving loop re-canonicalizes the
-#: same working set over and over — so eviction drops the *least
-#: recently used* entry instead of the old drop-wholesale policy (which
-#: emptied the memo exactly when it was fullest, i.e. busiest).
-_CANON_CACHE_MAX = 4096
-_canon_cache: OrderedDict[Query, CanonicalForm] = OrderedDict()
-
-
-def _canon_cache_put(query: Query, form: CanonicalForm) -> None:
-    while len(_canon_cache) >= _CANON_CACHE_MAX:
-        _canon_cache.popitem(last=False)
-    _canon_cache[query] = form
-
-
-def _atom_signature(atom: Atom) -> tuple:
-    return (
-        atom.relation,
-        len(atom.variables),
-        tuple(v.is_interval for v in atom.variables),
-    )
-
-
-def _serialize(order: Sequence[Atom]) -> tuple[tuple, dict[str, int]]:
-    """Relation/position serialization of the atoms in ``order``, with
-    variables numbered by first occurrence."""
-    var_ids: dict[str, int] = {}
-    rows = []
-    for atom in order:
-        row = []
-        for v in atom.variables:
-            idx = var_ids.setdefault(v.name, len(var_ids))
-            row.append((idx, v.is_interval))
-        rows.append((atom.relation, tuple(row)))
-    return tuple(rows), var_ids
-
-
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def canonical_form(query: Query) -> CanonicalForm:
-    """Canonicalize ``query``: try every structure-preserving atom order
-    (atoms are first bucketed by ``(relation, arity, interval pattern)``,
-    an isomorphism invariant, so only same-bucket permutations are
-    explored) and keep the lexicographically least serialization.  The
-    WL ``structure_hash`` of the query hypergraph is folded into the key
-    as a cross-check against :mod:`repro.hypergraph.isomorphism`."""
-    cached = _canon_cache.get(query)
-    if cached is not None:
-        _canon_cache.move_to_end(query)
-        return cached
-
-    buckets: dict[tuple, list[Atom]] = {}
-    for atom in query.atoms:
-        buckets.setdefault(_atom_signature(atom), []).append(atom)
-    ordered_groups = [buckets[sig] for sig in sorted(buckets)]
-
-    candidates = 1
-    for group in ordered_groups:
-        candidates *= factorial(len(group))
-    wl = structure_hash(query.hypergraph())
-    if candidates > _MAX_CANDIDATES:
-        # opaque form: correct (never conflates queries), never shared
-        serialization, _ = _serialize(query.atoms)
-        labels = tuple((a.label, a.label) for a in query.atoms)
-        form = CanonicalForm(
-            ("opaque", wl, tuple(a.label for a in query.atoms), serialization),
-            query,
-            labels,
-        )
-        _canon_cache_put(query, form)
-        return form
-
-    best: tuple | None = None
-    best_order: list[Atom] = []
-    best_vars: dict[str, int] = {}
-    for combo in product(*(permutations(g) for g in ordered_groups)):
-        order = [atom for group in combo for atom in group]
-        serialization, var_ids = _serialize(order)
-        if best is None or serialization < best:
-            best = serialization
-            best_order = order
-            best_vars = var_ids
-
+    """Canonicalize ``query`` by the one canonical labelling
+    (:mod:`repro.hypergraph.isomorphism`): the representative lists the
+    atoms in canonical order as ``a0, a1, ...`` and numbers variables
+    ``v0, v1, ...`` by first occurrence.  An LRU of ``SHAPE_MEMO_SIZE``
+    queries: a hot serving loop re-canonicalizes one working set."""
+    labelling = canonical_labelling(
+        [a.variable_names for a in query.atoms],
+        [a.relation for a in query.atoms],
+        {v.name: v.is_interval for v in query.variables},
+        positional=True,
+    )
+    order = [query.atoms[i] for i in labelling.edges]
+    first = dict.fromkeys(v for atom in order for v in atom.variable_names)
+    rename = {v: f"v{j}" for j, v in enumerate(first)}
     atoms = tuple(
-        Atom(
-            f"a{i}",
-            atom.relation,
-            tuple(
-                Variable(f"v{best_vars[v.name]}", v.is_interval)
-                for v in atom.variables
-            ),
-        )
-        for i, atom in enumerate(best_order)
+        Atom(f"a{i}", a.relation, tuple(Variable(rename[v.name], v.is_interval) for v in a.variables))
+        for i, a in enumerate(order)
     )
-    form = CanonicalForm(
-        ("canon", wl, best),
+    return CanonicalForm(
+        labelling.key,
         Query(atoms, name="canon"),
-        tuple((f"a{i}", atom.label) for i, atom in enumerate(best_order)),
+        tuple((f"a{i}", atom.label) for i, atom in enumerate(order)),
     )
-    _canon_cache_put(query, form)
-    return form
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Appendix A.2.1 gives two ways to run a cyclic EJ query: one flat
 worst-case-optimal join (``O(N^ρ*)``) or bags + Yannakakis
 (``O(N^fhtw)``).  :func:`plan_ej` reads the choice off those two widths,
-once per (edge structure, head), and memoizes it with what the method
+once per (isomorphism class, head), and memoizes it with what the method
 needs:
 
 * α-acyclic -> ``yannakakis`` over the index join tree (linear time);
@@ -38,6 +38,7 @@ import networkx as nx
 
 from ..hypergraph.acyclicity import join_tree
 from ..hypergraph.hypergraph import Hypergraph
+from ..hypergraph.isomorphism import SHAPE_MEMO_SIZE, hypergraph_labelling
 from ..queries.query import Query
 from ..widths.edge_cover import fractional_edge_cover_number
 from ..widths.fhtw import fhtw_with_decomposition
@@ -73,10 +74,10 @@ class EJPlan(NamedTuple):
     td: TreeDecomposition | None = None
 
 
-#: Plans by (edge structure, edge order, whether the head enumerates
-#: every variable, requested method): the forward reduction asks for the
-#: same few shapes across its many disjuncts, every op, and ``boolean``
-#: and ``count`` share one plan.
+#: Plans by (canonical key, whether the head enumerates every variable,
+#: requested method), an LRU of :data:`SHAPE_MEMO_SIZE`: one decision per
+#: isomorphism class, stored in canonical positions (tree nodes index
+#: edges, bags hold vertices) and relabelled onto the asking hypergraph.
 _plans: dict[tuple, EJPlan] = {}
 
 
@@ -85,10 +86,22 @@ def plan_ej(
 ) -> EJPlan:
     """The memoized plan of hypergraph ``h`` for ``head`` (see the module
     docstring for the rule ``method='auto'`` applies)."""
-    key = (h.structure_key(), h.edge_labels, head == "full", method)
-    plan = _plans.get(key)
+    labelling = hypergraph_labelling(h)
+    key = (labelling.key, head == "full", method)
+    plan = _plans.pop(key, None)
     if plan is None:
-        plan = _plans[key] = _decide(h, head, method)
+        edges = list(h.edges.values())
+        position = {v: j for j, v in enumerate(labelling.vertices)}
+        canonical = {i: [position[v] for v in edges[e]] for i, e in enumerate(labelling.edges)}
+        plan = _decide(Hypergraph(canonical), head, method)
+        if len(_plans) >= SHAPE_MEMO_SIZE:
+            del _plans[next(iter(_plans))]
+    _plans[key] = plan
+    if plan.tree is not None:
+        return plan._replace(tree=nx.relabel_nodes(plan.tree, dict(enumerate(labelling.edges))))
+    if plan.td is not None:
+        bags = [frozenset(labelling.vertices[j] for j in bag) for bag in plan.td.bags]
+        return plan._replace(td=TreeDecomposition(bags, list(plan.td.tree_edges)))
     return plan
 
 
@@ -108,11 +121,11 @@ def _query_plan(query: Query, head: Head, method: Method) -> EJPlan:
 
 
 def _decide(h: Hypergraph, head: Head, method: Method) -> EJPlan:
+    """The plan of a canonical hypergraph (edge labels are positions)."""
     if method in ("auto", "yannakakis"):
         tree = join_tree(h)
         if tree is not None:
-            index = {label: i for i, label in enumerate(h.edge_labels)}
-            return EJPlan("yannakakis", tree=nx.relabel_nodes(tree, index))
+            return EJPlan("yannakakis", tree=tree)
         if method == "yannakakis":
             raise ValueError(f"{h!r} is not alpha-acyclic")
     if method == "generic":

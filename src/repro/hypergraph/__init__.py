@@ -27,7 +27,7 @@ from .transform import (
     tau_with_positions,
     transform_edges,
 )
-from .isomorphism import are_isomorphic, isomorphism_classes, structure_hash
+from .isomorphism import are_isomorphic, isomorphism_classes
 
 __all__ = [
     "Hypergraph",
@@ -52,5 +52,4 @@ __all__ = [
     "transform_edges",
     "are_isomorphic",
     "isomorphism_classes",
-    "structure_hash",
 ]

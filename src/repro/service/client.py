@@ -34,6 +34,7 @@ import threading
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from typing import Any, Callable
 
+from ..core.session import canonical_form
 from . import protocol
 from .pool import Entry, _resolve
 
@@ -85,24 +86,6 @@ def _unwrap(response: dict) -> Any:
     if error.get("code") == protocol.ERROR_BAD_QUERY:
         raise BadQuery(error)
     raise ServiceError(error)
-
-
-def _canonical_key(query: str, cache: dict[str, Any]) -> Any | None:
-    """The canonical-form key of ``query`` text (memoized), or ``None``
-    when the text does not parse — then the router answers (typed) and
-    no direct dial is attempted."""
-    if query in cache:
-        return cache[query]
-    try:
-        from ..core.session import canonical_form
-        from ..queries.parser import parse_query
-
-        key = canonical_form(parse_query(query)).key
-    except Exception:
-        key = None
-    if len(cache) < 4096:  # bounded memo; loadgen reuses few variants
-        cache[query] = key
-    return key
 
 
 def _ring_view(info: dict) -> tuple[Any, dict[str, tuple[str, int]]]:
@@ -403,7 +386,6 @@ class AsyncServiceClient(_VerbMethods):
         self._ring = None
         self._addresses: dict[str, tuple[str, int]] = {}
         self._shard_clients: dict[str, "AsyncServiceClient"] = {}
-        self._key_cache: dict[str, Any] = {}
 
     async def connect(self) -> "AsyncServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
@@ -525,10 +507,10 @@ class AsyncServiceClient(_VerbMethods):
     ) -> tuple[str, "AsyncServiceClient"] | None:
         if self._ring is None:
             return None
-        key = _canonical_key(query, self._key_cache)
-        if key is None:
-            return None
-        shard = self._ring.node_for(key)
+        try:  # parse and canonical form are memoized per process
+            shard = self._ring.node_for(canonical_form(protocol._parse_text(query)).key)
+        except protocol.BadQueryError:
+            return None  # the router answers it, typed
         address = self._addresses.get(shard)
         if address is None:
             return None

@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
-from ..core.session import _CANON_CACHE_MAX
+from ..hypergraph.isomorphism import SHAPE_MEMO_SIZE
 from ..intervals.interval import Interval
 from ..queries.parser import parse_query
 from ..queries.query import Query
@@ -388,7 +388,7 @@ class Verb:
         return {"op": self.name, **self.encode(*args), **extra}
 
 
-@lru_cache(maxsize=_CANON_CACHE_MAX)
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _parse_text(text: str) -> Query:
     # memoized by text (a Query is frozen, so every request sending the
     # text shares one); parse failures are not memoized and are typed

@@ -57,6 +57,7 @@ from repro.engine.statistics import (
     estimate_join_cardinality,
 )
 from repro.hypergraph import Hypergraph
+from repro.hypergraph.isomorphism import SHAPE_MEMO_SIZE
 from repro.queries import Query
 from repro.widths import ij_width_report
 
@@ -90,7 +91,7 @@ SUBW_VARIABLE_LIMIT = 8
 #: for a triangle, seconds for a 4-clique), so it is computed once per
 #: structure per process and a re-plan after a mutation re-reads
 #: statistics only.  Beside the widths: the EJ methods of the report's
-#: class representatives.
+#: class representatives.  An LRU of :data:`SHAPE_MEMO_SIZE` shapes.
 _width_cache: dict[tuple, tuple[dict[str, float], str]] = {}
 
 
@@ -107,7 +108,7 @@ def query_widths(query: Query) -> tuple[dict[str, float], str]:
     """The paper's width measures of ``query`` and its disjuncts' EJ
     methods (memoized, see :data:`_width_cache`)."""
     key = canonical_form(query).key
-    entry = _width_cache.get(key)
+    entry = _width_cache.pop(key, None)
     if entry is None:
         report = ij_width_report(
             query.hypergraph(),
@@ -120,9 +121,10 @@ def query_widths(query: Query) -> tuple[dict[str, float], str]:
             "ej_disjuncts": float(report.num_ej_hypergraphs),
             "reduced": float(report.num_reduced),
         }
-        entry = _width_cache[key] = widths, _ej_methods(
-            [c.representative for c in report.classes]
-        )
+        entry = widths, _ej_methods([c.representative for c in report.classes])
+        if len(_width_cache) >= SHAPE_MEMO_SIZE:
+            del _width_cache[next(iter(_width_cache))]
+    _width_cache[key] = entry
     return entry
 
 

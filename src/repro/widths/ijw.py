@@ -7,8 +7,9 @@ reduction, no faster than its hardest reduced EJ query (Theorem 5.2).
 
 Computation strategy: drop singleton vertices from each reduced
 hypergraph (widths are unchanged), collapse structurally identical
-hypergraphs, group the survivors into isomorphism classes, and compute
-``subw`` once per class representative.
+hypergraphs, group the survivors by canonical key (the labelling
+:func:`repro.engine.ej.plan_ej` keys its plans by), and compute ``subw``
+once per class representative.
 """
 
 from __future__ import annotations

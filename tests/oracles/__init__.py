@@ -9,6 +9,9 @@ imported by no module under ``src/``.
 * :mod:`oracles.reduction` — the forward reduction built one input
   tuple at a time (rows + refcounts, no encoding memo, no code arrays)
   and the dict/set row patcher for deltas.
+* :mod:`oracles.canonical` — query isomorphism by trying every atom
+  order, and hypergraph isomorphism by VF2: the references for the
+  canonical labelling.
 
 ``core/baselines.py`` (naive backtracking over the *IJ* query) stays in
 ``src/``: it is the production ``naive`` strategy.

@@ -120,8 +120,9 @@ class TestWorkflow:
         # suite (stored disjunct order, provenance decoded on demand,
         # rebuild causes, block-memo differential) and the patch-by-delta
         # suite (digests by delta, the change log by slice, the key-memo
-        # differential and its forced fallbacks, unpatched causes) all
-        # ride the same matrix
+        # differential and its forced fallbacks, unpatched causes) and the
+        # canonical-labelling differential (keys ≡ the exhaustive search)
+        # all ride the same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -135,6 +136,7 @@ class TestWorkflow:
             "tests/test_backward.py",
             "tests/test_warm_load.py",
             "tests/test_patch_by_delta.py",
+            "tests/test_canonical.py",
         ]
 
     def test_numpy_floor_job_runs_the_encoding_suites_on_numpy_124(self, workflow):

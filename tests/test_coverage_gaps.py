@@ -152,9 +152,9 @@ class TestHypergraphMisc:
         r = h.restrict({"A", "C"})
         assert set(r.vertices) == {"A", "C"}
 
-    def test_structure_hash_distinguishes_sizes(self):
-        from repro.hypergraph import structure_hash
+    def test_canonical_key_distinguishes_sizes(self):
+        from repro.hypergraph.isomorphism import hypergraph_labelling
 
         a = Hypergraph({"R": ["A", "B"]})
         b = Hypergraph({"R": ["A", "B"], "S": ["B", "C"]})
-        assert structure_hash(a) != structure_hash(b)
+        assert hypergraph_labelling(a).key != hypergraph_labelling(b).key

@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core import session as session_module
 from repro.engine import Database, Relation
 from repro.hypergraph import are_isomorphic
+from repro.hypergraph.isomorphism import SHAPE_MEMO_SIZE
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
 from repro.sql import cost as sql_cost
@@ -255,32 +256,34 @@ class TestAnswerCacheLRU:
 
 
 class TestCanonMemoLRU:
-    def test_memo_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(session_module, "_CANON_CACHE_MAX", 2)
-        memo = session_module._canon_cache
-        saved = dict(memo)
-        memo.clear()
-        try:
-            q1 = parse_query("R([A])")
-            q2 = parse_query("S([A])")
-            q3 = parse_query("T([A])")
-            canonical_form(q1)
-            canonical_form(q2)
-            canonical_form(q1)  # refresh q1: q2 becomes the LRU victim
-            canonical_form(q3)
-            assert q1 in memo and q3 in memo
-            assert q2 not in memo
-            assert len(memo) == 2
-        finally:
-            memo.clear()
-            memo.update(saved)
+    """``canonical_form`` is an LRU of ``SHAPE_MEMO_SIZE`` queries."""
 
-    def test_eviction_preserves_correctness(self, monkeypatch):
-        monkeypatch.setattr(session_module, "_CANON_CACHE_MAX", 1)
+    def _fill(self, count):
+        for i in range(count):
+            canonical_form(parse_query(f"F{i}([A])"))
+
+    def test_memo_evicts_least_recently_used(self):
+        canonical_form.cache_clear()
+        q1 = parse_query("R([A])")
+        q2 = parse_query("S([A])")
+        canonical_form(q1)
+        canonical_form(q2)
+        canonical_form(q1)  # refresh q1: q2 becomes the LRU victim
+        self._fill(SHAPE_MEMO_SIZE - 1)
+        assert canonical_form.cache_info().currsize == SHAPE_MEMO_SIZE
+        before = canonical_form.cache_info()
+        canonical_form(q1)
+        canonical_form(q2)
+        after = canonical_form.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+
+    def test_eviction_preserves_correctness(self):
         q = parse_query(TRIANGLE)
         first = canonical_form(q).key
-        canonical_form(parse_query("Z([A])"))  # evicts the triangle
+        self._fill(SHAPE_MEMO_SIZE)  # evicts the triangle
+        misses = canonical_form.cache_info().misses
         assert canonical_form(q).key == first
+        assert canonical_form.cache_info().misses == misses + 1
 
 
 class TestIncrementalInvalidation:
