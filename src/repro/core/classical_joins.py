@@ -94,7 +94,3 @@ def partition_join(
                 ref_cell = min(int((ref - lo) / width), cells - 1)
                 if ref_cell == c:
                     yield payload, other
-
-
-def join_count(pairs: Iterator[tuple[Any, Any]]) -> int:
-    return sum(1 for _ in pairs)

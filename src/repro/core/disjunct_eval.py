@@ -11,19 +11,24 @@ rung (:mod:`repro.core.session`, which every planned execution runs
 through) route through these functions, so a smarter cost model changes
 every caller at once.
 
-*How each disjunct is run* is not decided here: ``evaluate_ej`` /
-``count_ej`` plan it per (isomorphism class, head) by the one rule of
-:func:`repro.engine.ej.plan_ej` — Yannakakis when α-acyclic, else one
-flat generic join iff ``fhtw >= ρ*`` of the singleton-free core.  Both
-heads enumerate that core: a provenance id is private to its atom, so
-``evaluate_disjunction`` never branches on it and ``count_disjunction``
-sums it out of its atom, and a cyclic disjunct runs the same method
-under either.
+*How each disjunct is run* is not decided here but by the one rule of
+:func:`repro.engine.ej.plan_ej`, per (isomorphism class, head).  The
+disjuncts it runs as one generic join over non-empty relations run as
+one join per core key (:func:`repro.engine.ej.generic_core`; a
+reduction's disjuncts keep the query's atom order, so equal keys line
+up atom by atom), their tries stacked under a disjunct level
+(:func:`~repro.engine.columnar_eval.generic_batch_count` / ``_boolean``:
+the members of a union supply work to one another, Carmeli–Kröll);
+the rest run one by one through ``evaluate_ej`` / ``count_ej``.
+``evaluate_disjunction`` runs a key's batch when it reaches its first
+member, the disjunction's first disjunct alone before the rest are
+sorted (on dense data it is the answer).
 """
 
 from __future__ import annotations
 
-from ..engine.ej import count_ej, evaluate_ej
+from ..engine.columnar_eval import generic_batch_boolean, generic_batch_count
+from ..engine.ej import count_ej, evaluate_ej, generic_core, join_atoms_for
 from ..engine.statistics import rank_order
 from ..queries.query import Query
 from ..reduction.forward import ForwardReductionResult
@@ -52,14 +57,36 @@ def evaluate_disjunction(result: ForwardReductionResult) -> bool:
     """Boolean value of a reduced disjunction: disjuncts are ranked and
     evaluation short-circuits on the first true one (order never
     changes the answer, only the constant factors)."""
-    return any(
-        evaluate_ej(query, result.database)
-        for query in ranked_disjuncts(result)
-    )
+    db = result.database
+    ranked = ranked_disjuncts(result)
+    keys = [generic_core(query, db, "boolean") for query in ranked]
+    batches = _batches(ranked, keys, db)
+    for position, (query, key) in enumerate(zip(ranked, keys)):
+        if key is None:
+            if evaluate_ej(query, db):
+                return True
+        elif key in batches and generic_batch_boolean(
+            batches.pop(key), lead_alone=position == 0
+        ):
+            return True
+    return False
 
 
 def count_disjunction(result: ForwardReductionResult) -> int:
     """Total assignment count of a *disjoint* reduction: the Appendix G
     rewriting makes disjuncts pairwise disjoint, so the exact count is
     the plain sum (no ranking — every disjunct is consumed)."""
-    return sum(count_ej(query, result.database) for query in result.ej_queries)
+    db, queries = result.database, result.ej_queries
+    keys = [generic_core(query, db, "count") for query in queries]
+    return sum(
+        count_ej(query, db) for query, key in zip(queries, keys) if key is None
+    ) + sum(map(generic_batch_count, _batches(queries, keys, db).values()))
+
+
+def _batches(queries, keys, db) -> dict[tuple, list]:
+    """The bound atoms of the generic-join disjuncts, by core key."""
+    batches: dict[tuple, list] = {}
+    for query, key in zip(queries, keys):
+        if key is not None:
+            batches.setdefault(key, []).append(join_atoms_for(query, db))
+    return batches

@@ -28,20 +28,27 @@ tuple:
   (``dtype=object`` arrays on the sort path) beyond, so the answer is
   exact at any magnitude.
 
-* :func:`generic_join_count` / ``_boolean`` / ``_relation`` — the
-  worst-case optimal join [27, 34] on sorted arrays.  Each atom's rows
-  are sorted in the global variable order; the distinct prefixes of
-  every length are the levels of a flattened trie in which the children
-  of a prefix are one contiguous key range, found by ``searchsorted``;
-  the atom's block memoizes them per projection.  Counting and materialisation run the join one
-  level at a time over the whole frontier of partial assignments
-  (:func:`_levelwise_join`); the Boolean form walks the same state
-  depth-first and stops at the first witness.  Count and Boolean join
-  only the atoms' *shared* columns (variables of two or more atoms): a
-  private variable — every provenance id — is existential for the
-  Boolean form and summed out by the count, which weights each core
-  assignment by the run lengths its atoms' sorts found (how many rows
-  extend it); an atom with no shared column is the scalar ``|R|``.
+* :func:`generic_batch_count` / ``_boolean`` and
+  :func:`generic_join_relation` — the worst-case optimal join [27, 34]
+  on sorted arrays.  Each atom's rows are sorted in the global variable
+  order; the distinct prefixes of every length are the levels of a
+  flattened trie in which the children of a prefix are one contiguous
+  key range, found by ``searchsorted``; the atom's block memoizes them
+  per projection.  A batch of joins over one core (the generic-join
+  disjuncts of one reduction with equal shared variables, atom by atom)
+  runs as one join: each atom's tries are stacked under a leading
+  disjunct level δ, each join's keys shifted into its own range below
+  its δ, so one traversal visits every join (:class:`_Sorted`);
+  ``generic_join_count`` / ``_boolean`` are the batch of one.  Counting
+  and materialisation run the join one level at a time over the whole
+  frontier of partial assignments (:func:`_levelwise_join`); the
+  Boolean form walks the same state depth-first, δ by δ, and stops at
+  the first witness.  Count and Boolean join only the atoms' *shared*
+  columns (variables of two or more atoms): a private variable — every
+  provenance id — is existential for the Boolean form and summed out by
+  the count, which weights each core assignment by the run lengths its
+  atoms' sorts found (how many rows extend it); an atom with no shared
+  column weights its δ by its row count.
 
 * :func:`columnar_materialise_bags` — phase 1 of the ``decomposition``
   strategy (Appendix A.2.1): every bag of a tree decomposition as the
@@ -105,6 +112,8 @@ __all__ = [
     "columnar_yannakakis_boolean",
     "columnar_yannakakis_count",
     "columnar_yannakakis_full",
+    "generic_batch_boolean",
+    "generic_batch_count",
     "generic_join_boolean",
     "generic_join_count",
     "generic_join_relation",
@@ -200,16 +209,6 @@ def _expand_ranges(
     first = np.cumsum(counts) - counts
     positions = np.repeat(starts - first, counts) + np.arange(row_idx.size)
     return row_idx, positions
-
-
-def key_isin(
-    haystack: np.ndarray, needles: np.ndarray, bound: int
-) -> np.ndarray:
-    """``np.isin`` over packed keys below ``bound``, using the dense
-    table algorithm whenever the key space is small."""
-    if bound <= TABLE_RADIX_LIMIT:
-        return np.isin(haystack, needles, kind="table")
-    return np.isin(haystack, needles)
 
 
 def _shared_columns(
@@ -367,25 +366,27 @@ class _Part(NamedTuple):
 
 
 class _Sorted(NamedTuple):
-    """Sorted-prefix state of one join, shared by both traversals.
+    """Sorted-prefix state of a batch of joins, shared by both
+    traversals.
 
-    Atom ``a``'s columns are taken in the global variable order;
+    Level 0 of every trie is the disjunct level, join ``δ`` of the batch
+    under prefix ``δ``; below it, atom ``a``'s columns are taken in the
+    global variable order;
     ``prefixes[a][d]`` is level ``d`` of its trie, flattened: one sorted
     ``int64`` key ``parent * r + value`` per *distinct* prefix of
-    ``d + 1`` columns, with ``r = radices[a][d]``, so the children of
+    ``d + 1`` levels, with ``r = radices[a][d]``, so the children of
     one parent occupy the contiguous key range
-    ``[parent * r, (parent + 1) * r)``.  What names the parent — the
-    prefix's first ``d`` columns — depends on the atom's width: while a
-    whole row packs into 62 bits it is the parent's own key (the keys
-    are the mixed-radix packed prefixes, all peeled off one sort);
-    ``dense[a]`` marks the atoms whose rows do not, and there it is the
-    parent's *position* in level ``d - 1``, so a key needs
+    ``[parent * r, (parent + 1) * r)``.  What names the parent depends
+    on the atom's width: while a whole row packs into 62 bits it is the
+    parent's own key (the mixed-radix packed prefix); ``dense[a]``
+    marks the atoms whose rows do not, and there it is the parent's
+    *position* in level ``d - 1``, so a key needs
     ``log2(rows) + log2(r)`` bits whatever the arity.
     ``advancing[level]`` lists the ``(atom, depth)`` pairs that bind
     that level's variable.  A counting join also has ``runs``:
     ``runs[a][i]`` counts the atom's rows behind entry ``i`` of its
     deepest level — for a projected atom, how many of its rows share
-    that projection (``None`` for an atom without columns).
+    that projection; for an atom without columns, its join's rows.
     """
 
     radices: list[tuple[int, ...]]
@@ -393,14 +394,6 @@ class _Sorted(NamedTuple):
     advancing: list[list[tuple[int, int]]]
     dense: list[bool]
     runs: list[np.ndarray | None] | None
-
-
-def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
-    """The distinct entries of an ascending array (run starts — much
-    cheaper than ``np.unique`` on the short arrays a bag join sorts)."""
-    if keys.size < 2:
-        return keys
-    return keys[_run_starts(keys)]
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -412,17 +405,17 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _trie(codes: np.ndarray, positions, radices, counting: bool) -> tuple:
+def _trie(codes: np.ndarray, positions, radices, counting: bool, dense: bool) -> tuple:
     """The trie levels of ``codes`` projected onto ``positions`` (in
     level order) under ``radices`` and, if ``counting``, the run length
-    behind each entry of the deepest.  Rows that pack into one key are
-    packed, sorted and deduplicated once, and the shorter prefixes
-    peeled off by floor division; wider rows are ranked one column at a
-    time (each level's ``np.unique`` hands the next its parents)."""
+    behind each entry of the deepest.  Packed rows are packed, sorted
+    and deduplicated once, and the shorter prefixes peeled off by floor
+    division; ``dense`` rows are ranked one column at a time (each
+    level's ``np.unique`` hands the next its parents)."""
     columns = [codes[:, j] for j in positions]
     levels: list[np.ndarray] = []
     runs = None
-    if math.prod(radices) > KEY_LIMIT:
+    if dense:
         parent = np.zeros(codes.shape[0], dtype=np.int64)
         for column, radix in zip(columns, radices):
             level, parent, runs = np.unique(
@@ -437,42 +430,64 @@ def _trie(codes: np.ndarray, positions, radices, counting: bool) -> tuple:
         if counting:
             runs = np.diff(np.flatnonzero(first), append=keys.size)
         for radix in reversed(radices[1:]):
-            levels.append(_distinct_sorted(levels[-1] // radix))
+            peeled = levels[-1] // radix
+            levels.append(peeled[_run_starts(peeled)])
         levels.reverse()
     return tuple(levels), runs
 
 
 def _sort_parts(
-    parts: Sequence[_Part],
+    batch: Sequence[Sequence[_Part]],
     order: Sequence[str],
     radix_of: dict[str, int],
     counting: bool = False,
 ) -> _Sorted:
-    """Every part's trie levels (:func:`_trie`), memoized on its block
-    per (projection, ``counting``) under the radices: disjuncts sharing
-    a variant relation sort each projection once.  ``counting`` keeps
-    the deepest level's run lengths: the part's :attr:`_Sorted.runs`."""
-    level_of = {v: i for i, v in enumerate(order)}
-    state = _Sorted([], [], [[] for _ in order], [], [] if counting else None)
-    for a, part in enumerate(parts):
-        depths = sorted(
-            range(len(part.variables)),
-            key=lambda j: level_of[part.variables[j]],
-        )
-        positions = tuple(part.columns[j] for j in depths)
-        radices = tuple(radix_of[part.variables[j]] for j in depths)
-        levels, runs = part.block.derived(
-            ("trie", positions, counting),
-            lambda: _trie(part.block.codes, positions, radices, counting),
-            radices,
-        )
-        state.radices.append(radices)
+    """The stacked state of a batch of joins, the ``a``-th parts of all
+    joins as atom ``a``.  Every part's :func:`_trie` is memoized on its
+    block per (projection, ``counting``) under the radices and width,
+    so joins sharing a variant sort each projection once.  A join's
+    entries of a level are shifted by what names its root one level up
+    (δ below the disjunct level: its packed prefix, or for a dense atom
+    its first position) times the level's radix."""
+    level_of = {v: i for i, v in enumerate(order, 1)}
+    advancing = [[] for _ in range(len(order) + 1)] if batch[0] else []
+    state = _Sorted([], [], advancing, [], [] if counting else None)
+    for a, column in enumerate(zip(*batch)):
+        variables = column[0].variables
+        depths = sorted(range(len(variables)), key=lambda j: level_of[variables[j]])
+        radices = tuple(radix_of[variables[j]] for j in depths)
+        dense = len(column) * math.prod(radices) > KEY_LIMIT
+        levels = [np.arange(len(column), dtype=np.int64)]
+        tries = []
+        for part in column:
+            positions = tuple(part.columns[j] for j in depths)
+            tries.append(part.block.derived(
+                ("trie", positions, counting),
+                lambda: _trie(part.block.codes, positions, radices, counting, dense),
+                (radices, dense),
+            ))
+        base = levels[0]
+        for d, radix in enumerate(radices):
+            own = [trie[d] for trie, _ in tries]
+            sizes = [level.size for level in own]
+            levels.append(
+                own[0] if len(own) == 1
+                else np.concatenate(own) + np.repeat(base * radix, sizes)
+            )
+            base = np.cumsum(sizes) - sizes if dense else base * radix
+        runs = [runs for _, runs in tries] if counting else None
+        if not depths:
+            # no columns: each join weighted by its rows, the empty dropped
+            rows = np.array([part.block.row_count for part in column])
+            levels, runs = [np.flatnonzero(rows)], [rows[rows > 0]]
+        state.radices.append((len(column),) + radices)
         state.prefixes.append(levels)
-        state.dense.append(math.prod(radices) > KEY_LIMIT)
+        state.dense.append(dense)
         if counting:
-            state.runs.append(runs)
-        for depth, j in enumerate(depths):
-            state.advancing[level_of[part.variables[j]]].append((a, depth))
+            state.runs.append(runs[0] if len(runs) == 1 else np.concatenate(runs))
+        state.advancing[0].append((a, 0))
+        for depth, j in enumerate(depths, 1):
+            state.advancing[level_of[variables[j]]].append((a, depth))
     return state
 
 
@@ -647,77 +662,79 @@ def _has_witness(state: _Sorted) -> bool:
 
 
 def _generic_setup(
-    atoms: Sequence[JoinAtom],
+    batch: Sequence[Sequence[JoinAtom]],
     variable_order: Sequence[str] | None,
-    shared: set[str] | None = None,
-) -> tuple[list[_Part], list[str], dict[str, str], dict[str, int], CodeBook | None]:
-    """The parts of a flat generic join over ``atoms``, with the
-    variable order, column kinds, cell bounds and codebook they are
-    over.  Given ``shared``, each atom is projected onto its variables
-    in it (:func:`_sort_parts` deduplicates the projection).  Zero-arity
-    atoms, and atoms projected to nothing, bind no variable and take no
-    part."""
-    order = (
-        list(variable_order)
-        if variable_order
-        else default_variable_order(atoms)
-    )
-    if set(order) != {v for atom in atoms for v in atom.variables}:
+    core: bool = False,
+) -> tuple[list[list[_Part]], list[str], dict[str, int], dict[str, str], CodeBook | None]:
+    """The parts of a batch of joins — each atom on all its columns or,
+    for the ``core``, on its shared variables, the same atom by atom in
+    every join —, the first join's variable order, per variable a bound
+    on its cells in every join (a key is extended with values another
+    atom proposed), and the last join's column kinds and codebook."""
+    degree = Counter(v for atom in batch[0] for v in atom.variables)
+    order = list(variable_order) if variable_order else default_variable_order(batch[0])
+    if set(order) != set(degree):
         raise ValueError("variable order must cover exactly the join variables")
-    blocks, kind_of, book = _require_blocks(atoms)
-    # per variable, an exclusive bound on its cells across *all* atoms:
-    # a prefix key is extended with values another atom proposed
-    radix_of: dict[str, int] = {}
-    for atom, block in zip(atoms, blocks):
-        for v, top in zip(atom.variables, block.column_maxima()):
-            radix_of[v] = max(radix_of.get(v, 1), top + 1)
-    if shared is not None:
-        order = [v for v in order if v in shared]
+    radix_of = {v: 1 for v in order if degree[v] > 1 or not core}
     parts = []
-    for atom, block in zip(atoms, blocks):
-        kept = tuple(
-            j for j, v in enumerate(atom.variables) if shared is None or v in shared
-        )
-        parts.append(_Part(tuple(atom.variables[j] for j in kept), block, kept))
-    return parts, order, kind_of, radix_of, book
+    for atoms in batch:
+        blocks, kind_of, book = _require_blocks(atoms)
+        join = []
+        for atom, block in zip(atoms, blocks):
+            kept = tuple(j for j, v in enumerate(atom.variables) if v in radix_of)
+            for j in kept:
+                v = atom.variables[j]
+                radix_of[v] = max(radix_of[v], block.column_radix(j))
+            join.append(_Part(tuple(atom.variables[j] for j in kept), block, kept))
+        parts.append(join)
+    return parts, list(radix_of), radix_of, kind_of, book
 
 
-def _core_setup(
-    atoms: Sequence[JoinAtom],
-    variable_order: Sequence[str] | None,
-    counting: bool = False,
-) -> tuple[_Sorted, list[int]]:
-    """Sorted-prefix state of the singleton-free core (each atom on its
-    shared variables) and the row counts of atoms left without one."""
-    degree = Counter(v for atom in atoms for v in atom.variables)
-    shared = {v for v, n in degree.items() if n > 1}
-    parts, order, _, radix_of, _ = _generic_setup(atoms, variable_order, shared)
-    loose = [len(a.relation) for a in atoms if shared.isdisjoint(a.variables)]
-    return _sort_parts(parts, order, radix_of, counting), loose
+def generic_batch_count(
+    batch: Sequence[Sequence[JoinAtom]],
+    variable_order: Sequence[str] | None = None,
+) -> int:
+    """The summed counts of a batch of joins over one core: one
+    level-wise join of their stacked cores, each core assignment
+    weighted by how many rows of each atom extend it."""
+    parts, order, radix_of, _, _ = _generic_setup(batch, variable_order, core=True)
+    _, weights = _levelwise_join(_sort_parts(parts, order, radix_of, counting=True))
+    return int(weights.sum())
+
+
+def generic_batch_boolean(
+    batch: Sequence[Sequence[JoinAtom]],
+    variable_order: Sequence[str] | None = None,
+    lead_alone: bool = False,
+) -> bool:
+    """True iff some join of a batch over one core is non-empty: the
+    depth-first join of their stacked cores, in batch order, stopping at
+    the first witness.  ``lead_alone`` first runs the first join by
+    itself, under the batch's radices, before the rest are sorted."""
+    parts, order, radix_of, _, _ = _generic_setup(batch, variable_order, core=True)
+    if lead_alone:
+        if _has_witness(_sort_parts(parts[:1], order, radix_of)):
+            return True
+        parts = parts[1:]
+    return bool(parts) and _has_witness(_sort_parts(parts, order, radix_of))
 
 
 def generic_join_count(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> int:
-    """Number of satisfying assignments of the natural join: the
-    level-wise array generic join over the singleton-free core, each
-    core assignment weighted by how many rows of each atom extend it
-    (private variables are summed out, never enumerated)."""
-    state, loose = _core_setup(atoms, variable_order, counting=True)
-    _, weights = _levelwise_join(state)
-    return math.prod(loose) * int(weights.sum())
+    """Number of satisfying assignments of the natural join: the batch
+    of one of :func:`generic_batch_count`."""
+    return generic_batch_count([atoms], variable_order)
 
 
 def generic_join_boolean(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> bool:
-    """True iff the join is non-empty, via the depth-first array
-    generic join over the singleton-free core (any row of its atom
-    binds a private variable); stops at the first witness."""
-    state, loose = _core_setup(atoms, variable_order)
-    return all(loose) and _has_witness(state)
+    """True iff the join is non-empty: the batch of one of
+    :func:`generic_batch_boolean`."""
+    return generic_batch_boolean([atoms], variable_order)
 
 
 def generic_join_relation(
@@ -730,14 +747,12 @@ def generic_join_relation(
     in first-occurrence order, when ``None``): the level-wise join's
     assignment matrix, projected and deduplicated in key space and
     decoded once."""
-    parts, order, kind_of, radix_of, book = _generic_setup(
-        atoms, variable_order
-    )
+    parts, order, radix_of, kind_of, book = _generic_setup([atoms], variable_order)
     if output is None:
         output = list(dict.fromkeys(v for atom in atoms for v in atom.variables))
     joined, _ = _levelwise_join(_sort_parts(parts, order, radix_of))
     frame = _project_frame(
-        _Frame(order, list(joined.T), int(joined.shape[0])),
+        _Frame(order, list(joined[:, 1:].T), int(joined.shape[0])),
         list(output),
         radix_of,
     )
@@ -758,7 +773,7 @@ def columnar_materialise_bags(
     the Yannakakis kernels and no row is ever decoded.  Input matrices
     (possibly read-only maps of a cache entry) are only read.
     """
-    atom_parts, _, kind_of, radix_of, book = _generic_setup(atoms, None)
+    (atom_parts,), _, radix_of, kind_of, book = _generic_setup([atoms], None)
     bags: list[Relation] = []
     for i, bag in enumerate(td.bags):
         bag_vars = sorted(bag, key=str)
@@ -779,8 +794,8 @@ def columnar_materialise_bags(
                 f"bag {bag_vars} contains vertices covered by no atom"
             )
         order = default_variable_order(parts)
-        joined, _ = _levelwise_join(_sort_parts(parts, order, radix_of))
-        codes = joined[:, [order.index(v) for v in bag_vars]]
+        joined, _ = _levelwise_join(_sort_parts([parts], order, radix_of))
+        codes = joined[:, [order.index(v) + 1 for v in bag_vars]]
         block = ColumnBlock(
             codes.astype(CODE_DTYPE),
             [kind_of[v] for v in bag_vars],
@@ -836,7 +851,8 @@ def _semijoin_mask(
         ],
         radices,
     )
-    alive[target] &= key_isin(target_keys, source_keys, bound)
+    kind = "table" if bound <= TABLE_RADIX_LIMIT else None
+    alive[target] &= np.isin(target_keys, source_keys, kind=kind)
 
 
 def columnar_yannakakis_boolean(

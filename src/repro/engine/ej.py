@@ -25,8 +25,9 @@ bags materialise in ``N^fhtw`` (triangle with one id per atom: 3/2 < 3
 ``method=`` forces a kernel — the tests run each as the others'
 reference; no caller outside this package sets it.  Each kernel runs on
 code arrays (:mod:`repro.engine.columnar_eval`); row-backed relations
-are dictionary-encoded at the kernels' door.  Ranking and
-short-circuiting a reduction's disjuncts is
+are dictionary-encoded at the kernels' door.  Ranking a reduction's
+disjuncts, short-circuiting them and running its generic-join ones as
+one batch per :func:`generic_core` key is
 :mod:`repro.core.disjunct_eval`'s.
 """
 
@@ -110,7 +111,8 @@ def plan_ej(
 _query_plans: dict[tuple, tuple[Query, EJPlan]] = {}
 
 
-def _query_plan(query: Query, head: Head, method: Method) -> EJPlan:
+def query_plan(query: Query, head: Head, method: Method = "auto") -> EJPlan:
+    """:func:`plan_ej` of ``query``'s hypergraph, memoized per query object."""
     key = (id(query), head, method)
     entry = _query_plans.get(key)
     if entry is None or entry[0] is not query:
@@ -118,6 +120,18 @@ def _query_plan(query: Query, head: Head, method: Method) -> EJPlan:
             _query_plans.clear()
         entry = _query_plans[key] = (query, plan_ej(query.hypergraph(), head, method))
     return entry[1]
+
+
+def generic_core(query: Query, db: Database, head: Head) -> tuple | None:
+    """:attr:`Query.shared_names` if :func:`_run` runs ``query`` over
+    ``db`` for ``head`` as one generic join, else ``None``."""
+    if (
+        query_plan(query, head).method != "generic"
+        or not query.is_ej
+        or any(len(db[atom.relation]) == 0 for atom in query.atoms)
+    ):
+        return None
+    return query.shared_names
 
 
 def _decide(h: Hypergraph, head: Head, method: Method) -> EJPlan:
@@ -193,7 +207,7 @@ def _run(head: Head, query: Query, db: Database, method: Method, **output):
     # short-circuit before any join machinery runs
     if query.atoms and any(len(a.relation) == 0 for a in atoms):
         return empty(query, **output)
-    plan = _query_plan(query, head, method)
+    plan = query_plan(query, head, method)
     if plan.method == "generic":
         return generic(atoms, **output)
     if plan.method == "yannakakis":

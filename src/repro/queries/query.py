@@ -106,10 +106,6 @@ class Query:
         return tuple(v for v in self.variables if v.is_interval)
 
     @property
-    def point_variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if not v.is_interval)
-
-    @property
     def is_ij(self) -> bool:
         """True if every variable is an interval variable."""
         return all(v.is_interval for v in self.variables)
@@ -162,6 +158,16 @@ class Query:
         per query object: a reduced disjunct's structure never changes,
         so re-ranking it after a delta reads cardinalities only."""
         return is_alpha_acyclic(self.hypergraph())
+
+    @cached_property
+    def shared_names(self) -> tuple[tuple[str, ...], ...]:
+        """Per atom, the names of its variables another atom has too:
+        its part of the singleton-free core, once per query object."""
+        names = [v for atom in self.atoms for v in atom.variable_names]
+        return tuple(
+            tuple(v for v in atom.variable_names if names.count(v) > 1)
+            for atom in self.atoms
+        )
 
     def interval_variable_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.interval_variables)

@@ -92,7 +92,7 @@ SUBW_VARIABLE_LIMIT = 8
 #: structure per process and a re-plan after a mutation re-reads
 #: statistics only.  Beside the widths: the EJ methods of the report's
 #: class representatives.  An LRU of :data:`SHAPE_MEMO_SIZE` shapes.
-_width_cache: dict[tuple, tuple[dict[str, float], str]] = {}
+_width_cache: dict[tuple, tuple[dict[str, float], str, str | None]] = {}
 
 
 def _ej_methods(representatives: list[Hypergraph]) -> str:
@@ -104,9 +104,10 @@ def _ej_methods(representatives: list[Hypergraph]) -> str:
     return "+".join(sorted({plan_ej(h).method for h in representatives}))
 
 
-def query_widths(query: Query) -> tuple[dict[str, float], str]:
-    """The paper's width measures of ``query`` and its disjuncts' EJ
-    methods (memoized, see :data:`_width_cache`)."""
+def query_widths(query: Query) -> tuple[dict[str, float], str, str | None]:
+    """The paper's width measures of ``query``, its disjuncts' EJ
+    methods and why subw is bounded by fhtw, if it is (memoized, see
+    :data:`_width_cache`)."""
     key = canonical_form(query).key
     entry = _width_cache.pop(key, None)
     if entry is None:
@@ -121,7 +122,8 @@ def query_widths(query: Query) -> tuple[dict[str, float], str]:
             "ej_disjuncts": float(report.num_ej_hypergraphs),
             "reduced": float(report.num_reduced),
         }
-        entry = widths, _ej_methods([c.representative for c in report.classes])
+        methods = _ej_methods([c.representative for c in report.classes])
+        entry = widths, methods, report.subw_bound
         if len(_width_cache) >= SHAPE_MEMO_SIZE:
             del _width_cache[next(iter(_width_cache))]
     _width_cache[key] = entry
@@ -202,10 +204,11 @@ class DisjunctPlan:
                 f"{over} and the join is binary on a single shared interval "
                 f"variable: plane sweep is O(N log N), N={self.input_size:.0f}"
             )
-        widths = self.widths
+        widths, _, bound = query_widths(self.query)
         return (
             f"{over} and no plane sweep applies: forward reduction at "
-            f"O(N^ijw polylog N) with ijw={widths['ijw']:.1f}; "
+            f"O(N^ijw polylog N) with ijw={widths['ijw']:.1f}"
+            f"{f' ({bound})' if bound else ''}; "
             f"{int(widths['ej_disjuncts'])} EJ disjunct(s) via {self.ej_method} "
             f"(max fhtw {widths['max_fhtw']:.1f})"
         )

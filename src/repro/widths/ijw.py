@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..hypergraph.hypergraph import Hypergraph
 from ..hypergraph.isomorphism import isomorphism_classes
 from ..hypergraph.transform import reduced_structure_classes, tau
@@ -32,6 +33,7 @@ class WidthClass:
     count: int
     fhtw: float
     subw: float
+    subw_bound: str | None = None  # why ``subw`` is fhtw's bound, not exact
 
 
 @dataclass
@@ -49,6 +51,10 @@ class IjWidthReport:
     @property
     def max_fhtw(self) -> float:
         return max(c.fhtw for c in self.classes)
+
+    @property
+    def subw_bound(self) -> str | None:
+        return next((c.subw_bound for c in self.classes if c.subw_bound), None)
 
 
 def ij_width_report(
@@ -73,8 +79,13 @@ def ij_width_report(
     for group in groups:
         rep = representatives[group[0]]
         fhtw = max(fractional_hypertree_width(rep), floor)
-        subw = max(submodular_width(rep), floor) if compute_subw else fhtw
-        classes.append(WidthClass(rep, len(group), fhtw, subw))
+        subw, why = fhtw, None
+        if compute_subw and not is_alpha_acyclic(rep):  # else subw = fhtw
+            try:
+                subw = max(submodular_width(rep), floor)
+            except RuntimeError as error:  # the bound subw <= fhtw stands
+                why = f"subw bounded by fhtw ({error})"
+        classes.append(WidthClass(rep, len(group), fhtw, subw, why))
     classes.sort(key=lambda c: (-c.subw, -c.fhtw, -c.count))
     return IjWidthReport(
         num_ej_hypergraphs=len(ej_hypergraphs),

@@ -29,10 +29,6 @@ class TreeDecomposition:
     bags: list[frozenset[Vertex]]
     tree_edges: list[tuple[int, int]]
 
-    @property
-    def width_plus_one(self) -> int:
-        return max((len(b) for b in self.bags), default=0)
-
     def as_graph(self) -> nx.Graph:
         g = nx.Graph()
         g.add_nodes_from(range(len(self.bags)))

@@ -46,7 +46,8 @@ def random_database(
     point_probability: float = 0.0,
     integer: bool = False,
 ) -> Database:
-    """A database with ``n`` random tuples per atom of ``query``.
+    """A database with ``n`` random tuples per relation of ``query``
+    (one relation per symbol: the atoms of a self-join share it).
 
     Interval columns get random intervals; point columns get uniform
     integers.  ``point_probability`` mixes in degenerate point intervals
@@ -54,7 +55,16 @@ def random_database(
     """
     rng = random.Random(seed)
     db = Database()
+    kinds: dict[str, tuple[bool, ...]] = {}
     for atom in query.atoms:
+        kind = tuple(v.is_interval for v in atom.variables)
+        if kinds.setdefault(atom.relation, kind) != kind:
+            raise ValueError(
+                f"atoms give relation {atom.relation} different arities "
+                "or column kinds"
+            )
+        if atom.relation in db:
+            continue
         rows = set()
         attempts = 0
         while len(rows) < n and attempts < 20 * n + 100:

@@ -122,7 +122,8 @@ class TestWorkflow:
         # suite (digests by delta, the change log by slice, the key-memo
         # differential and its forced fallbacks, unpatched causes) and the
         # canonical-labelling differential (keys ≡ the exhaustive search)
-        # all ride the same matrix
+        # and the batched-disjunction differential (one join per core key
+        # ≡ the per-disjunct oracles) all ride the same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -137,6 +138,7 @@ class TestWorkflow:
             "tests/test_warm_load.py",
             "tests/test_patch_by_delta.py",
             "tests/test_canonical.py",
+            "tests/test_disjunction_batch.py",
         ]
 
     def test_numpy_floor_job_runs_the_encoding_suites_on_numpy_124(self, workflow):

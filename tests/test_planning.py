@@ -333,9 +333,10 @@ def test_the_node_id_format_is_known_to_the_intervals_package_alone():
 
 def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
     """All-overlapping triangle, ``n**3`` witnesses: ``COUNT(*)`` runs
-    each cyclic disjunct as one generic join over its singleton-free
-    core, like ``EXISTS`` over the same data — the provenance ids are
-    summed out of their atoms, so the join never lists a witness."""
+    the cyclic disjuncts as one batched generic join over their
+    singleton-free cores, like ``EXISTS`` over the same data — the
+    provenance ids are summed out of their atoms, so the join never
+    lists a witness: at most ``n**2`` core assignments per disjunct."""
     n = 40
     triangle = SHAPES["triangle"]
     db = Database(
@@ -351,7 +352,8 @@ def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
 
     def measured(state):
         joined, weights = real(state)
-        widest[0] = max(widest[0], joined.shape[0])
+        joins = state.radices[0][0]  # the batch size: the disjunct level's radix
+        widest[0] = max(widest[0], joined.shape[0] / joins)
         return joined, weights
 
     monkeypatch.setattr(columnar_eval, "_levelwise_join", measured)

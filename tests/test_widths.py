@@ -238,6 +238,44 @@ class TestIjWidth:
         assert math.isclose(subws[-1], 1.5, abs_tol=1e-5)
 
 
+class TestSubwFallback:
+    """An α-acyclic class has ``subw = fhtw = 1`` without the MILP; a MILP
+    that fails leaves ``subw`` at the bound ``fhtw``, and the width
+    report and EXPLAIN say why."""
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_long_paths_explain(self, k):
+        from repro.core import explain
+        from repro.workloads import random_database
+
+        q = catalog.path_ij(k)
+        report = ij_width_report(q.hypergraph(), q.interval_variable_names())
+        assert report.ijw == 1.0 and report.subw_bound is None
+        text = explain(q, random_database(q, 20, seed=1))
+        assert "ijw=1.0" in text and "bounded" not in text
+
+    def test_a_failing_milp_falls_back_to_fhtw(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.core import explain
+        from repro.sql import cost
+        from repro.widths import subw
+        from repro.workloads import random_database
+
+        def failing(**_):
+            return SimpleNamespace(success=False, message="HiGHS Status 4: Solve error")
+
+        monkeypatch.setattr(subw, "milp", failing)
+        monkeypatch.setattr(cost, "_width_cache", {})
+        q = catalog.triangle_ij()
+        report = ij_width_report(q.hypergraph(), q.interval_variable_names())
+        assert math.isclose(report.ijw, 1.5, abs_tol=1e-5)  # fhtw, as subw
+        assert "HiGHS Status 4" in report.subw_bound
+        assert [c.subw_bound is not None for c in report.classes] == [True]
+        text = explain(q, random_database(q, 40, seed=1))  # past the naive budget
+        assert "subw bounded by fhtw (subw MILP failed: HiGHS Status 4" in text
+
+
 @pytest.mark.slow
 class TestIjWidthHeavy:
     def test_lw4_classes(self):

@@ -68,6 +68,26 @@ class TestRandomDatabase:
             assert isinstance(t[1], int)
 
 
+    def test_self_join_shares_one_relation(self):
+        from repro.core import naive_count
+        from repro.queries import parse_query
+
+        q = parse_query("R([A],[B]) ∧ R([B],[C])")
+        db = random_database(q, 12, seed=3, domain=40.0)
+        assert list(db.relation_names) == ["R"] and len(db["R"]) == 12
+        assert naive_count(q, db) >= 0
+        # a self-join-free query draws exactly what it always drew
+        plain = random_database(parse_query("R([A],[B])"), 12, seed=3, domain=40.0)
+        assert plain["R"].tuples == db["R"].tuples
+
+    def test_one_symbol_with_two_arities_is_refused(self):
+        from repro.queries import parse_query
+
+        for text in ("R([A],[B]) ∧ R([B])", "R([A],[B]) ∧ R([B],c)"):
+            with pytest.raises(ValueError, match="relation R different arities"):
+                random_database(parse_query(text), 5)
+
+
 class TestDomainWorkloads:
     def test_temporal_sessions(self):
         sessions = temporal_sessions(50, seed=0)
