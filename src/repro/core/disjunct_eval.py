@@ -20,12 +20,16 @@ up atom by atom), their tries stacked under a disjunct level
 (:func:`~repro.engine.columnar_eval.generic_batch_count` / ``_boolean``:
 the members of a union supply work to one another, Carmeli–Kröll);
 the rest run one by one through ``evaluate_ej`` / ``count_ej``.
-``evaluate_disjunction`` runs a key's batch when it reaches its first
-member, the disjunction's first disjunct alone before the rest are
-sorted (on dense data it is the answer).
+``count_disjunction`` runs each key's members as one batch;
+``evaluate_disjunction`` runs them in rank order in batches of 1, 1,
+2, 4, ..., each when the ranking reaches its last member, so a key's
+first ranked disjunct runs alone (on dense data it is the answer) and
+little past the first true one is bound or sorted.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from ..engine.columnar_eval import generic_batch_boolean, generic_batch_count
 from ..engine.ej import count_ej, evaluate_ej, generic_core, join_atoms_for
@@ -56,37 +60,42 @@ def ranked_disjuncts(result: ForwardReductionResult) -> list[Query]:
 def evaluate_disjunction(result: ForwardReductionResult) -> bool:
     """Boolean value of a reduced disjunction: disjuncts are ranked and
     evaluation short-circuits on the first true one (order never
-    changes the answer, only the constant factors)."""
+    changes the answer, only the constant factors).  A core key's
+    generic-join disjuncts run in batches of 1, 1, 2, 4, ... in rank
+    order, each as large as all before it, a batch as soon as the
+    ranking reaches its last member: a true disjunct early in the
+    ranking (dense data) costs about its own join, a false disjunction
+    a few joins."""
     db = result.database
-    ranked = ranked_disjuncts(result)
-    keys = [generic_core(query, db, "boolean") for query in ranked]
-    batches = _batches(ranked, keys, db)
-    for position, (query, key) in enumerate(zip(ranked, keys)):
+    ran: Counter = Counter()  # per key, how many members have run
+    pending: dict[tuple, list] = {}
+    for query in ranked_disjuncts(result):
+        key = generic_core(query, db, "boolean")
         if key is None:
             if evaluate_ej(query, db):
                 return True
-        elif key in batches and generic_batch_boolean(
-            batches.pop(key), lead_alone=position == 0
-        ):
-            return True
-    return False
+            continue
+        batch = pending.setdefault(key, [])
+        batch.append(join_atoms_for(query, db))
+        if len(batch) == max(1, ran[key]):
+            ran[key] += len(pending.pop(key))
+            if generic_batch_boolean(batch):
+                return True
+    return any(map(generic_batch_boolean, pending.values()))
 
 
 def count_disjunction(result: ForwardReductionResult) -> int:
     """Total assignment count of a *disjoint* reduction: the Appendix G
     rewriting makes disjuncts pairwise disjoint, so the exact count is
-    the plain sum (no ranking — every disjunct is consumed)."""
-    db, queries = result.database, result.ej_queries
-    keys = [generic_core(query, db, "count") for query in queries]
-    return sum(
-        count_ej(query, db) for query, key in zip(queries, keys) if key is None
-    ) + sum(map(generic_batch_count, _batches(queries, keys, db).values()))
-
-
-def _batches(queries, keys, db) -> dict[tuple, list]:
-    """The bound atoms of the generic-join disjuncts, by core key."""
+    the plain sum (no ranking — every disjunct is consumed), each core
+    key's generic-join disjuncts summed by one batched join."""
+    db = result.database
+    total = 0
     batches: dict[tuple, list] = {}
-    for query, key in zip(queries, keys):
-        if key is not None:
+    for query in result.ej_queries:
+        key = generic_core(query, db, "count")
+        if key is None:
+            total += count_ej(query, db)
+        else:
             batches.setdefault(key, []).append(join_atoms_for(query, db))
-    return batches
+    return total + sum(map(generic_batch_count, batches.values()))

@@ -39,7 +39,8 @@ tuple:
   runs as one join: each atom's tries are stacked under a leading
   disjunct level δ, each join's keys shifted into its own range below
   its δ, so one traversal visits every join (:class:`_Sorted`);
-  ``generic_join_count`` / ``_boolean`` are the batch of one.  Counting
+  ``generic_join_count`` / ``_boolean`` are the batch of one, which
+  reads its memoized tries as they are.  Counting
   and materialisation run the join one level at a time over the whole
   frontier of partial assignments (:func:`_levelwise_join`); the
   Boolean form walks the same state depth-first, δ by δ, and stops at
@@ -369,9 +370,9 @@ class _Sorted(NamedTuple):
     """Sorted-prefix state of a batch of joins, shared by both
     traversals.
 
-    Level 0 of every trie is the disjunct level, join ``δ`` of the batch
-    under prefix ``δ``; below it, atom ``a``'s columns are taken in the
-    global variable order;
+    Level 0 is the disjunct level, join ``δ`` of the batch under prefix
+    ``δ`` (empty for a batch of one, bar atoms without columns); below
+    it, atom ``a``'s columns are taken in the global variable order;
     ``prefixes[a][d]`` is level ``d`` of its trie, flattened: one sorted
     ``int64`` key ``parent * r + value`` per *distinct* prefix of
     ``d + 1`` levels, with ``r = radices[a][d]``, so the children of
@@ -445,48 +446,52 @@ def _sort_parts(
     """The stacked state of a batch of joins, the ``a``-th parts of all
     joins as atom ``a``.  Every part's :func:`_trie` is memoized on its
     block per (projection, ``counting``) under the radices and width,
-    so joins sharing a variant sort each projection once.  A join's
-    entries of a level are shifted by what names its root one level up
-    (δ below the disjunct level: its packed prefix, or for a dense atom
-    its first position) times the level's radix."""
+    so joins sharing a variant sort each projection once.  A batch of
+    one takes its tries as they are; in a larger one, a join's entries
+    of a level are shifted by what names its root one level up (δ below
+    the disjunct level: its packed prefix, or for a dense atom its first
+    position) times the level's radix."""
     level_of = {v: i for i, v in enumerate(order, 1)}
-    advancing = [[] for _ in range(len(order) + 1)] if batch[0] else []
-    state = _Sorted([], [], advancing, [], [] if counting else None)
+    state = _Sorted([], [], [[] for _ in range(len(order) + 1)], [], [] if counting else None)
     for a, column in enumerate(zip(*batch)):
         variables = column[0].variables
         depths = sorted(range(len(variables)), key=lambda j: level_of[variables[j]])
         radices = tuple(radix_of[variables[j]] for j in depths)
         dense = len(column) * math.prod(radices) > KEY_LIMIT
-        levels = [np.arange(len(column), dtype=np.int64)]
-        tries = []
-        for part in column:
-            positions = tuple(part.columns[j] for j in depths)
-            tries.append(part.block.derived(
-                ("trie", positions, counting),
-                lambda: _trie(part.block.codes, positions, radices, counting, dense),
-                (radices, dense),
-            ))
-        base = levels[0]
-        for d, radix in enumerate(radices):
-            own = [trie[d] for trie, _ in tries]
-            sizes = [level.size for level in own]
-            levels.append(
-                own[0] if len(own) == 1
-                else np.concatenate(own) + np.repeat(base * radix, sizes)
-            )
-            base = np.cumsum(sizes) - sizes if dense else base * radix
-        runs = [runs for _, runs in tries] if counting else None
+        stacked = len(column) > 1 or not depths
         if not depths:
             # no columns: each join weighted by its rows, the empty dropped
             rows = np.array([part.block.row_count for part in column])
-            levels, runs = [np.flatnonzero(rows)], [rows[rows > 0]]
-        state.radices.append((len(column),) + radices)
+            levels, runs = [np.flatnonzero(rows)], rows[rows > 0]
+        else:
+            tries = []
+            for part in column:
+                positions = tuple(part.columns[j] for j in depths)
+                tries.append(part.block.derived(
+                    ("trie", positions, counting),
+                    lambda: _trie(part.block.codes, positions, radices, counting, dense),
+                    (radices, dense),
+                ))
+            levels, runs = tries[0]
+        if stacked and depths:
+            levels = [np.arange(len(column), dtype=np.int64)]
+            base = levels[0]
+            for d, radix in enumerate(radices):
+                ends = np.cumsum([trie[d].size for trie, _ in tries])
+                level = np.empty(int(ends[-1]), dtype=np.int64)
+                for (trie, _), shift, end in zip(tries, (base * radix).tolist(), ends):
+                    np.add(trie[d], shift, out=level[end - trie[d].size : end])
+                levels.append(level)
+                base = np.concatenate(([0], ends[:-1])) if dense else base * radix
+            runs = np.concatenate([runs for _, runs in tries]) if counting else None
+        state.radices.append((len(column),) * stacked + radices)
         state.prefixes.append(levels)
         state.dense.append(dense)
         if counting:
-            state.runs.append(runs[0] if len(runs) == 1 else np.concatenate(runs))
-        state.advancing[0].append((a, 0))
-        for depth, j in enumerate(depths, 1):
+            state.runs.append(runs)
+        if stacked:
+            state.advancing[0].append((a, 0))
+        for depth, j in enumerate(depths, stacked):
             state.advancing[level_of[variables[j]]].append((a, depth))
     return state
 
@@ -538,6 +543,9 @@ def _levelwise_join(state: _Sorted) -> tuple[np.ndarray, np.ndarray | None]:
     #: after its last)
     prefix: list[np.ndarray | None] = [None] * len(prefixes)
     for active in advancing:
+        if not active:  # the disjunct level of a batch of one
+            bound.append(np.zeros(rows, dtype=np.int64))
+            continue
         tries = [prefixes[a][d] for a, d in active]
         steps = [radices[a][d] for a, d in active]
         deepest = [d + 1 == len(prefixes[a]) for a, d in active]
@@ -615,6 +623,8 @@ def _has_witness(state: _Sorted) -> bool:
 
     def recurse(level: int, prefix: list[int]) -> bool:
         active = advancing[level]
+        if not active:  # the disjunct level of a batch of one
+            return level == last or recurse(level + 1, prefix)
         spans = []
         for a, d in active:
             base = prefix[a] * radices[a][d]
@@ -656,8 +666,6 @@ def _has_witness(state: _Sorted) -> bool:
                 return True
         return False
 
-    if last < 0:
-        return True
     return recurse(0, [0] * len(prefixes))
 
 
@@ -705,18 +713,12 @@ def generic_batch_count(
 def generic_batch_boolean(
     batch: Sequence[Sequence[JoinAtom]],
     variable_order: Sequence[str] | None = None,
-    lead_alone: bool = False,
 ) -> bool:
     """True iff some join of a batch over one core is non-empty: the
     depth-first join of their stacked cores, in batch order, stopping at
-    the first witness.  ``lead_alone`` first runs the first join by
-    itself, under the batch's radices, before the rest are sorted."""
+    the first witness."""
     parts, order, radix_of, _, _ = _generic_setup(batch, variable_order, core=True)
-    if lead_alone:
-        if _has_witness(_sort_parts(parts[:1], order, radix_of)):
-            return True
-        parts = parts[1:]
-    return bool(parts) and _has_witness(_sort_parts(parts, order, radix_of))
+    return _has_witness(_sort_parts(parts, order, radix_of))
 
 
 def generic_join_count(

@@ -124,11 +124,13 @@ def query_plan(query: Query, head: Head, method: Method = "auto") -> EJPlan:
 
 def generic_core(query: Query, db: Database, head: Head) -> tuple | None:
     """:attr:`Query.shared_names` if :func:`_run` runs ``query`` over
-    ``db`` for ``head`` as one generic join, else ``None``."""
+    ``db`` for ``head`` as one generic join, else ``None``.  Like
+    :func:`_run`, a query over an empty relation is answered before its
+    plan."""
     if (
-        query_plan(query, head).method != "generic"
-        or not query.is_ej
+        not query.is_ej
         or any(len(db[atom.relation]) == 0 for atom in query.atoms)
+        or query_plan(query, head).method != "generic"
     ):
         return None
     return query.shared_names

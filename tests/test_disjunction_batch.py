@@ -7,8 +7,9 @@ none), on overlapping data, shared endpoints, point intervals and
 relations so small that variants come out empty, with every atom dense
 (``KEY_LIMIT`` 1) or only the stacked ones, with an atom that shares no
 variable, and for batches of one.  The disjuncts the generic join does
-not run keep their ``evaluate_ej`` / ``count_ej`` calls, and a warm
-triangle count is one generic join per core key.
+not run keep their ``evaluate_ej`` / ``count_ej`` calls, a warm
+triangle count is one generic join per core key, and EXISTS runs a
+key's members in batches of 1, 1, 2, 4, ... up to the first true one.
 
 CI runs this module across the ``REPRO_FUZZ_SEED`` matrix.
 """
@@ -21,7 +22,7 @@ from oracles import ej as oracle
 
 from repro.core import QuerySession, disjunct_eval, naive_count
 from repro.core.disjunct_eval import count_disjunction, evaluate_disjunction
-from repro.engine import Database, JoinAtom, Relation, columnar_eval
+from repro.engine import Database, JoinAtom, Relation, columnar_eval, ej
 from repro.engine.columnar_eval import generic_batch_boolean, generic_batch_count
 from repro.engine.ej import count_ej, evaluate_ej, generic_core, join_atoms_for
 from repro.queries import catalog, parse_query
@@ -103,9 +104,9 @@ def test_the_batched_disjunction_answers_like_its_disjuncts(shape, regime):
         assert count_disjunction(disjoint) == naive_count(query, db)
 
 
-def test_the_shapes_cover_what_the_batching_distinguishes():
+def test_the_shapes_cover_what_the_batching_distinguishes(monkeypatch):
     """One key, none, one beside Yannakakis disjuncts; an atom without a
-    shared variable; and empty variants, left to ``count_ej``."""
+    shared variable; and empty variants, left to ``count_ej`` unplanned."""
     distinct = {}
     for shape, (query, n) in SHAPES.items():
         _, disjoint = _check(query, _database(query, n, _seed(0), "overlapping"))
@@ -127,7 +128,11 @@ def test_the_shapes_cover_what_the_batching_distinguishes():
     _check_result(with_empty)
     reads = [emptied in q.relations for q in disjoint.ej_queries]
     assert 0 < sum(reads) < len(reads)
+    planned = []
+    real = ej.query_plan
+    monkeypatch.setattr(ej, "query_plan", lambda q, *a: planned.append(q) or real(q, *a))
     assert [key is None for key in _keys(with_empty)] == reads
+    assert planned == [q for q, read in zip(disjoint.ej_queries, reads) if not read]
 
 
 def test_lw4_runs_one_join_per_core_key():
@@ -189,6 +194,29 @@ def test_groups_of_one():
         assert _keys(plain) != [None]
 
 
+def test_a_batch_of_one_reads_its_memoized_tries_uncopied():
+    """No disjunct level and no stacking for one join: its state holds
+    the very arrays its blocks memoize, so a per-disjunct call costs
+    what it did before batching; two joins stack copies under δ."""
+    query, n = SHAPES["triangle"]
+    _, disjoint = _check(query, _database(query, n, _seed(700), "overlapping"))
+    joins = [join_atoms_for(q, disjoint.database) for q in disjoint.ej_queries[:2]]
+    for batch in ([joins[0]], joins):
+        parts, order, radix_of, _, _ = columnar_eval._generic_setup(batch, None, core=True)
+        state = columnar_eval._sort_parts(parts, order, radix_of, counting=True)
+        memoized = [
+            [level for key, (_, trie) in part.block._derived.items()
+             if key[0] == "trie" for level in trie[0]]
+            for part in parts[0]
+        ]
+        shared = [
+            any(level is own for level in levels for own in tries)
+            for levels, tries in zip(state.prefixes, memoized)
+        ]
+        assert shared == [len(batch) == 1] * len(parts[0])
+        assert (state.advancing[0] == []) == (len(batch) == 1)
+
+
 def _join(r_rows, u_rows):
     return [
         JoinAtom(Relation("R", ("A", "B"), r_rows)),
@@ -209,8 +237,17 @@ def test_an_atom_without_shared_variables_weights_and_drops_its_joins():
             oracle.generic_join_count(join) for join in batch
         ) == 4
         assert generic_batch_boolean(batch) is True
-        assert generic_batch_boolean(batch, lead_alone=True) is True
-    assert generic_batch_boolean([dead, dead], lead_alone=True) is False
+    assert generic_batch_boolean([dead, dead]) is False
+
+
+def _record_joins(monkeypatch, sizes):
+    """Append the batch size of every generic join run from here on."""
+    real = columnar_eval._sort_parts
+    monkeypatch.setattr(
+        columnar_eval,
+        "_sort_parts",
+        lambda batch, *args, **kw: sizes.append(len(batch)) or real(batch, *args, **kw),
+    )
 
 
 def test_only_the_generic_disjuncts_leave_the_per_disjunct_calls(monkeypatch):
@@ -227,12 +264,7 @@ def test_only_the_generic_disjuncts_leave_the_per_disjunct_calls(monkeypatch):
             name,
             lambda q, db, real=real, name=name: calls[name].append(q) or real(q, db),
         )
-    real_join = columnar_eval._levelwise_join
-    monkeypatch.setattr(
-        columnar_eval,
-        "_levelwise_join",
-        lambda state: calls["join"].append(state.radices[0][0]) or real_join(state),
-    )
+    _record_joins(monkeypatch, calls["join"])
     count_disjunction(disjoint)
     keys = _keys(disjoint)
     assert calls["count_ej"] == [q for q, k in zip(disjoint.ej_queries, keys) if k is None]
@@ -244,17 +276,43 @@ def test_only_the_generic_disjuncts_leave_the_per_disjunct_calls(monkeypatch):
         assert len(calls["evaluate_ej"]) == keys.count(None)
 
 
+@pytest.mark.parametrize("regime", ["overlapping", "sparse"])
+@pytest.mark.parametrize("shape", ["triangle", "cycle4"])
+def test_exists_runs_each_batch_as_large_as_all_before_it(monkeypatch, shape, regime):
+    """One core key: EXISTS runs its ranked members in batches of 1, 1,
+    2, 4, ..., reading each key and binding each batch when it is
+    reached; the last batch run holds the first true disjunct, or the
+    disjunction is false and every member ran."""
+    query, n = SHAPES[shape]
+    plain = forward_reduce(query, _database(query, n, _seed(600), regime))
+    ranked = disjunct_eval.ranked_disjuncts(plain)
+    assert len(set(_keys(plain, "boolean"))) == 1 and None not in _keys(plain)
+    truth = [oracle.evaluate_ej(q, plain.database) for q in ranked]
+    sizes, keyed, bound = [], [], []
+    _record_joins(monkeypatch, sizes)
+    for name, seen in (("generic_core", keyed), ("join_atoms_for", bound)):
+        real = getattr(disjunct_eval, name)
+        monkeypatch.setattr(
+            disjunct_eval,
+            name,
+            lambda q, *args, real=real, seen=seen: seen.append(q) or real(q, *args),
+        )
+    assert evaluate_disjunction(plain) == any(truth)
+    assert all(size == max(1, sum(sizes[:i])) for i, size in enumerate(sizes[:-1]))
+    assert 0 < sizes[-1] <= max(1, sum(sizes[:-1]))
+    assert keyed == bound == ranked[: sum(sizes)]
+    if any(truth):
+        assert sum(sizes[:-1]) <= truth.index(True) < sum(sizes)
+    else:
+        assert sum(sizes) == len(ranked)
+
+
 def test_a_warm_triangle_count_is_one_generic_join_per_core_key(tmp_path, monkeypatch):
     query = catalog.triangle_ij()
     db = random_database(query, 20, seed=_seed(400), domain=160.0)
     want = QuerySession(db, cache_dir=tmp_path).count(query)
     sizes = []
-    real_join = columnar_eval._levelwise_join
-    monkeypatch.setattr(
-        columnar_eval,
-        "_levelwise_join",
-        lambda state: sizes.append(state.radices[0][0]) or real_join(state),
-    )
+    _record_joins(monkeypatch, sizes)
     warm = QuerySession(db, cache_dir=tmp_path)
     assert warm.count(query) == want == naive_count(query, db)
     assert (warm.stats.persistent_hits, warm.stats.reductions) == (1, 0)

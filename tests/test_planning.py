@@ -6,6 +6,7 @@ reduction's disjuncts is chosen in ``engine/ej.py`` alone."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -352,8 +353,8 @@ def test_a_dense_cyclic_count_is_not_output_bound(monkeypatch):
 
     def measured(state):
         joined, weights = real(state)
-        joins = state.radices[0][0]  # the batch size: the disjunct level's radix
-        widest[0] = max(widest[0], joined.shape[0] / joins)
+        # column 0 is the disjunct level: the rows of the widest disjunct
+        widest[0] = max(widest[0], int(np.bincount(joined[:, 0], minlength=1).max()))
         return joined, weights
 
     monkeypatch.setattr(columnar_eval, "_levelwise_join", measured)
