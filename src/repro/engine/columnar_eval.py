@@ -212,6 +212,16 @@ def _expand_ranges(
     return row_idx, positions
 
 
+def key_isin(
+    haystack: np.ndarray, needles: np.ndarray, bound: int
+) -> np.ndarray:
+    """``np.isin`` over packed keys below ``bound``, using the dense
+    table algorithm whenever the key space is small."""
+    if bound <= TABLE_RADIX_LIMIT:
+        return np.isin(haystack, needles, kind="table")
+    return np.isin(haystack, needles)
+
+
 def _shared_columns(
     blocks: Sequence[ColumnBlock],
     atoms: Sequence[JoinAtom],
@@ -397,6 +407,14 @@ class _Sorted(NamedTuple):
     runs: list[np.ndarray | None] | None
 
 
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of an ascending array (run starts — much
+    cheaper than ``np.unique`` on the short arrays a bag join sorts)."""
+    if keys.size < 2:
+        return keys
+    return keys[_run_starts(keys)]
+
+
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Marks the first entry of each run of equal entries of an
     ascending array."""
@@ -431,8 +449,7 @@ def _trie(codes: np.ndarray, positions, radices, counting: bool, dense: bool) ->
         if counting:
             runs = np.diff(np.flatnonzero(first), append=keys.size)
         for radix in reversed(radices[1:]):
-            peeled = levels[-1] // radix
-            levels.append(peeled[_run_starts(peeled)])
+            levels.append(_distinct_sorted(levels[-1] // radix))
         levels.reverse()
     return tuple(levels), runs
 
@@ -853,8 +870,7 @@ def _semijoin_mask(
         ],
         radices,
     )
-    kind = "table" if bound <= TABLE_RADIX_LIMIT else None
-    alive[target] &= np.isin(target_keys, source_keys, kind=kind)
+    alive[target] &= key_isin(target_keys, source_keys, bound)
 
 
 def columnar_yannakakis_boolean(

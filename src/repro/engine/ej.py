@@ -26,8 +26,8 @@ bags materialise in ``N^fhtw`` (triangle with one id per atom: 3/2 < 3
 reference; no caller outside this package sets it.  Each kernel runs on
 code arrays (:mod:`repro.engine.columnar_eval`); row-backed relations
 are dictionary-encoded at the kernels' door.  Ranking a reduction's
-disjuncts, short-circuiting them and running its generic-join ones as
-one batch per :func:`generic_core` key is
+disjuncts, short-circuiting them and running its generic-join ones in
+batches of one :func:`generic_core` key is
 :mod:`repro.core.disjunct_eval`'s.
 """
 
@@ -128,9 +128,9 @@ def generic_core(query: Query, db: Database, head: Head) -> tuple | None:
     :func:`_run`, a query over an empty relation is answered before its
     plan."""
     if (
-        not query.is_ej
-        or any(len(db[atom.relation]) == 0 for atom in query.atoms)
+        any(len(db[atom.relation]) == 0 for atom in query.atoms)
         or query_plan(query, head).method != "generic"
+        or not query.is_ej
     ):
         return None
     return query.shared_names
