@@ -38,7 +38,8 @@ tuple:
   disjuncts of one reduction with equal shared variables, atom by atom)
   runs as one join: each atom's tries are stacked under a leading
   disjunct level δ, each join's keys shifted into its own range below
-  its δ, so one traversal visits every join (:class:`_Sorted`);
+  its δ and a level stacked when the traversal first reaches it, so one
+  traversal visits every join (:class:`_Sorted`, :class:`_Stack`);
   ``generic_join_count`` / ``_boolean`` are the batch of one, which
   reads its memoized tries as they are.  Counting
   and materialisation run the join one level at a time over the whole
@@ -383,7 +384,8 @@ class _Sorted(NamedTuple):
     Level 0 is the disjunct level, join ``δ`` of the batch under prefix
     ``δ`` (empty for a batch of one, bar atoms without columns); below
     it, atom ``a``'s columns are taken in the global variable order;
-    ``prefixes[a][d]`` is level ``d`` of its trie, flattened: one sorted
+    ``prefixes[a][d]`` (a :class:`_Stack` for a batch) is level ``d``
+    of its trie, flattened: one sorted
     ``int64`` key ``parent * r + value`` per *distinct* prefix of
     ``d + 1`` levels, with ``r = radices[a][d]``, so the children of
     one parent occupy the contiguous key range
@@ -401,7 +403,7 @@ class _Sorted(NamedTuple):
     """
 
     radices: list[tuple[int, ...]]
-    prefixes: list[list[np.ndarray]]
+    prefixes: list[Sequence[np.ndarray]]
     advancing: list[list[tuple[int, int]]]
     dense: list[bool]
     runs: list[np.ndarray | None] | None
@@ -454,6 +456,36 @@ def _trie(codes: np.ndarray, positions, radices, counting: bool, dense: bool) ->
     return tuple(levels), runs
 
 
+class _Stack:
+    """One atom's trie levels over a batch of two or more joins, each
+    stacked when a traversal first reads it, so a join that empties
+    early never copies the deeper ones.  Level 0 is the disjunct level;
+    below it, join ``δ``'s entries of a level are its own shifted by
+    what names its root one level up (δ below the disjunct level: its
+    packed prefix, or for a dense atom its first position) times the
+    level's radix."""
+
+    def __init__(self, tries: list[tuple], radices: tuple[int, ...], dense: bool):
+        self.tries, self.radices, self.dense = tries, radices, dense
+        self.levels = [np.arange(len(tries), dtype=np.int64)]
+        self.roots = self.levels[0]  # per join, what names it one level up
+
+    def __len__(self) -> int:
+        return len(self.radices) + 1
+
+    def __getitem__(self, d: int) -> np.ndarray:
+        while len(self.levels) <= d:
+            k = len(self.levels) - 1  # the joins' own depth of the next level
+            radix = self.radices[k]
+            ends = np.cumsum([trie[k].size for trie, _ in self.tries])
+            level = np.empty(int(ends[-1]), dtype=np.int64)
+            for (trie, _), shift, end in zip(self.tries, (self.roots * radix).tolist(), ends):
+                np.add(trie[k], shift, out=level[end - trie[k].size : end])
+            self.levels.append(level)
+            self.roots = np.concatenate(([0], ends[:-1])) if self.dense else self.roots * radix
+        return self.levels[d]
+
+
 def _sort_parts(
     batch: Sequence[Sequence[_Part]],
     order: Sequence[str],
@@ -464,10 +496,8 @@ def _sort_parts(
     joins as atom ``a``.  Every part's :func:`_trie` is memoized on its
     block per (projection, ``counting``) under the radices and width,
     so joins sharing a variant sort each projection once.  A batch of
-    one takes its tries as they are; in a larger one, a join's entries
-    of a level are shifted by what names its root one level up (δ below
-    the disjunct level: its packed prefix, or for a dense atom its first
-    position) times the level's radix."""
+    one takes its tries as they are, a larger one stacks them
+    (:class:`_Stack`)."""
     level_of = {v: i for i, v in enumerate(order, 1)}
     state = _Sorted([], [], [[] for _ in range(len(order) + 1)], [], [] if counting else None)
     for a, column in enumerate(zip(*batch)):
@@ -491,15 +521,7 @@ def _sort_parts(
                 ))
             levels, runs = tries[0]
         if stacked and depths:
-            levels = [np.arange(len(column), dtype=np.int64)]
-            base = levels[0]
-            for d, radix in enumerate(radices):
-                ends = np.cumsum([trie[d].size for trie, _ in tries])
-                level = np.empty(int(ends[-1]), dtype=np.int64)
-                for (trie, _), shift, end in zip(tries, (base * radix).tolist(), ends):
-                    np.add(trie[d], shift, out=level[end - trie[d].size : end])
-                levels.append(level)
-                base = np.concatenate(([0], ends[:-1])) if dense else base * radix
+            levels = _Stack(tries, radices, dense)
             runs = np.concatenate([runs for _, runs in tries]) if counting else None
         state.radices.append((len(column),) * stacked + radices)
         state.prefixes.append(levels)

@@ -197,7 +197,9 @@ def test_groups_of_one():
 def test_a_batch_of_one_reads_its_memoized_tries_uncopied():
     """No disjunct level and no stacking for one join: its state holds
     the very arrays its blocks memoize, so a per-disjunct call costs
-    what it did before batching; two joins stack copies under δ."""
+    what it did before batching.  Two joins stack copies under δ, each
+    level when a traversal first reads it: joins that die before the
+    last core level never stack it."""
     query, n = SHAPES["triangle"]
     _, disjoint = _check(query, _database(query, n, _seed(700), "overlapping"))
     joins = [join_atoms_for(q, disjoint.database) for q in disjoint.ej_queries[:2]]
@@ -209,12 +211,30 @@ def test_a_batch_of_one_reads_its_memoized_tries_uncopied():
              if key[0] == "trie" for level in trie[0]]
             for part in parts[0]
         ]
+        levels = [[stack[d] for d in range(len(stack))] for stack in state.prefixes]
         shared = [
-            any(level is own for level in levels for own in tries)
-            for levels, tries in zip(state.prefixes, memoized)
+            any(level is own for level in stack for own in tries)
+            for stack, tries in zip(levels, memoized)
         ]
         assert shared == [len(batch) == 1] * len(parts[0])
         assert (state.advancing[0] == []) == (len(batch) == 1)
+    # two joins that agree on A and die at B: C is never stacked
+    apart = [
+        [
+            JoinAtom(Relation(name, schema, [row]))
+            for name, schema, row in zip("RST", (("A", "B"), ("B", "C"), ("A", "C")), rows)
+        ]
+        for rows in (((0, 1), (5, 6), (0, 6)), ((1, 2), (7, 8), (1, 8)))
+    ]
+    for counting in (False, True):
+        parts, order, radix_of, _, _ = columnar_eval._generic_setup(apart, None, core=True)
+        state = columnar_eval._sort_parts(parts, order, radix_of, counting=counting)
+        if counting:
+            assert columnar_eval._levelwise_join(state)[1].sum() == 0
+        else:
+            assert not columnar_eval._has_witness(state)
+        assert [len(stack) for stack in state.prefixes] == [3, 3, 3]  # δ + 2 each
+        assert [len(stack.levels) for stack in state.prefixes] == [3, 2, 2]
 
 
 def _join(r_rows, u_rows):
