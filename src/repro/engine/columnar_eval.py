@@ -523,7 +523,7 @@ def _sort_parts(
         if stacked and depths:
             levels = _Stack(tries, radices, dense)
             runs = np.concatenate([runs for _, runs in tries]) if counting else None
-        state.radices.append((len(column),) * stacked + radices)
+        state.radices.append(((len(column),) if stacked else ()) + radices)
         state.prefixes.append(levels)
         state.dense.append(dense)
         if counting:
