@@ -23,10 +23,8 @@ from .bitstring import (
 from .interval_tree import IntervalTree, index_join
 from .endpoints import (
     collect_endpoints,
-    distinct_left_epsilon,
     make_left_endpoints_distinct,
     rank_space,
-    shift_for_distinct_left,
 )
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "is_prefix",
     "perfect_tree_segment",
     "collect_endpoints",
-    "distinct_left_epsilon",
     "make_left_endpoints_distinct",
     "rank_space",
-    "shift_for_distinct_left",
 ]

@@ -1,6 +1,6 @@
 """Endpoint preprocessing utilities (Appendix G.1, Example 4.12).
 
-Two transforms used by the reductions:
+Two transforms on endpoint ranks:
 
 * rank-space normalisation — the intersection problem only depends on the
   relative order of endpoints, so endpoints can be replaced by their
@@ -8,14 +8,17 @@ Two transforms used by the reductions:
 * the distinct-left-endpoint shift — Appendix G.1 perturbs the intervals
   of relation ``R_i`` by ``[x.l + i*eps, x.r + n*eps]`` so that intervals
   from different relations have pairwise distinct left endpoints while
-  every intersection is preserved.
+  every intersection is preserved.  :func:`shift_row` does it exactly,
+  on ranks, with ``eps = 1/(n+1)`` of a rank step; the Appendix G
+  disjoint reduction (:func:`repro.reduction.disjoint.shift_distinct_left`)
+  shifts its database rows with it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .interval import Interval, minimum_endpoint_gap
+from .interval import Interval
 
 
 def collect_endpoints(intervals: Iterable[Interval]) -> list[float]:
@@ -38,52 +41,41 @@ def rank_space(intervals: Sequence[Interval]) -> list[Interval]:
     return [Interval(rank[x.left], rank[x.right]) for x in intervals]
 
 
-def distinct_left_epsilon(
-    relations: Sequence[Sequence[Interval]],
-) -> float:
-    """An ``eps > 0`` with ``n * eps`` below the minimum endpoint gap.
-
-    ``n`` is the number of relations; this is the epsilon required by the
-    Appendix G.1 shift.  Returns ``1.0`` when all endpoints coincide (any
-    positive epsilon works then).
+def shift_row(
+    row: tuple, positions: Sequence[int], slot: int, n: int, rank: Mapping
+) -> tuple:
+    """``row`` of the atom at 1-based position ``slot`` of ``n``, shifted:
+    each interval column ``[l, r]`` in ``positions`` becomes
+    ``[rank[l]*(n+1) + slot, rank[r]*(n+1) + n]``.  Ranks preserve
+    endpoint order and ``slot <= n < n+1``, so ``x.l <= y.r`` holds
+    before exactly when it holds after — every intersection is preserved
+    — and left endpoints are ``slot`` modulo ``n+1``: distinct across
+    atoms.  Integer ranks keep it exact at any magnitude (a float
+    epsilon rounds away past ``2**52``); ``ranks[s // (n+1)]`` undoes it.
     """
-    endpoints: list[float] = []
-    for rel in relations:
-        endpoints.extend(collect_endpoints(rel))
-    gap = minimum_endpoint_gap(endpoints)
-    n = max(len(relations), 1)
-    if gap == float("inf"):
-        return 1.0
-    return gap / (2 * (n + 1))
-
-
-def shift_for_distinct_left(
-    x: Interval, relation_index: int, n_relations: int, eps: float
-) -> Interval:
-    """The Appendix G.1 perturbation for an interval of relation ``i``:
-    ``[x.l + (i+1)*eps, x.r + n*eps]`` (1-based index in the paper).
-
-    After the shift, intervals from different relations have distinct
-    left endpoints and all cross-relation intersections are unchanged.
-    """
-    i = relation_index + 1
-    if not 1 <= i <= n_relations:
-        raise ValueError("relation_index out of range")
-    return Interval(x.left + i * eps, x.right + n_relations * eps)
+    out = list(row)
+    for idx in positions:
+        x = row[idx]
+        out[idx] = Interval(
+            rank[x.left] * (n + 1) + slot, rank[x.right] * (n + 1) + n
+        )
+    return tuple(out)
 
 
 def make_left_endpoints_distinct(
     relations: Sequence[Sequence[Interval]],
 ) -> list[list[Interval]]:
-    """Apply the Appendix G.1 shift to every relation's interval column.
+    """Apply the Appendix G.1 shift (:func:`shift_row`) to every
+    relation's interval column, ranked among all their endpoints.
 
     The input is one interval column per relation; the output columns
     have pairwise distinct left endpoints across relations and preserve
     every intersection among intervals from *different* relations.
     """
+    ranks = sorted({p for rel in relations for p in collect_endpoints(rel)})
+    rank = {p: r for r, p in enumerate(ranks)}
     n = len(relations)
-    eps = distinct_left_epsilon(relations)
     return [
-        [shift_for_distinct_left(x, i, n, eps) for x in rel]
-        for i, rel in enumerate(relations)
+        [shift_row((x,), (0,), slot, n, rank)[0] for x in rel]
+        for slot, rel in enumerate(relations, 1)
     ]

@@ -122,8 +122,7 @@ def close_open_interval(
 def minimum_endpoint_gap(endpoints: Sequence[float]) -> float:
     """The smallest positive distance between distinct endpoint values.
 
-    Used to pick the epsilon for :func:`close_open_interval` and for the
-    distinct-left-endpoint transform of Appendix G.1.  Returns ``inf``
+    Used to pick the epsilon for :func:`close_open_interval`.  Returns ``inf``
     when fewer than two distinct endpoints exist.
     """
     distinct = sorted(set(endpoints))

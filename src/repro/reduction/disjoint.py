@@ -26,10 +26,8 @@ the largest left endpoint only adds witnesses — though not ``COUNT``.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 from ..engine.relation import Database, Relation
-from ..intervals.interval import Interval
+from ..intervals.endpoints import shift_row
 from ..queries.query import Query
 
 
@@ -39,27 +37,6 @@ def require_self_join_free(query: Query) -> None:
         raise ValueError(
             "the distinct-left-endpoint shift needs a self-join-free query"
         )
-
-
-def shift_row(
-    row: tuple, positions: Sequence[int], slot: int, n: int, rank: Mapping
-) -> tuple:
-    """``row`` of the atom at 1-based position ``slot`` of ``n``, shifted:
-    each interval column ``[l, r]`` in ``positions`` becomes
-    ``[rank[l]*(n+1) + slot, rank[r]*(n+1) + n]``.  Ranks preserve
-    endpoint order and ``slot <= n < n+1``, so ``x.l <= y.r`` holds
-    before exactly when it holds after — every intersection is preserved
-    — and left endpoints are ``slot`` modulo ``n+1``: distinct across
-    atoms.  Integer ranks keep it exact at any magnitude (a float
-    epsilon rounds away past ``2**52``); ``ranks[s // (n+1)]`` undoes it.
-    """
-    out = list(row)
-    for idx in positions:
-        x = row[idx]
-        out[idx] = Interval(
-            rank[x.left] * (n + 1) + slot, rank[x.right] * (n + 1) + n
-        )
-    return tuple(out)
 
 
 class ShiftedDatabase(Database):

@@ -61,6 +61,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..engine.relation import Database, Delta, Relation
+from ..intervals.endpoints import shift_row
 from ..intervals.interval import Interval
 from ..intervals.segment_tree import SegmentTree
 from ..queries.query import Atom, Query, Variable, pvar
@@ -76,7 +77,7 @@ from .columnar import (
     ColumnarCounts,
     distinct_rows,
 )
-from .disjoint import ShiftedDatabase, shift_row
+from .disjoint import ShiftedDatabase
 
 # variable name -> atom label -> 1-based permutation position
 PositionMap = dict[str, dict[str, int]]

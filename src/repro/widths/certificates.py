@@ -19,18 +19,18 @@ e.g. Figure 10's class), so the certificates pin the values exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
-
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from typing import Mapping
 
 from ..hypergraph.hypergraph import Hypergraph
 from .edge_cover import fractional_edge_cover
 from .fhtw import fhtw_with_decomposition
-from .subw import polymatroid_constraints, _to_sparse
-from .tree_decomposition import TreeDecomposition, candidate_bagsets
+from .subw import _subw_program
+from .tree_decomposition import (
+    TreeDecomposition,
+    _EliminationSpace,
+    candidate_bagsets,
+)
 
-Vertex = Hashable
 TOL = 1e-6
 
 
@@ -120,79 +120,10 @@ def fhtw_certificate(h: Hypergraph) -> FhtwCertificate:
 
 
 def subw_lower_certificate(h: Hypergraph) -> SubwLowerCertificate:
-    """Produce a checkable subw lower-bound certificate by re-solving
-    the MILP and extracting the adversarial polymatroid."""
-    vertices = list(h.vertices)
-    n = len(vertices)
-    if n == 0:
-        return SubwLowerCertificate(h, 0.0, {})
-    index = {v: i for i, v in enumerate(vertices)}
-
-    def mask_of(s) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << index[v]
-        return m
-
-    bagsets = candidate_bagsets(h)
-    td_bags = [sorted(mask_of(bag) for bag in bagset) for bagset in bagsets]
-
-    num_h = 1 << n
-    z_col = num_h
-    y_cols: dict[tuple[int, int], int] = {}
-    col = num_h + 1
-    for t, bags in enumerate(td_bags):
-        for b in range(len(bags)):
-            y_cols[(t, b)] = col
-            col += 1
-    num_cols = col
-    rows_ub: list[dict[int, float]] = []
-    ub_vals: list[float] = []
-    shannon, _ = polymatroid_constraints(n)
-    for coeffs, ub in shannon:
-        rows_ub.append(dict(coeffs))
-        ub_vals.append(ub)
-    for e in h.edges.values():
-        rows_ub.append({mask_of(e): 1.0})
-        ub_vals.append(1.0)
-    big_m = float(h.num_edges + 1)
-    for t, bags in enumerate(td_bags):
-        for b, bag_mask in enumerate(bags):
-            rows_ub.append(
-                {z_col: 1.0, bag_mask: -1.0, y_cols[(t, b)]: big_m}
-            )
-            ub_vals.append(big_m)
-    rows_eq = [
-        {y_cols[(t, b)]: 1.0 for b in range(len(bags))}
-        for t, bags in enumerate(td_bags)
-    ]
-    c = np.zeros(num_cols)
-    c[z_col] = -1.0
-    integrality = np.zeros(num_cols)
-    lower = np.zeros(num_cols)
-    upper = np.full(num_cols, np.inf)
-    upper[0] = 0.0
-    for key in y_cols.values():
-        integrality[key] = 1
-        upper[key] = 1.0
-    upper[z_col] = big_m
-    constraints = [
-        LinearConstraint(_to_sparse(rows_ub, num_cols), -np.inf,
-                         np.asarray(ub_vals)),
-        LinearConstraint(_to_sparse(rows_eq, num_cols),
-                         np.ones(len(rows_eq)), np.ones(len(rows_eq))),
-    ]
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
+    """Produce a checkable subw lower-bound certificate: the adversarial
+    polymatroid of the subw program's solution."""
+    value, x = _subw_program(h)
+    space = _EliminationSpace(h)
+    return SubwLowerCertificate(
+        h, value, {space.bag_of(mask): float(v) for mask, v in enumerate(x)}
     )
-    if not result.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"certificate MILP failed: {result.message}")
-    h_values: dict[frozenset, float] = {}
-    for mask in range(num_h):
-        s = frozenset(vertices[i] for i in range(n) if mask & (1 << i))
-        h_values[s] = float(result.x[mask])
-    return SubwLowerCertificate(h, float(-result.fun), h_values)
-

@@ -14,51 +14,21 @@ from typing import Hashable, Sequence
 
 from ..hypergraph.hypergraph import Hypergraph
 from .edge_cover import EdgeCoverCache
-from .tree_decomposition import TreeDecomposition, td_from_elimination_order
+from .tree_decomposition import (
+    TreeDecomposition,
+    _EliminationSpace,
+    td_from_elimination_order,
+)
 
 Vertex = Hashable
 
 
-class _FhtwSolver:
+class _FhtwSolver(_EliminationSpace):
     def __init__(self, h: Hypergraph):
-        self.h = h
-        self.vertices: list[Vertex] = list(h.vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.n = len(self.vertices)
-        primal = h.primal_graph()
-        self.adjacency = [
-            sum(1 << self.index[u] for u in primal.neighbors(v))
-            for v in self.vertices
-        ]
+        super().__init__(h)
         self.rho_cache = EdgeCoverCache(h.edges)
         self.memo: dict[int, float] = {}
         self.choice: dict[int, int] = {}
-
-    def bag_mask(self, remaining: int, v: int) -> int:
-        """``{v} ∪ Q(S, v)``: vertices of ``remaining`` adjacent to ``v``
-        directly or through eliminated (non-remaining) vertices."""
-        eliminated = ((1 << self.n) - 1) & ~remaining
-        seen = 1 << v
-        frontier = self.adjacency[v]
-        bag = 1 << v
-        while frontier:
-            w = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            bit = 1 << w
-            if seen & bit:
-                continue
-            seen |= bit
-            if remaining & bit:
-                bag |= bit
-            elif eliminated & bit:
-                frontier |= self.adjacency[w] & ~seen
-        return bag
-
-    def rho_of_mask(self, mask: int) -> float:
-        members = [
-            self.vertices[i] for i in range(self.n) if mask & (1 << i)
-        ]
-        return self.rho_cache.rho(members)
 
     def solve(self, remaining: int) -> float:
         if remaining == 0:
@@ -70,8 +40,8 @@ class _FhtwSolver:
         for v in range(self.n):
             if not remaining & (1 << v):
                 continue
-            bag = self.bag_mask(remaining, v)
-            cost = self.rho_of_mask(bag)
+            bag = self.bag_of(self.bag_mask(remaining, v))
+            cost = self.rho_cache.rho(bag)
             if cost >= best:
                 continue
             value = max(cost, self.solve(remaining & ~(1 << v)))
@@ -84,7 +54,7 @@ class _FhtwSolver:
 
     def optimal_order(self) -> list[Vertex]:
         order: list[Vertex] = []
-        remaining = (1 << self.n) - 1
+        remaining = self.full
         self.solve(remaining)
         while remaining:
             v = self.choice[remaining]
@@ -97,10 +67,8 @@ class _FhtwSolver:
 
 def fractional_hypertree_width(h: Hypergraph) -> float:
     """Exact ``fhtw(H)`` via the elimination-order subset DP."""
-    if h.num_vertices == 0:
-        return 0.0
     solver = _FhtwSolver(h)
-    return solver.solve((1 << solver.n) - 1)
+    return solver.solve(solver.full)
 
 
 def fhtw_with_decomposition(
@@ -109,7 +77,7 @@ def fhtw_with_decomposition(
     """``fhtw(H)`` together with an optimal tree decomposition and the
     elimination order that produced it."""
     solver = _FhtwSolver(h)
-    width = solver.solve((1 << solver.n) - 1)
+    width = solver.solve(solver.full)
     order = solver.optimal_order()
     td = td_from_elimination_order(h, order)
     return width, td, order

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..hypergraph.hypergraph import Hypergraph
 from ..hypergraph.isomorphism import isomorphism_classes
 from ..hypergraph.transform import reduced_structure_classes, tau
@@ -80,7 +79,7 @@ def ij_width_report(
         rep = representatives[group[0]]
         fhtw = max(fractional_hypertree_width(rep), floor)
         subw, why = fhtw, None
-        if compute_subw and not is_alpha_acyclic(rep):  # else subw = fhtw
+        if compute_subw:
             try:
                 subw = max(submodular_width(rep), floor)
             except RuntimeError as error:  # the bound subw <= fhtw stands

@@ -24,18 +24,17 @@ from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
+from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..hypergraph.hypergraph import Hypergraph
 from .fhtw import fractional_hypertree_width
-from .tree_decomposition import candidate_bagsets
+from .tree_decomposition import _EliminationSpace, candidate_bagsets
 
 Vertex = Hashable
 
 
-def polymatroid_constraints(
-    n: int,
-) -> tuple[list[tuple[dict[int, float], float]], None]:
+def polymatroid_constraints(n: int) -> list[tuple[dict[int, float], float]]:
     """Elemental Shannon inequalities over ``2^n`` set-function values.
 
     Each constraint is returned as ``(coeffs, ub)`` meaning
@@ -67,40 +66,37 @@ def polymatroid_constraints(
                 if s == 0:
                     break
                 s = (s - 1) & rest
-    return rows, None
+    return rows
 
 
-def submodular_width(
+def _subw_program(
     h: Hypergraph,
     bagsets: Sequence[frozenset[frozenset[Vertex]]] | None = None,
     max_vertices: int = 9,
-) -> float:
-    """Exact ``subw(H)`` via the MILP described in the module docstring.
+) -> tuple[float, np.ndarray]:
+    """Solve the MILP of the module docstring once: ``subw(H)`` and the
+    adversary's polymatroid, a vector over vertex masks (bit ``i`` is
+    ``h.vertices[i]``).
 
-    ``bagsets`` may be supplied to reuse a precomputed decomposition
-    list; otherwise all elimination-order bag sets are enumerated and
-    pruned to the non-dominated ones.
+    An α-acyclic ``h`` has subw 1 and builds no MILP: its adversary is
+    ``h(S) = [v ∈ S]`` for the first vertex ``v``, a matroid rank that is
+    at most 1 on every edge and 1 on the bag holding ``v`` in every
+    decomposition.
     """
-    vertices = list(h.vertices)
-    n = len(vertices)
+    n = h.num_vertices
     if n == 0:
-        return 0.0
+        return 0.0, np.zeros(1)
+    if is_alpha_acyclic(h):
+        return 1.0, (np.arange(1 << n) & 1).astype(float)
     if n > max_vertices:
         raise ValueError(
             f"exact subw limited to {max_vertices} vertices; got {n}"
         )
-    index = {v: i for i, v in enumerate(vertices)}
-
-    def mask_of(bag: frozenset[Vertex]) -> int:
-        m = 0
-        for v in bag:
-            m |= 1 << index[v]
-        return m
-
+    space = _EliminationSpace(h)
     if bagsets is None:
         bagsets = candidate_bagsets(h)
     td_bags: list[list[int]] = [
-        sorted(mask_of(bag) for bag in bagset) for bagset in bagsets
+        sorted(map(space.mask_of, bagset)) for bagset in bagsets
     ]
 
     num_h = 1 << n
@@ -115,12 +111,11 @@ def submodular_width(
 
     rows_ub: list[dict[int, float]] = []
     ub_vals: list[float] = []
-    shannon, _ = polymatroid_constraints(n)
-    for coeffs, ub in shannon:
-        rows_ub.append(dict(coeffs))
+    for coeffs, ub in polymatroid_constraints(n):
+        rows_ub.append(coeffs)
         ub_vals.append(ub)
     for e in h.edges.values():
-        rows_ub.append({mask_of(e): 1.0})
+        rows_ub.append({space.mask_of(e): 1.0})
         ub_vals.append(1.0)
     big_m = float(h.num_edges + 1)
     for t, bags in enumerate(td_bags):
@@ -132,15 +127,10 @@ def submodular_width(
                 y_cols[(t, b)]: big_m,
             })
             ub_vals.append(big_m)
-
-    rows_eq: list[dict[int, float]] = []
-    eq_vals: list[float] = []
-    for t, bags in enumerate(td_bags):
-        rows_eq.append({y_cols[(t, b)]: 1.0 for b in range(len(bags))})
-        eq_vals.append(1.0)
-
-    a_ub = _to_sparse(rows_ub, num_cols)
-    a_eq = _to_sparse(rows_eq, num_cols)
+    rows_eq = [
+        {y_cols[(t, b)]: 1.0 for b in range(len(bags))}
+        for t, bags in enumerate(td_bags)
+    ]
 
     c = np.zeros(num_cols)
     c[z_col] = -1.0
@@ -153,24 +143,35 @@ def submodular_width(
         upper[key] = 1.0
     upper[z_col] = big_m
 
-    constraints = [
-        LinearConstraint(a_ub, -np.inf, np.asarray(ub_vals)),
-    ]
-    if rows_eq:
-        constraints.append(
-            LinearConstraint(a_eq, np.asarray(eq_vals), np.asarray(eq_vals))
-        )
-    from scipy.optimize import Bounds
-
+    ones = np.ones(len(rows_eq))
     result = milp(
         c=c,
-        constraints=constraints,
+        constraints=[
+            LinearConstraint(
+                _to_sparse(rows_ub, num_cols), -np.inf, np.asarray(ub_vals)
+            ),
+            LinearConstraint(_to_sparse(rows_eq, num_cols), ones, ones),
+        ],
         integrality=integrality,
         bounds=Bounds(lower, upper),
     )
     if not result.success:  # pragma: no cover - defensive
         raise RuntimeError(f"subw MILP failed: {result.message}")
-    return float(-result.fun)
+    return float(-result.fun), result.x[:num_h]
+
+
+def submodular_width(
+    h: Hypergraph,
+    bagsets: Sequence[frozenset[frozenset[Vertex]]] | None = None,
+    max_vertices: int = 9,
+) -> float:
+    """Exact ``subw(H)`` via the MILP described in the module docstring.
+
+    ``bagsets`` may be supplied to reuse a precomputed decomposition
+    list; otherwise all elimination-order bag sets are enumerated and
+    pruned to the non-dominated ones.
+    """
+    return _subw_program(h, bagsets, max_vertices)[0]
 
 
 def submodular_width_checked(h: Hypergraph) -> float:

@@ -152,6 +152,53 @@ def all_elimination_bagsets(
     return sorted(seen, key=lambda s: (len(s), sorted(map(_bag_key, s))))
 
 
+class _EliminationSpace:
+    """The vertices of ``h`` as bits and its primal graph as masks: what
+    the elimination-order DPs over remaining-vertex sets share."""
+
+    def __init__(self, h: Hypergraph):
+        self.vertices: list[Vertex] = list(h.vertices)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.n = len(self.vertices)
+        self.full = (1 << self.n) - 1
+        primal = h.primal_graph()
+        self.adjacency = [
+            self.mask_of(primal.neighbors(v)) for v in self.vertices
+        ]
+
+    def mask_of(self, vertices: Iterable[Vertex]) -> int:
+        mask = 0
+        for v in vertices:
+            mask |= 1 << self.index[v]
+        return mask
+
+    def bag_of(self, mask: int) -> frozenset[Vertex]:
+        return frozenset(
+            v for i, v in enumerate(self.vertices) if mask & (1 << i)
+        )
+
+    def bag_mask(self, remaining: int, v: int) -> int:
+        """``{v} ∪ Q(S, v)``: the vertices of ``remaining`` adjacent to
+        ``v`` directly or through eliminated (non-remaining) vertices —
+        the bag eliminating ``v`` from ``remaining`` creates."""
+        eliminated = self.full & ~remaining
+        seen = 1 << v
+        frontier = self.adjacency[v]
+        bag = 1 << v
+        while frontier:
+            w = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            bit = 1 << w
+            if seen & bit:
+                continue
+            seen |= bit
+            if remaining & bit:
+                bag |= bit
+            elif eliminated & bit:
+                frontier |= self.adjacency[w] & ~seen
+        return bag
+
+
 def candidate_bagsets(
     h: Hypergraph, max_vertices: int = 16
 ) -> list[frozenset[Bag]]:
@@ -166,38 +213,14 @@ def candidate_bagsets(
     dominated bag sets never attain the inner minimum of a monotone
     cost).
     """
-    vertices = list(h.vertices)
-    n = len(vertices)
+    n = h.num_vertices
     if n == 0:
         return [frozenset()]
     if n > max_vertices:
         raise ValueError(
             f"candidate_bagsets limited to {max_vertices} vertices; got {n}"
         )
-    index = {v: i for i, v in enumerate(vertices)}
-    primal = h.primal_graph()
-    adjacency = [
-        sum(1 << index[u] for u in primal.neighbors(v)) for v in vertices
-    ]
-    full = (1 << n) - 1
-
-    def bag_mask(remaining: int, v: int) -> int:
-        eliminated = full & ~remaining
-        seen_mask = 1 << v
-        frontier = adjacency[v]
-        bag = 1 << v
-        while frontier:
-            w = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            bit = 1 << w
-            if seen_mask & bit:
-                continue
-            seen_mask |= bit
-            if remaining & bit:
-                bag |= bit
-            elif eliminated & bit:
-                frontier |= adjacency[w] & ~seen_mask
-        return bag
+    space = _EliminationSpace(h)
 
     def prune(bagsets: set[frozenset[int]]) -> set[frozenset[int]]:
         ordered = sorted(bagsets, key=lambda s: (len(s), sorted(s)))
@@ -222,7 +245,7 @@ def candidate_bagsets(
         while r:
             v = (r & -r).bit_length() - 1
             r &= r - 1
-            bag = bag_mask(remaining, v)
+            bag = space.bag_mask(remaining, v)
             for rest in solve(remaining & ~(1 << v)):
                 merged = {b for b in rest if b & ~bag != 0 or b == bag}
                 if not any(bag & ~b == 0 for b in merged):
@@ -232,15 +255,11 @@ def candidate_bagsets(
         memo[remaining] = results
         return results
 
-    final = solve(full)
-    out: list[frozenset[Bag]] = []
-    for bagset in sorted(final, key=lambda s: (len(s), sorted(s))):
-        bags = frozenset(
-            frozenset(vertices[i] for i in range(n) if mask & (1 << i))
-            for mask in bagset
-        )
-        out.append(bags)
-    return out
+    final = solve(space.full)
+    return [
+        frozenset(map(space.bag_of, bagset))
+        for bagset in sorted(final, key=lambda s: (len(s), sorted(s)))
+    ]
 
 
 def non_dominated_bagsets(

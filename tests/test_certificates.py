@@ -2,11 +2,14 @@
 
 import math
 
+import pytest
+
 from repro.hypergraph import Hypergraph
 from repro.queries import catalog
 from repro.widths import (
     FhtwCertificate,
     fhtw_certificate,
+    submodular_width,
     subw_lower_certificate,
 )
 
@@ -102,3 +105,25 @@ class TestCatalogCertificates:
         upper = fhtw_certificate(h)
         assert lower.verify() and upper.verify()
         assert lower.value <= upper.value + 1e-6
+
+
+class TestAcyclicSubw:
+    """An α-acyclic input has subw 1 and builds no MILP; its certificate
+    is ``h(S) = [v ∈ S]`` for one vertex ``v``.  HiGHS presolve failed on
+    each of these with "Solve error"."""
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            H(R="AB", S="BC", T="CD"),
+            H(R="AB", S="BC", T="CD", U="DE"),
+            H(R="AB", S="AC", T="AD"),
+            H(R="AB", S="AC", T="AD", U="AE"),
+        ],
+        ids=["path3", "path4", "star3", "star4"],
+    )
+    def test_paths_and_stars(self, h):
+        assert submodular_width(h) == 1.0
+        cert = subw_lower_certificate(h)
+        assert cert.value == 1.0
+        assert cert.verify()

@@ -109,7 +109,8 @@ class TestWorkflow:
         ]
         assert len(fuzz_steps) == 1
         assert "REPRO_FUZZ_SEED" in fuzz_steps[0].get("env", {})
-        # the explicit file list: the cache fuzz, the array-native
+        # the explicit file list: the cache fuzz, the EJ kernel
+        # differentials (on the cache fuzz's scenarios), the array-native
         # delta-patch differentials, the columnar bag-kernel
         # differentials, the point-only / wide-key / big-count
         # regressions, the column-encoding differential, the delta-
@@ -128,6 +129,7 @@ class TestWorkflow:
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
             "tests/test_differential_cache.py",
+            "tests/test_columnar_eval.py",
             "tests/test_delta_maintenance.py",
             "tests/test_columnar_bags.py",
             "tests/test_one_engine.py",

@@ -5,10 +5,8 @@ import random
 from repro.intervals import (
     Interval,
     collect_endpoints,
-    distinct_left_epsilon,
     make_left_endpoints_distinct,
     rank_space,
-    shift_for_distinct_left,
 )
 
 
@@ -65,15 +63,22 @@ class TestDistinctLeftShift:
                                 shifted[j][b]
                             ), (seed, i, j, x, y)
 
-    def test_epsilon_positive(self):
-        cols = random_columns(0)
-        assert distinct_left_epsilon(cols) > 0
-
-    def test_epsilon_with_identical_endpoints(self):
+    def test_identical_endpoints(self):
         cols = [[Interval(1, 1)], [Interval(1, 1)]]
-        eps = distinct_left_epsilon(cols)
-        assert eps > 0
-        a = shift_for_distinct_left(cols[0][0], 0, 2, eps)
-        b = shift_for_distinct_left(cols[1][0], 1, 2, eps)
+        (a,), (b,) = make_left_endpoints_distinct(cols)
         assert a.left != b.left
         assert a.intersects(b)  # identical intervals still intersect
+
+    def test_exact_past_two_to_the_53(self):
+        """A float epsilon rounds away at ``2**53``: the first two
+        relations kept one left endpoint.  Ranks keep them apart."""
+        big = 2**53
+        cols = [
+            [Interval(big, big + 4)],
+            [Interval(big, big + 8)],
+            [Interval(big + 2, big + 6)],
+        ]
+        shifted = make_left_endpoints_distinct(cols)
+        assert len({col[0].left for col in shifted}) == 3
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert shifted[i][0].intersects(shifted[j][0])

@@ -22,8 +22,9 @@ Five layers under test:
   the typed ``bad_query`` error for malformed query text on every
   surface.
 
-CI runs this module across a seed matrix: ``REPRO_FUZZ_SEED`` shifts
-every generated scenario into a fresh region of the seed space.
+CI runs this module once, at the default seed 0, in the sql-smoke step;
+setting ``REPRO_FUZZ_SEED`` shifts every generated scenario into a fresh
+region of the seed space.
 """
 
 import asyncio

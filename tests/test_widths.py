@@ -198,11 +198,15 @@ class TestSubw:
             assert submodular_width(h) <= fractional_hypertree_width(h) + 1e-5
 
     def test_guard(self):
-        big = Hypergraph(
-            {"e": [f"v{i}" for i in range(12)], "f": [f"v{i}" for i in range(12)]}
-        )
+        """The MILP has ``2^n`` columns: a cyclic 12-vertex input is
+        refused.  (An α-acyclic one builds no MILP: its subw is 1.)"""
+        big = catalog.cycle_ej(12).hypergraph()
         with pytest.raises(ValueError):
             submodular_width(big)
+        acyclic = Hypergraph(
+            {"e": [f"v{i}" for i in range(12)], "f": [f"v{i}" for i in range(12)]}
+        )
+        assert submodular_width(acyclic) == 1.0
 
 
 class TestIjWidth:
