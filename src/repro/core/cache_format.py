@@ -46,10 +46,12 @@ shares one set of disjunct objects and decodes none.  **Checked**: the
 relations must be the derived variants by name and in order, each
 matrix as wide as its derived schema, else the frame is invalid.
 
-Attribute values use the service wire codec
-(:mod:`repro.service.protocol`), so intervals and nested tuples survive
-without pickle.  The heavy half — each relation's ``uint32`` matrix and
-``int64`` refcount array — lives in the blob section.  Loading opens
+Attribute values use the tagged-JSON value codec of
+:mod:`repro.engine.io` (the wire's and database files' too), so
+intervals and nested tuples survive without pickle, ±inf included; a
+value the codec refuses (NaN) skips the store, so every frame written
+is one a load reads back.  The heavy half — each relation's ``uint32``
+matrix and ``int64`` refcount array — lives in the blob section.  Loading opens
 the file as one ``np.memmap`` and hands out array *views* into it: a
 warm worker maps a cached reduction zero-copy and rebuilds nothing per
 tree node or per part.  A load decodes eagerly what every read needs:
@@ -74,7 +76,7 @@ through ``apply_delta``::
     parent           the entry key of the artifact the deltas apply to
     depth            delta frames from here down to a full frame (>= 1)
     deltas           [[relation, "insert" | "delete", tuple], ...] in
-                     application order, tuples in the wire codec
+                     application order, tuples in the value codec
 
 Integrity: the digest is verified over the mapped bytes before any
 field is trusted, so truncated, bit-flipped or version-skewed frames
@@ -110,6 +112,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ..engine.io import CodecError, decode_value, encode_value
 from ..engine.relation import Database, Delta, Relation
 from ..intervals.segment_tree import SegmentTree
 from ..reduction.columnar import (
@@ -128,16 +131,6 @@ from ..reduction.forward import (
 )
 from .disjunct_eval import evaluation_order
 
-
-def _wire():
-    """The service wire codec (tagged-JSON attribute values: Interval ↔
-    ``{"interval": [l, r]}`` and so on).  Imported lazily because the
-    module-scope import would close the package-initialization cycle
-    ``core.reduction_cache → cache_format → service → service.pool →
-    core.reduction_cache``."""
-    from ..service import protocol
-
-    return protocol
 
 __all__ = [
     "MAGIC",
@@ -259,14 +252,10 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
     write).  Raises :class:`CacheFormatError` for artifacts the layout
     cannot express — callers skip the store (the cache is best-effort).
     """
-    wire = _wire()
-    encode_value = wire.encode_value
     blobs = _BlobWriter()
     try:
+        # a loaded payload that does not decode raises DomainChanged
         tuple_order, ranks = result.tuple_order, result.ranks
-    except DomainChanged as exc:  # a loaded payload that does not decode
-        raise CacheFormatError(str(exc)) from exc
-    try:
         relations = [
             _relation_entry(
                 relation,
@@ -285,21 +274,18 @@ def serialize_result(result: ForwardReductionResult, version: int) -> bytes:
                 name: list(tree.endpoints)
                 for name, tree in result.segment_trees.items()
             },
+            # ``None`` (a row with no provenance) passes through the codec
             "tuple_order": {
-                label: [
-                    None if t is None else encode_value(t) for t in order
-                ]
+                label: list(map(encode_value, order))
                 for label, order in tuple_order.items()
             },
-            "codebook": [encode_value(v) for v in result.codebook.values],
-            "ranks": None
-            if ranks is None
-            else [encode_value(p) for p in ranks],
+            "codebook": list(map(encode_value, result.codebook.values)),
+            "ranks": None if ranks is None else list(map(encode_value, ranks)),
             "disjunct_order": list(evaluation_order(result)),
             "relations": relations,
             "blobs": blobs.descriptors,
         }
-    except wire.ProtocolError as exc:
+    except (CodecError, DomainChanged) as exc:
         raise CacheFormatError(str(exc)) from exc
     return _frame(meta, blobs.chunks)
 
@@ -309,12 +295,9 @@ def serialize_delta(
 ) -> bytes:
     """A delta frame: the entry is ``parent``'s artifact with ``deltas``
     (tuple-level, in application order) replayed on it."""
-    wire = _wire()
     try:
-        entries = [
-            [d.relation, d.kind, wire.encode_value(d.tuple)] for d in deltas
-        ]
-    except wire.ProtocolError as exc:
+        entries = [[d.relation, d.kind, encode_value(d.tuple)] for d in deltas]
+    except CodecError as exc:
         raise CacheFormatError(str(exc)) from exc
     meta = {
         "format_version": int(version),
@@ -384,12 +367,12 @@ def _blob_view(
     return view.view(dtype).reshape(shape)
 
 
-def _decode_delta(meta: dict, wire) -> DeltaFrame:
+def _decode_delta(meta: dict) -> DeltaFrame:
     """The delta frame ``meta`` describes, every field checked; raises
     what :func:`deserialize_result` absorbs."""
     parent, depth = meta["parent"], meta["depth"]
     deltas = tuple(
-        Delta(0, kind, relation, wire.decode_value(payload))
+        Delta(0, kind, relation, decode_value(payload))
         for relation, kind, payload in meta["deltas"]
     )
     if (
@@ -410,14 +393,10 @@ def _decode_delta(meta: dict, wire) -> DeltaFrame:
 
 def _decode_order(orders: dict, arity: dict[str, int]) -> dict:
     """A frame's ``tuple_order``, each entry ``None`` or a tuple of its
-    atom's ``arity`` — else ``DomainChanged`` (a ``ProtocolError`` is a
+    atom's ``arity`` — else ``DomainChanged`` (a ``CodecError`` is a
     ``ValueError``)."""
-    decode = _wire().decode_value
     try:
-        decoded = {
-            label: [None if t is None else decode(t) for t in rows]
-            for label, rows in orders.items()
-        }
+        decoded = {label: list(map(decode_value, rows)) for label, rows in orders.items()}
         if decoded.keys() == arity.keys() and all(
             t is None or (type(t) is tuple and len(t) == arity[label])
             for label, rows in decoded.items()
@@ -432,7 +411,7 @@ def _decode_order(orders: dict, arity: dict[str, int]) -> dict:
 def _decode_ranks(payload: list) -> tuple:
     """A frame's rank table: strictly increasing, else ``DomainChanged``."""
     try:
-        ranks = tuple(map(_wire().decode_value, payload))
+        ranks = tuple(map(decode_value, payload))
         if all(a < b for a, b in zip(ranks, ranks[1:])):
             return ranks
     except (TypeError, ValueError):
@@ -457,14 +436,12 @@ def deserialize_result(
     if parsed is None:
         return None
     meta, blob_base = parsed
-    wire = _wire()
-    decode_value = wire.decode_value
     try:
         kind = meta.get("kind")
         if kind is not None:  # full frames declare none
             if kind != "delta":
                 raise CacheFormatError(f"unknown frame kind {kind!r}")
-            return _decode_delta(meta, wire)
+            return _decode_delta(meta)
         (name, atoms), flags = meta["query"], (meta["disjoint"], meta["provenance"])
         if type(name) is not str or {type(flag) for flag in flags} != {bool}:
             raise CacheFormatError("malformed query or flags")
@@ -532,14 +509,7 @@ def deserialize_result(
             disjoint=flags[0],
             provenance=flags[1],
         )
-    except (
-        CacheFormatError,
-        wire.ProtocolError,
-        KeyError,
-        IndexError,
-        TypeError,
-        ValueError,
-    ):
+    except (KeyError, IndexError, TypeError, ValueError):
         return None
 
 

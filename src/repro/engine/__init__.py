@@ -17,13 +17,7 @@ from .columnar_eval import (
     generic_join_relation,
 )
 from .decomposition import bag_atoms_and_tree
-from .io import (
-    load_database_json,
-    load_relation_csv,
-    save_database_json,
-    save_relation_csv,
-    validate_database,
-)
+from .io import load_database_json, save_database_json, validate_database
 from .ej import (
     count_ej,
     evaluate_ej,
@@ -47,9 +41,7 @@ __all__ = [
     "columnar_yannakakis_full",
     "bag_atoms_and_tree",
     "load_database_json",
-    "load_relation_csv",
     "save_database_json",
-    "save_relation_csv",
     "validate_database",
     "count_ej",
     "evaluate_ej",

@@ -1,145 +1,164 @@
-"""Database serialisation: CSV and JSON interval tables.
+"""The one tagged-JSON value codec, and databases as JSON files.
 
-Interval columns are written as ``lo..hi`` strings in CSV and as
-``[lo, hi]`` pairs in JSON; point columns pass through.  The loaders
-validate against a query's schema so downstream errors surface at load
-time with readable messages.
+The service wire, the reduction cache and database files all write
+attribute values with this codec::
+
+    value                    JSON
+    Interval(l, r)           {"interval": [l, r]}  (l, r: int | float, l <= r)
+    nested tuple (a, b)      {"tuple": [a', b']}
+    None/bool/int/float/str  itself
+
+Encode and decode accept the same values.  NaN is refused, ±inf kept
+(``json`` writes it as ``Infinity``).  Endpoints are never cast: an
+``int`` past 2**53 stays exact, so distinct endpoints never merge.
+Anything else is a :class:`CodecError`.  A database is relation name →
+``{"schema": [...], "tuples": [[value, ...], ...]}``; the file functions
+write and read that object, checked against a query's schema when one
+is given.  The wire adds its own rule on top (finite numbers only,
+:mod:`repro.service.protocol`).
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Sequence
 
 from ..intervals.interval import Interval
 from ..queries.query import Query
 from .relation import Database, Relation
 
-INTERVAL_SEPARATOR = ".."
+
+class CodecError(ValueError):
+    """A value, tuple or database the codec cannot write or read."""
 
 
-def format_value(value) -> str:
+def is_finite_number(value: Any) -> bool:
+    """A finite ``int`` or ``float``.  ``bool`` is an ``int`` to Python
+    but not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _is_scalar(value: Any) -> bool:
+    # a JSON scalar that passes through untagged; NaN stops here
+    if isinstance(value, float) and value != value:
+        raise CodecError("NaN is refused: it equals nothing, itself included")
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+def _is_endpoint(value: Any) -> bool:
+    # an int or float, not a bool, not NaN (NaN != NaN)
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and value == value
+
+
+def encode_value(value: Any) -> Any:
+    """One attribute value as a JSON-safe object (tagged for intervals
+    and nested tuples)."""
     if isinstance(value, Interval):
-        return f"{value.left}{INTERVAL_SEPARATOR}{value.right}"
-    return str(value)
+        if _is_endpoint(value.left) and _is_endpoint(value.right):
+            return {"interval": [value.left, value.right]}
+    elif isinstance(value, tuple):
+        return {"tuple": [encode_value(v) for v in value]}
+    elif _is_scalar(value):
+        return value
+    raise CodecError(f"value {value!r} has no encoding")
 
 
-def parse_value(text: str, is_interval: bool):
-    if not is_interval:
-        try:
-            return int(text)
-        except ValueError:
-            try:
-                return float(text)
-            except ValueError:
-                return text
-    if INTERVAL_SEPARATOR in text:
-        lo_text, hi_text = text.split(INTERVAL_SEPARATOR, 1)
-        return Interval(float(lo_text), float(hi_text))
-    # a bare number is a point interval (membership-join convention)
-    return Interval.point(float(text))
-
-
-def save_relation_csv(relation: Relation, path: str | Path) -> None:
-    """Write one relation as a CSV file with a header row."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(relation.schema)
-        for t in sorted(relation.tuples, key=repr):
-            writer.writerow([format_value(v) for v in t])
-
-
-def load_relation_csv(
-    path: str | Path,
-    name: str,
-    interval_columns: Iterable[str] = (),
-) -> Relation:
-    """Read a relation from CSV; named columns parse as intervals."""
-    interval_set = set(interval_columns)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{line_no}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            rows.append(
-                tuple(
-                    parse_value(text, column in interval_set)
-                    for column, text in zip(header, row)
-                )
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`, validating as it goes."""
+    if isinstance(value, dict):
+        if set(value) == {"interval"}:
+            ends = value["interval"]
+            if (
+                isinstance(ends, list)
+                and len(ends) == 2
+                and _is_endpoint(ends[0])
+                and _is_endpoint(ends[1])
+                and ends[0] <= ends[1]
+            ):
+                return Interval(ends[0], ends[1])
+            raise CodecError(
+                f"an interval is two numbers [left, right], not NaN, with "
+                f"left <= right, got {ends!r}"
             )
-    return Relation(name, header, rows)
+        if set(value) == {"tuple"}:
+            return decode_tuple(value["tuple"])
+        raise CodecError(f"unknown tagged value {value!r}")
+    if _is_scalar(value):
+        return value
+    raise CodecError(f"cannot decode value {value!r}")
+
+
+def encode_tuple(t: Sequence[Any]) -> list:
+    """A database tuple as a JSON array of encoded values."""
+    return [encode_value(v) for v in t]
+
+
+def decode_tuple(values: Any) -> tuple:
+    if not isinstance(values, list):
+        raise CodecError(f"tuple payload must be a list, got {values!r}")
+    return tuple(decode_value(v) for v in values)
+
+
+def encode_database(db: Database) -> dict:
+    """A whole database as a JSON-safe snapshot: relation name →
+    ``{"schema": [...], "tuples": [[tagged values], ...]}``."""
+    return {
+        relation.name: {
+            "schema": list(relation.schema),
+            "tuples": [encode_tuple(t) for t in relation.tuples],
+        }
+        for relation in db
+    }
+
+
+def decode_database(payload: Any) -> Database:
+    """Inverse of :func:`encode_database`."""
+    if not isinstance(payload, dict):
+        raise CodecError(f"database payload must be an object, got {payload!r}")
+    db = Database()
+    for name, body in payload.items():
+        if not isinstance(body, dict) or set(body) != {"schema", "tuples"}:
+            raise CodecError(
+                f"relation {name!r} must carry exactly 'schema' and 'tuples'"
+            )
+        schema = body["schema"]
+        if not isinstance(schema, list) or not all(
+            isinstance(a, str) for a in schema
+        ):
+            raise CodecError(f"relation {name!r} schema must be a list of names")
+        tuples = body["tuples"]
+        if not isinstance(tuples, list):
+            raise CodecError(f"relation {name!r} tuples must be a list")
+        try:
+            db.add(Relation(name, schema, [decode_tuple(t) for t in tuples]))
+        except ValueError as error:
+            raise CodecError(f"relation {name!r}: {error}") from error
+    return db
 
 
 def save_database_json(db: Database, path: str | Path) -> None:
-    """Write a whole database as one JSON document."""
-    payload = {}
-    for relation in db:
-        payload[relation.name] = {
-            "schema": list(relation.schema),
-            "tuples": [
-                [
-                    [v.left, v.right] if isinstance(v, Interval) else v
-                    for v in t
-                ]
-                for t in sorted(relation.tuples, key=repr)
-            ],
-        }
+    """Write a whole database as one JSON document (the codec's
+    snapshot), its tuples sorted so that the file does not depend on
+    set order."""
+    payload = encode_database(db)
+    for body in payload.values():
+        body["tuples"].sort(key=json.dumps)
     Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def load_database_json(
-    path: str | Path, query: Query | None = None
-) -> Database:
-    """Read a database from JSON; two-element lists in columns bound to
-    interval variables (per ``query``) become intervals.
-
-    Without a query, every two-element list of numbers is treated as an
-    interval.
-    """
-    payload = json.loads(Path(path).read_text())
-    interval_columns: dict[str, set[str]] = {}
+def load_database_json(path: str | Path, query: Query | None = None) -> Database:
+    """Read a database written by :func:`save_database_json`; with a
+    ``query``, a database :func:`validate_database` finds fault with is
+    a ``ValueError`` naming every problem."""
+    db = decode_database(json.loads(Path(path).read_text()))
     if query is not None:
-        for atom in query.atoms:
-            cols = interval_columns.setdefault(atom.relation, set())
-            for v in atom.variables:
-                if v.is_interval:
-                    cols.add(v.name)
-    db = Database()
-    for name, spec in payload.items():
-        schema = spec["schema"]
-        wanted = interval_columns.get(name)
-        rows = []
-        for raw in spec["tuples"]:
-            row = []
-            for column, value in zip(schema, raw):
-                is_pair = (
-                    isinstance(value, list)
-                    and len(value) == 2
-                    and all(isinstance(x, (int, float)) for x in value)
-                )
-                treat_as_interval = (
-                    is_pair if wanted is None else column in wanted
-                )
-                if treat_as_interval:
-                    if not is_pair:
-                        raise ValueError(
-                            f"{name}.{column}: expected [lo, hi], got "
-                            f"{value!r}"
-                        )
-                    row.append(Interval(float(value[0]), float(value[1])))
-                else:
-                    row.append(
-                        tuple(value) if isinstance(value, list) else value
-                    )
-            rows.append(tuple(row))
-        db.add(Relation(name, schema, rows))
+        problems = validate_database(query, db)
+        if problems:
+            raise ValueError(f"{path}: " + "; ".join(problems))
     return db
 
 
@@ -162,21 +181,17 @@ def validate_database(query: Query, db: Database) -> list[str]:
                 f"{atom.label} has {len(atom.variables)} variables"
             )
             continue
-        for t in relation.tuples:
-            for v, value in zip(atom.variables, t):
-                if v.is_interval and not isinstance(value, Interval):
-                    problems.append(
-                        f"{atom.relation}.{v.name}: non-interval value "
-                        f"{value!r} under interval variable"
-                    )
-                    break
-                if not v.is_interval and isinstance(value, Interval):
-                    problems.append(
-                        f"{atom.relation}.{v.name}: interval value "
-                        f"{value!r} under point variable"
-                    )
-                    break
+        # the first value of the wrong kind, if any: one problem per atom
+        for v, value in (
+            (v, value)
+            for t in relation.tuples
+            for v, value in zip(atom.variables, t)
+            if v.is_interval != isinstance(value, Interval)
+        ):
+            if v.is_interval:
+                problem = f"non-interval value {value!r} under interval variable"
             else:
-                continue
+                problem = f"interval value {value!r} under point variable"
+            problems.append(f"{atom.relation}.{v.name}: {problem}")
             break
     return problems

@@ -141,7 +141,7 @@ class Hypergraph:
             for label, e in self._edges.items()
         }
         new_edges = {label: e for label, e in new_edges.items() if e}
-        return Hypergraph(new_edges)
+        return Hypergraph(new_edges, vertices=[v for v in self._vertices if v in keep])
 
     def restrict(self, subset: Iterable[Vertex]) -> "Hypergraph":
         """Sub-hypergraph induced on the given vertex subset (edges are

@@ -56,12 +56,15 @@ def one_step_hypergraphs(
     """All hypergraphs from resolving ``variable`` (the set ``H̃_[X]``),
     each paired with its edge-position map."""
     containing = list(h.edges_containing(variable))
+    # ``h``'s vertex order, the parts taking ``variable``'s place: the
+    # edges are frozensets, and their order would follow str hashing
+    parts = [part_vertex(variable, j) for j in range(1, len(containing) + 1)]
+    order = [w for v in h.vertices for w in (parts if v == variable else [v])]
     results: list[tuple[Hypergraph, dict[str, int]]] = []
     for sigma in permutations(containing):
         positions = {label: i + 1 for i, label in enumerate(sigma)}
-        results.append(
-            (Hypergraph(transform_edges(h.edges, variable, positions)), positions)
-        )
+        edges = transform_edges(h.edges, variable, positions)
+        results.append((Hypergraph(edges, order), positions))
     return results
 
 

@@ -1,7 +1,7 @@
 """Query model: variables, atoms, conjunctive queries, parser, catalog."""
 
 from .query import Atom, Query, Variable, ivar, make_query, pvar
-from .parser import parse_query
+from .parser import parse_query, query_text
 from . import catalog
 
 __all__ = [
@@ -12,5 +12,6 @@ __all__ = [
     "make_query",
     "pvar",
     "parse_query",
+    "query_text",
     "catalog",
 ]

@@ -43,6 +43,19 @@ def parse_query(text: str, name: str = "Q") -> Query:
     return make_query(atoms, name=name)
 
 
+def query_text(query: Query) -> str:
+    """``query`` in the :func:`parse_query` syntax.
+
+    Serializes by *relation name* (not atom label), so self-join atoms
+    re-acquire their ``R``/``R#2`` labels deterministically on the far
+    side and the round-tripped query is isomorphic to the original.
+    """
+    return " ∧ ".join(
+        f"{atom.relation}({', '.join(repr(v) for v in atom.variables)})"
+        for atom in query.atoms
+    )
+
+
 def _split_atoms(text: str) -> list[str]:
     parts: list[str] = []
     depth = 0

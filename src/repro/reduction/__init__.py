@@ -13,7 +13,6 @@ from .backward import (
     bitstring_encode_database,
 )
 from .disjoint import shift_distinct_left
-from .one_step import OneStepResult, iterate_one_step, one_step_forward
 
 __all__ = [
     "DomainChanged",
@@ -25,7 +24,4 @@ __all__ = [
     "backward_reduce",
     "bitstring_encode_database",
     "shift_distinct_left",
-    "OneStepResult",
-    "iterate_one_step",
-    "one_step_forward",
 ]

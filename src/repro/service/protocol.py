@@ -76,18 +76,18 @@ failure.  Error codes are *typed* so clients can react mechanically:
 ``internal``
     the worker raised; ``error.message`` carries the repr.
 
-Tuple values cross the wire with a tagged encoding so interval endpoints
-survive JSON: an :class:`~repro.intervals.Interval` becomes
-``{"interval": [left, right]}``, a nested tuple ``{"tuple": [...]}``,
-and plain JSON scalars pass through unchanged.  Values are validated
-where they are decoded, because a decoded value is applied to every
-replica: an interval must carry exactly two endpoints, each an ``int``
-or ``float`` (not a ``bool``), finite, with ``left <= right``, and a
-scalar ``float`` must be finite (``json.loads`` reads ``NaN`` and
-``Infinity``) — anything else is a :class:`ProtocolError`, hence a
-``bad_request`` with nothing applied.  ``deadline_ms`` is a finite
-``int`` or ``float`` (negative values clamp to 0, ``null`` means no
-deadline).
+Tuple values cross the wire in the tagged-JSON codec of
+:mod:`repro.engine.io`, the one the reduction cache and database files
+use: an :class:`~repro.intervals.Interval` becomes ``{"interval":
+[left, right]}``, a nested tuple ``{"tuple": [...]}``, and plain JSON
+scalars pass through unchanged.  The codec refuses NaN and keeps ±inf;
+the wire adds its own rule where a request's values are decoded
+(``decode_value`` / ``decode_tuple`` / ``decode_database`` here),
+because a decoded value is applied to every replica: every number must
+be finite.  A value the codec refuses or the wire does not admit is a
+:class:`ProtocolError`, hence a ``bad_request`` with nothing applied.
+``deadline_ms`` is a finite ``int`` or ``float`` (negative values clamp
+to 0, ``null`` means no deadline).
 """
 
 from __future__ import annotations
@@ -95,14 +95,22 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
+from ..engine import io as codec
+from ..engine.io import (
+    CodecError,
+    encode_database,
+    encode_tuple,
+    encode_value as encode_value,
+    is_finite_number,
+)
+from ..engine.relation import Database
 from ..hypergraph.isomorphism import SHAPE_MEMO_SIZE
 from ..intervals.interval import Interval
-from ..queries.parser import parse_query
+from ..queries.parser import parse_query, query_text
 from ..queries.query import Query
 
 ERROR_OVERLOADED = "overloaded"
@@ -119,8 +127,9 @@ ERROR_INTERNAL = "internal"
 MUTATION_KINDS = ("insert", "delete")
 
 
-class ProtocolError(ValueError):
-    """A malformed request or value encoding."""
+#: A malformed request or value encoding: the codec's own error, so a
+#: value that does not decode is a ``bad_request`` like any other field.
+ProtocolError = CodecError
 
 
 class BadQueryError(ProtocolError):
@@ -131,109 +140,40 @@ class BadQueryError(ProtocolError):
 
 
 # ----------------------------------------------------------------------
-# value encoding
+# values: the codec's, under the wire's own admission rule
 # ----------------------------------------------------------------------
 
 
-def encode_value(value: Any) -> Any:
-    """One attribute value as a JSON-safe object (tagged for intervals
-    and nested tuples)."""
-    if isinstance(value, Interval):
-        return {"interval": [value.left, value.right]}
+def _admit(value: Any) -> Any:
+    """``value`` if every number in it is finite, else a
+    :class:`ProtocolError`: what a request decodes to is applied to
+    every replica, and the wire admits finite data only."""
     if isinstance(value, tuple):
-        return {"tuple": [encode_value(v) for v in value]}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise ProtocolError(f"value {value!r} has no wire encoding")
-
-
-def is_finite_number(value: Any) -> bool:
-    """A finite ``int`` or ``float`` — what an endpoint or a deadline
-    may be.  ``bool`` is an ``int`` to Python but not to the wire."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
+        for member in value:
+            _admit(member)
+    elif isinstance(value, Interval):
+        _admit(value.left)
+        _admit(value.right)
+    elif isinstance(value, float) and not is_finite_number(value):
+        raise ProtocolError(f"a number on the wire must be finite, got {value!r}")
+    return value
 
 
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`, validating as it goes: what
-    this returns is applied to every replica, so an endpoint that is
-    not a finite number (or an inverted pair) stops here."""
-    if isinstance(value, dict):
-        if set(value) == {"interval"}:
-            ends = value["interval"]
-            if (
-                not isinstance(ends, list)
-                or len(ends) != 2
-                or not all(is_finite_number(end) for end in ends)
-                or ends[0] > ends[1]
-            ):
-                raise ProtocolError(
-                    f"an interval is two finite numbers [left, right] "
-                    f"with left <= right, got {ends!r}"
-                )
-            return Interval(ends[0], ends[1])
-        if set(value) == {"tuple"}:
-            return decode_tuple(value["tuple"])
-        raise ProtocolError(f"unknown tagged value {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ProtocolError(f"a number must be finite, got {value!r}")
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise ProtocolError(f"cannot decode value {value!r}")
-
-
-def encode_tuple(t: Sequence[Any]) -> list:
-    """A database tuple as a JSON array of encoded values."""
-    return [encode_value(v) for v in t]
+    """:func:`repro.engine.io.decode_value`, finite numbers only."""
+    return _admit(codec.decode_value(value))
 
 
 def decode_tuple(values: Any) -> tuple:
-    if not isinstance(values, list):
-        raise ProtocolError(f"tuple payload must be a list, got {values!r}")
-    return tuple(decode_value(v) for v in values)
+    """:func:`repro.engine.io.decode_tuple`, finite numbers only."""
+    return _admit(codec.decode_tuple(values))
 
 
-def encode_database(db: Any) -> dict:
-    """A whole database as a JSON-safe snapshot: relation name →
-    ``{"schema": [...], "tuples": [[tagged values], ...]}``.  Used by
-    ``attach_tenant``/``reload`` to ship a tenant's database to the
-    router in one frame."""
-    return {
-        relation.name: {
-            "schema": list(relation.schema),
-            "tuples": [encode_tuple(t) for t in relation.tuples],
-        }
-        for relation in db
-    }
-
-
-def decode_database(payload: Any) -> "Database":
-    """Inverse of :func:`encode_database`."""
-    from ..engine.relation import Database, Relation
-
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"database payload must be an object, got {payload!r}"
-        )
-    db = Database()
-    for name, body in payload.items():
-        if not isinstance(body, dict) or set(body) != {"schema", "tuples"}:
-            raise ProtocolError(
-                f"relation {name!r} must carry exactly 'schema' and 'tuples'"
-            )
-        schema = body["schema"]
-        if not isinstance(schema, list) or not all(
-            isinstance(a, str) for a in schema
-        ):
-            raise ProtocolError(f"relation {name!r} schema must be a list of names")
-        tuples = body["tuples"]
-        if not isinstance(tuples, list):
-            raise ProtocolError(f"relation {name!r} tuples must be a list")
-        try:
-            db.add(Relation(name, schema, [decode_tuple(t) for t in tuples]))
-        except ValueError as error:
-            raise ProtocolError(f"relation {name!r}: {error}") from error
+def decode_database(payload: Any) -> Database:
+    """:func:`repro.engine.io.decode_database`, finite numbers only."""
+    db = codec.decode_database(payload)
+    for relation in db:
+        _admit(tuple(relation.tuples))
     return db
 
 
@@ -278,19 +218,6 @@ def decode_cache_entry(payload: Any) -> tuple[str, bytes]:
             f"(digest mismatch)"
         )
     return key, raw
-
-
-def query_text(query: Query) -> str:
-    """``query`` in the :func:`~repro.queries.parser.parse_query` syntax.
-
-    Serializes by *relation name* (not atom label), so self-join atoms
-    re-acquire their ``R``/``R#2`` labels deterministically on the far
-    side and the round-tripped query is isomorphic to the original.
-    """
-    return " ∧ ".join(
-        f"{atom.relation}({', '.join(repr(v) for v in atom.variables)})"
-        for atom in query.atoms
-    )
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ speak queries as text instead of Python ASTs:
 """
 
 from .ast import HEAD_COUNT, HEAD_EXISTS, Program, SelectStmt
-from .cost import DisjunctPlan, explain_program, lowered_text, plan_disjunct, render_explain
+from .cost import DisjunctPlan, explain_program, plan_disjunct, render_explain
 from .errors import SqlError
 from .exec import naive_program, run_disjunct, run_program
 from .parser import parse_sql
@@ -42,7 +42,6 @@ __all__ = [
     "SelectStmt",
     "DisjunctPlan",
     "explain_program",
-    "lowered_text",
     "plan_disjunct",
     "render_explain",
     "SqlError",

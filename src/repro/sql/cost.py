@@ -58,7 +58,7 @@ from repro.engine.statistics import (
 )
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.isomorphism import SHAPE_MEMO_SIZE
-from repro.queries import Query
+from repro.queries import Query, query_text
 from repro.widths import ij_width_report
 
 from .ast import HEAD_COUNT, HEAD_EXISTS
@@ -214,14 +214,6 @@ class DisjunctPlan:
         )
 
 
-def lowered_text(query: Query) -> str:
-    """Render a lowered query in the engine's conjunction syntax."""
-    return " ∧ ".join(
-        f"{atom.relation}({', '.join(repr(v) for v in atom.variables)})"
-        for atom in query.atoms
-    )
-
-
 def _filter_selectivity(
     disjunct: CompiledDisjunct,
     alias: str,
@@ -334,7 +326,7 @@ def explain_program(
         "disjuncts": [
             {
                 "sql": disjunct.sql,
-                "lowered": lowered_text(disjunct.query),
+                "lowered": query_text(disjunct.query),
                 "strategy": plan.strategy,
                 "ej_method": plan.ej_method,
                 "cost": plan.cost,

@@ -9,6 +9,8 @@ imported by no module under ``src/``.
 * :mod:`oracles.reduction` — the forward reduction built one input
   tuple at a time (rows + refcounts, no encoding memo, no code arrays)
   and the dict/set row patcher for deltas.
+* :mod:`oracles.one_step` — the one-step forward reduction of
+  Section 4.2 and Algorithm 1 run literally, one variable at a time.
 * :mod:`oracles.canonical` — query isomorphism by trying every atom
   order, and hypergraph isomorphism by VF2: the references for the
   canonical labelling.

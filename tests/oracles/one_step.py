@@ -1,4 +1,5 @@
-"""The one-step forward reduction (Section 4.2, Definitions 4.5-4.9).
+"""The one-step forward reduction (Section 4.2, Definitions 4.5-4.9):
+the literal Algorithm 1 that ``forward_reduce`` is checked against.
 
 Resolves a *single* interval variable ``[X]``, producing the disjunction
 ``Q̃_[X] = ⋁_σ Q̃_([X],σ)`` of EIJ queries (intersection joins may
@@ -6,11 +7,9 @@ remain on other variables) and the database ``D̃_[X]``.  Lemma 4.11:
 ``Q(D)`` iff some disjunct holds on the transformed database.
 
 Iterating this step over every interval variable is exactly
-Algorithm 1; :mod:`repro.reduction.forward` implements that full loop
-directly with shared variants, while this module exposes the individual
-steps — useful for inspection (Example 4.12) and for mixed strategies
-that resolve only the variables a downstream engine cannot handle.  Its
-relations hold the same cells as ``forward_reduce``'s: each part is a
+Algorithm 1 (:func:`iterate_one_step`); :mod:`repro.reduction.forward`
+implements that full loop directly with shared variants.  Its relations
+hold the same cells as ``forward_reduce``'s: each part is a
 segment-tree node id (:mod:`repro.intervals.bitstring`).
 """
 
@@ -19,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from ..engine.relation import Database, Relation
-from ..hypergraph.transform import part_vertex
-from ..intervals.bitstring import split_ids
-from ..intervals.interval import Interval
-from ..intervals.segment_tree import SegmentTree
-from ..queries.query import Atom, Query, pvar
+from repro.engine.relation import Database, Relation
+from repro.hypergraph.transform import part_vertex
+from repro.intervals.bitstring import split_ids
+from repro.intervals.interval import Interval
+from repro.intervals.segment_tree import SegmentTree
+from repro.queries.query import Atom, Query, pvar
 
 
 @dataclass

@@ -323,8 +323,10 @@ _KEYS_SCRIPT = """
 from repro.core.session import canonical_form
 from repro.hypergraph import tau
 from repro.hypergraph.isomorphism import hypergraph_labelling
+from repro.hypergraph.transform import reduced_structure_classes
 from repro.queries import catalog, parse_query
 from repro.service.pool import WorkerPool
+from repro.widths.fhtw import fhtw_with_decomposition
 from repro.workloads import isomorphic_variants
 
 queries = [
@@ -336,6 +338,13 @@ queries = [
 queries += [v for q in queries for v in isomorphic_variants(q, 2, seed=1)]
 print(repr([(canonical_form(q).key, WorkerPool._slot(q)) for q in queries]))
 print(repr([hypergraph_labelling(h).key for h in tau(catalog.triangle_ij().hypergraph())]))
+clique4 = tau(catalog.clique4_ij().hypergraph())
+print(repr([h.vertices for h in clique4]))
+decompositions = []
+for h in reduced_structure_classes(clique4).values():
+    _, td, order = fhtw_with_decomposition(h)
+    decompositions.append((list(order), [sorted(bag) for bag in td.bags]))
+print(repr(decompositions))
 """
 
 
@@ -351,4 +360,4 @@ def test_keys_and_slots_do_not_depend_on_str_hashing():
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("\n") == 2
+    assert outputs[0].count("\n") == 4

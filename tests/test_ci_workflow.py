@@ -124,7 +124,9 @@ class TestWorkflow:
         # differential and its forced fallbacks, unpatched causes) and the
         # canonical-labelling differential (keys ≡ the exhaustive search)
         # and the batched-disjunction differential (one join per core key
-        # ≡ the per-disjunct oracles) all ride the same matrix
+        # ≡ the per-disjunct oracles) and the value-codec round trip (wire
+        # lines, cache frames and files at ±2**53±1, ±inf and -0.0) all
+        # ride the same matrix
         assert [
             word for word in fuzz_steps[0]["run"].split() if word.startswith("tests/")
         ] == [
@@ -141,6 +143,7 @@ class TestWorkflow:
             "tests/test_patch_by_delta.py",
             "tests/test_canonical.py",
             "tests/test_disjunction_batch.py",
+            "tests/test_value_codec.py",
         ]
 
     def test_numpy_floor_job_runs_the_encoding_suites_on_numpy_124(self, workflow):

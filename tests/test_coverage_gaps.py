@@ -13,7 +13,6 @@ from repro.engine import (
 )
 from repro.reduction.forward import EncodedQuery, ForwardReductionResult
 from repro.engine.generic_join import default_variable_order
-from repro.engine.io import parse_value
 from repro.hypergraph import Hypergraph
 from repro.intervals import Interval, SegmentTree
 from repro.intervals.bitstring import EMPTY
@@ -72,17 +71,6 @@ class TestGenericJoinInternals:
         )
         with pytest.raises(KeyError):
             evaluate_disjunction(broken)
-
-
-class TestIoParsing:
-    def test_parse_point_values(self):
-        assert parse_value("5", False) == 5
-        assert parse_value("5.5", False) == 5.5
-        assert parse_value("tag", False) == "tag"
-
-    def test_parse_interval_values(self):
-        assert parse_value("1..2", True) == Interval(1.0, 2.0)
-        assert parse_value("7", True) == Interval.point(7.0)
 
 
 class TestModularLowerBound:

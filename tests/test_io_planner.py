@@ -1,16 +1,17 @@
 """Tests for database I/O, validation, and the adaptive planner."""
 
+import json
 import math
 import random
+
+import pytest
 
 from repro.core import QuerySession, explain, naive_count, naive_evaluate
 from repro.engine import Database, Relation
 from repro.engine.io import (
+    encode_database,
     load_database_json,
-    load_relation_csv,
-    parse_value,
     save_database_json,
-    save_relation_csv,
     validate_database,
 )
 from repro.intervals import Interval
@@ -19,57 +20,9 @@ from repro.sql import DisjunctPlan, cost
 from repro.workloads import random_database
 
 
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        relation = Relation(
-            "R",
-            ("A", "K"),
-            [
-                (Interval(1.5, 4.0), 7),
-                (Interval(0.0, 0.0), 9),
-            ],
-        )
-        path = tmp_path / "r.csv"
-        save_relation_csv(relation, path)
-        loaded = load_relation_csv(path, "R", interval_columns=["A"])
-        assert loaded.schema == ("A", "K")
-        assert loaded.tuples == relation.tuples
-
-    def test_bare_number_becomes_point_interval(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("A\n5\n")
-        loaded = load_relation_csv(path, "R", interval_columns=["A"])
-        assert loaded.tuples == {(Interval.point(5.0),)}
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("A,B\n1,2\n3\n")
-        import pytest
-
-        with pytest.raises(ValueError, match="expected 2 fields"):
-            load_relation_csv(path, "R")
-
-    def test_string_values(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("A,TAG\n1..2,hello\n")
-        loaded = load_relation_csv(path, "R", interval_columns=["A"])
-        assert (Interval(1, 2), "hello") in loaded
-
-
-    def test_nan_endpoint_rejected(self, tmp_path):
-        import pytest
-
-        assert parse_value("-inf..inf", True) == Interval(-math.inf, math.inf)
-        for text in ("nan", "nan..1", "0..nan"):
-            with pytest.raises(ValueError, match="NaN"):
-                parse_value(text, True)
-        path = tmp_path / "r.csv"
-        path.write_text("A\n1..2\nnan..3\n")
-        with pytest.raises(ValueError, match="NaN"):
-            load_relation_csv(path, "R", interval_columns=["A"])
-
-
 class TestJson:
+    """Database files are the value codec written to a file."""
+
     def test_roundtrip_with_query(self, tmp_path):
         q = catalog.triangle_ij()
         db = random_database(q, 6, seed=0)
@@ -79,20 +32,18 @@ class TestJson:
         for name in db.relation_names:
             assert loaded[name].tuples == db[name].tuples
 
-    def test_roundtrip_without_query_guesses_pairs(self, tmp_path):
+    def test_roundtrip_without_query_keeps_every_value(self, tmp_path):
         db = Database(
-            [Relation("R", ("A", "K"), [(Interval(1, 2), "x")])]
+            [Relation("R", ("A", "K"), [(Interval(1, 2), "x"), (Interval(3, 3), (1, 2))])]
         )
         path = tmp_path / "db.json"
         save_database_json(db, path)
         loaded = load_database_json(path)
-        assert (Interval(1, 2), "x") in loaded["R"]
+        assert loaded["R"].tuples == db["R"].tuples
+        written = json.loads(path.read_text())["R"]["tuples"]
+        assert written == sorted(encode_database(db)["R"]["tuples"], key=json.dumps)
 
     def test_bad_interval_cell(self, tmp_path):
-        import json
-
-        import pytest
-
         path = tmp_path / "db.json"
         path.write_text(
             json.dumps(
@@ -100,23 +51,32 @@ class TestJson:
             )
         )
         q = parse_query("R([A])")
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError, match="non-interval value 'oops'"):
             load_database_json(path, q)
+        assert ("oops",) in load_database_json(path)["R"]
 
     def test_nan_endpoint_rejected(self, tmp_path):
-        import pytest
-
         path = tmp_path / "db.json"
         # ``json`` reads the non-standard ``NaN`` literal as a float
-        path.write_text('{"R": {"schema": ["A"], "tuples": [[[NaN, 1.0]]]}}')
+        path.write_text(
+            '{"R": {"schema": ["A"], "tuples": [[{"interval": [NaN, 1.0]}]]}}'
+        )
         with pytest.raises(ValueError, match="NaN"):
             load_database_json(path, parse_query("R([A])"))
+        with pytest.raises(ValueError, match="NaN"):
+            save_database_json(
+                Database([Relation("R", ("K",), [(math.nan,)])]), tmp_path / "nan.json"
+            )
 
-    def test_infinite_endpoints_agree_with_naive(self):
+    def test_infinite_endpoints_agree_with_naive(self, tmp_path):
         q = catalog.triangle_ij()
         db = random_database(q, 6, seed=5, domain=30.0)
         db["S"].tuples.add((Interval(-math.inf, math.inf), Interval(-math.inf, 4.0)))
-        session = QuerySession(db)
+        path = tmp_path / "db.json"
+        save_database_json(db, path)
+        loaded = load_database_json(path, q)
+        assert loaded["S"].tuples == db["S"].tuples
+        session = QuerySession(loaded)
         assert session.evaluate(q) == naive_evaluate(q, db)
         assert session.count(q) == naive_count(q, db)
 

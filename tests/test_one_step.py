@@ -2,11 +2,11 @@
 
 import random
 
+from oracles.one_step import iterate_one_step, one_step_forward
 from repro.core import naive_evaluate
 from repro.engine import Database, Relation
 from repro.intervals import Interval
 from repro.queries import catalog, parse_query
-from repro.reduction import iterate_one_step, one_step_forward
 
 
 def rand_interval(rng, dom=10, maxlen=4):

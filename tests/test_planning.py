@@ -302,9 +302,11 @@ def node_format_uses(source: str) -> list[str]:
 def test_the_node_id_format_is_known_to_the_intervals_package_alone():
     """One tree, one node id, one encoding: everywhere in ``src/`` a
     node is an opaque integer.  Only ``intervals/bitstring.py`` knows
-    how it is written — the backward reduction, the one-step walk, the
-    FAQ-AI index and decoded rows all hold ids, and a bitstring is only
-    rendered, by the tests and figure benches, through ``bits``."""
+    how it is written — the backward reduction, the FAQ-AI index and
+    decoded rows all hold ids, and a bitstring is only rendered, by the
+    tests and figure benches, through ``bits``.  The one-step walk is a
+    test oracle now (``tests/oracles/one_step.py``), not a module of
+    ``src/``."""
     assert node_format_uses("from ..intervals.bitstring import splits")
     assert node_format_uses("from ..intervals.bitstring import EMPTY, bits")
     assert node_format_uses("from repro.intervals.bitstring import node_id")
@@ -322,7 +324,9 @@ def test_the_node_id_format_is_known_to_the_intervals_package_alone():
         assert bool(found) == (relative == "intervals/bitstring.py"), (
             relative, found,
         )
-    for gone in ("reduction/encoding_store.py", "reduction/factored.py"):
+    for gone in (
+        "reduction/encoding_store.py", "reduction/factored.py", "reduction/one_step.py",
+    ):
         assert not (root / gone).exists()
     tree = vars(SegmentTree)
     for view in (
